@@ -13,7 +13,13 @@ The state is the triple (rho, u, d): scalar density, scalar velocity and a
 Scheme: IMEX Euler.  Advection, pressure gradient, director stress and the
 director reaction are explicit; the stiff diffusion terms mu*u_xx and
 theta*d_xx are implicit via tridiagonal solves, which removes the
-dt ~ dx^2 stability constraint of explicit diffusion.  The continuity
+dt ~ dx^2 stability constraint of explicit diffusion.  The solves call
+LAPACK dgtsv directly on the three diagonals (the director's three
+components share one call); a nonzero LAPACK status raises
+LinearSolveError, and NaN/inf in the inputs is caught by the end-of-step
+finite check rather than by input validation.  Each step evaluates the
+director gradient, Laplacian and GL force once and shares them between the
+stress divergence and the director predictor.  The continuity
 equation advances with a conservative central flux plus half-cell updates
 at the walls, so the trapezoid-rule mass telescopes exactly (u = 0 at the
 endpoints means zero wall flux).  Advective fluxes are central
@@ -33,7 +39,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .constitutive import Params, System, gl_force, pressure
 from .grid import Grid1D, ScalarField, VectorField3, gradient_array, laplacian_array
@@ -64,6 +70,10 @@ class DensityFloorError(SolverError):
 
 class NonFiniteStateError(SolverError):
     """A state or update produced NaN/inf values."""
+
+
+class LinearSolveError(SolverError):
+    """LAPACK reported a singular or malformed implicit tridiagonal system."""
 
 
 class DirectorBC(Enum):
@@ -202,6 +212,18 @@ def rhs_continuity(state: State, grid: Grid1D) -> ScalarField:
     return ScalarField(-gradient_array(m, grid.dx), grid)
 
 
+def _gl_force_or_none(d: np.ndarray, params: Params) -> Optional[np.ndarray]:
+    return gl_force(d, params) if params.system is System.GL else None
+
+
+def _stress_contraction(
+    grad: np.ndarray, lap: np.ndarray, force: Optional[np.ndarray], lam: float
+) -> np.ndarray:
+    """lam * (d_xx - f(d)) . d_x from precomputed derivatives (f omitted if None)."""
+    curv = lap if force is None else lap - force
+    return lam * np.sum(curv * grad, axis=0)
+
+
 def director_stress_divergence(d: VectorField3, params: Params) -> ScalarField:
     """Divergence of the director stress in 1D, scaled by lam.
 
@@ -213,11 +235,12 @@ def director_stress_divergence(d: VectorField3, params: Params) -> ScalarField:
     assembled stress a second time would drop to first order at the
     endpoint rows.  The conservative form is equivalent to O(dx^2).
     """
-    dx_d = gradient_array(d.values, d.grid.dx)
-    curv = laplacian_array(d.values, d.grid.dx)
-    if params.system is System.GL:
-        curv = curv - gl_force(d.values, params)
-    return ScalarField(params.lam * np.sum(curv * dx_d, axis=0), d.grid)
+    v, dx = d.values, d.grid.dx
+    sdiv = _stress_contraction(
+        gradient_array(v, dx), laplacian_array(v, dx), _gl_force_or_none(v, params),
+        params.lam,
+    )
+    return ScalarField(sdiv, d.grid)
 
 
 def rhs_momentum(
@@ -293,23 +316,38 @@ def _cfl_limit(rho: np.ndarray, u: np.ndarray, dx: float, params: Params) -> flo
     return _CFL_NUMBER * dx / max(speed, _TINY_SPEED)
 
 
+def _tridiagonal_solve(
+    dl: np.ndarray, diag: np.ndarray, du: np.ndarray, rhs: np.ndarray, what: str
+) -> np.ndarray:
+    """LAPACK dgtsv on (sub, main, super) diagonals; overwrites all inputs."""
+    *_, x, info = dgtsv(
+        dl, diag, du, rhs,
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )
+    if info > 0:
+        raise LinearSolveError(f"{what} solve: singular matrix (zero pivot in row {info})")
+    if info < 0:
+        raise LinearSolveError(f"{what} solve: illegal argument {-info} to dgtsv")
+    return x
+
+
 def _solve_velocity(
     rho_new: np.ndarray, m_star: np.ndarray, dt: float, dx: float, mu: float
 ) -> np.ndarray:
     """Implicit viscous solve: (diag(rho_new) - mu dt D2) u = m_star, u=0 walls."""
     n = rho_new.shape[0]
     s = mu * dt / (dx * dx)
-    ab = np.zeros((3, n))
-    ab[1, :] = rho_new + 2.0 * s
-    ab[1, 0] = 1.0
-    ab[1, -1] = 1.0
-    ab[0, 2:] = -s         # superdiagonal entries A[i, i+1], i = 1..n-2
-    ab[2, :-2] = -s        # subdiagonal   entries A[i+1, i], i = 0..n-3
-    ab[2, -2] = 0.0        # pinned last row has no left coupling
+    diag = rho_new + 2.0 * s
+    diag[0] = 1.0
+    diag[-1] = 1.0
+    du = np.full(n - 1, -s)  # A[i, i+1]
+    dl = du.copy()           # A[i+1, i]
+    du[0] = 0.0              # pinned first row has no right coupling
+    dl[-1] = 0.0             # pinned last row has no left coupling
     rhs = m_star.copy()
     rhs[0] = 0.0
     rhs[-1] = 0.0
-    u_new = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    u_new = _tridiagonal_solve(dl, diag, du, rhs, "velocity")
     u_new[0] = 0.0
     u_new[-1] = 0.0
     return u_new
@@ -321,24 +359,22 @@ def _solve_director(
     """Implicit diffusion solve per component: (I - theta dt D2_bc) d = d_star."""
     n = d_star.shape[1]
     r = theta * dt / (dx * dx)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 2:] = -r
-    ab[2, :-2] = -r
-    rhs = d_star.T.copy()  # (n, 3): one factorization, three right-hand sides
+    diag = np.full(n, 1.0 + 2.0 * r)
+    du = np.full(n - 1, -r)  # A[i, i+1]
+    dl = du.copy()           # A[i+1, i]
+    rhs = d_star.copy().T    # (n, 3), Fortran order: three right-hand sides
 
     if bc.director_bc is DirectorBC.DIRICHLET_D0:
-        ab[1, 0] = 1.0
-        ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
+        diag[0] = 1.0
+        diag[-1] = 1.0
+        du[0] = 0.0
+        dl[-1] = 0.0
         rhs[0, :] = bc.d_left
         rhs[-1, :] = bc.d_right
     else:
-        ab[0, 1] = -2.0 * r      # mirrored ghost at the left wall
-        ab[2, -2] = -2.0 * r     # mirrored ghost at the right wall
-    sol = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-    d_new = sol.T.copy()
+        du[0] = -2.0 * r         # mirrored ghost at the left wall
+        dl[-1] = -2.0 * r        # mirrored ghost at the right wall
+    d_new = _tridiagonal_solve(dl, diag, du, rhs, "director").T
     if bc.director_bc is DirectorBC.DIRICHLET_D0:
         d_new[:, 0] = bc.d_left
         d_new[:, -1] = bc.d_right
@@ -385,7 +421,9 @@ def _advance(
     if av > 0.0:
         mom_flux = mom_flux - av * (m[1:] - m[:-1])
     p_vals = pressure(rho, params)
-    sdiv = _stress_divergence_array(d, dx, params)
+    grad_d = gradient_array(d, dx)
+    force = _gl_force_or_none(d, params)
+    sdiv = _stress_contraction(grad_d, laplacian_array(d, dx), force, params.lam)
     m_star = m.copy()
     m_star[1:-1] += dt * (
         -(mom_flux[1:] - mom_flux[:-1]) / dx
@@ -395,10 +433,12 @@ def _advance(
     u_new = _solve_velocity(rho_new, m_star, dt, dx, params.mu)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
-    grad_d = np.zeros_like(d)
-    grad_d[:, 1:-1] = (d[:, 2:] - d[:, :-2]) / (2.0 * dx)
-    if params.system is System.GL:
-        react = -params.theta * gl_force(d, params)
+    # predictor gradient: central in the interior, 0 at the walls, where
+    # pinned (GL) or mirrored (SPHERE) endpoints do not advect
+    grad_d[:, 0] = 0.0
+    grad_d[:, -1] = 0.0
+    if force is not None:
+        react = -params.theta * force
     else:
         react = params.theta * np.sum(grad_d * grad_d, axis=0) * d
     d_star = d + dt * (react - u * grad_d)
@@ -424,14 +464,6 @@ def _advance(
     return rho_new, u_new, d_new
 
 
-def _stress_divergence_array(d: np.ndarray, dx: float, params: Params) -> np.ndarray:
-    dx_d = gradient_array(d, dx)
-    curv = laplacian_array(d, dx)
-    if params.system is System.GL:
-        curv = curv - gl_force(d, params)
-    return params.lam * np.sum(curv * dx_d, axis=0)
-
-
 def step(
     state: State,
     dt: float,
@@ -444,7 +476,8 @@ def step(
     """Advance one IMEX Euler step of size dt.
 
     Raises CflError when dt exceeds the advective/acoustic bound,
-    DensityFloorError (with the node index) when positivity is lost, and
+    DensityFloorError (with the node index) when positivity is lost,
+    LinearSolveError when LAPACK rejects an implicit solve, and
     NonFiniteStateError on NaN/inf.  For the SPHERE system the director is
     renormalized pointwise after the implicit solve; the pre-normalization
     defect is written to stats['sphere_renorm_max'] when a dict is passed.

@@ -65,18 +65,6 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_nodes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Grid1D):
-            return NotImplemented
-        return (
-            self.n_nodes == other.n_nodes
-            and self.x_min == other.x_min
-            and self.x_max == other.x_max
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_nodes, self.x_min, self.x_max))
-
 
 def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float, copy=True)

@@ -7,7 +7,10 @@ from nemlab.dynamics import (
     BoundarySpec,
     CflError,
     DensityFloorError,
+    DirectorBC,
     InitialData,
+    LinearSolveError,
+    NonFiniteStateError,
     SolverError,
     SolverOptions,
     State,
@@ -18,6 +21,7 @@ from nemlab.dynamics import (
     rhs_momentum,
     step,
 )
+from nemlab import dynamics
 from nemlab.functionals import dissipation, energy
 from nemlab.grid import Grid1D, ScalarField, VectorField3
 from nemlab.verifier import cubic_restrict, make_initial_data
@@ -292,6 +296,90 @@ class TestStep:
                 diffs.append(err)
             order = np.log2(diffs[0] / diffs[1])
             assert 0.9 <= order <= 2.2, f"{system}: order {order}"
+
+
+class TestTridiagonalSolves:
+    """The hand-built diagonals against the documented dense operators."""
+
+    @staticmethod
+    def d2_dense(n, dx):
+        return (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+                + np.diag(np.ones(n - 1), -1)) / dx**2
+
+    def test_velocity_matches_dense_solve(self):
+        rng = np.random.default_rng(0)
+        n, dt, dx, mu = 17, 3e-3, 1.0 / 16, 0.7
+        rho_new = 1.0 + 0.5 * rng.random(n)
+        m_star = rng.standard_normal(n)
+        inputs = (rho_new.copy(), m_star.copy())
+        a = np.diag(rho_new) - mu * dt * self.d2_dense(n, dx)
+        a[[0, -1], :] = 0.0
+        a[0, 0] = a[-1, -1] = 1.0
+        b = m_star.copy()
+        b[[0, -1]] = 0.0
+        u = dynamics._solve_velocity(rho_new, m_star, dt, dx, mu)
+        np.testing.assert_allclose(u, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+        assert u[0] == 0.0 and u[-1] == 0.0
+        assert np.array_equal(rho_new, inputs[0]) and np.array_equal(m_star, inputs[1])
+
+    def test_director_dirichlet_matches_dense_solve(self):
+        rng = np.random.default_rng(1)
+        n, dt, dx, theta = 17, 3e-3, 1.0 / 16, 0.9
+        d_star = rng.standard_normal((3, n))
+        before = d_star.copy()
+        bc = BoundarySpec(DirectorBC.DIRICHLET_D0, rng.standard_normal(3),
+                          rng.standard_normal(3))
+        a = np.eye(n) - theta * dt * self.d2_dense(n, dx)
+        a[[0, -1], :] = 0.0
+        a[0, 0] = a[-1, -1] = 1.0
+        b = d_star.T.copy()
+        b[0], b[-1] = bc.d_left, bc.d_right
+        d_new = dynamics._solve_director(d_star, dt, dx, theta, bc)
+        np.testing.assert_allclose(d_new, np.linalg.solve(a, b).T, rtol=1e-12, atol=0.0)
+        assert np.array_equal(d_new[:, 0], bc.d_left)
+        assert np.array_equal(d_new[:, -1], bc.d_right)
+        assert np.array_equal(d_star, before)
+
+    def test_director_neumann_matches_dense_solve(self):
+        rng = np.random.default_rng(2)
+        n, dt, dx, theta = 17, 3e-3, 1.0 / 16, 0.9
+        d_star = rng.standard_normal((3, n))
+        before = d_star.copy()
+        d2 = self.d2_dense(n, dx)
+        d2[0, 1] = d2[-1, -2] = 2.0 / dx**2  # mirrored ghost nodes
+        a = np.eye(n) - theta * dt * d2
+        d_new = dynamics._solve_director(d_star, dt, dx, theta, BoundarySpec.neumann())
+        np.testing.assert_allclose(
+            d_new, np.linalg.solve(a, d_star.T).T, rtol=1e-12, atol=0.0
+        )
+        assert np.array_equal(d_star, before)
+
+    def test_singular_velocity_matrix_is_a_solver_error(self):
+        rho_new = np.ones(7)
+        rho_new[3] = 0.0  # with mu = 0 row 3 is all zeros
+        with pytest.raises(LinearSolveError, match="velocity solve: singular"):
+            dynamics._solve_velocity(rho_new, np.ones(7), 1e-3, 0.1, 0.0)
+
+    def test_singular_director_matrix_is_a_solver_error(self):
+        # theta*dt/dx^2 = -1/2 zeroes the diagonal; the interior block of
+        # size 3 is then singular
+        bc = BoundarySpec(DirectorBC.DIRICHLET_D0, np.zeros(3), np.zeros(3))
+        with pytest.raises(LinearSolveError, match="director solve: singular") as info:
+            dynamics._solve_director(np.ones((3, 5)), 1.0, 1.0, -0.5, bc)
+        assert isinstance(info.value, SolverError)
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_nan_velocity_is_non_finite_state(self, system):
+        p = Params(system=system)
+        g = Grid1D(33, 0.0, 1.0)
+        preset = "gl-smooth" if system is System.GL else "sphere-smooth"
+        init = make_initial_data(preset, g, p)
+        bc = BoundarySpec.for_system(system, init.d0)
+        u = init.u0.values.copy()
+        u[10] = np.nan
+        with pytest.raises(NonFiniteStateError):
+            dynamics._advance(init.rho0.values, u, init.d0.values, 1e-4, p, g, bc,
+                              SolverOptions())
 
 
 class TestEvolve:

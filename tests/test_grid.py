@@ -26,6 +26,14 @@ class TestGrid1D:
         assert x[0] == 0.0 and x[-1] == 2.0
         assert np.allclose(np.diff(x), g.dx)
 
+    def test_equality_and_hash_follow_the_fields(self):
+        g = Grid1D(11, 0.0, 2.0)
+        same = Grid1D(11, 0.0, 2.0)
+        assert g == same and hash(g) == hash(same)
+        assert g != "not a grid"
+        for other in (Grid1D(12, 0.0, 2.0), Grid1D(11, -1.0, 2.0), Grid1D(11, 0.0, 3.0)):
+            assert g != other
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(GridError):
             Grid1D(4, 0.0, 1.0)
