@@ -27,8 +27,6 @@ from .functionals import (
     gronwall_coefficient,
     relative_entropy,
     remainder,
-    remainder_gl,
-    remainder_sphere,
 )
 from .grid import Grid1D, ScalarField, VectorField3, gradient, integrate, laplacian, norm
 from .verifier import (
@@ -52,7 +50,7 @@ __all__ = [
     "step", "evolve",
     "StatePair", "RemainderBreakdown",
     "energy", "dissipation", "relative_entropy",
-    "remainder", "remainder_gl", "remainder_sphere", "gronwall_coefficient",
+    "remainder", "gronwall_coefficient",
     "ExperimentConfig", "GronwallConfig", "Perturbation", "EntropyTrace",
     "run_twin", "check_gronwall", "check_uniqueness", "check_energy",
     "make_initial_data",

@@ -20,8 +20,7 @@ Optional keys:
     director_bc                "dirichlet_d0" / "neumann_zero"; must match
                                the system (it is derived when absent)
     perturbation               {"amplitude": eps >= 0, "mode": m >= 1}
-    gronwall                   {"delta": (0, 1/8], "c_h": null or > 0,
-                                "slack": >= 0}
+    gronwall                   {"c_h": null or > 0, "slack": >= 0}
 
 Unknown keys anywhere are rejected; every violation names the key and the
 broken invariant.
@@ -105,8 +104,8 @@ def _grid_nodes(doc: Dict[str, Any], key: str) -> int:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a configuration document.
 
-    Fills the documented defaults (coefficients 1, delta 1/8, density
-    floor 1e-8, domain [0, 1]); rejects unknown keys and every constraint
+    Fills the documented defaults (coefficients 1, density floor 1e-8,
+    domain [0, 1]); rejects unknown keys and every constraint
     violation with a message naming the offending key.
     """
     try:
@@ -205,14 +204,11 @@ def parse_config(text: str) -> ExperimentConfig:
         section = doc["gronwall"]
         if not isinstance(section, dict):
             raise ConfigError("gronwall must be an object")
-        unknown = set(section) - {"delta", "c_h", "slack"}
+        unknown = set(section) - {"c_h", "slack"}
         if unknown:
             raise ConfigError(
                 f"gronwall has unknown key(s): {', '.join(sorted(unknown))}"
             )
-        delta = _number(section, "delta", 0.125)
-        if not 0.0 < delta <= 0.125:
-            raise ConfigError(f"gronwall.delta must lie in (0, 1/8], got {delta}")
         c_h = None
         if "c_h" in section and section["c_h"] is not None:
             c_h = _number(section, "c_h")
@@ -221,7 +217,7 @@ def parse_config(text: str) -> ExperimentConfig:
         slack = _number(section, "slack", 0.0)
         if slack < 0:
             raise ConfigError(f"gronwall.slack must be >= 0, got {slack}")
-        gron = GronwallConfig(delta=delta, c_h=c_h, slack=slack)
+        gron = GronwallConfig(c_h=c_h, slack=slack)
 
     floor = _positive(doc, "density_floor", 1e-8)
     av = _number(doc, "artificial_viscosity", 0.0)

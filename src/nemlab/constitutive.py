@@ -171,8 +171,3 @@ def bregman_pressure(rho, rho_tilde, params: Params):
         )
     out = np.where(out < 0.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
-
-
-# Alias used by the entropy functionals: the pressure part of the
-# relative-entropy integrand is exactly this Bregman divergence.
-relative_pressure_term = bregman_pressure

@@ -16,8 +16,9 @@ theta*d_xx are implicit via tridiagonal solves, which removes the
 dt ~ dx^2 stability constraint of explicit diffusion.  The solves call
 LAPACK dgtsv directly on the three diagonals (the director's three
 components share one call); a nonzero LAPACK status raises
-LinearSolveError, and NaN/inf in the inputs is caught by the end-of-step
-finite check rather than by input validation.  Each step evaluates the
+LinearSolveError.  NaN/inf in rho or u makes the wave speed of the CFL
+bound non-finite, which raises NonFiniteStateError before either solve
+runs; NaN/inf in d is caught by the end-of-step finite check.  Each step evaluates the
 director gradient, Laplacian and GL force once and shares them between the
 stress divergence and the director predictor.  The continuity
 equation advances with a conservative central flux plus half-cell updates
@@ -34,6 +35,7 @@ the verification targets and aborts rather than clamping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -313,6 +315,9 @@ def _sound_speed_max(rho: np.ndarray, params: Params) -> float:
 
 def _cfl_limit(rho: np.ndarray, u: np.ndarray, dx: float, params: Params) -> float:
     speed = float(np.max(np.abs(u))) + _sound_speed_max(rho, params)
+    if not math.isfinite(speed):
+        # NaN or inf in rho or u: stop before the solves run on it
+        raise NonFiniteStateError(f"non-finite wave speed {speed} at step start")
     return _CFL_NUMBER * dx / max(speed, _TINY_SPEED)
 
 

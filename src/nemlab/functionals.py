@@ -26,6 +26,11 @@ hold on arbitrary smooth pairs up to O(dx^2) discrete product/chain-rule
 and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
+`remainder` is the one per-sample entry point for the remainders: it
+builds the pair's derived arrays once, runs the GL or the SPHERE body,
+checks the active identity and assembles h_hat from the same arrays.
+`gronwall_coefficient` runs that h_hat assembly alone.
+
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
 couplings and lam*theta on director relaxation/diffusion differences; at
@@ -34,6 +39,8 @@ mu = lam = theta = 1 every formula reduces to its normalized form.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -120,13 +127,6 @@ class RemainderBreakdown:
     r_1c_a: Optional[float] = None
     r_1c_b: Optional[float] = None
     reorg_mismatch: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """The remainder driving entropy growth at this sample."""
-        if self.system is System.GL:
-            return self.r_d + self.r_c
-        return self.r_1d + self.r_1c
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,11 @@ def director_l2_gap(pair: StatePair) -> float:
 
 @dataclass
 class _PairFields:
-    """Precomputed arrays shared by the remainder and h_hat assembly."""
+    """Arrays shared by the remainder bodies and the h_hat assembly.
+
+    Built once per sample.  force and force_r hold f(d) and f(d~) for GL
+    and are None for SPHERE.
+    """
 
     dx: float
     rho: np.ndarray
@@ -229,6 +233,8 @@ class _PairFields:
     rho_r: np.ndarray
     u_r: np.ndarray
     d_r: np.ndarray
+    p: np.ndarray
+    p_r: np.ndarray
     grad_u: np.ndarray
     grad_u_r: np.ndarray
     lap_u_r: np.ndarray
@@ -236,6 +242,8 @@ class _PairFields:
     grad_d_r: np.ndarray
     lap_d: np.ndarray
     lap_d_r: np.ndarray
+    force: Optional[np.ndarray]
+    force_r: Optional[np.ndarray]
     stress_div_r: np.ndarray  # lam-weighted curvature-force form
     g_ref: np.ndarray         # mu*lap(u~) - stress_div_r
 
@@ -246,9 +254,12 @@ class _PairFields:
         c, r = pair.candidate, pair.reference
         grad_d_r = gradient_array(r.d.values, dx)
         lap_d_r = laplacian_array(r.d.values, dx)
+        force = force_r = None
         curv_r = lap_d_r
         if params.system is System.GL:
-            curv_r = lap_d_r - gl_force(r.d.values, params)
+            force = gl_force(c.d.values, params)
+            force_r = gl_force(r.d.values, params)
+            curv_r = lap_d_r - force_r
         stress_div_r = params.lam * np.sum(curv_r * grad_d_r, axis=0)
         lap_u_r = laplacian_array(r.u.values, dx)
         return cls(
@@ -259,6 +270,8 @@ class _PairFields:
             rho_r=r.rho.values,
             u_r=r.u.values,
             d_r=r.d.values,
+            p=pressure(c.rho.values, params),
+            p_r=pressure(r.rho.values, params),
             grad_u=gradient_array(c.u.values, dx),
             grad_u_r=gradient_array(r.u.values, dx),
             lap_u_r=lap_u_r,
@@ -266,6 +279,8 @@ class _PairFields:
             grad_d_r=grad_d_r,
             lap_d=laplacian_array(c.d.values, dx),
             lap_d_r=lap_d_r,
+            force=force,
+            force_r=force_r,
             stress_div_r=stress_div_r,
             g_ref=params.mu * lap_u_r - stress_div_r,
         )
@@ -275,29 +290,31 @@ def _integ(dens: np.ndarray, dx: float) -> float:
     return trapezoid_array(dens, dx)
 
 
-def _density_terms(f: _PairFields, params: Params, terms: Dict[str, float]) -> tuple:
-    """Velocity/pressure remainder in raw and reorganized form.
+def _block(terms: Dict[str, float], prefix: str) -> float:
+    """Sum of the terms named prefix*, left to right in the order added."""
+    return functools.reduce(
+        operator.add, (v for k, v in terms.items() if k.startswith(prefix))
+    )
 
-    Raw form: the reference time derivatives d(u~)/dt and d(Pi'(rho~))/dt
-    are replaced by the right-hand sides of the reference momentum and
-    continuity equations, making both forms functions of the instantaneous
-    pair.  The reorganized form regroups into the convective quadratic,
-    the pressure Bregman work, the density-weighted force imbalance and
-    the stress-transport exchange term x_ref that migrates between the
-    density and coupling blocks.
+
+def _raw_density_terms(
+    f: _PairFields, params: Params, terms: Dict[str, float]
+) -> float:
+    """Velocity/pressure remainder r_d in derivation order (GL only).
+
+    The reference time derivatives d(u~)/dt and d(Pi'(rho~))/dt are
+    replaced by the right-hand sides of the reference momentum and
+    continuity equations, making the block a function of the
+    instantaneous pair.
     """
     dx = f.dx
     du_r = f.u_r - f.u  # u~ - u
 
-    grad_p_r = gradient_array(pressure(f.rho_r, params), dx)
-    dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
+    dudt_r = (f.g_ref - gradient_array(f.p_r, dx)) / f.rho_r - f.u_r * f.grad_u_r
 
     pi2_r = pressure_potential_second_derivative(f.rho_r, params)
     dpidt_r = -pi2_r * gradient_array(f.rho_r * f.u_r, dx)
     grad_pi1_r = gradient_array(pressure_potential_derivative(f.rho_r, params), dx)
-
-    p_c = pressure(f.rho, params)
-    p_r = pressure(f.rho_r, params)
 
     terms["rd_velocity_exchange"] = _integ(
         f.rho * du_r * (dudt_r + f.u * f.grad_u_r), dx
@@ -308,56 +325,47 @@ def _density_terms(f: _PairFields, params: Params, terms: Dict[str, float]) -> t
     terms["rd_pressure_transport"] = _integ(
         (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (f.rho_r * f.u_r - f.rho * f.u), dx
     )
-    terms["rd_pressure_work"] = -_integ(f.grad_u_r * (p_c - p_r), dx)
-    r_d = (
-        terms["rd_velocity_exchange"]
-        + terms["rd_viscous_exchange"]
-        + terms["rd_pressure_transport"]
-        + terms["rd_pressure_work"]
-    )
+    terms["rd_pressure_work"] = -_integ(f.grad_u_r * (f.p - f.p_r), dx)
+    return _block(terms, "rd_")
 
-    bregman_p = p_c - pressure_derivative(f.rho_r, params) * (f.rho - f.rho_r) - p_r
+
+def _reorganized_density_terms(
+    f: _PairFields, params: Params, terms: Dict[str, float]
+) -> float:
+    """Velocity/pressure remainder in estimate order (r_bar_d, SPHERE's r_1d).
+
+    Regroups the raw block into the convective quadratic, the pressure
+    Bregman work and the density-weighted force imbalance.  The
+    stress-transport exchange term that migrates between the density and
+    coupling blocks is reported by `remainder` as a diagnostic.
+    """
+    dx = f.dx
+    du_r = f.u_r - f.u  # u~ - u
+    bregman_p = f.p - pressure_derivative(f.rho_r, params) * (f.rho - f.rho_r) - f.p_r
     terms["rbd_convective"] = _integ(f.rho * du_r * (-du_r) * f.grad_u_r, dx)
     terms["rbd_pressure_bregman"] = -_integ(f.grad_u_r * bregman_p, dx)
     terms["rbd_density_weighted_force"] = _integ(
         (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r, dx
     )
-    r_bar_d = (
-        terms["rbd_convective"]
-        + terms["rbd_pressure_bregman"]
-        + terms["rbd_density_weighted_force"]
-    )
-
-    # reference stress transported by the velocity gap; cancels between the
-    # two reorganized blocks
-    x_ref = _integ(f.stress_div_r * du_r, dx)
-    return r_d, r_bar_d, x_ref
+    return _block(terms, "rbd_")
 
 
-def remainder_gl(
-    pair: StatePair, params: Params, check_identity: bool = True
-) -> RemainderBreakdown:
-    """Remainder integrals for the penalized (GL) system at one sample.
+def _remainder_gl(f: _PairFields, params: Params, terms: Dict[str, float]):
+    """GL quartet and its mismatch (r_d + r_c) - (r_bar_d + r_bar_c).
 
-    Returns both the derivation-order split (r_d, r_c) and the
-    estimate-order split (r_bar_d, r_bar_c); their sums agree up to the
-    O(dx^2) reorganization defect reported in reorg_mismatch.
+    (r_d, r_c) is the derivation-order split, (r_bar_d, r_bar_c) the
+    estimate-order split; their sums agree up to O(dx^2).
     """
-    if params.system is not System.GL:
-        raise FunctionalError("remainder_gl requires GL params")
-    f = _PairFields.build(pair, params)
     dx = f.dx
-    terms: Dict[str, float] = {}
     lam, th = params.lam, params.theta
 
-    r_d, r_bar_d, x_ref = _density_terms(f, params, terms)
+    r_d = _raw_density_terms(f, params, terms)
+    r_bar_d = _reorganized_density_terms(f, params, terms)
 
-    force_c = gl_force(f.d, params)
-    force_r = gl_force(f.d_r, params)
-    curv_c = f.lap_d - force_c  # d_xx - f(d), the GL relaxation residual
+    curv_c = f.lap_d - f.force  # d_xx - f(d), the GL relaxation residual
     dlap = f.lap_d - f.lap_d_r
     dgrad = f.grad_d - f.grad_d_r
-    dforce = force_c - force_r
+    dforce = f.force - f.force_r
     du = f.u - f.u_r
 
     terms["rc_candidate_transport"] = -lam * _integ(
@@ -370,12 +378,7 @@ def remainder_gl(
         np.sum(dlap * (f.u * f.grad_d - f.u_r * f.grad_d_r), axis=0), dx
     )
     terms["rc_force_difference"] = lam * th * _integ(np.sum(dlap * dforce, axis=0), dx)
-    r_c = (
-        terms["rc_candidate_transport"]
-        + terms["rc_reference_transport"]
-        + terms["rc_difference_transport"]
-        + terms["rc_force_difference"]
-    )
+    r_c = _block(terms, "rc_")
 
     terms["rbc_force_difference"] = terms["rc_force_difference"]
     terms["rbc_gradient_transport"] = lam * _integ(
@@ -385,74 +388,34 @@ def remainder_gl(
         du * np.sum(f.lap_d_r * dgrad, axis=0), dx
     )
     terms["rbc_candidate_force"] = lam * _integ(
-        du * np.sum(force_c * dgrad, axis=0), dx
+        du * np.sum(f.force * dgrad, axis=0), dx
     )
     terms["rbc_force_gradient"] = lam * _integ(
         du * np.sum(dforce * f.grad_d_r, axis=0), dx
     )
-    r_bar_c = (
-        terms["rbc_force_difference"]
-        + terms["rbc_gradient_transport"]
-        + terms["rbc_reference_curvature"]
-        + terms["rbc_candidate_force"]
-        + terms["rbc_force_gradient"]
-    )
+    r_bar_c = _block(terms, "rbc_")
 
-    terms["diag_stress_transport_exchange"] = x_ref
-    terms["diag_director_l2_gap"] = director_l2_gap(pair)
-
-    mismatch = (r_d + r_c) - (r_bar_d + r_bar_c)
-    _check_reorg(mismatch, terms, dx, check_identity)
-    h = gronwall_coefficient(pair, params)
-    out = RemainderBreakdown(
-        system=System.GL,
-        h_hat=h.total,
-        terms=terms,
-        r_d=r_d,
-        r_c=r_c,
-        r_bar_d=r_bar_d,
-        r_bar_c=r_bar_c,
-        reorg_mismatch=float(mismatch),
-    )
-    _require_finite(out)
-    return out
+    quartet = dict(r_d=r_d, r_c=r_c, r_bar_d=r_bar_d, r_bar_c=r_bar_c)
+    return quartet, (r_d + r_c) - (r_bar_d + r_bar_c)
 
 
-def remainder_sphere(
-    pair: StatePair, params: Params, check_identity: bool = True
-) -> RemainderBreakdown:
-    """Remainder integrals for the unit-sphere system at one sample.
+def _remainder_sphere(f: _PairFields, params: Params, terms: Dict[str, float]):
+    """SPHERE quartet (r_1d, r_1c, r_1c_a, r_1c_b) and its mismatch.
 
-    r_1d is the density/velocity block (already in estimate order); r_1c
-    collects the director couplings, split into the part needing
+    The mismatch is r_1c - (r_1c_a + r_1c_b).  r_1d is the
+    density/velocity block, already in estimate order; r_1c collects the
+    director couplings, split into the part needing
     delta-absorption against the Laplacian-gap dissipation (r_1c_a) and
     the part bounded directly through the entropy (r_1c_b).  The split is
     algebraically exact except for one factored curvature term moved by
-    integration by parts, so the identity r_1c = r_1c_a + r_1c_b holds to
-    O(dx^2); the two terms carrying the factor
-    (|d~_x| + |d_x|)(|d_x| - |d~_x|) keep that factored form.
+    integration by parts, so the identity holds to O(dx^2); the two terms
+    carrying the factor (|d~_x| + |d_x|)(|d_x| - |d~_x|) keep that
+    factored form.
     """
-    if params.system is not System.SPHERE:
-        raise FunctionalError("remainder_sphere requires SPHERE params")
-    for name, st in (("candidate", pair.candidate), ("reference", pair.reference)):
-        mag = np.sqrt(np.sum(st.d.values**2, axis=0))
-        if np.max(np.abs(mag - 1.0)) > 1e-8:
-            raise FunctionalError(f"{name} director is not unit length")
-    f = _PairFields.build(pair, params)
     dx = f.dx
-    terms: Dict[str, float] = {}
     lam, th = params.lam, params.theta
 
-    r_1d, _unused_bar, x_ref = _density_terms(f, params, terms)
-    # SPHERE bookkeeping starts from the estimate-order density block
-    for key in ("rd_velocity_exchange", "rd_viscous_exchange",
-                "rd_pressure_transport", "rd_pressure_work"):
-        del terms[key]
-    r_1d = (
-        terms["rbd_convective"]
-        + terms["rbd_pressure_bregman"]
-        + terms["rbd_density_weighted_force"]
-    )
+    r_1d = _reorganized_density_terms(f, params, terms)
 
     e = f.d - f.d_r
     dlap = f.lap_d - f.lap_d_r
@@ -476,13 +439,7 @@ def remainder_sphere(
     terms["r1c_director_transport"] = -lam * _integ(
         np.sum(e * trans_gap, axis=0), dx
     )
-    r_1c = (
-        terms["r1c_stress_transport"]
-        + terms["r1c_difference_transport"]
-        + terms["r1c_nonlinear_laplacian"]
-        + terms["r1c_nonlinear_director"]
-        + terms["r1c_director_transport"]
-    )
+    r_1c = _block(terms, "r1c_")
 
     gap_mag = gm - gm_r
     sum_mag = gm_r + gm
@@ -498,12 +455,7 @@ def remainder_sphere(
     terms["r1ca_director_exchange"] = lam * _integ(
         du_r * np.sum(e * f.grad_d, axis=0), dx
     )
-    r_1c_a = (
-        terms["r1ca_gradient_transport"]
-        + terms["r1ca_reference_curvature"]
-        + terms["r1ca_factored_curvature"]
-        + terms["r1ca_director_exchange"]
-    )
+    r_1c_a = _block(terms, "r1ca_")
 
     terms["r1cb_gradient_director"] = -lam * _integ(
         f.u_r * np.sum(e * dgrad, axis=0), dx
@@ -528,39 +480,49 @@ def remainder_sphere(
     terms["r1cb_byparts_gradient_sq"] = lam * th * _integ(
         gm_r**2 * np.sum(dgrad * dgrad, axis=0), dx
     )
-    r_1c_b = (
-        terms["r1cb_gradient_director"]
-        + terms["r1cb_factored_director"]
-        + terms["r1cb_reference_gradient_sq"]
-        + terms["r1cb_byparts_cross"]
-        + terms["r1cb_byparts_gradient_sq"]
+    r_1c_b = _block(terms, "r1cb_")
+
+    quartet = dict(r_1d=r_1d, r_1c=r_1c, r_1c_a=r_1c_a, r_1c_b=r_1c_b)
+    return quartet, r_1c - (r_1c_a + r_1c_b)
+
+
+def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
+    """Every remainder integral, both reorganizations and h_hat at one sample.
+
+    GL fills (r_d, r_c, r_bar_d, r_bar_c), SPHERE fills (r_1d, r_1c,
+    r_1c_a, r_1c_b); the reorganization identity of the active quartet is
+    checked against REORG_TOL_COEFF * dx^2.  SPHERE requires both
+    directors to be unit length.  The pair's fields are built once and
+    shared by the remainder bodies and the Gronwall coefficient.
+    """
+    if params.system is System.SPHERE:
+        for name, st in (("candidate", pair.candidate), ("reference", pair.reference)):
+            mag = np.sqrt(np.sum(st.d.values**2, axis=0))
+            if np.max(np.abs(mag - 1.0)) > 1e-8:
+                raise FunctionalError(f"{name} director is not unit length")
+    f = _PairFields.build(pair, params)
+    terms: Dict[str, float] = {}
+    body = _remainder_gl if params.system is System.GL else _remainder_sphere
+    quartet, mismatch = body(f, params, terms)
+    # reference stress transported by the velocity gap; cancels between the
+    # two reorganized blocks
+    terms["diag_stress_transport_exchange"] = _integ(
+        f.stress_div_r * (f.u_r - f.u), f.dx
     )
-
-    terms["diag_stress_transport_exchange"] = x_ref
     terms["diag_director_l2_gap"] = director_l2_gap(pair)
-
-    mismatch = r_1c - (r_1c_a + r_1c_b)
-    _check_reorg(mismatch, terms, dx, check_identity)
-    h = gronwall_coefficient(pair, params)
+    _check_reorg(mismatch, terms, f.dx)
     out = RemainderBreakdown(
-        system=System.SPHERE,
-        h_hat=h.total,
+        system=params.system,
+        h_hat=_gronwall_terms(f, params).total,
         terms=terms,
-        r_1d=r_1d,
-        r_1c=r_1c,
-        r_1c_a=r_1c_a,
-        r_1c_b=r_1c_b,
         reorg_mismatch=float(mismatch),
+        **quartet,
     )
     _require_finite(out)
     return out
 
 
-def _check_reorg(
-    mismatch: float, terms: Dict[str, float], dx: float, enabled: bool
-) -> None:
-    if not enabled:
-        return
+def _check_reorg(mismatch: float, terms: Dict[str, float], dx: float) -> None:
     scale = max(1.0, sum(abs(v) for v in terms.values()))
     if abs(mismatch) > REORG_TOL_COEFF * dx * dx * scale:
         raise FunctionalError(
@@ -601,9 +563,13 @@ def gronwall_coefficient(pair: StatePair, params: Params) -> GronwallTerms:
     analytic constant (embedding constants, delta-splitting constants) is
     deferred to the single calibrated multiplier c_h applied by the
     verifier.  All terms are nonnegative; all vanish on a resting
-    reference with a coinciding candidate.
+    reference with a coinciding candidate.  `remainder` reports the same
+    total as its h_hat.
     """
-    f = _PairFields.build(pair, params)
+    return _gronwall_terms(_PairFields.build(pair, params), params)
+
+
+def _gronwall_terms(f: _PairFields, params: Params) -> GronwallTerms:
     dx = f.dx
     terms: Dict[str, float] = {}
 
@@ -613,8 +579,8 @@ def gronwall_coefficient(pair: StatePair, params: Params) -> GronwallTerms:
     terms["u_ref_inf_sq"] = _linf(f.u_r) ** 2
 
     if params.system is System.GL:
-        force_c_inf = _linf(gl_force(f.d, params))
-        force_r_inf = _linf(gl_force(f.d_r, params))
+        force_c_inf = _linf(f.force)
+        force_r_inf = _linf(f.force_r)
         # size surrogate for the penalization-force Lipschitz bound; the
         # true constant folds into c_h
         terms["force_scale"] = force_c_inf + force_r_inf
@@ -635,10 +601,3 @@ def gronwall_coefficient(pair: StatePair, params: Params) -> GronwallTerms:
 
     total = float(sum(terms.values()))
     return GronwallTerms(total=total, terms=terms)
-
-
-def remainder(pair: StatePair, params: Params, check_identity: bool = True):
-    """System dispatch for the remainder evaluation."""
-    if params.system is System.GL:
-        return remainder_gl(pair, params, check_identity)
-    return remainder_sphere(pair, params, check_identity)

@@ -110,21 +110,6 @@ class VectorField3:
         if not np.all(np.isfinite(self.values)):
             raise FieldError("vector field contains non-finite values")
 
-    @classmethod
-    def from_components(
-        cls, c0: ScalarField, c1: ScalarField, c2: ScalarField
-    ) -> "VectorField3":
-        if not (c0.grid == c1.grid == c2.grid):
-            raise GridError("vector components must share one grid")
-        return cls(np.stack([c0.values, c1.values, c2.values]), c0.grid)
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.values[i], self.grid)
-
-    def magnitude(self) -> ScalarField:
-        """Pointwise Euclidean length of the 3-vector at each node."""
-        return ScalarField(np.sqrt(np.sum(self.values**2, axis=0)), self.grid)
-
 
 # ---------------------------------------------------------------------------
 # Array-level kernels.  The hot solver loop calls these directly; the field

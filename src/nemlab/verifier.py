@@ -11,10 +11,12 @@ uniqueness mechanism numerically:
                         <= E(t_k) up to a tolerance.
     check_gronwall    - the entropy stays below
                         (E(0) + slack) * exp(c_h * int h_hat dt)
-                        and the minimal admissible c_h is calibrated.
+                        and reports the minimal admissible c_h, which
+                        has a closed form.
     check_uniqueness  - with identical initial data, sup_t entropy collapses
                         under candidate-grid refinement at the expected order
                         (quadratic functional of a convergent field error).
+                        It evaluates the relative entropy only.
 
 Candidate and reference live on different grids in general; the reference
 is restricted to the candidate grid by local 4-point (cubic Lagrange)
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,22 +157,17 @@ def make_initial_data(
 class GronwallConfig:
     """Calibration knobs of the Gronwall certificate.
 
-    delta is the dissipation fraction reserved for absorbing each
-    quadratic difference term (at most four per system, so delta <= 1/8
-    keeps half the dissipation in reserve); its effect on the certified
-    bound is entirely inside the calibrated multiplier, so only c_h and
-    slack enter the checked inequality.  c_h None means auto-calibrate:
-    the check passes when a finite minimal multiplier exists.  slack is
-    the additive floor for runs starting from zero entropy.
+    c_h None means auto-calibrate: the check passes when a finite minimal
+    multiplier exists.  slack is the additive floor for runs starting from
+    zero entropy.  The dissipation fraction spent on absorbing each
+    quadratic difference term only changes the unknown constants that c_h
+    already absorbs, so it is not a knob.
     """
 
-    delta: float = 0.125
     c_h: Optional[float] = None
     slack: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 0.125:
-            raise VerifierError(f"delta must lie in (0, 1/8], got {self.delta}")
         if self.c_h is not None and not self.c_h > 0:
             raise VerifierError(f"c_h must be positive when given, got {self.c_h}")
         if self.slack < 0:
@@ -410,21 +407,36 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
         exc.args = (f"candidate trajectory: {exc}",)
         raise
 
-    return _assemble_trace(config, ref_samples, cand_samples, with_remainders=True)
+    return _assemble_trace(config, ref_samples, cand_samples)
+
+
+def _paired_samples(
+    config: ExperimentConfig,
+    ref_samples: Sequence[Tuple[float, State]],
+    cand_samples: Sequence[Tuple[float, State]],
+) -> Iterator[Tuple[float, State, StatePair]]:
+    """Yield (time, reference state, pair on the candidate grid) per sample.
+
+    The sample counts and times of the two trajectories must match; the
+    reference is restricted to the candidate grid one sample at a time.
+    """
+    if len(ref_samples) != len(cand_samples):
+        raise VerifierError("reference and candidate produced different sample counts")
+    for (t_r, st_r), (t_c, st_c) in zip(ref_samples, cand_samples):
+        if abs(t_r - t_c) > 1e-9 * max(1.0, config.t_end):
+            raise VerifierError(f"sample time mismatch: {t_r} vs {t_c}")
+        ref_on_c = restrict_state(st_r, config.grid_candidate, config.params.system)
+        yield t_c, st_r, StatePair(st_c, ref_on_c, rho_lower=config.solver.density_floor)
 
 
 def _assemble_trace(
     config: ExperimentConfig,
     ref_samples: Sequence[Tuple[float, State]],
     cand_samples: Sequence[Tuple[float, State]],
-    with_remainders: bool,
 ) -> EntropyTrace:
     params = config.params
     system = params.system
-    if len(ref_samples) != len(cand_samples):
-        raise VerifierError("reference and candidate produced different sample counts")
-
-    n = len(ref_samples)
+    n = len(cand_samples)
     cols: Dict[str, np.ndarray] = {
         name: np.full(n, np.nan)
         for name in (
@@ -435,14 +447,13 @@ def _assemble_trace(
         )
     }
     times = np.empty(n)
-    breakdowns: Optional[List[RemainderBreakdown]] = [] if with_remainders else None
+    breakdowns: List[RemainderBreakdown] = []
+    active = _GL_COLUMNS if system is System.GL else _SPHERE_COLUMNS
 
-    for k, ((t_r, st_r), (t_c, st_c)) in enumerate(zip(ref_samples, cand_samples)):
-        if abs(t_r - t_c) > 1e-9 * max(1.0, config.t_end):
-            raise VerifierError(f"sample time mismatch: {t_r} vs {t_c}")
-        times[k] = t_c
-        ref_on_c = restrict_state(st_r, config.grid_candidate, system)
-        pair = StatePair(st_c, ref_on_c, rho_lower=config.solver.density_floor)
+    pairs = _paired_samples(config, ref_samples, cand_samples)
+    for k, (t, st_r, pair) in enumerate(pairs):
+        st_c = pair.candidate
+        times[k] = t
         cols["entropy"][k] = relative_entropy(pair, params)
         cols["energy_candidate"][k] = energy(st_c, params)
         cols["energy_reference"][k] = energy(st_r, params)
@@ -452,30 +463,12 @@ def _assemble_trace(
         if system is System.SPHERE:
             mag = np.sqrt(np.sum(st_c.d.values**2, axis=0))
             cols["sphere_defect"][k] = float(np.max(np.abs(mag - 1.0)))
-        if with_remainders:
-            br = remainder(pair, params)
-            breakdowns.append(br)
-            cols["h_hat"][k] = br.h_hat
-            cols["reorg_mismatch"][k] = br.reorg_mismatch
-            if system is System.GL:
-                cols["r_d"][k] = br.r_d
-                cols["r_c"][k] = br.r_c
-                cols["r_bar_d"][k] = br.r_bar_d
-                cols["r_bar_c"][k] = br.r_bar_c
-            else:
-                cols["r_1d"][k] = br.r_1d
-                cols["r_1c"][k] = br.r_1c
-                cols["r_1c_a"][k] = br.r_1c_a
-                cols["r_1c_b"][k] = br.r_1c_b
-        else:
-            cols["h_hat"][k] = 0.0
-            cols["reorg_mismatch"][k] = 0.0
-            if system is System.GL:
-                for name in _GL_COLUMNS:
-                    cols[name][k] = 0.0
-            else:
-                for name in _SPHERE_COLUMNS:
-                    cols[name][k] = 0.0
+        br = remainder(pair, params)
+        breakdowns.append(br)
+        cols["h_hat"][k] = br.h_hat
+        cols["reorg_mismatch"][k] = br.reorg_mismatch
+        for name in active:
+            cols[name][k] = getattr(br, name)
 
     return EntropyTrace(system=system, times=times, breakdowns=breakdowns, **cols)
 
@@ -496,22 +489,20 @@ class GronwallReport:
     slack: float
 
 
-def _gronwall_holds(
-    entropy: np.ndarray, h_int: np.ndarray, e0: float, c_h: float
-) -> bool:
-    bound = e0 * np.exp(c_h * h_int)
-    return bool(np.all(entropy <= bound * (1.0 + 1e-12) + 1e-300))
-
-
 def check_gronwall(trace: EntropyTrace, config: GronwallConfig) -> GronwallReport:
     """Certify entropy(tau) <= (entropy(0) + slack) * exp(c_h * int h_hat).
 
-    The time integral of h_hat uses trapezoid quadrature on the sample
-    times.  When config.c_h is given, the report passes iff the bound
-    holds at that multiplier; when auto-calibrating (c_h None) it passes
-    iff some finite multiplier works.  minimal_c_h is located by doubling
-    then bisection to 1e-3 relative; worst_time is the sample at which the
-    required multiplier peaks.
+    The time integral H of h_hat uses trapezoid quadrature on the sample
+    times, and E_0 = entropy(0) + slack.  Since h_hat >= 0 the bound is
+    monotone in c_h, so it holds exactly for c_h >= minimal_c_h, where
+
+        minimal_c_h = max_k log(E_k/E_0)/H_k
+
+    over the samples with E_k > E_0(1 + 1e-12): 0 when there are none,
+    inf when one of them has E_0 = 0 or H_k = 0.  worst_time is the sample
+    at which that maximum is taken.  When config.c_h is given, the report
+    passes iff c_h >= minimal_c_h; when auto-calibrating (c_h None) it
+    passes iff minimal_c_h is finite.
     """
     if len(trace) == 0:
         raise VerifierError("empty trace")
@@ -523,9 +514,7 @@ def check_gronwall(trace: EntropyTrace, config: GronwallConfig) -> GronwallRepor
     )
     e0 = float(ent[0] + config.slack)
 
-    # the multiplier each sample individually requires (analytic form used
-    # only to locate the worst sample; the reported value comes from the
-    # bisection below)
+    # the multiplier each sample individually requires
     required = np.zeros_like(ent)
     for k in range(1, len(ent)):
         if ent[k] <= e0 * (1.0 + 1e-12):
@@ -533,41 +522,21 @@ def check_gronwall(trace: EntropyTrace, config: GronwallConfig) -> GronwallRepor
         if e0 == 0.0 or h_int[k] == 0.0:
             required[k] = np.inf
         else:
-            required[k] = math.log(ent[k] / e0) / h_int[k]
+            # logs taken apart and a float (not numpy) quotient: E_k/E_0
+            # beyond the float range still gives a finite multiplier, and a
+            # multiplier beyond it becomes inf without an overflow warning
+            required[k] = (math.log(ent[k]) - math.log(e0)) / float(h_int[k])
     worst = int(np.argmax(required))
-    worst_time = float(times[worst])
+    minimal = float(required[worst])
 
-    if _gronwall_holds(ent, h_int, e0, 0.0):
-        minimal = 0.0
-    elif not np.all(np.isfinite(required)):
-        minimal = math.inf
-    else:
-        c_hi = 1.0
-        while not _gronwall_holds(ent, h_int, e0, c_hi):
-            c_hi *= 2.0
-            if c_hi > 1e12:
-                c_hi = math.inf
-                break
-        if math.isinf(c_hi):
-            minimal = math.inf
-        else:
-            c_lo = 0.0
-            while (c_hi - c_lo) > 1e-3 * max(c_hi, 1e-30):
-                mid = 0.5 * (c_lo + c_hi)
-                if _gronwall_holds(ent, h_int, e0, mid):
-                    c_hi = mid
-                else:
-                    c_lo = mid
-            minimal = c_hi
-
-    if config.c_h is not None:
-        passes = _gronwall_holds(ent, h_int, e0, config.c_h)
-    else:
+    if config.c_h is None:
         passes = math.isfinite(minimal)
+    else:
+        passes = minimal <= config.c_h
     return GronwallReport(
         passes=passes,
         minimal_c_h=minimal,
-        worst_time=worst_time,
+        worst_time=float(times[worst]),
         c_h_used=config.c_h,
         slack=config.slack,
     )
@@ -646,8 +615,10 @@ def check_uniqueness(
     given node count, with dt scaled proportionally to dx^2 from
     config.dt_candidate (anchored at config.grid_candidate), so the
     first-order time error refines at the same rate as the second-order
-    space error.  Passing requires every observed order to reach
-    order_floor; bit-exact collapse (entropy identically zero) reports
+    space error.  Each level's sup is taken over the relative entropy of
+    the paired samples; energies and remainders are not evaluated.
+    Passing requires every observed order to reach order_floor; bit-exact
+    collapse (entropy identically zero) reports
     exact=True with infinite orders.
     """
     if len(refinement_levels) < 3:
@@ -673,13 +644,12 @@ def check_uniqueness(
             cand_init, grid_c, dt_c, config.t_end, interval, params, config.solver,
         )
         level_cfg = replace(config, grid_candidate=grid_c, dt_candidate=dt_c)
-        tr = _assemble_trace(level_cfg, ref_samples, cand_samples, with_remainders=False)
-        sups.append(float(np.max(tr.entropy)))
+        entropy = [
+            relative_entropy(pair, params)
+            for _, _, pair in _paired_samples(level_cfg, ref_samples, cand_samples)
+        ]
+        sups.append(float(np.max(entropy)))
         dxs.append(grid_c.dx)
-
-    if all(s == 0.0 for s in sups):
-        orders = [math.inf] * (len(sups) - 1)
-        return UniquenessReport(True, True, list(refinement_levels), sups, orders)
 
     orders = []
     for k in range(len(sups) - 1):
@@ -692,4 +662,5 @@ def check_uniqueness(
                 math.log(sups[k] / sups[k + 1]) / math.log(dxs[k] / dxs[k + 1])
             )
     passes = all(o >= order_floor for o in orders)
-    return UniquenessReport(passes, False, list(refinement_levels), sups, orders)
+    exact = all(s == 0.0 for s in sups)  # then every order above is inf
+    return UniquenessReport(passes, exact, list(refinement_levels), sups, orders)

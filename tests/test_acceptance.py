@@ -14,15 +14,15 @@ from nemlab.cli import main
 from nemlab.constitutive import (
     Params,
     System,
+    bregman_pressure,
     gl_force,
     gl_potential,
     pressure,
     pressure_potential,
     pressure_potential_derivative,
-    relative_pressure_term,
 )
 from nemlab.dynamics import BoundarySpec, State, step
-from nemlab.functionals import StatePair, remainder_gl, remainder_sphere
+from nemlab.functionals import StatePair, remainder
 from nemlab.grid import Grid1D, ScalarField, gradient, laplacian
 from nemlab.verifier import (
     ExperimentConfig,
@@ -137,7 +137,7 @@ def test_criterion_2_constitutive_identities(capsys):
     worst_bregman = 0.0
     for _ in range(10000):
         p = Params(a=rng.uniform(0.1, 3.0), gamma=rng.uniform(1.0 + 1e-6, 3.0))
-        val = relative_pressure_term(rng.uniform(0.0, 5.0), rng.uniform(0.01, 5.0), p)
+        val = bregman_pressure(rng.uniform(0.0, 5.0), rng.uniform(0.01, 5.0), p)
         worst_bregman = min(worst_bregman, val)
 
     elapsed = time.perf_counter() - t0
@@ -227,8 +227,8 @@ def test_criterion_5_remainder_reorganization(capsys):
     details = []
     ok = True
     for tag, builder, func, params in (
-        ("gl", manufactured_gl_pair, remainder_gl, Params()),
-        ("sphere", manufactured_sphere_pair, remainder_sphere,
+        ("gl", manufactured_gl_pair, remainder, Params()),
+        ("sphere", manufactured_sphere_pair, remainder,
          Params(system=System.SPHERE)),
     ):
         mismatches = []
@@ -304,13 +304,14 @@ def test_criterion_7_gronwall_certification(capsys):
                 perturbation=Perturbation(amplitude=eps, mode=2),
             )
 
-        rep_a = check_gronwall(run_twin(perturbed(129, 1e-3)), GronwallConfig())
+        trace_a = run_twin(perturbed(129, 1e-3))
+        rep_a = check_gronwall(trace_a, GronwallConfig())
         rep_b = check_gronwall(run_twin(perturbed(257, 1e-3)), GronwallConfig())
         finite = math.isfinite(rep_a.minimal_c_h) and math.isfinite(rep_b.minimal_c_h)
         c_lo, c_hi = sorted((rep_a.minimal_c_h, rep_b.minimal_c_h))
         stable = c_hi <= 1e-6 or (c_lo > 0 and c_hi / c_lo <= 2.0)
 
-        sup_full = np.max(run_twin(perturbed(129, 1e-3)).entropy)
+        sup_full = np.max(trace_a.entropy)
         sup_half = np.max(run_twin(perturbed(129, 5e-4)).entropy)
         ratio = sup_full / sup_half
         quadratic = 3.0 <= ratio <= 5.0

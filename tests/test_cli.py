@@ -34,8 +34,8 @@ class TestParseConfig:
         cfg = parse_config(cfg_text())
         assert cfg.params.mu == cfg.params.lam == cfg.params.theta == 1.0
         assert cfg.params.system is System.GL
-        assert cfg.gronwall.delta == 0.125
         assert cfg.gronwall.c_h is None
+        assert cfg.gronwall.slack == 0.0
         assert cfg.solver.density_floor == 1e-8
         assert cfg.solver.artificial_viscosity == 0.0
         assert cfg.perturbation.amplitude == 0.0
@@ -68,7 +68,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="perturbation"):
             parse_config(cfg_text(perturbation={"amp": 1e-3}))
         with pytest.raises(ConfigError, match="gronwall"):
-            parse_config(cfg_text(gronwall={"delta": 0.1, "mu": 2}))
+            parse_config(cfg_text(gronwall={"c_h": 1.0, "mu": 2}))
 
     def test_every_required_key_reported_when_missing(self):
         for key in MINIMAL_GL:
@@ -108,12 +108,14 @@ class TestParseConfig:
     def test_perturbation_and_gronwall_sections(self):
         cfg = parse_config(cfg_text(
             perturbation={"amplitude": 1e-3, "mode": 4},
-            gronwall={"delta": 0.1, "c_h": 2.5, "slack": 1e-12},
+            gronwall={"c_h": 2.5, "slack": 1e-12},
         ))
         assert cfg.perturbation.mode == 4
         assert cfg.gronwall.c_h == 2.5
-        with pytest.raises(ConfigError, match="delta"):
-            parse_config(cfg_text(gronwall={"delta": 0.3}))
+        # delta was never read by any computation and is no longer a key;
+        # even its old default is rejected by name
+        with pytest.raises(ConfigError, match="gronwall has unknown key.*delta"):
+            parse_config(cfg_text(gronwall={"delta": 0.125}))
         with pytest.raises(ConfigError, match="mode"):
             parse_config(cfg_text(perturbation={"amplitude": 1e-3, "mode": 0}))
 

@@ -11,7 +11,6 @@ from nemlab.constitutive import (
     pressure,
     pressure_potential,
     pressure_potential_derivative,
-    relative_pressure_term,
 )
 
 
@@ -122,17 +121,17 @@ class TestGinzburgLandau:
 
 class TestRelativePressureTerm:
     def test_zero_at_equal_arguments(self):
-        assert relative_pressure_term(1.3, 1.3, Params(gamma=1.9)) == 0.0
+        assert bregman_pressure(1.3, 1.3, Params(gamma=1.9)) == 0.0
 
     def test_known_value(self):
         # Pi(2) - Pi'(1)(2-1) - Pi(1) = 4 - 2 - 1 with a=1, gamma=2
-        assert relative_pressure_term(2.0, 1.0, Params(a=1.0, gamma=2.0)) == pytest.approx(1.0)
+        assert bregman_pressure(2.0, 1.0, Params(a=1.0, gamma=2.0)) == pytest.approx(1.0)
 
     def test_positivity_random(self):
         rng = np.random.default_rng(23)
         for _ in range(2000):
             p = Params(a=rng.uniform(0.1, 3.0), gamma=rng.uniform(1.01, 3.0))
-            val = relative_pressure_term(
+            val = bregman_pressure(
                 rng.uniform(0.0, 5.0), rng.uniform(0.01, 5.0), p
             )
             assert val >= -1e-14
@@ -145,4 +144,4 @@ class TestRelativePressureTerm:
 
     def test_degenerate_reference_rejected(self):
         with pytest.raises(ConstitutiveError):
-            relative_pressure_term(1.0, 0.0, Params())
+            bregman_pressure(1.0, 0.0, Params())

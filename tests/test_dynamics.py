@@ -369,17 +369,23 @@ class TestTridiagonalSolves:
         assert isinstance(info.value, SolverError)
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
-    def test_nan_velocity_is_non_finite_state(self, system):
+    def test_nan_velocity_is_non_finite_state(self, system, monkeypatch):
+        # a NaN in u or rho is caught at step start, before either solve
+        def no_solve(*args):
+            raise AssertionError("tridiagonal solve ran on a non-finite state")
+
+        monkeypatch.setattr(dynamics, "_tridiagonal_solve", no_solve)
         p = Params(system=system)
         g = Grid1D(33, 0.0, 1.0)
         preset = "gl-smooth" if system is System.GL else "sphere-smooth"
         init = make_initial_data(preset, g, p)
         bc = BoundarySpec.for_system(system, init.d0)
-        u = init.u0.values.copy()
-        u[10] = np.nan
-        with pytest.raises(NonFiniteStateError):
-            dynamics._advance(init.rho0.values, u, init.d0.values, 1e-4, p, g, bc,
-                              SolverOptions())
+        for name in ("u", "rho"):
+            fields = {"rho": init.rho0.values.copy(), "u": init.u0.values.copy()}
+            fields[name][10] = np.nan
+            with pytest.raises(NonFiniteStateError, match="non-finite wave speed"):
+                dynamics._advance(fields["rho"], fields["u"], init.d0.values, 1e-4,
+                                  p, g, bc, SolverOptions())
 
 
 class TestEvolve:

@@ -3,6 +3,7 @@ import pytest
 
 from nemlab.constitutive import Params, System, gl_force
 from nemlab.dynamics import State
+from nemlab import functionals
 from nemlab.functionals import (
     FunctionalError,
     StatePair,
@@ -12,8 +13,6 @@ from nemlab.functionals import (
     gronwall_coefficient,
     relative_entropy,
     remainder,
-    remainder_gl,
-    remainder_sphere,
 )
 from nemlab.grid import (
     Grid1D,
@@ -176,7 +175,7 @@ class TestRemainderGl:
     def test_identical_pair_all_zero(self):
         pair = gl_pair(65)
         same = StatePair(pair.reference, pair.reference)
-        br = remainder_gl(same, GL)
+        br = remainder(same, GL)
         assert br.r_d == br.r_c == br.r_bar_d == br.r_bar_c == 0.0
         assert br.reorg_mismatch == 0.0
 
@@ -184,7 +183,7 @@ class TestRemainderGl:
         base = gl_pair(65)
         cand = State(base.reference.rho, base.reference.u, base.candidate.d)
         pair = StatePair(cand, base.reference)
-        br = remainder_gl(pair, GL)
+        br = remainder(pair, GL)
         # every named integral carrying (u - u~) or (rho - rho~) vanishes
         assert br.r_bar_d == 0.0
         for key in ("rbd_convective", "rbd_pressure_bregman",
@@ -212,28 +211,24 @@ class TestRemainderGl:
     def test_reorganization_identity_refines_at_second_order(self):
         mismatches = []
         for n in (65, 129, 257):
-            br = remainder_gl(gl_pair(n), GL)
+            br = remainder(gl_pair(n), GL)
             mismatches.append(abs((br.r_d + br.r_c) - (br.r_bar_d + br.r_bar_c)))
         orders = [np.log2(a / b) for a, b in zip(mismatches, mismatches[1:])]
         assert all(o >= 1.8 for o in orders)
-
-    def test_wrong_system_rejected(self):
-        with pytest.raises(FunctionalError):
-            remainder_gl(sphere_pair(65), SPH)
 
 
 class TestRemainderSphere:
     def test_identical_pair_all_zero(self):
         pair = sphere_pair(65)
         same = StatePair(pair.reference, pair.reference)
-        br = remainder_sphere(same, SPH)
+        br = remainder(same, SPH)
         assert br.r_1d == br.r_1c == br.r_1c_a == br.r_1c_b == 0.0
 
     def test_matched_director_collapses_coupling_split(self):
         base = sphere_pair(65)
         cand = State(base.candidate.rho, base.candidate.u, base.reference.d)
         pair = StatePair(cand, base.reference)
-        br = remainder_sphere(pair, SPH)
+        br = remainder(pair, SPH)
         assert br.r_1c_a == 0.0
         assert br.r_1c_b == 0.0
         assert br.r_1c == 0.0
@@ -242,7 +237,7 @@ class TestRemainderSphere:
     def test_split_identity_refines_at_second_order(self):
         mismatches = []
         for n in (65, 129, 257):
-            br = remainder_sphere(sphere_pair(n), SPH)
+            br = remainder(sphere_pair(n), SPH)
             mismatches.append(abs(br.r_1c - (br.r_1c_a + br.r_1c_b)))
         orders = [np.log2(a / b) for a, b in zip(mismatches, mismatches[1:])]
         assert all(o >= 1.8 for o in orders)
@@ -250,12 +245,31 @@ class TestRemainderSphere:
     def test_unit_length_required(self):
         pair = gl_pair(65)  # directors are not unit length
         with pytest.raises(FunctionalError, match="unit length"):
-            remainder_sphere(pair, SPH)
+            remainder(pair, SPH)
 
     def test_dispatch(self):
         br = remainder(sphere_pair(65), SPH)
         assert br.system is System.SPHERE
         assert br.r_d is None and br.r_1d is not None
+
+
+@pytest.mark.parametrize(
+    "make_pair, params", [(gl_pair, GL), (sphere_pair, SPH)], ids=["gl", "sphere"]
+)
+def test_remainder_builds_pair_fields_once(monkeypatch, make_pair, params):
+    build = functionals._PairFields.build
+    calls = []
+
+    def counting_build(pair, p):
+        calls.append(pair)
+        return build(pair, p)
+
+    monkeypatch.setattr(functionals._PairFields, "build", staticmethod(counting_build))
+    pair = make_pair(65)
+    br = remainder(pair, params)
+    assert len(calls) == 1
+    # h_hat comes from the same fields as the public coefficient
+    assert br.h_hat == gronwall_coefficient(pair, params).total
 
 
 class TestGronwallCoefficient:
@@ -358,7 +372,7 @@ class TestStressFormsIntegrated:
         dd = pair.candidate.d.values - pair.reference.d.values
         direct = np.sqrt(integrate(ScalarField(np.sum(dd * dd, axis=0), pair.grid)))
         assert gap == pytest.approx(direct, rel=1e-12)
-        br = remainder_gl(pair, GL)
+        br = remainder(pair, GL)
         assert br.terms["diag_director_l2_gap"] == pytest.approx(gap)
 
     def test_relative_entropy_refinement_convergence(self):

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nemlab import verifier
 from nemlab.constitutive import Params, System
 from nemlab.grid import Grid1D
 from nemlab.verifier import (
@@ -255,12 +259,66 @@ class TestCheckGronwall:
             check_gronwall(tr, GronwallConfig())
 
     def test_config_validation(self):
-        with pytest.raises(VerifierError):
-            GronwallConfig(delta=0.2)
+        with pytest.raises(TypeError, match="delta"):
+            GronwallConfig(delta=0.125)
         with pytest.raises(VerifierError):
             GronwallConfig(c_h=0.0)
         with pytest.raises(VerifierError):
             GronwallConfig(slack=-1e-9)
+
+
+@st.composite
+def random_traces(draw):
+    n = draw(st.integers(2, 25))
+    steps = draw(st.lists(st.floats(1e-3, 0.5), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    entropy = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    h_hat = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    slack = draw(st.sampled_from([0.0, 1e-3]))
+    return synthetic_trace(times, entropy, h_hat), slack
+
+
+def _bound_holds(trace, slack, c):
+    """entropy <= (E_0 + slack) exp(c H) at every sample, compared in logs.
+
+    Samples within a relative 1e-12 of E_0 count as not growing, as in
+    check_gronwall.
+    """
+    ent, h, times = trace.entropy, trace.h_hat, trace.times
+    e0 = float(ent[0] + slack)
+    h_int = 0.0
+    for k in range(1, len(ent)):
+        h_int += 0.5 * float(h[k] + h[k - 1]) * float(times[k] - times[k - 1])
+        if ent[k] <= e0 * (1.0 + 1e-12):
+            continue
+        if e0 == 0.0:
+            return False
+        if math.log(ent[k]) - math.log(e0) > c * h_int * (1.0 + 1e-12):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_traces())
+def test_minimal_multiplier_is_the_least_that_holds(case):
+    trace, slack = case
+    rep = check_gronwall(trace, GronwallConfig(slack=slack))
+    c = rep.minimal_c_h
+    e0 = float(trace.entropy[0] + slack)
+    if c == 0.0:
+        assert rep.passes and _bound_holds(trace, slack, 0.0)
+    elif math.isinf(c):
+        assert not rep.passes
+        assert e0 == 0.0 or not _bound_holds(trace, slack, 1e300)
+    else:
+        assert rep.passes and _bound_holds(trace, slack, c)
+        assert check_gronwall(trace, GronwallConfig(c_h=c, slack=slack)).passes
+        k = int(np.flatnonzero(trace.times == rep.worst_time)[0])
+        if math.log(trace.entropy[k]) - math.log(e0) > 1e-3:
+            assert not _bound_holds(trace, slack, 0.999 * c)
+            assert not check_gronwall(
+                trace, GronwallConfig(c_h=0.999 * c, slack=slack)
+            ).passes
 
 
 class TestCheckEnergy:
@@ -294,6 +352,28 @@ class TestCheckUniqueness:
         rep = check_uniqueness(cfg, [65, 65, 65])
         assert rep.exact and rep.passes
         assert all(math.isinf(o) for o in rep.orders)
+
+    def test_sup_is_the_entropy_of_the_level_twin(self, monkeypatch):
+        cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
+                          t_end=0.01, amplitude=1e-3)
+        cfg = replace(cfg, dt_reference=0.4 * Grid1D(65, 0, 1).dx ** 2)
+        levels = [17, 33, 49]
+        kappa = cfg.dt_candidate / cfg.grid_candidate.dx**2
+        expected = []
+        for n in levels:
+            g = Grid1D(n, 0.0, 1.0)
+            level_cfg = replace(cfg, perturbation=Perturbation(), grid_candidate=g,
+                                dt_candidate=kappa * g.dx**2)
+            expected.append(float(np.max(run_twin(level_cfg).entropy)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the collapse study evaluates the entropy only")
+
+        for name in ("remainder", "energy", "dissipation"):
+            monkeypatch.setattr(verifier, name, forbidden)
+        rep = check_uniqueness(cfg, levels)
+        assert rep.sup_entropy == expected
+        assert all(s > 0.0 for s in expected)
 
     def test_requires_three_levels(self):
         with pytest.raises(VerifierError, match="3 refinement levels"):
