@@ -9,7 +9,10 @@ Subcommands:
     suite       a named battery of checks (gl-smoke, sphere-smoke, full)
 
 Exit codes are the process-level contract: 0 all requested checks passed,
-1 a check failed, 2 configuration/usage error, 3 solver abort.  Every
+1 a check failed, 2 configuration/usage error (including an experiment the
+verifier rejects), 3 solver or numerical abort (including a functional or
+constitutive law rejecting its input).  An error prints one line naming
+its cause on stderr, never a traceback.  Every
 command writes a machine-readable JSON manifest next to its outputs; the
 human-readable report goes to stdout.
 
@@ -32,14 +35,15 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, canonical_text, parse_config
-from .constitutive import System
+from .constitutive import ConstitutiveError, System
 from .dynamics import BoundarySpec, SolverError, evolve
-from .functionals import dissipation, energy, mass
+from .functionals import FunctionalError, dissipation, energy, mass, sphere_defect
 from .grid import Grid1D
 from .traceio import write_columns, write_trace
 from .verifier import (
     ExperimentConfig,
     Perturbation,
+    VerifierError,
     check_energy,
     check_gronwall,
     check_uniqueness,
@@ -114,31 +118,33 @@ def _cmd_simulate(args) -> int:
     grid = cfg.grid_candidate
     init = make_initial_data(cfg.initial_preset, grid, params, cfg.perturbation)
     bc = BoundarySpec.for_system(params.system, init.d0)
-    samples = []
+    cols: Dict[str, List[float]] = {
+        "t": [], "energy_candidate": [], "dissipation_candidate": [], "mass_candidate": [],
+    }
+    if params.system is System.SPHERE:
+        cols["sphere_defect"] = []
+
+    def record(st, t):
+        cols["t"].append(t)
+        cols["energy_candidate"].append(energy(st, params))
+        cols["dissipation_candidate"].append(dissipation(st, params))
+        cols["mass_candidate"].append(mass(st))
+        if params.system is System.SPHERE:
+            cols["sphere_defect"].append(sphere_defect(st))
+
     evolve(
         init, cfg.t_end, cfg.dt_candidate, params, grid, bc,
-        observer=lambda st, t: samples.append((t, st)),
+        observer=record,
         sample_interval=cfg.resolved_sample_interval(),
         options=cfg.solver,
     )
-    cols = {
-        "t": [t for t, _ in samples],
-        "energy_candidate": [energy(st, params) for _, st in samples],
-        "dissipation_candidate": [dissipation(st, params) for _, st in samples],
-        "mass_candidate": [mass(st) for _, st in samples],
-    }
-    if params.system is System.SPHERE:
-        cols["sphere_defect"] = [
-            float(np.max(np.abs(np.sqrt(np.sum(st.d.values**2, axis=0)) - 1.0)))
-            for _, st in samples
-        ]
     write_columns(cols, args.output)
 
     masses = np.asarray(cols["mass_candidate"])
     drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
     energies = np.asarray(cols["energy_candidate"])
     print(
-        f"simulate: {len(samples)} samples to t={cfg.t_end}; "
+        f"simulate: {len(cols['t'])} samples to t={cfg.t_end}; "
         f"E {energies[0]:.6g} -> {energies[-1]:.6g}; mass drift {drift:.2e}"
     )
     manifest = RunManifest(
@@ -357,6 +363,10 @@ def _suite_task(task: Tuple[str, str, dict]) -> Tuple[str, bool, str]:
             return name, False, f"unknown suite task kind {kind!r}"
     except SolverError as exc:
         return name, False, f"solver abort: {exc}"
+    except VerifierError as exc:
+        return name, False, f"invalid experiment: {exc}"
+    except (FunctionalError, ConstitutiveError) as exc:
+        return name, False, f"numerical abort: {exc}"
     return name, ok, detail
 
 
@@ -520,8 +530,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except VerifierError as exc:
+        print(f"invalid experiment: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except SolverError as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ABORT
+    except (FunctionalError, ConstitutiveError) as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
 
 

@@ -86,9 +86,19 @@ class Params:
                 )
 
 
+def _any(mask: np.ndarray):
+    """Truth of any entry of a boolean mask.
+
+    Scalar calls give 0-d masks, which are their own truth value; skipping
+    the array reduction for them keeps the per-call cost of the scalar
+    laws low.  A NaN compares False, so it never sets the mask.
+    """
+    return mask.any() if mask.ndim else mask
+
+
 def _check_nonneg_rho(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
+    if _any(rho < 0):
         raise ConstitutiveError("density must be nonnegative")
     return rho
 
@@ -156,7 +166,7 @@ def bregman_pressure(rho, rho_tilde, params: Params):
     """
     rho = _check_nonneg_rho(rho)
     rt = np.asarray(rho_tilde, dtype=float)
-    if np.any(rt <= 0):
+    if _any(rt <= 0):
         raise ConstitutiveError("reference density must be strictly positive")
     out = (
         pressure_potential(rho, params)
@@ -165,7 +175,7 @@ def bregman_pressure(rho, rho_tilde, params: Params):
     )
     out = np.asarray(out, dtype=float)
     bad = out < -_BREGMAN_CLAMP
-    if np.any(bad):
+    if _any(bad):
         raise ConstitutiveError(
             f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
         )

@@ -181,6 +181,12 @@ def mass(state: State) -> float:
     return trapezoid_array(state.rho.values, state.grid.dx)
 
 
+def sphere_defect(state: State) -> float:
+    """Largest departure of the director length from 1: max | |d| - 1 |."""
+    mag = np.sqrt(np.sum(state.d.values**2, axis=0))
+    return float(np.max(np.abs(mag - 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # Pair functionals
 # ---------------------------------------------------------------------------
@@ -497,8 +503,7 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     """
     if params.system is System.SPHERE:
         for name, st in (("candidate", pair.candidate), ("reference", pair.reference)):
-            mag = np.sqrt(np.sum(st.d.values**2, axis=0))
-            if np.max(np.abs(mag - 1.0)) > 1e-8:
+            if sphere_defect(st) > 1e-8:
                 raise FunctionalError(f"{name} director is not unit length")
     f = _PairFields.build(pair, params)
     terms: Dict[str, float] = {}

@@ -22,13 +22,21 @@ Candidate and reference live on different grids in general; the reference
 is restricted to the candidate grid by local 4-point (cubic Lagrange)
 interpolation, which reproduces nodal values exactly when the grids
 coincide, so identical twins stay bit-identical.
+
+Memory model: the twin is streamed.  The reference runs first and keeps
+each sample only on the candidate grid; the candidate then runs and each
+of its samples is paired with the stored reference sample of the same
+time, evaluated and dropped.  A twin therefore retains
+O(samples * n_candidate) floats, not O(samples * (n_reference +
+n_candidate)).  check_uniqueness keeps its reference on the reference
+grid (it is restricted to several levels), which its few samples allow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +44,7 @@ from .constitutive import Params, System
 from .dynamics import (
     BoundarySpec,
     InitialData,
+    SolverError,
     SolverOptions,
     State,
     evolve,
@@ -48,6 +57,7 @@ from .functionals import (
     mass,
     relative_entropy,
     remainder,
+    sphere_defect,
 )
 from .grid import Grid1D, ScalarField, VectorField3
 
@@ -347,122 +357,130 @@ class EntropyTrace:
         return int(self.times.shape[0])
 
 
-def _trajectory_samples(
+def _evolve_samples(
+    tag: str,
     init: InitialData,
-    grid: Grid1D,
     dt: float,
-    t_end: float,
-    sample_interval: float,
-    params: Params,
-    options: SolverOptions,
-) -> List[Tuple[float, State]]:
+    config: ExperimentConfig,
+    observer: Callable[[State, float], None],
+) -> None:
+    """Evolve one trajectory of a twin, handing every sample to observer.
+
+    A solver abort from the integrator is tagged with the trajectory's
+    name; an error raised by the observer propagates unchanged.
+    """
+    params = config.params
     bc = BoundarySpec.for_system(params.system, init.d0)
-    samples: List[Tuple[float, State]] = []
-    evolve(
-        init,
-        t_end,
-        dt,
-        params,
-        grid,
-        bc,
-        observer=lambda st, t: samples.append((t, st)),
-        sample_interval=sample_interval,
-        options=options,
-    )
-    return samples
+    try:
+        evolve(
+            init,
+            config.t_end,
+            dt,
+            params,
+            init.grid,
+            bc,
+            observer=observer,
+            sample_interval=config.resolved_sample_interval(),
+            options=config.solver,
+        )
+    except SolverError as exc:
+        exc.args = (f"{tag} trajectory: {exc}",)
+        raise
+
+
+_COUNT_MISMATCH = "reference and candidate produced different sample counts"
+
+
+def _stream_candidate(
+    config: ExperimentConfig,
+    init: InitialData,
+    reference: List[Optional[Tuple[float, State]]],
+    row: Callable[[int, float, StatePair], None],
+) -> None:
+    """Evolve the candidate and evaluate each sample pair as it is produced.
+
+    reference holds one (time, state) entry per sample, already on the
+    candidate grid.  Candidate sample k is paired with entry k, handed to
+    row(k, t, pair), and the entry is then dropped, so the stored
+    reference shrinks while the candidate runs.  The sample counts and
+    times of the two trajectories must match.
+    """
+    k = 0
+
+    def observe(state: State, t: float) -> None:
+        nonlocal k
+        if k == len(reference):
+            raise VerifierError(_COUNT_MISMATCH)
+        t_r, st_r = reference[k]
+        if abs(t_r - t) > 1e-9 * max(1.0, config.t_end):
+            raise VerifierError(f"sample time mismatch: {t_r} vs {t}")
+        row(k, t, StatePair(state, st_r, rho_lower=config.solver.density_floor))
+        reference[k] = None
+        k += 1
+
+    _evolve_samples("candidate", init, config.dt_candidate, config, observe)
+    if k != len(reference):
+        raise VerifierError(_COUNT_MISMATCH)
 
 
 def run_twin(config: ExperimentConfig) -> EntropyTrace:
     """Evolve reference and candidate and record the full entropy trace.
 
     The reference runs unperturbed on its own grid; the candidate starts
-    from the (optionally perturbed) preset on the candidate grid.  At each
-    sample time the reference is restricted to the candidate grid and all
-    pair functionals are evaluated there; single-state quantities
-    (energies, dissipations, mass) are evaluated on each trajectory's own
-    grid.  Solver aborts propagate with the trajectory tag attached.
+    from the (optionally perturbed) preset on the candidate grid.  Each
+    reference sample is restricted to the candidate grid as it is
+    produced and kept there, with its energy and dissipation evaluated on
+    its own grid.  The candidate then runs, and each of its samples is
+    paired with the stored reference sample of the same time: the pair
+    functionals are evaluated on the candidate grid, the single-state
+    quantities (energy, dissipation, mass) on the candidate's.  Solver
+    aborts propagate with the trajectory tag attached; errors evaluating
+    a pair propagate untagged.
     """
     params = config.params
-    interval = config.resolved_sample_interval()
+    system = params.system
 
     ref_init = make_initial_data(config.initial_preset, config.grid_reference, params)
     cand_init = make_initial_data(
         config.initial_preset, config.grid_candidate, params, config.perturbation
     )
 
-    try:
-        ref_samples = _trajectory_samples(
-            ref_init, config.grid_reference, config.dt_reference,
-            config.t_end, interval, params, config.solver,
-        )
-    except Exception as exc:
-        exc.args = (f"reference trajectory: {exc}",)
-        raise
-    try:
-        cand_samples = _trajectory_samples(
-            cand_init, config.grid_candidate, config.dt_candidate,
-            config.t_end, interval, params, config.solver,
-        )
-    except Exception as exc:
-        exc.args = (f"candidate trajectory: {exc}",)
-        raise
+    reference: List[Optional[Tuple[float, State]]] = []
+    energy_reference: List[float] = []
+    dissipation_reference: List[float] = []
 
-    return _assemble_trace(config, ref_samples, cand_samples)
+    def keep_reference(state: State, t: float) -> None:
+        reference.append((t, restrict_state(state, config.grid_candidate, system)))
+        energy_reference.append(energy(state, params))
+        dissipation_reference.append(dissipation(state, params))
 
+    _evolve_samples("reference", ref_init, config.dt_reference, config, keep_reference)
 
-def _paired_samples(
-    config: ExperimentConfig,
-    ref_samples: Sequence[Tuple[float, State]],
-    cand_samples: Sequence[Tuple[float, State]],
-) -> Iterator[Tuple[float, State, StatePair]]:
-    """Yield (time, reference state, pair on the candidate grid) per sample.
-
-    The sample counts and times of the two trajectories must match; the
-    reference is restricted to the candidate grid one sample at a time.
-    """
-    if len(ref_samples) != len(cand_samples):
-        raise VerifierError("reference and candidate produced different sample counts")
-    for (t_r, st_r), (t_c, st_c) in zip(ref_samples, cand_samples):
-        if abs(t_r - t_c) > 1e-9 * max(1.0, config.t_end):
-            raise VerifierError(f"sample time mismatch: {t_r} vs {t_c}")
-        ref_on_c = restrict_state(st_r, config.grid_candidate, config.params.system)
-        yield t_c, st_r, StatePair(st_c, ref_on_c, rho_lower=config.solver.density_floor)
-
-
-def _assemble_trace(
-    config: ExperimentConfig,
-    ref_samples: Sequence[Tuple[float, State]],
-    cand_samples: Sequence[Tuple[float, State]],
-) -> EntropyTrace:
-    params = config.params
-    system = params.system
-    n = len(cand_samples)
+    n = len(reference)
     cols: Dict[str, np.ndarray] = {
         name: np.full(n, np.nan)
         for name in (
-            "entropy", "h_hat", "energy_candidate", "energy_reference",
-            "dissipation_candidate", "dissipation_reference", "mass_candidate",
+            "entropy", "h_hat", "energy_candidate",
+            "dissipation_candidate", "mass_candidate",
             "sphere_defect", "r_d", "r_c", "r_bar_d", "r_bar_c",
             "r_1d", "r_1c", "r_1c_a", "r_1c_b", "reorg_mismatch",
         )
     }
+    cols["energy_reference"] = np.array(energy_reference)
+    cols["dissipation_reference"] = np.array(dissipation_reference)
     times = np.empty(n)
     breakdowns: List[RemainderBreakdown] = []
     active = _GL_COLUMNS if system is System.GL else _SPHERE_COLUMNS
 
-    pairs = _paired_samples(config, ref_samples, cand_samples)
-    for k, (t, st_r, pair) in enumerate(pairs):
+    def row(k: int, t: float, pair: StatePair) -> None:
         st_c = pair.candidate
         times[k] = t
         cols["entropy"][k] = relative_entropy(pair, params)
         cols["energy_candidate"][k] = energy(st_c, params)
-        cols["energy_reference"][k] = energy(st_r, params)
         cols["dissipation_candidate"][k] = dissipation(st_c, params)
-        cols["dissipation_reference"][k] = dissipation(st_r, params)
         cols["mass_candidate"][k] = mass(st_c)
         if system is System.SPHERE:
-            mag = np.sqrt(np.sum(st_c.d.values**2, axis=0))
-            cols["sphere_defect"][k] = float(np.max(np.abs(mag - 1.0)))
+            cols["sphere_defect"][k] = sphere_defect(st_c)
         br = remainder(pair, params)
         breakdowns.append(br)
         cols["h_hat"][k] = br.h_hat
@@ -470,6 +488,7 @@ def _assemble_trace(
         for name in active:
             cols[name][k] = getattr(br, name)
 
+    _stream_candidate(config, cand_init, reference, row)
     return EntropyTrace(system=system, times=times, breakdowns=breakdowns, **cols)
 
 
@@ -610,13 +629,15 @@ def check_uniqueness(
 ) -> UniquenessReport:
     """Zero-perturbation collapse: sup_t entropy vs candidate resolution.
 
-    The reference trajectory is evolved once on config.grid_reference and
-    reused across levels.  Each level runs the candidate on a grid with the
-    given node count, with dt scaled proportionally to dx^2 from
-    config.dt_candidate (anchored at config.grid_candidate), so the
-    first-order time error refines at the same rate as the second-order
-    space error.  Each level's sup is taken over the relative entropy of
-    the paired samples; energies and remainders are not evaluated.
+    The reference trajectory is evolved once on config.grid_reference,
+    kept there and restricted to each level's grid.  Each level runs the
+    candidate on a grid with the given node count, with dt scaled
+    proportionally to dx^2 from config.dt_candidate (anchored at
+    config.grid_candidate), so the first-order time error refines at the
+    same rate as the second-order space error.  Each level's candidate is
+    paired with the reference sample by sample as it runs, through the
+    same pairing as run_twin, and its sup is taken over the relative
+    entropy of those pairs; energies and remainders are not evaluated.
     Passing requires every observed order to reach order_floor; bit-exact
     collapse (entropy identically zero) reports
     exact=True with infinite orders.
@@ -625,29 +646,28 @@ def check_uniqueness(
         raise VerifierError("need at least 3 refinement levels")
     config = replace(config, perturbation=Perturbation())  # collapse protocol
     params = config.params
-    interval = config.resolved_sample_interval()
     kappa = config.dt_candidate / config.grid_candidate.dx**2
 
     ref_init = make_initial_data(config.initial_preset, config.grid_reference, params)
-    ref_samples = _trajectory_samples(
-        ref_init, config.grid_reference, config.dt_reference,
-        config.t_end, interval, params, config.solver,
+    reference: List[Tuple[float, State]] = []
+    _evolve_samples(
+        "reference", ref_init, config.dt_reference, config,
+        lambda state, t: reference.append((t, state)),
     )
 
     sups: List[float] = []
     dxs: List[float] = []
     for n in refinement_levels:
         grid_c = Grid1D(n, config.grid_candidate.x_min, config.grid_candidate.x_max)
-        dt_c = kappa * grid_c.dx**2
+        level_cfg = replace(config, grid_candidate=grid_c, dt_candidate=kappa * grid_c.dx**2)
         cand_init = make_initial_data(config.initial_preset, grid_c, params)
-        cand_samples = _trajectory_samples(
-            cand_init, grid_c, dt_c, config.t_end, interval, params, config.solver,
-        )
-        level_cfg = replace(config, grid_candidate=grid_c, dt_candidate=dt_c)
-        entropy = [
-            relative_entropy(pair, params)
-            for _, _, pair in _paired_samples(level_cfg, ref_samples, cand_samples)
-        ]
+        on_level = [(t, restrict_state(st, grid_c, params.system)) for t, st in reference]
+        entropy = np.empty(len(on_level))
+
+        def row(k: int, t: float, pair: StatePair) -> None:
+            entropy[k] = relative_entropy(pair, params)
+
+        _stream_candidate(level_cfg, cand_init, on_level, row)
         sups.append(float(np.max(entropy)))
         dxs.append(grid_c.dx)
 

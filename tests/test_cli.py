@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from nemlab import verifier
 from nemlab.cli import main
 from nemlab.config import ConfigError, parse_config
 from nemlab.constitutive import System
+from nemlab.functionals import FunctionalError
 from nemlab.traceio import COLUMNS, read_columns, read_trace, write_trace
 from nemlab.verifier import EntropyTrace, run_twin
 
@@ -242,6 +244,19 @@ class TestMain:
         drift = np.max(np.abs(cols["mass_candidate"] - cols["mass_candidate"][0]))
         assert drift <= 1e-12
 
+    def test_simulate_columns_match_the_twin_candidate(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(system="sphere", initial_preset="sphere-smooth",
+                                 perturbation={"amplitude": 1e-3, "mode": 2}))
+        for cmd in ("simulate", "twin"):
+            assert main([cmd, "-c", str(path), "-o", str(tmp_path / f"{cmd}.csv"),
+                         "--manifest", str(tmp_path / "m.json")]) == 0
+        sim = read_columns(str(tmp_path / "simulate.csv"))
+        twin = read_columns(str(tmp_path / "twin.csv"))
+        for name in ("t", "energy_candidate", "dissipation_candidate",
+                     "mass_candidate", "sphere_defect"):
+            assert np.array_equal(sim[name], twin[name]), name
+
     def test_solver_abort_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         # one sample window of 0.02 forces an effective step far beyond the
@@ -250,6 +265,38 @@ class TestMain:
         assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
                      "--manifest", str(tmp_path / "m.json")]) == 3
         assert "solver abort" in capsys.readouterr().err
+
+    def test_rejected_experiment_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(perturbation={"amplitude": 2.0}))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("invalid experiment: perturbation drove the initial "
+                       "density nonpositive\n")
+
+    def test_functional_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(pair, params):
+            raise FunctionalError("remainder rejected the pair")
+
+        monkeypatch.setattr(verifier, "remainder", failing)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(perturbation={"amplitude": 1e-3, "mode": 2}))
+        assert main(["gronwall", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == "numerical abort: remainder rejected the pair\n"
+
+    def test_suite_records_a_functional_failure(self, tmp_path, capsys, monkeypatch):
+        def failing(pair, params):
+            raise FunctionalError("remainder rejected the pair")
+
+        monkeypatch.setattr(verifier, "remainder", failing)
+        code = main(["suite", "--preset", "gl-smoke", "--output-dir", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] gl-gronwall: numerical abort: remainder rejected the pair" in out
+        doc = json.loads((tmp_path / "gl-smoke-manifest.json").read_text())
+        assert doc["checks"] == {"gl-identical-twin": False, "gl-gronwall": False}
 
     def test_gamma_regime_recorded(self, tmp_path):
         path = tmp_path / "cfg.json"

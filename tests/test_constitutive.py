@@ -49,6 +49,16 @@ class TestPressure:
         with pytest.raises(ConstitutiveError):
             pressure(-0.1, Params())
 
+    def test_negative_entry_rejected_in_arrays(self):
+        with pytest.raises(ConstitutiveError, match="density must be nonnegative"):
+            pressure(np.array([1.0, -1e-300, 2.0]), Params())
+
+    def test_nan_density_passes_the_sign_check(self):
+        assert np.isnan(pressure(float("nan"), Params()))
+        out = pressure(np.array([1.0, np.nan]), Params())
+        assert out[0] == 1.0 and np.isnan(out[1])
+        assert pressure(np.array([]), Params()).shape == (0,)
+
 
 class TestPressurePotential:
     def test_quadratic_law(self):
@@ -145,3 +155,5 @@ class TestRelativePressureTerm:
     def test_degenerate_reference_rejected(self):
         with pytest.raises(ConstitutiveError):
             bregman_pressure(1.0, 0.0, Params())
+        with pytest.raises(ConstitutiveError, match="strictly positive"):
+            bregman_pressure(np.ones(3), np.array([1.0, 0.0, 1.0]), Params())

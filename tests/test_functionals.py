@@ -13,6 +13,7 @@ from nemlab.functionals import (
     gronwall_coefficient,
     relative_entropy,
     remainder,
+    sphere_defect,
 )
 from nemlab.grid import (
     Grid1D,
@@ -117,6 +118,17 @@ class TestEnergy:
         e2 = energy(st, Params(a=1.0, gamma=2.0, lam=2.0))
         # doubling lam doubles the director share (here approx pi of 3 pi)
         assert e2 - e1 == pytest.approx(e1 - 2.0 * np.pi, rel=1e-10)
+
+
+def test_sphere_defect_is_the_largest_length_error():
+    g = Grid1D(33, 0.0, 1.0)
+    st = circle_state(g)
+    assert sphere_defect(st) <= 1e-15
+    d = st.d.values.copy()
+    d[:, 5] *= 1.5
+    d[:, 9] *= 0.25
+    st = State.from_arrays(g, st.rho.values, st.u.values, d)
+    assert sphere_defect(st) == pytest.approx(0.75, rel=1e-14)
 
 
 class TestDissipation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from nemlab import verifier
 from nemlab.constitutive import Params, System
+from nemlab.dynamics import CflError
+from nemlab.functionals import FunctionalError
 from nemlab.grid import Grid1D
 from nemlab.verifier import (
     EntropyTrace,
@@ -208,6 +211,53 @@ class TestRunTwin:
         trace_s = run_twin(twin_config(system=System.SPHERE, t_end=0.01))
         assert np.all(np.isnan(trace_s.r_d))
         assert np.all(np.isfinite(trace_s.sphere_defect))
+
+
+class TestStreamedTwin:
+    def test_restricts_each_reference_sample_once(self, monkeypatch):
+        calls = []
+        original = verifier.restrict_state
+
+        def counting(state, grid_to, system):
+            calls.append(state.grid.n_nodes)
+            return original(state, grid_to, system)
+
+        monkeypatch.setattr(verifier, "restrict_state", counting)
+        trace = run_twin(twin_config(n_ref=65, n_cand=33, amplitude=1e-3))
+        assert calls == [65] * len(trace)
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_peak_memory_holds_the_reference_on_the_candidate_grid(self, system):
+        n_ref, dt = 257, 2e-4
+        cfg = twin_config(system, n_ref=n_ref, n_cand=33, dt=dt, t_end=0.03,
+                          amplitude=1e-3, sample_interval=dt)
+        tracemalloc.start()
+        try:
+            trace = run_twin(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 151
+        # storing every reference sample on its own grid (rho, u and three
+        # director components) would take samples * n_ref * 5 doubles
+        assert peak < 0.5 * len(trace) * n_ref * 5 * 8
+
+    def test_pair_evaluation_error_propagates_untagged(self, monkeypatch):
+        def failing(pair, params):
+            raise FunctionalError("remainder rejected the pair")
+
+        monkeypatch.setattr(verifier, "remainder", failing)
+        with pytest.raises(FunctionalError) as info:
+            run_twin(twin_config(n_ref=65, n_cand=33, amplitude=1e-3))
+        assert str(info.value) == "remainder rejected the pair"
+
+    @pytest.mark.parametrize("which", ["reference", "candidate"])
+    def test_solver_abort_keeps_its_trajectory_tag(self, which):
+        # one sample window of 0.02 forces an effective step far beyond the
+        # advective/acoustic bound in the trajectory given dt = 0.5
+        cfg = replace(twin_config(sample_interval=0.02), **{f"dt_{which}": 0.5})
+        with pytest.raises(CflError, match=f"^{which} trajectory: at t=0:"):
+            run_twin(cfg)
 
 
 class TestCheckGronwall:
