@@ -435,6 +435,8 @@ def _cmd_suite(args) -> int:
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env_val!r}")
 
+    # more workers than cores or tasks only add processes that wait
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -150,9 +150,13 @@ def gl_potential(d, params: Params):
 
 
 def gl_force(d, params: Params):
-    """Exact gradient f(d) = (|d|^2 - 1) d / sigma0^2 of the penalization."""
+    """Exact gradient f(d) = (|d|^2 - 1) d / sigma0^2 of the penalization.
+
+    d has shape (3,), (3, n) or (B, 3, n): the components are the last
+    axis of a single vector and the second-to-last axis otherwise.
+    """
     d = np.asarray(d, dtype=float)
-    s = np.sum(d * d, axis=0) - 1.0
+    s = (d * d).sum(axis=0 if d.ndim == 1 else -2, keepdims=True) - 1.0
     return s * d / params.sigma0**2
 
 

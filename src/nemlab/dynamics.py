@@ -13,19 +13,33 @@ The state is the triple (rho, u, d): scalar density, scalar velocity and a
 Scheme: IMEX Euler.  Advection, pressure gradient, director stress and the
 director reaction are explicit; the stiff diffusion terms mu*u_xx and
 theta*d_xx are implicit via tridiagonal solves, which removes the
-dt ~ dx^2 stability constraint of explicit diffusion.  The solves call
-LAPACK dgtsv directly on the three diagonals (the director's three
-components share one call); a nonzero LAPACK status raises
-LinearSolveError.  NaN/inf in rho or u makes the wave speed of the CFL
-bound non-finite, which raises NonFiniteStateError before either solve
-runs; NaN/inf in d is caught by the end-of-step finite check.  Each step evaluates the
-director gradient, Laplacian and GL force once and shares them between the
-stress divergence and the director predictor.  The continuity
-equation advances with a conservative central flux plus half-cell updates
-at the walls, so the trapezoid-rule mass telescopes exactly (u = 0 at the
-endpoints means zero wall flux).  Advective fluxes are central
-(energy-consistent for smooth runs); a small optional artificial viscosity
-(default 0) is available for robustness experiments.
+dt ~ dx^2 stability constraint of explicit diffusion.  The explicit GL
+reaction keeps its own bound, dt <= sigma0^2/theta, checked once per call.
+The continuity equation advances with a conservative central flux plus
+half-cell updates at the walls, so the trapezoid-rule mass telescopes
+exactly (u = 0 at the endpoints means zero wall flux).  Advective fluxes
+are central (energy-consistent for smooth runs); a small optional
+artificial viscosity (default 0) is available for robustness experiments.
+
+Members: the step advances B trajectories on one grid at once, with a
+leading member axis (rho, u: (B, n); d: (B, 3, n)) and each member's own
+Dirichlet rows.  The velocity solve is one LAPACK dgtsv call on a
+block-diagonal system whose off-diagonals vanish at the block joints; the
+director solve is one dgtsv call with 3B right-hand sides, since every
+member and component shares the director matrix.  That matrix and the
+velocity off-diagonals are fixed for a given dt, so evolve builds them
+once per step size.  A member's states are bit-identical to its own
+single-member run: every operation acts within one member, and the zero
+couplings leave each block's elimination untouched.  Each check (CFL
+bound, density floor, sphere collapse, end-of-step finite values) names
+the first member that fails it in exc.member.  A nonzero LAPACK status
+raises LinearSolveError.  NaN/inf in rho or u makes the wave speed of the
+CFL bound non-finite, which raises NonFiniteStateError before either
+solve runs; NaN/inf in d is caught by the end-of-step finite check.  Each
+step evaluates the director gradient, Laplacian and GL force once and
+shares them between the stress divergence and the director predictor; the
+stress divergence is evaluated at the interior nodes only, the rows it
+updates.
 
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
@@ -38,13 +52,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .constitutive import Params, System, gl_force, pressure
-from .grid import Grid1D, ScalarField, VectorField3, gradient_array, laplacian_array
+from .grid import (
+    Grid1D,
+    ScalarField,
+    VectorField3,
+    central_gradient,
+    central_laplacian,
+    gradient_array,
+    laplacian_array,
+)
 
 DEFAULT_DENSITY_FLOOR = 1e-8
 _CFL_NUMBER = 0.4
@@ -52,21 +74,33 @@ _TINY_SPEED = 1e-14
 
 
 class SolverError(RuntimeError):
-    """Base class for time-integration aborts."""
+    """Base class for time-integration aborts.
+
+    member is the index of the failing trajectory within a batched step
+    (0 for a single trajectory), or None when no one member is at fault.
+    """
+
+    def __init__(self, *args, member: Optional[int] = None):
+        super().__init__(*args)
+        self.member = member
 
 
 class CflError(SolverError):
     """Requested dt exceeds the advective/acoustic stability bound."""
 
 
-class DensityFloorError(SolverError):
-    """Density dropped below the positivity floor."""
+class ReactionBoundError(SolverError):
+    """Requested dt exceeds the stability bound of the explicit GL penalization."""
 
-    def __init__(self, node: int, value: float, floor: float):
+
+class DensityFloorError(SolverError):
+    """Density dropped below the positivity floor; node indexes the member's grid."""
+
+    def __init__(self, node: int, value: float, floor: float, member: Optional[int] = None):
         self.node = node
         self.value = value
         super().__init__(
-            f"density {value:.3e} below floor {floor:.1e} at node {node}"
+            f"density {value:.3e} below floor {floor:.1e} at node {node}", member=member
         )
 
 
@@ -221,9 +255,12 @@ def _gl_force_or_none(d: np.ndarray, params: Params) -> Optional[np.ndarray]:
 def _stress_contraction(
     grad: np.ndarray, lap: np.ndarray, force: Optional[np.ndarray], lam: float
 ) -> np.ndarray:
-    """lam * (d_xx - f(d)) . d_x from precomputed derivatives (f omitted if None)."""
+    """lam * (d_xx - f(d)) . d_x from precomputed derivatives (f omitted if None).
+
+    The components are the second-to-last axis: (3, n) or (B, 3, n).
+    """
     curv = lap if force is None else lap - force
-    return lam * np.sum(curv * grad, axis=0)
+    return lam * (curv * grad).sum(axis=-2)
 
 
 def director_stress_divergence(d: VectorField3, params: Params) -> ScalarField:
@@ -283,7 +320,7 @@ def rhs_director(state: State, params: Params, grid: Grid1D) -> VectorField3:
     out = np.zeros_like(d)
     lap = laplacian_array(d, dx)
     grad = np.zeros_like(d)
-    grad[:, 1:-1] = (d[:, 2:] - d[:, :-2]) / (2.0 * dx)
+    grad[:, 1:-1] = central_gradient(d, dx)
 
     if params.system is System.GL:
         out[:, 1:-1] = (
@@ -308,82 +345,171 @@ def rhs_director(state: State, params: Params, grid: Grid1D) -> VectorField3:
 # ---------------------------------------------------------------------------
 
 
-def _sound_speed_max(rho: np.ndarray, params: Params) -> float:
-    rho_max = float(np.max(rho))
-    return float(np.sqrt(params.a * params.gamma * rho_max ** (params.gamma - 1.0)))
+def _check_cfl(rho: np.ndarray, u: np.ndarray, dt: float, dx: float, params: Params) -> None:
+    """Raise for the first member whose wave speed is non-finite or whose
+    advective/acoustic bound 0.4*dx/max(|u| + c) dt exceeds."""
+    u_max = np.abs(u).max(axis=1).tolist()
+    rho_max = rho.max(axis=1).tolist()
+    for member, (u_m, rho_m) in enumerate(zip(u_max, rho_max)):
+        speed = u_m + math.sqrt(params.a * params.gamma * rho_m ** (params.gamma - 1.0))
+        if not math.isfinite(speed):
+            # NaN or inf in rho or u: stop before the solves run on it
+            raise NonFiniteStateError(
+                f"non-finite wave speed {speed} at step start", member=member
+            )
+        dt_max = _CFL_NUMBER * dx / max(speed, _TINY_SPEED)
+        if dt > dt_max * (1.0 + 1e-9):
+            raise CflError(
+                f"dt={dt:.3e} exceeds stability bound {dt_max:.3e} "
+                f"({_CFL_NUMBER}*dx over max wave speed)",
+                member=member,
+            )
 
 
-def _cfl_limit(rho: np.ndarray, u: np.ndarray, dx: float, params: Params) -> float:
-    speed = float(np.max(np.abs(u))) + _sound_speed_max(rho, params)
-    if not math.isfinite(speed):
-        # NaN or inf in rho or u: stop before the solves run on it
-        raise NonFiniteStateError(f"non-finite wave speed {speed} at step start")
-    return _CFL_NUMBER * dx / max(speed, _TINY_SPEED)
+def _check_reaction_bound(dt: float, params: Params) -> None:
+    """Reject a dt the explicit GL penalization cannot take.
+
+    The reaction -theta f(d) linearized at |d| = 1 has rate
+    2 theta/sigma0^2 along d, so explicit Euler is stable only for
+    dt <= sigma0^2/theta.  The bound is the same for every member and every
+    step, so it is checked once per call on the requested dt; it names the
+    first member, as the first to fail.
+    """
+    if params.system is not System.GL:
+        return
+    bound = params.sigma0**2 / params.theta
+    if dt > bound * (1.0 + 1e-9):
+        raise ReactionBoundError(
+            f"dt={dt:.3e} exceeds the GL penalization bound sigma0^2/theta={bound:.3e} "
+            f"(the explicit reaction has linearized rate 2*theta/sigma0^2)",
+            member=0,
+        )
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first member a boolean per-member mask flags."""
+    return int(mask.argmax())
+
+
+class _Implicit(NamedTuple):
+    """The implicit matrices of one step size, built once and shared by
+    every step of that size.
+
+    Velocity: the B members form one block-diagonal system whose
+    off-diagonals vanish at the block joints; its diagonal rho_new + 2 s
+    changes every step.  Director: one matrix for every member and
+    component; pins holds the Dirichlet rows of all members flattened in
+    (member, component) order, or None for Neumann ghosts.
+    """
+
+    s: float
+    vel_dl: np.ndarray
+    vel_du: np.ndarray
+    dir_dl: np.ndarray
+    dir_d: np.ndarray
+    dir_du: np.ndarray
+    pins: Optional[Tuple[np.ndarray, np.ndarray]]
+
+
+def _director_pins(bcs: Sequence[BoundarySpec]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Left and right Dirichlet rows of all members, (3B,) each; None for Neumann."""
+    if bcs[0].director_bc is not DirectorBC.DIRICHLET_D0:
+        return None
+    return (
+        np.concatenate([bc.d_left for bc in bcs]),
+        np.concatenate([bc.d_right for bc in bcs]),
+    )
+
+
+def _implicit(
+    dt: float,
+    dx: float,
+    mu: float,
+    theta: float,
+    pins: Optional[Tuple[np.ndarray, np.ndarray]],
+    members: int,
+    n: int,
+) -> _Implicit:
+    """Diagonals of (diag(rho) - mu dt D2) u = m and (I - theta dt D2_bc) d = d*."""
+    s = mu * dt / (dx * dx)
+    vel_du = np.full(members * n - 1, -s)  # A[i, i+1]
+    vel_dl = vel_du.copy()                  # A[i+1, i]
+    vel_du[::n] = 0.0          # pinned first rows have no right coupling
+    vel_du[n - 1::n] = 0.0     # block joints
+    vel_dl[n - 2::n] = 0.0     # pinned last rows have no left coupling
+    vel_dl[n - 1::n] = 0.0     # block joints
+
+    r = theta * dt / (dx * dx)
+    dir_d = np.full(n, 1.0 + 2.0 * r)
+    dir_du = np.full(n - 1, -r)
+    dir_dl = dir_du.copy()
+    if pins is not None:
+        dir_d[0] = 1.0
+        dir_d[-1] = 1.0
+        dir_du[0] = 0.0
+        dir_dl[-1] = 0.0
+    else:
+        dir_du[0] = -2.0 * r       # mirrored ghost at the left wall
+        dir_dl[-1] = -2.0 * r      # mirrored ghost at the right wall
+    return _Implicit(s, vel_dl, vel_du, dir_dl, dir_d, dir_du, pins)
 
 
 def _tridiagonal_solve(
-    dl: np.ndarray, diag: np.ndarray, du: np.ndarray, rhs: np.ndarray, what: str
+    dl: np.ndarray, diag: np.ndarray, du: np.ndarray, rhs: np.ndarray, what: str, n: int
 ) -> np.ndarray:
-    """LAPACK dgtsv on (sub, main, super) diagonals; overwrites all inputs."""
+    """LAPACK dgtsv on (sub, main, super) diagonals of B blocks of n rows.
+
+    Overwrites all inputs.  A zero pivot is attributed to the block that
+    holds it.
+    """
     *_, x, info = dgtsv(
         dl, diag, du, rhs,
         overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
     )
     if info > 0:
-        raise LinearSolveError(f"{what} solve: singular matrix (zero pivot in row {info})")
+        member, row = divmod(info - 1, n)
+        raise LinearSolveError(
+            f"{what} solve: singular matrix (zero pivot in row {row + 1})", member=member
+        )
     if info < 0:
         raise LinearSolveError(f"{what} solve: illegal argument {-info} to dgtsv")
     return x
 
 
-def _solve_velocity(
-    rho_new: np.ndarray, m_star: np.ndarray, dt: float, dx: float, mu: float
-) -> np.ndarray:
-    """Implicit viscous solve: (diag(rho_new) - mu dt D2) u = m_star, u=0 walls."""
-    n = rho_new.shape[0]
-    s = mu * dt / (dx * dx)
-    diag = rho_new + 2.0 * s
-    diag[0] = 1.0
-    diag[-1] = 1.0
-    du = np.full(n - 1, -s)  # A[i, i+1]
-    dl = du.copy()           # A[i+1, i]
-    du[0] = 0.0              # pinned first row has no right coupling
-    dl[-1] = 0.0             # pinned last row has no left coupling
+def _solve_velocity(rho_new: np.ndarray, m_star: np.ndarray, implicit: _Implicit) -> np.ndarray:
+    """Implicit viscous solve per member: (diag(rho_new) - mu dt D2) u = m_star, u=0 walls."""
+    members, n = rho_new.shape
+    diag = rho_new + 2.0 * implicit.s
     rhs = m_star.copy()
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    u_new = _tridiagonal_solve(dl, diag, du, rhs, "velocity")
-    u_new[0] = 0.0
-    u_new[-1] = 0.0
+    # per-member scalar stores: strided column updates cost more at small B
+    for b in range(members):
+        diag[b, 0] = diag[b, -1] = 1.0
+        rhs[b, 0] = rhs[b, -1] = 0.0
+    u_new = _tridiagonal_solve(
+        implicit.vel_dl.copy(), diag.reshape(-1), implicit.vel_du.copy(), rhs.reshape(-1),
+        "velocity", n,
+    ).reshape(members, n)
+    for b in range(members):
+        u_new[b, 0] = u_new[b, -1] = 0.0
     return u_new
 
 
-def _solve_director(
-    d_star: np.ndarray, dt: float, dx: float, theta: float, bc: BoundarySpec
-) -> np.ndarray:
-    """Implicit diffusion solve per component: (I - theta dt D2_bc) d = d_star."""
-    n = d_star.shape[1]
-    r = theta * dt / (dx * dx)
-    diag = np.full(n, 1.0 + 2.0 * r)
-    du = np.full(n - 1, -r)  # A[i, i+1]
-    dl = du.copy()           # A[i+1, i]
-    rhs = d_star.copy().T    # (n, 3), Fortran order: three right-hand sides
-
-    if bc.director_bc is DirectorBC.DIRICHLET_D0:
-        diag[0] = 1.0
-        diag[-1] = 1.0
-        du[0] = 0.0
-        dl[-1] = 0.0
-        rhs[0, :] = bc.d_left
-        rhs[-1, :] = bc.d_right
-    else:
-        du[0] = -2.0 * r         # mirrored ghost at the left wall
-        dl[-1] = -2.0 * r        # mirrored ghost at the right wall
-    d_new = _tridiagonal_solve(dl, diag, du, rhs, "director").T
-    if bc.director_bc is DirectorBC.DIRICHLET_D0:
-        d_new[:, 0] = bc.d_left
-        d_new[:, -1] = bc.d_right
-    return d_new
+def _solve_director(d_star: np.ndarray, implicit: _Implicit) -> np.ndarray:
+    """Implicit diffusion solve: (I - theta dt D2_bc) d = d_star for every
+    member and component, as one call with 3B right-hand sides."""
+    members, _, n = d_star.shape
+    rhs = d_star.reshape(-1, n).copy().T   # (n, 3B), Fortran order
+    pins = implicit.pins
+    if pins is not None:
+        rhs[0] = pins[0]
+        rhs[-1] = pins[1]
+    x = _tridiagonal_solve(
+        implicit.dir_dl.copy(), implicit.dir_d.copy(), implicit.dir_du.copy(), rhs, "director", n
+    )
+    if pins is not None:
+        x[0] = pins[0]
+        x[-1] = pins[1]
+    return x.T.reshape(members, 3, n)
 
 
 def _advance(
@@ -393,79 +519,97 @@ def _advance(
     dt: float,
     params: Params,
     grid: Grid1D,
-    bc: BoundarySpec,
+    implicit: _Implicit,
     options: SolverOptions,
     stats: Optional[dict] = None,
 ):
-    """One IMEX Euler step on raw arrays; returns (rho, u, d) at t + dt."""
+    """One IMEX Euler step of B members; returns (rho, u, d) at t + dt.
+
+    rho and u have shape (B, n) and d has shape (B, 3, n); implicit holds
+    the matrices for this dt and the members' boundary rows.  A failed
+    check raises for the first member that fails it, in exc.member.
+    """
     dx = grid.dx
-    dt_max = _cfl_limit(rho, u, dx, params)
-    if dt > dt_max * (1.0 + 1e-9):
-        raise CflError(
-            f"dt={dt:.3e} exceeds stability bound {dt_max:.3e} "
-            f"({_CFL_NUMBER}*dx over max wave speed)"
-        )
+    _check_cfl(rho, u, dt, dx, params)
 
     m = rho * u
     av = options.artificial_viscosity
 
     # --- continuity: conservative central flux, half cells at the walls ---
-    flux = 0.5 * (m[:-1] + m[1:])
+    flux = 0.5 * (m[:, :-1] + m[:, 1:])
     if av > 0.0:
-        flux = flux - av * (rho[1:] - rho[:-1])
+        flux = flux - av * (rho[:, 1:] - rho[:, :-1])
     rho_new = rho.copy()
-    rho_new[1:-1] -= (dt / dx) * (flux[1:] - flux[:-1])
-    rho_new[0] -= (2.0 * dt / dx) * flux[0]
-    rho_new[-1] += (2.0 * dt / dx) * flux[-1]
-    if np.min(rho_new) < options.density_floor:
-        node = int(np.argmin(rho_new))
-        raise DensityFloorError(node, float(rho_new[node]), options.density_floor)
+    rho_new[:, 1:-1] -= (dt / dx) * (flux[:, 1:] - flux[:, :-1])
+    wall = 2.0 * dt / dx
+    for b in range(rho.shape[0]):  # scalar stores, as in _solve_velocity
+        rho_new[b, 0] -= wall * flux[b, 0]
+        rho_new[b, -1] += wall * flux[b, -1]
+    floor = options.density_floor
+    if rho_new.min() < floor:
+        member = _first(rho_new.min(axis=1) < floor)
+        node = int(rho_new[member].argmin())
+        raise DensityFloorError(node, float(rho_new[member, node]), floor, member)
 
     # --- momentum: explicit transport/pressure/stress, implicit viscosity ---
-    mom_flux = 0.5 * (m[:-1] * u[:-1] + m[1:] * u[1:])
+    mom_flux = 0.5 * (m[:, :-1] * u[:, :-1] + m[:, 1:] * u[:, 1:])
     if av > 0.0:
-        mom_flux = mom_flux - av * (m[1:] - m[:-1])
+        mom_flux = mom_flux - av * (m[:, 1:] - m[:, :-1])
+    # only interior rows of m_star change, so the stress divergence is
+    # evaluated there: the one-sided wall stencils would go unused
     p_vals = pressure(rho, params)
-    grad_d = gradient_array(d, dx)
+    grad_in = central_gradient(d, dx)
     force = _gl_force_or_none(d, params)
-    sdiv = _stress_contraction(grad_d, laplacian_array(d, dx), force, params.lam)
-    m_star = m.copy()
-    m_star[1:-1] += dt * (
-        -(mom_flux[1:] - mom_flux[:-1]) / dx
-        - (p_vals[2:] - p_vals[:-2]) / (2.0 * dx)
-        - sdiv[1:-1]
+    sdiv = _stress_contraction(
+        grad_in, central_laplacian(d, dx), None if force is None else force[..., 1:-1],
+        params.lam,
     )
-    u_new = _solve_velocity(rho_new, m_star, dt, dx, params.mu)
+    m_star = m.copy()
+    m_star[:, 1:-1] += dt * (
+        -(mom_flux[:, 1:] - mom_flux[:, :-1]) / dx
+        - (p_vals[:, 2:] - p_vals[:, :-2]) / (2.0 * dx)
+        - sdiv
+    )
+    u_new = _solve_velocity(rho_new, m_star, implicit)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
     # predictor gradient: central in the interior, 0 at the walls, where
     # pinned (GL) or mirrored (SPHERE) endpoints do not advect
-    grad_d[:, 0] = 0.0
-    grad_d[:, -1] = 0.0
+    grad_d = np.zeros(d.shape)
+    grad_d[..., 1:-1] = grad_in
     if force is not None:
         react = -params.theta * force
     else:
-        react = params.theta * np.sum(grad_d * grad_d, axis=0) * d
-    d_star = d + dt * (react - u * grad_d)
-    d_new = _solve_director(d_star, dt, dx, params.theta, bc)
+        react = params.theta * (grad_d * grad_d).sum(axis=1, keepdims=True) * d
+    d_star = d + dt * (react - u[:, None] * grad_d)
+    d_new = _solve_director(d_star, implicit)
 
     if params.system is System.SPHERE:
-        nrm = np.sqrt(np.sum(d_new * d_new, axis=0))
-        if np.min(nrm) < 0.5:
+        nrm = np.sqrt((d_new * d_new).sum(axis=1, keepdims=True))
+        if nrm.min() < 0.5:
+            member = _first(nrm.min(axis=(1, 2)) < 0.5)
             raise NonFiniteStateError(
-                f"director magnitude collapsed to {np.min(nrm):.3e}; "
-                "renormalization is no longer meaningful"
+                f"director magnitude collapsed to {nrm[member].min():.3e}; "
+                "renormalization is no longer meaningful",
+                member=member,
             )
         if stats is not None:
-            stats["sphere_renorm_max"] = float(np.max(np.abs(nrm - 1.0)))
+            stats["sphere_renorm_max"] = float(np.abs(nrm - 1.0).max())
         d_new = d_new / nrm
 
     if not (
-        np.all(np.isfinite(rho_new))
-        and np.all(np.isfinite(u_new))
-        and np.all(np.isfinite(d_new))
+        np.isfinite(rho_new).all() and np.isfinite(u_new).all() and np.isfinite(d_new).all()
     ):
-        raise NonFiniteStateError("non-finite values after step")
+        # a non-finite right-hand side spreads across the block joints of
+        # the velocity solve (0 * nan), so its members are judged by m_star
+        finite = (
+            np.isfinite(rho_new).all(axis=1)
+            & np.isfinite(m_star).all(axis=1)
+            & np.isfinite(d_new).all(axis=(1, 2))
+        )
+        if finite.all():
+            finite = np.isfinite(u_new).all(axis=1)
+        raise NonFiniteStateError("non-finite values after step", member=_first(~finite))
     return rho_new, u_new, d_new
 
 
@@ -480,7 +624,8 @@ def step(
 ) -> State:
     """Advance one IMEX Euler step of size dt.
 
-    Raises CflError when dt exceeds the advective/acoustic bound,
+    Raises ReactionBoundError when dt exceeds the GL penalization bound
+    sigma0^2/theta, CflError when dt exceeds the advective/acoustic bound,
     DensityFloorError (with the node index) when positivity is lost,
     LinearSolveError when LAPACK rejects an implicit solve, and
     NonFiniteStateError on NaN/inf.  For the SPHERE system the director is
@@ -492,28 +637,29 @@ def step(
     _check_bc_system(bc, params.system)
     if state.grid != grid:
         raise ValueError("state grid does not match the integration grid")
+    _check_reaction_bound(dt, params)
     options = options or SolverOptions()
-    rho, u, d = _advance(
-        state.rho.values, state.u.values, state.d.values, dt, params, grid, bc,
-        options, stats,
+    implicit = _implicit(
+        dt, grid.dx, params.mu, params.theta, _director_pins((bc,)), 1, grid.n_nodes
     )
-    return State.from_arrays(grid, rho, u, d)
-
-
-Observer = Callable[[State, float], None]
+    rho, u, d = _advance(
+        state.rho.values[None], state.u.values[None], state.d.values[None], dt, params,
+        grid, implicit, options, stats,
+    )
+    return State.from_arrays(grid, rho[0], u[0], d[0])
 
 
 def evolve(
-    init: InitialData,
+    init: Union[InitialData, Sequence[InitialData]],
     t_end: float,
     dt: float,
     params: Params,
     grid: Grid1D,
-    bc: BoundarySpec,
-    observer: Optional[Observer] = None,
+    bc: Union[BoundarySpec, Sequence[BoundarySpec]],
+    observer: Optional[Callable] = None,
     sample_interval: Optional[float] = None,
     options: Optional[SolverOptions] = None,
-) -> State:
+):
     """Integrate from t=0 to t_end, invoking the observer at sample times.
 
     The observer receives (state, t) at t=0, at every multiple of
@@ -521,29 +667,48 @@ def evolve(
     is dt shrunk minimally so the window is an integer number of steps;
     sample times are therefore hit exactly.  sample_interval=None samples
     after every step.  Step errors propagate with the failure time attached.
+
+    init and bc may also be equal-length sequences, one entry per member:
+    the members then advance in lockstep through one batched step, the
+    observer receives a tuple with one State per member in place of the
+    state, and a tuple is returned.  Each member's states are bit-identical
+    to its own single-member run.  A step error carries the index of the
+    first failing member in exc.member.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _check_bc_system(bc, params.system)
-    if init.grid != grid:
-        raise ValueError("initial data grid does not match the integration grid")
-    if params.system is System.SPHERE:
-        mag = np.sqrt(np.sum(init.d0.values**2, axis=0))
-        if np.max(np.abs(mag - 1.0)) > 1e-10:
-            raise ValueError("SPHERE initial director must be unit length")
+    single = isinstance(init, InitialData)
+    inits = (init,) if single else tuple(init)
+    bcs = (bc,) if single else tuple(bc)
+    if not inits or len(bcs) != len(inits):
+        raise ValueError("need at least one member and one boundary spec per member")
+    for member, member_bc in zip(inits, bcs):
+        _check_bc_system(member_bc, params.system)
+        if member.grid != grid:
+            raise ValueError("initial data grid does not match the integration grid")
+        if params.system is System.SPHERE:
+            mag = np.sqrt((member.d0.values**2).sum(axis=0))
+            if np.abs(mag - 1.0).max() > 1e-10:
+                raise ValueError("SPHERE initial director must be unit length")
+    _check_reaction_bound(dt, params)
     options = options or SolverOptions()
+    members = len(inits)
+    pins = _director_pins(bcs)
 
-    rho = init.rho0.values.copy()
-    u = init.u0.values.copy()
-    d = init.d0.values.copy()
+    rho = np.stack([member.rho0.values for member in inits])
+    u = np.stack([member.u0.values for member in inits])
+    d = np.stack([member.d0.values for member in inits])
 
-    state = State.from_arrays(grid, rho, u, d)
+    def states():
+        out = tuple(State.from_arrays(grid, rho[b], u[b], d[b]) for b in range(members))
+        return out[0] if single else out
+
     if observer is not None:
-        observer(state, 0.0)
+        observer(states(), 0.0)
     if t_end == 0.0:
-        return state
+        return states()
 
     interval = sample_interval if sample_interval is not None else dt
     if interval <= 0:
@@ -551,20 +716,25 @@ def evolve(
 
     t = 0.0
     k = 0
+    implicit, implicit_dt = None, None
     while t < t_end - 1e-12 * max(t_end, 1.0):
         k += 1
         t_next = min(k * interval, t_end)
         span = t_next - t
         n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
         dt_eff = span / n_sub
+        if dt_eff != implicit_dt:  # the matrices depend on the step size only
+            implicit = _implicit(
+                dt_eff, grid.dx, params.mu, params.theta, pins, members, grid.n_nodes
+            )
+            implicit_dt = dt_eff
         for j in range(n_sub):
             try:
-                rho, u, d = _advance(rho, u, d, dt_eff, params, grid, bc, options)
+                rho, u, d = _advance(rho, u, d, dt_eff, params, grid, implicit, options)
             except SolverError as exc:
                 exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
                 raise
         t = t_next
-        state = State.from_arrays(grid, rho, u, d)
         if observer is not None:
-            observer(state, t)
-    return state
+            observer(states(), t)
+    return states()

@@ -117,6 +117,19 @@ class VectorField3:
 # ---------------------------------------------------------------------------
 
 
+def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
+    """Central first difference at the interior nodes, along the last axis.
+
+    The result has n - 2 entries there: node i + 1 for entry i.
+    """
+    return (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+
+
+def central_laplacian(values: np.ndarray, dx: float) -> np.ndarray:
+    """Three-point second difference at the interior nodes, along the last axis."""
+    return (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / (dx * dx)
+
+
 def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order first derivative along the last axis.
 
@@ -124,7 +137,7 @@ def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:
     both endpoints (also second order).
     """
     out = np.empty_like(values, dtype=float)
-    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    out[..., 1:-1] = central_gradient(values, dx)
     out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (
         2.0 * dx
     )
@@ -144,7 +157,7 @@ def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     """
     out = np.empty_like(values, dtype=float)
     dx2 = dx * dx
-    out[..., 1:-1] = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / dx2
+    out[..., 1:-1] = central_laplacian(values, dx)
     out[..., 0] = (
         2.0 * values[..., 0] - 5.0 * values[..., 1] + 4.0 * values[..., 2] - values[..., 3]
     ) / dx2

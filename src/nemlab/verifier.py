@@ -23,13 +23,17 @@ is restricted to the candidate grid by local 4-point (cubic Lagrange)
 interpolation, which reproduces nodal values exactly when the grids
 coincide, so identical twins stay bit-identical.
 
-Memory model: the twin is streamed.  The reference runs first and keeps
-each sample only on the candidate grid; the candidate then runs and each
-of its samples is paired with the stored reference sample of the same
-time, evaluated and dropped.  A twin therefore retains
-O(samples * n_candidate) floats, not O(samples * (n_reference +
-n_candidate)).  check_uniqueness keeps its reference on the reference
-grid (it is restricted to several levels), which its few samples allow.
+Memory model: a twin whose trajectories share grid and dt runs in
+lockstep: one two-member evolve steps both, and each sample pair is
+evaluated in the observer as it is produced, so no reference sample is
+retained and nothing is restricted.  Every other twin is streamed.  The
+reference runs first and keeps each sample only on the candidate grid;
+the candidate then runs and each of its samples is paired with the stored
+reference sample of the same time, evaluated and dropped.  A twin
+therefore retains O(samples * n_candidate) floats, not
+O(samples * (n_reference + n_candidate)).  check_uniqueness keeps its
+reference on the reference grid (it is restricted to several levels),
+which its few samples allow.
 """
 
 from __future__ import annotations
@@ -358,67 +362,80 @@ class EntropyTrace:
 
 
 def _evolve_samples(
-    tag: str,
-    init: InitialData,
+    tags: Tuple[str, ...],
+    inits: Tuple[InitialData, ...],
     dt: float,
     config: ExperimentConfig,
-    observer: Callable[[State, float], None],
+    observer: Callable[[Tuple[State, ...], float], None],
 ) -> None:
-    """Evolve one trajectory of a twin, handing every sample to observer.
+    """Evolve the trajectories named by tags in lockstep, one per initial
+    datum on their shared grid, handing every sample to observer(states, t).
 
-    A solver abort from the integrator is tagged with the trajectory's
-    name; an error raised by the observer propagates unchanged.
+    A solver abort from the integrator is tagged with the name of the
+    trajectory that failed; an error raised by the observer propagates
+    unchanged.
     """
     params = config.params
-    bc = BoundarySpec.for_system(params.system, init.d0)
+    bcs = [BoundarySpec.for_system(params.system, init.d0) for init in inits]
     try:
         evolve(
-            init,
+            inits,
             config.t_end,
             dt,
             params,
-            init.grid,
-            bc,
+            inits[0].grid,
+            bcs,
             observer=observer,
             sample_interval=config.resolved_sample_interval(),
             options=config.solver,
         )
     except SolverError as exc:
-        exc.args = (f"{tag} trajectory: {exc}",)
+        who = " and ".join(tags) if exc.member is None else tags[exc.member]
+        exc.args = (f"{who} trajectory: {exc}",)
         raise
 
 
 _COUNT_MISMATCH = "reference and candidate produced different sample counts"
+
+Row = Callable[[float, StatePair], None]
+
+
+def _pair(
+    config: ExperimentConfig, entry: Tuple[float, State], state: State, t: float, row: Row
+) -> None:
+    """Pair candidate sample (state, t) with reference entry (t_r, st_r) and
+    hand it to row(t, pair); the sample times must match."""
+    t_r, st_r = entry
+    if abs(t_r - t) > 1e-9 * max(1.0, config.t_end):
+        raise VerifierError(f"sample time mismatch: {t_r} vs {t}")
+    row(t, StatePair(state, st_r, rho_lower=config.solver.density_floor))
 
 
 def _stream_candidate(
     config: ExperimentConfig,
     init: InitialData,
     reference: List[Optional[Tuple[float, State]]],
-    row: Callable[[int, float, StatePair], None],
+    row: Row,
 ) -> None:
     """Evolve the candidate and evaluate each sample pair as it is produced.
 
     reference holds one (time, state) entry per sample, already on the
     candidate grid.  Candidate sample k is paired with entry k, handed to
-    row(k, t, pair), and the entry is then dropped, so the stored
-    reference shrinks while the candidate runs.  The sample counts and
-    times of the two trajectories must match.
+    row, and the entry is then dropped, so the stored reference shrinks
+    while the candidate runs.  The sample counts and times of the two
+    trajectories must match.
     """
     k = 0
 
-    def observe(state: State, t: float) -> None:
+    def observe(states: Tuple[State, ...], t: float) -> None:
         nonlocal k
         if k == len(reference):
             raise VerifierError(_COUNT_MISMATCH)
-        t_r, st_r = reference[k]
-        if abs(t_r - t) > 1e-9 * max(1.0, config.t_end):
-            raise VerifierError(f"sample time mismatch: {t_r} vs {t}")
-        row(k, t, StatePair(state, st_r, rho_lower=config.solver.density_floor))
+        _pair(config, reference[k], states[0], t, row)
         reference[k] = None
         k += 1
 
-    _evolve_samples("candidate", init, config.dt_candidate, config, observe)
+    _evolve_samples(("candidate",), (init,), config.dt_candidate, config, observe)
     if k != len(reference):
         raise VerifierError(_COUNT_MISMATCH)
 
@@ -427,15 +444,17 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     """Evolve reference and candidate and record the full entropy trace.
 
     The reference runs unperturbed on its own grid; the candidate starts
-    from the (optionally perturbed) preset on the candidate grid.  Each
-    reference sample is restricted to the candidate grid as it is
-    produced and kept there, with its energy and dissipation evaluated on
-    its own grid.  The candidate then runs, and each of its samples is
-    paired with the stored reference sample of the same time: the pair
-    functionals are evaluated on the candidate grid, the single-state
-    quantities (energy, dissipation, mass) on the candidate's.  Solver
-    aborts propagate with the trajectory tag attached; errors evaluating
-    a pair propagate untagged.
+    from the (optionally perturbed) preset on the candidate grid.  When
+    the two share grid and dt they advance in lockstep through one batched
+    step, and each sample pair is evaluated as soon as both are produced.
+    Otherwise each reference sample is restricted to the candidate grid as
+    it is produced and kept there, with its energy and dissipation
+    evaluated on its own grid; the candidate then runs, and each of its
+    samples is paired with the stored reference sample of the same time.
+    Either way the pair functionals are evaluated on the candidate grid,
+    the single-state quantities (energy, dissipation, mass) on each
+    trajectory's own.  Solver aborts propagate with the trajectory tag
+    attached; errors evaluating a pair propagate untagged.
     """
     params = config.params
     system = params.system
@@ -445,51 +464,71 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
         config.initial_preset, config.grid_candidate, params, config.perturbation
     )
 
-    reference: List[Optional[Tuple[float, State]]] = []
-    energy_reference: List[float] = []
-    dissipation_reference: List[float] = []
-
-    def keep_reference(state: State, t: float) -> None:
-        reference.append((t, restrict_state(state, config.grid_candidate, system)))
-        energy_reference.append(energy(state, params))
-        dissipation_reference.append(dissipation(state, params))
-
-    _evolve_samples("reference", ref_init, config.dt_reference, config, keep_reference)
-
-    n = len(reference)
-    cols: Dict[str, np.ndarray] = {
-        name: np.full(n, np.nan)
+    cols: Dict[str, List[float]] = {
+        name: []
         for name in (
-            "entropy", "h_hat", "energy_candidate",
-            "dissipation_candidate", "mass_candidate",
+            "times", "entropy", "h_hat", "energy_candidate", "energy_reference",
+            "dissipation_candidate", "dissipation_reference", "mass_candidate",
             "sphere_defect", "r_d", "r_c", "r_bar_d", "r_bar_c",
             "r_1d", "r_1c", "r_1c_a", "r_1c_b", "reorg_mismatch",
         )
     }
-    cols["energy_reference"] = np.array(energy_reference)
-    cols["dissipation_reference"] = np.array(dissipation_reference)
-    times = np.empty(n)
     breakdowns: List[RemainderBreakdown] = []
     active = _GL_COLUMNS if system is System.GL else _SPHERE_COLUMNS
 
-    def row(k: int, t: float, pair: StatePair) -> None:
+    def on_reference(state: State) -> None:
+        cols["energy_reference"].append(energy(state, params))
+        cols["dissipation_reference"].append(dissipation(state, params))
+
+    def row(t: float, pair: StatePair) -> None:
         st_c = pair.candidate
-        times[k] = t
-        cols["entropy"][k] = relative_entropy(pair, params)
-        cols["energy_candidate"][k] = energy(st_c, params)
-        cols["dissipation_candidate"][k] = dissipation(st_c, params)
-        cols["mass_candidate"][k] = mass(st_c)
+        cols["times"].append(t)
+        cols["entropy"].append(relative_entropy(pair, params))
+        cols["energy_candidate"].append(energy(st_c, params))
+        cols["dissipation_candidate"].append(dissipation(st_c, params))
+        cols["mass_candidate"].append(mass(st_c))
         if system is System.SPHERE:
-            cols["sphere_defect"][k] = sphere_defect(st_c)
+            cols["sphere_defect"].append(sphere_defect(st_c))
         br = remainder(pair, params)
         breakdowns.append(br)
-        cols["h_hat"][k] = br.h_hat
-        cols["reorg_mismatch"][k] = br.reorg_mismatch
+        cols["h_hat"].append(br.h_hat)
+        cols["reorg_mismatch"].append(br.reorg_mismatch)
         for name in active:
-            cols[name][k] = getattr(br, name)
+            cols[name].append(getattr(br, name))
 
-    _stream_candidate(config, cand_init, reference, row)
-    return EntropyTrace(system=system, times=times, breakdowns=breakdowns, **cols)
+    if (
+        config.grid_reference == config.grid_candidate
+        and config.dt_reference == config.dt_candidate
+    ):
+        def lockstep(states: Tuple[State, ...], t: float) -> None:
+            st_r, st_c = states
+            on_reference(st_r)
+            _pair(config, (t, st_r), st_c, t, row)
+
+        _evolve_samples(
+            ("reference", "candidate"), (ref_init, cand_init), config.dt_candidate, config,
+            lockstep,
+        )
+    else:
+        reference: List[Optional[Tuple[float, State]]] = []
+
+        def keep_reference(states: Tuple[State, ...], t: float) -> None:
+            (state,) = states
+            reference.append((t, restrict_state(state, config.grid_candidate, system)))
+            on_reference(state)
+
+        _evolve_samples(
+            ("reference",), (ref_init,), config.dt_reference, config, keep_reference
+        )
+        _stream_candidate(config, cand_init, reference, row)
+    # a column no sample filled (the inactive system's remainders, the
+    # sphere defect of GL) is NaN throughout
+    n = len(cols["times"])
+    return EntropyTrace(
+        system=system,
+        breakdowns=breakdowns,
+        **{name: np.array(v) if v else np.full(n, np.nan) for name, v in cols.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +690,8 @@ def check_uniqueness(
     ref_init = make_initial_data(config.initial_preset, config.grid_reference, params)
     reference: List[Tuple[float, State]] = []
     _evolve_samples(
-        "reference", ref_init, config.dt_reference, config,
-        lambda state, t: reference.append((t, state)),
+        ("reference",), (ref_init,), config.dt_reference, config,
+        lambda states, t: reference.append((t, states[0])),
     )
 
     sups: List[float] = []
@@ -662,10 +701,10 @@ def check_uniqueness(
         level_cfg = replace(config, grid_candidate=grid_c, dt_candidate=kappa * grid_c.dx**2)
         cand_init = make_initial_data(config.initial_preset, grid_c, params)
         on_level = [(t, restrict_state(st, grid_c, params.system)) for t, st in reference]
-        entropy = np.empty(len(on_level))
+        entropy: List[float] = []
 
-        def row(k: int, t: float, pair: StatePair) -> None:
-            entropy[k] = relative_entropy(pair, params)
+        def row(t: float, pair: StatePair) -> None:
+            entropy.append(relative_entropy(pair, params))
 
         _stream_candidate(level_cfg, cand_init, on_level, row)
         sups.append(float(np.max(entropy)))

@@ -1,10 +1,12 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from nemlab import verifier
+from nemlab import cli, verifier
 from nemlab.cli import main
 from nemlab.config import ConfigError, parse_config
 from nemlab.constitutive import System
@@ -320,3 +322,47 @@ class TestMain:
         code = main(["suite", "--preset", "sphere-smoke",
                      "--output-dir", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "preset, cpus, expected", [("full", 3, 3), ("gl-smoke", 64, 2), ("full", None, None)]
+    )
+    def test_suite_workers_capped_at_cores_and_tasks(
+        self, tmp_path, monkeypatch, preset, cpus, expected
+    ):
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_suite_task", lambda task: (task[0], True, "stub"))
+        monkeypatch.setenv("NEMLAB_WORKERS", "10000")
+        assert main(["suite", "--preset", preset, "--output-dir", str(tmp_path)]) == 0
+        # no pool at all when the cap leaves a single worker
+        assert pools == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("sigma0, code", [(0.01, 3), (0.02, 0)])
+    def test_gl_penalization_bound_exits_3(self, tmp_path, capsys, sigma0, code):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(sigma0=sigma0, grid_reference={"n": 97},
+                                 grid_candidate={"n": 97}, t_end=0.05,
+                                 perturbation={"amplitude": 1e-3, "mode": 2}))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "solver abort: reference trajectory: dt=2.000e-04 exceeds the GL "
+                "penalization bound sigma0^2/theta=1.000e-04 (the explicit reaction "
+                "has linearized rate 2*theta/sigma0^2)\n"
+            )

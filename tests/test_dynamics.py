@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemlab.constitutive import Params, System
 from nemlab.dynamics import (
@@ -11,6 +13,7 @@ from nemlab.dynamics import (
     InitialData,
     LinearSolveError,
     NonFiniteStateError,
+    ReactionBoundError,
     SolverError,
     SolverOptions,
     State,
@@ -24,7 +27,7 @@ from nemlab.dynamics import (
 from nemlab import dynamics
 from nemlab.functionals import dissipation, energy
 from nemlab.grid import Grid1D, ScalarField, VectorField3
-from nemlab.verifier import cubic_restrict, make_initial_data
+from nemlab.verifier import Perturbation, cubic_restrict, make_initial_data
 
 
 def equilibrium(grid):
@@ -317,7 +320,8 @@ class TestTridiagonalSolves:
         a[0, 0] = a[-1, -1] = 1.0
         b = m_star.copy()
         b[[0, -1]] = 0.0
-        u = dynamics._solve_velocity(rho_new, m_star, dt, dx, mu)
+        imp = dynamics._implicit(dt, dx, mu, 1.0, None, 1, n)
+        u = dynamics._solve_velocity(rho_new[None], m_star[None], imp)[0]
         np.testing.assert_allclose(u, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
         assert u[0] == 0.0 and u[-1] == 0.0
         assert np.array_equal(rho_new, inputs[0]) and np.array_equal(m_star, inputs[1])
@@ -334,7 +338,8 @@ class TestTridiagonalSolves:
         a[0, 0] = a[-1, -1] = 1.0
         b = d_star.T.copy()
         b[0], b[-1] = bc.d_left, bc.d_right
-        d_new = dynamics._solve_director(d_star, dt, dx, theta, bc)
+        imp = dynamics._implicit(dt, dx, 1.0, theta, dynamics._director_pins([bc]), 1, n)
+        d_new = dynamics._solve_director(d_star[None], imp)[0]
         np.testing.assert_allclose(d_new, np.linalg.solve(a, b).T, rtol=1e-12, atol=0.0)
         assert np.array_equal(d_new[:, 0], bc.d_left)
         assert np.array_equal(d_new[:, -1], bc.d_right)
@@ -348,7 +353,8 @@ class TestTridiagonalSolves:
         d2 = self.d2_dense(n, dx)
         d2[0, 1] = d2[-1, -2] = 2.0 / dx**2  # mirrored ghost nodes
         a = np.eye(n) - theta * dt * d2
-        d_new = dynamics._solve_director(d_star, dt, dx, theta, BoundarySpec.neumann())
+        imp = dynamics._implicit(dt, dx, 1.0, theta, None, 1, n)
+        d_new = dynamics._solve_director(d_star[None], imp)[0]
         np.testing.assert_allclose(
             d_new, np.linalg.solve(a, d_star.T).T, rtol=1e-12, atol=0.0
         )
@@ -358,14 +364,17 @@ class TestTridiagonalSolves:
         rho_new = np.ones(7)
         rho_new[3] = 0.0  # with mu = 0 row 3 is all zeros
         with pytest.raises(LinearSolveError, match="velocity solve: singular"):
-            dynamics._solve_velocity(rho_new, np.ones(7), 1e-3, 0.1, 0.0)
+            dynamics._solve_velocity(
+                rho_new[None], np.ones((1, 7)), dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 1, 7)
+            )
 
     def test_singular_director_matrix_is_a_solver_error(self):
         # theta*dt/dx^2 = -1/2 zeroes the diagonal; the interior block of
         # size 3 is then singular
         bc = BoundarySpec(DirectorBC.DIRICHLET_D0, np.zeros(3), np.zeros(3))
         with pytest.raises(LinearSolveError, match="director solve: singular") as info:
-            dynamics._solve_director(np.ones((3, 5)), 1.0, 1.0, -0.5, bc)
+            imp = dynamics._implicit(1.0, 1.0, 1.0, -0.5, dynamics._director_pins([bc]), 1, 5)
+            dynamics._solve_director(np.ones((1, 3, 5)), imp)
         assert isinstance(info.value, SolverError)
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
@@ -383,9 +392,11 @@ class TestTridiagonalSolves:
         for name in ("u", "rho"):
             fields = {"rho": init.rho0.values.copy(), "u": init.u0.values.copy()}
             fields[name][10] = np.nan
+            imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta,
+                                     dynamics._director_pins([bc]), 1, g.n_nodes)
             with pytest.raises(NonFiniteStateError, match="non-finite wave speed"):
-                dynamics._advance(fields["rho"], fields["u"], init.d0.values, 1e-4,
-                                  p, g, bc, SolverOptions())
+                dynamics._advance(fields["rho"][None], fields["u"][None], init.d0.values[None],
+                                  1e-4, p, g, imp, SolverOptions())
 
 
 class TestEvolve:
@@ -465,6 +476,224 @@ class TestEvolve:
         bc = BoundarySpec.neumann()
         with pytest.raises(ValueError, match="unit length"):
             evolve(init, 0.01, 1e-4, p, g, bc)
+
+
+def _preset(system):
+    return "gl-smooth" if system is System.GL else "sphere-smooth"
+
+
+def _rotated(init, angle):
+    """The datum with its director turned about e_z: other pinned GL endpoints."""
+    c, s = np.cos(angle), np.sin(angle)
+    d = init.d0.values
+    turned = np.stack([c * d[0] - s * d[1], s * d[0] + c * d[1], d[2]])
+    return InitialData(init.rho0, init.u0, VectorField3(turned, init.grid))
+
+
+def _sampled(inits, system, n, t_end=0.02, dt=2e-4, interval=0.006):
+    """Samples of one batched evolve, per member, and the final states."""
+    p = Params(system=system)
+    g = Grid1D(n, 0.0, 1.0)
+    bcs = [BoundarySpec.for_system(system, init.d0) for init in inits]
+    samples = []
+    final = evolve(inits, t_end, dt, p, g, bcs,
+                   observer=lambda states, t: samples.append((t, states)),
+                   sample_interval=interval)
+    return samples, final
+
+
+def _assert_members_match_single_runs(inits, system, n, **kw):
+    batched, final = _sampled(inits, system, n, **kw)
+    assert len(final) == len(inits)
+    for b, init in enumerate(inits):
+        alone, (last,) = _sampled([init], system, n, **kw)
+        assert [t for t, _ in alone] == [t for t, _ in batched]
+        for (_, (one,)), (_, many) in zip(alone, batched):
+            for name in ("rho", "u", "d"):
+                assert np.array_equal(getattr(one, name).values, getattr(many[b], name).values)
+        assert np.array_equal(last.d.values, final[b].d.values)
+
+
+class TestBatchedEvolve:
+    """Members stepped in lockstep are bit-identical to their own runs."""
+
+    @pytest.mark.parametrize("n", [17, 97])
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_members_match_single_runs(self, system, n):
+        p = Params(system=system)
+        g = Grid1D(n, 0.0, 1.0)
+        inits = [make_initial_data(_preset(system), g, p, Perturbation(a, m))
+                 for a, m in ((0.0, 1), (1e-3, 2), (2e-3, 3))]
+        if system is System.GL:
+            # members with other pinned endpoint values
+            inits += [_rotated(inits[1], 0.3), _rotated(inits[0], -1.1)]
+            assert not np.array_equal(inits[3].d0.values[:, 0], inits[0].d0.values[:, 0])
+        _assert_members_match_single_runs(inits, system, n)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        system=st.sampled_from([System.GL, System.SPHERE]),
+        members=st.lists(
+            st.tuples(st.floats(0.0, 5e-3), st.integers(1, 4)), min_size=1, max_size=3
+        ),
+    )
+    def test_any_batch_matches_single_runs(self, system, members):
+        p = Params(system=system)
+        g = Grid1D(17, 0.0, 1.0)
+        inits = [make_initial_data(_preset(system), g, p, Perturbation(a, m))
+                 for a, m in members]
+        _assert_members_match_single_runs(inits, system, 17, t_end=0.01, interval=0.004)
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_shared_matrices_match_fresh_ones(self, system):
+        # evolve builds the implicit matrices once per step size and LAPACK
+        # overwrites what it is given; step() builds them at every call
+        p = Params(system=system)
+        g = Grid1D(33, 0.0, 1.0)
+        init = make_initial_data(_preset(system), g, p, Perturbation(1e-3, 2))
+        bc = BoundarySpec.for_system(system, init.d0)
+        dt = 2.0**-10  # one window of 5 steps of exactly dt
+        st = init.as_state()
+        for _ in range(5):
+            st = step(st, dt, p, g, bc)
+        out = evolve(init, 5 * dt, dt, p, g, bc, sample_interval=5 * dt)
+        for name in ("rho", "u", "d"):
+            assert np.array_equal(getattr(out, name).values, getattr(st, name).values)
+
+    def test_single_datum_keeps_the_state_observer(self):
+        p = Params()
+        g = Grid1D(17, 0.0, 1.0)
+        init = make_initial_data("gl-smooth", g, p)
+        seen = []
+        out = evolve(init, 0.002, 1e-3, p, g, BoundarySpec.for_system(System.GL, init.d0),
+                     observer=lambda state, t: seen.append(state))
+        assert all(isinstance(state, State) for state in seen + [out])
+
+    def test_members_need_one_boundary_spec_each(self):
+        p = Params()
+        g = Grid1D(17, 0.0, 1.0)
+        init = make_initial_data("gl-smooth", g, p)
+        bc = BoundarySpec.for_system(System.GL, init.d0)
+        with pytest.raises(ValueError, match="one boundary spec per member"):
+            evolve([init, init], 0.01, 1e-3, p, g, [bc])
+
+
+def _pair_arrays(system, n=33):
+    """Batched (rho, u, d) of two unperturbed members, writable."""
+    p = Params(system=system)
+    g = Grid1D(n, 0.0, 1.0)
+    init = make_initial_data(_preset(system), g, p)
+    rho = np.stack([init.rho0.values] * 2)
+    u = np.stack([init.u0.values] * 2)
+    d = np.stack([init.d0.values] * 2)
+    bc = BoundarySpec.for_system(system, init.d0)
+    return p, g, rho, u, d, [bc, bc]
+
+
+def _step_pair(p, g, rho, u, d, bcs, dt=1e-4, options=None):
+    imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, dynamics._director_pins(bcs),
+                             rho.shape[0], g.n_nodes)
+    return dynamics._advance(rho, u, d, dt, p, g, imp, options or SolverOptions())
+
+
+class TestMemberAttribution:
+    """Each check of a batched step names the first member that fails it."""
+
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_density_floor_names_member_and_its_node(self, failing):
+        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        for b in failing:
+            rho[b, 20 - b] = 0.5
+        with pytest.raises(DensityFloorError) as info:
+            _step_pair(p, g, rho, u, d, bcs, options=SolverOptions(density_floor=0.8))
+        assert info.value.member == failing[0]
+        assert info.value.node == 20 - failing[0]  # within the member, not flattened
+
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_cfl_names_member(self, failing):
+        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        for b in failing:
+            u[b, 10] = 500.0  # bound 0.4*dx/501 < dt
+        with pytest.raises(CflError) as info:
+            _step_pair(p, g, rho, u, d, bcs)
+        assert info.value.member == failing[0]
+
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_non_finite_wave_speed_names_member(self, failing):
+        p, g, rho, u, d, bcs = _pair_arrays(System.SPHERE)
+        for b in failing:
+            rho[b, 10] = np.inf
+        with pytest.raises(NonFiniteStateError, match="wave speed") as info:
+            _step_pair(p, g, rho, u, d, bcs)
+        assert info.value.member == failing[0]
+
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_sphere_collapse_names_member(self, failing):
+        p, g, rho, u, d, bcs = _pair_arrays(System.SPHERE)
+        for b in failing:
+            d[b] *= 0.1
+        with pytest.raises(NonFiniteStateError, match="collapsed") as info:
+            _step_pair(p, g, rho, u, d, bcs)
+        assert info.value.member == failing[0]
+
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_end_of_step_finite_check_names_member(self, failing):
+        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        for b in failing:
+            d[b, 2, 12] = np.nan  # the director is not in the wave speed
+        with pytest.raises(NonFiniteStateError, match="after step") as info:
+            _step_pair(p, g, rho, u, d, bcs)
+        assert info.value.member == failing[0]
+
+    def test_singular_velocity_block_names_member_and_row(self):
+        rho_new = np.ones((2, 7))
+        rho_new[1, 3] = 0.0  # with mu = 0 row 3 of member 1 is all zeros
+        imp = dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 2, 7)
+        with pytest.raises(LinearSolveError, match="zero pivot in row 4") as info:
+            dynamics._solve_velocity(rho_new, np.ones((2, 7)), imp)
+        assert info.value.member == 1
+
+    def test_evolve_abort_carries_member_and_time(self):
+        p = Params()
+        g = Grid1D(33, 0.0, 1.0)
+        good = make_initial_data("gl-smooth", g, p)
+        rho = good.rho0.values.copy()
+        rho[5] = 5e-9
+        bad = InitialData(ScalarField(rho, g), good.u0, good.d0)
+        bcs = [BoundarySpec.for_system(System.GL, i.d0) for i in (good, bad)]
+        with pytest.raises(DensityFloorError, match="^at t=0: ") as info:
+            evolve([good, bad], 0.01, 1e-4, p, g, bcs)
+        assert info.value.member == 1 and info.value.node == 5
+
+
+class TestReactionBound:
+    """The explicit GL penalization needs dt <= sigma0^2/theta."""
+
+    def _gl(self, sigma0):
+        p = Params(sigma0=sigma0)
+        g = Grid1D(97, 0.0, 1.0)
+        init = make_initial_data("gl-smooth", g, p, Perturbation(1e-3, 2))
+        return p, g, init, BoundarySpec.for_system(System.GL, init.d0)
+
+    def test_penalization_bound_is_named(self):
+        p, g, init, bc = self._gl(0.01)
+        expected = r"GL penalization bound sigma0\^2/theta=1\.000e-04"
+        with pytest.raises(ReactionBoundError, match=expected) as info:
+            evolve(init, 0.05, 2e-4, p, g, bc)
+        assert isinstance(info.value, SolverError)
+        with pytest.raises(ReactionBoundError, match=expected):
+            step(init.as_state(), 2e-4, p, g, bc)
+
+    def test_step_within_the_bound_runs(self):
+        p, g, init, bc = self._gl(0.02)
+        out = evolve(init, 0.05, 2e-4, p, g, bc)
+        assert np.all(np.isfinite(out.d.values))
+
+    def test_sphere_has_no_penalization_bound(self):
+        p = Params(system=System.SPHERE, sigma0=0.01)
+        g = Grid1D(33, 0.0, 1.0)
+        init = make_initial_data("sphere-smooth", g, p)
+        evolve(init, 0.002, 2e-4, p, g, BoundarySpec.neumann())
 
 
 class TestInitialData:

@@ -260,6 +260,81 @@ class TestStreamedTwin:
             run_twin(cfg)
 
 
+_TRACE_COLUMNS = (
+    "times", "entropy", "h_hat", "energy_candidate", "energy_reference",
+    "dissipation_candidate", "dissipation_reference", "mass_candidate",
+    "sphere_defect", "r_d", "r_c", "r_bar_d", "r_bar_c",
+    "r_1d", "r_1c", "r_1c_a", "r_1c_b", "reorg_mismatch",
+)
+
+
+def _counting_evolve(monkeypatch):
+    """Record the member count of every evolve call the verifier makes."""
+    calls = []
+    original = verifier.evolve
+
+    def counting(init, *args, **kwargs):
+        calls.append(1 if isinstance(init, verifier.InitialData) else len(init))
+        return original(init, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "evolve", counting)
+    return calls
+
+
+class TestLockstepTwin:
+    """Equal-grid, equal-dt twins advance as one two-member evolve."""
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_one_evolve_no_restriction_same_columns(self, system, monkeypatch):
+        cfg = twin_config(system, amplitude=1e-3, t_end=0.02)
+        calls = _counting_evolve(monkeypatch)
+
+        def no_restriction(*args):
+            raise AssertionError("a lockstep twin restricts nothing")
+
+        with monkeypatch.context() as m:
+            m.setattr(verifier, "restrict_state", no_restriction)
+            lockstep = run_twin(cfg)
+        assert calls == [2]
+
+        # dt one ulp larger takes the two-run path with the same steps: every
+        # window of length L takes ceil(L/dt) steps of L/ceil(L/dt) either way
+        streamed = run_twin(replace(cfg, dt_reference=np.nextafter(cfg.dt_reference, 1.0)))
+        assert calls == [2, 1, 1]
+        assert len(lockstep) == len(streamed) == 51
+        for name in _TRACE_COLUMNS:
+            np.testing.assert_array_equal(getattr(lockstep, name), getattr(streamed, name),
+                                          err_msg=name)
+        assert [b.terms for b in lockstep.breakdowns] == [b.terms for b in streamed.breakdowns]
+
+    def test_unequal_grids_or_steps_run_one_trajectory_at_a_time(self, monkeypatch):
+        calls = _counting_evolve(monkeypatch)
+        run_twin(twin_config(n_ref=65, n_cand=33, t_end=0.01))
+        run_twin(replace(twin_config(t_end=0.01), dt_candidate=1e-4))
+        assert calls == [1, 1, 1, 1]
+
+    def _cfl_limit(self, init):
+        # the documented bound 0.4*dx over max |u| + sqrt(a gamma rho^(gamma-1))
+        speed = np.max(np.abs(init.u0.values)) + np.sqrt(2.0 * np.max(init.rho0.values))
+        return 0.4 * init.grid.dx / speed
+
+    @pytest.mark.parametrize("which", ["candidate", "both"])
+    def test_abort_names_the_member_that_fails(self, which):
+        cfg = twin_config(amplitude=0.5, mode=1)
+        ref = make_initial_data(cfg.initial_preset, cfg.grid_reference, GL)
+        cand = make_initial_data(cfg.initial_preset, cfg.grid_candidate, GL, cfg.perturbation)
+        lo, hi = sorted((self._cfl_limit(ref), self._cfl_limit(cand)))
+        assert self._cfl_limit(cand) == lo and hi > 1.1 * lo
+        # a dt between the limits breaks only the perturbed candidate; one
+        # above both breaks both, and the reference is named first
+        dt = 0.5 * (lo + hi) if which == "candidate" else 1.1 * hi
+        cfg = replace(cfg, dt_reference=dt, dt_candidate=dt, t_end=4 * dt,
+                      sample_interval=4 * dt)
+        tag = "candidate" if which == "candidate" else "reference"
+        with pytest.raises(CflError, match=f"^{tag} trajectory: at t=0:"):
+            run_twin(cfg)
+
+
 class TestCheckGronwall:
     def test_zero_entropy_trace(self):
         tr = synthetic_trace([0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
