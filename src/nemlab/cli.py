@@ -107,13 +107,41 @@ def _load_config(path: str) -> Tuple[ExperimentConfig, str]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each body runs one experiment, prints its report line and
+# returns (checks, outputs); _run_config does the rest
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _finish(command: str, digest_text: str, gamma: float, t0: float,
+            checks: Dict[str, bool], outputs: List[str], manifest_path: str,
+            traces: Sequence[str] = ()) -> int:
+    """Write the manifest, print the trace and manifest paths, return the exit code."""
+    manifest = RunManifest(
+        command=command,
+        config_sha256=_digest(digest_text),
+        version=__version__,
+        gamma_regime=_gamma_regime(gamma),
+        duration_seconds=time.time() - t0,
+        checks=checks,
+        outputs=outputs,
+    )
+    manifest.write(manifest_path)
+    for path in traces:
+        print(f"trace: {path}")
+    print(f"manifest: {manifest_path}")
+    return EXIT_OK if manifest.passes else EXIT_CHECK_FAILED
+
+
+def _run_config(args, body) -> int:
+    """Load the config, run body(cfg, args) and write the manifest."""
     cfg, text = _load_config(args.config)
     t0 = time.time()
+    checks, outputs = body(cfg, args)
+    return _finish(args.command, text, cfg.params.gamma, t0, checks, outputs, args.manifest,
+                   traces=outputs)
+
+
+def _simulate(cfg: ExperimentConfig, args):
     params = cfg.params
     grid = cfg.grid_candidate
     init = make_initial_data(cfg.initial_preset, grid, params, cfg.perturbation)
@@ -147,50 +175,27 @@ def _cmd_simulate(args) -> int:
         f"simulate: {len(cols['t'])} samples to t={cfg.t_end}; "
         f"E {energies[0]:.6g} -> {energies[-1]:.6g}; mass drift {drift:.2e}"
     )
-    manifest = RunManifest(
-        command="simulate",
-        config_sha256=_digest(text),
-        version=__version__,
-        gamma_regime=_gamma_regime(params.gamma),
-        duration_seconds=time.time() - t0,
-        checks={},
-        outputs=[args.output],
-    )
-    manifest.write(args.manifest)
-    print(f"trace: {args.output}\nmanifest: {args.manifest}")
-    return EXIT_OK
+    return {}, [args.output]
 
 
-def _cmd_twin(args) -> int:
-    cfg, text = _load_config(args.config)
-    t0 = time.time()
+def _written_twin(cfg: ExperimentConfig, path: str):
     trace = run_twin(cfg)
-    write_trace(trace, args.output)
+    write_trace(trace, path)
+    return trace
+
+
+def _twin(cfg: ExperimentConfig, args):
+    trace = _written_twin(cfg, args.output)
     sup_e = float(np.max(trace.entropy))
     print(
         f"twin: {len(trace)} samples to t={cfg.t_end}; "
         f"entropy {trace.entropy[0]:.6e} -> sup {sup_e:.6e}"
     )
-    manifest = RunManifest(
-        command="twin",
-        config_sha256=_digest(text),
-        version=__version__,
-        gamma_regime=_gamma_regime(cfg.params.gamma),
-        duration_seconds=time.time() - t0,
-        checks={},
-        outputs=[args.output],
-    )
-    manifest.write(args.manifest)
-    print(f"trace: {args.output}\nmanifest: {args.manifest}")
-    return EXIT_OK
+    return {}, [args.output]
 
 
-def _cmd_gronwall(args) -> int:
-    cfg, text = _load_config(args.config)
-    t0 = time.time()
-    trace = run_twin(cfg)
-    write_trace(trace, args.output)
-    rep = check_gronwall(trace, cfg.gronwall)
+def _gronwall(cfg: ExperimentConfig, args):
+    rep = check_gronwall(_written_twin(cfg, args.output), cfg.gronwall)
     _report(
         "gronwall",
         rep.passes,
@@ -198,18 +203,7 @@ def _cmd_gronwall(args) -> int:
         f"slack={rep.slack:g}"
         + (f" (checked at c_h={rep.c_h_used:g})" if rep.c_h_used is not None else ""),
     )
-    manifest = RunManifest(
-        command="gronwall",
-        config_sha256=_digest(text),
-        version=__version__,
-        gamma_regime=_gamma_regime(cfg.params.gamma),
-        duration_seconds=time.time() - t0,
-        checks={"gronwall": rep.passes},
-        outputs=[args.output],
-    )
-    manifest.write(args.manifest)
-    print(f"trace: {args.output}\nmanifest: {args.manifest}")
-    return EXIT_OK if rep.passes else EXIT_CHECK_FAILED
+    return {"gronwall": rep.passes}, [args.output]
 
 
 def _parse_levels(levels_arg: str, base_n: int) -> List[int]:
@@ -227,52 +221,24 @@ def _parse_levels(levels_arg: str, base_n: int) -> List[int]:
     return levels
 
 
-def _cmd_uniqueness(args) -> int:
-    cfg, text = _load_config(args.config)
+def _uniqueness(cfg: ExperimentConfig, args):
     levels = _parse_levels(args.levels, cfg.grid_candidate.n_nodes)
-    t0 = time.time()
     rep = check_uniqueness(cfg, levels)
     sups = " ".join(f"{s:.3e}" for s in rep.sup_entropy)
     orders = "exact" if rep.exact else " ".join(f"{o:.2f}" for o in rep.orders)
     _report("uniqueness", rep.passes, f"levels={levels} sup_entropy=[{sups}] orders=[{orders}]")
-    manifest = RunManifest(
-        command="uniqueness",
-        config_sha256=_digest(text),
-        version=__version__,
-        gamma_regime=_gamma_regime(cfg.params.gamma),
-        duration_seconds=time.time() - t0,
-        checks={"uniqueness": rep.passes},
-        outputs=[],
-    )
-    manifest.write(args.manifest)
-    print(f"manifest: {args.manifest}")
-    return EXIT_OK if rep.passes else EXIT_CHECK_FAILED
+    return {"uniqueness": rep.passes}, []
 
 
-def _cmd_energy(args) -> int:
-    cfg, text = _load_config(args.config)
-    t0 = time.time()
-    trace = run_twin(cfg)
-    write_trace(trace, args.output)
-    rep = check_energy(trace)
+def _energy(cfg: ExperimentConfig, args):
+    rep = check_energy(_written_twin(cfg, args.output))
     _report(
         "energy",
         rep.passes,
         f"max_violation candidate={rep.max_violation_candidate:.3e} "
         f"reference={rep.max_violation_reference:.3e} tol={rep.tol:g}",
     )
-    manifest = RunManifest(
-        command="energy",
-        config_sha256=_digest(text),
-        version=__version__,
-        gamma_regime=_gamma_regime(cfg.params.gamma),
-        duration_seconds=time.time() - t0,
-        checks={"energy": rep.passes},
-        outputs=[args.output],
-    )
-    manifest.write(args.manifest)
-    print(f"trace: {args.output}\nmanifest: {args.manifest}")
-    return EXIT_OK if rep.passes else EXIT_CHECK_FAILED
+    return {"energy": rep.passes}, [args.output]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +267,7 @@ def _suite_config(system: System, n: int, t_end: float, dt: float,
 
 
 def _check_twin_floor(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str]:
-    trace = run_twin(cfg)
-    write_trace(trace, trace_path)
+    trace = _written_twin(cfg, trace_path)
     sup_e = float(np.max(trace.entropy))
     masses = trace.mass_candidate
     drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
@@ -319,9 +284,7 @@ def _check_twin_floor(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str
 
 
 def _check_gronwall_cert(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str]:
-    trace = run_twin(cfg)
-    write_trace(trace, trace_path)
-    rep = check_gronwall(trace, cfg.gronwall)
+    rep = check_gronwall(_written_twin(cfg, trace_path), cfg.gronwall)
     return rep.passes, f"minimal_c_h={rep.minimal_c_h:.6g} worst_time={rep.worst_time:.4g}"
 
 
@@ -455,19 +418,10 @@ def _cmd_suite(args) -> int:
         for f in os.listdir(outdir)
         if f.endswith(".csv")
     )
-    manifest = RunManifest(
-        command=f"suite --preset {args.preset}",
-        config_sha256=_digest(json.dumps({"preset": args.preset})),
-        version=__version__,
-        gamma_regime=_gamma_regime(2.0),
-        duration_seconds=time.time() - t0,
-        checks=checks,
-        outputs=outputs,
+    return _finish(
+        f"suite --preset {args.preset}", json.dumps({"preset": args.preset}), 2.0, t0,
+        checks, outputs, os.path.join(outdir, f"{args.preset}-manifest.json"),
     )
-    manifest_path = os.path.join(outdir, f"{args.preset}-manifest.json")
-    manifest.write(manifest_path)
-    print(f"manifest: {manifest_path}")
-    return EXIT_OK if manifest.passes else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "twin": _cmd_twin,
-    "gronwall": _cmd_gronwall,
-    "uniqueness": _cmd_uniqueness,
-    "energy": _cmd_energy,
-    "suite": _cmd_suite,
+_CONFIG_COMMANDS = {
+    "simulate": _simulate,
+    "twin": _twin,
+    "gronwall": _gronwall,
+    "uniqueness": _uniqueness,
+    "energy": _energy,
 }
 
 
@@ -528,7 +481,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse already printed usage; normalize unknown input to 2
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "suite":
+            return _cmd_suite(args)
+        return _run_config(args, _CONFIG_COMMANDS[args.command])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -16,19 +16,19 @@ Optional keys:
     dt_reference, dt_candidate per-trajectory step overrides
     sample_interval            trace cadence (default t_end / 50)
     density_floor              positivity abort threshold (default 1e-8)
-    artificial_viscosity       extra first-order flux diffusion (default 0)
-    director_bc                "dirichlet_d0" / "neumann_zero"; must match
-                               the system (it is derived when absent)
     perturbation               {"amplitude": eps >= 0, "mode": m >= 1}
     gronwall                   {"c_h": null or > 0, "slack": >= 0}
 
-Unknown keys anywhere are rejected; every violation names the key and the
-broken invariant.
+Unknown keys anywhere are rejected, and so are non-finite numbers (JSON's
+Infinity and NaN); every violation names the key and the broken invariant.
+The director boundary rows follow from the system (pinned for GL, mirrored
+for SPHERE), so they have no key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional
 
 from .constitutive import Params, System
@@ -52,14 +52,12 @@ _TOP_KEYS = {
     "grid_reference", "grid_candidate", "x_min", "x_max",
     "dt", "dt_reference", "dt_candidate", "t_end", "sample_interval",
     "initial_preset", "perturbation", "gronwall",
-    "density_floor", "artificial_viscosity", "director_bc",
+    "density_floor",
 }
 _REQUIRED = (
     "system", "gamma", "a", "sigma0",
     "grid_reference", "grid_candidate", "dt", "t_end", "initial_preset",
 )
-
-_BC_FOR_SYSTEM = {System.GL: "dirichlet_d0", System.SPHERE: "neumann_zero"}
 
 
 def _is_number(v: Any) -> bool:
@@ -70,13 +68,21 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _number(doc: Dict[str, Any], key: str, default: Optional[float] = None) -> Optional[float]:
+def _number(
+    doc: Dict[str, Any], key: str, default: Optional[float] = None, prefix: str = ""
+) -> Optional[float]:
     if key not in doc:
         return default
     v = doc[key]
     if not _is_number(v):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
-    return float(v)
+        raise ConfigError(f"{prefix}{key} must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{prefix}{key} must be finite, got {v!r}")
+    return x
 
 
 def _positive(doc: Dict[str, Any], key: str, default: Optional[float] = None) -> Optional[float]:
@@ -167,18 +173,6 @@ def parse_config(text: str) -> ExperimentConfig:
             f"{PRESET_SYSTEMS[preset].value!r}, not {system.value!r}"
         )
 
-    if "director_bc" in doc:
-        bc = doc["director_bc"]
-        if bc not in ("dirichlet_d0", "neumann_zero"):
-            raise ConfigError(
-                f"director_bc must be dirichlet_d0 or neumann_zero, got {bc!r}"
-            )
-        if bc != _BC_FOR_SYSTEM[system]:
-            raise ConfigError(
-                f"director_bc {bc!r} conflicts with system {system.value!r}: "
-                f"expected {_BC_FOR_SYSTEM[system]!r}"
-            )
-
     pert = Perturbation()
     if "perturbation" in doc:
         section = doc["perturbation"]
@@ -189,7 +183,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"perturbation has unknown key(s): {', '.join(sorted(unknown))}"
             )
-        amp = _number(section, "amplitude", 0.0)
+        amp = _number(section, "amplitude", 0.0, prefix="perturbation.")
         if amp < 0:
             raise ConfigError(f"perturbation.amplitude must be >= 0, got {amp}")
         mode = section.get("mode", 1)
@@ -211,19 +205,15 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         c_h = None
         if "c_h" in section and section["c_h"] is not None:
-            c_h = _number(section, "c_h")
+            c_h = _number(section, "c_h", prefix="gronwall.")
             if not c_h > 0:
                 raise ConfigError(f"gronwall.c_h must be positive, got {c_h}")
-        slack = _number(section, "slack", 0.0)
+        slack = _number(section, "slack", 0.0, prefix="gronwall.")
         if slack < 0:
             raise ConfigError(f"gronwall.slack must be >= 0, got {slack}")
         gron = GronwallConfig(c_h=c_h, slack=slack)
 
-    floor = _positive(doc, "density_floor", 1e-8)
-    av = _number(doc, "artificial_viscosity", 0.0)
-    if av < 0:
-        raise ConfigError(f"artificial_viscosity must be >= 0, got {av}")
-    solver = SolverOptions(density_floor=floor, artificial_viscosity=av)
+    solver = SolverOptions(density_floor=_positive(doc, "density_floor", 1e-8))
 
     return ExperimentConfig(
         params=params,

@@ -2,9 +2,12 @@ import concurrent.futures
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemlab import cli, verifier
 from nemlab.cli import main
@@ -41,7 +44,6 @@ class TestParseConfig:
         assert cfg.gronwall.c_h is None
         assert cfg.gronwall.slack == 0.0
         assert cfg.solver.density_floor == 1e-8
-        assert cfg.solver.artificial_viscosity == 0.0
         assert cfg.perturbation.amplitude == 0.0
         assert cfg.dt_reference == cfg.dt_candidate == 2e-4
         assert cfg.resolved_sample_interval() == pytest.approx(0.02 / 50)
@@ -50,17 +52,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gamma must exceed 1"):
             parse_config(cfg_text(gamma=0.9))
 
-    def test_bc_system_conflict(self):
-        text = cfg_text(
-            system="sphere", initial_preset="sphere-smooth",
-            director_bc="dirichlet_d0",
-        )
-        with pytest.raises(ConfigError, match="conflicts with system"):
-            parse_config(text)
-
-    def test_matching_bc_accepted(self):
-        cfg = parse_config(cfg_text(director_bc="dirichlet_d0"))
-        assert cfg.params.system is System.GL
+    def test_removed_keys_are_unknown(self, tmp_path, capsys):
+        # the director rows follow from the system, and the integrator has
+        # no flux diffusion: even the values that used to be accepted fail
+        path = tmp_path / "cfg.json"
+        for key, value in (("director_bc", "dirichlet_d0"), ("artificial_viscosity", 0.0)):
+            path.write_text(cfg_text(**{key: value}))
+            assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                         "--manifest", str(tmp_path / "m.json")]) == 2
+            assert capsys.readouterr() == ("", f"config error: unknown key(s): {key}\n")
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key.*viscosity_model"):
@@ -178,6 +178,43 @@ class TestTraceIo:
         assert np.array_equal(back.r_1c_b, trace.r_1c_b)
 
 
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+             1.7976931348623157e308]
+_FINITE = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+# strictly increasing times whose differences stay finite
+_TIMES = st.lists(st.one_of(st.sampled_from(_EXTREMES[:5]), st.floats(-8e307, 8e307)),
+                  unique=True, max_size=6).map(sorted)
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(system=st.sampled_from([System.GL, System.SPHERE]), data=st.data())
+    def test_write_read_write_is_bit_exact(self, system, data):
+        times = np.array(data.draw(_TIMES), dtype=float)
+        n = len(times)
+        inactive = {"sphere_defect", "r_1d", "r_1c", "r_1c_a", "r_1c_b"} \
+            if system is System.GL else {"r_d", "r_c", "r_bar_d", "r_bar_c"}
+        cols = {"t": times}
+        for name in COLUMNS[1:]:
+            cols[name] = (np.full(n, np.nan) if name in inactive else
+                          np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)),
+                                   dtype=float))
+        fields = {k: v for k, v in cols.items() if k != "t"}
+        trace = EntropyTrace(system=system, times=times, **fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            write_trace(trace, first)
+            back = read_trace(first)
+            write_trace(back, second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
+        assert back.system is system or n == 0
+        for name in COLUMNS:
+            got = back.times if name == "t" else getattr(back, name)
+            assert np.array_equal(got, cols[name], equal_nan=True), name
+            assert got.tobytes() == cols[name].tobytes(), name  # signs of zeros
+
+
 class TestMain:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -258,6 +295,26 @@ class TestMain:
         for name in ("t", "energy_candidate", "dissipation_candidate",
                      "mass_candidate", "sphere_defect"):
             assert np.array_equal(sim[name], twin[name]), name
+
+    @pytest.mark.parametrize("doc, err", [
+        # Infinity used to pass: gronwall printed [PASS] on a one-sample trace
+        ({"t_end": math.inf}, "t_end must be finite, got inf"),
+        # and -Infinity ended in a GridError traceback
+        ({"x_min": -math.inf}, "x_min must be finite, got -inf"),
+        ({"gronwall": {"c_h": math.inf}}, "gronwall.c_h must be finite, got inf"),
+        ({"dt": math.nan}, "dt must be finite, got nan"),
+        ({"perturbation": {"amplitude": math.nan}},
+         "perturbation.amplitude must be finite, got nan"),
+        # an integer beyond the float range
+        ({"mu": 10**400}, f"mu must be finite, got {10**400!r}"),
+    ], ids=["t_end", "x_min", "gronwall.c_h", "dt", "perturbation.amplitude", "mu"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, doc, err):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**doc))
+        assert main(["gronwall", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_solver_abort_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -17,16 +17,12 @@ from nemlab.dynamics import (
     SolverError,
     SolverOptions,
     State,
-    director_stress_divergence,
     evolve,
-    rhs_continuity,
-    rhs_director,
-    rhs_momentum,
     step,
 )
 from nemlab import dynamics
 from nemlab.functionals import dissipation, energy
-from nemlab.grid import Grid1D, ScalarField, VectorField3
+from nemlab.grid import Grid1D, ScalarField, VectorField3, central_laplacian
 from nemlab.verifier import Perturbation, cubic_restrict, make_initial_data
 
 
@@ -43,18 +39,52 @@ def state_from(grid, rho_fn, u_fn, d_fns):
     return State.from_arrays(grid, rho_fn(x), u_fn(x), d)
 
 
+def rates(st, params=Params()):
+    """The step's explicit rates of one state: (mass flux, interior momentum
+    rate, director rate), from the kernel _advance calls."""
+    flux, mom, dir_rate = dynamics._explicit_rates(
+        st.rho.values[None], st.u.values[None], st.d.values[None], params, st.grid.dx
+    )
+    return flux[0], mom[0], dir_rate[0]
+
+
+def continuity_rate(st):
+    """Interior rows of d(rho)/dt: the flux divergence the step applies."""
+    flux = rates(st)[0]
+    return -(flux[1:] - flux[:-1]) / st.grid.dx
+
+
+def momentum_rate(st, params):
+    """Interior rows of d(rho u)/dt, with the implicit viscous term added."""
+    return rates(st, params)[1] + params.mu * central_laplacian(st.u.values, st.grid.dx)
+
+
+def director_rate(st, params):
+    """Interior rows of d(d)/dt, with the implicit diffusion added."""
+    rate = rates(st, params)[2][:, 1:-1]
+    return rate + params.theta * central_laplacian(st.d.values, st.grid.dx)
+
+
+def stress_divergence(d, params):
+    """The interior stress divergence: at rest (u = 0) and uniform density
+    transport and pressure vanish exactly, leaving minus the contraction."""
+    n = d.grid.n_nodes
+    st = State.from_arrays(d.grid, np.ones(n), np.zeros(n), d.values)
+    return -rates(st, params)[1]
+
+
 class TestRhsContinuity:
     def test_zero_velocity(self):
         g = Grid1D(33, 0.0, 1.0)
         st = state_from(g, lambda x: 1 + 0.3 * np.sin(x), lambda x: 0 * x,
                         [np.cos, np.sin, lambda x: 0 * x])
-        assert np.all(rhs_continuity(st, g).values == 0.0)
+        assert np.all(rates(st)[0] == 0.0)
 
     def test_uniform_density_linear_velocity(self):
         g = Grid1D(33, 0.0, 1.0)
         st = state_from(g, lambda x: np.ones_like(x), lambda x: x,
                         [lambda x: np.ones_like(x), lambda x: 0 * x, lambda x: 0 * x])
-        assert np.allclose(rhs_continuity(st, g).values, -1.0, atol=1e-11)
+        assert np.allclose(continuity_rate(st), -1.0, atol=1e-11)
 
     def test_manufactured_second_order(self):
         # oracle: exact -(rho u)_x for rho = 2 + sin, u = cos
@@ -65,7 +95,7 @@ class TestRhsContinuity:
             st = state_from(g, lambda x: 2 + np.sin(x), np.cos,
                             [lambda x: np.ones_like(x), lambda x: 0 * x, lambda x: 0 * x])
             exact = -(np.cos(x) ** 2 - (2 + np.sin(x)) * np.sin(x))
-            errs.append(np.max(np.abs(rhs_continuity(st, g).values - exact)))
+            errs.append(np.max(np.abs(continuity_rate(st) - exact[1:-1])))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 1.8 for o in orders)
 
@@ -74,18 +104,16 @@ class TestDirectorStress:
     def test_constant_director(self):
         g = Grid1D(33, 0.0, 1.0)
         d = VectorField3(np.tile([[0.5], [0.5], [0.1]], 33), g)
-        assert np.allclose(director_stress_divergence(d, Params()).values, 0.0)
+        assert np.allclose(stress_divergence(d, Params()), 0.0)
 
     def test_gl_circle_profile_is_stress_free(self):
         # |d_x|^2 constant and F = 0 along the unit circle; the discrete
-        # contraction cancels exactly at interior nodes and to O(dx^2) at
-        # the one-sided endpoint rows
+        # contraction cancels exactly at the interior nodes it is taken at
         g = Grid1D(65, 0.0, 2.0 * np.pi)
         x = g.nodes()
         d = VectorField3(np.stack([np.cos(x), np.sin(x), 0 * x]), g)
-        sdiv = director_stress_divergence(d, Params(sigma0=1.0))
-        assert np.max(np.abs(sdiv.values[1:-1])) <= 1e-12
-        assert np.max(np.abs(sdiv.values)) <= g.dx**2
+        sdiv = stress_divergence(d, Params(sigma0=1.0))
+        assert np.max(np.abs(sdiv)) <= 1e-12
 
     def test_sphere_equivalence_with_conservative_form(self):
         # (d_xx . d_x) vs conservative d/dx(|d_x|^2/2): O(dx^2) apart
@@ -97,13 +125,12 @@ class TestDirectorStress:
             x = g.nodes()
             phi = 0.4 * np.cos(np.pi * x) + 0.2 * np.sin(2 * np.pi * x)
             d = np.stack([np.cos(phi), np.sin(phi), 0 * x])
-            vf = VectorField3(d, g)
             p = Params(system=System.SPHERE)
-            direct = director_stress_divergence(vf, p).values
+            direct = stress_divergence(VectorField3(d, g), p)
             grad_d = gradient_array(d, g.dx)
             conservative = gradient_array(0.5 * np.sum(grad_d * grad_d, axis=0), g.dx)
             # compare away from the conservative form's first-order endpoint rows
-            errs.append(np.max(np.abs(direct - p.lam * conservative)[2:-2]))
+            errs.append(np.max(np.abs(direct - p.lam * conservative[1:-1])[1:-1]))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 1.7 for o in orders)
 
@@ -111,25 +138,23 @@ class TestDirectorStress:
         g = Grid1D(33, 0.0, 1.0)
         x = g.nodes()
         d = VectorField3(np.stack([np.cos(x), np.sin(2 * x), 0 * x]), g)
-        s1 = director_stress_divergence(d, Params(lam=1.0)).values
-        s3 = director_stress_divergence(d, Params(lam=3.0)).values
+        s1 = stress_divergence(d, Params(lam=1.0))
+        s3 = stress_divergence(d, Params(lam=3.0))
         assert np.allclose(s3, 3.0 * s1)
 
 
 class TestRhsMomentum:
     def test_equilibrium(self):
         g = Grid1D(33, 0.0, 1.0)
-        out = rhs_momentum(equilibrium(g), Params(), g)
-        assert np.max(np.abs(out.values)) <= 1e-12
+        out = momentum_rate(equilibrium(g), Params())
+        assert np.max(np.abs(out)) <= 1e-12
 
     def test_circle_director_uniform_density(self):
         g = Grid1D(65, 0.0, 2.0 * np.pi)
-        x = g.nodes()
         st = state_from(g, lambda x: np.ones_like(x), lambda x: 0 * x,
                         [np.cos, np.sin, lambda x: 0 * x])
-        out = rhs_momentum(st, Params(sigma0=1.0), g)
-        assert np.max(np.abs(out.values[1:-1])) <= 1e-12
-        assert np.max(np.abs(out.values)) <= g.dx**2
+        out = momentum_rate(st, Params(sigma0=1.0))
+        assert np.max(np.abs(out)) <= 1e-12
 
     def test_manufactured_second_order(self):
         # independent oracle: symbolic momentum rate for smooth fields
@@ -160,34 +185,26 @@ class TestRhsMomentum:
             st = State.from_arrays(
                 g, fns[0](x), fns[1](x), np.stack([fns[2](x), fns[3](x), fns[4](x)])
             )
-            errs.append(np.max(np.abs(rhs_momentum(st, p, g).values - exact(x))))
+            errs.append(np.max(np.abs(momentum_rate(st, p) - exact(x)[1:-1])))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 1.8 for o in orders)
-
-    def test_density_floor_diagnostic(self):
-        g = Grid1D(33, 0.0, 1.0)
-        rho = np.ones(33)
-        rho[7] = 1e-9
-        st = State.from_arrays(g, rho, np.zeros(33), np.tile([[1.0], [0.0], [0.0]], 33))
-        with pytest.raises(DensityFloorError, match="node 7"):
-            rhs_momentum(st, Params(), g)
 
 
 class TestRhsDirector:
     def test_constant_unit_director_gl(self):
         g = Grid1D(33, 0.0, 1.0)
-        out = rhs_director(equilibrium(g), Params(), g)
-        assert np.max(np.abs(out.values)) == 0.0
+        st = equilibrium(g)
+        assert np.max(np.abs(rates(st)[2])) == 0.0
+        assert np.max(np.abs(director_rate(st, Params()))) == 0.0
 
     def test_sphere_circle_cancellation(self):
         # d_xx = -d and |d_x|^2 d = d cancel analytically; discrete O(dx^2)
         for n in (65, 129):
             g = Grid1D(n, 0.0, 2.0 * np.pi)
-            x = g.nodes()
             st = state_from(g, lambda x: np.ones_like(x), lambda x: 0 * x,
                             [np.cos, np.sin, lambda x: 0 * x])
-            out = rhs_director(st, Params(system=System.SPHERE), g)
-            assert np.max(np.abs(out.values[:, 1:-1])) <= 0.3 * g.dx**2
+            out = director_rate(st, Params(system=System.SPHERE))
+            assert np.max(np.abs(out)) <= 0.3 * g.dx**2
 
     def test_gl_stretched_constant(self):
         c = 1.5
@@ -195,10 +212,26 @@ class TestRhsDirector:
         st = state_from(g, lambda x: np.ones_like(x), lambda x: 0 * x,
                         [lambda x: c * np.ones_like(x), lambda x: 0 * x, lambda x: 0 * x])
         p = Params(sigma0=1.0, theta=2.0)
-        out = rhs_director(st, p, g)
         expected = -p.theta * (c * c - 1.0) * c
-        assert np.allclose(out.values[0, 1:-1], expected, atol=1e-12)
-        assert np.allclose(out.values[1:, :], 0.0)
+        assert np.allclose(director_rate(st, p)[0], expected, atol=1e-12)
+        assert np.allclose(rates(st, p)[2][1:, :], 0.0)
+
+
+class TestExplicitKernel:
+    def test_step_runs_the_kernel_once(self, monkeypatch):
+        calls = []
+        kernel = dynamics._explicit_rates
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, "_explicit_rates", counting)
+        p = Params(system=System.SPHERE)
+        g = Grid1D(17, 0.0, 1.0)
+        init = make_initial_data("sphere-smooth", g, p)
+        evolve([init, init], 3e-4, 1e-4, p, g, [BoundarySpec.neumann()] * 2)
+        assert calls == [(2, 17)] * 3
 
 
 class TestStep:
@@ -560,6 +593,30 @@ class TestBatchedEvolve:
         for name in ("rho", "u", "d"):
             assert np.array_equal(getattr(out, name).values, getattr(st, name).values)
 
+    def test_implicit_matrices_built_once_per_step_size(self, monkeypatch):
+        # a window's dt_eff = (t_next - t)/n_sub jitters in its last bits:
+        # these 2000 one-step windows take 13 distinct step sizes
+        builds, sizes = [], set()
+        build, advance = dynamics._implicit, dynamics._advance
+
+        def counting_build(dt, *args):
+            builds.append(dt)
+            return build(dt, *args)
+
+        def recording_advance(rho, u, d, dt, *args):
+            sizes.add(dt)
+            return advance(rho, u, d, dt, *args)
+
+        monkeypatch.setattr(dynamics, "_implicit", counting_build)
+        monkeypatch.setattr(dynamics, "_advance", recording_advance)
+        p = Params()
+        g = Grid1D(17, 0.0, 1.0)
+        init = make_initial_data("gl-smooth", g, p)
+        evolve(init, 0.1, 5e-5, p, g, BoundarySpec.for_system(System.GL, init.d0),
+               sample_interval=5e-5)
+        assert len(sizes) == 13
+        assert sorted(builds) == sorted(sizes)
+
     def test_single_datum_keeps_the_state_observer(self):
         p = Params()
         g = Grid1D(17, 0.0, 1.0)
@@ -722,5 +779,3 @@ class TestInitialData:
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(density_floor=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(artificial_viscosity=-0.1)
