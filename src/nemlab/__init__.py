@@ -24,7 +24,6 @@ from .functionals import (
     StatePair,
     dissipation,
     energy,
-    gronwall_coefficient,
     relative_entropy,
     remainder,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "step", "evolve",
     "StatePair", "RemainderBreakdown",
     "energy", "dissipation", "relative_entropy",
-    "remainder", "gronwall_coefficient",
+    "remainder",
     "ExperimentConfig", "GronwallConfig", "Perturbation", "EntropyTrace",
     "run_twin", "check_gronwall", "check_uniqueness", "check_energy",
     "make_initial_data",

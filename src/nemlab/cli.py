@@ -23,6 +23,7 @@ greater than 1 runs them in that many worker processes (absent: serial).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -38,7 +39,7 @@ from .config import ConfigError, canonical_text, parse_config
 from .constitutive import ConstitutiveError, System
 from .dynamics import BoundarySpec, SolverError, evolve
 from .functionals import FunctionalError, dissipation, energy, mass, sphere_defect
-from .grid import Grid1D
+from .grid import Grid1D, GridError
 from .traceio import write_columns, write_trace
 from .verifier import (
     ExperimentConfig,
@@ -97,12 +98,18 @@ def _report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
 
-def _load_config(path: str) -> Tuple[ExperimentConfig, str]:
+@contextlib.contextmanager
+def _file_access(what: str):
+    """Report an OSError raised in the block as `config error: cannot <what>: <reason>`."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        yield
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot {what}: {exc.strerror or exc}") from None
+
+
+def _load_config(path: str) -> Tuple[ExperimentConfig, str]:
+    with _file_access(f"read config {path}"), open(path) as fh:
+        text = fh.read()
     return parse_config(text), text
 
 
@@ -125,7 +132,8 @@ def _finish(command: str, digest_text: str, gamma: float, t0: float,
         checks=checks,
         outputs=outputs,
     )
-    manifest.write(manifest_path)
+    with _file_access(f"write {manifest_path}"):
+        manifest.write(manifest_path)
     for path in traces:
         print(f"trace: {path}")
     print(f"manifest: {manifest_path}")
@@ -146,19 +154,15 @@ def _simulate(cfg: ExperimentConfig, args):
     grid = cfg.grid_candidate
     init = make_initial_data(cfg.initial_preset, grid, params, cfg.perturbation)
     bc = BoundarySpec.for_system(params.system, init.d0)
-    cols: Dict[str, List[float]] = {
-        "t": [], "energy_candidate": [], "dissipation_candidate": [], "mass_candidate": [],
-    }
-    if params.system is System.SPHERE:
-        cols["sphere_defect"] = []
+    cols: Dict[str, List[float]] = {}
 
     def record(st, t):
-        cols["t"].append(t)
-        cols["energy_candidate"].append(energy(st, params))
-        cols["dissipation_candidate"].append(dissipation(st, params))
-        cols["mass_candidate"].append(mass(st))
+        row = dict(t=t, energy_candidate=energy(st, params),
+                   dissipation_candidate=dissipation(st, params), mass_candidate=mass(st))
         if params.system is System.SPHERE:
-            cols["sphere_defect"].append(sphere_defect(st))
+            row["sphere_defect"] = sphere_defect(st)
+        for name, v in row.items():
+            cols.setdefault(name, []).append(v)
 
     evolve(
         init, cfg.t_end, cfg.dt_candidate, params, grid, bc,
@@ -166,7 +170,8 @@ def _simulate(cfg: ExperimentConfig, args):
         sample_interval=cfg.resolved_sample_interval(),
         options=cfg.solver,
     )
-    write_columns(cols, args.output)
+    with _file_access(f"write {args.output}"):
+        write_columns(cols, args.output)
 
     masses = np.asarray(cols["mass_candidate"])
     drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
@@ -180,7 +185,8 @@ def _simulate(cfg: ExperimentConfig, args):
 
 def _written_twin(cfg: ExperimentConfig, path: str):
     trace = run_twin(cfg)
-    write_trace(trace, path)
+    with _file_access(f"write {path}"):
+        write_trace(trace, path)
     return trace
 
 
@@ -218,6 +224,11 @@ def _parse_levels(levels_arg: str, base_n: int) -> List[int]:
         levels = [base_n, 2 * (base_n - 1) + 1, 4 * (base_n - 1) + 1]
     if len(levels) < 3:
         raise ConfigError("--levels needs at least 3 entries")
+    try:
+        for n in levels:
+            Grid1D(n, 0.0, 1.0)  # the node-count rule of every level's grid
+    except GridError as exc:
+        raise ConfigError(f"--levels: {exc}") from None
     return levels
 
 
@@ -386,7 +397,8 @@ def _suite_tasks(preset: str, outdir: str) -> List[Tuple[str, str, dict]]:
 
 def _cmd_suite(args) -> int:
     outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    with _file_access(f"write {outdir}"):
+        os.makedirs(outdir, exist_ok=True)
     tasks = _suite_tasks(args.preset, outdir)
     t0 = time.time()
 

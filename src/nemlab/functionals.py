@@ -26,10 +26,10 @@ hold on arbitrary smooth pairs up to O(dx^2) discrete product/chain-rule
 and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
-`remainder` is the one per-sample entry point for the remainders: it
-builds the pair's derived arrays once, runs the GL or the SPHERE body,
-checks the active identity and assembles h_hat from the same arrays.
-`gronwall_coefficient` runs that h_hat assembly alone.
+`remainder` is the one per-sample entry point for the remainders and
+h_hat: it builds the pair's derived arrays once, runs the GL or the
+SPHERE body, checks the active identity and assembles h_hat from the
+same arrays.
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,14 @@ from .grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
 # Reorganization mismatch beyond this multiple of dx^2 * magnitude-scale
 # indicates a formula-level error rather than discretization noise.
 REORG_TOL_COEFF = 1e3
+
+# The four remainders of each system, in trace column order: the
+# derivation-order split (SPHERE: the density block and the coupling
+# sum), then its reorganized counterpart.
+QUARTETS: Dict[System, Tuple[str, str, str, str]] = {
+    System.GL: ("r_d", "r_c", "r_bar_d", "r_bar_c"),
+    System.SPHERE: ("r_1d", "r_1c", "r_1c_a", "r_1c_b"),
+}
 
 
 class FunctionalError(ValueError):
@@ -97,36 +105,22 @@ class StatePair:
 
 
 @dataclass
-class GronwallTerms:
-    """Gronwall coefficient h_hat and its per-term breakdown."""
-
-    total: float
-    terms: Dict[str, float]
-
-
-@dataclass
 class RemainderBreakdown:
-    """All named remainder integrals at one sample time.
+    """All named remainder integrals and h_hat at one sample time.
 
-    GL runs fill (r_d, r_c, r_bar_d, r_bar_c); SPHERE runs fill
-    (r_1d, r_1c, r_1c_a, r_1c_b); the inactive quartet stays None.
+    `quartet` maps the active system's QUARTETS names to their values;
     `terms` maps each named integral (and a few diagnostics, prefixed
-    diag_) to its value; `reorg_mismatch` is the defect of the active
-    reorganization identity, which must vanish at O(dx^2) under refinement.
+    diag_) to its value; `h_terms` maps each norm factor of h_hat to its
+    value, and h_hat is their sum; `reorg_mismatch` is the defect of the
+    active reorganization identity, which must vanish at O(dx^2) under
+    refinement.
     """
 
-    system: System
+    quartet: Dict[str, float]
+    terms: Dict[str, float]
+    h_terms: Dict[str, float]
     h_hat: float
-    terms: Dict[str, float] = field(default_factory=dict)
-    r_d: Optional[float] = None
-    r_c: Optional[float] = None
-    r_bar_d: Optional[float] = None
-    r_bar_c: Optional[float] = None
-    r_1d: Optional[float] = None
-    r_1c: Optional[float] = None
-    r_1c_a: Optional[float] = None
-    r_1c_b: Optional[float] = None
-    reorg_mismatch: float = 0.0
+    reorg_mismatch: float
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +395,7 @@ def _remainder_gl(f: _PairFields, params: Params, terms: Dict[str, float]):
     )
     r_bar_c = _block(terms, "rbc_")
 
-    quartet = dict(r_d=r_d, r_c=r_c, r_bar_d=r_bar_d, r_bar_c=r_bar_c)
-    return quartet, (r_d + r_c) - (r_bar_d + r_bar_c)
+    return (r_d, r_c, r_bar_d, r_bar_c), (r_d + r_c) - (r_bar_d + r_bar_c)
 
 
 def _remainder_sphere(f: _PairFields, params: Params, terms: Dict[str, float]):
@@ -488,18 +481,17 @@ def _remainder_sphere(f: _PairFields, params: Params, terms: Dict[str, float]):
     )
     r_1c_b = _block(terms, "r1cb_")
 
-    quartet = dict(r_1d=r_1d, r_1c=r_1c, r_1c_a=r_1c_a, r_1c_b=r_1c_b)
-    return quartet, r_1c - (r_1c_a + r_1c_b)
+    return (r_1d, r_1c, r_1c_a, r_1c_b), r_1c - (r_1c_a + r_1c_b)
 
 
 def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     """Every remainder integral, both reorganizations and h_hat at one sample.
 
-    GL fills (r_d, r_c, r_bar_d, r_bar_c), SPHERE fills (r_1d, r_1c,
-    r_1c_a, r_1c_b); the reorganization identity of the active quartet is
-    checked against REORG_TOL_COEFF * dx^2.  SPHERE requires both
-    directors to be unit length.  The pair's fields are built once and
-    shared by the remainder bodies and the Gronwall coefficient.
+    The quartet holds the active system's QUARTETS entries; its
+    reorganization identity is checked against REORG_TOL_COEFF * dx^2.
+    SPHERE requires both directors to be unit length.  The pair's fields
+    are built once and shared by the remainder bodies and the h_hat
+    assembly.
     """
     if params.system is System.SPHERE:
         for name, st in (("candidate", pair.candidate), ("reference", pair.reference)):
@@ -516,12 +508,13 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     )
     terms["diag_director_l2_gap"] = director_l2_gap(pair)
     _check_reorg(mismatch, terms, f.dx)
+    h_terms = _gronwall_terms(f, params)
     out = RemainderBreakdown(
-        system=params.system,
-        h_hat=_gronwall_terms(f, params).total,
+        quartet=dict(zip(QUARTETS[params.system], quartet)),
         terms=terms,
+        h_terms=h_terms,
+        h_hat=float(sum(h_terms.values())),
         reorg_mismatch=float(mismatch),
-        **quartet,
     )
     _require_finite(out)
     return out
@@ -560,21 +553,16 @@ def _l3(arr: np.ndarray, dx: float) -> float:
     return float(np.cbrt(trapezoid_array(np.abs(arr) ** 3, dx)))
 
 
-def gronwall_coefficient(pair: StatePair, params: Params) -> GronwallTerms:
-    """Assemble h_hat, the integrable growth-rate surrogate.
+def _gronwall_terms(f: _PairFields, params: Params) -> Dict[str, float]:
+    """The norm factors of h_hat, the integrable growth-rate surrogate.
 
     Each term is the norm factor multiplying the entropy in one of the
     absorption estimates, taken with unit prefactor; every unknown
     analytic constant (embedding constants, delta-splitting constants) is
     deferred to the single calibrated multiplier c_h applied by the
     verifier.  All terms are nonnegative; all vanish on a resting
-    reference with a coinciding candidate.  `remainder` reports the same
-    total as its h_hat.
+    reference with a coinciding candidate.
     """
-    return _gronwall_terms(_PairFields.build(pair, params), params)
-
-
-def _gronwall_terms(f: _PairFields, params: Params) -> GronwallTerms:
     dx = f.dx
     terms: Dict[str, float] = {}
 
@@ -603,6 +591,4 @@ def _gronwall_terms(f: _PairFields, params: Params) -> GronwallTerms:
         terms["grad_d_cand_inf_sq"] = grad_c_inf**2
         terms["d_inf_grad_sum"] = d_inf * (grad_r_inf + grad_c_inf)
         terms["grad_d_ref_inf_sq"] = grad_r_inf**2
-
-    total = float(sum(terms.values()))
-    return GronwallTerms(total=total, terms=terms)
+    return terms

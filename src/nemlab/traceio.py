@@ -15,27 +15,11 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .constitutive import System
-from .verifier import EntropyTrace
+from .functionals import QUARTETS
+from .verifier import TRACE_COLUMNS, EntropyTrace
 
-COLUMNS = (
-    "t",
-    "entropy",
-    "h_hat",
-    "energy_candidate",
-    "energy_reference",
-    "dissipation_candidate",
-    "dissipation_reference",
-    "r_d",
-    "r_c",
-    "r_bar_d",
-    "r_bar_c",
-    "r_1d",
-    "r_1c",
-    "r_1c_a",
-    "r_1c_b",
-    "mass_candidate",
-    "sphere_defect",
-)
+# EntropyTrace's columns in file order; only the sample times are renamed
+COLUMNS = tuple("t" if name == "times" else name for name in TRACE_COLUMNS)
 
 
 class TraceFormatError(ValueError):
@@ -70,26 +54,9 @@ def write_columns(columns: Dict[str, Sequence[float]], path: str) -> None:
 
 def write_trace(trace: EntropyTrace, path: str) -> None:
     """Serialize a trace; see COLUMNS for the order."""
-    cols = {
-        "t": trace.times,
-        "entropy": trace.entropy,
-        "h_hat": trace.h_hat,
-        "energy_candidate": trace.energy_candidate,
-        "energy_reference": trace.energy_reference,
-        "dissipation_candidate": trace.dissipation_candidate,
-        "dissipation_reference": trace.dissipation_reference,
-        "r_d": trace.r_d,
-        "r_c": trace.r_c,
-        "r_bar_d": trace.r_bar_d,
-        "r_bar_c": trace.r_bar_c,
-        "r_1d": trace.r_1d,
-        "r_1c": trace.r_1c,
-        "r_1c_a": trace.r_1c_a,
-        "r_1c_b": trace.r_1c_b,
-        "mass_candidate": trace.mass_candidate,
-        "sphere_defect": trace.sphere_defect,
-    }
-    write_columns(cols, path)
+    write_columns(
+        {col: getattr(trace, name) for col, name in zip(COLUMNS, TRACE_COLUMNS)}, path
+    )
 
 
 def read_columns(path: str) -> Dict[str, np.ndarray]:
@@ -111,30 +78,13 @@ def read_columns(path: str) -> Dict[str, np.ndarray]:
 
 
 def read_trace(path: str) -> EntropyTrace:
-    """Deserialize a trace, inferring the system from the active columns."""
+    """Deserialize a trace, inferring the system from the active columns.
+
+    The per-term columns are not serialized, so `terms` is empty.
+    """
     cols = read_columns(path)
-    n = cols["t"].shape[0]
-    if n and np.any(np.isfinite(cols["r_1d"])):
-        system = System.SPHERE
-    else:
-        system = System.GL
+    sphere = np.any(np.isfinite(cols[QUARTETS[System.SPHERE][0]]))
     return EntropyTrace(
-        system=system,
-        times=cols["t"],
-        entropy=cols["entropy"],
-        h_hat=cols["h_hat"],
-        energy_candidate=cols["energy_candidate"],
-        energy_reference=cols["energy_reference"],
-        dissipation_candidate=cols["dissipation_candidate"],
-        dissipation_reference=cols["dissipation_reference"],
-        mass_candidate=cols["mass_candidate"],
-        sphere_defect=cols["sphere_defect"],
-        r_d=cols["r_d"],
-        r_c=cols["r_c"],
-        r_bar_d=cols["r_bar_d"],
-        r_bar_c=cols["r_bar_c"],
-        r_1d=cols["r_1d"],
-        r_1c=cols["r_1c"],
-        r_1c_a=cols["r_1c_a"],
-        r_1c_b=cols["r_1c_b"],
+        system=System.SPHERE if sphere else System.GL,
+        **{name: cols[col] for col, name in zip(COLUMNS, TRACE_COLUMNS)},
     )

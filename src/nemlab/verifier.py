@@ -31,15 +31,20 @@ reference runs first and keeps each sample only on the candidate grid;
 the candidate then runs and each of its samples is paired with the stored
 reference sample of the same time, evaluated and dropped.  A twin
 therefore retains O(samples * n_candidate) floats, not
-O(samples * (n_reference + n_candidate)).  check_uniqueness keeps its
-reference on the reference grid (it is restricted to several levels),
-which its few samples allow.
+O(samples * (n_reference + n_candidate)).  Its results are kept as
+columns of packed doubles: the per-term columns of EntropyTrace.terms
+take O(samples * terms) floats (a few dozen terms), not one object per
+sample.  check_uniqueness keeps its reference on the reference grid (it
+is restricted to several levels), which its few samples allow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +59,7 @@ from .dynamics import (
     evolve,
 )
 from .functionals import (
-    RemainderBreakdown,
+    QUARTETS,
     StatePair,
     dissipation,
     energy,
@@ -292,19 +297,17 @@ def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
 # Entropy trace
 # ---------------------------------------------------------------------------
 
-_GL_COLUMNS = ("r_d", "r_c", "r_bar_d", "r_bar_c")
-_SPHERE_COLUMNS = ("r_1d", "r_1c", "r_1c_a", "r_1c_b")
-
-
 @dataclass
 class EntropyTrace:
     """Time series of every certified quantity for one twin experiment.
 
-    Remainder columns of the inactive system and (for GL runs) the
-    sphere_defect column are NaN; everything else must be finite and the
-    sample times strictly increasing.  `breakdowns` keeps the full named
-    remainder/diagnostic term maps per sample (in-memory only; the CSV
-    serialization carries the fixed column set).
+    Every np.ndarray field is a sample column, declared in file order
+    (TRACE_COLUMNS).  Remainder columns of the inactive system and (for
+    GL runs) the sphere_defect column are NaN; everything else, the sample
+    times included, must be finite, and the times strictly increasing.
+    `terms` holds one column per named remainder integral, per h_hat norm
+    factor (prefixed h_) and the reorganization mismatch; it is in-memory
+    only, so a trace read back from CSV has none.
     """
 
     system: System
@@ -315,8 +318,6 @@ class EntropyTrace:
     energy_reference: np.ndarray
     dissipation_candidate: np.ndarray
     dissipation_reference: np.ndarray
-    mass_candidate: np.ndarray
-    sphere_defect: np.ndarray
     r_d: np.ndarray
     r_c: np.ndarray
     r_bar_d: np.ndarray
@@ -325,40 +326,32 @@ class EntropyTrace:
     r_1c: np.ndarray
     r_1c_a: np.ndarray
     r_1c_b: np.ndarray
-    reorg_mismatch: np.ndarray = field(default=None)  # type: ignore[assignment]
-    breakdowns: Optional[List["RemainderBreakdown"]] = None
+    mass_candidate: np.ndarray
+    sphere_defect: np.ndarray
+    terms: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in (
-            "times", "entropy", "h_hat", "energy_candidate", "energy_reference",
-            "dissipation_candidate", "dissipation_reference", "mass_candidate",
-            "sphere_defect", "r_d", "r_c", "r_bar_d", "r_bar_c",
-            "r_1d", "r_1c", "r_1c_a", "r_1c_b",
-        ):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.reorg_mismatch is None:
-            self.reorg_mismatch = np.zeros_like(self.times)
-        n = self.times.shape[0]
-        if n == 0:
-            return  # an empty trace is valid (it serializes to a header-only file)
+        for name in TRACE_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = len(self)
+        inactive = {name for quartet in QUARTETS.values() for name in quartet}
+        inactive -= set(QUARTETS[self.system])
+        if self.system is System.GL:
+            inactive.add("sphere_defect")
+        columns = [(name, getattr(self, name)) for name in TRACE_COLUMNS]
+        for name, col in columns + list(self.terms.items()):
+            if np.shape(col) != (n,):
+                raise VerifierError(f"column {name} has wrong length")
+            if name not in inactive and not np.all(np.isfinite(col)):
+                raise VerifierError(f"column {name} contains non-finite entries")
         if np.any(np.diff(self.times) <= 0):
             raise VerifierError("trace times must be strictly increasing")
-        active = [
-            "entropy", "h_hat", "energy_candidate", "energy_reference",
-            "dissipation_candidate", "dissipation_reference", "mass_candidate",
-        ]
-        active += list(_GL_COLUMNS if self.system is System.GL else _SPHERE_COLUMNS)
-        if self.system is System.SPHERE:
-            active.append("sphere_defect")
-        for name in active:
-            col = getattr(self, name)
-            if col.shape[0] != n:
-                raise VerifierError(f"column {name} has wrong length")
-            if not np.all(np.isfinite(col)):
-                raise VerifierError(f"column {name} contains non-finite entries")
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(EntropyTrace) if f.type == "np.ndarray")
 
 
 def _evolve_samples(
@@ -453,8 +446,10 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     samples is paired with the stored reference sample of the same time.
     Either way the pair functionals are evaluated on the candidate grid,
     the single-state quantities (energy, dissipation, mass) on each
-    trajectory's own.  Solver aborts propagate with the trajectory tag
-    attached; errors evaluating a pair propagate untagged.
+    trajectory's own, and each sample's `remainder` fills one row of the
+    quartet columns and of the per-term columns.  Solver aborts propagate
+    with the trajectory tag attached; errors evaluating a pair propagate
+    untagged.
     """
     params = config.params
     system = params.system
@@ -464,17 +459,9 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
         config.initial_preset, config.grid_candidate, params, config.perturbation
     )
 
-    cols: Dict[str, List[float]] = {
-        name: []
-        for name in (
-            "times", "entropy", "h_hat", "energy_candidate", "energy_reference",
-            "dissipation_candidate", "dissipation_reference", "mass_candidate",
-            "sphere_defect", "r_d", "r_c", "r_bar_d", "r_bar_c",
-            "r_1d", "r_1c", "r_1c_a", "r_1c_b", "reorg_mismatch",
-        )
-    }
-    breakdowns: List[RemainderBreakdown] = []
-    active = _GL_COLUMNS if system is System.GL else _SPHERE_COLUMNS
+    # columns fill as packed doubles, not lists of float objects
+    cols: Dict[str, array] = {name: array("d") for name in TRACE_COLUMNS}
+    terms: Dict[str, array] = defaultdict(functools.partial(array, "d"))
 
     def on_reference(state: State) -> None:
         cols["energy_reference"].append(energy(state, params))
@@ -482,19 +469,24 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
 
     def row(t: float, pair: StatePair) -> None:
         st_c = pair.candidate
-        cols["times"].append(t)
-        cols["entropy"].append(relative_entropy(pair, params))
-        cols["energy_candidate"].append(energy(st_c, params))
-        cols["dissipation_candidate"].append(dissipation(st_c, params))
-        cols["mass_candidate"].append(mass(st_c))
-        if system is System.SPHERE:
-            cols["sphere_defect"].append(sphere_defect(st_c))
         br = remainder(pair, params)
-        breakdowns.append(br)
-        cols["h_hat"].append(br.h_hat)
-        cols["reorg_mismatch"].append(br.reorg_mismatch)
-        for name in active:
-            cols[name].append(getattr(br, name))
+        values = dict(
+            times=t,
+            entropy=relative_entropy(pair, params),
+            h_hat=br.h_hat,
+            energy_candidate=energy(st_c, params),
+            dissipation_candidate=dissipation(st_c, params),
+            mass_candidate=mass(st_c),
+            **br.quartet,
+        )
+        if system is System.SPHERE:
+            values["sphere_defect"] = sphere_defect(st_c)
+        for name, v in values.items():
+            cols[name].append(v)
+        per_term = {**br.terms, **{f"h_{k}": v for k, v in br.h_terms.items()},
+                    "reorg_mismatch": br.reorg_mismatch}
+        for name, v in per_term.items():
+            terms[name].append(v)
 
     if (
         config.grid_reference == config.grid_candidate
@@ -526,7 +518,7 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     n = len(cols["times"])
     return EntropyTrace(
         system=system,
-        breakdowns=breakdowns,
+        terms={name: np.array(v) for name, v in terms.items()},
         **{name: np.array(v) if v else np.full(n, np.nan) for name, v in cols.items()},
     )
 

@@ -234,11 +234,11 @@ def test_criterion_5_remainder_reorganization(capsys):
         mismatches = []
         dxs = []
         for n in (65, 129, 257):
-            br = func(builder(n), params)
+            q = func(builder(n), params).quartet
             if tag == "gl":
-                mismatches.append(abs((br.r_d + br.r_c) - (br.r_bar_d + br.r_bar_c)))
+                mismatches.append(abs((q["r_d"] + q["r_c"]) - (q["r_bar_d"] + q["r_bar_c"])))
             else:
-                mismatches.append(abs(br.r_1c - (br.r_1c_a + br.r_1c_b)))
+                mismatches.append(abs(q["r_1c"] - (q["r_1c_a"] + q["r_1c_b"])))
             dxs.append(1.0 / (n - 1))
         orders = [np.log2(a / b) for a, b in zip(mismatches, mismatches[1:])]
         c_fit = mismatches[0] / dxs[0] ** 2

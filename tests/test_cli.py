@@ -15,7 +15,7 @@ from nemlab.config import ConfigError, parse_config
 from nemlab.constitutive import System
 from nemlab.functionals import FunctionalError
 from nemlab.traceio import COLUMNS, read_columns, read_trace, write_trace
-from nemlab.verifier import EntropyTrace, run_twin
+from nemlab.verifier import EntropyTrace, VerifierError, run_twin
 
 MINIMAL_GL = {
     "system": "gl",
@@ -176,6 +176,30 @@ class TestTraceIo:
             assert np.array_equal(c1[name], c2[name], equal_nan=True)
         assert np.array_equal(back.entropy, trace.entropy)
         assert np.array_equal(back.r_1c_b, trace.r_1c_b)
+        # the per-term columns stay in memory
+        assert "reorg_mismatch" in trace.terms and back.terms == {}
+
+    def test_empty_time_cell_rejected(self, tmp_path):
+        n = 3
+        zeros = np.zeros(n)
+        nan = np.full(n, np.nan)
+        tr = EntropyTrace(
+            system=System.GL, times=np.array([0.0, 0.1, 0.2]),
+            entropy=zeros, h_hat=zeros,
+            energy_candidate=np.ones(n), energy_reference=np.ones(n),
+            dissipation_candidate=zeros, dissipation_reference=zeros,
+            mass_candidate=np.ones(n), sphere_defect=nan,
+            r_d=zeros, r_c=zeros, r_bar_d=zeros, r_bar_c=zeros,
+            r_1d=nan, r_1c=nan, r_1c_a=nan, r_1c_b=nan,
+        )
+        path = tmp_path / "t.csv"
+        write_trace(tr, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("0.1,")
+        lines[2] = lines[2][len("0.1"):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(VerifierError, match="column times contains non-finite"):
+            read_trace(str(path))
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -220,7 +244,11 @@ class TestMain:
         assert main(["frobnicate"]) == 2
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert main(["twin", "-c", str(tmp_path / "none.json")]) == 2
+        path = tmp_path / "none.json"
+        assert main(["twin", "-c", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config {path}: No such file or directory\n"
+        )
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -315,6 +343,37 @@ class TestMain:
                      "--manifest", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr() == ("", f"config error: {err}\n")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("twin", "-o"), ("simulate", "-o"), ("twin", "--manifest"),
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        paths = {"-o": str(tmp_path / "t.csv"), "--manifest": str(tmp_path / "m.json")}
+        paths[flag] = str(tmp_path / "no" / "such" / "out")
+        argv = [command, "-c", str(path)]
+        for opt, target in paths.items():
+            argv += [opt, target]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {paths[flag]}: No such file or directory\n"
+        )
+
+    def test_unwritable_suite_output_dir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["suite", "--preset", "gl-smoke", "--output-dir", str(blocker)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {blocker}: File exists\n"
+
+    def test_invalid_levels_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        assert main(["uniqueness", "-c", str(path), "--levels", "2,3,4",
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: --levels: n_nodes must be >= 5, got 2\n"
+        )
 
     def test_solver_abort_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

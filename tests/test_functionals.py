@@ -5,12 +5,12 @@ from nemlab.constitutive import Params, System, gl_force
 from nemlab.dynamics import State
 from nemlab import functionals
 from nemlab.functionals import (
+    QUARTETS,
     FunctionalError,
     StatePair,
     director_l2_gap,
     dissipation,
     energy,
-    gronwall_coefficient,
     relative_entropy,
     remainder,
     sphere_defect,
@@ -188,7 +188,8 @@ class TestRemainderGl:
         pair = gl_pair(65)
         same = StatePair(pair.reference, pair.reference)
         br = remainder(same, GL)
-        assert br.r_d == br.r_c == br.r_bar_d == br.r_bar_c == 0.0
+        q = br.quartet
+        assert q["r_d"] == q["r_c"] == q["r_bar_d"] == q["r_bar_c"] == 0.0
         assert br.reorg_mismatch == 0.0
 
     def test_matched_velocity_and_density_leaves_director_terms(self):
@@ -196,8 +197,9 @@ class TestRemainderGl:
         cand = State(base.reference.rho, base.reference.u, base.candidate.d)
         pair = StatePair(cand, base.reference)
         br = remainder(pair, GL)
+        q = br.quartet
         # every named integral carrying (u - u~) or (rho - rho~) vanishes
-        assert br.r_bar_d == 0.0
+        assert q["r_bar_d"] == 0.0
         for key in ("rbd_convective", "rbd_pressure_bregman",
                     "rbd_density_weighted_force", "rbc_reference_curvature",
                     "rbc_candidate_force", "rbc_force_gradient"):
@@ -218,13 +220,13 @@ class TestRemainderGl:
         trans = base.reference.u.values * np.sum(dlap * dgrad, axis=0)
         expect_trans = dx * (trans.sum() - 0.5 * (trans[0] + trans[-1]))
         assert br.terms["rbc_gradient_transport"] == pytest.approx(expect_trans, rel=1e-12)
-        assert br.r_bar_c == pytest.approx(expect_force + expect_trans, rel=1e-12)
+        assert q["r_bar_c"] == pytest.approx(expect_force + expect_trans, rel=1e-12)
 
     def test_reorganization_identity_refines_at_second_order(self):
         mismatches = []
         for n in (65, 129, 257):
-            br = remainder(gl_pair(n), GL)
-            mismatches.append(abs((br.r_d + br.r_c) - (br.r_bar_d + br.r_bar_c)))
+            q = remainder(gl_pair(n), GL).quartet
+            mismatches.append(abs((q["r_d"] + q["r_c"]) - (q["r_bar_d"] + q["r_bar_c"])))
         orders = [np.log2(a / b) for a, b in zip(mismatches, mismatches[1:])]
         assert all(o >= 1.8 for o in orders)
 
@@ -234,23 +236,25 @@ class TestRemainderSphere:
         pair = sphere_pair(65)
         same = StatePair(pair.reference, pair.reference)
         br = remainder(same, SPH)
-        assert br.r_1d == br.r_1c == br.r_1c_a == br.r_1c_b == 0.0
+        q = br.quartet
+        assert q["r_1d"] == q["r_1c"] == q["r_1c_a"] == q["r_1c_b"] == 0.0
 
     def test_matched_director_collapses_coupling_split(self):
         base = sphere_pair(65)
         cand = State(base.candidate.rho, base.candidate.u, base.reference.d)
         pair = StatePair(cand, base.reference)
         br = remainder(pair, SPH)
-        assert br.r_1c_a == 0.0
-        assert br.r_1c_b == 0.0
-        assert br.r_1c == 0.0
-        assert br.r_1d != 0.0  # density/velocity block still active
+        q = br.quartet
+        assert q["r_1c_a"] == 0.0
+        assert q["r_1c_b"] == 0.0
+        assert q["r_1c"] == 0.0
+        assert q["r_1d"] != 0.0  # density/velocity block still active
 
     def test_split_identity_refines_at_second_order(self):
         mismatches = []
         for n in (65, 129, 257):
-            br = remainder(sphere_pair(n), SPH)
-            mismatches.append(abs(br.r_1c - (br.r_1c_a + br.r_1c_b)))
+            q = remainder(sphere_pair(n), SPH).quartet
+            mismatches.append(abs(q["r_1c"] - (q["r_1c_a"] + q["r_1c_b"])))
         orders = [np.log2(a / b) for a, b in zip(mismatches, mismatches[1:])]
         assert all(o >= 1.8 for o in orders)
 
@@ -261,8 +265,8 @@ class TestRemainderSphere:
 
     def test_dispatch(self):
         br = remainder(sphere_pair(65), SPH)
-        assert br.system is System.SPHERE
-        assert br.r_d is None and br.r_1d is not None
+        assert tuple(br.quartet) == QUARTETS[System.SPHERE]
+        assert tuple(remainder(gl_pair(65), GL).quartet) == QUARTETS[System.GL]
 
 
 @pytest.mark.parametrize(
@@ -280,84 +284,85 @@ def test_remainder_builds_pair_fields_once(monkeypatch, make_pair, params):
     pair = make_pair(65)
     br = remainder(pair, params)
     assert len(calls) == 1
-    # h_hat comes from the same fields as the public coefficient
-    assert br.h_hat == gronwall_coefficient(pair, params).total
+    # h_hat is the sum of its norm factors, assembled from the same fields
+    assert br.h_hat == sum(br.h_terms.values())
 
 
 class TestGronwallCoefficient:
     def test_resting_reference_vanishes(self):
         g = Grid1D(33, 0.0, 1.0)
         eq = uniform_state(g)
-        h = gronwall_coefficient(StatePair(eq, eq), GL)
-        assert h.total == 0.0
-        assert all(v == 0.0 for v in h.terms.values())
+        br = remainder(StatePair(eq, eq), GL)
+        assert br.h_hat == 0.0
+        assert all(v == 0.0 for v in br.h_terms.values())
 
     def test_terms_match_direct_norms_gl(self):
         pair = gl_pair(129)
         p = GL
-        h = gronwall_coefficient(pair, p)
+        br = remainder(pair, p)
+        h = br.h_terms
         g = pair.grid
         ref = pair.reference
         # independent reconstruction through the field-level operators
         grad_u_r = gradient(ref.u)
-        assert h.terms["grad_u_ref_inf"] == pytest.approx(norm(grad_u_r, np.inf))
-        assert h.terms["u_ref_inf_sq"] == pytest.approx(norm(ref.u, np.inf) ** 2)
+        assert h["grad_u_ref_inf"] == pytest.approx(norm(grad_u_r, np.inf))
+        assert h["u_ref_inf_sq"] == pytest.approx(norm(ref.u, np.inf) ** 2)
         lap_u_r = laplacian(ref.u)
         grad_d_r = gradient(ref.d)
         lap_d_r = laplacian(ref.d)
         curv = lap_d_r.values - gl_force(ref.d.values, p)
         g_ref = p.mu * lap_u_r.values - p.lam * np.sum(curv * grad_d_r.values, axis=0)
         g_field = ScalarField(g_ref, g)
-        assert h.terms["g_inf"] == pytest.approx(norm(g_field, np.inf))
+        assert h["g_inf"] == pytest.approx(norm(g_field, np.inf))
         ratio = ScalarField(g_ref / ref.rho.values, g)
-        assert h.terms["g_over_rho_l3_sq"] == pytest.approx(norm(ratio, 3) ** 2)
+        assert h["g_over_rho_l3_sq"] == pytest.approx(norm(ratio, 3) ** 2)
         f_c = norm(VectorField3(gl_force(pair.candidate.d.values, p), g), np.inf)
         f_r = norm(VectorField3(gl_force(ref.d.values, p), g), np.inf)
-        assert h.terms["force_scale"] == pytest.approx(f_c + f_r)
-        assert h.terms["curvature_force_inf_sq"] == pytest.approx(
+        assert h["force_scale"] == pytest.approx(f_c + f_r)
+        assert h["curvature_force_inf_sq"] == pytest.approx(
             (norm(lap_d_r, np.inf) + f_c) ** 2
         )
-        assert h.terms["grad_d_ref_inf_sq"] == pytest.approx(
+        assert h["grad_d_ref_inf_sq"] == pytest.approx(
             norm(grad_d_r, np.inf) ** 2
         )
-        assert h.total == pytest.approx(sum(h.terms.values()))
+        assert br.h_hat == pytest.approx(sum(h.values()))
 
     def test_terms_match_direct_norms_sphere(self):
         pair = sphere_pair(129)
-        h = gronwall_coefficient(pair, SPH)
+        h = remainder(pair, SPH).h_terms
         ref, cand = pair.reference, pair.candidate
         grad_d_r = gradient(ref.d)
         grad_d_c = gradient(cand.d)
         d_inf = norm(cand.d, np.inf)
-        assert h.terms["u_ref_inf"] == pytest.approx(norm(ref.u, np.inf))
-        assert h.terms["lap_d_ref_inf_sq"] == pytest.approx(
+        assert h["u_ref_inf"] == pytest.approx(norm(ref.u, np.inf))
+        assert h["lap_d_ref_inf_sq"] == pytest.approx(
             norm(laplacian(ref.d), np.inf) ** 2
         )
-        assert h.terms["grad_d_both_inf_sq_d_inf_sq"] == pytest.approx(
+        assert h["grad_d_both_inf_sq_d_inf_sq"] == pytest.approx(
             (norm(grad_d_r, np.inf) ** 2 + norm(grad_d_c, np.inf) ** 2) * d_inf**2
         )
-        assert h.terms["grad_d_cand_inf_sq"] == pytest.approx(
+        assert h["grad_d_cand_inf_sq"] == pytest.approx(
             norm(grad_d_c, np.inf) ** 2
         )
-        assert h.terms["d_inf_grad_sum"] == pytest.approx(
+        assert h["d_inf_grad_sum"] == pytest.approx(
             d_inf * (norm(grad_d_r, np.inf) + norm(grad_d_c, np.inf))
         )
 
     def test_invariant_under_candidate_velocity_swap(self):
         pair = gl_pair(65)
-        h1 = gronwall_coefficient(pair, GL)
+        h1 = remainder(pair, GL)
         swapped = StatePair(
             State(pair.candidate.rho, pair.reference.u, pair.candidate.d),
             pair.reference,
         )
-        h2 = gronwall_coefficient(swapped, GL)
-        assert h1.total == h2.total
-        assert h1.terms == h2.terms
+        h2 = remainder(swapped, GL)
+        assert h1.h_hat == h2.h_hat
+        assert h1.h_terms == h2.h_terms
 
     def test_terms_nonnegative(self):
         for pair, p in ((gl_pair(65), GL), (sphere_pair(65), SPH)):
-            h = gronwall_coefficient(pair, p)
-            assert all(v >= 0.0 for v in h.terms.values())
+            h = remainder(pair, p).h_terms
+            assert all(v >= 0.0 for v in h.values())
 
 
 class TestStressFormsIntegrated:

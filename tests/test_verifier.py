@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from nemlab import verifier
 from nemlab.constitutive import Params, System
 from nemlab.dynamics import CflError
-from nemlab.functionals import FunctionalError
+from nemlab.functionals import QUARTETS, FunctionalError
 from nemlab.grid import Grid1D
 from nemlab.verifier import (
+    TRACE_COLUMNS,
     EntropyTrace,
     ExperimentConfig,
     GronwallConfig,
@@ -163,6 +164,31 @@ class TestCubicRestrict:
         assert np.max(np.abs(mag - 1.0)) <= 1e-14
 
 
+_FINITE_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_from=st.integers(5, 200), n_to=st.integers(5, 200),
+       x_min=st.floats(-10.0, 10.0), length=st.floats(0.1, 10.0),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), data=st.data())
+def test_cubic_restrict_identity_and_cubic_exactness(n_from, n_to, x_min, length, coeffs,
+                                                     data):
+    x_max = x_min + length
+    src = Grid1D(n_from, x_min, x_max)
+    dst = Grid1D(n_to, x_min, x_max)
+    vals = np.array(data.draw(st.lists(_FINITE_VALUES, min_size=n_from, max_size=n_from)))
+    same = cubic_restrict(vals, src, Grid1D(n_from, x_min, x_max))
+    assert same.tobytes() == vals.tobytes()
+
+    def cubic(grid):
+        s = (grid.nodes() - x_min) / length
+        return ((coeffs[3] * s + coeffs[2]) * s + coeffs[1]) * s + coeffs[0]
+
+    err = np.max(np.abs(cubic_restrict(cubic(src), src, dst) - cubic(dst)))
+    # sum |c_k| bounds the cubic on the domain
+    assert err <= 1e-12 * sum(abs(c) for c in coeffs)
+
+
 class TestRunTwin:
     def test_identical_twin_entropy_is_zero(self):
         trace = run_twin(twin_config())
@@ -251,6 +277,27 @@ class TestStreamedTwin:
             run_twin(twin_config(n_ref=65, n_cand=33, amplitude=1e-3))
         assert str(info.value) == "remainder rejected the pair"
 
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_columns_hold_what_remainder_returns(self, system, monkeypatch):
+        returned = []
+        original = verifier.remainder
+
+        def recording(pair, params):
+            returned.append(original(pair, params))
+            return returned[-1]
+
+        monkeypatch.setattr(verifier, "remainder", recording)
+        trace = run_twin(twin_config(system, n_ref=65, n_cand=33, amplitude=1e-3,
+                                     t_end=0.01))
+        assert len(returned) == len(trace)
+        for k, br in enumerate(returned):
+            assert trace.h_hat[k] == br.h_hat
+            assert {name: getattr(trace, name)[k] for name in QUARTETS[system]} == br.quartet
+            expected = {**br.terms, **{f"h_{n}": v for n, v in br.h_terms.items()},
+                        "reorg_mismatch": br.reorg_mismatch}
+            assert {name: col[k] for name, col in trace.terms.items()} == expected
+        assert np.max(np.abs(trace.terms["reorg_mismatch"])) > 0.0
+
     @pytest.mark.parametrize("which", ["reference", "candidate"])
     def test_solver_abort_keeps_its_trajectory_tag(self, which):
         # one sample window of 0.02 forces an effective step far beyond the
@@ -258,14 +305,6 @@ class TestStreamedTwin:
         cfg = replace(twin_config(sample_interval=0.02), **{f"dt_{which}": 0.5})
         with pytest.raises(CflError, match=f"^{which} trajectory: at t=0:"):
             run_twin(cfg)
-
-
-_TRACE_COLUMNS = (
-    "times", "entropy", "h_hat", "energy_candidate", "energy_reference",
-    "dissipation_candidate", "dissipation_reference", "mass_candidate",
-    "sphere_defect", "r_d", "r_c", "r_bar_d", "r_bar_c",
-    "r_1d", "r_1c", "r_1c_a", "r_1c_b", "reorg_mismatch",
-)
 
 
 def _counting_evolve(monkeypatch):
@@ -302,10 +341,14 @@ class TestLockstepTwin:
         streamed = run_twin(replace(cfg, dt_reference=np.nextafter(cfg.dt_reference, 1.0)))
         assert calls == [2, 1, 1]
         assert len(lockstep) == len(streamed) == 51
-        for name in _TRACE_COLUMNS:
+        for name in TRACE_COLUMNS:
             np.testing.assert_array_equal(getattr(lockstep, name), getattr(streamed, name),
                                           err_msg=name)
-        assert [b.terms for b in lockstep.breakdowns] == [b.terms for b in streamed.breakdowns]
+        # every per-term column, the h_hat terms and the mismatch included
+        assert list(lockstep.terms) == list(streamed.terms)
+        assert any(name.startswith("h_") for name in lockstep.terms)
+        for name, col in lockstep.terms.items():
+            assert col.tobytes() == streamed.terms[name].tobytes(), name
 
     def test_unequal_grids_or_steps_run_one_trajectory_at_a_time(self, monkeypatch):
         calls = _counting_evolve(monkeypatch)
@@ -377,6 +420,15 @@ class TestCheckGronwall:
         # once true, stays true as c_h grows
         assert passed == sorted(passed)
         assert passed[-1] is True
+
+    def test_growth_without_h_hat_is_not_certified(self):
+        # negative control: entropy grows from the third sample while the
+        # growth-rate surrogate is zero, so no multiplier can cover it
+        tr = synthetic_trace([0.0, 0.1, 0.2, 0.3], [1e-6, 1e-6, 2e-6, 3e-6], [0.0] * 4)
+        rep = check_gronwall(tr, GronwallConfig())
+        assert rep.minimal_c_h == math.inf
+        assert rep.passes is False
+        assert rep.worst_time == 0.2
 
     def test_empty_trace_rejected(self):
         tr = synthetic_trace([], [], [])
@@ -515,6 +567,14 @@ class TestTraceValidation:
     def test_times_must_increase(self):
         with pytest.raises(VerifierError, match="increasing"):
             synthetic_trace([0.0, 0.2, 0.1], [0, 0, 0], [0, 0, 0])
+
+    def test_times_must_be_finite(self):
+        with pytest.raises(VerifierError, match="column times contains non-finite"):
+            synthetic_trace([0.0, np.nan, 0.2], [0, 0, 0], [0, 0, 0])
+
+    def test_quartets_are_trace_columns(self):
+        for quartet in QUARTETS.values():
+            assert set(quartet) <= set(TRACE_COLUMNS)
 
     def test_active_columns_must_be_finite(self):
         with pytest.raises(VerifierError, match="non-finite"):
