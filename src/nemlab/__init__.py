@@ -17,7 +17,6 @@ from .dynamics import (
     SolverOptions,
     State,
     evolve,
-    step,
 )
 from .functionals import (
     RemainderBreakdown,
@@ -27,7 +26,7 @@ from .functionals import (
     relative_entropy,
     remainder,
 )
-from .grid import Grid1D, ScalarField, VectorField3, gradient, integrate, laplacian, norm
+from .grid import Grid1D, ScalarField, VectorField3
 from .verifier import (
     EntropyTrace,
     ExperimentConfig,
@@ -44,9 +43,7 @@ __all__ = [
     "__version__",
     "Params", "System",
     "Grid1D", "ScalarField", "VectorField3",
-    "gradient", "laplacian", "integrate", "norm",
-    "State", "InitialData", "BoundarySpec", "DirectorBC", "SolverOptions",
-    "step", "evolve",
+    "State", "InitialData", "BoundarySpec", "DirectorBC", "SolverOptions", "evolve",
     "StatePair", "RemainderBreakdown",
     "energy", "dissipation", "relative_entropy",
     "remainder",

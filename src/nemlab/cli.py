@@ -140,9 +140,23 @@ def _finish(command: str, digest_text: str, gamma: float, t0: float,
     return EXIT_OK if manifest.passes else EXIT_CHECK_FAILED
 
 
+def _probe_writable(path: str) -> None:
+    """Fail before the run, not after it, on an output path that cannot be
+    written: open it for append and remove it again if the probe made it."""
+    existed = os.path.exists(path)
+    with _file_access(f"write {path}"), open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _run_config(args, body) -> int:
-    """Load the config, run body(cfg, args) and write the manifest."""
+    """Load the config, probe the output paths, run body(cfg, args) and
+    write the manifest."""
     cfg, text = _load_config(args.config)
+    for path in (getattr(args, "output", None), args.manifest):
+        if path is not None:
+            _probe_writable(path)
     t0 = time.time()
     checks, outputs = body(cfg, args)
     return _finish(args.command, text, cfg.params.gamma, t0, checks, outputs, args.manifest,
@@ -212,7 +226,7 @@ def _gronwall(cfg: ExperimentConfig, args):
     return {"gronwall": rep.passes}, [args.output]
 
 
-def _parse_levels(levels_arg: str, base_n: int) -> List[int]:
+def _parse_levels(levels_arg: str, base: Grid1D) -> List[int]:
     if levels_arg:
         try:
             levels = [int(tok) for tok in levels_arg.split(",")]
@@ -221,19 +235,19 @@ def _parse_levels(levels_arg: str, base_n: int) -> List[int]:
                 f"--levels must be comma-separated integers: {levels_arg!r}"
             )
     else:
-        levels = [base_n, 2 * (base_n - 1) + 1, 4 * (base_n - 1) + 1]
+        levels = [k * (base.n_nodes - 1) + 1 for k in (1, 2, 4)]
     if len(levels) < 3:
         raise ConfigError("--levels needs at least 3 entries")
     try:
         for n in levels:
-            Grid1D(n, 0.0, 1.0)  # the node-count rule of every level's grid
+            Grid1D(n, base.x_min, base.x_max)  # every level's grid must be valid
     except GridError as exc:
         raise ConfigError(f"--levels: {exc}") from None
     return levels
 
 
 def _uniqueness(cfg: ExperimentConfig, args):
-    levels = _parse_levels(args.levels, cfg.grid_candidate.n_nodes)
+    levels = _parse_levels(args.levels, cfg.grid_candidate)
     rep = check_uniqueness(cfg, levels)
     sups = " ".join(f"{s:.3e}" for s in rep.sup_entropy)
     orders = "exact" if rep.exact else " ".join(f"{o:.2f}" for o in rep.orders)

@@ -40,7 +40,7 @@ from .verifier import (
     MAX_SAMPLES,
     Perturbation,
 )
-from .grid import Grid1D
+from .grid import Grid1D, GridError
 
 
 class ConfigError(ValueError):
@@ -148,10 +148,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     x_min = _number(doc, "x_min", 0.0)
     x_max = _number(doc, "x_max", 1.0)
-    if not x_max > x_min:
-        raise ConfigError(f"x_max must exceed x_min, got [{x_min}, {x_max}]")
-    n_ref = _grid_nodes(doc, "grid_reference")
-    n_cand = _grid_nodes(doc, "grid_candidate")
+    try:
+        grid_ref, grid_cand = (Grid1D(_grid_nodes(doc, key), x_min, x_max)
+                               for key in ("grid_reference", "grid_candidate"))
+    except GridError as exc:
+        raise ConfigError(f"x_min/x_max: {exc}") from None
 
     dt = _positive(doc, "dt")
     dt_ref = _positive(doc, "dt_reference", dt)
@@ -217,8 +218,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         params=params,
-        grid_reference=Grid1D(n_ref, x_min, x_max),
-        grid_candidate=Grid1D(n_cand, x_min, x_max),
+        grid_reference=grid_ref,
+        grid_candidate=grid_cand,
         dt_reference=dt_ref,
         dt_candidate=dt_cand,
         t_end=t_end,

@@ -212,9 +212,6 @@ class InitialData:
     def grid(self) -> Grid1D:
         return self.rho0.grid
 
-    def as_state(self) -> State:
-        return State(self.rho0, self.u0, self.d0)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -454,7 +451,9 @@ def _advance(
 
     rho and u have shape (B, n) and d has shape (B, 3, n); implicit holds
     the matrices for this dt and the members' boundary rows.  A failed
-    check raises for the first member that fails it, in exc.member.
+    check raises for the first member that fails it, in exc.member.  For
+    SPHERE the largest pre-renormalization defect | |d| - 1 | is written to
+    stats['sphere_renorm_max'] when a dict is passed.
     """
     dx = grid.dx
     _check_cfl(rho, u, dt, dx, params)
@@ -509,42 +508,6 @@ def _advance(
             finite = np.isfinite(u_new).all(axis=1)
         raise NonFiniteStateError("non-finite values after step", member=_first(~finite))
     return rho_new, u_new, d_new
-
-
-def step(
-    state: State,
-    dt: float,
-    params: Params,
-    grid: Grid1D,
-    bc: BoundarySpec,
-    options: Optional[SolverOptions] = None,
-    stats: Optional[dict] = None,
-) -> State:
-    """Advance one IMEX Euler step of size dt.
-
-    Raises ReactionBoundError when dt exceeds the GL penalization bound
-    sigma0^2/theta, CflError when dt exceeds the advective/acoustic bound,
-    DensityFloorError (with the node index) when positivity is lost,
-    LinearSolveError when LAPACK rejects an implicit solve, and
-    NonFiniteStateError on NaN/inf.  For the SPHERE system the director is
-    renormalized pointwise after the implicit solve; the pre-normalization
-    defect is written to stats['sphere_renorm_max'] when a dict is passed.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_bc_system(bc, params.system)
-    if state.grid != grid:
-        raise ValueError("state grid does not match the integration grid")
-    _check_reaction_bound(dt, params)
-    options = options or SolverOptions()
-    implicit = _implicit(
-        dt, grid.dx, params.mu, params.theta, _director_pins((bc,)), 1, grid.n_nodes
-    )
-    rho, u, d = _advance(
-        state.rho.values[None], state.u.values[None], state.d.values[None], dt, params,
-        grid, implicit, options, stats,
-    )
-    return State.from_arrays(grid, rho[0], u[0], d[0])
 
 
 def evolve(

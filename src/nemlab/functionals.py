@@ -54,11 +54,12 @@ from .constitutive import (
     gl_potential,
     pressure,
     pressure_derivative,
+    pressure_potential,
     pressure_potential_derivative,
     pressure_potential_second_derivative,
 )
 from .dynamics import DEFAULT_DENSITY_FLOOR, State
-from .grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
+from .grid import Grid1D, gradient_array, l3_array, laplacian_array, linf_array, trapezoid_array
 
 # Reorganization mismatch beyond this multiple of dx^2 * magnitude-scale
 # indicates a formula-level error rather than discretization noise.
@@ -140,7 +141,7 @@ def energy(state: State, params: Params) -> float:
     d = state.d.values
     grad_d = gradient_array(d, grid.dx)
     dens = 0.5 * rho * u * u
-    dens = dens + params.a / (params.gamma - 1.0) * rho**params.gamma
+    dens = dens + pressure_potential(rho, params)
     director = 0.5 * np.sum(grad_d * grad_d, axis=0)
     if params.system is System.GL:
         director = director + gl_potential(d, params)
@@ -286,10 +287,6 @@ class _PairFields:
         )
 
 
-def _integ(dens: np.ndarray, dx: float) -> float:
-    return trapezoid_array(dens, dx)
-
-
 def _block(terms: Dict[str, float], prefix: str) -> float:
     """Sum of the terms named prefix*, left to right in the order added."""
     return functools.reduce(
@@ -316,16 +313,16 @@ def _raw_density_terms(
     dpidt_r = -pi2_r * gradient_array(f.rho_r * f.u_r, dx)
     grad_pi1_r = gradient_array(pressure_potential_derivative(f.rho_r, params), dx)
 
-    terms["rd_velocity_exchange"] = _integ(
+    terms["rd_velocity_exchange"] = trapezoid_array(
         f.rho * du_r * (dudt_r + f.u * f.grad_u_r), dx
     )
-    terms["rd_viscous_exchange"] = params.mu * _integ(
+    terms["rd_viscous_exchange"] = params.mu * trapezoid_array(
         f.grad_u_r * (f.grad_u_r - f.grad_u), dx
     )
-    terms["rd_pressure_transport"] = _integ(
+    terms["rd_pressure_transport"] = trapezoid_array(
         (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (f.rho_r * f.u_r - f.rho * f.u), dx
     )
-    terms["rd_pressure_work"] = -_integ(f.grad_u_r * (f.p - f.p_r), dx)
+    terms["rd_pressure_work"] = -trapezoid_array(f.grad_u_r * (f.p - f.p_r), dx)
     return _block(terms, "rd_")
 
 
@@ -342,9 +339,9 @@ def _reorganized_density_terms(
     dx = f.dx
     du_r = f.u_r - f.u  # u~ - u
     bregman_p = f.p - pressure_derivative(f.rho_r, params) * (f.rho - f.rho_r) - f.p_r
-    terms["rbd_convective"] = _integ(f.rho * du_r * (-du_r) * f.grad_u_r, dx)
-    terms["rbd_pressure_bregman"] = -_integ(f.grad_u_r * bregman_p, dx)
-    terms["rbd_density_weighted_force"] = _integ(
+    terms["rbd_convective"] = trapezoid_array(f.rho * du_r * (-du_r) * f.grad_u_r, dx)
+    terms["rbd_pressure_bregman"] = -trapezoid_array(f.grad_u_r * bregman_p, dx)
+    terms["rbd_density_weighted_force"] = trapezoid_array(
         (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r, dx
     )
     return _block(terms, "rbd_")
@@ -368,29 +365,29 @@ def _remainder_gl(f: _PairFields, params: Params, terms: Dict[str, float]):
     dforce = f.force - f.force_r
     du = f.u - f.u_r
 
-    terms["rc_candidate_transport"] = -lam * _integ(
+    terms["rc_candidate_transport"] = -lam * trapezoid_array(
         f.u * np.sum(curv_c * f.grad_d, axis=0), dx
     )
-    terms["rc_reference_transport"] = lam * _integ(
+    terms["rc_reference_transport"] = lam * trapezoid_array(
         f.u_r * np.sum(curv_c * f.grad_d, axis=0), dx
     )
-    terms["rc_difference_transport"] = lam * _integ(
+    terms["rc_difference_transport"] = lam * trapezoid_array(
         np.sum(dlap * (f.u * f.grad_d - f.u_r * f.grad_d_r), axis=0), dx
     )
-    terms["rc_force_difference"] = lam * th * _integ(np.sum(dlap * dforce, axis=0), dx)
+    terms["rc_force_difference"] = lam * th * trapezoid_array(np.sum(dlap * dforce, axis=0), dx)
     r_c = _block(terms, "rc_")
 
     terms["rbc_force_difference"] = terms["rc_force_difference"]
-    terms["rbc_gradient_transport"] = lam * _integ(
+    terms["rbc_gradient_transport"] = lam * trapezoid_array(
         f.u_r * np.sum(dlap * dgrad, axis=0), dx
     )
-    terms["rbc_reference_curvature"] = -lam * _integ(
+    terms["rbc_reference_curvature"] = -lam * trapezoid_array(
         du * np.sum(f.lap_d_r * dgrad, axis=0), dx
     )
-    terms["rbc_candidate_force"] = lam * _integ(
+    terms["rbc_candidate_force"] = lam * trapezoid_array(
         du * np.sum(f.force * dgrad, axis=0), dx
     )
-    terms["rbc_force_gradient"] = lam * _integ(
+    terms["rbc_force_gradient"] = lam * trapezoid_array(
         du * np.sum(dforce * f.grad_d_r, axis=0), dx
     )
     r_bar_c = _block(terms, "rbc_")
@@ -427,42 +424,42 @@ def _remainder_sphere(f: _PairFields, params: Params, terms: Dict[str, float]):
 
     stress_c = np.sum(f.lap_d * f.grad_d, axis=0)
     stress_r = np.sum(f.lap_d_r * f.grad_d_r, axis=0)
-    terms["r1c_stress_transport"] = lam * _integ((stress_c - stress_r) * du_r, dx)
-    terms["r1c_difference_transport"] = lam * _integ(
+    terms["r1c_stress_transport"] = lam * trapezoid_array((stress_c - stress_r) * du_r, dx)
+    terms["r1c_difference_transport"] = lam * trapezoid_array(
         np.sum(dlap * trans_gap, axis=0), dx
     )
-    terms["r1c_nonlinear_laplacian"] = -lam * th * _integ(
+    terms["r1c_nonlinear_laplacian"] = -lam * th * trapezoid_array(
         np.sum(dlap * q, axis=0), dx
     )
-    terms["r1c_nonlinear_director"] = lam * th * _integ(np.sum(e * q, axis=0), dx)
-    terms["r1c_director_transport"] = -lam * _integ(
+    terms["r1c_nonlinear_director"] = lam * th * trapezoid_array(np.sum(e * q, axis=0), dx)
+    terms["r1c_director_transport"] = -lam * trapezoid_array(
         np.sum(e * trans_gap, axis=0), dx
     )
     r_1c = _block(terms, "r1c_")
 
     gap_mag = gm - gm_r
     sum_mag = gm_r + gm
-    terms["r1ca_gradient_transport"] = lam * _integ(
+    terms["r1ca_gradient_transport"] = lam * trapezoid_array(
         f.u_r * np.sum(dlap * dgrad, axis=0), dx
     )
-    terms["r1ca_reference_curvature"] = lam * _integ(
+    terms["r1ca_reference_curvature"] = lam * trapezoid_array(
         du_r * np.sum(f.lap_d_r * dgrad, axis=0), dx
     )
-    terms["r1ca_factored_curvature"] = -lam * th * _integ(
+    terms["r1ca_factored_curvature"] = -lam * th * trapezoid_array(
         sum_mag * np.sum(f.d * dlap, axis=0) * gap_mag, dx
     )
-    terms["r1ca_director_exchange"] = lam * _integ(
+    terms["r1ca_director_exchange"] = lam * trapezoid_array(
         du_r * np.sum(e * f.grad_d, axis=0), dx
     )
     r_1c_a = _block(terms, "r1ca_")
 
-    terms["r1cb_gradient_director"] = -lam * _integ(
+    terms["r1cb_gradient_director"] = -lam * trapezoid_array(
         f.u_r * np.sum(e * dgrad, axis=0), dx
     )
-    terms["r1cb_factored_director"] = lam * th * _integ(
+    terms["r1cb_factored_director"] = lam * th * trapezoid_array(
         sum_mag * np.sum(f.d * e, axis=0) * gap_mag, dx
     )
-    terms["r1cb_reference_gradient_sq"] = lam * th * _integ(
+    terms["r1cb_reference_gradient_sq"] = lam * th * trapezoid_array(
         np.sum(e * e, axis=0) * gm_r**2, dx
     )
     # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted by
@@ -472,11 +469,11 @@ def _remainder_sphere(f: _PairFields, params: Params, terms: Dict[str, float]):
         2.0
         * lam
         * th
-        * _integ(
+        * trapezoid_array(
             np.sum(f.grad_d_r * f.lap_d_r, axis=0) * np.sum(e * dgrad, axis=0), dx
         )
     )
-    terms["r1cb_byparts_gradient_sq"] = lam * th * _integ(
+    terms["r1cb_byparts_gradient_sq"] = lam * th * trapezoid_array(
         gm_r**2 * np.sum(dgrad * dgrad, axis=0), dx
     )
     r_1c_b = _block(terms, "r1cb_")
@@ -503,7 +500,7 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     quartet, mismatch = body(f, params, terms)
     # reference stress transported by the velocity gap; cancels between the
     # two reorganized blocks
-    terms["diag_stress_transport_exchange"] = _integ(
+    terms["diag_stress_transport_exchange"] = trapezoid_array(
         f.stress_div_r * (f.u_r - f.u), f.dx
     )
     terms["diag_director_l2_gap"] = director_l2_gap(pair)
@@ -543,16 +540,6 @@ def _require_finite(out: RemainderBreakdown) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _linf(arr: np.ndarray) -> float:
-    if arr.ndim == 2:
-        return float(np.max(np.sqrt(np.sum(arr * arr, axis=0))))
-    return float(np.max(np.abs(arr)))
-
-
-def _l3(arr: np.ndarray, dx: float) -> float:
-    return float(np.cbrt(trapezoid_array(np.abs(arr) ** 3, dx)))
-
-
 def _gronwall_terms(f: _PairFields, params: Params) -> Dict[str, float]:
     """The norm factors of h_hat, the integrable growth-rate surrogate.
 
@@ -566,25 +553,25 @@ def _gronwall_terms(f: _PairFields, params: Params) -> Dict[str, float]:
     dx = f.dx
     terms: Dict[str, float] = {}
 
-    terms["grad_u_ref_inf"] = _linf(f.grad_u_r)
-    terms["g_over_rho_l3_sq"] = _l3(f.g_ref / f.rho_r, dx) ** 2
-    terms["g_inf"] = _linf(f.g_ref)
-    terms["u_ref_inf_sq"] = _linf(f.u_r) ** 2
+    terms["grad_u_ref_inf"] = linf_array(f.grad_u_r)
+    terms["g_over_rho_l3_sq"] = l3_array(f.g_ref / f.rho_r, dx) ** 2
+    terms["g_inf"] = linf_array(f.g_ref)
+    terms["u_ref_inf_sq"] = linf_array(f.u_r) ** 2
 
     if params.system is System.GL:
-        force_c_inf = _linf(f.force)
-        force_r_inf = _linf(f.force_r)
+        force_c_inf = linf_array(f.force)
+        force_r_inf = linf_array(f.force_r)
         # size surrogate for the penalization-force Lipschitz bound; the
         # true constant folds into c_h
         terms["force_scale"] = force_c_inf + force_r_inf
-        terms["curvature_force_inf_sq"] = (_linf(f.lap_d_r) + force_c_inf) ** 2
-        terms["grad_d_ref_inf_sq"] = _linf(f.grad_d_r) ** 2
+        terms["curvature_force_inf_sq"] = (linf_array(f.lap_d_r) + force_c_inf) ** 2
+        terms["grad_d_ref_inf_sq"] = linf_array(f.grad_d_r) ** 2
     else:
-        d_inf = _linf(f.d)
-        grad_c_inf = _linf(f.grad_d)
-        grad_r_inf = _linf(f.grad_d_r)
-        terms["u_ref_inf"] = _linf(f.u_r)
-        terms["lap_d_ref_inf_sq"] = _linf(f.lap_d_r) ** 2
+        d_inf = linf_array(f.d)
+        grad_c_inf = linf_array(f.grad_d)
+        grad_r_inf = linf_array(f.grad_d_r)
+        terms["u_ref_inf"] = linf_array(f.u_r)
+        terms["lap_d_ref_inf_sq"] = linf_array(f.lap_d_r) ** 2
         terms["grad_d_both_inf_sq_d_inf_sq"] = (
             grad_r_inf**2 + grad_c_inf**2
         ) * d_inf**2

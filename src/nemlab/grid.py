@@ -3,7 +3,10 @@
 Provides the mesh type, immutable scalar/3-vector field containers, and the
 differential/integral operators every functional in this package is built
 from: second-order gradient and Laplacian stencils, composite trapezoid
-quadrature, and the L2 / L3 / Linf norms.
+quadrature, and the L3 and Linf norms behind the Gronwall coefficient.
+The operators act on plain arrays along their last axis, so the solver
+and the functionals (and their tests) run one implementation of each;
+the field containers only validate and freeze values.
 
 Conventions:
     - Nodes are x_i = x_min + i*dx, i = 0 .. n_nodes-1, dx uniform.
@@ -19,7 +22,8 @@ frozen after construction, so concurrent evaluation needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +57,11 @@ class Grid1D:
             raise GridError(
                 f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]"
             )
+        if not math.isfinite(self.length):
+            raise GridError(f"domain length of [{self.x_min}, {self.x_max}] is not finite")
+        dx2 = self.dx * self.dx  # the Laplacians and implicit solves divide by it
+        if dx2 == 0.0 or not math.isfinite(1.0 / dx2):
+            raise GridError(f"grid spacing dx={self.dx:.3e} is too small: 1/dx^2 is not finite")
 
     @property
     def dx(self) -> float:
@@ -112,8 +121,7 @@ class VectorField3:
 
 
 # ---------------------------------------------------------------------------
-# Array-level kernels.  The hot solver loop calls these directly; the field
-# wrappers below add validation for the functional-evaluation paths.
+# Array-level operators
 # ---------------------------------------------------------------------------
 
 
@@ -175,56 +183,13 @@ def trapezoid_array(values: np.ndarray, dx: float) -> float:
     return float(dx * (np.sum(values, axis=-1) - 0.5 * (values[..., 0] + values[..., -1])))
 
 
-# ---------------------------------------------------------------------------
-# Field-level operations
-# ---------------------------------------------------------------------------
+def linf_array(arr: np.ndarray) -> float:
+    """Max-norm over the nodes; a (3, n) array by its columns' Euclidean length."""
+    if arr.ndim == 2:
+        return float(np.max(np.sqrt(np.sum(arr * arr, axis=0))))
+    return float(np.max(np.abs(arr)))
 
 
-def gradient(f):
-    """Discrete spatial derivative of a ScalarField or VectorField3."""
-    if isinstance(f, ScalarField):
-        return ScalarField(gradient_array(f.values, f.grid.dx), f.grid)
-    if isinstance(f, VectorField3):
-        return VectorField3(gradient_array(f.values, f.grid.dx), f.grid)
-    raise TypeError(f"gradient expects a field, got {type(f).__name__}")
-
-
-def laplacian(f):
-    """Discrete second derivative of a ScalarField or VectorField3."""
-    if isinstance(f, ScalarField):
-        return ScalarField(laplacian_array(f.values, f.grid.dx), f.grid)
-    if isinstance(f, VectorField3):
-        return VectorField3(laplacian_array(f.values, f.grid.dx), f.grid)
-    raise TypeError(f"laplacian expects a field, got {type(f).__name__}")
-
-
-def integrate(f: ScalarField) -> float:
-    """Integral of a scalar field over the domain (trapezoid rule)."""
-    if not isinstance(f, ScalarField):
-        raise TypeError(f"integrate expects a ScalarField, got {type(f).__name__}")
-    return trapezoid_array(f.values, f.grid.dx)
-
-
-def norm(f, p) -> float:
-    """L^p norm of a field for p in {2, 3, inf}.
-
-    For a VectorField3 the pointwise magnitude is the Euclidean 3-vector
-    length.  p=2 and p=3 integrate |f|^p with the trapezoid rule and take
-    the p-th root; p=inf is the max over nodes.
-    """
-    if isinstance(f, VectorField3):
-        mag = np.sqrt(np.sum(f.values**2, axis=0))
-        dx = f.grid.dx
-    elif isinstance(f, ScalarField):
-        mag = np.abs(f.values)
-        dx = f.grid.dx
-    else:
-        raise TypeError(f"norm expects a field, got {type(f).__name__}")
-
-    if p == 2:
-        return float(np.sqrt(trapezoid_array(mag**2, dx)))
-    if p == 3:
-        return float(np.cbrt(trapezoid_array(mag**3, dx)))
-    if p == np.inf or p == "inf":
-        return float(np.max(mag))
-    raise ValueError(f"unsupported norm order {p!r}; use 2, 3, or inf")
+def l3_array(arr: np.ndarray, dx: float) -> float:
+    """L3 norm of a scalar array, by trapezoid quadrature of |arr|^3."""
+    return float(np.cbrt(trapezoid_array(np.abs(arr) ** 3, dx)))

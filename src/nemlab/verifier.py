@@ -669,12 +669,19 @@ def check_uniqueness(
     paired with the reference sample by sample as it runs, through the
     same pairing as run_twin, and its sup is taken over the relative
     entropy of those pairs; energies and remainders are not evaluated.
-    Passing requires every observed order to reach order_floor; bit-exact
+    The levels must be at least 3 strictly increasing node counts, or
+    VerifierError is raised before anything runs.  Passing requires every
+    observed order to reach order_floor; bit-exact
     collapse (entropy identically zero) reports
     exact=True with infinite orders.
     """
     if len(refinement_levels) < 3:
         raise VerifierError("need at least 3 refinement levels")
+    if any(a >= b for a, b in zip(refinement_levels, refinement_levels[1:])):
+        raise VerifierError(
+            f"refinement levels must be strictly increasing node counts, "
+            f"got {list(refinement_levels)}"
+        )
     config = replace(config, perturbation=Perturbation())  # collapse protocol
     params = config.params
     kappa = config.dt_candidate / config.grid_candidate.dx**2

@@ -289,14 +289,47 @@ class TestMain:
                      "--manifest", str(tmp_path / "m.json")])
         assert code == 0
 
-    def test_uniqueness_command_exact(self, tmp_path, capsys):
+    def test_uniqueness_command_exact(self, tmp_path, capsys, monkeypatch):
+        # an entropy that is zero on every level is reported as exact
+        monkeypatch.setattr(verifier, "relative_entropy", lambda pair, params: 0.0)
         dx = 1.0 / 64.0
         path = tmp_path / "cfg.json"
         path.write_text(cfg_text(dt=0.4 * dx * dx, t_end=0.01))
-        code = main(["uniqueness", "-c", str(path), "--levels", "65,65,65",
+        code = main(["uniqueness", "-c", str(path), "--levels", "65,129,257",
                      "--manifest", str(tmp_path / "m.json")])
         assert code == 0
         assert "exact" in capsys.readouterr().out
+
+    def test_repeated_levels_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran before the levels were checked")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(grid_reference={"n": 65}, grid_candidate={"n": 17},
+                                 t_end=0.004))
+        assert main(["uniqueness", "-c", str(path), "--levels", "17,17,33",
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            "invalid experiment: refinement levels must be strictly increasing "
+            "node counts, got [17, 17, 33]\n"
+        ))
+
+    @pytest.mark.parametrize("doc, err", [
+        # the length overflowed: FieldError from the non-finite nodes
+        ({"x_min": -1e308, "x_max": 1e308},
+         "x_min/x_max: domain length of [-1e+308, 1e+308] is not finite"),
+        # dx*dx underflowed: ZeroDivisionError in the implicit matrices
+        ({"x_max": 1e-200},
+         "x_min/x_max: grid spacing dx=1.562e-202 is too small: 1/dx^2 is not finite"),
+        ({"x_max": -2.0}, "x_min/x_max: x_max must exceed x_min, got [0.0, -2.0]"),
+    ], ids=["overflow", "underflow", "reversed"])
+    def test_degenerate_grid_spacing_exits_2(self, tmp_path, capsys, doc, err):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**doc))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
 
     def test_simulate_command(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -347,7 +380,13 @@ class TestMain:
     @pytest.mark.parametrize("command, flag", [
         ("twin", "-o"), ("simulate", "-o"), ("twin", "--manifest"),
     ])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, flag):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, command, flag):
+        # the paths are probed before the experiment starts
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before its outputs were probed")
+
+        monkeypatch.setattr(cli, "run_twin", no_run)
+        monkeypatch.setattr(cli, "evolve", no_run)
         path = tmp_path / "cfg.json"
         path.write_text(cfg_text())
         paths = {"-o": str(tmp_path / "t.csv"), "--manifest": str(tmp_path / "m.json")}
@@ -375,6 +414,15 @@ class TestMain:
             "", "config error: --levels: n_nodes must be >= 5, got 2\n"
         )
 
+    def test_levels_checked_on_the_config_domain(self, tmp_path, capsys):
+        # on [0, 1e-150] a level of 20001 nodes has 1/dx^2 beyond the float range
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(x_max=1e-150))
+        assert main(["uniqueness", "-c", str(path), "--levels", "5,9,20001",
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", "config error: --levels: grid spacing "
+                                           "dx=5.000e-155 is too small: 1/dx^2 is not finite\n")
+
     def test_solver_abort_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         # one sample window of 0.02 forces an effective step far beyond the
@@ -383,6 +431,19 @@ class TestMain:
         assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
                      "--manifest", str(tmp_path / "m.json")]) == 3
         assert "solver abort" in capsys.readouterr().err
+        # the output probe leaves nothing behind
+        assert not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "m.json").exists()
+
+    def test_output_probe_keeps_existing_files(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(dt=0.5, sample_interval=0.02))
+        for name in ("t.csv", "m.json"):
+            (tmp_path / name).write_text("earlier run\n")
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 3
+        for name in ("t.csv", "m.json"):
+            assert (tmp_path / name).read_text() == "earlier run\n"
 
     def test_rejected_experiment_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

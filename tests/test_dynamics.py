@@ -18,7 +18,6 @@ from nemlab.dynamics import (
     SolverOptions,
     State,
     evolve,
-    step,
 )
 from nemlab import dynamics
 from nemlab.functionals import dissipation, energy
@@ -234,16 +233,19 @@ class TestExplicitKernel:
         assert calls == [(2, 17)] * 3
 
 
+def initial(st):
+    """The state as an initial datum."""
+    return InitialData(st.rho, st.u, st.d)
+
+
 class TestStep:
     def test_equilibrium_fixed_point(self):
         g = Grid1D(65, 0.0, 1.0)
         for system in (System.GL, System.SPHERE):
             p = Params(system=system)
-            st = equilibrium(g)
-            bc = BoundarySpec.for_system(system, st.d)
-            base = st
-            for _ in range(200):
-                st = step(st, 1e-3, p, g, bc)
+            base = equilibrium(g)
+            bc = BoundarySpec.for_system(system, base.d)
+            st = evolve(initial(base), 0.2, 1e-3, p, g, bc)  # 200 steps
             assert np.max(np.abs(st.rho.values - base.rho.values)) <= 1e-12
             assert np.max(np.abs(st.u.values - base.u.values)) <= 1e-12
             assert np.max(np.abs(st.d.values - base.d.values)) <= 1e-12
@@ -254,13 +256,15 @@ class TestStep:
             g = Grid1D(97, 0.0, 1.0)
             init = make_initial_data(preset, g, p)
             bc = BoundarySpec.for_system(system, init.d0)
-            st = init.as_state()
             dx = g.dx
-            mass0 = dx * (st.rho.values.sum() - 0.5 * (st.rho.values[0] + st.rho.values[-1]))
+            rho0 = init.rho0.values
+            mass0 = dx * (rho0.sum() - 0.5 * (rho0[0] + rho0[-1]))
             d_left = init.d0.values[:, 0].copy()
             d_right = init.d0.values[:, -1].copy()
-            for _ in range(1000):
-                st = step(st, 1e-4, p, g, bc)
+            seen = []
+
+            def check(st, t):
+                seen.append(t)
                 assert st.u.values[0] == 0.0 and st.u.values[-1] == 0.0
                 if system is System.GL:
                     assert np.array_equal(st.d.values[:, 0], d_left)
@@ -268,6 +272,9 @@ class TestStep:
                 else:
                     mag = np.sqrt(np.sum(st.d.values**2, axis=0))
                     assert np.max(np.abs(mag - 1.0)) <= 1e-10
+
+            st = evolve(init, 0.1, 1e-4, p, g, bc, observer=check)
+            assert len(seen) == 1001  # the initial datum and 1000 steps
             mass1 = dx * (st.rho.values.sum() - 0.5 * (st.rho.values[0] + st.rho.values[-1]))
             assert abs(mass1 - mass0) <= 1e-12 * abs(mass0)
 
@@ -276,7 +283,7 @@ class TestStep:
         st = equilibrium(g)
         bc = BoundarySpec.for_system(System.GL, st.d)
         with pytest.raises(CflError):
-            step(st, 1.0, Params(), g, bc)
+            evolve(initial(st), 1.0, 1.0, Params(), g, bc)
 
     def test_density_floor_abort(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -286,22 +293,25 @@ class TestStep:
         st = State.from_arrays(g, rho, np.zeros(33), d)
         bc = BoundarySpec.for_system(System.GL, st.d)
         with pytest.raises(DensityFloorError, match="node 5"):
-            step(st, 1e-4, Params(), g, bc)
+            evolve(initial(st), 1e-4, 1e-4, Params(), g, bc)
 
     def test_bc_system_mismatch_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
         st = equilibrium(g)
         with pytest.raises(ValueError, match="incompatible"):
-            step(st, 1e-4, Params(system=System.SPHERE), g,
-                 BoundarySpec.dirichlet_from(st.d))
+            evolve(initial(st), 1e-4, 1e-4, Params(system=System.SPHERE), g,
+                   BoundarySpec.dirichlet_from(st.d))
 
     def test_sphere_renorm_stat_recorded(self):
         p = Params(system=System.SPHERE)
         g = Grid1D(65, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, p)
         bc = BoundarySpec.for_system(System.SPHERE, init.d0)
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, dynamics._director_pins([bc]),
+                                 1, g.n_nodes)
         stats = {}
-        step(init.as_state(), 1e-4, p, g, bc, stats=stats)
+        dynamics._advance(init.rho0.values[None], init.u0.values[None], init.d0.values[None],
+                          1e-4, p, g, imp, SolverOptions(), stats)
         assert 0.0 < stats["sphere_renorm_max"] < 1e-4
 
     def test_self_convergence_order(self):
@@ -467,7 +477,7 @@ class TestEvolve:
             g = Grid1D(129, 0.0, 1.0)
             init = make_initial_data(preset, g, p)
             bc = BoundarySpec.for_system(system, init.d0)
-            e0 = energy(init.as_state(), p)
+            e0 = energy(State(init.rho0, init.u0, init.d0), p)
             out = evolve(init, 0.05, 1e-4, p, g, bc)
             assert energy(out, p) <= e0 * (1.0 + 1e-6)
 
@@ -478,14 +488,18 @@ class TestEvolve:
             g = Grid1D(129, 0.0, 1.0)
             init = make_initial_data(preset, g, p)
             bc = BoundarySpec.for_system(system, init.d0)
-            st = init.as_state()
-            dt = 2e-4
-            e_prev = energy(st, p)
-            for _ in range(250):
-                st = step(st, dt, p, g, bc)
+            seen = []  # (t, E) of every state, one per step
+
+            def check(st, t):
                 e_now = energy(st, p)
-                assert e_now + dt * dissipation(st, p) <= e_prev * (1.0 + 1e-3 * dt)
-                e_prev = e_now
+                if seen:
+                    t_prev, e_prev = seen[-1]
+                    dt = t - t_prev
+                    assert e_now + dt * dissipation(st, p) <= e_prev * (1.0 + 1e-3 * dt)
+                seen.append((t, e_now))
+
+            evolve(init, 0.05, 2e-4, p, g, bc, observer=check)
+            assert len(seen) == 251  # the initial datum and 250 steps
 
     def test_abort_carries_timestamp(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -580,18 +594,18 @@ class TestBatchedEvolve:
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
     def test_shared_matrices_match_fresh_ones(self, system):
         # evolve builds the implicit matrices once per step size and LAPACK
-        # overwrites what it is given; step() builds them at every call
+        # overwrites what it is given; one-step evolve calls build their own
         p = Params(system=system)
         g = Grid1D(33, 0.0, 1.0)
         init = make_initial_data(_preset(system), g, p, Perturbation(1e-3, 2))
         bc = BoundarySpec.for_system(system, init.d0)
         dt = 2.0**-10  # one window of 5 steps of exactly dt
-        st = init.as_state()
+        st = init
         for _ in range(5):
-            st = step(st, dt, p, g, bc)
+            st = initial(evolve(st, dt, dt, p, g, bc))
         out = evolve(init, 5 * dt, dt, p, g, bc, sample_interval=5 * dt)
         for name in ("rho", "u", "d"):
-            assert np.array_equal(getattr(out, name).values, getattr(st, name).values)
+            assert np.array_equal(getattr(out, name).values, getattr(st, f"{name}0").values)
 
     def test_implicit_matrices_built_once_per_step_size(self, monkeypatch):
         # a window's dt_eff = (t_next - t)/n_sub jitters in its last bits:
@@ -738,8 +752,6 @@ class TestReactionBound:
         with pytest.raises(ReactionBoundError, match=expected) as info:
             evolve(init, 0.05, 2e-4, p, g, bc)
         assert isinstance(info.value, SolverError)
-        with pytest.raises(ReactionBoundError, match=expected):
-            step(init.as_state(), 2e-4, p, g, bc)
 
     def test_step_within_the_bound_runs(self):
         p, g, init, bc = self._gl(0.02)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nemlab import verifier
 from nemlab.constitutive import Params, System
-from nemlab.dynamics import CflError
+from nemlab.dynamics import CflError, State
 from nemlab.functionals import QUARTETS, FunctionalError
 from nemlab.grid import Grid1D
 from nemlab.verifier import (
@@ -158,7 +158,7 @@ class TestCubicRestrict:
     def test_restrict_state_renormalizes_sphere_director(self):
         src = Grid1D(129, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", src, SPH)
-        st = init.as_state()
+        st = State(init.rho0, init.u0, init.d0)
         out = restrict_state(st, Grid1D(65, 0.0, 1.0), System.SPHERE)
         mag = np.sqrt(np.sum(out.d.values**2, axis=0))
         assert np.max(np.abs(mag - 1.0)) <= 1e-14
@@ -521,14 +521,64 @@ class TestCheckEnergy:
         assert rep.first_violation_time == pytest.approx(0.2)
         assert rep.max_violation_candidate == pytest.approx(0.1, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 7, 25])
+    def test_energy_injected_into_a_twin_is_named(self, k):
+        # negative control: a real trace passes, the same trace with energy
+        # injected at sample k fails there
+        trace = run_twin(twin_config(n_ref=33, n_cand=33, t_end=0.02, amplitude=1e-3))
+        assert check_energy(trace).passes
+        energy = trace.energy_candidate.copy()
+        energy[k] *= 1.01
+        rep = check_energy(replace(trace, energy_candidate=energy))
+        assert not rep.passes
+        assert rep.first_violation_time == trace.times[k]
+
 
 class TestCheckUniqueness:
     def test_exact_collapse_when_grids_match_reference(self):
+        # the finest level has the reference's grid and step, so its
+        # candidate is the reference bit for bit
         cfg = twin_config(n_ref=65, n_cand=65, dt=0.4 * Grid1D(65, 0, 1).dx ** 2,
                           t_end=0.01)
-        rep = check_uniqueness(cfg, [65, 65, 65])
+        rep = check_uniqueness(cfg, [17, 33, 65])
+        assert rep.sup_entropy[-1] == 0.0 and math.isinf(rep.orders[-1])
+        assert rep.passes and not rep.exact  # the coarser levels are not exact
+
+    def test_zero_entropy_on_every_level_is_reported_exact(self, monkeypatch):
+        monkeypatch.setattr(verifier, "relative_entropy", lambda pair, params: 0.0)
+        cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
+                          t_end=0.01)
+        rep = check_uniqueness(cfg, [17, 33, 65])
         assert rep.exact and rep.passes
         assert all(math.isinf(o) for o in rep.orders)
+
+    @pytest.mark.parametrize("levels", [[17, 17, 33], [33, 17, 65], [17, 33, 33]])
+    def test_levels_must_strictly_increase(self, monkeypatch, levels):
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran before the levels were checked")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        with pytest.raises(VerifierError, match=r"strictly increasing node counts, got \["):
+            check_uniqueness(twin_config(n_ref=65, n_cand=17), levels)
+
+    def test_fixed_perturbation_does_not_collapse(self, monkeypatch):
+        # negative control: a candidate perturbation that does not shrink
+        # with n leaves an O(1) entropy gap, so no level reaches the floor
+        cfg = twin_config(n_ref=129, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
+                          t_end=0.01)
+        cfg = replace(cfg, dt_reference=0.4 * Grid1D(129, 0, 1).dx ** 2)
+        assert check_uniqueness(cfg, [17, 33, 65]).passes
+        build = verifier.make_initial_data
+
+        def perturbed_candidate(preset, grid, params, perturbation=None):
+            if grid == cfg.grid_reference:
+                return build(preset, grid, params, perturbation)
+            return build(preset, grid, params, Perturbation(1e-3, 2))
+
+        monkeypatch.setattr(verifier, "make_initial_data", perturbed_candidate)
+        rep = check_uniqueness(cfg, [17, 33, 65])
+        assert not rep.passes
+        assert all(o < 1.8 for o in rep.orders)
 
     def test_sup_is_the_entropy_of_the_level_twin(self, monkeypatch):
         cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
@@ -559,8 +609,10 @@ class TestCheckUniqueness:
     def test_perturbation_ignored_for_collapse(self):
         cfg = twin_config(n_ref=65, n_cand=65, dt=0.4 * Grid1D(65, 0, 1).dx ** 2,
                           t_end=0.01, amplitude=0.5)
-        rep = check_uniqueness(cfg, [65, 65, 65])
-        assert rep.exact  # amplitude was overridden to zero
+        rep = check_uniqueness(cfg, [17, 33, 65])
+        # amplitude was overridden to zero: the level on the reference grid
+        # is the reference
+        assert rep.sup_entropy[-1] == 0.0
 
 
 class TestTraceValidation:
