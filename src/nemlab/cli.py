@@ -38,7 +38,7 @@ from . import __version__
 from .config import ConfigError, canonical_text, parse_config
 from .constitutive import ConstitutiveError, System
 from .dynamics import BoundarySpec, SolverError, evolve
-from .functionals import FunctionalError, dissipation, energy, mass, sphere_defect
+from .functionals import FunctionalError, energy_dissipation, mass, sphere_defect
 from .grid import Grid1D, GridError
 from .traceio import write_columns, write_trace
 from .verifier import (
@@ -171,8 +171,8 @@ def _simulate(cfg: ExperimentConfig, args):
     cols: Dict[str, List[float]] = {}
 
     def record(st, t):
-        row = dict(t=t, energy_candidate=energy(st, params),
-                   dissipation_candidate=dissipation(st, params), mass_candidate=mass(st))
+        e, dsp = energy_dissipation(st, params)
+        row = dict(t=t, energy_candidate=e, dissipation_candidate=dsp, mass_candidate=mass(st))
         if params.system is System.SPHERE:
             row["sphere_defect"] = sphere_defect(st)
         for name, v in row.items():
@@ -250,7 +250,7 @@ def _uniqueness(cfg: ExperimentConfig, args):
     levels = _parse_levels(args.levels, cfg.grid_candidate)
     rep = check_uniqueness(cfg, levels)
     sups = " ".join(f"{s:.3e}" for s in rep.sup_entropy)
-    orders = "exact" if rep.exact else " ".join(f"{o:.2f}" for o in rep.orders)
+    orders = " ".join(f"{o:.2f}" for o in rep.orders)
     _report("uniqueness", rep.passes, f"levels={levels} sup_entropy=[{sups}] orders=[{orders}]")
     return {"uniqueness": rep.passes}, []
 
@@ -315,7 +315,7 @@ def _check_gronwall_cert(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, 
 
 def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool, str]:
     rep = check_uniqueness(cfg, levels)
-    orders = "exact" if rep.exact else " ".join(f"{o:.2f}" for o in rep.orders)
+    orders = " ".join(f"{o:.2f}" for o in rep.orders)
     return rep.passes, f"levels={list(levels)} orders=[{orders}]"
 
 

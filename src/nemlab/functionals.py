@@ -26,10 +26,13 @@ hold on arbitrary smooth pairs up to O(dx^2) discrete product/chain-rule
 and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
-`remainder` is the one per-sample entry point for the remainders and
-h_hat: it builds the pair's derived arrays once, runs the GL or the
-SPHERE body, checks the active identity and assembles h_hat from the
-same arrays.
+`remainder` builds a sample's whole certificate row in one pass: one
+gradient and one Laplacian call on the stacked (rho, u, d0, d1, d2) rows
+of both states, a few stacked director contractions, one trapezoid call
+on the stack of every integrand and one max for the h_hat norms.  Its
+RemainderBreakdown also carries the pair's relative entropy and the
+candidate's energy, dissipation, mass and (SPHERE) sphere defect, from
+the same density helpers as the single-value functionals, bit for bit.
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -40,9 +43,10 @@ mu = lam = theta = 1 every formula reduces to its normalized form.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from .constitutive import (
     pressure_potential_second_derivative,
 )
 from .dynamics import DEFAULT_DENSITY_FLOOR, State
-from .grid import Grid1D, gradient_array, l3_array, laplacian_array, linf_array, trapezoid_array
+from .grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
 
 # Reorganization mismatch beyond this multiple of dx^2 * magnitude-scale
 # indicates a formula-level error rather than discretization noise.
@@ -71,6 +75,12 @@ REORG_TOL_COEFF = 1e3
 QUARTETS: Dict[System, Tuple[str, str, str, str]] = {
     System.GL: ("r_d", "r_c", "r_bar_d", "r_bar_c"),
     System.SPHERE: ("r_1d", "r_1c", "r_1c_a", "r_1c_b"),
+}
+
+# the term-name prefix of each QUARTETS entry's block
+_BLOCKS: Dict[System, Tuple[str, str, str, str]] = {
+    System.GL: ("rd_", "rc_", "rbd_", "rbc_"),
+    System.SPHERE: ("rbd_", "r1c_", "r1ca_", "r1cb_"),
 }
 
 
@@ -107,14 +117,16 @@ class StatePair:
 
 @dataclass
 class RemainderBreakdown:
-    """All named remainder integrals and h_hat at one sample time.
+    """One certificate row: every remainder integral and h_hat at one sample.
 
     `quartet` maps the active system's QUARTETS names to their values;
     `terms` maps each named integral (and a few diagnostics, prefixed
     diag_) to its value; `h_terms` maps each norm factor of h_hat to its
     value, and h_hat is their sum; `reorg_mismatch` is the defect of the
     active reorganization identity, which must vanish at O(dx^2) under
-    refinement.
+    refinement.  `entropy` is the pair's relative entropy; `energy`,
+    `dissipation`, `mass` and `sphere_defect` (SPHERE only, else None) are
+    the candidate's.
     """
 
     quartet: Dict[str, float]
@@ -122,6 +134,62 @@ class RemainderBreakdown:
     h_terms: Dict[str, float]
     h_hat: float
     reorg_mismatch: float
+    entropy: float
+    energy: float
+    dissipation: float
+    mass: float
+    sphere_defect: Optional[float] = None
+
+
+# ---------------------------------------------------------------------------
+# Stacked passes and the densities built on them
+# ---------------------------------------------------------------------------
+
+
+def _derivatives(states: Sequence[State], dx: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradient and Laplacian of the states' stacked (rho, u, d0, d1, d2)
+    rows, five rows per state: one call of each operator."""
+    rows = np.vstack([f for s in states for f in (s.rho.values, s.u.values, s.d.values)])
+    return gradient_array(rows, dx), laplacian_array(rows, dx)
+
+
+def _dots(**pairs: Tuple[np.ndarray, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Director contractions, one stacked sum: each keyword names a pair
+    (A, B) of (3, n) arrays and maps to the length-n row sum_k A_k B_k."""
+    left = np.stack([a for a, _ in pairs.values()])
+    right = np.stack([b for _, b in pairs.values()])
+    return dict(zip(pairs, (left * right).sum(axis=1)))
+
+
+def _unit_defects(d: np.ndarray) -> np.ndarray:
+    """max | |d| - 1 | over the nodes of each director of a (..., 3, n) stack."""
+    return np.max(np.abs(np.sqrt(np.sum(d**2, axis=-2)) - 1.0), axis=-1)
+
+
+def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, params: Params):
+    """Energy and dissipation densities of one state (see energy_dissipation);
+    grad_sq is |d_x|^2 and force is f(d) for GL."""
+    dens = 0.5 * rho * u * u
+    dens = dens + pressure_potential(rho, params)
+    director = 0.5 * grad_sq
+    if params.system is System.GL:
+        director = director + gl_potential(d, params)
+        resid = lap_d - force
+    else:
+        resid = lap_d + grad_sq * d
+    dsp = params.mu * grad_u * grad_u + params.lam * params.theta * np.sum(resid * resid, axis=0)
+    return dens + params.lam * director, dsp
+
+
+def _entropy_density(rho, du, rho_r, dgrad_sq, gap_sq, params: Params) -> np.ndarray:
+    """The relative-entropy integrand; du = u - u~, dgrad_sq = |d_x - d~_x|^2
+    and gap_sq = |d - d~|^2."""
+    dens = 0.5 * rho * du * du
+    dens = dens + bregman_pressure(rho, rho_r, params)
+    dens = dens + 0.5 * params.lam * dgrad_sq
+    if params.system is System.SPHERE:
+        dens = dens + 0.5 * params.lam * gap_sq
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -129,46 +197,30 @@ class RemainderBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def energy(state: State, params: Params) -> float:
-    """Total energy: kinetic + pressure potential + weighted director energy.
+def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
+    """Energy and dissipation rate of one state, from one derivative pass.
 
-    integral( rho |u|^2 / 2 + a/(gamma-1) rho^gamma
-              + lam ( |d_x|^2 / 2 [+ F(d) for GL] ) ) dx
+    energy:      integral( rho |u|^2 / 2 + a/(gamma-1) rho^gamma
+                           + lam ( |d_x|^2 / 2 [+ F(d) for GL] ) ) dx
+    dissipation: integral( mu |u_x|^2 + lam theta |d_xx - f(d)|^2 ) for GL;
+                 the SPHERE relaxation residual is d_xx + |d_x|^2 d instead.
     """
-    grid = state.grid
-    rho = state.rho.values
-    u = state.u.values
     d = state.d.values
-    grad_d = gradient_array(d, grid.dx)
-    dens = 0.5 * rho * u * u
-    dens = dens + pressure_potential(rho, params)
-    director = 0.5 * np.sum(grad_d * grad_d, axis=0)
-    if params.system is System.GL:
-        director = director + gl_potential(d, params)
-    dens = dens + params.lam * director
-    return trapezoid_array(dens, grid.dx)
+    grad, lap = _derivatives((state,), state.grid.dx)
+    force = gl_force(d, params) if params.system is System.GL else None
+    rows = _state_densities(state.rho.values, state.u.values, d, grad[1],
+                            np.sum(grad[2:] * grad[2:], axis=0), lap[2:], force, params)
+    return tuple(trapezoid_array(np.stack(rows), state.grid.dx).tolist())
+
+
+def energy(state: State, params: Params) -> float:
+    """Total energy: kinetic + pressure potential + weighted director energy."""
+    return energy_dissipation(state, params)[0]
 
 
 def dissipation(state: State, params: Params) -> float:
-    """Instantaneous dissipation rate.
-
-    integral( mu |u_x|^2 + lam theta |d_xx - f(d)|^2 ) for GL; the SPHERE
-    relaxation residual is d_xx + |d_x|^2 d instead.
-    """
-    grid = state.grid
-    u = state.u.values
-    d = state.d.values
-    grad_u = gradient_array(u, grid.dx)
-    lap_d = laplacian_array(d, grid.dx)
-    if params.system is System.GL:
-        resid = lap_d - gl_force(d, params)
-    else:
-        grad_d = gradient_array(d, grid.dx)
-        resid = lap_d + np.sum(grad_d * grad_d, axis=0) * d
-    dens = params.mu * grad_u * grad_u + params.lam * params.theta * np.sum(
-        resid * resid, axis=0
-    )
-    return trapezoid_array(dens, grid.dx)
+    """Instantaneous dissipation rate (see energy_dissipation)."""
+    return energy_dissipation(state, params)[1]
 
 
 def mass(state: State) -> float:
@@ -178,8 +230,7 @@ def mass(state: State) -> float:
 
 def sphere_defect(state: State) -> float:
     """Largest departure of the director length from 1: max | |d| - 1 |."""
-    mag = np.sqrt(np.sum(state.d.values**2, axis=0))
-    return float(np.max(np.abs(mag - 1.0)))
+    return float(_unit_defects(state.d.values))
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +251,17 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     pinning lets the gradient gap control it; that gap is still available
     as director_l2_gap for diagnostics.
     """
-    grid = pair.grid
+    dx = pair.grid.dx
     c, r = pair.candidate, pair.reference
-    du = c.u.values - r.u.values
-    dens = 0.5 * c.rho.values * du * du
-    dens = dens + bregman_pressure(c.rho.values, r.rho.values, params)
-    dgrad = gradient_array(c.d.values, grid.dx) - gradient_array(r.d.values, grid.dx)
-    dens = dens + 0.5 * params.lam * np.sum(dgrad * dgrad, axis=0)
-    if params.system is System.SPHERE:
-        dd = c.d.values - r.d.values
-        dens = dens + 0.5 * params.lam * np.sum(dd * dd, axis=0)
-    return trapezoid_array(dens, grid.dx)
+    grad = gradient_array(np.stack((c.d.values, r.d.values)), dx)
+    dgrad = grad[0] - grad[1]
+    dd = c.d.values - r.d.values
+    dot = _dots(dgrad_sq=(dgrad, dgrad), gap_sq=(dd, dd))
+    dens = _entropy_density(
+        c.rho.values, c.u.values - r.u.values, r.rho.values, dot["dgrad_sq"], dot["gap_sq"],
+        params,
+    )
+    return trapezoid_array(dens, dx)
 
 
 def director_l2_gap(pair: StatePair) -> float:
@@ -221,10 +272,13 @@ def director_l2_gap(pair: StatePair) -> float:
 
 @dataclass
 class _PairFields:
-    """Arrays shared by the remainder bodies and the h_hat assembly.
+    """Arrays shared by the rows of one sample's quadrature stack.
 
-    Built once per sample.  force and force_r hold f(d) and f(d~) for GL
-    and are None for SPHERE.
+    Built once per sample from one stacked derivative pass.  force and
+    force_r hold f(d) and f(d~) for GL and are None for SPHERE; dot holds
+    the contractions several rows share: stress_r = curv~ . d~_x and the
+    squares grad_sq = |d_x|^2, grad_r_sq, lap_r_sq, dgrad_sq = |d_x - d~_x|^2,
+    gap_sq = |d - d~|^2, force_sq, force_r_sq (GL) and d_sq (SPHERE).
     """
 
     dx: float
@@ -238,53 +292,54 @@ class _PairFields:
     p_r: np.ndarray
     grad_u: np.ndarray
     grad_u_r: np.ndarray
-    lap_u_r: np.ndarray
     grad_d: np.ndarray
     grad_d_r: np.ndarray
     lap_d: np.ndarray
     lap_d_r: np.ndarray
+    dgrad: np.ndarray         # d_x - d~_x
+    dlap: np.ndarray          # d_xx - d~_xx
+    e: np.ndarray             # d - d~
     force: Optional[np.ndarray]
     force_r: Optional[np.ndarray]
     stress_div_r: np.ndarray  # lam-weighted curvature-force form
     g_ref: np.ndarray         # mu*lap(u~) - stress_div_r
+    dot: Dict[str, np.ndarray]
 
     @classmethod
     def build(cls, pair: StatePair, params: Params) -> "_PairFields":
-        grid = pair.grid
-        dx = grid.dx
+        dx = pair.grid.dx
         c, r = pair.candidate, pair.reference
-        grad_d_r = gradient_array(r.d.values, dx)
-        lap_d_r = laplacian_array(r.d.values, dx)
+        d, d_r = c.d.values, r.d.values
+        grad, lap = _derivatives((c, r), dx)
+        grad_d, grad_d_r = grad[2:5], grad[7:10]
+        lap_d, lap_d_r = lap[2:5], lap[7:10]
+        dgrad = grad_d - grad_d_r
+        e = d - d_r
         force = force_r = None
         curv_r = lap_d_r
         if params.system is System.GL:
-            force = gl_force(c.d.values, params)
-            force_r = gl_force(r.d.values, params)
+            force, force_r = gl_force(np.stack((d, d_r)), params)
             curv_r = lap_d_r - force_r
-        stress_div_r = params.lam * np.sum(curv_r * grad_d_r, axis=0)
-        lap_u_r = laplacian_array(r.u.values, dx)
+            norms = dict(force_sq=(force, force), force_r_sq=(force_r, force_r))
+        else:
+            norms = dict(d_sq=(d, d))
+        dot = _dots(stress_r=(curv_r, grad_d_r), grad_sq=(grad_d, grad_d),
+                    grad_r_sq=(grad_d_r, grad_d_r), lap_r_sq=(lap_d_r, lap_d_r),
+                    dgrad_sq=(dgrad, dgrad), gap_sq=(e, e), **norms)
+        stress_div_r = params.lam * dot["stress_r"]
         return cls(
-            dx=dx,
-            rho=c.rho.values,
-            u=c.u.values,
-            d=c.d.values,
-            rho_r=r.rho.values,
-            u_r=r.u.values,
-            d_r=r.d.values,
-            p=pressure(c.rho.values, params),
-            p_r=pressure(r.rho.values, params),
-            grad_u=gradient_array(c.u.values, dx),
-            grad_u_r=gradient_array(r.u.values, dx),
-            lap_u_r=lap_u_r,
-            grad_d=gradient_array(c.d.values, dx),
-            grad_d_r=grad_d_r,
-            lap_d=laplacian_array(c.d.values, dx),
-            lap_d_r=lap_d_r,
-            force=force,
-            force_r=force_r,
-            stress_div_r=stress_div_r,
-            g_ref=params.mu * lap_u_r - stress_div_r,
+            dx=dx, rho=c.rho.values, u=c.u.values, d=d, rho_r=r.rho.values, u_r=r.u.values,
+            d_r=d_r, p=pressure(c.rho.values, params), p_r=pressure(r.rho.values, params),
+            grad_u=grad[1], grad_u_r=grad[6], grad_d=grad_d, grad_d_r=grad_d_r, lap_d=lap_d,
+            lap_d_r=lap_d_r, dgrad=dgrad, dlap=lap_d - lap_d_r, e=e, force=force,
+            force_r=force_r, stress_div_r=stress_div_r, g_ref=params.mu * lap[6] - stress_div_r,
+            dot=dot,
         )
+
+
+# An integrand queued for the sample's quadrature stack, with the
+# coefficient its integral is multiplied by.
+_Rows = Dict[str, Tuple[float, np.ndarray]]
 
 
 def _block(terms: Dict[str, float], prefix: str) -> float:
@@ -294,9 +349,7 @@ def _block(terms: Dict[str, float], prefix: str) -> float:
     )
 
 
-def _raw_density_terms(
-    f: _PairFields, params: Params, terms: Dict[str, float]
-) -> float:
+def _raw_density_terms(f: _PairFields, params: Params, rows: _Rows) -> None:
     """Velocity/pressure remainder r_d in derivation order (GL only).
 
     The reference time derivatives d(u~)/dt and d(Pi'(rho~))/dt are
@@ -304,31 +357,24 @@ def _raw_density_terms(
     continuity equations, making the block a function of the
     instantaneous pair.
     """
-    dx = f.dx
     du_r = f.u_r - f.u  # u~ - u
-
-    dudt_r = (f.g_ref - gradient_array(f.p_r, dx)) / f.rho_r - f.u_r * f.grad_u_r
-
+    flux_r = f.rho_r * f.u_r
     pi2_r = pressure_potential_second_derivative(f.rho_r, params)
-    dpidt_r = -pi2_r * gradient_array(f.rho_r * f.u_r, dx)
-    grad_pi1_r = gradient_array(pressure_potential_derivative(f.rho_r, params), dx)
+    grad_p_r, grad_flux_r, grad_pi1_r = gradient_array(
+        np.stack((f.p_r, flux_r, pressure_potential_derivative(f.rho_r, params))), f.dx
+    )
+    dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
+    dpidt_r = -pi2_r * grad_flux_r
 
-    terms["rd_velocity_exchange"] = trapezoid_array(
-        f.rho * du_r * (dudt_r + f.u * f.grad_u_r), dx
+    rows["rd_velocity_exchange"] = (1.0, f.rho * du_r * (dudt_r + f.u * f.grad_u_r))
+    rows["rd_viscous_exchange"] = (params.mu, f.grad_u_r * (f.grad_u_r - f.grad_u))
+    rows["rd_pressure_transport"] = (
+        1.0, (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (flux_r - f.rho * f.u)
     )
-    terms["rd_viscous_exchange"] = params.mu * trapezoid_array(
-        f.grad_u_r * (f.grad_u_r - f.grad_u), dx
-    )
-    terms["rd_pressure_transport"] = trapezoid_array(
-        (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (f.rho_r * f.u_r - f.rho * f.u), dx
-    )
-    terms["rd_pressure_work"] = -trapezoid_array(f.grad_u_r * (f.p - f.p_r), dx)
-    return _block(terms, "rd_")
+    rows["rd_pressure_work"] = (-1.0, f.grad_u_r * (f.p - f.p_r))
 
 
-def _reorganized_density_terms(
-    f: _PairFields, params: Params, terms: Dict[str, float]
-) -> float:
+def _reorganized_density_terms(f: _PairFields, params: Params, rows: _Rows) -> None:
     """Velocity/pressure remainder in estimate order (r_bar_d, SPHERE's r_1d).
 
     Regroups the raw block into the convective quadratic, the pressure
@@ -336,182 +382,154 @@ def _reorganized_density_terms(
     stress-transport exchange term that migrates between the density and
     coupling blocks is reported by `remainder` as a diagnostic.
     """
-    dx = f.dx
     du_r = f.u_r - f.u  # u~ - u
     bregman_p = f.p - pressure_derivative(f.rho_r, params) * (f.rho - f.rho_r) - f.p_r
-    terms["rbd_convective"] = trapezoid_array(f.rho * du_r * (-du_r) * f.grad_u_r, dx)
-    terms["rbd_pressure_bregman"] = -trapezoid_array(f.grad_u_r * bregman_p, dx)
-    terms["rbd_density_weighted_force"] = trapezoid_array(
-        (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r, dx
-    )
-    return _block(terms, "rbd_")
+    rows["rbd_convective"] = (1.0, f.rho * du_r * (-du_r) * f.grad_u_r)
+    rows["rbd_pressure_bregman"] = (-1.0, f.grad_u_r * bregman_p)
+    rows["rbd_density_weighted_force"] = (1.0, (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r)
 
 
-def _remainder_gl(f: _PairFields, params: Params, terms: Dict[str, float]):
-    """GL quartet and its mismatch (r_d + r_c) - (r_bar_d + r_bar_c).
-
-    (r_d, r_c) is the derivation-order split, (r_bar_d, r_bar_c) the
-    estimate-order split; their sums agree up to O(dx^2).
-    """
-    dx = f.dx
+def _remainder_gl(f: _PairFields, params: Params, rows: _Rows) -> None:
+    """GL blocks: (r_d, r_c) is the derivation-order split, (r_bar_d,
+    r_bar_c) the estimate-order split; their sums agree up to O(dx^2)."""
     lam, th = params.lam, params.theta
 
-    r_d = _raw_density_terms(f, params, terms)
-    r_bar_d = _reorganized_density_terms(f, params, terms)
+    _raw_density_terms(f, params, rows)
+    _reorganized_density_terms(f, params, rows)
 
-    curv_c = f.lap_d - f.force  # d_xx - f(d), the GL relaxation residual
-    dlap = f.lap_d - f.lap_d_r
-    dgrad = f.grad_d - f.grad_d_r
     dforce = f.force - f.force_r
     du = f.u - f.u_r
+    dot = _dots(
+        transport=(f.lap_d - f.force, f.grad_d),  # d_xx - f(d), the GL curvature
+        difference=(f.dlap, f.u * f.grad_d - f.u_r * f.grad_d_r),
+        force=(f.dlap, dforce),
+        gradient=(f.dlap, f.dgrad),
+        curvature=(f.lap_d_r, f.dgrad),
+        candidate_force=(f.force, f.dgrad),
+        force_gradient=(dforce, f.grad_d_r),
+    )
+    rows["rc_candidate_transport"] = (-lam, f.u * dot["transport"])
+    rows["rc_reference_transport"] = (lam, f.u_r * dot["transport"])
+    rows["rc_difference_transport"] = (lam, dot["difference"])
+    rows["rc_force_difference"] = (lam * th, dot["force"])
 
-    terms["rc_candidate_transport"] = -lam * trapezoid_array(
-        f.u * np.sum(curv_c * f.grad_d, axis=0), dx
-    )
-    terms["rc_reference_transport"] = lam * trapezoid_array(
-        f.u_r * np.sum(curv_c * f.grad_d, axis=0), dx
-    )
-    terms["rc_difference_transport"] = lam * trapezoid_array(
-        np.sum(dlap * (f.u * f.grad_d - f.u_r * f.grad_d_r), axis=0), dx
-    )
-    terms["rc_force_difference"] = lam * th * trapezoid_array(np.sum(dlap * dforce, axis=0), dx)
-    r_c = _block(terms, "rc_")
-
-    terms["rbc_force_difference"] = terms["rc_force_difference"]
-    terms["rbc_gradient_transport"] = lam * trapezoid_array(
-        f.u_r * np.sum(dlap * dgrad, axis=0), dx
-    )
-    terms["rbc_reference_curvature"] = -lam * trapezoid_array(
-        du * np.sum(f.lap_d_r * dgrad, axis=0), dx
-    )
-    terms["rbc_candidate_force"] = lam * trapezoid_array(
-        du * np.sum(f.force * dgrad, axis=0), dx
-    )
-    terms["rbc_force_gradient"] = lam * trapezoid_array(
-        du * np.sum(dforce * f.grad_d_r, axis=0), dx
-    )
-    r_bar_c = _block(terms, "rbc_")
-
-    return (r_d, r_c, r_bar_d, r_bar_c), (r_d + r_c) - (r_bar_d + r_bar_c)
+    rows["rbc_force_difference"] = rows["rc_force_difference"]
+    rows["rbc_gradient_transport"] = (lam, f.u_r * dot["gradient"])
+    rows["rbc_reference_curvature"] = (-lam, du * dot["curvature"])
+    rows["rbc_candidate_force"] = (lam, du * dot["candidate_force"])
+    rows["rbc_force_gradient"] = (lam, du * dot["force_gradient"])
 
 
-def _remainder_sphere(f: _PairFields, params: Params, terms: Dict[str, float]):
-    """SPHERE quartet (r_1d, r_1c, r_1c_a, r_1c_b) and its mismatch.
+def _remainder_sphere(f: _PairFields, params: Params, rows: _Rows) -> None:
+    """SPHERE blocks r_1d, r_1c, r_1c_a and r_1c_b.
 
-    The mismatch is r_1c - (r_1c_a + r_1c_b).  r_1d is the
-    density/velocity block, already in estimate order; r_1c collects the
-    director couplings, split into the part needing
+    r_1d is the density/velocity block, already in estimate order; r_1c
+    collects the director couplings, split into the part needing
     delta-absorption against the Laplacian-gap dissipation (r_1c_a) and
     the part bounded directly through the entropy (r_1c_b).  The split is
     algebraically exact except for one factored curvature term moved by
-    integration by parts, so the identity holds to O(dx^2); the two terms
-    carrying the factor (|d~_x| + |d_x|)(|d_x| - |d~_x|) keep that
-    factored form.
+    integration by parts, so r_1c = r_1c_a + r_1c_b holds to O(dx^2); the
+    two terms carrying the factor (|d~_x| + |d_x|)(|d_x| - |d~_x|) keep
+    that factored form.
     """
-    dx = f.dx
     lam, th = params.lam, params.theta
 
-    r_1d = _reorganized_density_terms(f, params, terms)
+    _reorganized_density_terms(f, params, rows)
 
-    e = f.d - f.d_r
-    dlap = f.lap_d - f.lap_d_r
-    dgrad = f.grad_d - f.grad_d_r
+    e, dlap, dgrad = f.e, f.dlap, f.dgrad
     du_r = f.u_r - f.u
-    gm = np.sqrt(np.sum(f.grad_d**2, axis=0))      # |d_x|
-    gm_r = np.sqrt(np.sum(f.grad_d_r**2, axis=0))  # |d~_x|
-    q = gm**2 * f.d - gm_r**2 * f.d_r              # nonlinear reaction gap
+    gm = np.sqrt(f.dot["grad_sq"])      # |d_x|
+    gm_r = np.sqrt(f.dot["grad_r_sq"])  # |d~_x|
+    gm_r2 = gm_r**2
+    q = gm**2 * f.d - gm_r2 * f.d_r     # nonlinear reaction gap
     trans_gap = f.u * f.grad_d - f.u_r * f.grad_d_r
+    dot = _dots(
+        stress_c=(f.lap_d, f.grad_d),
+        difference=(dlap, trans_gap),
+        laplacian_q=(dlap, q),
+        director_q=(e, q),
+        director_transport=(e, trans_gap),
+        gradient=(dlap, dgrad),
+        curvature=(f.lap_d_r, dgrad),
+        d_dlap=(f.d, dlap),
+        exchange=(e, f.grad_d),
+        e_dgrad=(e, dgrad),
+        d_e=(f.d, e),
+    )
 
-    stress_c = np.sum(f.lap_d * f.grad_d, axis=0)
-    stress_r = np.sum(f.lap_d_r * f.grad_d_r, axis=0)
-    terms["r1c_stress_transport"] = lam * trapezoid_array((stress_c - stress_r) * du_r, dx)
-    terms["r1c_difference_transport"] = lam * trapezoid_array(
-        np.sum(dlap * trans_gap, axis=0), dx
-    )
-    terms["r1c_nonlinear_laplacian"] = -lam * th * trapezoid_array(
-        np.sum(dlap * q, axis=0), dx
-    )
-    terms["r1c_nonlinear_director"] = lam * th * trapezoid_array(np.sum(e * q, axis=0), dx)
-    terms["r1c_director_transport"] = -lam * trapezoid_array(
-        np.sum(e * trans_gap, axis=0), dx
-    )
-    r_1c = _block(terms, "r1c_")
+    stress_r = f.dot["stress_r"]  # d~_xx . d~_x: the SPHERE curvature is d~_xx
+    rows["r1c_stress_transport"] = (lam, (dot["stress_c"] - stress_r) * du_r)
+    rows["r1c_difference_transport"] = (lam, dot["difference"])
+    rows["r1c_nonlinear_laplacian"] = (-lam * th, dot["laplacian_q"])
+    rows["r1c_nonlinear_director"] = (lam * th, dot["director_q"])
+    rows["r1c_director_transport"] = (-lam, dot["director_transport"])
 
     gap_mag = gm - gm_r
     sum_mag = gm_r + gm
-    terms["r1ca_gradient_transport"] = lam * trapezoid_array(
-        f.u_r * np.sum(dlap * dgrad, axis=0), dx
-    )
-    terms["r1ca_reference_curvature"] = lam * trapezoid_array(
-        du_r * np.sum(f.lap_d_r * dgrad, axis=0), dx
-    )
-    terms["r1ca_factored_curvature"] = -lam * th * trapezoid_array(
-        sum_mag * np.sum(f.d * dlap, axis=0) * gap_mag, dx
-    )
-    terms["r1ca_director_exchange"] = lam * trapezoid_array(
-        du_r * np.sum(e * f.grad_d, axis=0), dx
-    )
-    r_1c_a = _block(terms, "r1ca_")
+    rows["r1ca_gradient_transport"] = (lam, f.u_r * dot["gradient"])
+    rows["r1ca_reference_curvature"] = (lam, du_r * dot["curvature"])
+    rows["r1ca_factored_curvature"] = (-lam * th, sum_mag * dot["d_dlap"] * gap_mag)
+    rows["r1ca_director_exchange"] = (lam, du_r * dot["exchange"])
 
-    terms["r1cb_gradient_director"] = -lam * trapezoid_array(
-        f.u_r * np.sum(e * dgrad, axis=0), dx
-    )
-    terms["r1cb_factored_director"] = lam * th * trapezoid_array(
-        sum_mag * np.sum(f.d * e, axis=0) * gap_mag, dx
-    )
-    terms["r1cb_reference_gradient_sq"] = lam * th * trapezoid_array(
-        np.sum(e * e, axis=0) * gm_r**2, dx
-    )
+    rows["r1cb_gradient_director"] = (-lam, f.u_r * dot["e_dgrad"])
+    rows["r1cb_factored_director"] = (lam * th, sum_mag * dot["d_e"] * gap_mag)
+    rows["r1cb_reference_gradient_sq"] = (lam * th, f.dot["gap_sq"] * gm_r2)
     # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted by
     # parts onto the gradient gap (reference Neumann slope kills the
     # boundary term)
-    terms["r1cb_byparts_cross"] = (
-        2.0
-        * lam
-        * th
-        * trapezoid_array(
-            np.sum(f.grad_d_r * f.lap_d_r, axis=0) * np.sum(e * dgrad, axis=0), dx
-        )
-    )
-    terms["r1cb_byparts_gradient_sq"] = lam * th * trapezoid_array(
-        gm_r**2 * np.sum(dgrad * dgrad, axis=0), dx
-    )
-    r_1c_b = _block(terms, "r1cb_")
-
-    return (r_1d, r_1c, r_1c_a, r_1c_b), r_1c - (r_1c_a + r_1c_b)
+    rows["r1cb_byparts_cross"] = (2.0 * lam * th, stress_r * dot["e_dgrad"])
+    rows["r1cb_byparts_gradient_sq"] = (lam * th, gm_r2 * f.dot["dgrad_sq"])
 
 
 def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
-    """Every remainder integral, both reorganizations and h_hat at one sample.
+    """One certificate row: every remainder integral, both
+    reorganizations, h_hat, the relative entropy and the candidate's
+    single-state values at one sample.
 
     The quartet holds the active system's QUARTETS entries; its
     reorganization identity is checked against REORG_TOL_COEFF * dx^2.
     SPHERE requires both directors to be unit length.  The pair's fields
-    are built once and shared by the remainder bodies and the h_hat
-    assembly.
+    are built once; every integrand goes into one stack that a single
+    trapezoid call integrates.
     """
+    sphere_def = None
     if params.system is System.SPHERE:
-        for name, st in (("candidate", pair.candidate), ("reference", pair.reference)):
-            if sphere_defect(st) > 1e-8:
+        defects = _unit_defects(np.stack((pair.candidate.d.values, pair.reference.d.values)))
+        for name, defect in zip(("candidate", "reference"), defects):
+            if defect > 1e-8:
                 raise FunctionalError(f"{name} director is not unit length")
+        sphere_def = float(defects[0])
     f = _PairFields.build(pair, params)
-    terms: Dict[str, float] = {}
+    rows: _Rows = {}
     body = _remainder_gl if params.system is System.GL else _remainder_sphere
-    quartet, mismatch = body(f, params, terms)
+    body(f, params, rows)
     # reference stress transported by the velocity gap; cancels between the
     # two reorganized blocks
-    terms["diag_stress_transport_exchange"] = trapezoid_array(
-        f.stress_div_r * (f.u_r - f.u), f.dx
+    rows["diag_stress_transport_exchange"] = (1.0, f.stress_div_r * (f.u_r - f.u))
+    rows["diag_director_l2_gap"] = (1.0, f.dot["gap_sq"])  # square root taken below
+
+    # past the terms: entropy, the candidate's energy, dissipation, mass; |g~/rho~|^3
+    extra = (
+        _entropy_density(f.rho, f.u - f.u_r, f.rho_r, f.dot["dgrad_sq"], f.dot["gap_sq"], params),
+        *_state_densities(f.rho, f.u, f.d, f.grad_u, f.dot["grad_sq"], f.lap_d, f.force, params),
+        f.rho,
+        np.abs(f.g_ref / f.rho_r) ** 3,
     )
-    terms["diag_director_l2_gap"] = director_l2_gap(pair)
+    stack = np.stack([row for _, row in rows.values()] + list(extra))
+    integrals = trapezoid_array(stack, f.dx).tolist()
+    terms = {name: c * v for (name, (c, _)), v in zip(rows.items(), integrals)}
+    terms["diag_director_l2_gap"] = math.sqrt(terms["diag_director_l2_gap"])
+    entropy, energy_c, dissipation_c, mass_c, l3_cubed = integrals[len(rows):]
+
+    quartet = [_block(terms, prefix) for prefix in _BLOCKS[params.system]]
+    lhs = quartet[0] + quartet[1] if params.system is System.GL else quartet[1]
+    mismatch = lhs - (quartet[2] + quartet[3])
     _check_reorg(mismatch, terms, f.dx)
-    h_terms = _gronwall_terms(f, params)
+    h_terms = _gronwall_terms(f, params, l3_cubed)
     out = RemainderBreakdown(
-        quartet=dict(zip(QUARTETS[params.system], quartet)),
-        terms=terms,
-        h_terms=h_terms,
-        h_hat=float(sum(h_terms.values())),
-        reorg_mismatch=float(mismatch),
+        quartet=dict(zip(QUARTETS[params.system], quartet)), terms=terms, h_terms=h_terms,
+        h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
+        energy=energy_c, dissipation=dissipation_c, mass=mass_c, sphere_defect=sphere_def,
     )
     _require_finite(out)
     return out
@@ -540,7 +558,7 @@ def _require_finite(out: RemainderBreakdown) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gronwall_terms(f: _PairFields, params: Params) -> Dict[str, float]:
+def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str, float]:
     """The norm factors of h_hat, the integrable growth-rate surrogate.
 
     Each term is the norm factor multiplying the entropy in one of the
@@ -548,30 +566,36 @@ def _gronwall_terms(f: _PairFields, params: Params) -> Dict[str, float]:
     analytic constant (embedding constants, delta-splitting constants) is
     deferred to the single calibrated multiplier c_h applied by the
     verifier.  All terms are nonnegative; all vanish on a resting
-    reference with a coinciding candidate.
+    reference with a coinciding candidate.  The max-norms come from one
+    stacked max; l3_cubed is the integral of |g~/rho~|^3.
     """
-    dx = f.dx
-    terms: Dict[str, float] = {}
+    if params.system is System.GL:
+        lengths = {"force": "force_sq", "force_r": "force_r_sq"}
+    else:
+        lengths = {"d": "d_sq", "grad_d": "grad_sq"}
+    lengths.update(grad_d_r="grad_r_sq", lap_d_r="lap_r_sq")
+    mags = np.vstack((
+        np.abs(np.stack((f.grad_u_r, f.g_ref, f.u_r))),
+        np.sqrt(np.stack([f.dot[k] for k in lengths.values()])),
+    ))
+    inf = dict(zip(("grad_u_r", "g", "u_r", *lengths), np.max(mags, axis=-1).tolist()))
 
-    terms["grad_u_ref_inf"] = linf_array(f.grad_u_r)
-    terms["g_over_rho_l3_sq"] = l3_array(f.g_ref / f.rho_r, dx) ** 2
-    terms["g_inf"] = linf_array(f.g_ref)
-    terms["u_ref_inf_sq"] = linf_array(f.u_r) ** 2
+    terms: Dict[str, float] = {}
+    terms["grad_u_ref_inf"] = inf["grad_u_r"]
+    terms["g_over_rho_l3_sq"] = float(np.cbrt(l3_cubed)) ** 2
+    terms["g_inf"] = inf["g"]
+    terms["u_ref_inf_sq"] = inf["u_r"] ** 2
 
     if params.system is System.GL:
-        force_c_inf = linf_array(f.force)
-        force_r_inf = linf_array(f.force_r)
         # size surrogate for the penalization-force Lipschitz bound; the
         # true constant folds into c_h
-        terms["force_scale"] = force_c_inf + force_r_inf
-        terms["curvature_force_inf_sq"] = (linf_array(f.lap_d_r) + force_c_inf) ** 2
-        terms["grad_d_ref_inf_sq"] = linf_array(f.grad_d_r) ** 2
+        terms["force_scale"] = inf["force"] + inf["force_r"]
+        terms["curvature_force_inf_sq"] = (inf["lap_d_r"] + inf["force"]) ** 2
+        terms["grad_d_ref_inf_sq"] = inf["grad_d_r"] ** 2
     else:
-        d_inf = linf_array(f.d)
-        grad_c_inf = linf_array(f.grad_d)
-        grad_r_inf = linf_array(f.grad_d_r)
-        terms["u_ref_inf"] = linf_array(f.u_r)
-        terms["lap_d_ref_inf_sq"] = linf_array(f.lap_d_r) ** 2
+        d_inf, grad_c_inf, grad_r_inf = inf["d"], inf["grad_d"], inf["grad_d_r"]
+        terms["u_ref_inf"] = inf["u_r"]
+        terms["lap_d_ref_inf_sq"] = inf["lap_d_r"] ** 2
         terms["grad_d_both_inf_sq_d_inf_sq"] = (
             grad_r_inf**2 + grad_c_inf**2
         ) * d_inf**2

@@ -3,7 +3,7 @@
 Provides the mesh type, immutable scalar/3-vector field containers, and the
 differential/integral operators every functional in this package is built
 from: second-order gradient and Laplacian stencils, composite trapezoid
-quadrature, and the L3 and Linf norms behind the Gronwall coefficient.
+quadrature, and the L3 and Linf norms that define h_hat's factors.
 The operators act on plain arrays along their last axis, so the solver
 and the functionals (and their tests) run one implementation of each;
 the field containers only validate and freeze values.
@@ -178,9 +178,11 @@ def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def trapezoid_array(values: np.ndarray, dx: float) -> float:
-    """Composite trapezoid quadrature along the last axis."""
-    return float(dx * (np.sum(values, axis=-1) - 0.5 * (values[..., 0] + values[..., -1])))
+def trapezoid_array(values: np.ndarray, dx: float):
+    """Composite trapezoid quadrature along the last axis: a float for one
+    row, an array for a stack of rows, each as if integrated alone."""
+    out = dx * (np.sum(values, axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+    return float(out) if out.ndim == 0 else out
 
 
 def linf_array(arr: np.ndarray) -> float:

@@ -29,8 +29,10 @@ evaluated in the observer as it is produced, so no reference sample is
 retained and nothing is restricted.  Every other twin is streamed.  The
 reference runs first and keeps each sample only on the candidate grid;
 the candidate then runs and each of its samples is paired with the stored
-reference sample of the same time, evaluated and dropped.  A twin
-therefore retains O(samples * n_candidate) floats, not
+reference sample of the same time and evaluated.  The store holds the
+stacked (rho, u, d0, d1, d2) rows of 64 samples per array: small
+long-lived arrays allocated between the per-sample temporaries would
+fragment the heap.  A twin retains O(samples * n_candidate) floats, not
 O(samples * (n_reference + n_candidate)).  Its results are kept as
 columns of packed doubles: the per-term columns of EntropyTrace.terms
 take O(samples * terms) floats (a few dozen terms), not one object per
@@ -61,16 +63,14 @@ from .dynamics import (
 from .functionals import (
     QUARTETS,
     StatePair,
-    dissipation,
-    energy,
-    mass,
+    energy_dissipation,
     relative_entropy,
     remainder,
-    sphere_defect,
 )
 from .grid import Grid1D, ScalarField, VectorField3
 
 MAX_SAMPLES = 10_000
+_SAMPLES_PER_BLOCK = 64  # stored reference samples per array (memory model above)
 
 
 class VerifierError(ValueError):
@@ -248,49 +248,53 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _cubic_stencil(grid_from: Grid1D, grid_to: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
+    """Source indices (4, m) and Lagrange weights (4, m) of the 4-point
+    stencil of each target node, cached per (grid_from, grid_to)."""
+    pos = (grid_to.nodes() - grid_from.x_min) / grid_from.dx
+    j = np.clip(np.floor(pos).astype(int), 1, grid_from.n_nodes - 3)
+    t = pos - j
+    idx = np.stack((j - 1, j, j + 1, j + 2))
+    weights = np.stack((-t * (t - 1.0) * (t - 2.0) / 6.0, (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                        -t * (t + 1.0) * (t - 2.0) / 2.0, t * (t + 1.0) * (t - 1.0) / 6.0))
+    idx.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return idx, weights
+
+
 def cubic_restrict(values: np.ndarray, grid_from: Grid1D, grid_to: Grid1D) -> np.ndarray:
     """Local 4-point cubic Lagrange interpolation onto another grid.
 
-    Operates along the last axis.  Target points that coincide bitwise
-    with source nodes reproduce the nodal values exactly (the Lagrange
-    weights evaluate to exact 0/1), so the bridge is the identity on
-    matching grids.
+    Operates along the last axis, so a stack of fields restricts in one
+    call.  Target points that coincide bitwise with source nodes
+    reproduce the nodal values exactly (the Lagrange weights evaluate to
+    exact 0/1), so the bridge is the identity on matching grids.  The
+    stencil of each grid pair is computed once and cached.
     """
     if grid_from == grid_to:
         return np.array(values, dtype=float, copy=True)
-    x = grid_to.nodes()
-    dxf = grid_from.dx
-    pos = (x - grid_from.x_min) / dxf
-    j = np.clip(np.floor(pos).astype(int), 1, grid_from.n_nodes - 3)
-    t = pos - j
-    wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w1 = -t * (t + 1.0) * (t - 2.0) / 2.0
-    w2 = t * (t + 1.0) * (t - 1.0) / 6.0
+    idx, weights = _cubic_stencil(grid_from, grid_to)
     vals = np.asarray(values, dtype=float)
-    return (
-        vals[..., j - 1] * wm1
-        + vals[..., j] * w0
-        + vals[..., j + 1] * w1
-        + vals[..., j + 2] * w2
-    )
+    # the four weighted values summed left to right
+    return (vals[..., idx] * weights).sum(axis=-2)
 
 
 def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     """Restrict a state to another grid; identity when grids coincide.
 
-    For the SPHERE system the interpolated director is renormalized (the
+    The stacked (rho, u, d0, d1, d2) rows restrict in one call.  For the
+    SPHERE system the interpolated director is renormalized (the
     interpolant leaves the unit sphere at the interpolation-error level,
     well below the entropy scales being measured).
     """
     if state.grid == grid_to:
         return state
-    rho = cubic_restrict(state.rho.values, state.grid, grid_to)
-    u = cubic_restrict(state.u.values, state.grid, grid_to)
-    d = cubic_restrict(state.d.values, state.grid, grid_to)
+    rows = np.vstack((state.rho.values, state.u.values, state.d.values))
+    out = cubic_restrict(rows, state.grid, grid_to)
+    d = out[2:]
     if system is System.SPHERE:
         d = d / np.sqrt(np.sum(d * d, axis=0))
-    return State.from_arrays(grid_to, rho, u, d)
+    return State.from_arrays(grid_to, out[0], out[1], d)
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +411,28 @@ def _pair(
 def _stream_candidate(
     config: ExperimentConfig,
     init: InitialData,
-    reference: List[Optional[Tuple[float, State]]],
+    reference: Callable[[int], Tuple[float, State]],
+    count: int,
     row: Row,
 ) -> None:
     """Evolve the candidate and evaluate each sample pair as it is produced.
 
-    reference holds one (time, state) entry per sample, already on the
-    candidate grid.  Candidate sample k is paired with entry k, handed to
-    row, and the entry is then dropped, so the stored reference shrinks
-    while the candidate runs.  The sample counts and times of the two
-    trajectories must match.
+    reference(k) gives the (time, state) entry of reference sample k of
+    count, already on the candidate grid; each is asked for once, in
+    order.  Candidate sample k is paired with entry k and handed to row.
+    The sample counts and times of the two trajectories must match.
     """
     k = 0
 
     def observe(states: Tuple[State, ...], t: float) -> None:
         nonlocal k
-        if k == len(reference):
+        if k == count:
             raise VerifierError(_COUNT_MISMATCH)
-        _pair(config, reference[k], states[0], t, row)
-        reference[k] = None
+        _pair(config, reference(k), states[0], t, row)
         k += 1
 
     _evolve_samples(("candidate",), (init,), config.dt_candidate, config, observe)
-    if k != len(reference):
+    if k != count:
         raise VerifierError(_COUNT_MISMATCH)
 
 
@@ -446,10 +449,11 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     samples is paired with the stored reference sample of the same time.
     Either way the pair functionals are evaluated on the candidate grid,
     the single-state quantities (energy, dissipation, mass) on each
-    trajectory's own, and each sample's `remainder` fills one row of the
-    quartet columns and of the per-term columns.  Solver aborts propagate
-    with the trajectory tag attached; errors evaluating a pair propagate
-    untagged.
+    trajectory's own.  Each sample's `remainder` fills one row of every
+    candidate and pair column and of the per-term columns; the
+    reference's energy and dissipation share one derivative pass.  Solver
+    aborts propagate with the trajectory tag attached; errors evaluating a
+    pair propagate untagged.
     """
     params = config.params
     system = params.system
@@ -464,23 +468,23 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     terms: Dict[str, array] = defaultdict(functools.partial(array, "d"))
 
     def on_reference(state: State) -> None:
-        cols["energy_reference"].append(energy(state, params))
-        cols["dissipation_reference"].append(dissipation(state, params))
+        e, dsp = energy_dissipation(state, params)
+        cols["energy_reference"].append(e)
+        cols["dissipation_reference"].append(dsp)
 
     def row(t: float, pair: StatePair) -> None:
-        st_c = pair.candidate
         br = remainder(pair, params)
         values = dict(
             times=t,
-            entropy=relative_entropy(pair, params),
+            entropy=br.entropy,
             h_hat=br.h_hat,
-            energy_candidate=energy(st_c, params),
-            dissipation_candidate=dissipation(st_c, params),
-            mass_candidate=mass(st_c),
+            energy_candidate=br.energy,
+            dissipation_candidate=br.dissipation,
+            mass_candidate=br.mass,
             **br.quartet,
         )
         if system is System.SPHERE:
-            values["sphere_defect"] = sphere_defect(st_c)
+            values["sphere_defect"] = br.sphere_defect
         for name, v in values.items():
             cols[name].append(v)
         per_term = {**br.terms, **{f"h_{k}": v for k, v in br.h_terms.items()},
@@ -502,17 +506,28 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
             lockstep,
         )
     else:
-        reference: List[Optional[Tuple[float, State]]] = []
+        grid_c = config.grid_candidate
+        times: List[float] = []
+        blocks: List[np.ndarray] = []
 
         def keep_reference(states: Tuple[State, ...], t: float) -> None:
             (state,) = states
-            reference.append((t, restrict_state(state, config.grid_candidate, system)))
+            st = restrict_state(state, grid_c, system)
+            i = len(times) % _SAMPLES_PER_BLOCK
+            if i == 0:
+                blocks.append(np.empty((_SAMPLES_PER_BLOCK, 5, grid_c.n_nodes)))
+            blocks[-1][i] = np.vstack((st.rho.values, st.u.values, st.d.values))
+            times.append(t)
             on_reference(state)
+
+        def stored(k: int) -> Tuple[float, State]:
+            rows = blocks[k // _SAMPLES_PER_BLOCK][k % _SAMPLES_PER_BLOCK]
+            return times[k], State.from_arrays(grid_c, rows[0], rows[1], rows[2:])
 
         _evolve_samples(
             ("reference",), (ref_init,), config.dt_reference, config, keep_reference
         )
-        _stream_candidate(config, cand_init, reference, row)
+        _stream_candidate(config, cand_init, stored, len(times), row)
     # a column no sample filled (the inactive system's remainders, the
     # sphere defect of GL) is NaN throughout
     n = len(cols["times"])
@@ -647,7 +662,6 @@ class UniquenessReport:
     """Entropy-collapse study over dyadically refined candidate grids."""
 
     passes: bool
-    exact: bool
     levels: List[int]
     sup_entropy: List[float]
     orders: List[float]
@@ -671,9 +685,8 @@ def check_uniqueness(
     entropy of those pairs; energies and remainders are not evaluated.
     The levels must be at least 3 strictly increasing node counts, or
     VerifierError is raised before anything runs.  Passing requires every
-    observed order to reach order_floor; bit-exact
-    collapse (entropy identically zero) reports
-    exact=True with infinite orders.
+    observed order to reach order_floor; a level whose entropy is
+    identically zero gives an infinite order.
     """
     if len(refinement_levels) < 3:
         raise VerifierError("need at least 3 refinement levels")
@@ -705,7 +718,7 @@ def check_uniqueness(
         def row(t: float, pair: StatePair) -> None:
             entropy.append(relative_entropy(pair, params))
 
-        _stream_candidate(level_cfg, cand_init, on_level, row)
+        _stream_candidate(level_cfg, cand_init, on_level.__getitem__, len(on_level), row)
         sups.append(float(np.max(entropy)))
         dxs.append(grid_c.dx)
 
@@ -720,5 +733,4 @@ def check_uniqueness(
                 math.log(sups[k] / sups[k + 1]) / math.log(dxs[k] / dxs[k + 1])
             )
     passes = all(o >= order_floor for o in orders)
-    exact = all(s == 0.0 for s in sups)  # then every order above is inf
-    return UniquenessReport(passes, exact, list(refinement_levels), sups, orders)
+    return UniquenessReport(passes, list(refinement_levels), sups, orders)

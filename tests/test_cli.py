@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from nemlab import cli, verifier
 from nemlab.cli import main
 from nemlab.config import ConfigError, parse_config
-from nemlab.constitutive import System
+from nemlab.dynamics import State
+from nemlab.constitutive import ConstitutiveError, System
 from nemlab.functionals import FunctionalError
 from nemlab.traceio import COLUMNS, read_columns, read_trace, write_trace
 from nemlab.verifier import EntropyTrace, VerifierError, run_twin
@@ -289,16 +291,16 @@ class TestMain:
                      "--manifest", str(tmp_path / "m.json")])
         assert code == 0
 
-    def test_uniqueness_command_exact(self, tmp_path, capsys, monkeypatch):
-        # an entropy that is zero on every level is reported as exact
-        monkeypatch.setattr(verifier, "relative_entropy", lambda pair, params: 0.0)
+    def test_uniqueness_prints_an_infinite_order_as_inf(self, tmp_path, capsys):
+        # the finest level has the reference's grid and step, so its entropy
+        # is identically zero and the last order infinite
         dx = 1.0 / 64.0
         path = tmp_path / "cfg.json"
         path.write_text(cfg_text(dt=0.4 * dx * dx, t_end=0.01))
-        code = main(["uniqueness", "-c", str(path), "--levels", "65,129,257",
+        code = main(["uniqueness", "-c", str(path), "--levels", "17,33,65",
                      "--manifest", str(tmp_path / "m.json")])
         assert code == 0
-        assert "exact" in capsys.readouterr().out
+        assert re.search(r"orders=\[\d+\.\d\d inf\]", capsys.readouterr().out)
 
     def test_repeated_levels_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -543,3 +545,65 @@ class TestMain:
                 "penalization bound sigma0^2/theta=1.000e-04 (the explicit reaction "
                 "has linearized rate 2*theta/sigma0^2)\n"
             )
+
+
+def _dip_density(rho, u, d):
+    rho[5] = 1e-9
+
+
+def _tilt_director(rho, u, d):
+    d *= 1.001
+
+
+def _nudge_density(rho, u, d):
+    # off the candidate's density by a relative 1e-12: with a = 1e6 the
+    # round-off of the Bregman gap exceeds its value
+    rho *= 1.0 + 1e-12
+
+
+def _blow_up_velocity(rho, u, d):
+    u *= 1e120
+
+
+# fault -> (system, config overrides, edit of the restricted reference,
+# exception type, message)
+PAIR_FAULTS = {
+    "density-below-floor": ("gl", {}, _dip_density, FunctionalError,
+                            "reference density 1.000e-09 below lower bound 1.0e-08"),
+    "director-off-sphere": ("sphere", {}, _tilt_director, FunctionalError,
+                            "reference director is not unit length"),
+    "negative-bregman": ("gl", {"a": 1e6, "dt": 5e-6, "t_end": 1e-5}, _nudge_density,
+                         ConstitutiveError,
+                         "Bregman pressure term is negative beyond round-off: min=-1.164e-10"),
+    "non-finite-term": ("gl", {}, _blow_up_velocity, FunctionalError,
+                        "non-finite remainder term rd_velocity_exchange"),
+}
+
+
+class TestPairFaults:
+    """A bad pair reaches the user with its own error, whatever order the
+    certificate row evaluates its pieces in."""
+
+    @pytest.mark.parametrize("fault", list(PAIR_FAULTS))
+    def test_error_type_message_and_exit_code(self, tmp_path, capsys, monkeypatch, fault):
+        system, overrides, edit, exc_type, message = PAIR_FAULTS[fault]
+        original = verifier.restrict_state
+
+        def edited(state, grid_to, system_):
+            out = original(state, grid_to, system_)
+            rho, u, d = (np.array(f.values) for f in (out.rho, out.u, out.d))
+            edit(rho, u, d)
+            return State.from_arrays(grid_to, rho, u, d)
+
+        monkeypatch.setattr(verifier, "restrict_state", edited)
+        text = cfg_text(**{"system": system, "initial_preset": f"{system}-smooth",
+                           "grid_candidate": {"n": 33}, "t_end": 4e-4, **overrides})
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with np.errstate(all="ignore"):  # the blown-up velocity overflows
+            with pytest.raises(exc_type) as info:
+                run_twin(parse_config(text))
+            assert info.type is exc_type and str(info.value) == message
+            assert main(["gronwall", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                         "--manifest", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == f"numerical abort: {message}\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemlab.constitutive import Params, System, gl_force
 from nemlab.dynamics import State
@@ -11,6 +13,8 @@ from nemlab.functionals import (
     director_l2_gap,
     dissipation,
     energy,
+    energy_dissipation,
+    mass,
     relative_entropy,
     remainder,
     sphere_defect,
@@ -402,3 +406,55 @@ class TestStressFormsIntegrated:
             errs.append(abs(relative_entropy(StatePair(cand, ref), GL) - 1.0 / 40.0))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 1.8 for o in orders)
+
+
+@st.composite
+def smooth_pairs(draw):
+    """A smooth random pair on a random grid, and random coefficients."""
+    system = draw(st.sampled_from(list(System)))
+    n = draw(st.integers(33, 129))
+    g = Grid1D(n, 0.0, draw(st.floats(0.5, 2.0)))
+    s = g.nodes() / g.x_max
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.floats(0.0, 0.5))
+
+    def smooth(zero_slope=False):
+        # the reorganization identities need zero-slope directors at the walls
+        amp = rng.normal(size=4)
+        phase = np.zeros(4) if zero_slope else rng.uniform(0.0, 2.0 * np.pi, 4)
+        return sum(a / (m + 1) ** 2 * np.cos(np.pi * (m + 1) * s + p)
+                   for m, (a, p) in enumerate(zip(amp, phase)))
+
+    def state(rho, u, d):
+        if system is System.SPHERE:
+            d = d / np.sqrt(np.sum(d * d, axis=0))
+        return State.from_arrays(g, rho, u, d)
+
+    rho_r = 1.0 + 0.3 * np.tanh(smooth())
+    u_r = 0.3 * smooth() * np.sin(np.pi * s)
+    d_r = np.stack([1.0 + 0.3 * smooth(True), 0.4 * smooth(True), 0.4 * smooth(True)])
+    ref = state(rho_r, u_r, d_r)
+    cand = state(rho_r * (1.0 + 0.3 * eps * np.tanh(smooth())),
+                 u_r + eps * 0.3 * smooth() * np.sin(np.pi * s),
+                 ref.d.values + eps * 0.3 * np.stack([smooth(True), smooth(True), smooth(True)]))
+    coeff = st.floats(0.5, 2.0)
+    params = Params(a=draw(coeff), gamma=draw(st.floats(1.2, 3.0)), sigma0=draw(coeff),
+                    mu=draw(coeff), lam=draw(coeff), theta=draw(coeff), system=system)
+    return StatePair(cand, ref), params
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(smooth_pairs())
+def test_breakdown_carries_the_single_value_functionals_bit_for_bit(case):
+    pair, p = case
+    br = remainder(pair, p)
+    cand = pair.candidate
+    assert br.entropy == relative_entropy(pair, p)
+    assert (br.energy, br.dissipation) == energy_dissipation(cand, p)
+    assert (br.energy, br.dissipation) == (energy(cand, p), dissipation(cand, p))
+    assert br.mass == mass(cand)
+    if p.system is System.SPHERE:
+        assert br.sphere_defect == sphere_defect(cand)
+    else:
+        assert br.sphere_defect is None
+    assert br.terms["diag_director_l2_gap"] == director_l2_gap(pair)
