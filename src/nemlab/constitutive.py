@@ -86,56 +86,53 @@ class Params:
                 )
 
 
-def _any(mask: np.ndarray):
-    """Truth of any entry of a boolean mask.
+def _least(values: np.ndarray, initial: float):
+    """The least of initial and the entries of values, in one reduction.
 
-    Scalar calls give 0-d masks, which are their own truth value; skipping
-    the array reduction for them keeps the per-call cost of the scalar
-    laws low.  A NaN compares False, so it never sets the mask.
+    NaN entries are skipped, as they compare False: for t <= initial,
+    _least(values, initial) < t iff some entry is < t, and for t < initial
+    the same holds with <=.  0-d and empty arrays need no special case.
     """
-    return mask.any() if mask.ndim else mask
+    return np.fmin.reduce(values, axis=None, initial=initial)
 
 
 def _check_nonneg_rho(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
-    if _any(rho < 0):
+    if _least(rho, 0.0) < 0:
         raise ConstitutiveError("density must be nonnegative")
     return rho
 
 
+def _power_law(rho, coefficient: float, exponent: float):
+    """coefficient * rho^exponent for a nonnegative density; a float for
+    scalar input."""
+    out = coefficient * _check_nonneg_rho(rho) ** exponent
+    return float(out) if out.ndim == 0 else out
+
+
 def pressure(rho, params: Params):
     """P(rho) = a * rho^gamma."""
-    rho = _check_nonneg_rho(rho)
-    out = params.a * rho**params.gamma
-    return float(out) if out.ndim == 0 else out
+    return _power_law(rho, params.a, params.gamma)
 
 
 def pressure_derivative(rho, params: Params):
     """P'(rho) = a*gamma * rho^(gamma-1), evaluated analytically."""
-    rho = _check_nonneg_rho(rho)
-    out = params.a * params.gamma * rho ** (params.gamma - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _power_law(rho, params.a * params.gamma, params.gamma - 1.0)
 
 
 def pressure_potential(rho, params: Params):
     """Pi(rho) = a/(gamma-1) * rho^gamma."""
-    rho = _check_nonneg_rho(rho)
-    out = params.a / (params.gamma - 1.0) * rho**params.gamma
-    return float(out) if out.ndim == 0 else out
+    return _power_law(rho, params.a / (params.gamma - 1.0), params.gamma)
 
 
 def pressure_potential_derivative(rho, params: Params):
     """Pi'(rho) = a*gamma/(gamma-1) * rho^(gamma-1), analytic."""
-    rho = _check_nonneg_rho(rho)
-    out = params.a * params.gamma / (params.gamma - 1.0) * rho ** (params.gamma - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _power_law(rho, params.a * params.gamma / (params.gamma - 1.0), params.gamma - 1.0)
 
 
 def pressure_potential_second_derivative(rho, params: Params):
     """Pi''(rho) = a*gamma * rho^(gamma-2); note rho*Pi''(rho) = P'(rho)."""
-    rho = _check_nonneg_rho(rho)
-    out = params.a * params.gamma * rho ** (params.gamma - 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _power_law(rho, params.a * params.gamma, params.gamma - 2.0)
 
 
 def gl_potential(d, params: Params):
@@ -144,7 +141,7 @@ def gl_potential(d, params: Params):
     d has shape (3,) or (3, n); returns a scalar or length-n array.
     """
     d = np.asarray(d, dtype=float)
-    s = np.sum(d * d, axis=0) - 1.0
+    s = (d * d).sum(axis=0) - 1.0
     out = s * s / (4.0 * params.sigma0**2)
     return float(out) if out.ndim == 0 else out
 
@@ -170,7 +167,7 @@ def bregman_pressure(rho, rho_tilde, params: Params):
     """
     rho = _check_nonneg_rho(rho)
     rt = np.asarray(rho_tilde, dtype=float)
-    if _any(rt <= 0):
+    if _least(rt, np.inf) <= 0:
         raise ConstitutiveError("reference density must be strictly positive")
     out = (
         pressure_potential(rho, params)
@@ -178,8 +175,7 @@ def bregman_pressure(rho, rho_tilde, params: Params):
         - pressure_potential(rt, params)
     )
     out = np.asarray(out, dtype=float)
-    bad = out < -_BREGMAN_CLAMP
-    if _any(bad):
+    if _least(out, 0.0) < -_BREGMAN_CLAMP:
         raise ConstitutiveError(
             f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
         )

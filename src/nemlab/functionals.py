@@ -27,8 +27,8 @@ and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
 `remainder` builds a sample's whole certificate row in one pass: one
-gradient and one Laplacian call on the stacked (rho, u, d0, d1, d2) rows
-of both states, a few stacked director contractions, one trapezoid call
+gradient and one Laplacian call on the stacked (u, d0, d1, d2) rows of
+both states, a few stacked director contractions, one trapezoid call
 on the stack of every integrand and one max for the h_hat norms.  Its
 RemainderBreakdown also carries the pair's relative entropy and the
 candidate's energy, dissipation, mass and (SPHERE) sphere defect, from
@@ -77,13 +77,6 @@ QUARTETS: Dict[System, Tuple[str, str, str, str]] = {
     System.SPHERE: ("r_1d", "r_1c", "r_1c_a", "r_1c_b"),
 }
 
-# the term-name prefix of each QUARTETS entry's block
-_BLOCKS: Dict[System, Tuple[str, str, str, str]] = {
-    System.GL: ("rd_", "rc_", "rbd_", "rbc_"),
-    System.SPHERE: ("rbd_", "r1c_", "r1ca_", "r1cb_"),
-}
-
-
 class FunctionalError(ValueError):
     """Invalid input to a functional (grid mismatch, degenerate reference)."""
 
@@ -104,10 +97,10 @@ class StatePair:
     def __post_init__(self):
         if self.candidate.grid != self.reference.grid:
             raise FunctionalError("candidate and reference must share one grid")
-        if np.min(self.reference.rho.values) < self.rho_lower:
+        low = self.reference.rho.values.min()
+        if low < self.rho_lower:
             raise FunctionalError(
-                f"reference density {np.min(self.reference.rho.values):.3e} "
-                f"below lower bound {self.rho_lower:.1e}"
+                f"reference density {low:.3e} below lower bound {self.rho_lower:.1e}"
             )
 
     @property
@@ -147,23 +140,25 @@ class RemainderBreakdown:
 
 
 def _derivatives(states: Sequence[State], dx: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradient and Laplacian of the states' stacked (rho, u, d0, d1, d2)
-    rows, five rows per state: one call of each operator."""
-    rows = np.vstack([f for s in states for f in (s.rho.values, s.u.values, s.d.values)])
-    return gradient_array(rows, dx), laplacian_array(rows, dx)
+    """Gradient of the states' stacked (u, d0, d1, d2) rows, four rows per
+    state, and Laplacian of those rows past the first u: the rows the
+    densities read, with one call of each operator.  The stencils act row
+    by row, so the rows left out change no bit of the others."""
+    rows = np.concatenate([f for s in states for f in (s.u.values[None], s.d.values)])
+    return gradient_array(rows, dx), laplacian_array(rows[1:], dx)
 
 
 def _dots(**pairs: Tuple[np.ndarray, np.ndarray]) -> Dict[str, np.ndarray]:
     """Director contractions, one stacked sum: each keyword names a pair
     (A, B) of (3, n) arrays and maps to the length-n row sum_k A_k B_k."""
-    left = np.stack([a for a, _ in pairs.values()])
-    right = np.stack([b for _, b in pairs.values()])
+    left = np.array([a for a, _ in pairs.values()])
+    right = np.array([b for _, b in pairs.values()])
     return dict(zip(pairs, (left * right).sum(axis=1)))
 
 
 def _unit_defects(d: np.ndarray) -> np.ndarray:
     """max | |d| - 1 | over the nodes of each director of a (..., 3, n) stack."""
-    return np.max(np.abs(np.sqrt(np.sum(d**2, axis=-2)) - 1.0), axis=-1)
+    return np.abs(np.sqrt((d**2).sum(axis=-2)) - 1.0).max(axis=-1)
 
 
 def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, params: Params):
@@ -177,7 +172,7 @@ def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, params: Params):
         resid = lap_d - force
     else:
         resid = lap_d + grad_sq * d
-    dsp = params.mu * grad_u * grad_u + params.lam * params.theta * np.sum(resid * resid, axis=0)
+    dsp = params.mu * grad_u * grad_u + params.lam * params.theta * (resid * resid).sum(axis=0)
     return dens + params.lam * director, dsp
 
 
@@ -206,11 +201,11 @@ def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
                  the SPHERE relaxation residual is d_xx + |d_x|^2 d instead.
     """
     d = state.d.values
-    grad, lap = _derivatives((state,), state.grid.dx)
+    grad, lap_d = _derivatives((state,), state.grid.dx)
     force = gl_force(d, params) if params.system is System.GL else None
-    rows = _state_densities(state.rho.values, state.u.values, d, grad[1],
-                            np.sum(grad[2:] * grad[2:], axis=0), lap[2:], force, params)
-    return tuple(trapezoid_array(np.stack(rows), state.grid.dx).tolist())
+    rows = _state_densities(state.rho.values, state.u.values, d, grad[0],
+                            (grad[1:] * grad[1:]).sum(axis=0), lap_d, force, params)
+    return tuple(trapezoid_array(np.array(rows), state.grid.dx).tolist())
 
 
 def energy(state: State, params: Params) -> float:
@@ -253,7 +248,7 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     """
     dx = pair.grid.dx
     c, r = pair.candidate, pair.reference
-    grad = gradient_array(np.stack((c.d.values, r.d.values)), dx)
+    grad = gradient_array(np.array((c.d.values, r.d.values)), dx)
     dgrad = grad[0] - grad[1]
     dd = c.d.values - r.d.values
     dot = _dots(dgrad_sq=(dgrad, dgrad), gap_sq=(dd, dd))
@@ -310,15 +305,15 @@ class _PairFields:
         dx = pair.grid.dx
         c, r = pair.candidate, pair.reference
         d, d_r = c.d.values, r.d.values
-        grad, lap = _derivatives((c, r), dx)
-        grad_d, grad_d_r = grad[2:5], grad[7:10]
-        lap_d, lap_d_r = lap[2:5], lap[7:10]
+        grad, lap = _derivatives((c, r), dx)  # rows (u, d, u~, d~); lap (d, u~, d~)
+        grad_d, grad_d_r = grad[1:4], grad[5:8]
+        lap_d, lap_d_r = lap[:3], lap[4:]
         dgrad = grad_d - grad_d_r
         e = d - d_r
         force = force_r = None
         curv_r = lap_d_r
         if params.system is System.GL:
-            force, force_r = gl_force(np.stack((d, d_r)), params)
+            force, force_r = gl_force(np.array((d, d_r)), params)
             curv_r = lap_d_r - force_r
             norms = dict(force_sq=(force, force), force_r_sq=(force_r, force_r))
         else:
@@ -330,26 +325,19 @@ class _PairFields:
         return cls(
             dx=dx, rho=c.rho.values, u=c.u.values, d=d, rho_r=r.rho.values, u_r=r.u.values,
             d_r=d_r, p=pressure(c.rho.values, params), p_r=pressure(r.rho.values, params),
-            grad_u=grad[1], grad_u_r=grad[6], grad_d=grad_d, grad_d_r=grad_d_r, lap_d=lap_d,
+            grad_u=grad[0], grad_u_r=grad[4], grad_d=grad_d, grad_d_r=grad_d_r, lap_d=lap_d,
             lap_d_r=lap_d_r, dgrad=dgrad, dlap=lap_d - lap_d_r, e=e, force=force,
-            force_r=force_r, stress_div_r=stress_div_r, g_ref=params.mu * lap[6] - stress_div_r,
+            force_r=force_r, stress_div_r=stress_div_r, g_ref=params.mu * lap[3] - stress_div_r,
             dot=dot,
         )
 
 
-# An integrand queued for the sample's quadrature stack, with the
-# coefficient its integral is multiplied by.
+# One block of integrands queued for the sample's quadrature stack, each
+# with the coefficient its integral is multiplied by.
 _Rows = Dict[str, Tuple[float, np.ndarray]]
 
 
-def _block(terms: Dict[str, float], prefix: str) -> float:
-    """Sum of the terms named prefix*, left to right in the order added."""
-    return functools.reduce(
-        operator.add, (v for k, v in terms.items() if k.startswith(prefix))
-    )
-
-
-def _raw_density_terms(f: _PairFields, params: Params, rows: _Rows) -> None:
+def _raw_density_terms(f: _PairFields, params: Params) -> _Rows:
     """Velocity/pressure remainder r_d in derivation order (GL only).
 
     The reference time derivatives d(u~)/dt and d(Pi'(rho~))/dt are
@@ -361,20 +349,21 @@ def _raw_density_terms(f: _PairFields, params: Params, rows: _Rows) -> None:
     flux_r = f.rho_r * f.u_r
     pi2_r = pressure_potential_second_derivative(f.rho_r, params)
     grad_p_r, grad_flux_r, grad_pi1_r = gradient_array(
-        np.stack((f.p_r, flux_r, pressure_potential_derivative(f.rho_r, params))), f.dx
+        np.array((f.p_r, flux_r, pressure_potential_derivative(f.rho_r, params))), f.dx
     )
     dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
     dpidt_r = -pi2_r * grad_flux_r
+    return {
+        "rd_velocity_exchange": (1.0, f.rho * du_r * (dudt_r + f.u * f.grad_u_r)),
+        "rd_viscous_exchange": (params.mu, f.grad_u_r * (f.grad_u_r - f.grad_u)),
+        "rd_pressure_transport": (
+            1.0, (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (flux_r - f.rho * f.u)
+        ),
+        "rd_pressure_work": (-1.0, f.grad_u_r * (f.p - f.p_r)),
+    }
 
-    rows["rd_velocity_exchange"] = (1.0, f.rho * du_r * (dudt_r + f.u * f.grad_u_r))
-    rows["rd_viscous_exchange"] = (params.mu, f.grad_u_r * (f.grad_u_r - f.grad_u))
-    rows["rd_pressure_transport"] = (
-        1.0, (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (flux_r - f.rho * f.u)
-    )
-    rows["rd_pressure_work"] = (-1.0, f.grad_u_r * (f.p - f.p_r))
 
-
-def _reorganized_density_terms(f: _PairFields, params: Params, rows: _Rows) -> None:
+def _reorganized_density_terms(f: _PairFields, params: Params) -> _Rows:
     """Velocity/pressure remainder in estimate order (r_bar_d, SPHERE's r_1d).
 
     Regroups the raw block into the convective quadratic, the pressure
@@ -384,18 +373,18 @@ def _reorganized_density_terms(f: _PairFields, params: Params, rows: _Rows) -> N
     """
     du_r = f.u_r - f.u  # u~ - u
     bregman_p = f.p - pressure_derivative(f.rho_r, params) * (f.rho - f.rho_r) - f.p_r
-    rows["rbd_convective"] = (1.0, f.rho * du_r * (-du_r) * f.grad_u_r)
-    rows["rbd_pressure_bregman"] = (-1.0, f.grad_u_r * bregman_p)
-    rows["rbd_density_weighted_force"] = (1.0, (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r)
+    return {
+        "rbd_convective": (1.0, f.rho * du_r * (-du_r) * f.grad_u_r),
+        "rbd_pressure_bregman": (-1.0, f.grad_u_r * bregman_p),
+        "rbd_density_weighted_force": (1.0, (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r),
+    }
 
 
-def _remainder_gl(f: _PairFields, params: Params, rows: _Rows) -> None:
+def _remainder_gl(f: _PairFields, params: Params) -> Dict[str, _Rows]:
     """GL blocks: (r_d, r_c) is the derivation-order split, (r_bar_d,
     r_bar_c) the estimate-order split; their sums agree up to O(dx^2)."""
     lam, th = params.lam, params.theta
-
-    _raw_density_terms(f, params, rows)
-    _reorganized_density_terms(f, params, rows)
+    raw, reorg = _raw_density_terms(f, params), _reorganized_density_terms(f, params)
 
     dforce = f.force - f.force_r
     du = f.u - f.u_r
@@ -408,19 +397,24 @@ def _remainder_gl(f: _PairFields, params: Params, rows: _Rows) -> None:
         candidate_force=(f.force, f.dgrad),
         force_gradient=(dforce, f.grad_d_r),
     )
-    rows["rc_candidate_transport"] = (-lam, f.u * dot["transport"])
-    rows["rc_reference_transport"] = (lam, f.u_r * dot["transport"])
-    rows["rc_difference_transport"] = (lam, dot["difference"])
-    rows["rc_force_difference"] = (lam * th, dot["force"])
+    force_difference = (lam * th, dot["force"])
+    coupling = {
+        "rc_candidate_transport": (-lam, f.u * dot["transport"]),
+        "rc_reference_transport": (lam, f.u_r * dot["transport"]),
+        "rc_difference_transport": (lam, dot["difference"]),
+        "rc_force_difference": force_difference,
+    }
+    reorg_coupling = {
+        "rbc_force_difference": force_difference,
+        "rbc_gradient_transport": (lam, f.u_r * dot["gradient"]),
+        "rbc_reference_curvature": (-lam, du * dot["curvature"]),
+        "rbc_candidate_force": (lam, du * dot["candidate_force"]),
+        "rbc_force_gradient": (lam, du * dot["force_gradient"]),
+    }
+    return {"r_d": raw, "r_bar_d": reorg, "r_c": coupling, "r_bar_c": reorg_coupling}
 
-    rows["rbc_force_difference"] = rows["rc_force_difference"]
-    rows["rbc_gradient_transport"] = (lam, f.u_r * dot["gradient"])
-    rows["rbc_reference_curvature"] = (-lam, du * dot["curvature"])
-    rows["rbc_candidate_force"] = (lam, du * dot["candidate_force"])
-    rows["rbc_force_gradient"] = (lam, du * dot["force_gradient"])
 
-
-def _remainder_sphere(f: _PairFields, params: Params, rows: _Rows) -> None:
+def _remainder_sphere(f: _PairFields, params: Params) -> Dict[str, _Rows]:
     """SPHERE blocks r_1d, r_1c, r_1c_a and r_1c_b.
 
     r_1d is the density/velocity block, already in estimate order; r_1c
@@ -433,8 +427,7 @@ def _remainder_sphere(f: _PairFields, params: Params, rows: _Rows) -> None:
     that factored form.
     """
     lam, th = params.lam, params.theta
-
-    _reorganized_density_terms(f, params, rows)
+    density = _reorganized_density_terms(f, params)
 
     e, dlap, dgrad = f.e, f.dlap, f.dgrad
     du_r = f.u_r - f.u
@@ -458,27 +451,32 @@ def _remainder_sphere(f: _PairFields, params: Params, rows: _Rows) -> None:
     )
 
     stress_r = f.dot["stress_r"]  # d~_xx . d~_x: the SPHERE curvature is d~_xx
-    rows["r1c_stress_transport"] = (lam, (dot["stress_c"] - stress_r) * du_r)
-    rows["r1c_difference_transport"] = (lam, dot["difference"])
-    rows["r1c_nonlinear_laplacian"] = (-lam * th, dot["laplacian_q"])
-    rows["r1c_nonlinear_director"] = (lam * th, dot["director_q"])
-    rows["r1c_director_transport"] = (-lam, dot["director_transport"])
-
+    coupling = {
+        "r1c_stress_transport": (lam, (dot["stress_c"] - stress_r) * du_r),
+        "r1c_difference_transport": (lam, dot["difference"]),
+        "r1c_nonlinear_laplacian": (-lam * th, dot["laplacian_q"]),
+        "r1c_nonlinear_director": (lam * th, dot["director_q"]),
+        "r1c_director_transport": (-lam, dot["director_transport"]),
+    }
     gap_mag = gm - gm_r
     sum_mag = gm_r + gm
-    rows["r1ca_gradient_transport"] = (lam, f.u_r * dot["gradient"])
-    rows["r1ca_reference_curvature"] = (lam, du_r * dot["curvature"])
-    rows["r1ca_factored_curvature"] = (-lam * th, sum_mag * dot["d_dlap"] * gap_mag)
-    rows["r1ca_director_exchange"] = (lam, du_r * dot["exchange"])
-
-    rows["r1cb_gradient_director"] = (-lam, f.u_r * dot["e_dgrad"])
-    rows["r1cb_factored_director"] = (lam * th, sum_mag * dot["d_e"] * gap_mag)
-    rows["r1cb_reference_gradient_sq"] = (lam * th, f.dot["gap_sq"] * gm_r2)
-    # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted by
-    # parts onto the gradient gap (reference Neumann slope kills the
-    # boundary term)
-    rows["r1cb_byparts_cross"] = (2.0 * lam * th, stress_r * dot["e_dgrad"])
-    rows["r1cb_byparts_gradient_sq"] = (lam * th, gm_r2 * f.dot["dgrad_sq"])
+    absorbed = {
+        "r1ca_gradient_transport": (lam, f.u_r * dot["gradient"]),
+        "r1ca_reference_curvature": (lam, du_r * dot["curvature"]),
+        "r1ca_factored_curvature": (-lam * th, sum_mag * dot["d_dlap"] * gap_mag),
+        "r1ca_director_exchange": (lam, du_r * dot["exchange"]),
+    }
+    direct = {
+        "r1cb_gradient_director": (-lam, f.u_r * dot["e_dgrad"]),
+        "r1cb_factored_director": (lam * th, sum_mag * dot["d_e"] * gap_mag),
+        "r1cb_reference_gradient_sq": (lam * th, f.dot["gap_sq"] * gm_r2),
+        # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted
+        # by parts onto the gradient gap (reference Neumann slope kills the
+        # boundary term)
+        "r1cb_byparts_cross": (2.0 * lam * th, stress_r * dot["e_dgrad"]),
+        "r1cb_byparts_gradient_sq": (lam * th, gm_r2 * f.dot["dgrad_sq"]),
+    }
+    return {"r_1d": density, "r_1c": coupling, "r_1c_a": absorbed, "r_1c_b": direct}
 
 
 def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
@@ -494,15 +492,15 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     """
     sphere_def = None
     if params.system is System.SPHERE:
-        defects = _unit_defects(np.stack((pair.candidate.d.values, pair.reference.d.values)))
-        for name, defect in zip(("candidate", "reference"), defects):
+        defects = _unit_defects(np.array((pair.candidate.d.values, pair.reference.d.values)))
+        for name, defect in zip(("candidate", "reference"), defects.tolist()):
             if defect > 1e-8:
                 raise FunctionalError(f"{name} director is not unit length")
         sphere_def = float(defects[0])
     f = _PairFields.build(pair, params)
-    rows: _Rows = {}
-    body = _remainder_gl if params.system is System.GL else _remainder_sphere
-    body(f, params, rows)
+    # each block queued in term order, keyed by its QUARTETS name
+    blocks = (_remainder_gl if params.system is System.GL else _remainder_sphere)(f, params)
+    rows: _Rows = {name: row for block in blocks.values() for name, row in block.items()}
     # reference stress transported by the velocity gap; cancels between the
     # two reorganized blocks
     rows["diag_stress_transport_exchange"] = (1.0, f.stress_div_r * (f.u_r - f.u))
@@ -515,41 +513,41 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
         f.rho,
         np.abs(f.g_ref / f.rho_r) ** 3,
     )
-    stack = np.stack([row for _, row in rows.values()] + list(extra))
+    stack = np.array([row for _, row in rows.values()] + list(extra))
     integrals = trapezoid_array(stack, f.dx).tolist()
     terms = {name: c * v for (name, (c, _)), v in zip(rows.items(), integrals)}
     terms["diag_director_l2_gap"] = math.sqrt(terms["diag_director_l2_gap"])
     entropy, energy_c, dissipation_c, mass_c, l3_cubed = integrals[len(rows):]
 
-    quartet = [_block(terms, prefix) for prefix in _BLOCKS[params.system]]
+    # each block sums left to right in the order its rows were queued
+    sums = {name: functools.reduce(operator.add, map(terms.__getitem__, block))
+            for name, block in blocks.items()}
+    quartet = [sums[name] for name in QUARTETS[params.system]]
     lhs = quartet[0] + quartet[1] if params.system is System.GL else quartet[1]
     mismatch = lhs - (quartet[2] + quartet[3])
-    _check_reorg(mismatch, terms, f.dx)
     h_terms = _gronwall_terms(f, params, l3_cubed)
     out = RemainderBreakdown(
         quartet=dict(zip(QUARTETS[params.system], quartet)), terms=terms, h_terms=h_terms,
         h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
         energy=energy_c, dissipation=dissipation_c, mass=mass_c, sphere_defect=sphere_def,
     )
-    _require_finite(out)
+    _check_row(out, f.dx)
     return out
 
 
-def _check_reorg(mismatch: float, terms: Dict[str, float], dx: float) -> None:
-    scale = max(1.0, sum(abs(v) for v in terms.values()))
-    if abs(mismatch) > REORG_TOL_COEFF * dx * dx * scale:
+def _check_row(out: RemainderBreakdown, dx: float) -> None:
+    """The reorganization identity holds, then every term and h_hat is finite."""
+    scale = max(1.0, sum(map(abs, out.terms.values())))
+    if abs(out.reorg_mismatch) > REORG_TOL_COEFF * dx * dx * scale:
         raise FunctionalError(
-            f"remainder reorganization mismatch {mismatch:.3e} exceeds "
+            f"remainder reorganization mismatch {out.reorg_mismatch:.3e} exceeds "
             f"{REORG_TOL_COEFF:g}*dx^2 at scale {scale:.3e}; "
             "formula-level inconsistency"
         )
-
-
-def _require_finite(out: RemainderBreakdown) -> None:
     for name, val in out.terms.items():
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise FunctionalError(f"non-finite remainder term {name}")
-    if not np.isfinite(out.h_hat):
+    if not math.isfinite(out.h_hat):
         raise FunctionalError("non-finite Gronwall coefficient")
 
 
@@ -574,32 +572,37 @@ def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str
     else:
         lengths = {"d": "d_sq", "grad_d": "grad_sq"}
     lengths.update(grad_d_r="grad_r_sq", lap_d_r="lap_r_sq")
-    mags = np.vstack((
-        np.abs(np.stack((f.grad_u_r, f.g_ref, f.u_r))),
-        np.sqrt(np.stack([f.dot[k] for k in lengths.values()])),
-    ))
-    inf = dict(zip(("grad_u_r", "g", "u_r", *lengths), np.max(mags, axis=-1).tolist()))
+    mags = np.array([f.grad_u_r, f.g_ref, f.u_r, *[f.dot[k] for k in lengths.values()]])
+    np.abs(mags[:3], out=mags[:3])
+    np.sqrt(mags[3:], out=mags[3:])
+    inf = dict(zip(("grad_u_r", "g", "u_r", *lengths), mags.max(axis=-1).tolist()))
 
     terms: Dict[str, float] = {}
     terms["grad_u_ref_inf"] = inf["grad_u_r"]
-    terms["g_over_rho_l3_sq"] = float(np.cbrt(l3_cubed)) ** 2
+    terms["g_over_rho_l3_sq"] = _sq(float(np.cbrt(l3_cubed)))
     terms["g_inf"] = inf["g"]
-    terms["u_ref_inf_sq"] = inf["u_r"] ** 2
+    terms["u_ref_inf_sq"] = _sq(inf["u_r"])
 
     if params.system is System.GL:
         # size surrogate for the penalization-force Lipschitz bound; the
         # true constant folds into c_h
         terms["force_scale"] = inf["force"] + inf["force_r"]
-        terms["curvature_force_inf_sq"] = (inf["lap_d_r"] + inf["force"]) ** 2
-        terms["grad_d_ref_inf_sq"] = inf["grad_d_r"] ** 2
+        terms["curvature_force_inf_sq"] = _sq(inf["lap_d_r"] + inf["force"])
+        terms["grad_d_ref_inf_sq"] = _sq(inf["grad_d_r"])
     else:
         d_inf, grad_c_inf, grad_r_inf = inf["d"], inf["grad_d"], inf["grad_d_r"]
         terms["u_ref_inf"] = inf["u_r"]
-        terms["lap_d_ref_inf_sq"] = inf["lap_d_r"] ** 2
-        terms["grad_d_both_inf_sq_d_inf_sq"] = (
-            grad_r_inf**2 + grad_c_inf**2
-        ) * d_inf**2
-        terms["grad_d_cand_inf_sq"] = grad_c_inf**2
+        terms["lap_d_ref_inf_sq"] = _sq(inf["lap_d_r"])
+        terms["grad_d_both_inf_sq_d_inf_sq"] = (_sq(grad_r_inf) + _sq(grad_c_inf)) * _sq(d_inf)
+        terms["grad_d_cand_inf_sq"] = _sq(grad_c_inf)
         terms["d_inf_grad_sum"] = d_inf * (grad_r_inf + grad_c_inf)
-        terms["grad_d_ref_inf_sq"] = grad_r_inf**2
+        terms["grad_d_ref_inf_sq"] = _sq(grad_r_inf)
     return terms
+
+
+def _sq(x: float) -> float:
+    """x ** 2 of a float; inf beyond the float range, where ** raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf

@@ -94,7 +94,7 @@ class ScalarField:
             raise FieldError(
                 f"expected {self.grid.n_nodes} values, got shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise FieldError("scalar field contains non-finite values")
 
 
@@ -116,7 +116,7 @@ class VectorField3:
             raise FieldError(
                 f"expected shape (3, {self.grid.n_nodes}), got {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise FieldError("vector field contains non-finite values")
 
 
@@ -181,7 +181,7 @@ def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
 def trapezoid_array(values: np.ndarray, dx: float):
     """Composite trapezoid quadrature along the last axis: a float for one
     row, an array for a stack of rows, each as if integrated alone."""
-    out = dx * (np.sum(values, axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+    out = dx * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
     return float(out) if out.ndim == 0 else out
 
 

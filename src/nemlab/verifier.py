@@ -289,11 +289,11 @@ def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     """
     if state.grid == grid_to:
         return state
-    rows = np.vstack((state.rho.values, state.u.values, state.d.values))
+    rows = np.concatenate((state.rho.values[None], state.u.values[None], state.d.values))
     out = cubic_restrict(rows, state.grid, grid_to)
     d = out[2:]
     if system is System.SPHERE:
-        d = d / np.sqrt(np.sum(d * d, axis=0))
+        d = d / np.sqrt((d * d).sum(axis=0))
     return State.from_arrays(grid_to, out[0], out[1], d)
 
 
@@ -516,7 +516,8 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
             i = len(times) % _SAMPLES_PER_BLOCK
             if i == 0:
                 blocks.append(np.empty((_SAMPLES_PER_BLOCK, 5, grid_c.n_nodes)))
-            blocks[-1][i] = np.vstack((st.rho.values, st.u.values, st.d.values))
+            rows = blocks[-1][i]
+            rows[0], rows[1], rows[2:] = st.rho.values, st.u.values, st.d.values
             times.append(t)
             on_reference(state)
 

@@ -565,6 +565,12 @@ def _blow_up_velocity(rho, u, d):
     u *= 1e120
 
 
+def _peak_velocity(rho, u, d):
+    # the square of the peak, a norm factor of h_hat, leaves the float
+    # range; the velocity exchange term overflows as well and is named first
+    u[len(u) // 2] = 1e200
+
+
 # fault -> (system, config overrides, edit of the restricted reference,
 # exception type, message)
 PAIR_FAULTS = {
@@ -577,6 +583,8 @@ PAIR_FAULTS = {
                          "Bregman pressure term is negative beyond round-off: min=-1.164e-10"),
     "non-finite-term": ("gl", {}, _blow_up_velocity, FunctionalError,
                         "non-finite remainder term rd_velocity_exchange"),
+    "overflowing-square": ("gl", {}, _peak_velocity, FunctionalError,
+                           "non-finite remainder term rd_velocity_exchange"),
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemlab.constitutive import (
     ConstitutiveError,
@@ -9,8 +11,10 @@ from nemlab.constitutive import (
     gl_force,
     gl_potential,
     pressure,
+    pressure_derivative,
     pressure_potential,
     pressure_potential_derivative,
+    pressure_potential_second_derivative,
 )
 
 
@@ -58,6 +62,47 @@ class TestPressure:
         out = pressure(np.array([1.0, np.nan]), Params())
         assert out[0] == 1.0 and np.isnan(out[1])
         assert pressure(np.array([]), Params()).shape == (0,)
+
+
+# each power law and its formula written out
+POWER_LAWS = {
+    pressure: lambda rho, a, g: a * rho**g,
+    pressure_derivative: lambda rho, a, g: a * g * rho ** (g - 1.0),
+    pressure_potential: lambda rho, a, g: a / (g - 1.0) * rho**g,
+    pressure_potential_derivative: lambda rho, a, g: a * g / (g - 1.0) * rho ** (g - 1.0),
+    pressure_potential_second_derivative: lambda rho, a, g: a * g * rho ** (g - 2.0),
+}
+
+_DENSITY_ENTRIES = st.one_of(
+    st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, -1e-300, -1.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(law=st.sampled_from(list(POWER_LAWS)), entries=st.lists(_DENSITY_ENTRIES, max_size=6),
+       shape=st.sampled_from(["array", "0-d", "float"]), a=st.floats(0.1, 10.0),
+       gamma=st.floats(1.01, 3.0))
+def test_power_laws_raise_iff_an_entry_is_negative(law, entries, shape, a, gamma):
+    # NaN, +-0.0 and +-inf entries, empty arrays and 0-d scalars: the law
+    # raises iff some entry is < 0 and otherwise gives its formula's bits
+    if shape != "array":
+        entries = entries[:1] or [0.0]
+    rho = np.array(entries, dtype=float)
+    arg = rho if shape == "array" else rho.reshape(()) if shape == "0-d" else entries[0]
+    p = Params(a=a, gamma=gamma)
+    with np.errstate(all="ignore"):  # 0 to a negative power, inf overflow
+        if any(x < 0 for x in entries):
+            with pytest.raises(ConstitutiveError, match="density must be nonnegative"):
+                law(arg, p)
+            return
+        out = law(arg, p)
+        expected = POWER_LAWS[law](np.asarray(arg, dtype=float), a, gamma)
+    if shape == "array":
+        assert isinstance(out, np.ndarray) and out.shape == rho.shape
+    else:
+        assert type(out) is float
+    assert np.asarray(out).tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
 class TestPressurePotential:

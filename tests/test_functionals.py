@@ -365,6 +365,22 @@ class TestGronwallCoefficient:
             h = remainder(pair, p).h_terms
             assert all(v >= 0.0 for v in h.values())
 
+    @pytest.mark.parametrize(
+        "make_pair, params", [(gl_pair, GL), (sphere_pair, SPH)], ids=["gl", "sphere"]
+    )
+    def test_factor_squared_beyond_the_float_range_is_non_finite(self, make_pair, params):
+        # both velocities at 1e200: every remainder term stays finite (they
+        # see the velocity gap, 0, and the flux), but u_ref_inf_sq = 1e400
+        # leaves the float range, where float ** raises OverflowError
+        pair = make_pair(33)
+        u = np.full(33, 1e200)
+        pair = StatePair(*(State.from_arrays(pair.grid, s.rho.values, u, s.d.values)
+                           for s in (pair.candidate, pair.reference)))
+        # the candidate's kinetic energy overflows; its quadrature is inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FunctionalError, match="^non-finite Gronwall coefficient$"):
+                remainder(pair, params)
+
 
 class TestStressFormsIntegrated:
     def test_weighted_stress_divergence_two_ways(self):

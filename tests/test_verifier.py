@@ -622,6 +622,29 @@ class TestCheckUniqueness:
         assert not rep.passes
         assert all(o < 1.8 for o in rep.orders)
 
+    @pytest.mark.parametrize("system", list(System))
+    @pytest.mark.parametrize("coefficient", ["mu", "lam"])
+    def test_candidate_of_another_system_does_not_collapse(self, monkeypatch, system,
+                                                           coefficient):
+        # negative control: every level's candidate solves the system with
+        # mu (or lam) doubled, so the entropy gap does not shrink with n
+        # and no level reaches the floor
+        cfg = twin_config(system=system, n_ref=129, n_cand=17,
+                          dt=0.4 * Grid1D(17, 0, 1).dx ** 2, t_end=0.01)
+        cfg = replace(cfg, dt_reference=0.4 * Grid1D(129, 0, 1).dx ** 2)
+        assert check_uniqueness(cfg, [17, 33, 65]).passes
+        run = verifier.evolve
+
+        def other_system(inits, t_end, dt, params, grid, *args, **kwargs):
+            if grid != cfg.grid_reference:
+                params = replace(params, **{coefficient: 2.0 * getattr(params, coefficient)})
+            return run(inits, t_end, dt, params, grid, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "evolve", other_system)
+        rep = check_uniqueness(cfg, [17, 33, 65])
+        assert not rep.passes
+        assert all(o < 1.8 for o in rep.orders)
+
     def test_sup_is_the_entropy_of_the_level_twin(self, monkeypatch):
         cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
                           t_end=0.01, amplitude=1e-3)
