@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -513,6 +518,26 @@ class TestEvolve:
         with pytest.raises(SolverError, match="at t="):
             evolve(init, 0.01, 1e-4, Params(), g, bc)
 
+    @pytest.mark.parametrize("name, value", [
+        ("t_end", math.nan), ("t_end", math.inf), ("t_end", -1.0),
+        ("dt", math.nan), ("dt", math.inf), ("dt", 0.0),
+        ("sample_interval", math.nan), ("sample_interval", math.inf),
+        ("sample_interval", -1.0), ("sample_interval", 0.0),
+    ])
+    def test_bad_time_arguments_raise_before_the_first_sample(self, name, value):
+        g = Grid1D(33, 0.0, 1.0)
+        p = Params()
+        init = make_initial_data("gl-smooth", g, p)
+        bc = BoundarySpec.for_system(System.GL, init.d0)
+        args = dict(t_end=0.01, dt=1e-4, sample_interval=None)
+        args[name] = value
+        seen = []
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            evolve(init, args["t_end"], args["dt"], p, g, bc,
+                   observer=lambda st, t: seen.append(t),
+                   sample_interval=args["sample_interval"])
+        assert seen == []
+
     def test_sphere_requires_unit_initial_director(self):
         p = Params(system=System.SPHERE)
         g = Grid1D(33, 0.0, 1.0)
@@ -791,3 +816,76 @@ class TestInitialData:
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(density_floor=0.0)
+
+
+class TestLapack:
+    """dynamics.dgtsv is loaded from scipy's LAPACK extension by file."""
+
+    @staticmethod
+    def _blocks(rng, blocks=4, n=33, nrhs=6):
+        """A diagonally dominant system of `blocks` tridiagonal blocks of n
+        rows, uncoupled at the joints as in the batched velocity solve."""
+        m = blocks * n
+        dl = rng.uniform(-1.0, 0.0, m - 1)
+        du = rng.uniform(-1.0, 0.0, m - 1)
+        dl[n - 1::n] = 0.0
+        du[n - 1::n] = 0.0
+        return dl, rng.uniform(2.5, 3.0, m), du, rng.standard_normal((m, nrhs))
+
+    @staticmethod
+    def _bits(dgtsv, dl, diag, du, rhs):
+        out = dgtsv(dl.copy(), diag.copy(), du.copy(), rhs.copy())
+        return [np.asarray(v).tobytes() for v in out]
+
+    def test_bit_identical_to_scipy_linalg_lapack(self):
+        from scipy.linalg.lapack import dgtsv as reference
+
+        system = self._blocks(np.random.default_rng(11))
+        assert self._bits(dynamics.dgtsv, *system) == self._bits(reference, *system)
+
+    def test_zero_pivot_status_matches_scipy_linalg_lapack(self):
+        from scipy.linalg.lapack import dgtsv as reference
+
+        dl, diag, du, rhs = self._blocks(np.random.default_rng(12))
+        k = 40  # row 7 of block 1: a zero column below its diagonal
+        diag[k] = dl[k] = dl[k - 1] = 0.0
+        assert dynamics.dgtsv(dl.copy(), diag.copy(), du.copy(), rhs.copy())[-1] == k + 1
+        assert self._bits(dynamics.dgtsv, dl, diag, du, rhs) == self._bits(
+            reference, dl, diag, du, rhs
+        )
+
+    def test_loads_the_extension_by_file(self, monkeypatch):
+        from scipy.linalg.lapack import dgtsv as reference
+
+        monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
+        linalg_dir = os.path.dirname(sys.modules["scipy.linalg"].__file__)
+        loaded = dynamics._load_dgtsv(linalg_dir)
+        assert dynamics._FLAPACK not in sys.modules
+        system = self._blocks(np.random.default_rng(13))
+        assert self._bits(loaded, *system) == self._bits(reference, *system)
+
+    def test_falls_back_without_the_extension_file(self, tmp_path, monkeypatch):
+        from scipy.linalg.lapack import dgtsv as reference
+
+        monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
+        loaded = dynamics._load_dgtsv(str(tmp_path))
+        assert loaded is reference
+        dl, diag, du, rhs = self._blocks(np.random.default_rng(14), blocks=1, nrhs=1)
+        *_, x, info = loaded(dl, diag, du, rhs)
+        assert info == 0
+        matrix = np.diag(diag) + np.diag(dl, -1) + np.diag(du, 1)
+        assert np.allclose(matrix @ x, rhs, rtol=0.0, atol=1e-12)
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py")
+        code = (
+            "import sys, nemlab, nemlab.cli; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == []
