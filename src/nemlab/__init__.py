@@ -14,7 +14,6 @@ from .dynamics import (
     BoundarySpec,
     DirectorBC,
     InitialData,
-    SolverOptions,
     State,
     evolve,
 )
@@ -26,7 +25,7 @@ from .functionals import (
     relative_entropy,
     remainder,
 )
-from .grid import Grid1D, ScalarField, VectorField3
+from .grid import Grid1D
 from .verifier import (
     EntropyTrace,
     ExperimentConfig,
@@ -42,8 +41,8 @@ from .verifier import (
 __all__ = [
     "__version__",
     "Params", "System",
-    "Grid1D", "ScalarField", "VectorField3",
-    "State", "InitialData", "BoundarySpec", "DirectorBC", "SolverOptions", "evolve",
+    "Grid1D",
+    "State", "InitialData", "BoundarySpec", "DirectorBC", "evolve",
     "StatePair", "RemainderBreakdown",
     "energy", "dissipation", "relative_entropy",
     "remainder",

@@ -182,7 +182,7 @@ def _simulate(cfg: ExperimentConfig, args):
         init, cfg.t_end, cfg.dt_candidate, params, grid, bc,
         observer=record,
         sample_interval=cfg.resolved_sample_interval(),
-        options=cfg.solver,
+        density_floor=cfg.density_floor,
     )
     with _file_access(f"write {args.output}"):
         write_columns(cols, args.output)

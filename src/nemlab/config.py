@@ -32,7 +32,7 @@ import math
 from typing import Any, Dict, Optional
 
 from .constitutive import Params, System
-from .dynamics import SolverOptions
+from .dynamics import DEFAULT_DENSITY_FLOOR
 from .verifier import (
     PRESET_SYSTEMS,
     ExperimentConfig,
@@ -214,8 +214,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"gronwall.slack must be >= 0, got {slack}")
         gron = GronwallConfig(c_h=c_h, slack=slack)
 
-    solver = SolverOptions(density_floor=_positive(doc, "density_floor", 1e-8))
-
     return ExperimentConfig(
         params=params,
         grid_reference=grid_ref,
@@ -227,7 +225,7 @@ def parse_config(text: str) -> ExperimentConfig:
         perturbation=pert,
         sample_interval=sample_interval,
         gronwall=gron,
-        solver=solver,
+        density_floor=_positive(doc, "density_floor", DEFAULT_DENSITY_FLOOR),
     )
 
 

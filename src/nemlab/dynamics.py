@@ -1,7 +1,10 @@
 """Time integration of the two compressible liquid-crystal systems in 1D.
 
 The state is the triple (rho, u, d): scalar density, scalar velocity and a
-3-component director over one uniform grid.  Two couplings are supported:
+3-component director over one uniform grid.  State and InitialData hold
+the three as read-only float arrays of shapes (n,), (n,) and (3, n),
+checked for shape and finite entries once, at construction.  Two
+couplings are supported:
 
     GL:     d_t + u d_x = theta (d_xx - f(d)),   director pinned at the
             endpoints to its initial boundary values; momentum carries the
@@ -75,13 +78,7 @@ import numpy as np
 import scipy
 
 from .constitutive import Params, System, gl_force, pressure
-from .grid import (
-    Grid1D,
-    ScalarField,
-    VectorField3,
-    central_gradient,
-    central_laplacian,
-)
+from .grid import Grid1D, central_gradient, central_laplacian
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -184,15 +181,16 @@ class BoundarySpec:
             object.__setattr__(self, "d_right", np.asarray(self.d_right, dtype=float))
 
     @classmethod
-    def dirichlet_from(cls, d0: VectorField3) -> "BoundarySpec":
-        return cls(DirectorBC.DIRICHLET_D0, d0.values[:, 0].copy(), d0.values[:, -1].copy())
+    def dirichlet_from(cls, d0: np.ndarray) -> "BoundarySpec":
+        """Pin the director endpoints to the end columns of a (3, n) array."""
+        return cls(DirectorBC.DIRICHLET_D0, d0[:, 0].copy(), d0[:, -1].copy())
 
     @classmethod
     def neumann(cls) -> "BoundarySpec":
         return cls(DirectorBC.NEUMANN_ZERO)
 
     @classmethod
-    def for_system(cls, system: System, d0: VectorField3) -> "BoundarySpec":
+    def for_system(cls, system: System, d0: np.ndarray) -> "BoundarySpec":
         if system is System.GL:
             return cls.dirichlet_from(d0)
         return cls.neumann()
@@ -209,6 +207,19 @@ def _check_bc_system(bc: BoundarySpec, system: System) -> None:
         )
 
 
+def _freeze(owner, **shapes: Tuple[int, ...]) -> None:
+    """Replace each named field of a frozen dataclass by a read-only float
+    copy, after checking its shape and that every entry is finite."""
+    for name, shape in shapes.items():
+        values = np.array(getattr(owner, name), dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} contains non-finite values")
+        values.flags.writeable = False
+        object.__setattr__(owner, name, values)
+
+
 @dataclass(frozen=True)
 class State:
     """Instantaneous solver state (rho, u, d) on one grid.
@@ -217,55 +228,32 @@ class State:
     density floor and u = 0 at both endpoints.
     """
 
-    rho: ScalarField
-    u: ScalarField
-    d: VectorField3
+    grid: Grid1D
+    rho: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
 
     def __post_init__(self):
-        if not (self.rho.grid == self.u.grid == self.d.grid):
-            raise ValueError("state fields must share one grid")
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.rho.grid
-
-    @classmethod
-    def from_arrays(
-        cls, grid: Grid1D, rho: np.ndarray, u: np.ndarray, d: np.ndarray
-    ) -> "State":
-        return cls(ScalarField(rho, grid), ScalarField(u, grid), VectorField3(d, grid))
+        n = self.grid.n_nodes
+        _freeze(self, rho=(n,), u=(n,), d=(3, n))
 
 
 @dataclass(frozen=True)
 class InitialData:
     """Initial triple with the admissibility constraints checked."""
 
-    rho0: ScalarField
-    u0: ScalarField
-    d0: VectorField3
+    grid: Grid1D
+    rho0: np.ndarray
+    u0: np.ndarray
+    d0: np.ndarray
 
     def __post_init__(self):
-        if not (self.rho0.grid == self.u0.grid == self.d0.grid):
-            raise ValueError("initial fields must share one grid")
-        if np.min(self.rho0.values) <= 0.0:
+        n = self.grid.n_nodes
+        _freeze(self, rho0=(n,), u0=(n,), d0=(3, n))
+        if self.rho0.min() <= 0.0:
             raise ValueError("initial density must be strictly positive")
-        if self.u0.values[0] != 0.0 or self.u0.values[-1] != 0.0:
+        if self.u0[0] != 0.0 or self.u0[-1] != 0.0:
             raise ValueError("initial velocity must vanish at both endpoints")
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.rho0.grid
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Integrator policy knobs (not physical constants)."""
-
-    density_floor: float = DEFAULT_DENSITY_FLOOR
-
-    def __post_init__(self):
-        if not self.density_floor > 0:
-            raise ValueError("density floor must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +476,13 @@ def _advance(
     params: Params,
     grid: Grid1D,
     implicit: _Implicit,
-    options: SolverOptions,
-    stats: Optional[dict] = None,
+    density_floor: float,
 ):
     """One IMEX Euler step of B members; returns (rho, u, d) at t + dt.
 
     rho and u have shape (B, n) and d has shape (B, 3, n); implicit holds
     the matrices for this dt and the members' boundary rows.  A failed
-    check raises for the first member that fails it, in exc.member.  For
-    SPHERE the largest pre-renormalization defect | |d| - 1 | is written to
-    stats['sphere_renorm_max'] when a dict is passed.
+    check raises for the first member that fails it, in exc.member.
     """
     dx = grid.dx
     _check_cfl(rho, u, dt, dx, params)
@@ -510,11 +495,10 @@ def _advance(
     for b in range(rho.shape[0]):  # scalar stores, as in _solve_velocity
         rho_new[b, 0] -= wall * flux[b, 0]
         rho_new[b, -1] += wall * flux[b, -1]
-    floor = options.density_floor
-    if rho_new.min() < floor:
-        member = _first(rho_new.min(axis=1) < floor)
+    if rho_new.min() < density_floor:
+        member = _first(rho_new.min(axis=1) < density_floor)
         node = int(rho_new[member].argmin())
-        raise DensityFloorError(node, float(rho_new[member, node]), floor, member)
+        raise DensityFloorError(node, float(rho_new[member, node]), density_floor, member)
 
     # --- momentum: explicit interior rate, implicit viscosity ---
     m_star = rho * u
@@ -534,8 +518,6 @@ def _advance(
                 "renormalization is no longer meaningful",
                 member=member,
             )
-        if stats is not None:
-            stats["sphere_renorm_max"] = float(np.abs(nrm - 1.0).max())
         d_new = d_new / nrm
 
     if not (
@@ -563,7 +545,7 @@ def evolve(
     bc: Union[BoundarySpec, Sequence[BoundarySpec]],
     observer: Optional[Callable] = None,
     sample_interval: Optional[float] = None,
-    options: Optional[SolverOptions] = None,
+    density_floor: float = DEFAULT_DENSITY_FLOOR,
 ):
     """Integrate from t=0 to t_end, invoking the observer at sample times.
 
@@ -572,8 +554,9 @@ def evolve(
     is dt shrunk minimally so the window is an integer number of steps;
     sample times are therefore hit exactly.  sample_interval=None samples
     after every step.  Step errors propagate with the failure time attached.
-    A t_end, dt or sample_interval that is not finite, or out of range,
-    raises ValueError before the observer sees any state.
+    A step that drops the density below density_floor aborts the run.
+    A t_end, dt, sample_interval or density_floor that is not finite, or
+    out of range, raises ValueError before the observer sees any state.
 
     init and bc may also be equal-length sequences, one entry per member:
     the members then advance in lockstep through one batched step, the
@@ -592,6 +575,8 @@ def evolve(
         raise ValueError(
             f"sample_interval must be finite and positive, got {sample_interval!r}"
         )
+    if not (math.isfinite(density_floor) and density_floor > 0):
+        raise ValueError(f"density_floor must be finite and positive, got {density_floor!r}")
     single = isinstance(init, InitialData)
     inits = (init,) if single else tuple(init)
     bcs = (bc,) if single else tuple(bc)
@@ -602,20 +587,19 @@ def evolve(
         if member.grid != grid:
             raise ValueError("initial data grid does not match the integration grid")
         if params.system is System.SPHERE:
-            mag = np.sqrt((member.d0.values**2).sum(axis=0))
+            mag = np.sqrt((member.d0**2).sum(axis=0))
             if np.abs(mag - 1.0).max() > 1e-10:
                 raise ValueError("SPHERE initial director must be unit length")
     _check_reaction_bound(dt, params)
-    options = options or SolverOptions()
     members = len(inits)
     pins = _director_pins(bcs)
 
-    rho = np.stack([member.rho0.values for member in inits])
-    u = np.stack([member.u0.values for member in inits])
-    d = np.stack([member.d0.values for member in inits])
+    rho = np.stack([member.rho0 for member in inits])
+    u = np.stack([member.u0 for member in inits])
+    d = np.stack([member.d0 for member in inits])
 
     def states():
-        out = tuple(State.from_arrays(grid, rho[b], u[b], d[b]) for b in range(members))
+        out = tuple(State(grid, rho[b], u[b], d[b]) for b in range(members))
         return out[0] if single else out
 
     if observer is not None:
@@ -643,7 +627,7 @@ def evolve(
             )
         for j in range(n_sub):
             try:
-                rho, u, d = _advance(rho, u, d, dt_eff, params, grid, implicit, options)
+                rho, u, d = _advance(rho, u, d, dt_eff, params, grid, implicit, density_floor)
             except SolverError as exc:
                 exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
                 raise

@@ -97,7 +97,7 @@ class StatePair:
     def __post_init__(self):
         if self.candidate.grid != self.reference.grid:
             raise FunctionalError("candidate and reference must share one grid")
-        low = self.reference.rho.values.min()
+        low = self.reference.rho.min()
         if low < self.rho_lower:
             raise FunctionalError(
                 f"reference density {low:.3e} below lower bound {self.rho_lower:.1e}"
@@ -144,7 +144,7 @@ def _derivatives(states: Sequence[State], dx: float) -> Tuple[np.ndarray, np.nda
     state, and Laplacian of those rows past the first u: the rows the
     densities read, with one call of each operator.  The stencils act row
     by row, so the rows left out change no bit of the others."""
-    rows = np.concatenate([f for s in states for f in (s.u.values[None], s.d.values)])
+    rows = np.concatenate([f for s in states for f in (s.u[None], s.d)])
     return gradient_array(rows, dx), laplacian_array(rows[1:], dx)
 
 
@@ -200,10 +200,10 @@ def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
     dissipation: integral( mu |u_x|^2 + lam theta |d_xx - f(d)|^2 ) for GL;
                  the SPHERE relaxation residual is d_xx + |d_x|^2 d instead.
     """
-    d = state.d.values
+    d = state.d
     grad, lap_d = _derivatives((state,), state.grid.dx)
     force = gl_force(d, params) if params.system is System.GL else None
-    rows = _state_densities(state.rho.values, state.u.values, d, grad[0],
+    rows = _state_densities(state.rho, state.u, d, grad[0],
                             (grad[1:] * grad[1:]).sum(axis=0), lap_d, force, params)
     return tuple(trapezoid_array(np.array(rows), state.grid.dx).tolist())
 
@@ -220,12 +220,12 @@ def dissipation(state: State, params: Params) -> float:
 
 def mass(state: State) -> float:
     """Total mass integral of the density."""
-    return trapezoid_array(state.rho.values, state.grid.dx)
+    return trapezoid_array(state.rho, state.grid.dx)
 
 
 def sphere_defect(state: State) -> float:
     """Largest departure of the director length from 1: max | |d| - 1 |."""
-    return float(_unit_defects(state.d.values))
+    return float(_unit_defects(state.d))
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +243,17 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
 
     Nonnegative (each summand is) and zero when the states coincide.  The
     GL variant carries no zeroth-order director gap because the Dirichlet
-    pinning lets the gradient gap control it; that gap is still available
-    as director_l2_gap for diagnostics.
+    pinning lets the gradient gap control it; that gap is still reported,
+    as remainder's diag_director_l2_gap term.
     """
     dx = pair.grid.dx
     c, r = pair.candidate, pair.reference
-    grad = gradient_array(np.array((c.d.values, r.d.values)), dx)
+    grad = gradient_array(np.array((c.d, r.d)), dx)
     dgrad = grad[0] - grad[1]
-    dd = c.d.values - r.d.values
+    dd = c.d - r.d
     dot = _dots(dgrad_sq=(dgrad, dgrad), gap_sq=(dd, dd))
-    dens = _entropy_density(
-        c.rho.values, c.u.values - r.u.values, r.rho.values, dot["dgrad_sq"], dot["gap_sq"],
-        params,
-    )
+    dens = _entropy_density(c.rho, c.u - r.u, r.rho, dot["dgrad_sq"], dot["gap_sq"], params)
     return trapezoid_array(dens, dx)
-
-
-def director_l2_gap(pair: StatePair) -> float:
-    """L2 norm of d - d~ (diagnostic; not part of the GL entropy)."""
-    dd = pair.candidate.d.values - pair.reference.d.values
-    return float(np.sqrt(trapezoid_array(np.sum(dd * dd, axis=0), pair.grid.dx)))
 
 
 @dataclass
@@ -304,7 +295,7 @@ class _PairFields:
     def build(cls, pair: StatePair, params: Params) -> "_PairFields":
         dx = pair.grid.dx
         c, r = pair.candidate, pair.reference
-        d, d_r = c.d.values, r.d.values
+        d, d_r = c.d, r.d
         grad, lap = _derivatives((c, r), dx)  # rows (u, d, u~, d~); lap (d, u~, d~)
         grad_d, grad_d_r = grad[1:4], grad[5:8]
         lap_d, lap_d_r = lap[:3], lap[4:]
@@ -323,8 +314,8 @@ class _PairFields:
                     dgrad_sq=(dgrad, dgrad), gap_sq=(e, e), **norms)
         stress_div_r = params.lam * dot["stress_r"]
         return cls(
-            dx=dx, rho=c.rho.values, u=c.u.values, d=d, rho_r=r.rho.values, u_r=r.u.values,
-            d_r=d_r, p=pressure(c.rho.values, params), p_r=pressure(r.rho.values, params),
+            dx=dx, rho=c.rho, u=c.u, d=d, rho_r=r.rho, u_r=r.u, d_r=d_r,
+            p=pressure(c.rho, params), p_r=pressure(r.rho, params),
             grad_u=grad[0], grad_u_r=grad[4], grad_d=grad_d, grad_d_r=grad_d_r, lap_d=lap_d,
             lap_d_r=lap_d_r, dgrad=dgrad, dlap=lap_d - lap_d_r, e=e, force=force,
             force_r=force_r, stress_div_r=stress_div_r, g_ref=params.mu * lap[3] - stress_div_r,
@@ -492,7 +483,7 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     """
     sphere_def = None
     if params.system is System.SPHERE:
-        defects = _unit_defects(np.array((pair.candidate.d.values, pair.reference.d.values)))
+        defects = _unit_defects(np.array((pair.candidate.d, pair.reference.d)))
         for name, defect in zip(("candidate", "reference"), defects.tolist()):
             if defect > 1e-8:
                 raise FunctionalError(f"{name} director is not unit length")

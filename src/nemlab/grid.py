@@ -1,12 +1,11 @@
 """One-dimensional discrete calculus on uniform node-centered grids.
 
-Provides the mesh type, immutable scalar/3-vector field containers, and the
-differential/integral operators every functional in this package is built
-from: second-order gradient and Laplacian stencils, composite trapezoid
-quadrature, and the L3 and Linf norms that define h_hat's factors.
-The operators act on plain arrays along their last axis, so the solver
-and the functionals (and their tests) run one implementation of each;
-the field containers only validate and freeze values.
+Provides the mesh type and the differential/integral operators every
+functional in this package is built from: second-order gradient and
+Laplacian stencils and composite trapezoid quadrature.  The operators act
+on plain arrays along their last axis, so the solver and the functionals
+(and their tests) run one implementation of each; the state containers
+that validate and freeze those arrays live in the dynamics module.
 
 Conventions:
     - Nodes are x_i = x_min + i*dx, i = 0 .. n_nodes-1, dx uniform.
@@ -16,8 +15,8 @@ Conventions:
     - Quadrature is the composite trapezoid rule (second order, matched to
       the stencil order).
 
-All operations are pure functions of their inputs and field values are
-frozen after construction, so concurrent evaluation needs no coordination.
+All operations are pure functions of their inputs, so concurrent
+evaluation needs no coordination.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ import numpy as np
 
 class GridError(ValueError):
     """Invalid grid construction or mismatched grid usage."""
-
-
-class FieldError(ValueError):
-    """Invalid field data (wrong length, non-finite entries)."""
 
 
 @dataclass(frozen=True)
@@ -73,51 +68,6 @@ class Grid1D:
 
     def nodes(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_nodes)
-
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """One real value per grid node; immutable once constructed."""
-
-    values: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.ndim != 1 or self.values.shape[0] != self.grid.n_nodes:
-            raise FieldError(
-                f"expected {self.grid.n_nodes} values, got shape {self.values.shape}"
-            )
-        if not np.isfinite(self.values).all():
-            raise FieldError("scalar field contains non-finite values")
-
-
-@dataclass(frozen=True)
-class VectorField3:
-    """Three scalar components sharing one grid, stored as a (3, n) array.
-
-    Used for the director field and its derived quantities; the three
-    components live on the same 1D mesh (the director keeps all three
-    spatial components in the 1D reduction of the flow).
-    """
-
-    values: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.shape != (3, self.grid.n_nodes):
-            raise FieldError(
-                f"expected shape (3, {self.grid.n_nodes}), got {self.values.shape}"
-            )
-        if not np.isfinite(self.values).all():
-            raise FieldError("vector field contains non-finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +133,3 @@ def trapezoid_array(values: np.ndarray, dx: float):
     row, an array for a stack of rows, each as if integrated alone."""
     out = dx * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
     return float(out) if out.ndim == 0 else out
-
-
-def linf_array(arr: np.ndarray) -> float:
-    """Max-norm over the nodes; a (3, n) array by its columns' Euclidean length."""
-    if arr.ndim == 2:
-        return float(np.max(np.sqrt(np.sum(arr * arr, axis=0))))
-    return float(np.max(np.abs(arr)))
-
-
-def l3_array(arr: np.ndarray, dx: float) -> float:
-    """L3 norm of a scalar array, by trapezoid quadrature of |arr|^3."""
-    return float(np.cbrt(trapezoid_array(np.abs(arr) ** 3, dx)))

@@ -53,10 +53,10 @@ import numpy as np
 
 from .constitutive import Params, System
 from .dynamics import (
+    DEFAULT_DENSITY_FLOOR,
     BoundarySpec,
     InitialData,
     SolverError,
-    SolverOptions,
     State,
     evolve,
 )
@@ -67,7 +67,7 @@ from .functionals import (
     relative_entropy,
     remainder,
 )
-from .grid import Grid1D, ScalarField, VectorField3
+from .grid import Grid1D
 
 MAX_SAMPLES = 10_000
 _SAMPLES_PER_BLOCK = 64  # stored reference samples per array (memory model above)
@@ -162,9 +162,7 @@ def make_initial_data(
         if np.min(rho) <= 0.0:
             raise VerifierError("perturbation drove the initial density nonpositive")
 
-    return InitialData(
-        ScalarField(rho, grid), ScalarField(u, grid), VectorField3(d, grid)
-    )
+    return InitialData(grid, rho, u, d)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,12 @@ class GronwallConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full declarative description of one twin experiment."""
+    """Full declarative description of one twin experiment.
+
+    The step sizes, t_end, the resolved sample interval and density_floor
+    must be finite and positive; construction raises VerifierError naming
+    the first that is not.
+    """
 
     params: Params
     grid_reference: Grid1D
@@ -207,7 +210,7 @@ class ExperimentConfig:
     perturbation: Perturbation = Perturbation()
     sample_interval: Optional[float] = None
     gronwall: GronwallConfig = GronwallConfig()
-    solver: SolverOptions = SolverOptions()
+    density_floor: float = DEFAULT_DENSITY_FLOOR
 
     def __post_init__(self):
         if (
@@ -215,9 +218,16 @@ class ExperimentConfig:
             or self.grid_reference.x_max != self.grid_candidate.x_max
         ):
             raise VerifierError("reference and candidate grids must share endpoints")
-        for name in ("dt_reference", "dt_candidate", "t_end"):
-            if not getattr(self, name) > 0:
-                raise VerifierError(f"{name} must be positive")
+        interval = self.resolved_sample_interval()
+        for name, value in (
+            ("dt_reference", self.dt_reference),
+            ("dt_candidate", self.dt_candidate),
+            ("t_end", self.t_end),
+            ("sample_interval", interval),
+            ("density_floor", self.density_floor),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise VerifierError(f"{name} must be finite and positive, got {value!r}")
         if self.initial_preset not in PRESET_SYSTEMS:
             known = ", ".join(sorted(PRESET_SYSTEMS))
             raise VerifierError(
@@ -228,9 +238,6 @@ class ExperimentConfig:
                 f"preset {self.initial_preset!r} does not match system "
                 f"{self.params.system.value}"
             )
-        interval = self.resolved_sample_interval()
-        if interval <= 0:
-            raise VerifierError("sample_interval must be positive")
         if self.t_end / interval > MAX_SAMPLES:
             raise VerifierError(
                 f"t_end/sample_interval exceeds {MAX_SAMPLES} samples"
@@ -289,12 +296,12 @@ def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     """
     if state.grid == grid_to:
         return state
-    rows = np.concatenate((state.rho.values[None], state.u.values[None], state.d.values))
+    rows = np.concatenate((state.rho[None], state.u[None], state.d))
     out = cubic_restrict(rows, state.grid, grid_to)
     d = out[2:]
     if system is System.SPHERE:
         d = d / np.sqrt((d * d).sum(axis=0))
-    return State.from_arrays(grid_to, out[0], out[1], d)
+    return State(grid_to, out[0], out[1], d)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +391,7 @@ def _evolve_samples(
             bcs,
             observer=observer,
             sample_interval=config.resolved_sample_interval(),
-            options=config.solver,
+            density_floor=config.density_floor,
         )
     except SolverError as exc:
         who = " and ".join(tags) if exc.member is None else tags[exc.member]
@@ -405,7 +412,7 @@ def _pair(
     t_r, st_r = entry
     if abs(t_r - t) > 1e-9 * max(1.0, config.t_end):
         raise VerifierError(f"sample time mismatch: {t_r} vs {t}")
-    row(t, StatePair(state, st_r, rho_lower=config.solver.density_floor))
+    row(t, StatePair(state, st_r, rho_lower=config.density_floor))
 
 
 def _stream_candidate(
@@ -517,13 +524,13 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
             if i == 0:
                 blocks.append(np.empty((_SAMPLES_PER_BLOCK, 5, grid_c.n_nodes)))
             rows = blocks[-1][i]
-            rows[0], rows[1], rows[2:] = st.rho.values, st.u.values, st.d.values
+            rows[0], rows[1], rows[2:] = st.rho, st.u, st.d
             times.append(t)
             on_reference(state)
 
         def stored(k: int) -> Tuple[float, State]:
             rows = blocks[k // _SAMPLES_PER_BLOCK][k % _SAMPLES_PER_BLOCK]
-            return times[k], State.from_arrays(grid_c, rows[0], rows[1], rows[2:])
+            return times[k], State(grid_c, rows[0], rows[1], rows[2:])
 
         _evolve_samples(
             ("reference",), (ref_init,), config.dt_reference, config, keep_reference

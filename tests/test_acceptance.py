@@ -62,7 +62,7 @@ def manufactured_gl_pair(n):
          0.08 * np.cos(2 * np.pi * x)]
     )
     return StatePair(
-        State.from_arrays(g, rho_c, u_c, d_c), State.from_arrays(g, rho_r, u_r, d_r)
+        State(g, rho_c, u_c, d_c), State(g, rho_r, u_r, d_r)
     )
 
 
@@ -84,7 +84,7 @@ def manufactured_sphere_pair(n):
         [np.cos(phi_c), np.sin(phi_c) * np.cos(psi_c), np.sin(phi_c) * np.sin(psi_c)]
     )
     return StatePair(
-        State.from_arrays(g, rho_c, u_c, d_c), State.from_arrays(g, rho_r, u_r, d_r)
+        State(g, rho_c, u_c, d_c), State(g, rho_r, u_r, d_r)
     )
 
 
@@ -163,10 +163,10 @@ def test_criterion_3_conservation_and_constraints(capsys):
         init = make_initial_data(preset, g, p)
         bc = BoundarySpec.for_system(system, init.d0)
         dx = g.dx
-        rho0 = init.rho0.values
+        rho0 = init.rho0
         m0 = dx * (rho0.sum() - 0.5 * (rho0[0] + rho0[-1]))
-        d_left = init.d0.values[:, 0].copy()
-        d_right = init.d0.values[:, -1].copy()
+        d_left = init.d0[:, 0].copy()
+        d_right = init.d0[:, -1].copy()
         worst_defect = 0.0
         pins_exact = True
         steps = -1  # the observer also sees the initial datum
@@ -174,16 +174,16 @@ def test_criterion_3_conservation_and_constraints(capsys):
         def check(st, t):
             nonlocal worst_defect, pins_exact, steps
             steps += 1
-            pins_exact &= st.u.values[0] == 0.0 and st.u.values[-1] == 0.0
+            pins_exact &= st.u[0] == 0.0 and st.u[-1] == 0.0
             if system is System.GL:
-                pins_exact &= np.array_equal(st.d.values[:, 0], d_left)
-                pins_exact &= np.array_equal(st.d.values[:, -1], d_right)
+                pins_exact &= np.array_equal(st.d[:, 0], d_left)
+                pins_exact &= np.array_equal(st.d[:, -1], d_right)
             else:
-                mag = np.sqrt(np.sum(st.d.values**2, axis=0))
+                mag = np.sqrt(np.sum(st.d**2, axis=0))
                 worst_defect = max(worst_defect, float(np.max(np.abs(mag - 1.0))))
 
         st = evolve(init, 0.1, 1e-4, p, g, bc, observer=check)  # 1000 steps
-        m1 = dx * (st.rho.values.sum() - 0.5 * (st.rho.values[0] + st.rho.values[-1]))
+        m1 = dx * (st.rho.sum() - 0.5 * (st.rho[0] + st.rho[-1]))
         drift = abs(m1 - m0) / abs(m0)
         sys_ok = drift <= 1e-12 and pins_exact and steps == 1000
         if system is System.SPHERE:

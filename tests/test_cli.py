@@ -45,7 +45,7 @@ class TestParseConfig:
         assert cfg.params.system is System.GL
         assert cfg.gronwall.c_h is None
         assert cfg.gronwall.slack == 0.0
-        assert cfg.solver.density_floor == 1e-8
+        assert cfg.density_floor == 1e-8
         assert cfg.perturbation.amplitude == 0.0
         assert cfg.dt_reference == cfg.dt_candidate == 2e-4
         assert cfg.resolved_sample_interval() == pytest.approx(0.02 / 50)
@@ -97,6 +97,7 @@ class TestParseConfig:
             "sigma0": (0.0, "sigma0 must be positive"),
             "dt": (0.0, "dt must be positive"),
             "t_end": (-0.5, "t_end must be positive"),
+            "density_floor": (0.0, "density_floor must be positive"),
             "x_max": (-2.0, "x_max must exceed x_min"),
         }
         for key, (bad, msg) in cases.items():
@@ -318,7 +319,7 @@ class TestMain:
         ))
 
     @pytest.mark.parametrize("doc, err", [
-        # the length overflowed: FieldError from the non-finite nodes
+        # the length overflowed, so the nodes would not be finite
         ({"x_min": -1e308, "x_max": 1e308},
          "x_min/x_max: domain length of [-1e+308, 1e+308] is not finite"),
         # dx*dx underflowed: ZeroDivisionError in the implicit matrices
@@ -370,7 +371,9 @@ class TestMain:
          "perturbation.amplitude must be finite, got nan"),
         # an integer beyond the float range
         ({"mu": 10**400}, f"mu must be finite, got {10**400!r}"),
-    ], ids=["t_end", "x_min", "gronwall.c_h", "dt", "perturbation.amplitude", "mu"])
+        ({"density_floor": math.inf}, "density_floor must be finite, got inf"),
+    ], ids=["t_end", "x_min", "gronwall.c_h", "dt", "perturbation.amplitude", "mu",
+            "density_floor"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, doc, err):
         path = tmp_path / "cfg.json"
         path.write_text(cfg_text(**doc))
@@ -599,9 +602,9 @@ class TestPairFaults:
 
         def edited(state, grid_to, system_):
             out = original(state, grid_to, system_)
-            rho, u, d = (np.array(f.values) for f in (out.rho, out.u, out.d))
+            rho, u, d = (np.array(f) for f in (out.rho, out.u, out.d))
             edit(rho, u, d)
-            return State.from_arrays(grid_to, rho, u, d)
+            return State(grid_to, rho, u, d)
 
         monkeypatch.setattr(verifier, "restrict_state", edited)
         text = cfg_text(**{"system": system, "initial_preset": f"{system}-smooth",

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from nemlab.grid import (
-    FieldError,
-    Grid1D,
-    GridError,
-    ScalarField,
-    VectorField3,
-    gradient_array,
-    l3_array,
-    laplacian_array,
-    linf_array,
-    trapezoid_array,
-)
+from nemlab.grid import Grid1D, GridError, gradient_array, laplacian_array, trapezoid_array
 
 
 def field(fn, grid):
@@ -58,28 +47,6 @@ class TestGrid1D:
     def test_tiny_usable_spacing_accepted(self):
         g = Grid1D(5, 0.0, 1e-150)
         assert np.isfinite(1.0 / (g.dx * g.dx))
-
-    def test_field_length_mismatch_rejected(self):
-        g = Grid1D(11, 0.0, 1.0)
-        with pytest.raises(FieldError):
-            ScalarField(np.zeros(10), g)
-
-    def test_non_finite_rejected(self):
-        g = Grid1D(11, 0.0, 1.0)
-        vals = np.zeros(11)
-        vals[3] = np.nan
-        with pytest.raises(FieldError):
-            ScalarField(vals, g)
-        bad = np.zeros((3, 11))
-        bad[1, 2] = np.inf
-        with pytest.raises(FieldError):
-            VectorField3(bad, g)
-
-    def test_fields_frozen(self):
-        g = Grid1D(11, 0.0, 1.0)
-        f = ScalarField(np.ones(11), g)
-        with pytest.raises(ValueError):
-            f.values[0] = 2.0
 
 
 class TestGradient:
@@ -160,23 +127,3 @@ class TestIntegrate:
         g = Grid1D(33, 0.0, 2.0)
         f = field(lambda x: x, g)
         assert trapezoid_array(f, g.dx) == pytest.approx(2.0, abs=1e-14)
-
-
-class TestNorm:
-    def test_unit_vector_linf_array(self):
-        v = np.zeros((3, 51))
-        v[0] = 1.0
-        assert linf_array(v) == 1.0
-
-    def test_identity_l3_array(self):
-        g = Grid1D(2001, 0.0, 1.0)
-        f = field(lambda x: x, g)
-        assert l3_array(f, g.dx) == pytest.approx(0.25 ** (1.0 / 3.0), abs=1e-6)
-
-    def test_monotonicity_bounds(self):
-        rng = np.random.default_rng(11)
-        g = Grid1D(61, 0.0, 2.5)
-        size = g.length
-        for _ in range(20):
-            f = rng.normal(size=61)
-            assert l3_array(f, g.dx) <= size ** (1.0 / 3.0) * linf_array(f) + 1e-12

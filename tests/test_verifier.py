@@ -73,40 +73,40 @@ class TestPresets:
     def test_gl_preset_constraints(self):
         g = Grid1D(129, 0.0, 1.0)
         init = make_initial_data("gl-smooth", g, GL)
-        assert init.u0.values[0] == 0.0 and init.u0.values[-1] == 0.0
-        assert np.min(init.rho0.values) > 0.5
-        mag = np.sqrt(np.sum(init.d0.values**2, axis=0))
+        assert init.u0[0] == 0.0 and init.u0[-1] == 0.0
+        assert np.min(init.rho0) > 0.5
+        mag = np.sqrt(np.sum(init.d0**2, axis=0))
         assert np.max(np.abs(mag - 1.0)) <= 1e-12
 
     def test_sphere_preset_neumann_compatible(self):
         g = Grid1D(257, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, SPH)
-        mag = np.sqrt(np.sum(init.d0.values**2, axis=0))
+        mag = np.sqrt(np.sum(init.d0**2, axis=0))
         assert np.max(np.abs(mag - 1.0)) <= 1e-12
         # endpoint slope vanishes analytically; discretely O(dx^2)
-        slope = (init.d0.values[:, 1] - init.d0.values[:, 0]) / g.dx
+        slope = (init.d0[:, 1] - init.d0[:, 0]) / g.dx
         assert np.max(np.abs(slope)) <= 5.0 * g.dx
 
     def test_gl_perturbation_preserves_endpoints(self):
         g = Grid1D(97, 0.0, 1.0)
         base = make_initial_data("gl-smooth", g, GL)
         pert = make_initial_data("gl-smooth", g, GL, Perturbation(1e-3, 3))
-        assert np.array_equal(pert.d0.values[:, 0], base.d0.values[:, 0])
-        assert np.array_equal(pert.d0.values[:, -1], base.d0.values[:, -1])
-        assert not np.array_equal(pert.rho0.values, base.rho0.values)
+        assert np.array_equal(pert.d0[:, 0], base.d0[:, 0])
+        assert np.array_equal(pert.d0[:, -1], base.d0[:, -1])
+        assert not np.array_equal(pert.rho0, base.rho0)
 
     def test_sphere_perturbation_keeps_unit_length(self):
         g = Grid1D(97, 0.0, 1.0)
         pert = make_initial_data("sphere-smooth", g, SPH, Perturbation(1e-2, 2))
-        mag = np.sqrt(np.sum(pert.d0.values**2, axis=0))
+        mag = np.sqrt(np.sum(pert.d0**2, axis=0))
         assert np.max(np.abs(mag - 1.0)) <= 1e-12
 
     def test_zero_amplitude_is_bitwise_unperturbed(self):
         g = Grid1D(97, 0.0, 1.0)
         base = make_initial_data("gl-smooth", g, GL)
         zero = make_initial_data("gl-smooth", g, GL, Perturbation(0.0, 5))
-        assert np.array_equal(base.rho0.values, zero.rho0.values)
-        assert np.array_equal(base.d0.values, zero.d0.values)
+        assert np.array_equal(base.rho0, zero.rho0)
+        assert np.array_equal(base.d0, zero.d0)
 
     def test_unknown_preset_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -158,9 +158,9 @@ class TestCubicRestrict:
     def test_restrict_state_renormalizes_sphere_director(self):
         src = Grid1D(129, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", src, SPH)
-        st = State(init.rho0, init.u0, init.d0)
+        st = State(src, init.rho0, init.u0, init.d0)
         out = restrict_state(st, Grid1D(65, 0.0, 1.0), System.SPHERE)
-        mag = np.sqrt(np.sum(out.d.values**2, axis=0))
+        mag = np.sqrt(np.sum(out.d**2, axis=0))
         assert np.max(np.abs(mag - 1.0)) <= 1e-14
 
 
@@ -199,7 +199,7 @@ def test_restrict_state_is_cubic_restrict_of_each_field(n_from, n_to, system, se
     d = rng.normal(size=(3, n_from))
     if system is System.SPHERE:
         d /= np.sqrt(np.sum(d * d, axis=0))
-    state = State.from_arrays(src, 1.0 + rng.random(n_from), rng.normal(size=n_from), d)
+    state = State(src, 1.0 + rng.random(n_from), rng.normal(size=n_from), d)
     out = restrict_state(state, dst, system)
     d_to = cubic_restrict(d, src, dst)
     if src != dst:
@@ -214,9 +214,9 @@ def test_restrict_state_is_cubic_restrict_of_each_field(n_from, n_to, system, se
         assert d_to.tobytes() == chain.tobytes()
     if system is System.SPHERE and src != dst:
         d_to = d_to / np.sqrt(np.sum(d_to * d_to, axis=0))
-    for got, want in ((out.rho.values, cubic_restrict(state.rho.values, src, dst)),
-                      (out.u.values, cubic_restrict(state.u.values, src, dst)),
-                      (out.d.values, d_to)):
+    for got, want in ((out.rho, cubic_restrict(state.rho, src, dst)),
+                      (out.u, cubic_restrict(state.u, src, dst)),
+                      (out.d, d_to)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -408,7 +408,7 @@ class TestLockstepTwin:
 
     def _cfl_limit(self, init):
         # the documented bound 0.4*dx over max |u| + sqrt(a gamma rho^(gamma-1))
-        speed = np.max(np.abs(init.u0.values)) + np.sqrt(2.0 * np.max(init.rho0.values))
+        speed = np.max(np.abs(init.u0)) + np.sqrt(2.0 * np.max(init.rho0))
         return 0.4 * init.grid.dx / speed
 
     @pytest.mark.parametrize("which", ["candidate", "both"])
@@ -708,3 +708,17 @@ class TestTraceValidation:
             )
         with pytest.raises(VerifierError, match="samples"):
             twin_config(sample_interval=1e-9)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "name", ["dt_reference", "dt_candidate", "t_end", "sample_interval", "density_floor"]
+    )
+    def test_non_finite_or_nonpositive_rejected_at_construction(self, monkeypatch, name,
+                                                                value):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran on a config that should not construct")
+
+        monkeypatch.setattr(verifier, "evolve", no_evolve)
+        base = twin_config(n_ref=33, n_cand=33)
+        with pytest.raises(VerifierError, match=f"^{name} must be finite and positive"):
+            run_twin(replace(base, **{name: value}))
