@@ -29,14 +29,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, canonical_text, parse_config
-from .constitutive import ConstitutiveError, System
+from .constitutive import ConstitutiveError, Params, System
 from .dynamics import BoundarySpec, SolverError, evolve
 from .functionals import FunctionalError, energy_dissipation, mass, sphere_defect
 from .grid import Grid1D, GridError
@@ -58,6 +58,24 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_ABORT = 3
 
 WORKERS_ENV = "NEMLAB_WORKERS"
+
+# error type -> (exit code, stderr prefix); a suite task records every
+# error but ConfigError (an unwritable output, which stops the battery with
+# exit 2) as its failed check's detail, with the same prefix
+_ERRORS = {
+    ConfigError: (EXIT_CONFIG_ERROR, "config error"),
+    VerifierError: (EXIT_CONFIG_ERROR, "invalid experiment"),
+    SolverError: (EXIT_SOLVER_ABORT, "solver abort"),
+    FunctionalError: (EXIT_SOLVER_ABORT, "numerical abort"),
+    ConstitutiveError: (EXIT_SOLVER_ABORT, "numerical abort"),
+}
+_TASK_ERRORS = tuple(kind for kind in _ERRORS if kind is not ConfigError)
+
+
+def _error_line(exc: Exception) -> Tuple[int, str]:
+    """Exit code and `prefix: message` line of an error listed in _ERRORS."""
+    code, prefix = next(v for kind, v in _ERRORS.items() if isinstance(exc, kind))
+    return code, f"{prefix}: {exc}"
 
 
 @dataclass
@@ -272,21 +290,18 @@ def _energy(cfg: ExperimentConfig, args):
 
 
 def _suite_config(system: System, n: int, t_end: float, dt: float,
-                  amplitude: float = 0.0, mode: int = 2,
-                  n_ref: Optional[int] = None,
+                  amplitude: float = 0.0, n_ref: Optional[int] = None,
+                  dt_ref: Optional[float] = None,
                   interval: Optional[float] = None) -> ExperimentConfig:
-    preset = "gl-smooth" if system is System.GL else "sphere-smooth"
-    from .constitutive import Params
-
     return ExperimentConfig(
         params=Params(system=system),
         grid_reference=Grid1D(n_ref or n, 0.0, 1.0),
         grid_candidate=Grid1D(n, 0.0, 1.0),
-        dt_reference=dt,
+        dt_reference=dt_ref or dt,
         dt_candidate=dt,
         t_end=t_end,
-        initial_preset=preset,
-        perturbation=Perturbation(amplitude=amplitude, mode=mode),
+        initial_preset=f"{system.value}-smooth",
+        perturbation=Perturbation(amplitude=amplitude, mode=2),
         sample_interval=interval if interval is not None else t_end / 50.0,
     )
 
@@ -319,42 +334,18 @@ def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool,
     return rep.passes, f"levels={list(levels)} orders=[{orders}]"
 
 
-def _suite_task(task: Tuple[str, str, dict]) -> Tuple[str, bool, str]:
+# a suite task: (name, check, config, trace path or refinement levels);
+# module-level checks keep it picklable for worker processes
+_SuiteTask = Tuple[str, Callable[..., Tuple[bool, str]], ExperimentConfig, Any]
+
+
+def _suite_task(task: _SuiteTask) -> Tuple[str, bool, str]:
     """One independent suite experiment (safe to run in a worker process)."""
-    name, kind, payload = task
-    system = System.from_name(payload["system"])
+    name, check, cfg, arg = task
     try:
-        if kind == "floor":
-            cfg = _suite_config(system, payload["n"], payload["t_end"], payload["dt"],
-                                interval=payload.get("interval"))
-            ok, detail = _check_twin_floor(cfg, payload["trace_path"])
-        elif kind == "gronwall":
-            cfg = _suite_config(
-                system, payload["n"], payload["t_end"], payload["dt"],
-                amplitude=payload["amplitude"], mode=payload["mode"],
-            )
-            ok, detail = _check_gronwall_cert(cfg, payload["trace_path"])
-        elif kind == "collapse":
-            base_n = payload["levels"][0]
-            base = _suite_config(
-                system, base_n, payload["t_end"], payload["kappa"] / (base_n - 1) ** 2,
-                n_ref=payload["n_ref"],
-            )
-            # reference step also scales with its own dx^2; the factor 4
-            # keeps its error well below the finest candidate level at a
-            # quarter of the cost
-            base = replace(
-                base, dt_reference=4.0 * payload["kappa"] / (payload["n_ref"] - 1) ** 2
-            )
-            ok, detail = _check_collapse(base, payload["levels"])
-        else:
-            return name, False, f"unknown suite task kind {kind!r}"
-    except SolverError as exc:
-        return name, False, f"solver abort: {exc}"
-    except VerifierError as exc:
-        return name, False, f"invalid experiment: {exc}"
-    except (FunctionalError, ConstitutiveError) as exc:
-        return name, False, f"numerical abort: {exc}"
+        ok, detail = check(cfg, arg)
+    except _TASK_ERRORS as exc:
+        return name, False, _error_line(exc)[1]
     return name, ok, detail
 
 
@@ -364,43 +355,36 @@ _SMOKE = {
 }
 
 
-def _suite_tasks(preset: str, outdir: str) -> List[Tuple[str, str, dict]]:
+def _suite_tasks(preset: str, outdir: str) -> List[_SuiteTask]:
     def tp(name: str) -> str:
         return os.path.join(outdir, f"{name}.csv")
 
-    tasks: List[Tuple[str, str, dict]] = []
+    tasks: List[_SuiteTask] = []
     if preset in _SMOKE:
-        sysname = _SMOKE[preset].value
-        tasks.append((
-            f"{sysname}-identical-twin", "floor",
-            {"system": sysname, "n": 97, "t_end": 0.05, "dt": 2e-4,
-             "trace_path": tp(f"{preset}-identical-twin")},
-        ))
-        tasks.append((
-            f"{sysname}-gronwall", "gronwall",
-            {"system": sysname, "n": 97, "t_end": 0.05, "dt": 2e-4,
-             "amplitude": 1e-3, "mode": 2,
-             "trace_path": tp(f"{preset}-gronwall")},
-        ))
+        system = _SMOKE[preset]
+        tasks.append((f"{system.value}-identical-twin", _check_twin_floor,
+                      _suite_config(system, 97, 0.05, 2e-4),
+                      tp(f"{preset}-identical-twin")))
+        tasks.append((f"{system.value}-gronwall", _check_gronwall_cert,
+                      _suite_config(system, 97, 0.05, 2e-4, amplitude=1e-3),
+                      tp(f"{preset}-gronwall")))
     elif preset == "full":
-        for sysname in ("gl", "sphere"):
-            tasks.append((
-                f"{sysname}-identical-twin", "floor",
-                {"system": sysname, "n": 257, "t_end": 0.2, "dt": 5e-5,
-                 "interval": 1e-3,
-                 "trace_path": tp(f"full-{sysname}-identical-twin")},
-            ))
-            tasks.append((
-                f"{sysname}-gronwall", "gronwall",
-                {"system": sysname, "n": 257, "t_end": 0.1, "dt": 0.4 / 256**2,
-                 "amplitude": 1e-3, "mode": 2,
-                 "trace_path": tp(f"full-{sysname}-gronwall")},
-            ))
-            tasks.append((
-                f"{sysname}-collapse", "collapse",
-                {"system": sysname, "levels": [65, 129, 257], "n_ref": 1025,
-                 "t_end": 0.1, "kappa": 0.4},
-            ))
+        kappa, levels, n_ref = 0.4, [65, 129, 257], 1025
+        for system in (System.GL, System.SPHERE):
+            name = system.value
+            tasks.append((f"{name}-identical-twin", _check_twin_floor,
+                          _suite_config(system, 257, 0.2, 5e-5, interval=1e-3),
+                          tp(f"full-{name}-identical-twin")))
+            tasks.append((f"{name}-gronwall", _check_gronwall_cert,
+                          _suite_config(system, 257, 0.1, 0.4 / 256**2, amplitude=1e-3),
+                          tp(f"full-{name}-gronwall")))
+            # the reference step also scales with its own dx^2; the factor 4
+            # keeps its error well below the finest candidate level at a
+            # quarter of the cost
+            tasks.append((f"{name}-collapse", _check_collapse,
+                          _suite_config(system, levels[0], 0.1, kappa / (levels[0] - 1) ** 2,
+                                        n_ref=n_ref, dt_ref=4.0 * kappa / (n_ref - 1) ** 2),
+                          levels))
     else:
         raise ConfigError(
             f"unknown suite preset {preset!r}; choose from "
@@ -510,18 +494,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "suite":
             return _cmd_suite(args)
         return _run_config(args, _CONFIG_COMMANDS[args.command])
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except VerifierError as exc:
-        print(f"invalid experiment: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except SolverError as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
-    except (FunctionalError, ConstitutiveError) as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
+    except tuple(_ERRORS) as exc:
+        code, line = _error_line(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 def console_entry() -> None:

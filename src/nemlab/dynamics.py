@@ -160,13 +160,14 @@ class DirectorBC(Enum):
     NEUMANN_ZERO = "neumann_zero"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySpec:
     """Director boundary rows; velocity is always no-slip (u = 0).
 
     Dirichlet runs pin the director endpoints to fixed 3-vectors (the
     initial boundary values); Neumann runs use mirrored ghost nodes, which
-    keeps the one-sided treatment second order.
+    keeps the one-sided treatment second order.  Like State and
+    InitialData, it holds arrays, so it compares and hashes by identity.
     """
 
     director_bc: DirectorBC
@@ -220,12 +221,13 @@ def _freeze(owner, **shapes: Tuple[int, ...]) -> None:
         object.__setattr__(owner, name, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Instantaneous solver state (rho, u, d) on one grid.
 
     States produced by the integrator additionally satisfy rho above the
-    density floor and u = 0 at both endpoints.
+    density floor and u = 0 at both endpoints.  A state holds arrays, so
+    it compares and hashes by identity.
     """
 
     grid: Grid1D
@@ -238,9 +240,10 @@ class State:
         _freeze(self, rho=(n,), u=(n,), d=(3, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialData:
-    """Initial triple with the admissibility constraints checked."""
+    """Initial triple with the admissibility constraints checked; compared
+    and hashed by identity."""
 
     grid: Grid1D
     rho0: np.ndarray

@@ -23,21 +23,24 @@ is restricted to the candidate grid by local 4-point (cubic Lagrange)
 interpolation, which reproduces nodal values exactly when the grids
 coincide, so identical twins stay bit-identical.
 
-Memory model: a twin whose trajectories share grid and dt runs in
-lockstep: one two-member evolve steps both, and each sample pair is
-evaluated in the observer as it is produced, so no reference sample is
-retained and nothing is restricted.  Every other twin is streamed.  The
-reference runs first and keeps each sample only on the candidate grid;
-the candidate then runs and each of its samples is paired with the stored
-reference sample of the same time and evaluated.  The store holds the
-stacked (rho, u, d0, d1, d2) rows of 64 samples per array: small
-long-lived arrays allocated between the per-sample temporaries would
-fragment the heap.  A twin retains O(samples * n_candidate) floats, not
-O(samples * (n_reference + n_candidate)).  Its results are kept as
-columns of packed doubles: the per-term columns of EntropyTrace.terms
-take O(samples * terms) floats (a few dozen terms), not one object per
-sample.  check_uniqueness keeps its reference on the reference grid (it
-is restricted to several levels), which its few samples allow.
+Memory model: one engine, _pair_samples, pairs the candidates of
+run_twin (one) and check_uniqueness (one per level) with a reference
+evolved once.  A candidate sharing the reference's grid and dt runs in
+lockstep: it joins the reference's batched evolve, and each sample pair
+is evaluated in the observer as it is produced, so no reference sample
+is retained and nothing is restricted for it.  Every other candidate is
+streamed.  During the reference run each sample is restricted to that
+candidate's grid and kept there; the candidate then runs and each of its
+samples is paired with the stored reference sample of the same time and
+evaluated.  The store holds the stacked (rho, u, d0, d1, d2) rows of 64
+samples per array: small long-lived arrays allocated between the
+per-sample temporaries would fragment the heap.  A twin retains
+O(samples * n_candidate) floats, not O(samples * (n_reference +
+n_candidate)); check_uniqueness keeps the per-level restricted samples,
+O(samples * sum of level sizes), never its reference-grid samples.
+Results are kept as columns of packed doubles: the per-term columns of
+EntropyTrace.terms take O(samples * terms) floats (a few dozen terms),
+not one object per sample.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import functools
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -365,111 +368,111 @@ class EntropyTrace:
 TRACE_COLUMNS = tuple(f.name for f in fields(EntropyTrace) if f.type == "np.ndarray")
 
 
-def _evolve_samples(
-    tags: Tuple[str, ...],
-    inits: Tuple[InitialData, ...],
-    dt: float,
-    config: ExperimentConfig,
-    observer: Callable[[Tuple[State, ...], float], None],
-) -> None:
-    """Evolve the trajectories named by tags in lockstep, one per initial
-    datum on their shared grid, handing every sample to observer(states, t).
-
-    A solver abort from the integrator is tagged with the name of the
-    trajectory that failed; an error raised by the observer propagates
-    unchanged.
-    """
-    params = config.params
-    bcs = [BoundarySpec.for_system(params.system, init.d0) for init in inits]
-    try:
-        evolve(
-            inits,
-            config.t_end,
-            dt,
-            params,
-            inits[0].grid,
-            bcs,
-            observer=observer,
-            sample_interval=config.resolved_sample_interval(),
-            density_floor=config.density_floor,
-        )
-    except SolverError as exc:
-        who = " and ".join(tags) if exc.member is None else tags[exc.member]
-        exc.args = (f"{who} trajectory: {exc}",)
-        raise
-
-
 _COUNT_MISMATCH = "reference and candidate produced different sample counts"
 
-Row = Callable[[float, StatePair], None]
+Row = Callable[[int, float, StatePair], None]
 
 
-def _pair(
-    config: ExperimentConfig, entry: Tuple[float, State], state: State, t: float, row: Row
-) -> None:
-    """Pair candidate sample (state, t) with reference entry (t_r, st_r) and
-    hand it to row(t, pair); the sample times must match."""
-    t_r, st_r = entry
-    if abs(t_r - t) > 1e-9 * max(1.0, config.t_end):
-        raise VerifierError(f"sample time mismatch: {t_r} vs {t}")
-    row(t, StatePair(state, st_r, rho_lower=config.density_floor))
-
-
-def _stream_candidate(
+def _pair_samples(
     config: ExperimentConfig,
-    init: InitialData,
-    reference: Callable[[int], Tuple[float, State]],
-    count: int,
+    candidates: Sequence[Tuple[InitialData, float]],
     row: Row,
+    on_reference: Optional[Callable[[State], None]] = None,
 ) -> None:
-    """Evolve the candidate and evaluate each sample pair as it is produced.
+    """Pair every candidate with one reference, sample by sample.
 
-    reference(k) gives the (time, state) entry of reference sample k of
-    count, already on the candidate grid; each is asked for once, in
-    order.  Candidate sample k is paired with entry k and handed to row.
-    The sample counts and times of the two trajectories must match.
+    candidates holds (initial datum, dt) pairs.  The reference is evolved
+    once, from the unperturbed preset on config.grid_reference with
+    config.dt_reference, and each of its samples goes to on_reference.
+    A candidate with the reference's grid and dt joins that evolve as a
+    further member and is paired as each sample is produced.  Every other
+    candidate runs afterwards, alone: each reference sample was restricted
+    to its grid once during the reference run and kept there, and its
+    sample k is paired with stored sample k.  Candidate i's pair at time t
+    goes to row(i, t, pair); sample counts and times must match.  A solver
+    abort is tagged with the name of the trajectory that failed (the
+    reference or a candidate); an error raised evaluating a pair
+    propagates unchanged.
     """
-    k = 0
+    params = config.params
 
-    def observe(states: Tuple[State, ...], t: float) -> None:
-        nonlocal k
-        if k == count:
+    def run(tags: Tuple[str, ...], inits: Tuple[InitialData, ...], dt: float,
+            observer: Callable[[Tuple[State, ...], float], None]) -> None:
+        bcs = [BoundarySpec.for_system(params.system, init.d0) for init in inits]
+        try:
+            evolve(inits, config.t_end, dt, params, inits[0].grid, bcs, observer=observer,
+                   sample_interval=config.resolved_sample_interval(),
+                   density_floor=config.density_floor)
+        except SolverError as exc:
+            who = " and ".join(tags) if exc.member is None else tags[exc.member]
+            exc.args = (f"{who} trajectory: {exc}",)
+            raise
+
+    grid_r, dt_r = config.grid_reference, config.dt_reference
+    joined = [i for i, (init, dt) in enumerate(candidates)
+              if init.grid == grid_r and dt == dt_r]
+    later = [i for i in range(len(candidates)) if i not in joined]
+    # per candidate grid, the reference samples' stacked (rho, u, d0, d1, d2) rows
+    blocks: Dict[Grid1D, List[np.ndarray]] = {candidates[i][0].grid: [] for i in later}
+    times: List[float] = []
+
+    def observe_reference(states: Tuple[State, ...], t: float) -> None:
+        reference = states[0]
+        k = len(times) % _SAMPLES_PER_BLOCK
+        for grid, stored in blocks.items():
+            st = restrict_state(reference, grid, params.system)
+            if k == 0:
+                stored.append(np.empty((_SAMPLES_PER_BLOCK, 5, grid.n_nodes)))
+            rows = stored[-1][k]
+            rows[0], rows[1], rows[2:] = st.rho, st.u, st.d
+        times.append(t)
+        if on_reference is not None:
+            on_reference(reference)
+        for i, st in zip(joined, states[1:]):
+            row(i, t, StatePair(st, reference, rho_lower=config.density_floor))
+
+    run(("reference",) + ("candidate",) * len(joined),
+        (make_initial_data(config.initial_preset, grid_r, params),)
+        + tuple(candidates[i][0] for i in joined),
+        dt_r, observe_reference)
+    for i in later:
+        init, dt = candidates[i]
+        stored = blocks[init.grid]
+        k = 0
+
+        def observe(states: Tuple[State, ...], t: float) -> None:
+            nonlocal k
+            if k == len(times):
+                raise VerifierError(_COUNT_MISMATCH)
+            if abs(times[k] - t) > 1e-9 * max(1.0, config.t_end):
+                raise VerifierError(f"sample time mismatch: {times[k]} vs {t}")
+            rows = stored[k // _SAMPLES_PER_BLOCK][k % _SAMPLES_PER_BLOCK]
+            reference = State(init.grid, rows[0], rows[1], rows[2:])
+            row(i, t, StatePair(states[0], reference, rho_lower=config.density_floor))
+            k += 1
+
+        run(("candidate",), (init,), dt, observe)
+        if k != len(times):
             raise VerifierError(_COUNT_MISMATCH)
-        _pair(config, reference(k), states[0], t, row)
-        k += 1
-
-    _evolve_samples(("candidate",), (init,), config.dt_candidate, config, observe)
-    if k != count:
-        raise VerifierError(_COUNT_MISMATCH)
 
 
 def run_twin(config: ExperimentConfig) -> EntropyTrace:
     """Evolve reference and candidate and record the full entropy trace.
 
     The reference runs unperturbed on its own grid; the candidate starts
-    from the (optionally perturbed) preset on the candidate grid.  When
-    the two share grid and dt they advance in lockstep through one batched
-    step, and each sample pair is evaluated as soon as both are produced.
-    Otherwise each reference sample is restricted to the candidate grid as
-    it is produced and kept there, with its energy and dissipation
-    evaluated on its own grid; the candidate then runs, and each of its
-    samples is paired with the stored reference sample of the same time.
-    Either way the pair functionals are evaluated on the candidate grid,
-    the single-state quantities (energy, dissipation, mass) on each
-    trajectory's own.  Each sample's `remainder` fills one row of every
-    candidate and pair column and of the per-term columns; the
-    reference's energy and dissipation share one derivative pass.  Solver
-    aborts propagate with the trajectory tag attached; errors evaluating a
-    pair propagate untagged.
+    from the (optionally perturbed) preset on the candidate grid.  The two
+    are paired by _pair_samples: in lockstep through one batched step when
+    they share grid and dt, else with the reference kept on the candidate
+    grid until the candidate runs.  Either way the pair functionals are
+    evaluated on the candidate grid, the single-state quantities (energy,
+    dissipation, mass) on each trajectory's own.  Each sample's
+    `remainder` fills one row of every candidate and pair column and of
+    the per-term columns; the reference's energy and dissipation share
+    one derivative pass.  Solver aborts propagate with the trajectory tag
+    attached; errors evaluating a pair propagate untagged.
     """
     params = config.params
     system = params.system
-
-    ref_init = make_initial_data(config.initial_preset, config.grid_reference, params)
-    cand_init = make_initial_data(
-        config.initial_preset, config.grid_candidate, params, config.perturbation
-    )
-
     # columns fill as packed doubles, not lists of float objects
     cols: Dict[str, array] = {name: array("d") for name in TRACE_COLUMNS}
     terms: Dict[str, array] = defaultdict(functools.partial(array, "d"))
@@ -479,7 +482,7 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
         cols["energy_reference"].append(e)
         cols["dissipation_reference"].append(dsp)
 
-    def row(t: float, pair: StatePair) -> None:
+    def row(i: int, t: float, pair: StatePair) -> None:
         br = remainder(pair, params)
         values = dict(
             times=t,
@@ -499,43 +502,10 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
         for name, v in per_term.items():
             terms[name].append(v)
 
-    if (
-        config.grid_reference == config.grid_candidate
-        and config.dt_reference == config.dt_candidate
-    ):
-        def lockstep(states: Tuple[State, ...], t: float) -> None:
-            st_r, st_c = states
-            on_reference(st_r)
-            _pair(config, (t, st_r), st_c, t, row)
-
-        _evolve_samples(
-            ("reference", "candidate"), (ref_init, cand_init), config.dt_candidate, config,
-            lockstep,
-        )
-    else:
-        grid_c = config.grid_candidate
-        times: List[float] = []
-        blocks: List[np.ndarray] = []
-
-        def keep_reference(states: Tuple[State, ...], t: float) -> None:
-            (state,) = states
-            st = restrict_state(state, grid_c, system)
-            i = len(times) % _SAMPLES_PER_BLOCK
-            if i == 0:
-                blocks.append(np.empty((_SAMPLES_PER_BLOCK, 5, grid_c.n_nodes)))
-            rows = blocks[-1][i]
-            rows[0], rows[1], rows[2:] = st.rho, st.u, st.d
-            times.append(t)
-            on_reference(state)
-
-        def stored(k: int) -> Tuple[float, State]:
-            rows = blocks[k // _SAMPLES_PER_BLOCK][k % _SAMPLES_PER_BLOCK]
-            return times[k], State(grid_c, rows[0], rows[1], rows[2:])
-
-        _evolve_samples(
-            ("reference",), (ref_init,), config.dt_reference, config, keep_reference
-        )
-        _stream_candidate(config, cand_init, stored, len(times), row)
+    cand_init = make_initial_data(
+        config.initial_preset, config.grid_candidate, params, config.perturbation
+    )
+    _pair_samples(config, [(cand_init, config.dt_candidate)], row, on_reference)
     # a column no sample filled (the inactive system's remainders, the
     # sphere defect of GL) is NaN throughout
     n = len(cols["times"])
@@ -682,19 +652,19 @@ def check_uniqueness(
 ) -> UniquenessReport:
     """Zero-perturbation collapse: sup_t entropy vs candidate resolution.
 
-    The reference trajectory is evolved once on config.grid_reference,
-    kept there and restricted to each level's grid.  Each level runs the
-    candidate on a grid with the given node count, with dt scaled
-    proportionally to dx^2 from config.dt_candidate (anchored at
-    config.grid_candidate), so the first-order time error refines at the
-    same rate as the second-order space error.  Each level's candidate is
-    paired with the reference sample by sample as it runs, through the
-    same pairing as run_twin, and its sup is taken over the relative
-    entropy of those pairs; energies and remainders are not evaluated.
-    The levels must be at least 3 strictly increasing node counts, or
-    VerifierError is raised before anything runs.  Passing requires every
-    observed order to reach order_floor; a level whose entropy is
-    identically zero gives an infinite order.
+    Each level runs the unperturbed candidate on a grid with the given
+    node count, with dt scaled proportionally to dx^2 from
+    config.dt_candidate (anchored at config.grid_candidate), so the
+    first-order time error refines at the same rate as the second-order
+    space error.  One _pair_samples call, the pairing run_twin uses,
+    evolves the reference once on config.grid_reference and pairs every
+    level with it sample by sample; a level on the reference's grid and
+    dt joins the reference's evolve.  Each level's sup is taken over the
+    relative entropy of its pairs; energies and remainders are not
+    evaluated.  The levels must be at least 3 strictly increasing node
+    counts, or VerifierError is raised before anything runs.  Passing
+    requires every observed order to reach order_floor; a level whose
+    entropy is identically zero gives an infinite order.
     """
     if len(refinement_levels) < 3:
         raise VerifierError("need at least 3 refinement levels")
@@ -703,32 +673,21 @@ def check_uniqueness(
             f"refinement levels must be strictly increasing node counts, "
             f"got {list(refinement_levels)}"
         )
-    config = replace(config, perturbation=Perturbation())  # collapse protocol
     params = config.params
-    kappa = config.dt_candidate / config.grid_candidate.dx**2
+    base = config.grid_candidate
+    kappa = config.dt_candidate / base.dx**2
+    grids = [Grid1D(n, base.x_min, base.x_max) for n in refinement_levels]
+    entropy: List[List[float]] = [[] for _ in grids]
 
-    ref_init = make_initial_data(config.initial_preset, config.grid_reference, params)
-    reference: List[Tuple[float, State]] = []
-    _evolve_samples(
-        ("reference",), (ref_init,), config.dt_reference, config,
-        lambda states, t: reference.append((t, states[0])),
-    )
+    def row(i: int, t: float, pair: StatePair) -> None:
+        entropy[i].append(relative_entropy(pair, params))
 
-    sups: List[float] = []
-    dxs: List[float] = []
-    for n in refinement_levels:
-        grid_c = Grid1D(n, config.grid_candidate.x_min, config.grid_candidate.x_max)
-        level_cfg = replace(config, grid_candidate=grid_c, dt_candidate=kappa * grid_c.dx**2)
-        cand_init = make_initial_data(config.initial_preset, grid_c, params)
-        on_level = [(t, restrict_state(st, grid_c, params.system)) for t, st in reference]
-        entropy: List[float] = []
-
-        def row(t: float, pair: StatePair) -> None:
-            entropy.append(relative_entropy(pair, params))
-
-        _stream_candidate(level_cfg, cand_init, on_level.__getitem__, len(on_level), row)
-        sups.append(float(np.max(entropy)))
-        dxs.append(grid_c.dx)
+    # no perturbation: the collapse protocol
+    levels = [(make_initial_data(config.initial_preset, g, params), kappa * g.dx**2)
+              for g in grids]
+    _pair_samples(config, levels, row)
+    sups = [float(np.max(e)) for e in entropy]
+    dxs = [g.dx for g in grids]
 
     orders = []
     for k in range(len(sups) - 1):

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import pickle
 import re
 import tempfile
 
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 from nemlab import cli, verifier
 from nemlab.cli import main
 from nemlab.config import ConfigError, parse_config
-from nemlab.dynamics import State
+from nemlab.dynamics import SolverError, State
 from nemlab.constitutive import ConstitutiveError, System
 from nemlab.functionals import FunctionalError
 from nemlab.traceio import COLUMNS, read_columns, read_trace, write_trace
-from nemlab.verifier import EntropyTrace, VerifierError, run_twin
+from nemlab.verifier import EntropyTrace, Perturbation, VerifierError, run_twin
 
 MINIMAL_GL = {
     "system": "gl",
@@ -498,6 +499,68 @@ class TestMain:
         doc = json.loads((tmp_path / "gl-smoke-manifest.json").read_text())
         assert doc["passes"] is True
         assert doc["outputs"]
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (SolverError("reference trajectory: at t=0: diverged"), 3, "solver abort: "),
+        (VerifierError("sample time mismatch: 0.1 vs 0.2"), 2, "invalid experiment: "),
+    ])
+    def test_suite_task_reports_an_error_as_main_does(self, tmp_path, capsys, monkeypatch,
+                                                      error, code, prefix):
+        def failing(cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "run_twin", failing)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == code
+        printed = capsys.readouterr().err
+        for task in cli._suite_tasks("gl-smoke", str(tmp_path)):
+            name, ok, detail = cli._suite_task(task)
+            assert not ok
+            assert printed == f"{detail}\n" == f"{prefix}{error}\n"
+
+    def test_full_suite_tasks_carry_their_configs(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("building the suite tasks runs nothing")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        tasks = cli._suite_tasks("full", str(tmp_path))
+        assert [t[0] for t in tasks] == [
+            f"{s}-{check}" for s in ("gl", "sphere")
+            for check in ("identical-twin", "gronwall", "collapse")
+        ]
+        # worker processes receive the tasks pickled
+        assert pickle.loads(pickle.dumps(tasks)) == tasks
+        by_name = {name: (check, cfg, arg) for name, check, cfg, arg in tasks}
+        for s in ("gl", "sphere"):
+            check, twin, trace_path = by_name[f"{s}-identical-twin"]
+            assert check is cli._check_twin_floor
+            assert trace_path == os.path.join(str(tmp_path), f"full-{s}-identical-twin.csv")
+            assert twin.grid_reference.n_nodes == twin.grid_candidate.n_nodes == 257
+            assert twin.dt_reference == twin.dt_candidate == 5e-5
+            assert (twin.t_end, twin.sample_interval) == (0.2, 1e-3)
+            assert twin.perturbation.amplitude == 0.0
+
+            check, gronwall, trace_path = by_name[f"{s}-gronwall"]
+            assert check is cli._check_gronwall_cert
+            assert trace_path == os.path.join(str(tmp_path), f"full-{s}-gronwall.csv")
+            assert gronwall.grid_reference.n_nodes == gronwall.grid_candidate.n_nodes == 257
+            assert gronwall.dt_reference == gronwall.dt_candidate == 0.4 / 256**2
+            assert (gronwall.t_end, gronwall.sample_interval) == (0.1, 0.1 / 50)
+            assert gronwall.perturbation == Perturbation(amplitude=1e-3, mode=2)
+
+            check, collapse, levels = by_name[f"{s}-collapse"]
+            assert check is cli._check_collapse and levels == [65, 129, 257]
+            assert collapse.grid_candidate.n_nodes == 65
+            assert collapse.grid_reference.n_nodes == 1025
+            assert collapse.dt_candidate == 0.4 / 64**2
+            assert collapse.dt_reference == 4.0 * 0.4 / 1024**2
+            assert collapse.sample_interval == collapse.t_end / 50 == 0.1 / 50
+
+            for cfg in (twin, gronwall, collapse):
+                assert cfg.params.system is System.from_name(s)
+                assert cfg.initial_preset == f"{s}-smooth"
 
     def test_suite_worker_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEMLAB_WORKERS", "2")

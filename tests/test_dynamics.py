@@ -809,7 +809,8 @@ class TestInitialData:
 
 @pytest.mark.parametrize("container", [State, InitialData])
 class TestContainers:
-    """State and InitialData check each array once and keep a frozen copy."""
+    """State and InitialData check each array once and keep a frozen copy;
+    they compare and hash by identity."""
 
     @staticmethod
     def arrays(n=11):
@@ -853,6 +854,20 @@ class TestContainers:
             a[..., 5] = 7.0
         for f, expected in zip(fields(container)[1:], self.arrays()):
             assert np.array_equal(getattr(held, f.name), expected)
+
+    def test_equality_is_identity_and_hash_works(self, container):
+        g = Grid1D(11, 0.0, 1.0)
+        a, b = container(g, *self.arrays()), container(g, *self.arrays())
+        # equal fields, yet two containers: == neither raises nor compares arrays
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_boundary_spec_equality_is_identity_and_hash_works():
+    d0 = np.tile([[1.0], [0.0], [0.0]], 11)
+    a, b = BoundarySpec.dirichlet_from(d0), BoundarySpec.dirichlet_from(d0)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 class TestLapack:

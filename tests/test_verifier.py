@@ -667,6 +667,36 @@ class TestCheckUniqueness:
         assert rep.sup_entropy == expected
         assert all(s > 0.0 for s in expected)
 
+    def test_one_reference_run_and_one_restriction_per_sample_and_level(self, monkeypatch):
+        cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
+                          t_end=0.01)
+        cfg = replace(cfg, dt_reference=0.4 * Grid1D(65, 0, 1).dx ** 2)
+        calls = _counting_evolve(monkeypatch)
+        restricted = []
+        original = verifier.restrict_state
+
+        def counting(state, grid_to, system):
+            restricted.append((state.grid.n_nodes, grid_to.n_nodes))
+            return original(state, grid_to, system)
+
+        monkeypatch.setattr(verifier, "restrict_state", counting)
+        check_uniqueness(cfg, [17, 33, 49])
+        # the reference alone, then each level alone; the reference's 51
+        # samples (t_end/50 apart) are restricted once to each level
+        assert calls == [1, 1, 1, 1]
+        assert sorted(restricted) == sorted([(65, n) for n in (17, 33, 49)] * 51)
+
+    def test_level_on_the_reference_grid_and_step_joins_its_evolve(self, monkeypatch):
+        cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
+                          t_end=0.01)
+        # the step the finest level gets, bit for bit
+        kappa = cfg.dt_candidate / cfg.grid_candidate.dx ** 2
+        cfg = replace(cfg, dt_reference=kappa * Grid1D(65, 0, 1).dx ** 2)
+        calls = _counting_evolve(monkeypatch)
+        rep = check_uniqueness(cfg, [17, 33, 65])
+        assert calls == [2, 1, 1]
+        assert rep.sup_entropy[-1] == 0.0
+
     def test_requires_three_levels(self):
         with pytest.raises(VerifierError, match="3 refinement levels"):
             check_uniqueness(twin_config(), [65, 129])
