@@ -233,15 +233,9 @@ def _twin(cfg: ExperimentConfig, args):
 
 
 def _gronwall(cfg: ExperimentConfig, args):
-    rep = check_gronwall(_written_twin(cfg, args.output), cfg.gronwall)
-    _report(
-        "gronwall",
-        rep.passes,
-        f"minimal_c_h={rep.minimal_c_h:.6g} worst_time={rep.worst_time:.6g} "
-        f"slack={rep.slack:g}"
-        + (f" (checked at c_h={rep.c_h_used:g})" if rep.c_h_used is not None else ""),
-    )
-    return {"gronwall": rep.passes}, [args.output]
+    ok, detail = _check_gronwall_cert(cfg, args.output)
+    _report("gronwall", ok, detail)
+    return {"gronwall": ok}, [args.output]
 
 
 def _parse_levels(levels_arg: str, base: Grid1D) -> List[int]:
@@ -254,8 +248,6 @@ def _parse_levels(levels_arg: str, base: Grid1D) -> List[int]:
             )
     else:
         levels = [k * (base.n_nodes - 1) + 1 for k in (1, 2, 4)]
-    if len(levels) < 3:
-        raise ConfigError("--levels needs at least 3 entries")
     try:
         for n in levels:
             Grid1D(n, base.x_min, base.x_max)  # every level's grid must be valid
@@ -265,12 +257,9 @@ def _parse_levels(levels_arg: str, base: Grid1D) -> List[int]:
 
 
 def _uniqueness(cfg: ExperimentConfig, args):
-    levels = _parse_levels(args.levels, cfg.grid_candidate)
-    rep = check_uniqueness(cfg, levels)
-    sups = " ".join(f"{s:.3e}" for s in rep.sup_entropy)
-    orders = " ".join(f"{o:.2f}" for o in rep.orders)
-    _report("uniqueness", rep.passes, f"levels={levels} sup_entropy=[{sups}] orders=[{orders}]")
-    return {"uniqueness": rep.passes}, []
+    ok, detail = _check_collapse(cfg, _parse_levels(args.levels, cfg.grid_candidate))
+    _report("uniqueness", ok, detail)
+    return {"uniqueness": ok}, []
 
 
 def _energy(cfg: ExperimentConfig, args):
@@ -325,13 +314,16 @@ def _check_twin_floor(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str
 
 def _check_gronwall_cert(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str]:
     rep = check_gronwall(_written_twin(cfg, trace_path), cfg.gronwall)
-    return rep.passes, f"minimal_c_h={rep.minimal_c_h:.6g} worst_time={rep.worst_time:.4g}"
+    checked_at = "" if rep.c_h_used is None else f" (checked at c_h={rep.c_h_used:g})"
+    return rep.passes, (f"minimal_c_h={rep.minimal_c_h:.6g} worst_time={rep.worst_time:.6g} "
+                        f"slack={rep.slack:g}{checked_at}")
 
 
 def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool, str]:
     rep = check_uniqueness(cfg, levels)
+    sups = " ".join(f"{s:.3e}" for s in rep.sup_entropy)
     orders = " ".join(f"{o:.2f}" for o in rep.orders)
-    return rep.passes, f"levels={list(levels)} orders=[{orders}]"
+    return rep.passes, f"levels={list(levels)} sup_entropy=[{sups}] orders=[{orders}]"
 
 
 # a suite task: (name, check, config, trace path or refinement levels);
@@ -339,13 +331,16 @@ def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool,
 _SuiteTask = Tuple[str, Callable[..., Tuple[bool, str]], ExperimentConfig, Any]
 
 
-def _suite_task(task: _SuiteTask) -> Tuple[str, bool, str]:
-    """One independent suite experiment (safe to run in a worker process)."""
+def _suite_task(task: _SuiteTask) -> Tuple[str, Optional[bool], str]:
+    """One independent suite experiment (safe to run in a worker process).
+
+    Returns (name, ok, detail); ok is None when the check raised, and the
+    detail is then its error line."""
     name, check, cfg, arg = task
     try:
         ok, detail = check(cfg, arg)
     except _TASK_ERRORS as exc:
-        return name, False, _error_line(exc)[1]
+        return name, None, _error_line(exc)[1]
     return name, ok, detail
 
 
@@ -419,18 +414,15 @@ def _cmd_suite(args) -> int:
         results = [_suite_task(t) for t in tasks]
 
     checks: Dict[str, bool] = {}
-    for name, ok, detail in results:
-        checks[name] = ok
+    outputs: List[str] = []
+    for (*_, arg), (name, ok, detail) in zip(tasks, results):
+        checks[name] = bool(ok)
         _report(name, ok, detail)
-
-    outputs = sorted(
-        os.path.join(outdir, f)
-        for f in os.listdir(outdir)
-        if f.endswith(".csv")
-    )
+        if ok is not None and isinstance(arg, str):
+            outputs.append(arg)  # a check that returned read its written trace
     return _finish(
         f"suite --preset {args.preset}", json.dumps({"preset": args.preset}), 2.0, t0,
-        checks, outputs, os.path.join(outdir, f"{args.preset}-manifest.json"),
+        checks, sorted(outputs), os.path.join(outdir, f"{args.preset}-manifest.json"),
     )
 
 

@@ -19,28 +19,29 @@ Optional keys:
     perturbation               {"amplitude": eps >= 0, "mode": m >= 1}
     gronwall                   {"c_h": null or > 0, "slack": >= 0}
 
-Unknown keys anywhere are rejected, and so are non-finite numbers (JSON's
-Infinity and NaN); every violation names the key and the broken invariant.
-The director boundary rows follow from the system (pinned for GL, mirrored
-for SPHERE), so they have no key.
+Each rule is checked once.  parse_config checks what only a document can
+get wrong: JSON and object shape, unknown and missing keys, value types,
+non-finite numbers, the grid node counts, and the positivity of lambda,
+dt, dt_reference, dt_candidate, t_end, sample_interval and density_floor.
+The domain types own every other value range and name the key in their
+messages: Params (gamma > 1; a, sigma0, mu, theta > 0), Perturbation
+(amplitude >= 0, mode >= 1), GronwallConfig (c_h > 0, slack >= 0) and
+ExperimentConfig (initial_preset known and of the system; at most
+MAX_SAMPLES samples).  parse_config reports their errors as ConfigError.
+The director boundary rows follow from the system (pinned for GL,
+mirrored for SPHERE), so they have no key.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
-from .constitutive import Params, System
+from .constitutive import ConstitutiveError, Params, System
 from .dynamics import DEFAULT_DENSITY_FLOOR
-from .verifier import (
-    PRESET_SYSTEMS,
-    ExperimentConfig,
-    GronwallConfig,
-    MAX_SAMPLES,
-    Perturbation,
-)
 from .grid import Grid1D, GridError
+from .verifier import ExperimentConfig, GronwallConfig, Perturbation, VerifierError
 
 
 class ConfigError(ValueError):
@@ -92,13 +93,19 @@ def _positive(doc: Dict[str, Any], key: str, default: Optional[float] = None) ->
     return v
 
 
-def _grid_nodes(doc: Dict[str, Any], key: str) -> int:
-    section = doc[key]
+def _section(doc: Dict[str, Any], key: str, allowed: Set[str]) -> Dict[str, Any]:
+    """The object under key ({} when absent), with no keys beyond allowed."""
+    section = doc.get(key, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object like {{\"n\": 129}}")
-    unknown = set(section) - {"n"}
+        raise ConfigError(f"{key} must be an object with key(s): {', '.join(sorted(allowed))}")
+    unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{key} has unknown key(s): {', '.join(sorted(unknown))}")
+    return section
+
+
+def _grid_nodes(doc: Dict[str, Any], key: str) -> int:
+    section = _section(doc, key, {"n"})
     if "n" not in section:
         raise ConfigError(f"{key}.n is required")
     n = section["n"]
@@ -128,23 +135,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
 
-    if not isinstance(doc["system"], str):
-        raise ConfigError(f"system must be a string, got {doc['system']!r}")
+    for key in ("system", "initial_preset"):
+        if not isinstance(doc[key], str):
+            raise ConfigError(f"{key} must be a string, got {doc[key]!r}")
     try:
         system = System.from_name(doc["system"])
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
-
-    gamma = _number(doc, "gamma")
-    if not gamma > 1:
-        raise ConfigError(f"gamma must exceed 1, got {gamma}")
-    a = _positive(doc, "a")
-    sigma0 = _positive(doc, "sigma0")
-    mu = _positive(doc, "mu", 1.0)
-    lam = _positive(doc, "lambda", 1.0)
-    theta = _positive(doc, "theta", 1.0)
-    params = Params(a=a, gamma=gamma, sigma0=sigma0, mu=mu, lam=lam,
-                    theta=theta, system=system)
 
     x_min = _number(doc, "x_min", 0.0)
     x_max = _number(doc, "x_max", 1.0)
@@ -155,78 +152,36 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"x_min/x_max: {exc}") from None
 
     dt = _positive(doc, "dt")
-    dt_ref = _positive(doc, "dt_reference", dt)
-    dt_cand = _positive(doc, "dt_candidate", dt)
-    t_end = _positive(doc, "t_end")
-    sample_interval = _positive(doc, "sample_interval", None)
-    if sample_interval is not None and t_end / sample_interval > MAX_SAMPLES:
-        raise ConfigError(
-            f"sample_interval yields more than {MAX_SAMPLES} samples over t_end"
+    pert = _section(doc, "perturbation", {"amplitude", "mode"})
+    amplitude = _number(pert, "amplitude", 0.0, prefix="perturbation.")
+    mode = pert.get("mode", 1)
+    if not _is_int(mode):
+        raise ConfigError(f"perturbation.mode must be a positive integer, got {mode!r}")
+    gron = _section(doc, "gronwall", {"c_h", "slack"})
+    c_h = None if gron.get("c_h") is None else _number(gron, "c_h", prefix="gronwall.")
+    slack = _number(gron, "slack", 0.0, prefix="gronwall.")
+    # the domain types check the value ranges; their messages name the key
+    try:
+        return ExperimentConfig(
+            params=Params(
+                a=_number(doc, "a"), gamma=_number(doc, "gamma"),
+                sigma0=_number(doc, "sigma0"), mu=_number(doc, "mu", 1.0),
+                lam=_positive(doc, "lambda", 1.0), theta=_number(doc, "theta", 1.0),
+                system=system,
+            ),
+            grid_reference=grid_ref,
+            grid_candidate=grid_cand,
+            dt_reference=_positive(doc, "dt_reference", dt),
+            dt_candidate=_positive(doc, "dt_candidate", dt),
+            t_end=_positive(doc, "t_end"),
+            initial_preset=doc["initial_preset"],
+            perturbation=Perturbation(amplitude=amplitude, mode=mode),
+            sample_interval=_positive(doc, "sample_interval", None),
+            gronwall=GronwallConfig(c_h=c_h, slack=slack),
+            density_floor=_positive(doc, "density_floor", DEFAULT_DENSITY_FLOOR),
         )
-
-    preset = doc["initial_preset"]
-    if not isinstance(preset, str) or preset not in PRESET_SYSTEMS:
-        known = ", ".join(sorted(PRESET_SYSTEMS))
-        raise ConfigError(f"initial_preset must be one of: {known}; got {preset!r}")
-    if PRESET_SYSTEMS[preset] is not system:
-        raise ConfigError(
-            f"initial_preset {preset!r} belongs to system "
-            f"{PRESET_SYSTEMS[preset].value!r}, not {system.value!r}"
-        )
-
-    pert = Perturbation()
-    if "perturbation" in doc:
-        section = doc["perturbation"]
-        if not isinstance(section, dict):
-            raise ConfigError("perturbation must be an object")
-        unknown = set(section) - {"amplitude", "mode"}
-        if unknown:
-            raise ConfigError(
-                f"perturbation has unknown key(s): {', '.join(sorted(unknown))}"
-            )
-        amp = _number(section, "amplitude", 0.0, prefix="perturbation.")
-        if amp < 0:
-            raise ConfigError(f"perturbation.amplitude must be >= 0, got {amp}")
-        mode = section.get("mode", 1)
-        if not _is_int(mode) or mode < 1:
-            raise ConfigError(
-                f"perturbation.mode must be a positive integer, got {mode!r}"
-            )
-        pert = Perturbation(amplitude=amp, mode=mode)
-
-    gron = GronwallConfig()
-    if "gronwall" in doc:
-        section = doc["gronwall"]
-        if not isinstance(section, dict):
-            raise ConfigError("gronwall must be an object")
-        unknown = set(section) - {"c_h", "slack"}
-        if unknown:
-            raise ConfigError(
-                f"gronwall has unknown key(s): {', '.join(sorted(unknown))}"
-            )
-        c_h = None
-        if "c_h" in section and section["c_h"] is not None:
-            c_h = _number(section, "c_h", prefix="gronwall.")
-            if not c_h > 0:
-                raise ConfigError(f"gronwall.c_h must be positive, got {c_h}")
-        slack = _number(section, "slack", 0.0, prefix="gronwall.")
-        if slack < 0:
-            raise ConfigError(f"gronwall.slack must be >= 0, got {slack}")
-        gron = GronwallConfig(c_h=c_h, slack=slack)
-
-    return ExperimentConfig(
-        params=params,
-        grid_reference=grid_ref,
-        grid_candidate=grid_cand,
-        dt_reference=dt_ref,
-        dt_candidate=dt_cand,
-        t_end=t_end,
-        initial_preset=preset,
-        perturbation=pert,
-        sample_interval=sample_interval,
-        gronwall=gron,
-        density_floor=_positive(doc, "density_floor", DEFAULT_DENSITY_FLOOR),
-    )
+    except (ConstitutiveError, VerifierError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def canonical_text(doc_text: str) -> str:

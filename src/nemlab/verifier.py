@@ -100,15 +100,25 @@ class Perturbation:
 
     def __post_init__(self):
         if self.amplitude < 0:
-            raise VerifierError("perturbation amplitude must be nonnegative")
+            raise VerifierError(f"perturbation.amplitude must be >= 0, got {self.amplitude}")
         if self.mode < 1:
-            raise VerifierError("perturbation mode must be a positive integer")
+            raise VerifierError(f"perturbation.mode must be a positive integer, got {self.mode!r}")
 
 
 PRESET_SYSTEMS = {
     "gl-smooth": System.GL,
     "sphere-smooth": System.SPHERE,
 }
+
+
+def _check_preset(preset: str, system: System) -> None:
+    """Raise VerifierError unless preset names an initial preset of system."""
+    if preset not in PRESET_SYSTEMS:
+        known = ", ".join(sorted(PRESET_SYSTEMS))
+        raise VerifierError(f"initial_preset: unknown preset {preset!r}; known presets: {known}")
+    if PRESET_SYSTEMS[preset] is not system:
+        raise VerifierError(f"initial_preset {preset!r} requires system "
+                            f"{PRESET_SYSTEMS[preset].value}, not {system.value}")
 
 
 def make_initial_data(
@@ -127,17 +137,12 @@ def make_initial_data(
 
     s is the unit-interval coordinate.  Construction is a deterministic
     function of its arguments: equal grids and equal perturbations give
-    bit-identical fields.
+    bit-identical fields.  VerifierError rejects a preset of another
+    system, a perturbation that drives the density nonpositive and (then)
+    a perturbed SPHERE director too large to normalize.
     """
-    if preset not in PRESET_SYSTEMS:
-        known = ", ".join(sorted(PRESET_SYSTEMS))
-        raise VerifierError(f"unknown preset {preset!r}; known presets: {known}")
-    system = PRESET_SYSTEMS[preset]
-    if system is not params.system:
-        raise VerifierError(
-            f"preset {preset!r} requires system {system.value}, "
-            f"params specify {params.system.value}"
-        )
+    system = params.system
+    _check_preset(preset, system)
     x = grid.nodes()
     s = (x - grid.x_min) / grid.length
     rho = 1.0 + 0.1 * np.sin(2.0 * np.pi * s)
@@ -155,15 +160,19 @@ def make_initial_data(
             shape = np.sin(2.0 * np.pi * m * s)
             shape[0] = 0.0   # pinned walls stay bit-exact under perturbation
             shape[-1] = 0.0
-            rho = rho + eps * shape
-            d = d + eps * shape * np.array([0.0, 0.0, 1.0])[:, None]
         else:
             shape = np.cos(np.pi * m * s)  # zero slope at the Neumann walls
-            rho = rho + eps * shape
-            d = d + eps * shape * np.array([0.0, 0.0, 1.0])[:, None]
-            d = d / np.sqrt(np.sum(d * d, axis=0))
+        rho = rho + eps * shape
         if np.min(rho) <= 0.0:
             raise VerifierError("perturbation drove the initial density nonpositive")
+        d = d + eps * shape * np.array([0.0, 0.0, 1.0])[:, None]
+        if system is System.SPHERE:
+            with np.errstate(over="ignore"):
+                norm = np.sqrt(np.sum(d * d, axis=0))
+            if not np.all(np.isfinite(norm)):
+                raise VerifierError(f"perturbation.amplitude {eps:g} is too large to "
+                                    f"normalize the SPHERE director")
+            d = d / norm
 
     return InitialData(grid, rho, u, d)
 
@@ -189,9 +198,9 @@ class GronwallConfig:
 
     def __post_init__(self):
         if self.c_h is not None and not self.c_h > 0:
-            raise VerifierError(f"c_h must be positive when given, got {self.c_h}")
+            raise VerifierError(f"gronwall.c_h must be positive, got {self.c_h}")
         if self.slack < 0:
-            raise VerifierError(f"slack must be nonnegative, got {self.slack}")
+            raise VerifierError(f"gronwall.slack must be >= 0, got {self.slack}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +208,9 @@ class ExperimentConfig:
     """Full declarative description of one twin experiment.
 
     The step sizes, t_end, the resolved sample interval and density_floor
-    must be finite and positive; construction raises VerifierError naming
-    the first that is not.
+    must be finite and positive, the preset must belong to params.system
+    and the run may take at most MAX_SAMPLES samples; construction raises
+    VerifierError naming the first rule broken.
     """
 
     params: Params
@@ -231,19 +241,10 @@ class ExperimentConfig:
         ):
             if not (math.isfinite(value) and value > 0):
                 raise VerifierError(f"{name} must be finite and positive, got {value!r}")
-        if self.initial_preset not in PRESET_SYSTEMS:
-            known = ", ".join(sorted(PRESET_SYSTEMS))
-            raise VerifierError(
-                f"unknown preset {self.initial_preset!r}; known presets: {known}"
-            )
-        if PRESET_SYSTEMS[self.initial_preset] is not self.params.system:
-            raise VerifierError(
-                f"preset {self.initial_preset!r} does not match system "
-                f"{self.params.system.value}"
-            )
+        _check_preset(self.initial_preset, self.params.system)
         if self.t_end / interval > MAX_SAMPLES:
             raise VerifierError(
-                f"t_end/sample_interval exceeds {MAX_SAMPLES} samples"
+                f"sample_interval yields more than {MAX_SAMPLES} samples over t_end"
             )
 
     def resolved_sample_interval(self) -> float:

@@ -5,6 +5,7 @@ import os
 import pickle
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,26 @@ class TestParseConfig:
             parse_config(cfg_text(gronwall={"delta": 0.125}))
         with pytest.raises(ConfigError, match="mode"):
             parse_config(cfg_text(perturbation={"amplitude": 1e-3, "mode": 0}))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"gamma": 1}, r"^gamma must exceed 1"),
+        ({"perturbation": {"mode": 0}}, r"^perturbation\.mode must be a positive integer"),
+        ({"perturbation": {"amplitude": -1}}, r"^perturbation\.amplitude must be >= 0"),
+        ({"gronwall": {"c_h": 0}}, r"^gronwall\.c_h must be positive"),
+        ({"gronwall": {"slack": -1}}, r"^gronwall\.slack must be >= 0"),
+        ({"initial_preset": "bogus"}, r"^initial_preset\b.*'bogus'"),
+        ({"sample_interval": 1e-9}, r"^sample_interval yields more than 10000 samples"),
+        ({"initial_preset": "sphere-smooth"}, r"^initial_preset 'sphere-smooth'.*\bsphere\b"),
+    ])
+    def test_domain_range_errors_name_the_key(self, tmp_path, capsys, overrides, message):
+        text = cfg_text(**overrides)
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_config(text)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {info.value}\n")
 
 
 class TestTraceIo:
@@ -460,6 +481,23 @@ class TestMain:
         assert err == ("invalid experiment: perturbation drove the initial "
                        "density nonpositive\n")
 
+    def test_unnormalizable_sphere_director_exits_2(self, tmp_path, capsys):
+        # mode 64 on 33 nodes keeps the density positive at every node,
+        # while the director's squared length leaves the float range
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(system="sphere", initial_preset="sphere-smooth",
+                                 grid_reference={"n": 33}, grid_candidate={"n": 33},
+                                 perturbation={"amplitude": 1e200, "mode": 64}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            code = main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                         "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            "invalid experiment: perturbation.amplitude 1e+200 is too large to "
+            "normalize the SPHERE director\n"
+        ))
+
     def test_functional_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def failing(pair, params):
             raise FunctionalError("remainder rejected the pair")
@@ -499,6 +537,27 @@ class TestMain:
         doc = json.loads((tmp_path / "gl-smoke-manifest.json").read_text())
         assert doc["passes"] is True
         assert doc["outputs"]
+
+    def test_suite_manifest_lists_only_its_own_traces(self, tmp_path):
+        # traces of another battery and an unrelated file share the directory
+        for name in ("gl-smoke-identical-twin.csv", "gl-smoke-gronwall.csv",
+                     "unrelated-notes.csv"):
+            (tmp_path / name).write_text("not this run's\n")
+        assert main(["suite", "--preset", "sphere-smoke", "--output-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "sphere-smoke-manifest.json").read_text())
+        assert doc["outputs"] == [str(tmp_path / f"sphere-smoke-{check}.csv")
+                                  for check in ("gronwall", "identical-twin")]
+
+    def test_suite_manifest_leaves_out_traces_of_aborted_checks(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def failing(pair, params):
+            raise FunctionalError("remainder rejected the pair")
+
+        monkeypatch.setattr(verifier, "remainder", failing)
+        (tmp_path / "gl-smoke-gronwall.csv").write_text("an earlier run's\n")
+        assert main(["suite", "--preset", "gl-smoke", "--output-dir", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "gl-smoke-manifest.json").read_text())
+        assert doc["outputs"] == []
 
     @pytest.mark.parametrize("error, code, prefix", [
         (SolverError("reference trajectory: at t=0: diverged"), 3, "solver abort: "),
