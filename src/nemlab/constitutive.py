@@ -103,16 +103,17 @@ def _check_nonneg_rho(rho) -> np.ndarray:
     return rho
 
 
-def _power_law(rho, coefficient: float, exponent: float):
+def _power_law(rho, coefficient: float, exponent: float, out=None):
     """coefficient * rho^exponent for a nonnegative density; a float for
-    scalar input."""
-    out = coefficient * _check_nonneg_rho(rho) ** exponent
+    scalar input.  Written to out when given (an array of rho's shape)."""
+    out = np.power(_check_nonneg_rho(rho), exponent, out=out)
+    out *= coefficient
     return float(out) if out.ndim == 0 else out
 
 
-def pressure(rho, params: Params):
-    """P(rho) = a * rho^gamma."""
-    return _power_law(rho, params.a, params.gamma)
+def pressure(rho, params: Params, out=None):
+    """P(rho) = a * rho^gamma, written to out when given."""
+    return _power_law(rho, params.a, params.gamma, out)
 
 
 def pressure_derivative(rho, params: Params):
@@ -146,15 +147,19 @@ def gl_potential(d, params: Params):
     return float(out) if out.ndim == 0 else out
 
 
-def gl_force(d, params: Params):
+def gl_force(d, params: Params, out=None):
     """Exact gradient f(d) = (|d|^2 - 1) d / sigma0^2 of the penalization.
 
     d has shape (3,), (3, n) or (B, 3, n): the components are the last
-    axis of a single vector and the second-to-last axis otherwise.
+    axis of a single vector and the second-to-last axis otherwise.  The
+    force is written to out when given (an array of d's shape).
     """
     d = np.asarray(d, dtype=float)
-    s = (d * d).sum(axis=0 if d.ndim == 1 else -2, keepdims=True) - 1.0
-    return s * d / params.sigma0**2
+    out = np.multiply(d, d, out=out)
+    s = np.add.reduce(out, axis=0 if d.ndim == 1 else -2, keepdims=True)
+    s -= 1.0
+    out = np.multiply(s, d, out=out)
+    return np.divide(out, params.sigma0**2, out=out)
 
 
 def bregman_pressure(rho, rho_tilde, params: Params):

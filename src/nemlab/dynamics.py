@@ -33,7 +33,12 @@ block-diagonal system whose off-diagonals vanish at the block joints; the
 director solve is one dgtsv call with 3B right-hand sides, since every
 member and component shares the director matrix.  That matrix and the
 velocity off-diagonals are fixed for a given dt, so evolve builds them
-once per step size.  A member's states are bit-identical to its own
+once per step size; the scratch buffers depend on B and n only, so evolve
+builds one workspace per call, and every step writes into it: the
+explicit rates, both right-hand sides (each solved in place) and the new
+state.  The step's cost at small n is the count of numpy calls, not
+their arithmetic, so the mass and momentum fluxes are one stacked sum and
+difference.  A member's states are bit-identical to its own
 single-member run: every operation acts within one member, and the zero
 couplings leave each block's elimination untouched.  Each check (CFL
 bound, density floor, sphere collapse, end-of-step finite values) names
@@ -264,11 +269,72 @@ class InitialData:
 # ---------------------------------------------------------------------------
 
 
-def _check_cfl(rho: np.ndarray, u: np.ndarray, dt: float, dx: float, params: Params) -> None:
+class _Workspace:
+    """Scratch arrays of the steps of B members on n nodes.
+
+    evolve builds one per call, and every step of every size reuses it;
+    the matrices are kept per step size instead (_Implicit).  A step writes
+    the new state to rho, u and d, three views of one block (state), so one
+    finite check covers all three.  The velocity and director solves run in
+    place on u and d: u holds the momentum right-hand side until its solve.
+    The slices a step reads are made here once, as views: at small n a
+    view costs about as much as the ufunc call that reads it.
+    """
+
+    def __init__(self, members: int, n: int):
+        size = members * n
+        self.state = np.empty(5 * size)
+        self.rho = self.state[:size].reshape(members, n)
+        self.u = self.state[size:2 * size].reshape(members, n)
+        self.d = self.state[2 * size:].reshape(members, 3, n)
+        self.finite = np.empty(5 * size, dtype=bool)
+        self.rho_in = self.rho[:, 1:-1]
+        self.u_in = self.u[:, 1:-1]
+        self.u_flat = self.u.reshape(-1)
+        self.dir_rhs = self.d.reshape(3 * members, n).T  # (n, 3B), Fortran order
+        self.dir_walls = self.dir_rhs[::n - 1]            # its first and last rows
+        # |u| and rho, for the CFL bound
+        self.peaks = np.empty((2, members, n))
+        self.abs_u, self.rho_copy = self.peaks
+        # m = rho u and m u; their central fluxes at the interfaces; the
+        # fluxes' differences
+        self.q = np.empty((2, members, n))
+        self.fluxes = np.empty((2, members, n - 1))
+        self.div = np.empty((2, members, n - 2))
+        self.m, self.m_u = self.q
+        self.m_in = self.m[:, 1:-1]
+        self.q_left, self.q_right = self.q[..., :-1], self.q[..., 1:]
+        self.f_left, self.f_right = self.fluxes[..., :-1], self.fluxes[..., 1:]
+        self.mass_flux = self.fluxes[0]
+        self.mass_div, self.mom_div = self.div
+        self.p = np.empty((members, n))
+        self.pgrad = np.empty((members, n - 2))
+        self.grad = np.zeros((members, 3, n))        # d_x; the walls stay 0
+        self.grad_in = self.grad[..., 1:-1]
+        self.lap = np.empty((members, 3, n - 2))
+        self.stress = np.empty((members, n - 2))
+        self.mom = np.empty((members, n - 2))
+        self.rate = np.empty((members, 3, n))        # the director rate
+        self.adv = np.empty((members, 3, n))         # u d_x, then d_new^2
+        self.norm = np.empty((members, 1, n))        # |d_x|^2, then |d_new|
+        # LAPACK overwrites the bands it is given: each solve copies its own
+        self.vel_diag = np.empty((members, n))
+        self.vel_diag_flat = self.vel_diag.reshape(-1)
+        self.vel_bands = np.empty((2, size - 1))
+        self.dir_bands = np.empty((3, n))
+        self.vel_dl, self.vel_du = self.vel_bands
+        self.dir_dl, self.dir_diag, self.dir_du = (
+            self.dir_bands[0, :-1], self.dir_bands[1], self.dir_bands[2, :-1]
+        )
+
+
+def _check_cfl(rho: np.ndarray, u: np.ndarray, dt: float, dx: float, params: Params,
+               work: _Workspace) -> None:
     """Raise for the first member whose wave speed is non-finite or whose
     advective/acoustic bound 0.4*dx/max(|u| + c) dt exceeds."""
-    u_max = np.abs(u).max(axis=1).tolist()
-    rho_max = rho.max(axis=1).tolist()
+    np.abs(u, out=work.abs_u)
+    np.copyto(work.rho_copy, rho)
+    u_max, rho_max = np.maximum.reduce(work.peaks, axis=2).tolist()
     for member, (u_m, rho_m) in enumerate(zip(u_max, rho_max)):
         speed = u_m + math.sqrt(params.a * params.gamma * rho_m ** (params.gamma - 1.0))
         if not math.isfinite(speed):
@@ -315,28 +381,27 @@ class _Implicit(NamedTuple):
     every step of that size.
 
     Velocity: the B members form one block-diagonal system whose
-    off-diagonals vanish at the block joints; its diagonal rho_new + 2 s
-    changes every step.  Director: one matrix for every member and
-    component; pins holds the Dirichlet rows of all members flattened in
-    (member, component) order, or None for Neumann ghosts.
+    off-diagonals vanish at the block joints; vel_bands holds its sub- and
+    super-diagonal, and its diagonal rho_new + 2 s changes every step.
+    Director: one matrix for every member and component; dir_bands holds
+    its sub-diagonal, diagonal and super-diagonal as rows of n entries (the
+    off-diagonals' last entry unused).  pins holds the left and right
+    Dirichlet rows of all members flattened in (member, component) order,
+    (2, 3B), or None for Neumann ghosts.
     """
 
     s: float
-    vel_dl: np.ndarray
-    vel_du: np.ndarray
-    dir_dl: np.ndarray
-    dir_d: np.ndarray
-    dir_du: np.ndarray
-    pins: Optional[Tuple[np.ndarray, np.ndarray]]
+    vel_bands: np.ndarray
+    dir_bands: np.ndarray
+    pins: Optional[np.ndarray]
 
 
-def _director_pins(bcs: Sequence[BoundarySpec]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Left and right Dirichlet rows of all members, (3B,) each; None for Neumann."""
+def _director_pins(bcs: Sequence[BoundarySpec]) -> Optional[np.ndarray]:
+    """Left and right Dirichlet rows of all members, (2, 3B); None for Neumann."""
     if bcs[0].director_bc is not DirectorBC.DIRICHLET_D0:
         return None
-    return (
-        np.concatenate([bc.d_left for bc in bcs]),
-        np.concatenate([bc.d_right for bc in bcs]),
+    return np.array(
+        [np.concatenate([bc.d_left for bc in bcs]), np.concatenate([bc.d_right for bc in bcs])]
     )
 
 
@@ -345,41 +410,40 @@ def _implicit(
     dx: float,
     mu: float,
     theta: float,
-    pins: Optional[Tuple[np.ndarray, np.ndarray]],
+    pins: Optional[np.ndarray],
     members: int,
     n: int,
 ) -> _Implicit:
     """Diagonals of (diag(rho) - mu dt D2) u = m and (I - theta dt D2_bc) d = d*."""
     s = mu * dt / (dx * dx)
-    vel_du = np.full(members * n - 1, -s)  # A[i, i+1]
-    vel_dl = vel_du.copy()                  # A[i+1, i]
+    vel_bands = np.full((2, members * n - 1), -s)
+    vel_dl, vel_du = vel_bands  # A[i+1, i] and A[i, i+1]
     vel_du[::n] = 0.0          # pinned first rows have no right coupling
     vel_du[n - 1::n] = 0.0     # block joints
     vel_dl[n - 2::n] = 0.0     # pinned last rows have no left coupling
     vel_dl[n - 1::n] = 0.0     # block joints
 
     r = theta * dt / (dx * dx)
-    dir_d = np.full(n, 1.0 + 2.0 * r)
-    dir_du = np.full(n - 1, -r)
-    dir_dl = dir_du.copy()
+    dir_bands = np.full((3, n), -r)
+    dir_bands[1] = 1.0 + 2.0 * r
+    dir_bands[::2, -1] = 0.0   # past the end of the off-diagonals
     if pins is not None:
-        dir_d[0] = 1.0
-        dir_d[-1] = 1.0
-        dir_du[0] = 0.0
-        dir_dl[-1] = 0.0
+        dir_bands[1, ::n - 1] = 1.0
+        dir_bands[2, 0] = 0.0
+        dir_bands[0, -2] = 0.0
     else:
-        dir_du[0] = -2.0 * r       # mirrored ghost at the left wall
-        dir_dl[-1] = -2.0 * r      # mirrored ghost at the right wall
-    return _Implicit(s, vel_dl, vel_du, dir_dl, dir_d, dir_du, pins)
+        dir_bands[2, 0] = -2.0 * r   # mirrored ghost at the left wall
+        dir_bands[0, -2] = -2.0 * r  # mirrored ghost at the right wall
+    return _Implicit(s, vel_bands, dir_bands, pins)
 
 
 def _tridiagonal_solve(
     dl: np.ndarray, diag: np.ndarray, du: np.ndarray, rhs: np.ndarray, what: str, n: int
-) -> np.ndarray:
+) -> None:
     """LAPACK dgtsv on (sub, main, super) diagonals of B blocks of n rows.
 
-    Overwrites all inputs.  A zero pivot is attributed to the block that
-    holds it.
+    Overwrites all inputs and leaves the solution in rhs.  A zero pivot is
+    attributed to the block that holds it.
     """
     *_, x, info = dgtsv(
         dl, diag, du, rhs,
@@ -392,47 +456,64 @@ def _tridiagonal_solve(
         )
     if info < 0:
         raise LinearSolveError(f"{what} solve: illegal argument {-info} to dgtsv")
-    return x
+    if x is not rhs:  # f2py solves a contiguous float64 rhs in place
+        rhs[...] = x
 
 
-def _solve_velocity(rho_new: np.ndarray, m_star: np.ndarray, implicit: _Implicit) -> np.ndarray:
-    """Implicit viscous solve per member: (diag(rho_new) - mu dt D2) u = m_star, u=0 walls."""
+def _solve_velocity(
+    rho_new: np.ndarray, m_star: np.ndarray, implicit: _Implicit,
+    work: Optional[_Workspace] = None,
+) -> np.ndarray:
+    """Implicit viscous solve per member: (diag(rho_new) - mu dt D2) u = m_star, u=0 walls.
+
+    The solution is written to work.u (a fresh workspace when none is
+    given) and returned; m_star may be work.u itself, and is otherwise
+    left unchanged.
+    """
     members, n = rho_new.shape
-    diag = rho_new + 2.0 * implicit.s
-    rhs = m_star.copy()
+    if work is None:
+        work = _Workspace(members, n)
+    u_new = work.u
+    if m_star is not u_new:
+        np.copyto(u_new, m_star)
+    np.copyto(work.vel_bands, implicit.vel_bands)
+    diag = np.add(rho_new, 2.0 * implicit.s, out=work.vel_diag)
     # per-member scalar stores: strided column updates cost more at small B
     for b in range(members):
         diag[b, 0] = diag[b, -1] = 1.0
-        rhs[b, 0] = rhs[b, -1] = 0.0
-    u_new = _tridiagonal_solve(
-        implicit.vel_dl.copy(), diag.reshape(-1), implicit.vel_du.copy(), rhs.reshape(-1),
-        "velocity", n,
-    ).reshape(members, n)
+        u_new[b, 0] = u_new[b, -1] = 0.0
+    _tridiagonal_solve(work.vel_dl, work.vel_diag_flat, work.vel_du, work.u_flat, "velocity", n)
     for b in range(members):
         u_new[b, 0] = u_new[b, -1] = 0.0
     return u_new
 
 
-def _solve_director(d_star: np.ndarray, implicit: _Implicit) -> np.ndarray:
+def _solve_director(
+    d_star: np.ndarray, implicit: _Implicit, work: Optional[_Workspace] = None
+) -> np.ndarray:
     """Implicit diffusion solve: (I - theta dt D2_bc) d = d_star for every
-    member and component, as one call with 3B right-hand sides."""
+    member and component, as one call with 3B right-hand sides.
+
+    The solution is written to work.d and returned, as in _solve_velocity.
+    """
     members, _, n = d_star.shape
-    rhs = d_star.reshape(-1, n).copy().T   # (n, 3B), Fortran order
+    if work is None:
+        work = _Workspace(members, n)
+    if d_star is not work.d:
+        np.copyto(work.d, d_star)
+    np.copyto(work.dir_bands, implicit.dir_bands)
     pins = implicit.pins
     if pins is not None:
-        rhs[0] = pins[0]
-        rhs[-1] = pins[1]
-    x = _tridiagonal_solve(
-        implicit.dir_dl.copy(), implicit.dir_d.copy(), implicit.dir_du.copy(), rhs, "director", n
-    )
+        np.copyto(work.dir_walls, pins)
+    _tridiagonal_solve(work.dir_dl, work.dir_diag, work.dir_du, work.dir_rhs, "director", n)
     if pins is not None:
-        x[0] = pins[0]
-        x[-1] = pins[1]
-    return x.T.reshape(members, 3, n)
+        np.copyto(work.dir_walls, pins)
+    return work.d
 
 
 def _explicit_rates(
-    rho: np.ndarray, u: np.ndarray, d: np.ndarray, params: Params, dx: float
+    rho: np.ndarray, u: np.ndarray, d: np.ndarray, params: Params, dx: float,
+    work: Optional[_Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The explicit operators of the step, on B members at once.
 
@@ -447,28 +528,39 @@ def _explicit_rates(
       react = -theta f(d) for GL and theta |d_x|^2 d for SPHERE.  d_x is
       central in the interior and 0 at the walls, where pinned (GL) or
       mirrored (SPHERE) endpoints do not advect.
-    The implicit terms mu u_xx and theta d_xx are not included.
+    The implicit terms mu u_xx and theta d_xx are not included.  The
+    results are arrays of work (a fresh workspace when none is given),
+    which also keeps the mass flux's differences in work.mass_div.
     """
-    m = rho * u
-    flux = 0.5 * (m[:, :-1] + m[:, 1:])
-    mom_flux = 0.5 * (m[:, :-1] * u[:, :-1] + m[:, 1:] * u[:, 1:])
-    p_vals = pressure(rho, params)
-    grad_in = central_gradient(d, dx)
-    lap_in = central_laplacian(d, dx)
-    force = gl_force(d, params) if params.system is System.GL else None
-    curv = lap_in if force is None else lap_in - force[..., 1:-1]
-    mom_rate = (
-        -(mom_flux[:, 1:] - mom_flux[:, :-1]) / dx
-        - (p_vals[:, 2:] - p_vals[:, :-2]) / (2.0 * dx)
-        - params.lam * (curv * grad_in).sum(axis=-2)
-    )
-    grad_d = np.zeros(d.shape)
-    grad_d[..., 1:-1] = grad_in
-    if force is not None:
-        react = -params.theta * force
+    if work is None:
+        work = _Workspace(*rho.shape)
+    np.multiply(rho, u, out=work.m)
+    np.multiply(work.m, u, out=work.m_u)
+    # mass and momentum fluxes as one stack: one sum, one difference
+    fluxes = np.add(work.q_left, work.q_right, out=work.fluxes)
+    fluxes *= 0.5
+    np.subtract(work.f_right, work.f_left, out=work.div)
+    grad, grad_in = work.grad, work.grad_in
+    central_gradient(d, dx, out=grad_in)
+    curv = central_laplacian(d, dx, out=work.lap)
+    rate = work.rate
+    if params.system is System.GL:
+        force = gl_force(d, params, out=rate)
+        curv -= force[..., 1:-1]
+        rate *= -params.theta
     else:
-        react = params.theta * (grad_d * grad_d).sum(axis=1, keepdims=True) * d
-    return flux, mom_rate, react - u[:, None] * grad_d
+        grad_sq = np.add.reduce(np.multiply(grad, grad, out=rate), axis=1, keepdims=True,
+                                out=work.norm)
+        grad_sq *= params.theta
+        np.multiply(grad_sq, d, out=rate)
+    mom = np.divide(work.mom_div, -dx, out=work.mom)
+    mom -= central_gradient(pressure(rho, params, out=work.p), dx, out=work.pgrad)
+    curv *= grad_in
+    stress = np.add.reduce(curv, axis=-2, out=work.stress)
+    stress *= params.lam
+    mom -= stress
+    rate -= np.multiply(u[:, None], grad, out=work.adv)
+    return work.mass_flux, mom, rate
 
 
 def _advance(
@@ -480,54 +572,67 @@ def _advance(
     grid: Grid1D,
     implicit: _Implicit,
     density_floor: float,
+    work: Optional[_Workspace] = None,
 ):
     """One IMEX Euler step of B members; returns (rho, u, d) at t + dt.
 
     rho and u have shape (B, n) and d has shape (B, 3, n); implicit holds
-    the matrices for this dt and the members' boundary rows.  A failed
-    check raises for the first member that fails it, in exc.member.
+    the matrices for this dt and the members' boundary rows.  The new state
+    is written to work.rho, work.u and work.d (a fresh workspace when none
+    is given), which may be the arrays passed in; other inputs are left
+    unchanged.  A failed check raises for the first member that fails it,
+    in exc.member.
     """
+    if work is None:
+        work = _Workspace(*rho.shape)
     dx = grid.dx
-    _check_cfl(rho, u, dt, dx, params)
-    flux, mom_rate, dir_rate = _explicit_rates(rho, u, d, params, dx)
+    _check_cfl(rho, u, dt, dx, params, work)
+    flux, mom_rate, dir_rate = _explicit_rates(rho, u, d, params, dx, work)
 
     # --- continuity: conservative central flux, half cells at the walls ---
-    rho_new = rho.copy()
-    rho_new[:, 1:-1] -= (dt / dx) * (flux[:, 1:] - flux[:, :-1])
+    rho_new = work.rho
+    flux_div = work.mass_div
+    flux_div *= dt / dx
+    np.subtract(rho[:, 1:-1], flux_div, out=work.rho_in)
     wall = 2.0 * dt / dx
     for b in range(rho.shape[0]):  # scalar stores, as in _solve_velocity
-        rho_new[b, 0] -= wall * flux[b, 0]
-        rho_new[b, -1] += wall * flux[b, -1]
-    if rho_new.min() < density_floor:
+        rho_new[b, 0] = rho[b, 0] - wall * flux[b, 0]
+        rho_new[b, -1] = rho[b, -1] + wall * flux[b, -1]
+    if np.minimum.reduce(rho_new, axis=None) < density_floor:
         member = _first(rho_new.min(axis=1) < density_floor)
         node = int(rho_new[member].argmin())
         raise DensityFloorError(node, float(rho_new[member, node]), density_floor, member)
 
     # --- momentum: explicit interior rate, implicit viscosity ---
-    m_star = rho * u
-    m_star[:, 1:-1] += dt * mom_rate
-    u_new = _solve_velocity(rho_new, m_star, implicit)
+    mom_rate *= dt
+    u_new = work.u
+    np.add(work.m_in, mom_rate, out=work.u_in)  # m = rho u, from the kernel
+    _solve_velocity(rho_new, u_new, implicit, work)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
-    d_star = d + dt * dir_rate
-    d_new = _solve_director(d_star, implicit)
+    dir_rate *= dt
+    d_new = np.add(d, dir_rate, out=work.d)
+    _solve_director(d_new, implicit, work)
 
     if params.system is System.SPHERE:
-        nrm = np.sqrt((d_new * d_new).sum(axis=1, keepdims=True))
-        if nrm.min() < 0.5:
+        nrm = np.add.reduce(np.multiply(d_new, d_new, out=work.adv), axis=1, keepdims=True,
+                            out=work.norm)
+        np.sqrt(nrm, out=nrm)
+        if np.minimum.reduce(nrm, axis=None) < 0.5:
             member = _first(nrm.min(axis=(1, 2)) < 0.5)
             raise NonFiniteStateError(
                 f"director magnitude collapsed to {nrm[member].min():.3e}; "
                 "renormalization is no longer meaningful",
                 member=member,
             )
-        d_new = d_new / nrm
+        d_new /= nrm
 
-    if not (
-        np.isfinite(rho_new).all() and np.isfinite(u_new).all() and np.isfinite(d_new).all()
-    ):
+    if not np.logical_and.reduce(np.isfinite(work.state, out=work.finite), axis=None):
         # a non-finite right-hand side spreads across the block joints of
-        # the velocity solve (0 * nan), so its members are judged by m_star
+        # the velocity solve (0 * nan), so its members are judged by m_star,
+        # which the in-place solve overwrote: it is rebuilt here
+        m_star = work.m.copy()
+        m_star[:, 1:-1] += mom_rate
         finite = (
             np.isfinite(rho_new).all(axis=1)
             & np.isfinite(m_star).all(axis=1)
@@ -597,9 +702,11 @@ def evolve(
     members = len(inits)
     pins = _director_pins(bcs)
 
-    rho = np.stack([member.rho0 for member in inits])
-    u = np.stack([member.u0 for member in inits])
-    d = np.stack([member.d0 for member in inits])
+    # one workspace for every step of this call; the state lives in it
+    work = _Workspace(members, grid.n_nodes)
+    rho, u, d = work.rho, work.u, work.d
+    for b, member in enumerate(inits):
+        rho[b], u[b], d[b] = member.rho0, member.u0, member.d0
 
     def states():
         out = tuple(State(grid, rho[b], u[b], d[b]) for b in range(members))
@@ -630,7 +737,9 @@ def evolve(
             )
         for j in range(n_sub):
             try:
-                rho, u, d = _advance(rho, u, d, dt_eff, params, grid, implicit, density_floor)
+                rho, u, d = _advance(
+                    rho, u, d, dt_eff, params, grid, implicit, density_floor, work
+                )
             except SolverError as exc:
                 exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
                 raise

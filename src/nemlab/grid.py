@@ -16,7 +16,8 @@ Conventions:
       the stencil order).
 
 All operations are pure functions of their inputs, so concurrent
-evaluation needs no coordination.
+evaluation needs no coordination; the interior stencils also take an
+optional out= buffer, which is all they then write.
 """
 
 from __future__ import annotations
@@ -75,17 +76,23 @@ class Grid1D:
 # ---------------------------------------------------------------------------
 
 
-def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
+def central_gradient(values: np.ndarray, dx: float, out=None) -> np.ndarray:
     """Central first difference at the interior nodes, along the last axis.
 
-    The result has n - 2 entries there: node i + 1 for entry i.
+    The result has n - 2 entries there: node i + 1 for entry i.  It is
+    written to out when given (a buffer of that shape), else to a new array.
     """
-    return (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    diff = np.subtract(values[..., 2:], values[..., :-2], out=out)
+    return np.divide(diff, 2.0 * dx, out=out)
 
 
-def central_laplacian(values: np.ndarray, dx: float) -> np.ndarray:
-    """Three-point second difference at the interior nodes, along the last axis."""
-    return (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / (dx * dx)
+def central_laplacian(values: np.ndarray, dx: float, out=None) -> np.ndarray:
+    """Three-point second difference at the interior nodes, along the last
+    axis; written to out when given, as central_gradient."""
+    out = np.multiply(values[..., 1:-1], 2.0, out=out)
+    np.subtract(values[..., 2:], out, out=out)
+    np.add(out, values[..., :-2], out=out)
+    return np.divide(out, dx * dx, out=out)
 
 
 def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:

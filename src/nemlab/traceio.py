@@ -20,6 +20,7 @@ from .verifier import TRACE_COLUMNS, EntropyTrace
 
 # EntropyTrace's columns in file order; only the sample times are renamed
 COLUMNS = tuple("t" if name == "times" else name for name in TRACE_COLUMNS)
+_ROWS_PER_BLOCK = 32  # rows formatted at a time by write_columns
 
 
 class TraceFormatError(ValueError):
@@ -40,16 +41,20 @@ def write_columns(columns: Dict[str, Sequence[float]], path: str) -> None:
             raise TraceFormatError(f"unknown trace column {name!r}")
         if len(vals) != n:
             raise TraceFormatError(f"column {name!r} has inconsistent length")
+    values = [np.asarray(columns[name], dtype=float) if name in columns else None
+              for name in COLUMNS]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(COLUMNS)
-        for k in range(n):
-            w.writerow(
-                [
-                    _fmt(float(columns[name][k])) if name in columns else ""
-                    for name in COLUMNS
-                ]
-            )
+        # a block of rows at a time, each column converted by one tolist():
+        # Python floats, not a numpy scalar per cell, and a bounded number
+        # of formatted cells in memory
+        for start in range(0, n, _ROWS_PER_BLOCK):
+            stop = min(start + _ROWS_PER_BLOCK, n)
+            cells = [[""] * (stop - start) if col is None
+                     else [_fmt(x) for x in col[start:stop].tolist()]
+                     for col in values]
+            w.writerows(zip(*cells))
 
 
 def write_trace(trace: EntropyTrace, path: str) -> None:

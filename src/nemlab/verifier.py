@@ -103,6 +103,12 @@ class Perturbation:
             raise VerifierError(f"perturbation.amplitude must be >= 0, got {self.amplitude}")
         if self.mode < 1:
             raise VerifierError(f"perturbation.mode must be a positive integer, got {self.mode!r}")
+        try:
+            phase = 2.0 * math.pi * self.mode  # the GL mode shape's sine argument
+        except OverflowError:  # an integer beyond the float range
+            phase = math.inf
+        if not math.isfinite(phase):
+            raise VerifierError("perturbation.mode is too large: 2*pi*mode is not a finite float")
 
 
 PRESET_SYSTEMS = {

@@ -148,6 +148,20 @@ class TestParseConfig:
                      "--manifest", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr() == ("", f"config error: {info.value}\n")
 
+    @pytest.mark.parametrize("mode", [10**400, 10**308])
+    @pytest.mark.parametrize("system", ["gl", "sphere"])
+    def test_mode_whose_phase_leaves_the_float_range_exits_2(self, tmp_path, capsys,
+                                                             system, mode):
+        # 10**400 does not convert to a float, 2*pi*10**308 overflows to inf
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(system=system, initial_preset=f"{system}-smooth",
+                                 perturbation={"amplitude": 1e-3, "mode": mode}))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            "config error: perturbation.mode is too large: 2*pi*mode is not a finite float\n"
+        ))
+
 
 class TestTraceIo:
     def test_empty_trace_header_only(self, tmp_path):

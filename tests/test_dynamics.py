@@ -632,6 +632,46 @@ class TestBatchedEvolve:
         out = evolve(init, 5 * dt, dt, p, g, bc, sample_interval=5 * dt)
         for name in ("rho", "u", "d"):
             assert np.array_equal(getattr(out, name), getattr(st, f"{name}0"))
+        # evolve's steps also share one workspace and write the state into
+        # it; a step given none builds its own and leaves its inputs alone
+        imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, dynamics._director_pins([bc]),
+                                 1, g.n_nodes)
+        work = dynamics._Workspace(1, g.n_nodes)
+        fresh = reused = (init.rho0[None], init.u0[None], init.d0[None])
+        for _ in range(5):
+            inputs = fresh
+            before = [a.copy() for a in inputs]
+            fresh = dynamics._advance(*inputs, dt, p, g, imp, dynamics.DEFAULT_DENSITY_FLOOR)
+            reused = dynamics._advance(*reused, dt, p, g, imp,
+                                       dynamics.DEFAULT_DENSITY_FLOOR, work)
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+            assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
+            assert all(a is b for a, b in zip(reused, (work.rho, work.u, work.d)))
+        for name, final in zip(("rho", "u", "d"), fresh):
+            assert np.array_equal(final[0], getattr(out, name))
+
+    def test_back_to_back_calls_match_fresh_runs(self):
+        # each evolve call builds its own workspace: a run made after runs of
+        # another system, member count and grid matches the same run made first
+        runs = [(System.GL, 2, 33), (System.SPHERE, 3, 17), (System.GL, 1, 65),
+                (System.SPHERE, 1, 33)]
+
+        def sampled(system, members, n):
+            p = Params(system=system)
+            g = Grid1D(n, 0.0, 1.0)
+            inits = [make_initial_data(_preset(system), g, p,
+                                       Perturbation(1e-3 * (b + 1), b + 1))
+                     for b in range(members)]
+            return _sampled(inits, system, n)[0]
+
+        first = [sampled(*run) for run in runs]
+        after = [sampled(*run) for run in reversed(runs)][::-1]
+        for one, other in zip(first, after):
+            assert [t for t, _ in one] == [t for t, _ in other]
+            for (_, states), (_, again) in zip(one, other):
+                for st, st_again in zip(states, again):
+                    for name in ("rho", "u", "d"):
+                        assert np.array_equal(getattr(st, name), getattr(st_again, name))
 
     def test_implicit_matrices_built_once_per_step_size(self, monkeypatch):
         # a window's dt_eff = (t_next - t)/n_sub jitters in its last bits:
@@ -741,6 +781,30 @@ class TestMemberAttribution:
         with pytest.raises(NonFiniteStateError, match="after step") as info:
             _step_pair(p, g, rho, u, d, bcs)
         assert info.value.member == failing[0]
+
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_non_finite_momentum_names_member_after_the_in_place_solve(
+            self, failing, monkeypatch):
+        # a NaN momentum rate: the velocity solve spreads it across the block
+        # joint into member 0, so the member is found from the rebuilt m_star
+        kernel = dynamics._explicit_rates
+
+        def poisoned(*args):
+            flux, mom_rate, dir_rate = kernel(*args)
+            for b in failing:
+                mom_rate[b, 10] = np.nan
+            return flux, mom_rate, dir_rate
+
+        monkeypatch.setattr(dynamics, "_explicit_rates", poisoned)
+        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, dynamics._director_pins(bcs),
+                                 2, g.n_nodes)
+        work = dynamics._Workspace(2, g.n_nodes)
+        with pytest.raises(NonFiniteStateError, match="after step") as info:
+            dynamics._advance(rho, u, d, 1e-4, p, g, imp, dynamics.DEFAULT_DENSITY_FLOOR, work)
+        assert info.value.member == failing[0]
+        assert not np.isfinite(work.u[0]).all()  # the solve did reach member 0
+        assert np.isfinite(work.rho).all() and np.isfinite(work.d).all()
 
     def test_singular_velocity_block_names_member_and_row(self):
         rho_new = np.ones((2, 7))
