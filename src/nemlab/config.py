@@ -21,13 +21,13 @@ Optional keys:
 
 Each rule is checked once.  parse_config checks what only a document can
 get wrong: JSON and object shape, unknown and missing keys, value types,
-non-finite numbers, the grid node counts, and the positivity of lambda,
-dt, dt_reference, dt_candidate, t_end, sample_interval and density_floor.
-The domain types own every other value range and name the key in their
-messages: Params (gamma > 1; a, sigma0, mu, theta > 0), Perturbation
-(amplitude >= 0, mode >= 1), GronwallConfig (c_h > 0, slack >= 0) and
-ExperimentConfig (initial_preset known and of the system; at most
-MAX_SAMPLES samples).  parse_config reports their errors as ConfigError.
+non-finite numbers, the grid node counts, and the positivity of lambda
+(Params names it lam) and dt (no type holds it).  The domain types own
+every other value range and name the key in their messages: Params
+(gamma > 1; a, sigma0, mu, theta > 0), Perturbation (amplitude >= 0,
+mode >= 1), GronwallConfig (c_h > 0, slack >= 0) and ExperimentConfig (step
+sizes, t_end, sample_interval, density_floor > 0; preset known and of the
+system; at most MAX_SAMPLES samples), reported as ConfigError.
 The director boundary rows follow from the system (pinned for GL,
 mirrored for SPHERE), so they have no key.
 """
@@ -171,14 +171,14 @@ def parse_config(text: str) -> ExperimentConfig:
             ),
             grid_reference=grid_ref,
             grid_candidate=grid_cand,
-            dt_reference=_positive(doc, "dt_reference", dt),
-            dt_candidate=_positive(doc, "dt_candidate", dt),
-            t_end=_positive(doc, "t_end"),
+            dt_reference=_number(doc, "dt_reference", dt),
+            dt_candidate=_number(doc, "dt_candidate", dt),
+            t_end=_number(doc, "t_end"),
             initial_preset=doc["initial_preset"],
             perturbation=Perturbation(amplitude=amplitude, mode=mode),
-            sample_interval=_positive(doc, "sample_interval", None),
+            sample_interval=_number(doc, "sample_interval"),
             gronwall=GronwallConfig(c_h=c_h, slack=slack),
-            density_floor=_positive(doc, "density_floor", DEFAULT_DENSITY_FLOOR),
+            density_floor=_number(doc, "density_floor", DEFAULT_DENSITY_FLOOR),
         )
     except (ConstitutiveError, VerifierError) as exc:
         raise ConfigError(str(exc)) from None

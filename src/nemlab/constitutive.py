@@ -104,36 +104,38 @@ def _check_nonneg_rho(rho) -> np.ndarray:
 
 
 def _power_law(rho, coefficient: float, exponent: float, out=None):
-    """coefficient * rho^exponent for a nonnegative density; a float for
-    scalar input.  Written to out when given (an array of rho's shape)."""
-    out = np.power(_check_nonneg_rho(rho), exponent, out=out)
+    """coefficient * rho^exponent, written to out when given (an array of
+    rho's shape); a float for scalar input.  The one power law: the public
+    laws check rho's sign first, the IMEX step holds rho above a floor."""
+    out = np.power(rho, exponent, out=out)
     out *= coefficient
     return float(out) if out.ndim == 0 else out
 
 
-def pressure(rho, params: Params, out=None):
-    """P(rho) = a * rho^gamma, written to out when given."""
-    return _power_law(rho, params.a, params.gamma, out)
+def pressure(rho, params: Params):
+    """P(rho) = a * rho^gamma."""
+    return _power_law(_check_nonneg_rho(rho), params.a, params.gamma)
 
 
 def pressure_derivative(rho, params: Params):
     """P'(rho) = a*gamma * rho^(gamma-1), evaluated analytically."""
-    return _power_law(rho, params.a * params.gamma, params.gamma - 1.0)
+    return _power_law(_check_nonneg_rho(rho), params.a * params.gamma, params.gamma - 1.0)
 
 
 def pressure_potential(rho, params: Params):
     """Pi(rho) = a/(gamma-1) * rho^gamma."""
-    return _power_law(rho, params.a / (params.gamma - 1.0), params.gamma)
+    return _power_law(_check_nonneg_rho(rho), params.a / (params.gamma - 1.0), params.gamma)
 
 
 def pressure_potential_derivative(rho, params: Params):
     """Pi'(rho) = a*gamma/(gamma-1) * rho^(gamma-1), analytic."""
-    return _power_law(rho, params.a * params.gamma / (params.gamma - 1.0), params.gamma - 1.0)
+    return _power_law(_check_nonneg_rho(rho), params.a * params.gamma / (params.gamma - 1.0),
+                      params.gamma - 1.0)
 
 
 def pressure_potential_second_derivative(rho, params: Params):
     """Pi''(rho) = a*gamma * rho^(gamma-2); note rho*Pi''(rho) = P'(rho)."""
-    return _power_law(rho, params.a * params.gamma, params.gamma - 2.0)
+    return _power_law(_check_nonneg_rho(rho), params.a * params.gamma, params.gamma - 2.0)
 
 
 def gl_potential(d, params: Params):

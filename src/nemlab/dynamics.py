@@ -34,10 +34,11 @@ director solve is one dgtsv call with 3B right-hand sides, since every
 member and component shares the director matrix.  That matrix and the
 velocity off-diagonals are fixed for a given dt, so evolve builds them
 once per step size; the scratch buffers depend on B and n only, so evolve
-builds one workspace per call, and every step writes into it: the
-explicit rates, both right-hand sides (each solved in place) and the new
-state.  The step's cost at small n is the count of numpy calls, not
-their arithmetic, so the mass and momentum fluxes are one stacked sum and
+builds one workspace per call.  The step, its kernel and both solves run
+only on it (a required argument) and write into it: the explicit rates,
+both right-hand sides (each solved in place) and the new state.  The
+step's cost at small n is the count of numpy calls, not their
+arithmetic, so the mass and momentum fluxes are one stacked sum and
 difference.  A member's states are bit-identical to its own
 single-member run: every operation acts within one member, and the zero
 couplings leave each block's elimination untouched.  Each check (CFL
@@ -65,7 +66,8 @@ scipy build) does the module fall back to scipy.linalg.lapack.
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
 floor violation means the run has left the strictly-positive-density regime
-the verification targets and aborts rather than clamping.
+the verification targets and aborts rather than clamping.  evolve checks
+the initial densities too, so the step's pressure needs no sign check.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy
 
-from .constitutive import Params, System, gl_force, pressure
+from .constitutive import Params, System, _power_law, gl_force
 from .grid import Grid1D, central_gradient, central_laplacian
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -140,7 +142,7 @@ class ReactionBoundError(SolverError):
 
 
 class DensityFloorError(SolverError):
-    """Density dropped below the positivity floor; node indexes the member's grid."""
+    """Density below the positivity floor; node indexes the member's grid."""
 
     def __init__(self, node: int, value: float, floor: float, member: Optional[int] = None):
         self.node = node
@@ -276,7 +278,7 @@ class _Workspace:
     the matrices are kept per step size instead (_Implicit).  A step writes
     the new state to rho, u and d, three views of one block (state), so one
     finite check covers all three.  The velocity and director solves run in
-    place on u and d: u holds the momentum right-hand side until its solve.
+    place on u and d, which hold their right-hand sides until then.
     The slices a step reads are made here once, as views: at small n a
     view costs about as much as the ufunc call that reads it.
     """
@@ -376,6 +378,14 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax())
 
 
+def _check_density_floor(rho: np.ndarray, density_floor: float) -> None:
+    """Raise for the first member with a density below the floor."""
+    if np.minimum.reduce(rho, axis=None) < density_floor:
+        member = _first(rho.min(axis=1) < density_floor)
+        node = int(rho[member].argmin())
+        raise DensityFloorError(node, float(rho[member, node]), density_floor, member)
+
+
 class _Implicit(NamedTuple):
     """The implicit matrices of one step size, built once and shared by
     every step of that size.
@@ -460,22 +470,11 @@ def _tridiagonal_solve(
         rhs[...] = x
 
 
-def _solve_velocity(
-    rho_new: np.ndarray, m_star: np.ndarray, implicit: _Implicit,
-    work: Optional[_Workspace] = None,
-) -> np.ndarray:
-    """Implicit viscous solve per member: (diag(rho_new) - mu dt D2) u = m_star, u=0 walls.
-
-    The solution is written to work.u (a fresh workspace when none is
-    given) and returned; m_star may be work.u itself, and is otherwise
-    left unchanged.
-    """
+def _solve_velocity(rho_new: np.ndarray, implicit: _Implicit, work: _Workspace) -> None:
+    """Implicit viscous solve per member, in place on the momentum in work.u:
+    (diag(rho_new) - mu dt D2) u = m, u = 0 walls."""
     members, n = rho_new.shape
-    if work is None:
-        work = _Workspace(members, n)
     u_new = work.u
-    if m_star is not u_new:
-        np.copyto(u_new, m_star)
     np.copyto(work.vel_bands, implicit.vel_bands)
     diag = np.add(rho_new, 2.0 * implicit.s, out=work.vel_diag)
     # per-member scalar stores: strided column updates cost more at small B
@@ -485,35 +484,23 @@ def _solve_velocity(
     _tridiagonal_solve(work.vel_dl, work.vel_diag_flat, work.vel_du, work.u_flat, "velocity", n)
     for b in range(members):
         u_new[b, 0] = u_new[b, -1] = 0.0
-    return u_new
 
 
-def _solve_director(
-    d_star: np.ndarray, implicit: _Implicit, work: Optional[_Workspace] = None
-) -> np.ndarray:
-    """Implicit diffusion solve: (I - theta dt D2_bc) d = d_star for every
-    member and component, as one call with 3B right-hand sides.
-
-    The solution is written to work.d and returned, as in _solve_velocity.
-    """
-    members, _, n = d_star.shape
-    if work is None:
-        work = _Workspace(members, n)
-    if d_star is not work.d:
-        np.copyto(work.d, d_star)
+def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
+    """Implicit diffusion solve in place on work.d, (I - theta dt D2_bc) d = d*
+    for every member and component: one call with 3B right-hand sides."""
     np.copyto(work.dir_bands, implicit.dir_bands)
     pins = implicit.pins
     if pins is not None:
         np.copyto(work.dir_walls, pins)
-    _tridiagonal_solve(work.dir_dl, work.dir_diag, work.dir_du, work.dir_rhs, "director", n)
+    _tridiagonal_solve(work.dir_dl, work.dir_diag, work.dir_du, work.dir_rhs, "director",
+                       work.d.shape[-1])
     if pins is not None:
         np.copyto(work.dir_walls, pins)
-    return work.d
 
 
 def _explicit_rates(
-    rho: np.ndarray, u: np.ndarray, d: np.ndarray, params: Params, dx: float,
-    work: Optional[_Workspace] = None,
+    rho: np.ndarray, u: np.ndarray, d: np.ndarray, params: Params, dx: float, work: _Workspace
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The explicit operators of the step, on B members at once.
 
@@ -529,11 +516,9 @@ def _explicit_rates(
       central in the interior and 0 at the walls, where pinned (GL) or
       mirrored (SPHERE) endpoints do not advect.
     The implicit terms mu u_xx and theta d_xx are not included.  The
-    results are arrays of work (a fresh workspace when none is given),
-    which also keeps the mass flux's differences in work.mass_div.
+    results are arrays of work, which also keeps the mass flux's
+    differences in work.mass_div.
     """
-    if work is None:
-        work = _Workspace(*rho.shape)
     np.multiply(rho, u, out=work.m)
     np.multiply(work.m, u, out=work.m_u)
     # mass and momentum fluxes as one stack: one sum, one difference
@@ -554,7 +539,7 @@ def _explicit_rates(
         grad_sq *= params.theta
         np.multiply(grad_sq, d, out=rate)
     mom = np.divide(work.mom_div, -dx, out=work.mom)
-    mom -= central_gradient(pressure(rho, params, out=work.p), dx, out=work.pgrad)
+    mom -= central_gradient(_power_law(rho, params.a, params.gamma, work.p), dx, out=work.pgrad)
     curv *= grad_in
     stress = np.add.reduce(curv, axis=-2, out=work.stress)
     stress *= params.lam
@@ -572,19 +557,15 @@ def _advance(
     grid: Grid1D,
     implicit: _Implicit,
     density_floor: float,
-    work: Optional[_Workspace] = None,
+    work: _Workspace,
 ):
     """One IMEX Euler step of B members; returns (rho, u, d) at t + dt.
 
     rho and u have shape (B, n) and d has shape (B, 3, n); implicit holds
     the matrices for this dt and the members' boundary rows.  The new state
-    is written to work.rho, work.u and work.d (a fresh workspace when none
-    is given), which may be the arrays passed in; other inputs are left
-    unchanged.  A failed check raises for the first member that fails it,
-    in exc.member.
+    is written over work.rho, work.u and work.d, which evolve passes in.  A
+    failed check raises for the first member that fails it, in exc.member.
     """
-    if work is None:
-        work = _Workspace(*rho.shape)
     dx = grid.dx
     _check_cfl(rho, u, dt, dx, params, work)
     flux, mom_rate, dir_rate = _explicit_rates(rho, u, d, params, dx, work)
@@ -598,21 +579,18 @@ def _advance(
     for b in range(rho.shape[0]):  # scalar stores, as in _solve_velocity
         rho_new[b, 0] = rho[b, 0] - wall * flux[b, 0]
         rho_new[b, -1] = rho[b, -1] + wall * flux[b, -1]
-    if np.minimum.reduce(rho_new, axis=None) < density_floor:
-        member = _first(rho_new.min(axis=1) < density_floor)
-        node = int(rho_new[member].argmin())
-        raise DensityFloorError(node, float(rho_new[member, node]), density_floor, member)
+    _check_density_floor(rho_new, density_floor)
 
     # --- momentum: explicit interior rate, implicit viscosity ---
     mom_rate *= dt
     u_new = work.u
     np.add(work.m_in, mom_rate, out=work.u_in)  # m = rho u, from the kernel
-    _solve_velocity(rho_new, u_new, implicit, work)
+    _solve_velocity(rho_new, implicit, work)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
     dir_rate *= dt
     d_new = np.add(d, dir_rate, out=work.d)
-    _solve_director(d_new, implicit, work)
+    _solve_director(implicit, work)
 
     if params.system is System.SPHERE:
         nrm = np.add.reduce(np.multiply(d_new, d_new, out=work.adv), axis=1, keepdims=True,
@@ -662,7 +640,7 @@ def evolve(
     is dt shrunk minimally so the window is an integer number of steps;
     sample times are therefore hit exactly.  sample_interval=None samples
     after every step.  Step errors propagate with the failure time attached.
-    A step that drops the density below density_floor aborts the run.
+    A density below density_floor aborts the run, at t=0 if it is initial.
     A t_end, dt, sample_interval or density_floor that is not finite, or
     out of range, raises ValueError before the observer sees any state.
 
@@ -707,6 +685,11 @@ def evolve(
     rho, u, d = work.rho, work.u, work.d
     for b, member in enumerate(inits):
         rho[b], u[b], d[b] = member.rho0, member.u0, member.d0
+    try:
+        _check_density_floor(rho, density_floor)
+    except DensityFloorError as exc:
+        exc.args = (f"at t=0: {exc}",)
+        raise
 
     def states():
         out = tuple(State(grid, rho[b], u[b], d[b]) for b in range(members))

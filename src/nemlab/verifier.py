@@ -73,6 +73,7 @@ from .functionals import (
 from .grid import Grid1D
 
 MAX_SAMPLES = 10_000
+_ORDER_FLOOR = 1.8  # the least observed order a convergence check accepts
 _SAMPLES_PER_BLOCK = 64  # stored reference samples per array (memory model above)
 
 
@@ -655,7 +656,6 @@ class UniquenessReport:
 def check_uniqueness(
     config: ExperimentConfig,
     refinement_levels: Sequence[int],
-    order_floor: float = 1.8,
 ) -> UniquenessReport:
     """Zero-perturbation collapse: sup_t entropy vs candidate resolution.
 
@@ -670,7 +670,7 @@ def check_uniqueness(
     relative entropy of its pairs; energies and remainders are not
     evaluated.  The levels must be at least 3 strictly increasing node
     counts, or VerifierError is raised before anything runs.  Passing
-    requires every observed order to reach order_floor; a level whose
+    requires every observed order to reach _ORDER_FLOOR (1.8); a level whose
     entropy is identically zero gives an infinite order.
     """
     if len(refinement_levels) < 3:
@@ -706,5 +706,5 @@ def check_uniqueness(
             orders.append(
                 math.log(sups[k] / sups[k + 1]) / math.log(dxs[k] / dxs[k + 1])
             )
-    passes = all(o >= order_floor for o in orders)
+    passes = all(o >= _ORDER_FLOOR for o in orders)
     return UniquenessReport(passes, list(refinement_levels), sups, orders)

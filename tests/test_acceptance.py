@@ -276,7 +276,7 @@ def test_criterion_6_weak_strong_collapse(capsys):
             initial_preset=preset,
             sample_interval=0.005,
         )
-        rep = check_uniqueness(cfg, [65, 129, 257], order_floor=1.8)
+        rep = check_uniqueness(cfg, [65, 129, 257])
         details.append(
             f"{system.value}: orders={[f'{o:.2f}' for o in rep.orders]} "
             f"sup={[f'{s:.1e}' for s in rep.sup_entropy]}"

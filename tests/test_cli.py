@@ -98,8 +98,8 @@ class TestParseConfig:
             "a": (-1.0, "a must be positive"),
             "sigma0": (0.0, "sigma0 must be positive"),
             "dt": (0.0, "dt must be positive"),
-            "t_end": (-0.5, "t_end must be positive"),
-            "density_floor": (0.0, "density_floor must be positive"),
+            "t_end": (-0.5, "t_end must be finite and positive"),
+            "density_floor": (0.0, "density_floor must be finite and positive"),
             "x_max": (-2.0, "x_max must exceed x_min"),
         }
         for key, (bad, msg) in cases.items():
@@ -684,6 +684,21 @@ class TestMain:
                 "penalization bound sigma0^2/theta=1.000e-04 (the explicit reaction "
                 "has linearized rate 2*theta/sigma0^2)\n"
             )
+
+    @pytest.mark.parametrize("n_candidate", [33, 17], ids=["lockstep", "streamed"])
+    def test_initial_density_below_floor_exits_3(self, tmp_path, capsys, n_candidate):
+        # the preset's least density is 0.9, at node 24 of 33; evolve checks
+        # it before the first sample, whether or not the candidate joins the
+        # reference's evolve
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(grid_reference={"n": 33}, grid_candidate={"n": n_candidate},
+                                 density_floor=0.95))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == (
+            "solver abort: reference trajectory: at t=0: density 9.000e-01 below floor "
+            "9.5e-01 at node 24\n"
+        )
 
 
 def _dip_density(rho, u, d):

@@ -43,11 +43,25 @@ def state_from(grid, rho_fn, u_fn, d_fns):
     return State(grid, rho_fn(x), u_fn(x), d)
 
 
+def loaded(rho, u, d):
+    """A workspace holding the batched state (rho, u, d), as evolve loads it:
+    the step, its explicit kernel and both solves run only on one."""
+    work = dynamics._Workspace(*np.shape(rho))
+    work.rho[...], work.u[...], work.d[...] = rho, u, d
+    return work
+
+
+def advance(work, dt, p, g, imp, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
+    """One step of the state a workspace holds, as evolve takes it."""
+    return dynamics._advance(work.rho, work.u, work.d, dt, p, g, imp, density_floor, work)
+
+
 def rates(st, params=Params()):
     """The step's explicit rates of one state: (mass flux, interior momentum
     rate, director rate), from the kernel _advance calls."""
+    work = loaded(st.rho[None], st.u[None], st.d[None])
     flux, mom, dir_rate = dynamics._explicit_rates(
-        st.rho[None], st.u[None], st.d[None], params, st.grid.dx
+        work.rho, work.u, work.d, params, st.grid.dx, work
     )
     return flux[0], mom[0], dir_rate[0]
 
@@ -315,9 +329,11 @@ class TestStep:
         bc = BoundarySpec.for_system(System.SPHERE, init.d0)
         imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, dynamics._director_pins([bc]),
                                  1, g.n_nodes)
-        d = init.d0[None]
-        dir_rate = dynamics._explicit_rates(init.rho0[None], init.u0[None], d, p, g.dx)[2]
-        d_new = dynamics._solve_director(d + 1e-4 * dir_rate, imp)
+        work = loaded(init.rho0[None], init.u0[None], init.d0[None])
+        dir_rate = dynamics._explicit_rates(work.rho, work.u, work.d, p, g.dx, work)[2]
+        work.d += 1e-4 * dir_rate
+        dynamics._solve_director(imp, work)
+        d_new = work.d
         defect = np.abs(np.sqrt((d_new * d_new).sum(axis=1)) - 1.0).max()
         assert 0.0 < defect < 1e-4
 
@@ -364,23 +380,23 @@ class TestTridiagonalSolves:
         n, dt, dx, mu = 17, 3e-3, 1.0 / 16, 0.7
         rho_new = 1.0 + 0.5 * rng.random(n)
         m_star = rng.standard_normal(n)
-        inputs = (rho_new.copy(), m_star.copy())
         a = np.diag(rho_new) - mu * dt * self.d2_dense(n, dx)
         a[[0, -1], :] = 0.0
         a[0, 0] = a[-1, -1] = 1.0
         b = m_star.copy()
         b[[0, -1]] = 0.0
         imp = dynamics._implicit(dt, dx, mu, 1.0, None, 1, n)
-        u = dynamics._solve_velocity(rho_new[None], m_star[None], imp)[0]
+        work = loaded(rho_new[None], m_star[None], np.zeros((1, 3, n)))
+        dynamics._solve_velocity(work.rho, imp, work)
+        u = work.u[0]
         np.testing.assert_allclose(u, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
         assert u[0] == 0.0 and u[-1] == 0.0
-        assert np.array_equal(rho_new, inputs[0]) and np.array_equal(m_star, inputs[1])
+        assert np.array_equal(work.rho[0], rho_new)
 
     def test_director_dirichlet_matches_dense_solve(self):
         rng = np.random.default_rng(1)
         n, dt, dx, theta = 17, 3e-3, 1.0 / 16, 0.9
         d_star = rng.standard_normal((3, n))
-        before = d_star.copy()
         bc = BoundarySpec(DirectorBC.DIRICHLET_D0, rng.standard_normal(3),
                           rng.standard_normal(3))
         a = np.eye(n) - theta * dt * self.d2_dense(n, dx)
@@ -389,33 +405,34 @@ class TestTridiagonalSolves:
         b = d_star.T.copy()
         b[0], b[-1] = bc.d_left, bc.d_right
         imp = dynamics._implicit(dt, dx, 1.0, theta, dynamics._director_pins([bc]), 1, n)
-        d_new = dynamics._solve_director(d_star[None], imp)[0]
+        work = loaded(np.ones((1, n)), np.zeros((1, n)), d_star[None])
+        dynamics._solve_director(imp, work)
+        d_new = work.d[0]
         np.testing.assert_allclose(d_new, np.linalg.solve(a, b).T, rtol=1e-12, atol=0.0)
         assert np.array_equal(d_new[:, 0], bc.d_left)
         assert np.array_equal(d_new[:, -1], bc.d_right)
-        assert np.array_equal(d_star, before)
 
     def test_director_neumann_matches_dense_solve(self):
         rng = np.random.default_rng(2)
         n, dt, dx, theta = 17, 3e-3, 1.0 / 16, 0.9
         d_star = rng.standard_normal((3, n))
-        before = d_star.copy()
         d2 = self.d2_dense(n, dx)
         d2[0, 1] = d2[-1, -2] = 2.0 / dx**2  # mirrored ghost nodes
         a = np.eye(n) - theta * dt * d2
         imp = dynamics._implicit(dt, dx, 1.0, theta, None, 1, n)
-        d_new = dynamics._solve_director(d_star[None], imp)[0]
+        work = loaded(np.ones((1, n)), np.zeros((1, n)), d_star[None])
+        dynamics._solve_director(imp, work)
         np.testing.assert_allclose(
-            d_new, np.linalg.solve(a, d_star.T).T, rtol=1e-12, atol=0.0
+            work.d[0], np.linalg.solve(a, d_star.T).T, rtol=1e-12, atol=0.0
         )
-        assert np.array_equal(d_star, before)
 
     def test_singular_velocity_matrix_is_a_solver_error(self):
         rho_new = np.ones(7)
         rho_new[3] = 0.0  # with mu = 0 row 3 is all zeros
+        work = loaded(rho_new[None], np.ones((1, 7)), np.zeros((1, 3, 7)))
         with pytest.raises(LinearSolveError, match="velocity solve: singular"):
             dynamics._solve_velocity(
-                rho_new[None], np.ones((1, 7)), dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 1, 7)
+                work.rho, dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 1, 7), work
             )
 
     def test_singular_director_matrix_is_a_solver_error(self):
@@ -424,7 +441,8 @@ class TestTridiagonalSolves:
         bc = BoundarySpec(DirectorBC.DIRICHLET_D0, np.zeros(3), np.zeros(3))
         with pytest.raises(LinearSolveError, match="director solve: singular") as info:
             imp = dynamics._implicit(1.0, 1.0, 1.0, -0.5, dynamics._director_pins([bc]), 1, 5)
-            dynamics._solve_director(np.ones((1, 3, 5)), imp)
+            dynamics._solve_director(imp, loaded(np.ones((1, 5)), np.zeros((1, 5)),
+                                                 np.ones((1, 3, 5))))
         assert isinstance(info.value, SolverError)
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
@@ -444,9 +462,9 @@ class TestTridiagonalSolves:
             fields[name][10] = np.nan
             imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta,
                                      dynamics._director_pins([bc]), 1, g.n_nodes)
+            work = loaded(fields["rho"][None], fields["u"][None], init.d0[None])
             with pytest.raises(NonFiniteStateError, match="non-finite wave speed"):
-                dynamics._advance(fields["rho"][None], fields["u"][None], init.d0[None],
-                                  1e-4, p, g, imp, dynamics.DEFAULT_DENSITY_FLOOR)
+                advance(work, 1e-4, p, g, imp)
 
 
 class TestEvolve:
@@ -633,18 +651,14 @@ class TestBatchedEvolve:
         for name in ("rho", "u", "d"):
             assert np.array_equal(getattr(out, name), getattr(st, f"{name}0"))
         # evolve's steps also share one workspace and write the state into
-        # it; a step given none builds its own and leaves its inputs alone
+        # it; a step on a fresh workspace loaded with the same state matches
         imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, dynamics._director_pins([bc]),
                                  1, g.n_nodes)
-        work = dynamics._Workspace(1, g.n_nodes)
-        fresh = reused = (init.rho0[None], init.u0[None], init.d0[None])
+        fresh = (init.rho0[None], init.u0[None], init.d0[None])
+        work = loaded(*fresh)
         for _ in range(5):
-            inputs = fresh
-            before = [a.copy() for a in inputs]
-            fresh = dynamics._advance(*inputs, dt, p, g, imp, dynamics.DEFAULT_DENSITY_FLOOR)
-            reused = dynamics._advance(*reused, dt, p, g, imp,
-                                       dynamics.DEFAULT_DENSITY_FLOOR, work)
-            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+            fresh = advance(loaded(*fresh), dt, p, g, imp)
+            reused = advance(work, dt, p, g, imp)
             assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
             assert all(a is b for a, b in zip(reused, (work.rho, work.u, work.d)))
         for name, final in zip(("rho", "u", "d"), fresh):
@@ -730,7 +744,7 @@ def _pair_arrays(system, n=33):
 def _step_pair(p, g, rho, u, d, bcs, dt=1e-4, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
     imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, dynamics._director_pins(bcs),
                              rho.shape[0], g.n_nodes)
-    return dynamics._advance(rho, u, d, dt, p, g, imp, density_floor)
+    return advance(loaded(rho, u, d), dt, p, g, imp, density_floor)
 
 
 class TestMemberAttribution:
@@ -799,9 +813,9 @@ class TestMemberAttribution:
         p, g, rho, u, d, bcs = _pair_arrays(System.GL)
         imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, dynamics._director_pins(bcs),
                                  2, g.n_nodes)
-        work = dynamics._Workspace(2, g.n_nodes)
+        work = loaded(rho, u, d)
         with pytest.raises(NonFiniteStateError, match="after step") as info:
-            dynamics._advance(rho, u, d, 1e-4, p, g, imp, dynamics.DEFAULT_DENSITY_FLOOR, work)
+            advance(work, 1e-4, p, g, imp)
         assert info.value.member == failing[0]
         assert not np.isfinite(work.u[0]).all()  # the solve did reach member 0
         assert np.isfinite(work.rho).all() and np.isfinite(work.d).all()
@@ -810,8 +824,9 @@ class TestMemberAttribution:
         rho_new = np.ones((2, 7))
         rho_new[1, 3] = 0.0  # with mu = 0 row 3 of member 1 is all zeros
         imp = dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 2, 7)
+        work = loaded(rho_new, np.ones((2, 7)), np.zeros((2, 3, 7)))
         with pytest.raises(LinearSolveError, match="zero pivot in row 4") as info:
-            dynamics._solve_velocity(rho_new, np.ones((2, 7)), imp)
+            dynamics._solve_velocity(work.rho, imp, work)
         assert info.value.member == 1
 
     def test_evolve_abort_carries_member_and_time(self):
