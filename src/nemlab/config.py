@@ -24,10 +24,11 @@ get wrong: JSON and object shape, unknown and missing keys, value types,
 non-finite numbers, the grid node counts, and the positivity of lambda
 (Params names it lam) and dt (no type holds it).  The domain types own
 every other value range and name the key in their messages: Params
-(gamma > 1; a, sigma0, mu, theta > 0), Perturbation (amplitude >= 0,
-mode >= 1), GronwallConfig (c_h > 0, slack >= 0) and ExperimentConfig (step
-sizes, t_end, sample_interval, density_floor > 0; preset known and of the
-system; at most MAX_SAMPLES samples), reported as ConfigError.
+(gamma > 1; a, sigma0, mu, theta > 0; sigma0**2 a finite positive float),
+Perturbation (amplitude >= 0, mode >= 1), GronwallConfig (c_h > 0,
+slack >= 0) and ExperimentConfig (step sizes, t_end, sample_interval,
+density_floor > 0; preset known and of the system; at most MAX_SAMPLES
+samples), reported as ConfigError.
 The director boundary rows follow from the system (pinned for GL,
 mirrored for SPHERE), so they have no key.
 """

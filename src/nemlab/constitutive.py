@@ -17,6 +17,7 @@ leading axis of length 3), and are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,6 +80,14 @@ class Params:
             raise ConstitutiveError(f"gamma must exceed 1, got {self.gamma}")
         if not self.sigma0 > 0:
             raise ConstitutiveError(f"sigma0 must be positive, got {self.sigma0}")
+        try:
+            square = float(self.sigma0) ** 2  # the penalization and its dt bound divide by it
+        except OverflowError:
+            square = math.inf
+        if not (math.isfinite(square) and square > 0):
+            raise ConstitutiveError(
+                "sigma0 is out of range: sigma0**2 is not a finite positive float"
+            )
         for name in ("mu", "lam", "theta"):
             if not getattr(self, name) > 0:
                 raise ConstitutiveError(
@@ -176,15 +185,17 @@ def bregman_pressure(rho, rho_tilde, params: Params):
     rt = np.asarray(rho_tilde, dtype=float)
     if _least(rt, np.inf) <= 0:
         raise ConstitutiveError("reference density must be strictly positive")
-    out = (
-        pressure_potential(rho, params)
-        - pressure_potential_derivative(rt, params) * (rho - rt)
-        - pressure_potential(rt, params)
-    )
-    out = np.asarray(out, dtype=float)
+    out = _bregman(pressure_potential(rho, params), pressure_potential_derivative(rt, params),
+                   pressure_potential(rt, params), rho, rt)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bregman(pi, pi1_t, pi_t, rho, rho_t) -> np.ndarray:
+    """Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t) from the three law
+    values, with bregman_pressure's round-off clamp and error."""
+    out = np.asarray(pi - pi1_t * (rho - rho_t) - pi_t, dtype=float)
     if _least(out, 0.0) < -_BREGMAN_CLAMP:
         raise ConstitutiveError(
             f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
         )
-    out = np.where(out < 0.0, 0.0, out)
-    return float(out) if out.ndim == 0 else out
+    return np.where(out < 0.0, 0.0, out)

@@ -37,20 +37,29 @@ once per step size; the scratch buffers depend on B and n only, so evolve
 builds one workspace per call.  The step, its kernel and both solves run
 only on it (a required argument) and write into it: the explicit rates,
 both right-hand sides (each solved in place) and the new state.  The
-step's cost at small n is the count of numpy calls, not their
-arithmetic, so the mass and momentum fluxes are one stacked sum and
-difference.  A member's states are bit-identical to its own
-single-member run: every operation acts within one member, and the zero
+step's cost at small n is the count of numpy calls and the iteration
+over strided views, not their arithmetic, so the kernel runs on flat
+member-major views of the workspace: each stencil, the stacked mass and
+momentum flux sum and their difference are one contiguous call over
+every row of every member, and the wall rows of all members (continuity
+half cells, velocity diagonal and zeroed velocity) are one strided call
+each.  The entries of those flat results that straddle two rows are
+scratch: each is finite on a finite state, and none reaches a value the
+step keeps (_Workspace says which are zeroed and which are never read).
+A member's states are therefore bit-identical to its own single-member
+run: every kept value comes from one member's entries, and the zero
 couplings leave each block's elimination untouched.  Each check (CFL
 bound, density floor, sphere collapse, end-of-step finite values) names
 the first member that fails it in exc.member.  A nonzero LAPACK status
 raises LinearSolveError.  NaN/inf in rho or u makes the wave speed of the
 CFL bound non-finite, which raises NonFiniteStateError before either
-solve runs; NaN/inf in d is caught by the end-of-step finite check.  Each
-step evaluates the director gradient, Laplacian and GL force once and
-shares them between the stress divergence and the director predictor; the
-stress divergence is evaluated at the interior nodes only, the rows it
-updates.
+solve runs; a finite state whose sound speed leaves the float range has
+a stability bound of 0 and raises CflError; NaN/inf in d is caught by the
+end-of-step finite check.  Each step evaluates the director gradient,
+Laplacian and GL force once and shares them between the stress
+divergence and the director predictor.  The observer's samples are
+read-only views of one copy of the state block per sample, built without
+checking again what the step's checks already hold.
 
 LAPACK: scipy is used for one routine, dgtsv.  It is loaded from the
 extension module that holds it, scipy/linalg/_flapack, found by file next
@@ -246,6 +255,15 @@ class State:
         n = self.grid.n_nodes
         _freeze(self, rho=(n,), u=(n,), d=(3, n))
 
+    @classmethod
+    def _wrap(cls, grid: Grid1D, rho: np.ndarray, u: np.ndarray, d: np.ndarray) -> "State":
+        """A state over read-only float arrays that already have the shapes
+        and the finite entries __post_init__ checks; neither copied nor
+        checked again."""
+        state = object.__new__(cls)
+        state.__dict__.update(grid=grid, rho=rho, u=u, d=d)
+        return state
+
 
 @dataclass(frozen=True, eq=False)
 class InitialData:
@@ -281,6 +299,22 @@ class _Workspace:
     place on u and d, which hold their right-hand sides until then.
     The slices a step reads are made here once, as views: at small n a
     view costs about as much as the ufunc call that reads it.
+
+    The stencils, flux sums and flux differences run on flat member-major
+    views, one contiguous call each over every row at once: the director
+    block as 3B rows of n nodes, the (m, m u) block as 2B rows.  Each
+    row's interior entries are what the stencil gives on that row alone;
+    the entries at its two ends, whose stencils straddle two rows, are
+    scratch, and none of them reaches a value the step keeps.  The
+    gradient's wall columns are zeroed after its stencil, so the
+    curvature and stress walls are 0; the continuity's wall rows are
+    overwritten with the half-cell updates before use; the last flux
+    column and the walls of the pressure gradient and the momentum rate
+    reach only the velocity's wall rows, which the solve sets to 0.  The
+    full-width buffers start zeroed, so the entries no call writes (their
+    flat ends) hold 0, and on a finite state every scratch entry is a
+    finite combination of finite values: none raises a floating-point
+    warning.
     """
 
     def __init__(self, members: int, n: int):
@@ -289,39 +323,54 @@ class _Workspace:
         self.rho = self.state[:size].reshape(members, n)
         self.u = self.state[size:2 * size].reshape(members, n)
         self.d = self.state[2 * size:].reshape(members, 3, n)
+        self.rho_u = self.state[:2 * size]   # the adjacent rho and u rows
+        self.rho_flat, self.u_flat = self.rho_u.reshape(2, size)
+        self.d_flat = self.state[2 * size:]
+        self.u_col = self.u[:, None]
+        self.u_walls = self.u[:, ::n - 1]
         self.finite = np.empty(5 * size, dtype=bool)
-        self.rho_in = self.rho[:, 1:-1]
-        self.u_in = self.u[:, 1:-1]
-        self.u_flat = self.u.reshape(-1)
         self.dir_rhs = self.d.reshape(3 * members, n).T  # (n, 3B), Fortran order
         self.dir_walls = self.dir_rhs[::n - 1]            # its first and last rows
-        # |u| and rho, for the CFL bound
-        self.peaks = np.empty((2, members, n))
-        self.abs_u, self.rho_copy = self.peaks
-        # m = rho u and m u; their central fluxes at the interfaces; the
-        # fluxes' differences
-        self.q = np.empty((2, members, n))
-        self.fluxes = np.empty((2, members, n - 1))
-        self.div = np.empty((2, members, n - 2))
-        self.m, self.m_u = self.q
-        self.m_in = self.m[:, 1:-1]
-        self.q_left, self.q_right = self.q[..., :-1], self.q[..., 1:]
-        self.f_left, self.f_right = self.fluxes[..., :-1], self.fluxes[..., 1:]
-        self.mass_flux = self.fluxes[0]
-        self.mass_div, self.mom_div = self.div
+        self.peaks = np.empty((2, members, n))   # |rho| and |u|, for the CFL bound
+        self.peaks_flat = self.peaks.reshape(-1)
+        # m = rho u and m u; their central fluxes, column i at the interface
+        # i + 1/2; the fluxes' differences, column i at node i
+        q, fluxes, div = np.zeros((3, 2, members, n))
+        self.m, self.m_u = q
+        self.m_flat = self.m.reshape(-1)
+        q_flat, f_flat = q.reshape(-1), fluxes.reshape(-1)
+        self.q_left, self.q_right = q_flat[:-1], q_flat[1:]
+        self.f_left, self.f_right = f_flat[:-1], f_flat[1:]
+        self.div_tail = div.reshape(-1)[1:]
+        self.mass_flux = fluxes[0, :, :-1]
+        self.flux_walls = fluxes[0, :, :n - 1:n - 2]  # interfaces 1/2 and n - 3/2
+        self.mass_div = div[0]
+        self.mass_div_flat, self.mom_div_flat = div.reshape(2, size)
+        self.mass_div_walls = self.mass_div[:, ::n - 1]
+        self.wall_signs = np.array([2.0, -2.0])  # half cells, outward flux at each wall
         self.p = np.empty((members, n))
-        self.pgrad = np.empty((members, n - 2))
-        self.grad = np.zeros((members, 3, n))        # d_x; the walls stay 0
-        self.grad_in = self.grad[..., 1:-1]
-        self.lap = np.empty((members, 3, n - 2))
-        self.stress = np.empty((members, n - 2))
-        self.mom = np.empty((members, n - 2))
-        self.rate = np.empty((members, 3, n))        # the director rate
-        self.adv = np.empty((members, 3, n))         # u d_x, then d_new^2
-        self.norm = np.empty((members, 1, n))        # |d_x|^2, then |d_new|
+        self.p_flat = self.p.reshape(-1)
+        self.pgrad_flat = np.zeros(size)
+        self.pgrad_in = self.pgrad_flat[1:-1]
+        self.grad = np.zeros((members, 3, n))    # d_x, walls 0
+        self.grad_flat = self.grad.reshape(-1)
+        self.grad_in = self.grad_flat[1:-1]
+        self.grad_walls = self.grad.reshape(3 * members, n)[:, ::n - 1]
+        self.lap = np.zeros((members, 3, n))     # d_xx, then the stress contraction
+        self.lap_flat = self.lap.reshape(-1)
+        self.lap_in = self.lap_flat[1:-1]
+        self.stress = np.zeros((members, n))
+        self.stress_flat = self.stress.reshape(-1)
+        self.mom = np.zeros((members, n))
+        self.mom_flat, self.mom_in = self.mom.reshape(-1), self.mom[:, 1:-1]
+        self.rate = np.empty((members, 3, n))    # the director rate
+        self.rate_flat = self.rate.reshape(-1)
+        self.adv = np.empty((members, 3, n))     # u d_x, then d_new^2
+        self.norm = np.empty((members, 1, n))    # |d_x|^2, then |d_new|
         # LAPACK overwrites the bands it is given: each solve copies its own
         self.vel_diag = np.empty((members, n))
         self.vel_diag_flat = self.vel_diag.reshape(-1)
+        self.vel_diag_walls = self.vel_diag[:, ::n - 1]
         self.vel_bands = np.empty((2, size - 1))
         self.dir_bands = np.empty((3, n))
         self.vel_dl, self.vel_du = self.vel_bands
@@ -330,16 +379,22 @@ class _Workspace:
         )
 
 
-def _check_cfl(rho: np.ndarray, u: np.ndarray, dt: float, dx: float, params: Params,
-               work: _Workspace) -> None:
+def _check_cfl(dt: float, dx: float, params: Params, work: _Workspace) -> None:
     """Raise for the first member whose wave speed is non-finite or whose
-    advective/acoustic bound 0.4*dx/max(|u| + c) dt exceeds."""
-    np.abs(u, out=work.abs_u)
-    np.copyto(work.rho_copy, rho)
-    u_max, rho_max = np.maximum.reduce(work.peaks, axis=2).tolist()
+    advective/acoustic bound 0.4*dx/max(|u| + c) dt exceeds.
+
+    The rho and u rows of the state block are adjacent, so one abs and one
+    reduction give both per-member maxima (rho > 0: |rho| is rho).  A
+    sound speed beyond the float range, from a finite state, bounds dt by 0.
+    """
+    np.abs(work.rho_u, out=work.peaks_flat)
+    rho_max, u_max = np.maximum.reduce(work.peaks, axis=2).tolist()
     for member, (u_m, rho_m) in enumerate(zip(u_max, rho_max)):
-        speed = u_m + math.sqrt(params.a * params.gamma * rho_m ** (params.gamma - 1.0))
-        if not math.isfinite(speed):
+        try:
+            speed = u_m + math.sqrt(params.a * params.gamma * rho_m ** (params.gamma - 1.0))
+        except OverflowError:  # only a finite rho_m overflows a float power
+            speed = math.inf
+        if not math.isfinite(u_m + rho_m):
             # NaN or inf in rho or u: stop before the solves run on it
             raise NonFiniteStateError(
                 f"non-finite wave speed {speed} at step start", member=member
@@ -473,17 +528,13 @@ def _tridiagonal_solve(
 def _solve_velocity(rho_new: np.ndarray, implicit: _Implicit, work: _Workspace) -> None:
     """Implicit viscous solve per member, in place on the momentum in work.u:
     (diag(rho_new) - mu dt D2) u = m, u = 0 walls."""
-    members, n = rho_new.shape
-    u_new = work.u
     np.copyto(work.vel_bands, implicit.vel_bands)
-    diag = np.add(rho_new, 2.0 * implicit.s, out=work.vel_diag)
-    # per-member scalar stores: strided column updates cost more at small B
-    for b in range(members):
-        diag[b, 0] = diag[b, -1] = 1.0
-        u_new[b, 0] = u_new[b, -1] = 0.0
-    _tridiagonal_solve(work.vel_dl, work.vel_diag_flat, work.vel_du, work.u_flat, "velocity", n)
-    for b in range(members):
-        u_new[b, 0] = u_new[b, -1] = 0.0
+    np.add(rho_new, 2.0 * implicit.s, out=work.vel_diag)
+    work.vel_diag_walls.fill(1.0)
+    work.u_walls.fill(0.0)
+    _tridiagonal_solve(work.vel_dl, work.vel_diag_flat, work.vel_du, work.u_flat, "velocity",
+                       rho_new.shape[-1])
+    work.u_walls.fill(0.0)
 
 
 def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
@@ -504,7 +555,8 @@ def _explicit_rates(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The explicit operators of the step, on B members at once.
 
-    rho and u have shape (B, n) and d has shape (B, 3, n).  Returns
+    rho and u have shape (B, n) and d has shape (B, 3, n); they are the
+    state views of work, whose flat views the stencils run on.  Returns
     - the central mass flux (rho_i u_i + rho_{i+1} u_{i+1})/2 at the n - 1
       interfaces, (B, n - 1);
     - the momentum rate at the n - 2 interior nodes, (B, n - 2): central
@@ -516,36 +568,39 @@ def _explicit_rates(
       central in the interior and 0 at the walls, where pinned (GL) or
       mirrored (SPHERE) endpoints do not advect.
     The implicit terms mu u_xx and theta d_xx are not included.  The
-    results are arrays of work, which also keeps the mass flux's
-    differences in work.mass_div.
+    results are views of work's full-width buffers: work.mass_div holds
+    the mass flux's differences and work.mom the momentum rate, each
+    at the nodes, with scratch walls.
     """
     np.multiply(rho, u, out=work.m)
     np.multiply(work.m, u, out=work.m_u)
-    # mass and momentum fluxes as one stack: one sum, one difference
-    fluxes = np.add(work.q_left, work.q_right, out=work.fluxes)
-    fluxes *= 0.5
-    np.subtract(work.f_right, work.f_left, out=work.div)
-    grad, grad_in = work.grad, work.grad_in
-    central_gradient(d, dx, out=grad_in)
-    curv = central_laplacian(d, dx, out=work.lap)
-    rate = work.rate
+    # mass and momentum fluxes as one flat stack: one sum, one difference
+    np.add(work.q_left, work.q_right, out=work.f_left)
+    work.f_left *= 0.5
+    np.subtract(work.f_right, work.f_left, out=work.div_tail)
+    grad, curv, rate = work.grad, work.lap_flat, work.rate
+    central_gradient(work.d_flat, dx, out=work.grad_in)
+    work.grad_walls.fill(0.0)
+    central_laplacian(work.d_flat, dx, out=work.lap_in)
     if params.system is System.GL:
-        force = gl_force(d, params, out=rate)
-        curv -= force[..., 1:-1]
+        gl_force(d, params, out=rate)
+        curv -= work.rate_flat
         rate *= -params.theta
     else:
         grad_sq = np.add.reduce(np.multiply(grad, grad, out=rate), axis=1, keepdims=True,
                                 out=work.norm)
         grad_sq *= params.theta
         np.multiply(grad_sq, d, out=rate)
-    mom = np.divide(work.mom_div, -dx, out=work.mom)
-    mom -= central_gradient(_power_law(rho, params.a, params.gamma, work.p), dx, out=work.pgrad)
-    curv *= grad_in
-    stress = np.add.reduce(curv, axis=-2, out=work.stress)
+    mom = np.divide(work.mom_div_flat, -dx, out=work.mom_flat)
+    _power_law(rho, params.a, params.gamma, work.p)
+    central_gradient(work.p_flat, dx, out=work.pgrad_in)
+    mom -= work.pgrad_flat
+    curv *= work.grad_flat
+    stress = np.add.reduce(work.lap, axis=-2, out=work.stress)
     stress *= params.lam
-    mom -= stress
-    rate -= np.multiply(u[:, None], grad, out=work.adv)
-    return work.mass_flux, mom, rate
+    mom -= work.stress_flat
+    rate -= np.multiply(work.u_col, grad, out=work.adv)
+    return work.mass_flux, work.mom_in, rate
 
 
 def _advance(
@@ -561,39 +616,35 @@ def _advance(
 ):
     """One IMEX Euler step of B members; returns (rho, u, d) at t + dt.
 
-    rho and u have shape (B, n) and d has shape (B, 3, n); implicit holds
-    the matrices for this dt and the members' boundary rows.  The new state
-    is written over work.rho, work.u and work.d, which evolve passes in.  A
-    failed check raises for the first member that fails it, in exc.member.
+    rho, u and d are work.rho, work.u and work.d, of shapes (B, n), (B, n)
+    and (B, 3, n), as evolve passes them; implicit holds the matrices for
+    this dt and the members' boundary rows.  The new state is written over
+    them.  A failed check raises for the first member that fails it, in
+    exc.member.
     """
     dx = grid.dx
-    _check_cfl(rho, u, dt, dx, params, work)
-    flux, mom_rate, dir_rate = _explicit_rates(rho, u, d, params, dx, work)
+    _check_cfl(dt, dx, params, work)
+    _, mom_rate, dir_rate = _explicit_rates(rho, u, d, params, dx, work)
 
     # --- continuity: conservative central flux, half cells at the walls ---
-    rho_new = work.rho
-    flux_div = work.mass_div
-    flux_div *= dt / dx
-    np.subtract(rho[:, 1:-1], flux_div, out=work.rho_in)
-    wall = 2.0 * dt / dx
-    for b in range(rho.shape[0]):  # scalar stores, as in _solve_velocity
-        rho_new[b, 0] = rho[b, 0] - wall * flux[b, 0]
-        rho_new[b, -1] = rho[b, -1] + wall * flux[b, -1]
-    _check_density_floor(rho_new, density_floor)
+    # the wall rows of the flux differences become the half-cell updates
+    np.multiply(work.flux_walls, work.wall_signs, out=work.mass_div_walls)
+    work.mass_div_flat *= dt / dx
+    np.subtract(work.rho_flat, work.mass_div_flat, out=work.rho_flat)
+    _check_density_floor(rho, density_floor)
 
     # --- momentum: explicit interior rate, implicit viscosity ---
-    mom_rate *= dt
-    u_new = work.u
-    np.add(work.m_in, mom_rate, out=work.u_in)  # m = rho u, from the kernel
-    _solve_velocity(rho_new, implicit, work)
+    work.mom_flat *= dt
+    np.add(work.m_flat, work.mom_flat, out=work.u_flat)  # walls zeroed by the solve
+    _solve_velocity(rho, implicit, work)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
     dir_rate *= dt
-    d_new = np.add(d, dir_rate, out=work.d)
+    np.add(d, dir_rate, out=d)
     _solve_director(implicit, work)
 
     if params.system is System.SPHERE:
-        nrm = np.add.reduce(np.multiply(d_new, d_new, out=work.adv), axis=1, keepdims=True,
+        nrm = np.add.reduce(np.multiply(d, d, out=work.adv), axis=1, keepdims=True,
                             out=work.norm)
         np.sqrt(nrm, out=nrm)
         if np.minimum.reduce(nrm, axis=None) < 0.5:
@@ -603,7 +654,7 @@ def _advance(
                 "renormalization is no longer meaningful",
                 member=member,
             )
-        d_new /= nrm
+        d /= nrm
 
     if not np.logical_and.reduce(np.isfinite(work.state, out=work.finite), axis=None):
         # a non-finite right-hand side spreads across the block joints of
@@ -612,14 +663,14 @@ def _advance(
         m_star = work.m.copy()
         m_star[:, 1:-1] += mom_rate
         finite = (
-            np.isfinite(rho_new).all(axis=1)
+            np.isfinite(rho).all(axis=1)
             & np.isfinite(m_star).all(axis=1)
-            & np.isfinite(d_new).all(axis=(1, 2))
+            & np.isfinite(d).all(axis=(1, 2))
         )
         if finite.all():
-            finite = np.isfinite(u_new).all(axis=1)
+            finite = np.isfinite(u).all(axis=1)
         raise NonFiniteStateError("non-finite values after step", member=_first(~finite))
-    return rho_new, u_new, d_new
+    return rho, u, d
 
 
 def evolve(
@@ -681,7 +732,8 @@ def evolve(
     pins = _director_pins(bcs)
 
     # one workspace for every step of this call; the state lives in it
-    work = _Workspace(members, grid.n_nodes)
+    n = grid.n_nodes
+    work = _Workspace(members, n)
     rho, u, d = work.rho, work.u, work.d
     for b, member in enumerate(inits):
         rho[b], u[b], d[b] = member.rho0, member.u0, member.d0
@@ -692,7 +744,13 @@ def evolve(
         raise
 
     def states():
-        out = tuple(State(grid, rho[b], u[b], d[b]) for b in range(members))
+        # one read-only copy of the state block per sample; the end-of-step
+        # finite check and InitialData vouch for its entries
+        snap = work.state.copy()
+        snap.flags.writeable = False
+        size = members * n
+        rows, dirs = snap[:2 * size].reshape(2, members, n), snap[2 * size:].reshape(members, 3, n)
+        out = tuple(State._wrap(grid, rows[0, b], rows[1, b], dirs[b]) for b in range(members))
         return out[0] if single else out
 
     if observer is not None:
@@ -716,7 +774,7 @@ def evolve(
         implicit = cache.get(dt_eff)
         if implicit is None:
             implicit = cache[dt_eff] = _implicit(
-                dt_eff, grid.dx, params.mu, params.theta, pins, members, grid.n_nodes
+                dt_eff, grid.dx, params.mu, params.theta, pins, members, n
             )
         for j in range(n_sub):
             try:

@@ -27,12 +27,15 @@ and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
 `remainder` builds a sample's whole certificate row in one pass: one
-gradient and one Laplacian call on the stacked (u, d0, d1, d2) rows of
-both states, a few stacked director contractions, one trapezoid call
-on the stack of every integrand and one max for the h_hat norms.  Its
-RemainderBreakdown also carries the pair's relative entropy and the
-candidate's energy, dissipation, mass and (SPHERE) sphere defect, from
-the same density helpers as the single-value functionals, bit for bit.
+sign check of the candidate density and one evaluation of each pressure
+law, one gradient and one Laplacian call on the stacked (u, d0, d1, d2)
+rows of both states (GL's gradient call also takes the reference's
+pressure, momentum and Pi' rows), a few stacked director contractions,
+one trapezoid call on the stack of every integrand and one max for the
+h_hat norms.  Its RemainderBreakdown also carries the pair's relative
+entropy and the candidate's energy, dissipation, mass and (SPHERE)
+sphere defect, from the same density helpers as the single-value
+functionals, bit for bit.
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -51,16 +54,16 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .constitutive import (
+    ConstitutiveError,
     Params,
     System,
+    _bregman,
+    _check_nonneg_rho,
+    _power_law,
     bregman_pressure,
     gl_force,
     gl_potential,
-    pressure,
-    pressure_derivative,
     pressure_potential,
-    pressure_potential_derivative,
-    pressure_potential_second_derivative,
 )
 from .dynamics import DEFAULT_DENSITY_FLOOR, State
 from .grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
@@ -102,6 +105,8 @@ class StatePair:
             raise FunctionalError(
                 f"reference density {low:.3e} below lower bound {self.rho_lower:.1e}"
             )
+        if not low > 0:  # reachable only with rho_lower <= 0
+            raise ConstitutiveError("reference density must be strictly positive")
 
     @property
     def grid(self) -> Grid1D:
@@ -139,13 +144,16 @@ class RemainderBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _derivatives(states: Sequence[State], dx: float) -> Tuple[np.ndarray, np.ndarray]:
+def _derivatives(states: Sequence[State], dx: float,
+                 *extra: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gradient of the states' stacked (u, d0, d1, d2) rows, four rows per
-    state, and Laplacian of those rows past the first u: the rows the
-    densities read, with one call of each operator.  The stencils act row
-    by row, so the rows left out change no bit of the others."""
-    rows = np.concatenate([f for s in states for f in (s.u[None], s.d)])
-    return gradient_array(rows, dx), laplacian_array(rows[1:], dx)
+    state, then of the extra rows; and Laplacian of the states' rows past
+    the first u: the rows the densities read, with one call of each
+    operator.  The stencils act row by row, so the rows left out change no
+    bit of the others."""
+    rows = np.concatenate([f for s in states for f in (s.u[None], s.d)]
+                          + [row[None] for row in extra])
+    return gradient_array(rows, dx), laplacian_array(rows[1:4 * len(states)], dx)
 
 
 def _dots(**pairs: Tuple[np.ndarray, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -161,11 +169,11 @@ def _unit_defects(d: np.ndarray) -> np.ndarray:
     return np.abs(np.sqrt((d**2).sum(axis=-2)) - 1.0).max(axis=-1)
 
 
-def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, params: Params):
+def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, pi, params: Params):
     """Energy and dissipation densities of one state (see energy_dissipation);
-    grad_sq is |d_x|^2 and force is f(d) for GL."""
+    grad_sq is |d_x|^2, force is f(d) for GL and pi is Pi(rho)."""
     dens = 0.5 * rho * u * u
-    dens = dens + pressure_potential(rho, params)
+    dens = dens + pi
     director = 0.5 * grad_sq
     if params.system is System.GL:
         director = director + gl_potential(d, params)
@@ -176,11 +184,11 @@ def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, params: Params):
     return dens + params.lam * director, dsp
 
 
-def _entropy_density(rho, du, rho_r, dgrad_sq, gap_sq, params: Params) -> np.ndarray:
-    """The relative-entropy integrand; du = u - u~, dgrad_sq = |d_x - d~_x|^2
-    and gap_sq = |d - d~|^2."""
+def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, params: Params) -> np.ndarray:
+    """The relative-entropy integrand; du = u - u~, bregman is the pressure
+    Bregman row, dgrad_sq = |d_x - d~_x|^2 and gap_sq = |d - d~|^2."""
     dens = 0.5 * rho * du * du
-    dens = dens + bregman_pressure(rho, rho_r, params)
+    dens = dens + bregman
     dens = dens + 0.5 * params.lam * dgrad_sq
     if params.system is System.SPHERE:
         dens = dens + 0.5 * params.lam * gap_sq
@@ -203,8 +211,8 @@ def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
     d = state.d
     grad, lap_d = _derivatives((state,), state.grid.dx)
     force = gl_force(d, params) if params.system is System.GL else None
-    rows = _state_densities(state.rho, state.u, d, grad[0],
-                            (grad[1:] * grad[1:]).sum(axis=0), lap_d, force, params)
+    rows = _state_densities(state.rho, state.u, d, grad[0], (grad[1:] * grad[1:]).sum(axis=0),
+                            lap_d, force, pressure_potential(state.rho, params), params)
     return tuple(trapezoid_array(np.array(rows), state.grid.dx).tolist())
 
 
@@ -252,7 +260,8 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     dgrad = grad[0] - grad[1]
     dd = c.d - r.d
     dot = _dots(dgrad_sq=(dgrad, dgrad), gap_sq=(dd, dd))
-    dens = _entropy_density(c.rho, c.u - r.u, r.rho, dot["dgrad_sq"], dot["gap_sq"], params)
+    dens = _entropy_density(c.rho, c.u - r.u, bregman_pressure(c.rho, r.rho, params),
+                            dot["dgrad_sq"], dot["gap_sq"], params)
     return trapezoid_array(dens, dx)
 
 
@@ -260,8 +269,12 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
 class _PairFields:
     """Arrays shared by the rows of one sample's quadrature stack.
 
-    Built once per sample from one stacked derivative pass.  force and
-    force_r hold f(d) and f(d~) for GL and are None for SPHERE; dot holds
+    Built once per sample from one stacked derivative pass, after one sign
+    check of the candidate density (StatePair holds the reference's above
+    a positive floor); each pressure law is evaluated once.  p, p_r and pi
+    are P(rho), P(rho~) and Pi(rho), and bregman the pressure Bregman row.  force and force_r hold f(d) and f(d~) for GL and are None
+    for SPHERE, as are grad_laws_r, the gradients of the reference rows
+    p~, rho~ u~ and Pi'(rho~), and flux_r = rho~ u~; dot holds
     the contractions several rows share: stress_r = curv~ . d~_x and the
     squares grad_sq = |d_x|^2, grad_r_sq, lap_r_sq, dgrad_sq = |d_x - d~_x|^2,
     gap_sq = |d - d~|^2, force_sq, force_r_sq (GL) and d_sq (SPHERE).
@@ -276,6 +289,8 @@ class _PairFields:
     d_r: np.ndarray
     p: np.ndarray
     p_r: np.ndarray
+    pi: np.ndarray
+    bregman: np.ndarray
     grad_u: np.ndarray
     grad_u_r: np.ndarray
     grad_d: np.ndarray
@@ -287,6 +302,8 @@ class _PairFields:
     e: np.ndarray             # d - d~
     force: Optional[np.ndarray]
     force_r: Optional[np.ndarray]
+    flux_r: Optional[np.ndarray]
+    grad_laws_r: Optional[np.ndarray]
     stress_div_r: np.ndarray  # lam-weighted curvature-force form
     g_ref: np.ndarray         # mu*lap(u~) - stress_div_r
     dot: Dict[str, np.ndarray]
@@ -296,12 +313,24 @@ class _PairFields:
         dx = pair.grid.dx
         c, r = pair.candidate, pair.reference
         d, d_r = c.d, r.d
-        grad, lap = _derivatives((c, r), dx)  # rows (u, d, u~, d~); lap (d, u~, d~)
+        rho, rho_r = _check_nonneg_rho(c.rho), r.rho
+        a, gamma = params.a, params.gamma
+        pi_coeff = a / (gamma - 1.0)
+        pi = _power_law(rho, pi_coeff, gamma)
+        pi1_r = _power_law(rho_r, a * gamma / (gamma - 1.0), gamma - 1.0)
+        p_r = _power_law(rho_r, a, gamma)
+        bregman = _bregman(pi, pi1_r, _power_law(rho_r, pi_coeff, gamma), rho, rho_r)
+        force = force_r = flux_r = None
+        laws_r = ()
+        if params.system is System.GL:
+            flux_r = rho_r * r.u
+            laws_r = (p_r, flux_r, pi1_r)
+        # rows (u, d, u~, d~[, p~, rho~ u~, Pi'(rho~)]); lap (d, u~, d~)
+        grad, lap = _derivatives((c, r), dx, *laws_r)
         grad_d, grad_d_r = grad[1:4], grad[5:8]
         lap_d, lap_d_r = lap[:3], lap[4:]
         dgrad = grad_d - grad_d_r
         e = d - d_r
-        force = force_r = None
         curv_r = lap_d_r
         if params.system is System.GL:
             force, force_r = gl_force(np.array((d, d_r)), params)
@@ -314,12 +343,12 @@ class _PairFields:
                     dgrad_sq=(dgrad, dgrad), gap_sq=(e, e), **norms)
         stress_div_r = params.lam * dot["stress_r"]
         return cls(
-            dx=dx, rho=c.rho, u=c.u, d=d, rho_r=r.rho, u_r=r.u, d_r=d_r,
-            p=pressure(c.rho, params), p_r=pressure(r.rho, params),
+            dx=dx, rho=rho, u=c.u, d=d, rho_r=rho_r, u_r=r.u, d_r=d_r,
+            p=_power_law(rho, a, gamma), p_r=p_r, pi=pi, bregman=bregman,
             grad_u=grad[0], grad_u_r=grad[4], grad_d=grad_d, grad_d_r=grad_d_r, lap_d=lap_d,
             lap_d_r=lap_d_r, dgrad=dgrad, dlap=lap_d - lap_d_r, e=e, force=force,
-            force_r=force_r, stress_div_r=stress_div_r, g_ref=params.mu * lap[3] - stress_div_r,
-            dot=dot,
+            force_r=force_r, flux_r=flux_r, grad_laws_r=grad[8:] if laws_r else None,
+            stress_div_r=stress_div_r, g_ref=params.mu * lap[3] - stress_div_r, dot=dot,
         )
 
 
@@ -337,11 +366,9 @@ def _raw_density_terms(f: _PairFields, params: Params) -> _Rows:
     instantaneous pair.
     """
     du_r = f.u_r - f.u  # u~ - u
-    flux_r = f.rho_r * f.u_r
-    pi2_r = pressure_potential_second_derivative(f.rho_r, params)
-    grad_p_r, grad_flux_r, grad_pi1_r = gradient_array(
-        np.array((f.p_r, flux_r, pressure_potential_derivative(f.rho_r, params))), f.dx
-    )
+    flux_r = f.flux_r
+    pi2_r = _power_law(f.rho_r, params.a * params.gamma, params.gamma - 2.0)
+    grad_p_r, grad_flux_r, grad_pi1_r = f.grad_laws_r
     dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
     dpidt_r = -pi2_r * grad_flux_r
     return {
@@ -363,7 +390,8 @@ def _reorganized_density_terms(f: _PairFields, params: Params) -> _Rows:
     coupling blocks is reported by `remainder` as a diagnostic.
     """
     du_r = f.u_r - f.u  # u~ - u
-    bregman_p = f.p - pressure_derivative(f.rho_r, params) * (f.rho - f.rho_r) - f.p_r
+    dp_r = _power_law(f.rho_r, params.a * params.gamma, params.gamma - 1.0)  # P'(rho~)
+    bregman_p = f.p - dp_r * (f.rho - f.rho_r) - f.p_r
     return {
         "rbd_convective": (1.0, f.rho * du_r * (-du_r) * f.grad_u_r),
         "rbd_pressure_bregman": (-1.0, f.grad_u_r * bregman_p),
@@ -499,8 +527,10 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
 
     # past the terms: entropy, the candidate's energy, dissipation, mass; |g~/rho~|^3
     extra = (
-        _entropy_density(f.rho, f.u - f.u_r, f.rho_r, f.dot["dgrad_sq"], f.dot["gap_sq"], params),
-        *_state_densities(f.rho, f.u, f.d, f.grad_u, f.dot["grad_sq"], f.lap_d, f.force, params),
+        _entropy_density(f.rho, f.u - f.u_r, f.bregman, f.dot["dgrad_sq"], f.dot["gap_sq"],
+                         params),
+        *_state_densities(f.rho, f.u, f.d, f.grad_u, f.dot["grad_sq"], f.lap_d, f.force, f.pi,
+                          params),
         f.rho,
         np.abs(f.g_ref / f.rho_r) ** 3,
     )

@@ -443,6 +443,9 @@ def _pair_samples(
         (make_initial_data(config.initial_preset, grid_r, params),)
         + tuple(candidates[i][0] for i in joined),
         dt_r, observe_reference)
+    for stored in blocks.values():
+        for block in stored:
+            block.flags.writeable = False  # the rows are States' arrays from here on
     for i in later:
         init, dt = candidates[i]
         stored = blocks[init.grid]
@@ -455,7 +458,8 @@ def _pair_samples(
             if abs(times[k] - t) > 1e-9 * max(1.0, config.t_end):
                 raise VerifierError(f"sample time mismatch: {times[k]} vs {t}")
             rows = stored[k // _SAMPLES_PER_BLOCK][k % _SAMPLES_PER_BLOCK]
-            reference = State(init.grid, rows[0], rows[1], rows[2:])
+            # rows copied from a restricted State: already checked
+            reference = State._wrap(init.grid, rows[0], rows[1], rows[2:])
             row(i, t, StatePair(states[0], reference, rho_lower=config.density_floor))
             k += 1
 

@@ -130,6 +130,9 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"gamma": 1}, r"^gamma must exceed 1"),
+        # the square overflows, or underflows to 0
+        ({"sigma0": 1e200}, r"^sigma0 is out of range: sigma0\*\*2 is not a finite positive"),
+        ({"sigma0": 1e-200}, r"^sigma0 is out of range: sigma0\*\*2 is not a finite positive"),
         ({"perturbation": {"mode": 0}}, r"^perturbation\.mode must be a positive integer"),
         ({"perturbation": {"amplitude": -1}}, r"^perturbation\.amplitude must be >= 0"),
         ({"gronwall": {"c_h": 0}}, r"^gronwall\.c_h must be positive"),

@@ -304,6 +304,18 @@ class TestStep:
         with pytest.raises(CflError):
             evolve(initial(st), 1.0, 1.0, Params(), g, bc)
 
+    def test_overflowing_sound_speed_is_a_cfl_error(self):
+        # 1.1 ** 7999 leaves the float range: the finite state's bound is 0
+        g = Grid1D(33, 0.0, 1.0)
+        st = equilibrium(g)
+        rho = st.rho.copy()
+        rho[7] = 1.1
+        bc = BoundarySpec.for_system(System.GL, st.d)
+        with pytest.raises(CflError, match=r"^at t=0: dt=1\.000e-04 exceeds stability "
+                                           r"bound 0\.000e\+00 ") as info:
+            evolve(InitialData(g, rho, st.u, st.d), 1e-4, 1e-4, Params(gamma=8000.0), g, bc)
+        assert info.value.member == 0
+
     def test_density_floor_abort(self):
         g = Grid1D(33, 0.0, 1.0)
         rho = np.ones(33)
@@ -636,6 +648,20 @@ class TestBatchedEvolve:
         _assert_members_match_single_runs(inits, system, 17, t_end=0.01, interval=0.004)
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_members_far_apart_in_size_stay_isolated(self, system):
+        # the stencils run over the flat member-major rows: what straddles
+        # two rows is scratch and must not reach the neighbouring member
+        p = Params(system=system)
+        g = Grid1D(33, 0.0, 1.0)
+        inits = [make_initial_data(_preset(system), g, p, Perturbation(a, m))
+                 for a, m in ((1e-9, 1), (5e-2, 3), (1e-5, 2))]
+        _assert_members_match_single_runs(inits, system, 33)
+        work = loaded(*(np.stack([getattr(i, name) for i in inits])
+                        for name in ("rho0", "u0", "d0")))
+        dynamics._explicit_rates(work.rho, work.u, work.d, p, g.dx, work)
+        assert not work.grad[..., 0].any() and not work.grad[..., -1].any()
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
     def test_shared_matrices_match_fresh_ones(self, system):
         # evolve builds the implicit matrices once per step size and LAPACK
         # overwrites what it is given; one-step evolve calls build their own
@@ -710,6 +736,29 @@ class TestBatchedEvolve:
                sample_interval=5e-5)
         assert len(sizes) == 13
         assert sorted(builds) == sorted(sizes)
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_samples_are_read_only_snapshots(self, system):
+        # each sample's states view one copy of the state block: later
+        # steps leave them as they were when the observer saw them
+        p = Params(system=system)
+        g = Grid1D(17, 0.0, 1.0)
+        inits = [make_initial_data(_preset(system), g, p, Perturbation(1e-3 * b, b + 1))
+                 for b in range(2)]
+        seen = []
+        final = evolve(inits, 0.004, 1e-3, p, g,
+                       [BoundarySpec.for_system(system, i.d0) for i in inits],
+                       observer=lambda states, t: seen.append(
+                           (states, [[np.array(getattr(s, f)) for f in ("rho", "u", "d")]
+                                     for s in states])))
+        assert len(seen) == 5
+        for states, values in seen + [(final, [[f.rho, f.u, f.d] for f in final])]:
+            for st, copies in zip(states, values):
+                for name, copy in zip(("rho", "u", "d"), copies):
+                    field = getattr(st, name)
+                    assert not field.flags.writeable
+                    assert np.array_equal(field, copy)
+        assert not np.array_equal(seen[0][0][0].rho, final[0].rho)
 
     def test_single_datum_keeps_the_state_observer(self):
         p = Params()

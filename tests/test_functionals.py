@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemlab.constitutive import Params, System, gl_force
+from nemlab.constitutive import ConstitutiveError, Params, System, gl_force
 from nemlab.dynamics import State
 from nemlab import functionals
 from nemlab.functionals import (
@@ -215,6 +215,11 @@ class TestRelativeEntropy:
         lo = uniform_state(g, rho=1e-9)
         with pytest.raises(FunctionalError):
             StatePair(uniform_state(g), lo)
+        # with no positive lower bound a zero density is still refused, as
+        # the pressure Bregman term refuses it
+        zero = uniform_state(g, rho=0.0)
+        with pytest.raises(ConstitutiveError, match="reference density must be strictly positive"):
+            StatePair(uniform_state(g), zero, rho_lower=0.0)
 
 
 class TestRemainderGl:

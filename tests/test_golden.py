@@ -1,11 +1,13 @@
 """Golden traces: a bit-identity tripwire for changes that must not move
 a single trace bit (performance work, refactors).
 
-Three short twins are run and their trace CSVs (as `write_trace` writes
+Four short twins are run and their trace CSVs (as `write_trace` writes
 them) hashed: a streamed twin per system (reference n = 65, candidate
-n = 33, a sample after every step) and a lockstep twin.  The pinned
+n = 33, a sample after every step) and a lockstep twin per system (one
+batched step of two members, the path of equal grids).  The first three
 hashes were taken before the one-pass certificate row replaced the
-per-functional evaluation.
+per-functional evaluation, the SPHERE lockstep one before the IMEX
+kernel moved onto flat views of its workspace.
 
 The hashes depend on the floating-point kernels underneath (numpy's
 sin, cos, power and cbrt, LAPACK's dgtsv), which differ between CPUs
@@ -44,6 +46,10 @@ GOLDEN = {
         "a0bcb079f08532faf3e5665e55730f732682fdee0898e0341459727874d306ff",
         "6ed38ec20fbde0a1230c43b4724e30607193f98171b9f42b685737b829ef8c7e",
     ),
+    "sphere-lockstep": (
+        "69dc3ab058d708fd94ffe5be745e1358aeb75982fbc663568e8de71e98ff1080",
+        "4a4d006bddb4060eb07e888052abf6d17bef944d8e7a82f35800100fe0009261",
+    ),
 }
 
 
@@ -80,6 +86,7 @@ CONFIGS = {
     "gl-streamed": _config(System.GL, 65, 33, 2),
     "sphere-streamed": _config(System.SPHERE, 65, 33, 2),
     "gl-lockstep": _config(System.GL, 33, 33, 3),
+    "sphere-lockstep": _config(System.SPHERE, 33, 33, 3),
 }
 
 
