@@ -10,13 +10,7 @@ under refinement.
 __version__ = "0.1.0"
 
 from .constitutive import Params, System
-from .dynamics import (
-    BoundarySpec,
-    DirectorBC,
-    InitialData,
-    State,
-    evolve,
-)
+from .dynamics import BoundarySpec, InitialData, State, evolve
 from .functionals import (
     RemainderBreakdown,
     StatePair,
@@ -42,7 +36,7 @@ __all__ = [
     "__version__",
     "Params", "System",
     "Grid1D",
-    "State", "InitialData", "BoundarySpec", "DirectorBC", "evolve",
+    "State", "InitialData", "BoundarySpec", "evolve",
     "StatePair", "RemainderBreakdown",
     "energy", "dissipation", "relative_entropy",
     "remainder",

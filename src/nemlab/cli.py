@@ -291,7 +291,7 @@ def _suite_config(system: System, n: int, t_end: float, dt: float,
         t_end=t_end,
         initial_preset=f"{system.value}-smooth",
         perturbation=Perturbation(amplitude=amplitude, mode=2),
-        sample_interval=interval if interval is not None else t_end / 50.0,
+        sample_interval=interval,
     )
 
 

@@ -13,6 +13,9 @@ couplings are supported:
             pointwise renormalization, homogeneous Neumann endpoints;
             stress divergence lam * d/dx( |d_x|^2/2 ).
 
+A member's BoundarySpec holds only what the system fixes: the GL pins (the
+initial director's end columns), None for SPHERE; for_system builds it.
+
 Scheme: IMEX Euler.  Advection, pressure gradient, director stress and the
 director reaction are explicit; the stiff diffusion terms mu*u_xx and
 theta*d_xx are implicit via tridiagonal solves, which removes the
@@ -27,8 +30,8 @@ the interior momentum rate and the director rate that the step multiplies
 by dt, and the operator tests call the same kernel.
 
 Members: the step advances B trajectories on one grid at once, with a
-leading member axis (rho, u: (B, n); d: (B, 3, n)) and each member's own
-Dirichlet rows.  The velocity solve is one LAPACK dgtsv call on a
+leading member axis (rho, u: (B, n); d: (B, 3, n)) and each GL member's
+own pins.  The velocity solve is one LAPACK dgtsv call on a
 block-diagonal system whose off-diagonals vanish at the block joints; the
 director solve is one dgtsv call with 3B right-hand sides, since every
 member and component shares the director matrix.  That matrix and the
@@ -76,7 +79,9 @@ Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
 floor violation means the run has left the strictly-positive-density regime
 the verification targets and aborts rather than clamping.  evolve checks
-the initial densities too, so the step's pressure needs no sign check.
+the initial densities too, so the step's pressure needs no sign check, and
+the first step's stability bound, both before the observer's first sample:
+where that bound is 0 the initial pressure is beyond the float range.
 """
 
 from __future__ import annotations
@@ -86,7 +91,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -169,59 +173,21 @@ class LinearSolveError(SolverError):
     """LAPACK reported a singular or malformed implicit tridiagonal system."""
 
 
-class DirectorBC(Enum):
-    """Boundary handling for the director field."""
-
-    DIRICHLET_D0 = "dirichlet_d0"
-    NEUMANN_ZERO = "neumann_zero"
-
-
 @dataclass(frozen=True, eq=False)
 class BoundarySpec:
-    """Director boundary rows; velocity is always no-slip (u = 0).
+    """Director boundary rows of one member; velocity is always no-slip (u = 0).
 
-    Dirichlet runs pin the director endpoints to fixed 3-vectors (the
-    initial boundary values); Neumann runs use mirrored ghost nodes, which
-    keeps the one-sided treatment second order.  Like State and
-    InitialData, it holds arrays, so it compares and hashes by identity.
+    GL pins the director endpoints to their initial values, the rows of pins
+    (2, 3); SPHERE mirrors them through ghost nodes, second order, and pins
+    is None.  It holds an array, so it compares and hashes by identity.
     """
 
-    director_bc: DirectorBC
-    d_left: Optional[np.ndarray] = None
-    d_right: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.director_bc is DirectorBC.DIRICHLET_D0:
-            if self.d_left is None or self.d_right is None:
-                raise ValueError("Dirichlet director BC requires pinned endpoint values")
-            object.__setattr__(self, "d_left", np.asarray(self.d_left, dtype=float))
-            object.__setattr__(self, "d_right", np.asarray(self.d_right, dtype=float))
-
-    @classmethod
-    def dirichlet_from(cls, d0: np.ndarray) -> "BoundarySpec":
-        """Pin the director endpoints to the end columns of a (3, n) array."""
-        return cls(DirectorBC.DIRICHLET_D0, d0[:, 0].copy(), d0[:, -1].copy())
-
-    @classmethod
-    def neumann(cls) -> "BoundarySpec":
-        return cls(DirectorBC.NEUMANN_ZERO)
+    pins: Optional[np.ndarray]
 
     @classmethod
     def for_system(cls, system: System, d0: np.ndarray) -> "BoundarySpec":
-        if system is System.GL:
-            return cls.dirichlet_from(d0)
-        return cls.neumann()
-
-
-def _check_bc_system(bc: BoundarySpec, system: System) -> None:
-    expected = (
-        DirectorBC.DIRICHLET_D0 if system is System.GL else DirectorBC.NEUMANN_ZERO
-    )
-    if bc.director_bc is not expected:
-        raise ValueError(
-            f"director BC {bc.director_bc.value} incompatible with system "
-            f"{system.value}: expected {expected.value}"
-        )
+        """The rows system fixes for the (3, n) initial director d0."""
+        return cls(np.array([d0[:, 0], d0[:, -1]]) if system is System.GL else None)
 
 
 def _freeze(owner, **shapes: Tuple[int, ...]) -> None:
@@ -461,15 +427,6 @@ class _Implicit(NamedTuple):
     pins: Optional[np.ndarray]
 
 
-def _director_pins(bcs: Sequence[BoundarySpec]) -> Optional[np.ndarray]:
-    """Left and right Dirichlet rows of all members, (2, 3B); None for Neumann."""
-    if bcs[0].director_bc is not DirectorBC.DIRICHLET_D0:
-        return None
-    return np.array(
-        [np.concatenate([bc.d_left for bc in bcs]), np.concatenate([bc.d_right for bc in bcs])]
-    )
-
-
 def _implicit(
     dt: float,
     dx: float,
@@ -673,6 +630,12 @@ def _advance(
     return rho, u, d
 
 
+def _window(span: float, dt: float) -> Tuple[int, float]:
+    """(n_sub, dt_eff): dt shrunk minimally so a window of length span is n_sub steps."""
+    n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
+    return n_sub, span / n_sub
+
+
 def evolve(
     init: Union[InitialData, Sequence[InitialData]],
     t_end: float,
@@ -691,10 +654,13 @@ def evolve(
     is dt shrunk minimally so the window is an integer number of steps;
     sample times are therefore hit exactly.  sample_interval=None samples
     after every step.  Step errors propagate with the failure time attached.
-    A density below density_floor aborts the run, at t=0 if it is initial.
+    A density below density_floor, or a first step beyond the stability
+    bound, aborts the run at t=0, before the observer sees any state.
     A t_end, dt, sample_interval or density_floor that is not finite, or
     out of range, raises ValueError before the observer sees any state.
 
+    bc is BoundarySpec.for_system(params.system, init.d0); a spec of the
+    other system raises ValueError before the observer sees any state.
     init and bc may also be equal-length sequences, one entry per member:
     the members then advance in lockstep through one batched step, the
     observer receives a tuple with one State per member in place of the
@@ -719,17 +685,19 @@ def evolve(
     bcs = (bc,) if single else tuple(bc)
     if not inits or len(bcs) != len(inits):
         raise ValueError("need at least one member and one boundary spec per member")
+    gl = params.system is System.GL
     for member, member_bc in zip(inits, bcs):
-        _check_bc_system(member_bc, params.system)
+        if (member_bc.pins is not None) != gl:
+            raise ValueError(f"boundary spec incompatible with system {params.system.value}")
         if member.grid != grid:
             raise ValueError("initial data grid does not match the integration grid")
-        if params.system is System.SPHERE:
+        if not gl:
             mag = np.sqrt((member.d0**2).sum(axis=0))
             if np.abs(mag - 1.0).max() > 1e-10:
                 raise ValueError("SPHERE initial director must be unit length")
     _check_reaction_bound(dt, params)
     members = len(inits)
-    pins = _director_pins(bcs)
+    pins = np.concatenate([bc.pins for bc in bcs], axis=1) if gl else None
 
     # one workspace for every step of this call; the state lives in it
     n = grid.n_nodes
@@ -737,9 +705,13 @@ def evolve(
     rho, u, d = work.rho, work.u, work.d
     for b, member in enumerate(inits):
         rho[b], u[b], d[b] = member.rho0, member.u0, member.d0
+    interval = sample_interval if sample_interval is not None else dt
+    t_stop = t_end - 1e-12 * max(t_end, 1.0)  # steps run while t < t_stop
     try:
         _check_density_floor(rho, density_floor)
-    except DensityFloorError as exc:
+        if t_stop > 0.0:  # the first step's bound, before the observer sees its state
+            _check_cfl(_window(min(interval, t_end), dt)[1], grid.dx, params, work)
+    except SolverError as exc:
         exc.args = (f"at t=0: {exc}",)
         raise
 
@@ -758,19 +730,16 @@ def evolve(
     if t_end == 0.0:
         return states()
 
-    interval = sample_interval if sample_interval is not None else dt
     t = 0.0
     k = 0
     # the matrices depend on the step size only; dt_eff jitters in its last
     # bits between windows, so they are kept per exact value (at most one
     # per window, 13 over the 2000 windows of t_end = 0.1, dt = 5e-5)
     cache = {}
-    while t < t_end - 1e-12 * max(t_end, 1.0):
+    while t < t_stop:
         k += 1
         t_next = min(k * interval, t_end)
-        span = t_next - t
-        n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
-        dt_eff = span / n_sub
+        n_sub, dt_eff = _window(t_next - t, dt)
         implicit = cache.get(dt_eff)
         if implicit is None:
             implicit = cache[dt_eff] = _implicit(

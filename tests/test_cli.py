@@ -623,7 +623,8 @@ class TestMain:
             assert trace_path == os.path.join(str(tmp_path), f"full-{s}-gronwall.csv")
             assert gronwall.grid_reference.n_nodes == gronwall.grid_candidate.n_nodes == 257
             assert gronwall.dt_reference == gronwall.dt_candidate == 0.4 / 256**2
-            assert (gronwall.t_end, gronwall.sample_interval) == (0.1, 0.1 / 50)
+            assert gronwall.t_end == 0.1
+            assert gronwall.resolved_sample_interval() == 0.1 / 50
             assert gronwall.perturbation == Perturbation(amplitude=1e-3, mode=2)
 
             check, collapse, levels = by_name[f"{s}-collapse"]
@@ -632,7 +633,7 @@ class TestMain:
             assert collapse.grid_reference.n_nodes == 1025
             assert collapse.dt_candidate == 0.4 / 64**2
             assert collapse.dt_reference == 4.0 * 0.4 / 1024**2
-            assert collapse.sample_interval == collapse.t_end / 50 == 0.1 / 50
+            assert collapse.resolved_sample_interval() == 0.1 / 50
 
             for cfg in (twin, gronwall, collapse):
                 assert cfg.params.system is System.from_name(s)
@@ -701,6 +702,30 @@ class TestMain:
         assert capsys.readouterr().err == (
             "solver abort: reference trajectory: at t=0: density 9.000e-01 below floor "
             "9.5e-01 at node 24\n"
+        )
+
+    @pytest.mark.parametrize("overrides, bound", [({"gamma": 8000.0}, "0.000e+00"),
+                                                  ({"x_max": 1e-100}, "8.153e-103")],
+                             ids=["gamma", "x_max"])
+    @pytest.mark.parametrize("system", ["gl", "sphere"])
+    @pytest.mark.parametrize("n_candidate", [33, 17], ids=["lockstep", "streamed"])
+    def test_first_step_beyond_the_stability_bound_exits_3(self, tmp_path, capsys, n_candidate,
+                                                           system, overrides, bound):
+        # a sound speed beyond the float range (1.1 ** 7999) or a tiny dx:
+        # evolve checks the first step's bound before the first sample, whose
+        # pressure and certificate row would overflow, on either pairing path
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(system=system, initial_preset=f"{system}-smooth",
+                                 grid_reference={"n": 33}, grid_candidate={"n": n_candidate},
+                                 **overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                         "--manifest", str(tmp_path / "m.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "solver abort: reference trajectory: at t=0: dt=2.000e-04 exceeds stability "
+            f"bound {bound} (0.4*dx over max wave speed)\n"
         )
 
 

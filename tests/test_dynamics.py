@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +16,6 @@ from nemlab.dynamics import (
     BoundarySpec,
     CflError,
     DensityFloorError,
-    DirectorBC,
     InitialData,
     LinearSolveError,
     NonFiniteStateError,
@@ -248,7 +248,8 @@ class TestExplicitKernel:
         p = Params(system=System.SPHERE)
         g = Grid1D(17, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, p)
-        evolve([init, init], 3e-4, 1e-4, p, g, [BoundarySpec.neumann()] * 2)
+        bc = BoundarySpec.for_system(System.SPHERE, init.d0)
+        evolve([init, init], 3e-4, 1e-4, p, g, [bc, bc])
         assert calls == [(2, 17)] * 3
 
 
@@ -305,16 +306,36 @@ class TestStep:
             evolve(initial(st), 1.0, 1.0, Params(), g, bc)
 
     def test_overflowing_sound_speed_is_a_cfl_error(self):
-        # 1.1 ** 7999 leaves the float range: the finite state's bound is 0
+        # 1.1 ** 7999 leaves the float range: the finite state's bound is 0.
+        # It is checked before the first sample, whose pressure would overflow
         g = Grid1D(33, 0.0, 1.0)
         st = equilibrium(g)
         rho = st.rho.copy()
         rho[7] = 1.1
         bc = BoundarySpec.for_system(System.GL, st.d)
-        with pytest.raises(CflError, match=r"^at t=0: dt=1\.000e-04 exceeds stability "
-                                           r"bound 0\.000e\+00 ") as info:
-            evolve(InitialData(g, rho, st.u, st.d), 1e-4, 1e-4, Params(gamma=8000.0), g, bc)
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CflError, match=r"^at t=0: dt=1\.000e-04 exceeds stability "
+                                               r"bound 0\.000e\+00 ") as info:
+                evolve(InitialData(g, rho, st.u, st.d), 1e-4, 1e-4, Params(gamma=8000.0), g,
+                       bc, observer=lambda state, t: seen.append(t))
         assert info.value.member == 0
+        assert seen == []
+        # a horizon too short for a step takes none, whatever the bound
+        out = evolve(InitialData(g, rho, st.u, st.d), 1e-13, 1e-4, Params(gamma=8000.0), g, bc)
+        assert np.array_equal(out.rho, rho)
+
+    def test_first_step_bound_checked_on_the_window_step(self):
+        # dt = 0.5 exceeds the bound (about 4.4e-3), but every window of 1e-4
+        # is one step of 1e-4: the run takes no step beyond the bound
+        g = Grid1D(65, 0.0, 1.0)
+        st = equilibrium(g)
+        bc = BoundarySpec.for_system(System.GL, st.d)
+        out = evolve(initial(st), 1e-3, 0.5, Params(), g, bc, sample_interval=1e-4)
+        assert np.max(np.abs(out.d - st.d)) <= 1e-12
+        with pytest.raises(CflError, match=r"^at t=0: dt=5\.000e-01 "):
+            evolve(initial(st), 1.0, 0.5, Params(), g, bc, sample_interval=0.5)
 
     def test_density_floor_abort(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -326,21 +347,25 @@ class TestStep:
         with pytest.raises(DensityFloorError, match="node 5"):
             evolve(initial(st), 1e-4, 1e-4, Params(), g, bc)
 
-    def test_bc_system_mismatch_rejected(self):
+    @pytest.mark.parametrize("system, other", [(System.SPHERE, System.GL),
+                                               (System.GL, System.SPHERE)])
+    def test_bc_system_mismatch_rejected(self, system, other):
+        # the other system's spec: GL pins in a SPHERE run, none in a GL run
         g = Grid1D(33, 0.0, 1.0)
         st = equilibrium(g)
-        with pytest.raises(ValueError, match="incompatible"):
-            evolve(initial(st), 1e-4, 1e-4, Params(system=System.SPHERE), g,
-                   BoundarySpec.dirichlet_from(st.d))
+        seen = []
+        with pytest.raises(ValueError, match=f"incompatible with system {system.value}$"):
+            evolve(initial(st), 1e-4, 1e-4, Params(system=system), g,
+                   BoundarySpec.for_system(other, st.d),
+                   observer=lambda state, t: seen.append(t))
+        assert seen == []
 
     def test_sphere_prerenormalization_defect_small(self):
         # the director the step renormalizes: explicit rates, then the solve
         p = Params(system=System.SPHERE)
         g = Grid1D(65, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, p)
-        bc = BoundarySpec.for_system(System.SPHERE, init.d0)
-        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, dynamics._director_pins([bc]),
-                                 1, g.n_nodes)
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, None, 1, g.n_nodes)
         work = loaded(init.rho0[None], init.u0[None], init.d0[None])
         dir_rate = dynamics._explicit_rates(work.rho, work.u, work.d, p, g.dx, work)[2]
         work.d += 1e-4 * dir_rate
@@ -409,20 +434,19 @@ class TestTridiagonalSolves:
         rng = np.random.default_rng(1)
         n, dt, dx, theta = 17, 3e-3, 1.0 / 16, 0.9
         d_star = rng.standard_normal((3, n))
-        bc = BoundarySpec(DirectorBC.DIRICHLET_D0, rng.standard_normal(3),
-                          rng.standard_normal(3))
+        pins = rng.standard_normal((2, 3))  # the left and right rows
         a = np.eye(n) - theta * dt * self.d2_dense(n, dx)
         a[[0, -1], :] = 0.0
         a[0, 0] = a[-1, -1] = 1.0
         b = d_star.T.copy()
-        b[0], b[-1] = bc.d_left, bc.d_right
-        imp = dynamics._implicit(dt, dx, 1.0, theta, dynamics._director_pins([bc]), 1, n)
+        b[0], b[-1] = pins
+        imp = dynamics._implicit(dt, dx, 1.0, theta, pins, 1, n)
         work = loaded(np.ones((1, n)), np.zeros((1, n)), d_star[None])
         dynamics._solve_director(imp, work)
         d_new = work.d[0]
         np.testing.assert_allclose(d_new, np.linalg.solve(a, b).T, rtol=1e-12, atol=0.0)
-        assert np.array_equal(d_new[:, 0], bc.d_left)
-        assert np.array_equal(d_new[:, -1], bc.d_right)
+        assert np.array_equal(d_new[:, 0], pins[0])
+        assert np.array_equal(d_new[:, -1], pins[1])
 
     def test_director_neumann_matches_dense_solve(self):
         rng = np.random.default_rng(2)
@@ -450,9 +474,8 @@ class TestTridiagonalSolves:
     def test_singular_director_matrix_is_a_solver_error(self):
         # theta*dt/dx^2 = -1/2 zeroes the diagonal; the interior block of
         # size 3 is then singular
-        bc = BoundarySpec(DirectorBC.DIRICHLET_D0, np.zeros(3), np.zeros(3))
         with pytest.raises(LinearSolveError, match="director solve: singular") as info:
-            imp = dynamics._implicit(1.0, 1.0, 1.0, -0.5, dynamics._director_pins([bc]), 1, 5)
+            imp = dynamics._implicit(1.0, 1.0, 1.0, -0.5, np.zeros((2, 3)), 1, 5)
             dynamics._solve_director(imp, loaded(np.ones((1, 5)), np.zeros((1, 5)),
                                                  np.ones((1, 3, 5))))
         assert isinstance(info.value, SolverError)
@@ -472,8 +495,7 @@ class TestTridiagonalSolves:
         for name in ("u", "rho"):
             fields = {"rho": init.rho0.copy(), "u": init.u0.copy()}
             fields[name][10] = np.nan
-            imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta,
-                                     dynamics._director_pins([bc]), 1, g.n_nodes)
+            imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, bc.pins, 1, g.n_nodes)
             work = loaded(fields["rho"][None], fields["u"][None], init.d0[None])
             with pytest.raises(NonFiniteStateError, match="non-finite wave speed"):
                 advance(work, 1e-4, p, g, imp)
@@ -576,7 +598,7 @@ class TestEvolve:
         g = Grid1D(33, 0.0, 1.0)
         d = np.tile([[1.1], [0.0], [0.0]], 33)
         init = InitialData(g, np.ones(33), np.zeros(33), d)
-        bc = BoundarySpec.neumann()
+        bc = BoundarySpec.for_system(System.SPHERE, d)
         with pytest.raises(ValueError, match="unit length"):
             evolve(init, 0.01, 1e-4, p, g, bc)
 
@@ -678,8 +700,7 @@ class TestBatchedEvolve:
             assert np.array_equal(getattr(out, name), getattr(st, f"{name}0"))
         # evolve's steps also share one workspace and write the state into
         # it; a step on a fresh workspace loaded with the same state matches
-        imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, dynamics._director_pins([bc]),
-                                 1, g.n_nodes)
+        imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, bc.pins, 1, g.n_nodes)
         fresh = (init.rho0[None], init.u0[None], init.d0[None])
         work = loaded(*fresh)
         for _ in range(5):
@@ -786,13 +807,12 @@ def _pair_arrays(system, n=33):
     rho = np.stack([init.rho0] * 2)
     u = np.stack([init.u0] * 2)
     d = np.stack([init.d0] * 2)
-    bc = BoundarySpec.for_system(system, init.d0)
-    return p, g, rho, u, d, [bc, bc]
+    pins = BoundarySpec.for_system(system, init.d0).pins
+    return p, g, rho, u, d, None if pins is None else np.concatenate([pins] * 2, axis=1)
 
 
-def _step_pair(p, g, rho, u, d, bcs, dt=1e-4, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
-    imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, dynamics._director_pins(bcs),
-                             rho.shape[0], g.n_nodes)
+def _step_pair(p, g, rho, u, d, pins, dt=1e-4, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
+    imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, pins, rho.shape[0], g.n_nodes)
     return advance(loaded(rho, u, d), dt, p, g, imp, density_floor)
 
 
@@ -801,48 +821,48 @@ class TestMemberAttribution:
 
     @pytest.mark.parametrize("failing", [[1], [0, 1]])
     def test_density_floor_names_member_and_its_node(self, failing):
-        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        p, g, rho, u, d, pins = _pair_arrays(System.GL)
         for b in failing:
             rho[b, 20 - b] = 0.5
         with pytest.raises(DensityFloorError) as info:
-            _step_pair(p, g, rho, u, d, bcs, density_floor=0.8)
+            _step_pair(p, g, rho, u, d, pins, density_floor=0.8)
         assert info.value.member == failing[0]
         assert info.value.node == 20 - failing[0]  # within the member, not flattened
 
     @pytest.mark.parametrize("failing", [[1], [0, 1]])
     def test_cfl_names_member(self, failing):
-        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        p, g, rho, u, d, pins = _pair_arrays(System.GL)
         for b in failing:
             u[b, 10] = 500.0  # bound 0.4*dx/501 < dt
         with pytest.raises(CflError) as info:
-            _step_pair(p, g, rho, u, d, bcs)
+            _step_pair(p, g, rho, u, d, pins)
         assert info.value.member == failing[0]
 
     @pytest.mark.parametrize("failing", [[1], [0, 1]])
     def test_non_finite_wave_speed_names_member(self, failing):
-        p, g, rho, u, d, bcs = _pair_arrays(System.SPHERE)
+        p, g, rho, u, d, pins = _pair_arrays(System.SPHERE)
         for b in failing:
             rho[b, 10] = np.inf
         with pytest.raises(NonFiniteStateError, match="wave speed") as info:
-            _step_pair(p, g, rho, u, d, bcs)
+            _step_pair(p, g, rho, u, d, pins)
         assert info.value.member == failing[0]
 
     @pytest.mark.parametrize("failing", [[1], [0, 1]])
     def test_sphere_collapse_names_member(self, failing):
-        p, g, rho, u, d, bcs = _pair_arrays(System.SPHERE)
+        p, g, rho, u, d, pins = _pair_arrays(System.SPHERE)
         for b in failing:
             d[b] *= 0.1
         with pytest.raises(NonFiniteStateError, match="collapsed") as info:
-            _step_pair(p, g, rho, u, d, bcs)
+            _step_pair(p, g, rho, u, d, pins)
         assert info.value.member == failing[0]
 
     @pytest.mark.parametrize("failing", [[1], [0, 1]])
     def test_end_of_step_finite_check_names_member(self, failing):
-        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
+        p, g, rho, u, d, pins = _pair_arrays(System.GL)
         for b in failing:
             d[b, 2, 12] = np.nan  # the director is not in the wave speed
         with pytest.raises(NonFiniteStateError, match="after step") as info:
-            _step_pair(p, g, rho, u, d, bcs)
+            _step_pair(p, g, rho, u, d, pins)
         assert info.value.member == failing[0]
 
     @pytest.mark.parametrize("failing", [[1], [0, 1]])
@@ -859,9 +879,8 @@ class TestMemberAttribution:
             return flux, mom_rate, dir_rate
 
         monkeypatch.setattr(dynamics, "_explicit_rates", poisoned)
-        p, g, rho, u, d, bcs = _pair_arrays(System.GL)
-        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, dynamics._director_pins(bcs),
-                                 2, g.n_nodes)
+        p, g, rho, u, d, pins = _pair_arrays(System.GL)
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, pins, 2, g.n_nodes)
         work = loaded(rho, u, d)
         with pytest.raises(NonFiniteStateError, match="after step") as info:
             advance(work, 1e-4, p, g, imp)
@@ -916,7 +935,7 @@ class TestReactionBound:
         p = Params(system=System.SPHERE, sigma0=0.01)
         g = Grid1D(33, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, p)
-        evolve(init, 0.002, 2e-4, p, g, BoundarySpec.neumann())
+        evolve(init, 0.002, 2e-4, p, g, BoundarySpec.for_system(System.SPHERE, init.d0))
 
 
 class TestInitialData:
@@ -993,7 +1012,7 @@ class TestContainers:
 
 def test_boundary_spec_equality_is_identity_and_hash_works():
     d0 = np.tile([[1.0], [0.0], [0.0]], 11)
-    a, b = BoundarySpec.dirichlet_from(d0), BoundarySpec.dirichlet_from(d0)
+    a, b = BoundarySpec.for_system(System.GL, d0), BoundarySpec.for_system(System.GL, d0)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
