@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-# Bregman round-off smaller than this is clamped to zero; anything more
-# negative indicates a genuine input error and is reported.
+# Bregman round-off grows with the terms' size: within this times that size
+# (at least 1) it is clamped to zero; anything more negative raises.
 _BREGMAN_CLAMP = 1e-14
 
 
@@ -177,9 +177,9 @@ def bregman_pressure(rho, rho_tilde, params: Params):
     """Bregman divergence Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t).
 
     Nonnegative by convexity of Pi for gamma > 1; zero iff rho == rho_t.
-    Round-off smaller in magnitude than 1e-14 is clamped to zero so that
-    downstream positivity checks stay clean; anything more negative is a
-    real error and raises.
+    Round-off down to -1e-14 times the terms' summed magnitudes (at least
+    1) is clamped to zero so that downstream positivity checks stay clean;
+    anything more negative is a real error and raises.
     """
     rho = _check_nonneg_rho(rho)
     rt = np.asarray(rho_tilde, dtype=float)
@@ -192,10 +192,14 @@ def bregman_pressure(rho, rho_tilde, params: Params):
 
 def _bregman(pi, pi1_t, pi_t, rho, rho_t) -> np.ndarray:
     """Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t) from the three law
-    values, with bregman_pressure's round-off clamp and error."""
-    out = np.asarray(pi - pi1_t * (rho - rho_t) - pi_t, dtype=float)
+    values, with bregman_pressure's round-off clamp and error; the terms'
+    magnitudes are summed only where the absolute 1e-14 test fails."""
+    linear = pi1_t * (rho - rho_t)
+    out = np.asarray(pi - linear - pi_t, dtype=float)
     if _least(out, 0.0) < -_BREGMAN_CLAMP:
-        raise ConstitutiveError(
-            f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
-        )
+        scale = np.maximum(np.abs(pi) + np.abs(linear) + np.abs(pi_t), 1.0)
+        if _least(out + _BREGMAN_CLAMP * scale, 0.0) < 0.0:
+            raise ConstitutiveError(
+                f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
+            )
     return np.where(out < 0.0, 0.0, out)

@@ -37,8 +37,8 @@ director solve is one dgtsv call with 3B right-hand sides, since every
 member and component shares the director matrix.  That matrix and the
 velocity off-diagonals are fixed for a given dt, so evolve builds them
 once per step size; the scratch buffers depend on B and n only, so evolve
-builds one workspace per call.  The step, its kernel and both solves run
-only on it (a required argument) and write into it: the explicit rates,
+builds one workspace per call.  The step, its kernel and both solves take
+it alone, read the state from it and write into it: the explicit rates,
 both right-hand sides (each solved in place) and the new state.  The
 step's cost at small n is the count of numpy calls and the iteration
 over strided views, not their arithmetic, so the kernel runs on flat
@@ -259,9 +259,9 @@ class _Workspace:
     """Scratch arrays of the steps of B members on n nodes.
 
     evolve builds one per call, and every step of every size reuses it;
-    the matrices are kept per step size instead (_Implicit).  A step writes
-    the new state to rho, u and d, three views of one block (state), so one
-    finite check covers all three.  The velocity and director solves run in
+    the matrices are kept per step size instead (_Implicit).  A step reads
+    and overwrites the state in rho, u and d, three views of one block
+    (state), so one finite check covers all three; both solves run in
     place on u and d, which hold their right-hand sides until then.
     The slices a step reads are made here once, as views: at small n a
     view costs about as much as the ufunc call that reads it.
@@ -482,15 +482,15 @@ def _tridiagonal_solve(
         rhs[...] = x
 
 
-def _solve_velocity(rho_new: np.ndarray, implicit: _Implicit, work: _Workspace) -> None:
+def _solve_velocity(implicit: _Implicit, work: _Workspace) -> None:
     """Implicit viscous solve per member, in place on the momentum in work.u:
-    (diag(rho_new) - mu dt D2) u = m, u = 0 walls."""
+    (diag(rho_new) - mu dt D2) u = m, u = 0 walls, rho_new = work.rho."""
     np.copyto(work.vel_bands, implicit.vel_bands)
-    np.add(rho_new, 2.0 * implicit.s, out=work.vel_diag)
+    np.add(work.rho, 2.0 * implicit.s, out=work.vel_diag)
     work.vel_diag_walls.fill(1.0)
     work.u_walls.fill(0.0)
     _tridiagonal_solve(work.vel_dl, work.vel_diag_flat, work.vel_du, work.u_flat, "velocity",
-                       rho_new.shape[-1])
+                       work.rho.shape[-1])
     work.u_walls.fill(0.0)
 
 
@@ -507,13 +507,11 @@ def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
         np.copyto(work.dir_walls, pins)
 
 
-def _explicit_rates(
-    rho: np.ndarray, u: np.ndarray, d: np.ndarray, params: Params, dx: float, work: _Workspace
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The explicit operators of the step, on B members at once.
+def _explicit_rates(work: _Workspace, params: Params, dx: float) -> Tuple[np.ndarray, ...]:
+    """The explicit operators of the step, on the B members work holds.
 
-    rho and u have shape (B, n) and d has shape (B, 3, n); they are the
-    state views of work, whose flat views the stencils run on.  Returns
+    The state is read from work: rho and u of shape (B, n), d of shape
+    (B, 3, n), and their flat views, which the stencils run on.  Returns
     - the central mass flux (rho_i u_i + rho_{i+1} u_{i+1})/2 at the n - 1
       interfaces, (B, n - 1);
     - the momentum rate at the n - 2 interior nodes, (B, n - 2): central
@@ -529,8 +527,8 @@ def _explicit_rates(
     the mass flux's differences and work.mom the momentum rate, each
     at the nodes, with scratch walls.
     """
-    np.multiply(rho, u, out=work.m)
-    np.multiply(work.m, u, out=work.m_u)
+    np.multiply(work.rho, work.u, out=work.m)
+    np.multiply(work.m, work.u, out=work.m_u)
     # mass and momentum fluxes as one flat stack: one sum, one difference
     np.add(work.q_left, work.q_right, out=work.f_left)
     work.f_left *= 0.5
@@ -540,16 +538,16 @@ def _explicit_rates(
     work.grad_walls.fill(0.0)
     central_laplacian(work.d_flat, dx, out=work.lap_in)
     if params.system is System.GL:
-        gl_force(d, params, out=rate)
+        gl_force(work.d, params, out=rate)
         curv -= work.rate_flat
         rate *= -params.theta
     else:
         grad_sq = np.add.reduce(np.multiply(grad, grad, out=rate), axis=1, keepdims=True,
                                 out=work.norm)
         grad_sq *= params.theta
-        np.multiply(grad_sq, d, out=rate)
+        np.multiply(grad_sq, work.d, out=rate)
     mom = np.divide(work.mom_div_flat, -dx, out=work.mom_flat)
-    _power_law(rho, params.a, params.gamma, work.p)
+    _power_law(work.rho, params.a, params.gamma, work.p)
     central_gradient(work.p_flat, dx, out=work.pgrad_in)
     mom -= work.pgrad_flat
     curv *= work.grad_flat
@@ -560,40 +558,30 @@ def _explicit_rates(
     return work.mass_flux, work.mom_in, rate
 
 
-def _advance(
-    rho: np.ndarray,
-    u: np.ndarray,
-    d: np.ndarray,
-    dt: float,
-    params: Params,
-    grid: Grid1D,
-    implicit: _Implicit,
-    density_floor: float,
-    work: _Workspace,
-):
-    """One IMEX Euler step of B members; returns (rho, u, d) at t + dt.
+def _advance(work: _Workspace, params: Params, dx: float, dt: float, implicit: _Implicit,
+             density_floor: float) -> None:
+    """One IMEX Euler step of the B members work holds, from t to t + dt.
 
-    rho, u and d are work.rho, work.u and work.d, of shapes (B, n), (B, n)
-    and (B, 3, n), as evolve passes them; implicit holds the matrices for
-    this dt and the members' boundary rows.  The new state is written over
-    them.  A failed check raises for the first member that fails it, in
-    exc.member.
+    The state is read from work.rho, work.u and work.d, of shapes (B, n),
+    (B, n) and (B, 3, n), and the new state is written over it; implicit
+    holds the matrices for this dt and the members' boundary rows.  A
+    failed check raises for the first member that fails it, in exc.member.
     """
-    dx = grid.dx
     _check_cfl(dt, dx, params, work)
-    _, mom_rate, dir_rate = _explicit_rates(rho, u, d, params, dx, work)
+    _, mom_rate, dir_rate = _explicit_rates(work, params, dx)
+    d = work.d
 
     # --- continuity: conservative central flux, half cells at the walls ---
     # the wall rows of the flux differences become the half-cell updates
     np.multiply(work.flux_walls, work.wall_signs, out=work.mass_div_walls)
     work.mass_div_flat *= dt / dx
     np.subtract(work.rho_flat, work.mass_div_flat, out=work.rho_flat)
-    _check_density_floor(rho, density_floor)
+    _check_density_floor(work.rho, density_floor)
 
     # --- momentum: explicit interior rate, implicit viscosity ---
     work.mom_flat *= dt
     np.add(work.m_flat, work.mom_flat, out=work.u_flat)  # walls zeroed by the solve
-    _solve_velocity(rho, implicit, work)
+    _solve_velocity(implicit, work)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
     dir_rate *= dt
@@ -620,14 +608,13 @@ def _advance(
         m_star = work.m.copy()
         m_star[:, 1:-1] += mom_rate
         finite = (
-            np.isfinite(rho).all(axis=1)
+            np.isfinite(work.rho).all(axis=1)
             & np.isfinite(m_star).all(axis=1)
             & np.isfinite(d).all(axis=(1, 2))
         )
         if finite.all():
-            finite = np.isfinite(u).all(axis=1)
+            finite = np.isfinite(work.u).all(axis=1)
         raise NonFiniteStateError("non-finite values after step", member=_first(~finite))
-    return rho, u, d
 
 
 def _window(span: float, dt: float) -> Tuple[int, float]:
@@ -650,7 +637,8 @@ def evolve(
     """Integrate from t=0 to t_end, invoking the observer at sample times.
 
     The observer receives (state, t) at t=0, at every multiple of
-    sample_interval, and at t_end.  Within each sample window the step size
+    sample_interval, and at t_end (or a multiple within a relative 1e-12 of
+    it), for every positive t_end.  Within each sample window the step size
     is dt shrunk minimally so the window is an integer number of steps;
     sample times are therefore hit exactly.  sample_interval=None samples
     after every step.  Step errors propagate with the failure time attached.
@@ -702,13 +690,12 @@ def evolve(
     # one workspace for every step of this call; the state lives in it
     n = grid.n_nodes
     work = _Workspace(members, n)
-    rho, u, d = work.rho, work.u, work.d
     for b, member in enumerate(inits):
-        rho[b], u[b], d[b] = member.rho0, member.u0, member.d0
+        work.rho[b], work.u[b], work.d[b] = member.rho0, member.u0, member.d0
     interval = sample_interval if sample_interval is not None else dt
-    t_stop = t_end - 1e-12 * max(t_end, 1.0)  # steps run while t < t_stop
+    t_stop = t_end - 1e-12 * t_end  # steps run while t < t_stop
     try:
-        _check_density_floor(rho, density_floor)
+        _check_density_floor(work.rho, density_floor)
         if t_stop > 0.0:  # the first step's bound, before the observer sees its state
             _check_cfl(_window(min(interval, t_end), dt)[1], grid.dx, params, work)
     except SolverError as exc:
@@ -727,8 +714,6 @@ def evolve(
 
     if observer is not None:
         observer(states(), 0.0)
-    if t_end == 0.0:
-        return states()
 
     t = 0.0
     k = 0
@@ -747,9 +732,7 @@ def evolve(
             )
         for j in range(n_sub):
             try:
-                rho, u, d = _advance(
-                    rho, u, d, dt_eff, params, grid, implicit, density_floor, work
-                )
+                _advance(work, params, grid.dx, dt_eff, implicit, density_floor)
             except SolverError as exc:
                 exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
                 raise

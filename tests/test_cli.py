@@ -515,9 +515,10 @@ class TestMain:
             "normalize the SPHERE director\n"
         ))
 
-    def test_functional_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [FunctionalError, ConstitutiveError])
+    def test_functional_failure_exits_3(self, tmp_path, capsys, monkeypatch, error):
         def failing(pair, params):
-            raise FunctionalError("remainder rejected the pair")
+            raise error("remainder rejected the pair")
 
         monkeypatch.setattr(verifier, "remainder", failing)
         path = tmp_path / "cfg.json"
@@ -728,6 +729,24 @@ class TestMain:
             f"bound {bound} (0.4*dx over max wave speed)\n"
         )
 
+    @pytest.mark.parametrize("gamma", [1.01, 1.001])
+    @pytest.mark.parametrize("system", ["gl", "sphere"])
+    @pytest.mark.parametrize("n_candidate", [33, 17], ids=["lockstep", "streamed"])
+    def test_gamma_near_one_twin_passes(self, tmp_path, capsys, n_candidate, system, gamma):
+        # Pi = a/(gamma-1) rho^gamma is 100 to 1000 times P: the Bregman
+        # gap's round-off is held to its scaled tolerance, not to 1e-14
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(system=system, initial_preset=f"{system}-smooth",
+                                 grid_reference={"n": 33}, grid_candidate={"n": n_candidate},
+                                 gamma=gamma, t_end=0.002,
+                                 perturbation={"amplitude": 1e-3, "mode": 2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                         "--manifest", str(tmp_path / "m.json")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
 
 def _dip_density(rho, u, d):
     rho[5] = 1e-9
@@ -735,12 +754,6 @@ def _dip_density(rho, u, d):
 
 def _tilt_director(rho, u, d):
     d *= 1.001
-
-
-def _nudge_density(rho, u, d):
-    # off the candidate's density by a relative 1e-12: with a = 1e6 the
-    # round-off of the Bregman gap exceeds its value
-    rho *= 1.0 + 1e-12
 
 
 def _blow_up_velocity(rho, u, d):
@@ -760,9 +773,6 @@ PAIR_FAULTS = {
                             "reference density 1.000e-09 below lower bound 1.0e-08"),
     "director-off-sphere": ("sphere", {}, _tilt_director, FunctionalError,
                             "reference director is not unit length"),
-    "negative-bregman": ("gl", {"a": 1e6, "dt": 5e-6, "t_end": 1e-5}, _nudge_density,
-                         ConstitutiveError,
-                         "Bregman pressure term is negative beyond round-off: min=-1.164e-10"),
     "non-finite-term": ("gl", {}, _blow_up_velocity, FunctionalError,
                         "non-finite remainder term rd_velocity_exchange"),
     "overflowing-square": ("gl", {}, _peak_velocity, FunctionalError,

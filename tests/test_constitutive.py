@@ -7,6 +7,7 @@ from nemlab.constitutive import (
     ConstitutiveError,
     Params,
     System,
+    _bregman,
     bregman_pressure,
     gl_force,
     gl_potential,
@@ -190,6 +191,21 @@ class TestRelativePressureTerm:
                 rng.uniform(0.0, 5.0), rng.uniform(0.01, 5.0), p
             )
             assert val >= -1e-14
+
+    @pytest.mark.parametrize("gamma", [1.001, 1.0001])
+    def test_round_off_tolerance_scales_with_the_terms(self, gamma):
+        # Pi = a/(gamma-1) rho^gamma is about 1e3 to 1e4 here: the gap's
+        # cancellation error exceeds an absolute 1e-14 and is still clamped
+        rho = 1.0 + 1e-6 * np.sin(np.arange(100.0))
+        assert bregman_pressure(rho, np.ones(100), Params(gamma=gamma)).min() == 0.0
+
+    @pytest.mark.parametrize("a", [1.0, 1e6])
+    def test_off_derivative_raises(self, a):
+        # Pi'(rho~) off by a relative 1e-6 (a = 1, gamma = 2, rho~ = 1): the
+        # computed gap is -1.9e-13 a, beyond the scaled tolerance of 2e-14 a
+        rho, rho_t = np.array([1.0, 1.0 + 1e-7]), np.ones(2)
+        with pytest.raises(ConstitutiveError, match="negative beyond round-off"):
+            _bregman(a * rho**2, 2.0 * a * (1.0 + 1e-6) * rho_t, a * rho_t**2, rho, rho_t)
 
     def test_vectorized(self):
         p = Params(a=1.0, gamma=2.0)

@@ -52,17 +52,17 @@ def loaded(rho, u, d):
 
 
 def advance(work, dt, p, g, imp, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
-    """One step of the state a workspace holds, as evolve takes it."""
-    return dynamics._advance(work.rho, work.u, work.d, dt, p, g, imp, density_floor, work)
+    """One step of the state a workspace holds, as evolve takes it; the
+    step writes the new state into work, whose views are returned."""
+    assert dynamics._advance(work, p, g.dx, dt, imp, density_floor) is None
+    return work.rho, work.u, work.d
 
 
 def rates(st, params=Params()):
     """The step's explicit rates of one state: (mass flux, interior momentum
     rate, director rate), from the kernel _advance calls."""
     work = loaded(st.rho[None], st.u[None], st.d[None])
-    flux, mom, dir_rate = dynamics._explicit_rates(
-        work.rho, work.u, work.d, params, st.grid.dx, work
-    )
+    flux, mom, dir_rate = dynamics._explicit_rates(work, params, st.grid.dx)
     return flux[0], mom[0], dir_rate[0]
 
 
@@ -241,7 +241,7 @@ class TestExplicitKernel:
         kernel = dynamics._explicit_rates
 
         def counting(*args):
-            calls.append(args[0].shape)
+            calls.append(args[0].rho.shape)
             return kernel(*args)
 
         monkeypatch.setattr(dynamics, "_explicit_rates", counting)
@@ -322,9 +322,23 @@ class TestStep:
                        bc, observer=lambda state, t: seen.append(t))
         assert info.value.member == 0
         assert seen == []
-        # a horizon too short for a step takes none, whatever the bound
-        out = evolve(InitialData(g, rho, st.u, st.d), 1e-13, 1e-4, Params(gamma=8000.0), g, bc)
-        assert np.array_equal(out.rho, rho)
+        # every positive horizon takes a step: 1e-13 is one step of 1e-13
+        with pytest.raises(CflError, match=r"^at t=0: dt=1\.000e-13 exceeds stability "
+                                           r"bound 0\.000e\+00 "):
+            evolve(InitialData(g, rho, st.u, st.d), 1e-13, 1e-4, Params(gamma=8000.0), g, bc)
+
+    @pytest.mark.parametrize("t_end, interval, samples",
+                             [(1e-13, None, 51), (2e-12, None, 51), (1e-9, 1e-12, 1001)])
+    def test_short_horizon_ends_with_a_sample_at_t_end(self, t_end, interval, samples):
+        # the loop's round-off guard is relative to t_end, however small
+        p = Params()
+        g = Grid1D(33, 0.0, 1.0)
+        init = make_initial_data("gl-smooth", g, p)
+        seen = []
+        evolve(init, t_end, t_end / 50, p, g, BoundarySpec.for_system(System.GL, init.d0),
+               observer=lambda state, t: seen.append(t), sample_interval=interval)
+        assert len(seen) == samples
+        assert seen[-1] == t_end
 
     def test_first_step_bound_checked_on_the_window_step(self):
         # dt = 0.5 exceeds the bound (about 4.4e-3), but every window of 1e-4
@@ -367,7 +381,7 @@ class TestStep:
         init = make_initial_data("sphere-smooth", g, p)
         imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, None, 1, g.n_nodes)
         work = loaded(init.rho0[None], init.u0[None], init.d0[None])
-        dir_rate = dynamics._explicit_rates(work.rho, work.u, work.d, p, g.dx, work)[2]
+        dir_rate = dynamics._explicit_rates(work, p, g.dx)[2]
         work.d += 1e-4 * dir_rate
         dynamics._solve_director(imp, work)
         d_new = work.d
@@ -424,7 +438,7 @@ class TestTridiagonalSolves:
         b[[0, -1]] = 0.0
         imp = dynamics._implicit(dt, dx, mu, 1.0, None, 1, n)
         work = loaded(rho_new[None], m_star[None], np.zeros((1, 3, n)))
-        dynamics._solve_velocity(work.rho, imp, work)
+        dynamics._solve_velocity(imp, work)
         u = work.u[0]
         np.testing.assert_allclose(u, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
         assert u[0] == 0.0 and u[-1] == 0.0
@@ -467,9 +481,7 @@ class TestTridiagonalSolves:
         rho_new[3] = 0.0  # with mu = 0 row 3 is all zeros
         work = loaded(rho_new[None], np.ones((1, 7)), np.zeros((1, 3, 7)))
         with pytest.raises(LinearSolveError, match="velocity solve: singular"):
-            dynamics._solve_velocity(
-                work.rho, dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 1, 7), work
-            )
+            dynamics._solve_velocity(dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 1, 7), work)
 
     def test_singular_director_matrix_is_a_solver_error(self):
         # theta*dt/dx^2 = -1/2 zeroes the diagonal; the interior block of
@@ -680,7 +692,7 @@ class TestBatchedEvolve:
         _assert_members_match_single_runs(inits, system, 33)
         work = loaded(*(np.stack([getattr(i, name) for i in inits])
                         for name in ("rho0", "u0", "d0")))
-        dynamics._explicit_rates(work.rho, work.u, work.d, p, g.dx, work)
+        dynamics._explicit_rates(work, p, g.dx)
         assert not work.grad[..., 0].any() and not work.grad[..., -1].any()
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
@@ -744,9 +756,9 @@ class TestBatchedEvolve:
             builds.append(dt)
             return build(dt, *args)
 
-        def recording_advance(rho, u, d, dt, *args):
+        def recording_advance(work, params, dx, dt, *args):
             sizes.add(dt)
-            return advance(rho, u, d, dt, *args)
+            return advance(work, params, dx, dt, *args)
 
         monkeypatch.setattr(dynamics, "_implicit", counting_build)
         monkeypatch.setattr(dynamics, "_advance", recording_advance)
@@ -894,7 +906,7 @@ class TestMemberAttribution:
         imp = dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 2, 7)
         work = loaded(rho_new, np.ones((2, 7)), np.zeros((2, 3, 7)))
         with pytest.raises(LinearSolveError, match="zero pivot in row 4") as info:
-            dynamics._solve_velocity(work.rho, imp, work)
+            dynamics._solve_velocity(imp, work)
         assert info.value.member == 1
 
     def test_evolve_abort_carries_member_and_time(self):
