@@ -8,6 +8,9 @@ Subcommands:
     energy      twin + per-sample-pair energy-inequality audit
     suite       a named battery of checks (gl-smoke, sphere-smoke, full)
 
+gronwall, uniqueness and energy run the suite's own (config, trace path or
+levels) -> (ok, detail) checks and report `[PASS|FAIL] <command>: <detail>`.
+
 Exit codes are the process-level contract: 0 all requested checks passed,
 1 a check failed, 2 configuration/usage error (including an experiment the
 verifier rejects), 3 solver or numerical abort (including a functional or
@@ -29,7 +32,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,30 +80,6 @@ def _error_line(exc: Exception) -> Tuple[int, str]:
     return code, f"{prefix}: {exc}"
 
 
-@dataclass
-class RunManifest:
-    """Machine-readable record of one command invocation."""
-
-    command: str
-    config_sha256: str
-    version: str
-    gamma_regime: str
-    duration_seconds: float
-    checks: Dict[str, bool] = field(default_factory=dict)
-    outputs: List[str] = field(default_factory=list)
-
-    @property
-    def passes(self) -> bool:
-        return all(self.checks.values())
-
-    def write(self, path: str) -> None:
-        doc = asdict(self)
-        doc["passes"] = self.passes
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _gamma_regime(gamma: float) -> str:
     if gamma > 1.5:
         return "gamma > 3/2 (weak-existence range)"
@@ -132,30 +110,27 @@ def _load_config(path: str) -> Tuple[ExperimentConfig, str]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each body runs one experiment, prints its report line and
-# returns (checks, outputs); _run_config does the rest
+# Subcommands: simulate and twin print their own report line; gronwall,
+# uniqueness and energy run the suite's checks; _run_config does the rest
 # ---------------------------------------------------------------------------
 
 
 def _finish(command: str, digest_text: str, gamma: float, t0: float,
             checks: Dict[str, bool], outputs: List[str], manifest_path: str,
             traces: Sequence[str] = ()) -> int:
-    """Write the manifest, print the trace and manifest paths, return the exit code."""
-    manifest = RunManifest(
-        command=command,
-        config_sha256=_digest(digest_text),
-        version=__version__,
-        gamma_regime=_gamma_regime(gamma),
-        duration_seconds=time.time() - t0,
-        checks=checks,
-        outputs=outputs,
-    )
-    with _file_access(f"write {manifest_path}"):
-        manifest.write(manifest_path)
+    """Write the manifest, the machine-readable record of one command
+    invocation; print the trace and manifest paths; return the exit code."""
+    passes = all(checks.values())
+    manifest = dict(command=command, config_sha256=_digest(digest_text), version=__version__,
+                    gamma_regime=_gamma_regime(gamma), duration_seconds=time.time() - t0,
+                    checks=checks, outputs=outputs, passes=passes)
+    with _file_access(f"write {manifest_path}"), open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     for path in traces:
         print(f"trace: {path}")
     print(f"manifest: {manifest_path}")
-    return EXIT_OK if manifest.passes else EXIT_CHECK_FAILED
+    return EXIT_OK if passes else EXIT_CHECK_FAILED
 
 
 def _probe_writable(path: str) -> None:
@@ -168,20 +143,27 @@ def _probe_writable(path: str) -> None:
         os.remove(path)
 
 
-def _run_config(args, body) -> int:
-    """Load the config, probe the output paths, run body(cfg, args) and
-    write the manifest."""
+def _run_config(args) -> int:
+    """Load the config, probe the output paths, run the command on the trace
+    path (uniqueness: the levels), report a check's result and write the manifest."""
     cfg, text = _load_config(args.config)
-    for path in (getattr(args, "output", None), args.manifest):
+    trace = getattr(args, "output", None)  # uniqueness writes no trace
+    for path in (trace, args.manifest):
         if path is not None:
             _probe_writable(path)
     t0 = time.time()
-    checks, outputs = body(cfg, args)
+    arg = trace if trace is not None else _parse_levels(args.levels, cfg.grid_candidate)
+    result = _CONFIG_COMMANDS[args.command](cfg, arg)
+    checks: Dict[str, bool] = {}
+    if result is not None:
+        checks[args.command] = result[0]
+        _report(args.command, *result)
+    outputs = [] if trace is None else [trace]
     return _finish(args.command, text, cfg.params.gamma, t0, checks, outputs, args.manifest,
                    traces=outputs)
 
 
-def _simulate(cfg: ExperimentConfig, args):
+def _simulate(cfg: ExperimentConfig, path: str) -> None:
     params = cfg.params
     grid = cfg.grid_candidate
     init = make_initial_data(cfg.initial_preset, grid, params, cfg.perturbation)
@@ -202,8 +184,8 @@ def _simulate(cfg: ExperimentConfig, args):
         sample_interval=cfg.resolved_sample_interval(),
         density_floor=cfg.density_floor,
     )
-    with _file_access(f"write {args.output}"):
-        write_columns(cols, args.output)
+    with _file_access(f"write {path}"):
+        write_columns(cols, path)
 
     masses = np.asarray(cols["mass_candidate"])
     drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
@@ -212,7 +194,6 @@ def _simulate(cfg: ExperimentConfig, args):
         f"simulate: {len(cols['t'])} samples to t={cfg.t_end}; "
         f"E {energies[0]:.6g} -> {energies[-1]:.6g}; mass drift {drift:.2e}"
     )
-    return {}, [args.output]
 
 
 def _written_twin(cfg: ExperimentConfig, path: str):
@@ -222,20 +203,13 @@ def _written_twin(cfg: ExperimentConfig, path: str):
     return trace
 
 
-def _twin(cfg: ExperimentConfig, args):
-    trace = _written_twin(cfg, args.output)
+def _twin(cfg: ExperimentConfig, path: str) -> None:
+    trace = _written_twin(cfg, path)
     sup_e = float(np.max(trace.entropy))
     print(
         f"twin: {len(trace)} samples to t={cfg.t_end}; "
         f"entropy {trace.entropy[0]:.6e} -> sup {sup_e:.6e}"
     )
-    return {}, [args.output]
-
-
-def _gronwall(cfg: ExperimentConfig, args):
-    ok, detail = _check_gronwall_cert(cfg, args.output)
-    _report("gronwall", ok, detail)
-    return {"gronwall": ok}, [args.output]
 
 
 def _parse_levels(levels_arg: str, base: Grid1D) -> List[int]:
@@ -254,23 +228,6 @@ def _parse_levels(levels_arg: str, base: Grid1D) -> List[int]:
     except GridError as exc:
         raise ConfigError(f"--levels: {exc}") from None
     return levels
-
-
-def _uniqueness(cfg: ExperimentConfig, args):
-    ok, detail = _check_collapse(cfg, _parse_levels(args.levels, cfg.grid_candidate))
-    _report("uniqueness", ok, detail)
-    return {"uniqueness": ok}, []
-
-
-def _energy(cfg: ExperimentConfig, args):
-    rep = check_energy(_written_twin(cfg, args.output))
-    _report(
-        "energy",
-        rep.passes,
-        f"max_violation candidate={rep.max_violation_candidate:.3e} "
-        f"reference={rep.max_violation_reference:.3e} tol={rep.tol:g}",
-    )
-    return {"energy": rep.passes}, [args.output]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +270,17 @@ def _check_twin_floor(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str
 
 
 def _check_gronwall_cert(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str]:
-    rep = check_gronwall(_written_twin(cfg, trace_path), cfg.gronwall)
-    checked_at = "" if rep.c_h_used is None else f" (checked at c_h={rep.c_h_used:g})"
+    gron = cfg.gronwall
+    rep = check_gronwall(_written_twin(cfg, trace_path), gron)
+    checked_at = "" if gron.c_h is None else f" (checked at c_h={gron.c_h:g})"
     return rep.passes, (f"minimal_c_h={rep.minimal_c_h:.6g} worst_time={rep.worst_time:.6g} "
-                        f"slack={rep.slack:g}{checked_at}")
+                        f"slack={gron.slack:g}{checked_at}")
+
+
+def _check_energy(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str]:
+    rep = check_energy(_written_twin(cfg, trace_path))
+    return rep.passes, (f"max_violation candidate={rep.max_violation_candidate:.3e} "
+                        f"reference={rep.max_violation_reference:.3e} tol={rep.tol:g}")
 
 
 def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool, str]:
@@ -465,12 +429,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_COMMANDS = {
+# command -> run(cfg, trace path or refinement levels): simulate and twin
+# print their own line and return None, the checks return (ok, detail)
+_CONFIG_COMMANDS: Dict[str, Callable[..., Optional[Tuple[bool, str]]]] = {
     "simulate": _simulate,
     "twin": _twin,
-    "gronwall": _gronwall,
-    "uniqueness": _uniqueness,
-    "energy": _energy,
+    "gronwall": _check_gronwall_cert,
+    "uniqueness": _check_collapse,
+    "energy": _check_energy,
 }
 
 
@@ -485,7 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "suite":
             return _cmd_suite(args)
-        return _run_config(args, _CONFIG_COMMANDS[args.command])
+        return _run_config(args)
     except tuple(_ERRORS) as exc:
         code, line = _error_line(exc)
         print(line, file=sys.stderr)

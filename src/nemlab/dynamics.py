@@ -645,7 +645,8 @@ def evolve(
     A density below density_floor, or a first step beyond the stability
     bound, aborts the run at t=0, before the observer sees any state.
     A t_end, dt, sample_interval or density_floor that is not finite, or
-    out of range, raises ValueError before the observer sees any state.
+    out of range, or a step count t_end / dt beyond the float range,
+    raises ValueError before the observer sees any state.
 
     bc is BoundarySpec.for_system(params.system, init.d0); a spec of the
     other system raises ValueError before the observer sees any state.
@@ -660,6 +661,8 @@ def evolve(
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt is not a finite float: {t_end!r} / {dt!r}")
     if sample_interval is not None and not (
         math.isfinite(sample_interval) and sample_interval > 0
     ):

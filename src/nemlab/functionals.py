@@ -265,91 +265,62 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     return trapezoid_array(dens, dx)
 
 
-@dataclass
 class _PairFields:
     """Arrays shared by the rows of one sample's quadrature stack.
 
-    Built once per sample from one stacked derivative pass, after one sign
-    check of the candidate density (StatePair holds the reference's above
-    a positive floor); each pressure law is evaluated once.  p, p_r and pi
-    are P(rho), P(rho~) and Pi(rho), and bregman the pressure Bregman row.  force and force_r hold f(d) and f(d~) for GL and are None
-    for SPHERE, as are grad_laws_r, the gradients of the reference rows
-    p~, rho~ u~ and Pi'(rho~), and flux_r = rho~ u~; dot holds
-    the contractions several rows share: stress_r = curv~ . d~_x and the
-    squares grad_sq = |d_x|^2, grad_r_sq, lap_r_sq, dgrad_sq = |d_x - d~_x|^2,
-    gap_sq = |d - d~|^2, force_sq, force_r_sq (GL) and d_sq (SPHERE).
+    The constructor sets each once per sample from one stacked derivative
+    pass, after one sign check of the candidate density (StatePair holds
+    the reference's above a positive floor); each pressure law is evaluated
+    once.  Names ending in _r are the reference's (rho~, u~, d~).  p, p_r
+    and pi are P(rho), P(rho~) and Pi(rho), bregman the pressure Bregman
+    row, dgrad = d_x - d~_x, dlap = d_xx - d~_xx and e = d - d~.  force and
+    force_r hold f(d) and f(d~) for GL and are None for SPHERE, as are
+    grad_laws_r, the gradients of p~, rho~ u~ and Pi'(rho~), and flux_r =
+    rho~ u~.  stress_div_r = lam * stress_r and g_ref = mu u~_xx -
+    stress_div_r.  dot holds the contractions several rows share: stress_r
+    = curv~ . d~_x and the squares grad_sq = |d_x|^2, grad_r_sq, lap_r_sq,
+    dgrad_sq, gap_sq = |d - d~|^2, force_sq, force_r_sq (GL), d_sq (SPHERE).
     """
 
-    dx: float
-    rho: np.ndarray
-    u: np.ndarray
-    d: np.ndarray
-    rho_r: np.ndarray
-    u_r: np.ndarray
-    d_r: np.ndarray
-    p: np.ndarray
-    p_r: np.ndarray
-    pi: np.ndarray
-    bregman: np.ndarray
-    grad_u: np.ndarray
-    grad_u_r: np.ndarray
-    grad_d: np.ndarray
-    grad_d_r: np.ndarray
-    lap_d: np.ndarray
-    lap_d_r: np.ndarray
-    dgrad: np.ndarray         # d_x - d~_x
-    dlap: np.ndarray          # d_xx - d~_xx
-    e: np.ndarray             # d - d~
-    force: Optional[np.ndarray]
-    force_r: Optional[np.ndarray]
-    flux_r: Optional[np.ndarray]
-    grad_laws_r: Optional[np.ndarray]
-    stress_div_r: np.ndarray  # lam-weighted curvature-force form
-    g_ref: np.ndarray         # mu*lap(u~) - stress_div_r
-    dot: Dict[str, np.ndarray]
-
-    @classmethod
-    def build(cls, pair: StatePair, params: Params) -> "_PairFields":
-        dx = pair.grid.dx
+    def __init__(self, pair: StatePair, params: Params):
+        self.dx = dx = pair.grid.dx
         c, r = pair.candidate, pair.reference
-        d, d_r = c.d, r.d
-        rho, rho_r = _check_nonneg_rho(c.rho), r.rho
+        self.d, self.d_r = d, d_r = c.d, r.d
+        self.rho, self.rho_r = rho, rho_r = _check_nonneg_rho(c.rho), r.rho
+        self.u, self.u_r = c.u, r.u
         a, gamma = params.a, params.gamma
         pi_coeff = a / (gamma - 1.0)
-        pi = _power_law(rho, pi_coeff, gamma)
+        self.pi = pi = _power_law(rho, pi_coeff, gamma)
         pi1_r = _power_law(rho_r, a * gamma / (gamma - 1.0), gamma - 1.0)
-        p_r = _power_law(rho_r, a, gamma)
-        bregman = _bregman(pi, pi1_r, _power_law(rho_r, pi_coeff, gamma), rho, rho_r)
-        force = force_r = flux_r = None
+        self.p_r = p_r = _power_law(rho_r, a, gamma)
+        self.bregman = _bregman(pi, pi1_r, _power_law(rho_r, pi_coeff, gamma), rho, rho_r)
+        self.force = self.force_r = self.flux_r = None
         laws_r = ()
         if params.system is System.GL:
-            flux_r = rho_r * r.u
+            self.flux_r = flux_r = rho_r * r.u
             laws_r = (p_r, flux_r, pi1_r)
         # rows (u, d, u~, d~[, p~, rho~ u~, Pi'(rho~)]); lap (d, u~, d~)
         grad, lap = _derivatives((c, r), dx, *laws_r)
-        grad_d, grad_d_r = grad[1:4], grad[5:8]
-        lap_d, lap_d_r = lap[:3], lap[4:]
-        dgrad = grad_d - grad_d_r
-        e = d - d_r
+        self.grad_u, self.grad_u_r = grad[0], grad[4]
+        self.grad_laws_r = grad[8:] if laws_r else None
+        self.grad_d, self.grad_d_r = grad_d, grad_d_r = grad[1:4], grad[5:8]
+        self.lap_d, self.lap_d_r = lap_d, lap_d_r = lap[:3], lap[4:]
+        self.dgrad = dgrad = grad_d - grad_d_r
+        self.e = e = d - d_r
         curv_r = lap_d_r
         if params.system is System.GL:
-            force, force_r = gl_force(np.array((d, d_r)), params)
+            self.force, self.force_r = force, force_r = gl_force(np.array((d, d_r)), params)
             curv_r = lap_d_r - force_r
             norms = dict(force_sq=(force, force), force_r_sq=(force_r, force_r))
         else:
             norms = dict(d_sq=(d, d))
-        dot = _dots(stress_r=(curv_r, grad_d_r), grad_sq=(grad_d, grad_d),
-                    grad_r_sq=(grad_d_r, grad_d_r), lap_r_sq=(lap_d_r, lap_d_r),
-                    dgrad_sq=(dgrad, dgrad), gap_sq=(e, e), **norms)
-        stress_div_r = params.lam * dot["stress_r"]
-        return cls(
-            dx=dx, rho=rho, u=c.u, d=d, rho_r=rho_r, u_r=r.u, d_r=d_r,
-            p=_power_law(rho, a, gamma), p_r=p_r, pi=pi, bregman=bregman,
-            grad_u=grad[0], grad_u_r=grad[4], grad_d=grad_d, grad_d_r=grad_d_r, lap_d=lap_d,
-            lap_d_r=lap_d_r, dgrad=dgrad, dlap=lap_d - lap_d_r, e=e, force=force,
-            force_r=force_r, flux_r=flux_r, grad_laws_r=grad[8:] if laws_r else None,
-            stress_div_r=stress_div_r, g_ref=params.mu * lap[3] - stress_div_r, dot=dot,
-        )
+        self.dot = _dots(stress_r=(curv_r, grad_d_r), grad_sq=(grad_d, grad_d),
+                         grad_r_sq=(grad_d_r, grad_d_r), lap_r_sq=(lap_d_r, lap_d_r),
+                         dgrad_sq=(dgrad, dgrad), gap_sq=(e, e), **norms)
+        self.stress_div_r = params.lam * self.dot["stress_r"]
+        self.p = _power_law(rho, a, gamma)
+        self.dlap = lap_d - lap_d_r
+        self.g_ref = params.mu * lap[3] - self.stress_div_r
 
 
 # One block of integrands queued for the sample's quadrature stack, each
@@ -516,7 +487,7 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
             if defect > 1e-8:
                 raise FunctionalError(f"{name} director is not unit length")
         sphere_def = float(defects[0])
-    f = _PairFields.build(pair, params)
+    f = _PairFields(pair, params)
     # each block queued in term order, keyed by its QUARTETS name
     blocks = (_remainder_gl if params.system is System.GL else _remainder_sphere)(f, params)
     rows: _Rows = {name: row for block in blocks.values() for name, row in block.items()}

@@ -65,7 +65,8 @@ def write_trace(trace: EntropyTrace, path: str) -> None:
 
 
 def read_columns(path: str) -> Dict[str, np.ndarray]:
-    """Parse a trace file back into named float columns (empty -> NaN)."""
+    """Parse a trace file back into named float columns (empty -> NaN);
+    TraceFormatError names the path and the row of a malformed file."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -78,7 +79,11 @@ def read_columns(path: str) -> Dict[str, np.ndarray]:
         if len(row) != len(COLUMNS):
             raise TraceFormatError(f"{path}: row {r} has {len(row)} fields")
         for i, cell in enumerate(row):
-            data[i].append(float(cell) if cell != "" else math.nan)
+            try:
+                data[i].append(float(cell) if cell != "" else math.nan)
+            except ValueError:
+                raise TraceFormatError(f"{path}: row {r}, column {COLUMNS[i]}: "
+                                       f"not a number: {cell!r}") from None
     return {name: np.asarray(vals) for name, vals in zip(COLUMNS, data)}
 
 

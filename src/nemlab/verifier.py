@@ -81,6 +81,12 @@ class VerifierError(ValueError):
     """Invalid experiment configuration or trace."""
 
 
+def _check_step_count(t_end: float, dt: float, name: str) -> None:
+    """Raise VerifierError unless dt > 0 and the step count t_end / dt are finite."""
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end / dt)):
+        raise VerifierError(f"t_end / {name} is not a finite float")
+
+
 # ---------------------------------------------------------------------------
 # Initial presets and perturbations
 # ---------------------------------------------------------------------------
@@ -215,7 +221,8 @@ class ExperimentConfig:
     """Full declarative description of one twin experiment.
 
     The step sizes, t_end, the resolved sample interval and density_floor
-    must be finite and positive, the preset must belong to params.system
+    must be finite and positive, so must t_end / dt of each trajectory,
+    the preset must belong to params.system
     and the run may take at most MAX_SAMPLES samples; construction raises
     VerifierError naming the first rule broken.
     """
@@ -248,6 +255,8 @@ class ExperimentConfig:
         ):
             if not (math.isfinite(value) and value > 0):
                 raise VerifierError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("dt_reference", "dt_candidate"):
+            _check_step_count(self.t_end, getattr(self, name), name)
         _check_preset(self.initial_preset, self.params.system)
         if self.t_end / interval > MAX_SAMPLES:
             raise VerifierError(
@@ -540,8 +549,6 @@ class GronwallReport:
     passes: bool
     minimal_c_h: float
     worst_time: float
-    c_h_used: Optional[float]
-    slack: float
 
 
 def check_gronwall(trace: EntropyTrace, config: GronwallConfig) -> GronwallReport:
@@ -584,17 +591,8 @@ def check_gronwall(trace: EntropyTrace, config: GronwallConfig) -> GronwallRepor
     worst = int(np.argmax(required))
     minimal = float(required[worst])
 
-    if config.c_h is None:
-        passes = math.isfinite(minimal)
-    else:
-        passes = minimal <= config.c_h
-    return GronwallReport(
-        passes=passes,
-        minimal_c_h=minimal,
-        worst_time=float(times[worst]),
-        c_h_used=config.c_h,
-        slack=config.slack,
-    )
+    passes = math.isfinite(minimal) if config.c_h is None else minimal <= config.c_h
+    return GronwallReport(passes=passes, minimal_c_h=minimal, worst_time=float(times[worst]))
 
 
 @dataclass
@@ -613,38 +611,20 @@ def check_energy(trace: EntropyTrace, tol: float = 1e-3) -> EnergyReport:
 
     The dissipation integral uses trapezoid quadrature on the sampled
     rates; the violation margin is (E_next + int D - E) / E per sample
-    pair, for both trajectories.
+    pair, for both trajectories in one (2, K-1) pass (rows candidate,
+    reference).  A one-sample trace has no pair and reports 0.0 for both.
     """
     if len(trace) == 0:
         raise VerifierError("empty trace")
-    first_violation = None
-    max_viol = {"candidate": -math.inf, "reference": -math.inf}
-    for tag, e_col, d_col in (
-        ("candidate", trace.energy_candidate, trace.dissipation_candidate),
-        ("reference", trace.energy_reference, trace.dissipation_reference),
-    ):
-        if len(trace) == 1:
-            max_viol[tag] = 0.0
-            continue
-        dt_s = np.diff(trace.times)
-        diss_int = 0.5 * (d_col[1:] + d_col[:-1]) * dt_s
-        viol = (e_col[1:] + diss_int - e_col[:-1]) / np.maximum(e_col[:-1], 1e-300)
-        max_viol[tag] = float(np.max(viol))
-        bad = np.nonzero(viol > tol)[0]
-        if bad.size:
-            t_bad = float(trace.times[bad[0] + 1])
-            if first_violation is None or t_bad < first_violation:
-                first_violation = t_bad
-    passes = (
-        max_viol["candidate"] <= tol and max_viol["reference"] <= tol
-    )
-    return EnergyReport(
-        passes=passes,
-        tol=tol,
-        max_violation_candidate=max_viol["candidate"],
-        max_violation_reference=max_viol["reference"],
-        first_violation_time=first_violation,
-    )
+    e = np.array((trace.energy_candidate, trace.energy_reference))
+    d = np.array((trace.dissipation_candidate, trace.dissipation_reference))
+    diss_int = 0.5 * (d[:, 1:] + d[:, :-1]) * np.diff(trace.times)
+    viol = (e[:, 1:] + diss_int - e[:, :-1]) / np.maximum(e[:, :-1], 1e-300)
+    max_c, max_r = viol.max(axis=1).tolist() if len(trace) > 1 else (0.0, 0.0)
+    bad = np.nonzero((viol > tol).any(axis=0))[0]
+    return EnergyReport(passes=max_c <= tol and max_r <= tol, tol=tol,
+                        max_violation_candidate=max_c, max_violation_reference=max_r,
+                        first_violation_time=float(trace.times[bad[0] + 1]) if bad.size else None)
 
 
 @dataclass
@@ -673,7 +653,8 @@ def check_uniqueness(
     dt joins the reference's evolve.  Each level's sup is taken over the
     relative entropy of its pairs; energies and remainders are not
     evaluated.  The levels must be at least 3 strictly increasing node
-    counts, or VerifierError is raised before anything runs.  Passing
+    counts whose finest dt leaves t_end / dt a finite float, or
+    VerifierError is raised before anything runs.  Passing
     requires every observed order to reach _ORDER_FLOOR (1.8); a level whose
     entropy is identically zero gives an infinite order.
     """
@@ -688,6 +669,8 @@ def check_uniqueness(
     base = config.grid_candidate
     kappa = config.dt_candidate / base.dx**2
     grids = [Grid1D(n, base.x_min, base.x_max) for n in refinement_levels]
+    _check_step_count(config.t_end, kappa * grids[-1].dx**2,
+                      f"dt of level {refinement_levels[-1]}")
     entropy: List[List[float]] = [[] for _ in grids]
 
     def row(i: int, t: float, pair: StatePair) -> None:

@@ -18,7 +18,7 @@ from nemlab.config import ConfigError, parse_config
 from nemlab.dynamics import SolverError, State
 from nemlab.constitutive import ConstitutiveError, System
 from nemlab.functionals import FunctionalError
-from nemlab.traceio import COLUMNS, read_columns, read_trace, write_trace
+from nemlab.traceio import COLUMNS, TraceFormatError, read_columns, read_trace, write_trace
 from nemlab.verifier import EntropyTrace, Perturbation, VerifierError, run_twin
 
 MINIMAL_GL = {
@@ -221,6 +221,16 @@ class TestTraceIo:
         # the per-term columns stay in memory
         assert "reorg_mismatch" in trace.terms and back.terms == {}
 
+    def test_unparsable_cell_names_path_row_and_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = ["0.0"] * len(COLUMNS)
+        row[COLUMNS.index("entropy")] = "abc"
+        path.write_text(",".join(COLUMNS) + "\n" + ",".join(["0.0"] * len(COLUMNS)) + "\n"
+                        + ",".join(row) + "\n")
+        with pytest.raises(TraceFormatError,
+                           match=re.escape(f"{path}: row 3, column entropy: not a number: 'abc'")):
+            read_columns(str(path))
+
     def test_empty_time_cell_rejected(self, tmp_path):
         n = 3
         zeros = np.zeros(n)
@@ -420,6 +430,18 @@ class TestMain:
                      "--manifest", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr() == ("", f"config error: {err}\n")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["twin", "simulate", "uniqueness"])
+    @pytest.mark.parametrize("doc", [{"dt": 1e-320}, {"t_end": 1e308}], ids=["dt", "t_end"])
+    def test_step_count_beyond_the_float_range_exits_2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{"grid_reference": {"n": 33}, "grid_candidate": {"n": 17},
+                                    "t_end": 0.004, **doc}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        assert main([command, "-c", str(path), *out,
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: t_end / dt_reference is not a finite float\n")
 
     @pytest.mark.parametrize("command, flag", [
         ("twin", "-o"), ("simulate", "-o"), ("twin", "--manifest"),

@@ -605,6 +605,18 @@ class TestEvolve:
                    density_floor=args["density_floor"])
         assert seen == []
 
+    @pytest.mark.parametrize("t_end, dt", [(0.004, 1e-320), (1e308, 2e-4)])
+    def test_step_count_beyond_the_float_range_raises(self, t_end, dt):
+        g = Grid1D(33, 0.0, 1.0)
+        p = Params()
+        init = make_initial_data("gl-smooth", g, p)
+        bc = BoundarySpec.for_system(System.GL, init.d0)
+        seen = []
+        with pytest.raises(ValueError, match=r"^t_end / dt is not a finite float"):
+            evolve(init, t_end, dt, p, g, bc, observer=lambda st, t: seen.append(t),
+                   sample_interval=t_end)
+        assert seen == []
+
     def test_sphere_requires_unit_initial_director(self):
         p = Params(system=System.SPHERE)
         g = Grid1D(33, 0.0, 1.0)

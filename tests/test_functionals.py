@@ -312,14 +312,14 @@ class TestRemainderSphere:
     "make_pair, params", [(gl_pair, GL), (sphere_pair, SPH)], ids=["gl", "sphere"]
 )
 def test_remainder_builds_pair_fields_once(monkeypatch, make_pair, params):
-    build = functionals._PairFields.build
+    init = functionals._PairFields.__init__
     calls = []
 
-    def counting_build(pair, p):
+    def counting_init(self, pair, p):
         calls.append(pair)
-        return build(pair, p)
+        init(self, pair, p)
 
-    monkeypatch.setattr(functionals._PairFields, "build", staticmethod(counting_build))
+    monkeypatch.setattr(functionals._PairFields, "__init__", counting_init)
     pair = make_pair(65)
     br = remainder(pair, params)
     assert len(calls) == 1

@@ -571,6 +571,31 @@ class TestCheckEnergy:
         assert rep.first_violation_time == pytest.approx(0.2)
         assert rep.max_violation_candidate == pytest.approx(0.1, rel=1e-9)
 
+    def test_reference_and_candidate_violations_both_reported(self):
+        # the reference gains energy at t=0.1, the candidate later at t=0.3:
+        # the earliest violation is the reference's, and each side keeps
+        # its own maximum
+        n = 5
+        times = np.linspace(0.0, 0.4, n)
+        tr = synthetic_trace(times, np.zeros(n), np.zeros(n))
+        tr.energy_reference = np.array([1.0, 1.2, 1.2, 1.2, 1.2])
+        tr.energy_candidate = np.array([1.0, 1.0, 1.0, 1.05, 1.05])
+        rep = check_energy(tr)
+        assert not rep.passes
+        assert rep.first_violation_time == pytest.approx(0.1)
+        assert rep.max_violation_reference == pytest.approx(0.2, rel=1e-9)
+        assert rep.max_violation_candidate == pytest.approx(0.05, rel=1e-9)
+        tr.energy_reference = np.ones(n)
+        rep = check_energy(tr)
+        assert rep.first_violation_time == pytest.approx(0.3)
+        assert rep.max_violation_reference == 0.0
+
+    def test_one_sample_trace_reports_zero(self):
+        rep = check_energy(synthetic_trace([0.0], [0.0], [0.0]))
+        assert rep.passes
+        assert (rep.max_violation_candidate, rep.max_violation_reference) == (0.0, 0.0)
+        assert rep.first_violation_time is None
+
     @pytest.mark.parametrize("k", [1, 7, 25])
     def test_energy_injected_into_a_twin_is_named(self, k):
         # negative control: a real trace passes, the same trace with energy
@@ -666,6 +691,17 @@ class TestCheckUniqueness:
         rep = check_uniqueness(cfg, levels)
         assert rep.sup_entropy == expected
         assert all(s > 0.0 for s in expected)
+
+    def test_finest_step_count_beyond_the_float_range_rejected_before_any_run(self, monkeypatch):
+        # t_end / dt is finite on the candidate grid (4e304) but not at the
+        # finest level, whose dt is dt * (16/2048)^2
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran before the levels were checked")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        cfg = twin_config(n_ref=33, n_cand=17, dt=1e-307, t_end=0.004)
+        with pytest.raises(VerifierError, match=r"^t_end / dt of level 2049 is not a finite"):
+            check_uniqueness(cfg, [17, 33, 2049])
 
     def test_one_reference_run_and_one_restriction_per_sample_and_level(self, monkeypatch):
         cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
