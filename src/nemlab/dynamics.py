@@ -31,49 +31,57 @@ by dt, and the operator tests call the same kernel.
 
 Members: the step advances B trajectories on one grid at once, with a
 leading member axis (rho, u: (B, n); d: (B, 3, n)) and each GL member's
-own pins.  The velocity solve is one LAPACK dgtsv call on a
-block-diagonal system whose off-diagonals vanish at the block joints; the
-director solve is one dgtsv call with 3B right-hand sides, since every
-member and component shares the director matrix.  That matrix and the
-velocity off-diagonals are fixed for a given dt, so evolve builds them
-once per step size; the scratch buffers depend on B and n only, so evolve
-builds one workspace per call.  The step, its kernel and both solves take
-it alone, read the state from it and write into it: the explicit rates,
-both right-hand sides (each solved in place) and the new state.  The
-step's cost at small n is the count of numpy calls and the iteration
-over strided views, not their arithmetic, so the kernel runs on flat
-member-major views of the workspace: each stencil, the stacked mass and
-momentum flux sum and their difference are one contiguous call over
+own pins.  Both implicit matrices are symmetric positive definite once the
+wall couplings move to the right-hand side (mu, theta > 0 and the density
+above its positive floor), so LAPACK solves them by L D L^T without
+pivoting.  The velocity solve is one dptsv call on a block-diagonal system
+whose off-diagonals vanish at the block joints and at the wall rows, whose
+right-hand sides are 0.  The director matrix is shared by every member and
+component and fixed for a given dt: evolve factors it by dpttrf once per
+step size, and each step's director solve is one dpttrs call with 3B
+right-hand sides.  GL moves the pinned walls' coupling r pins (r = theta
+dt/dx^2) into the right-hand sides of rows 1 and n - 2; SPHERE halves its
+mirrored-ghost wall rows and their right-hand sides, which is exact in
+binary floating point.  The velocity off-diagonal is fixed for a given dt
+too and kept with the factor; the scratch buffers depend on B and n only,
+so evolve builds one workspace per call.  The step, its kernel and both
+solves take it alone, read the state from it and write into it: the
+explicit rates, both right-hand sides (each solved in place) and the new
+state.  The step's cost at small n is the count of numpy calls and the
+iteration over strided views, not their arithmetic, so the kernel runs on
+flat member-major views of the workspace: each stencil, the stacked mass
+and momentum flux sum and their difference are one contiguous call over
 every row of every member, and the wall rows of all members (continuity
-half cells, velocity diagonal and zeroed velocity) are one strided call
-each.  The entries of those flat results that straddle two rows are
-scratch: each is finite on a finite state, and none reaches a value the
-step keeps (_Workspace says which are zeroed and which are never read).
-A member's states are therefore bit-identical to its own single-member
-run: every kept value comes from one member's entries, and the zero
-couplings leave each block's elimination untouched.  Each check (CFL
-bound, density floor, sphere collapse, end-of-step finite values) names
-the first member that fails it in exc.member.  A nonzero LAPACK status
-raises LinearSolveError.  NaN/inf in rho or u makes the wave speed of the
-CFL bound non-finite, which raises NonFiniteStateError before either
-solve runs; a finite state whose sound speed leaves the float range has
-a stability bound of 0 and raises CflError; NaN/inf in d is caught by the
+half cells and zeroed velocity) are one strided call each.  The entries of
+those flat results that straddle two rows are scratch: each is finite on a
+finite state, and none reaches a value the step keeps (_Workspace says
+which are zeroed and which are never read).  A member's states are
+therefore bit-identical to its own single-member run: every kept value
+comes from one member's entries, and the zero couplings leave each block's
+factorization and substitution untouched.  Each check (CFL bound, density
+floor, sphere collapse, end-of-step finite values) names the first member
+that fails it in exc.member.  A nonzero LAPACK status raises
+LinearSolveError.  NaN/inf in rho or u makes the wave speed of the CFL
+bound non-finite, which raises NonFiniteStateError before either solve
+runs; a finite state whose sound speed leaves the float range has a
+stability bound of 0 and raises CflError; NaN/inf in d is caught by the
 end-of-step finite check.  Each step evaluates the director gradient,
-Laplacian and GL force once and shares them between the stress
-divergence and the director predictor.  The observer's samples are
-read-only views of one copy of the state block per sample, built without
-checking again what the step's checks already hold.
+Laplacian and GL force once and shares them between the stress divergence
+and the director predictor.  The observer's samples are read-only views of
+one copy of the state block per sample, built without checking again what
+the step's checks already hold.
 
-LAPACK: scipy is used for one routine, dgtsv.  It is loaded from the
-extension module that holds it, scipy/linalg/_flapack, found by file next
-to the installed scipy package, not through `from scipy.linalg.lapack
-import dgtsv`: that import runs the scipy.linalg package __init__, which
-also builds scipy's array-API layer and pulls in numpy.testing, numpy.f2py
-and numpy.ma: 0.22-0.26 s per process by `python -X importtime` (scipy
-1.17, Python 3.11, shared 2-vCPU x86-64 VM) against about 2 ms for the
-extension alone.  It is the same compiled routine, so every solve is
-bit-identical.  Only where no such file exists (an editable or non-wheel
-scipy build) does the module fall back to scipy.linalg.lapack.
+LAPACK: scipy is used for three routines, dptsv, dpttrf and dpttrs.
+They are loaded from the extension module that holds them,
+scipy/linalg/_flapack, found by file next to the installed scipy package,
+not through `from scipy.linalg.lapack import ...`: that import runs the
+scipy.linalg package __init__, which also builds scipy's array-API layer
+and pulls in numpy.testing, numpy.f2py and numpy.ma: 0.22-0.26 s per
+process by `python -X importtime` (scipy 1.17, Python 3.11, shared 2-vCPU
+x86-64 VM) against about 2 ms for the extension alone.  They are the same
+compiled routines, so every solve is bit-identical.  Only where no such
+file exists (an editable or non-wheel scipy build) does the module fall
+back to scipy.linalg.lapack.
 
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
@@ -103,11 +111,12 @@ from .grid import Grid1D, central_gradient, central_laplacian
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _load_dgtsv(linalg_dir: str):
-    """LAPACK dgtsv from scipy's _flapack extension module in linalg_dir.
+def _load_lapack(linalg_dir: str):
+    """LAPACK dptsv, dpttrf and dpttrs from scipy's _flapack extension
+    module in linalg_dir.
 
     The extension is loaded by file, so the scipy.linalg package __init__
-    never runs; the routine is the same compiled object that
+    never runs; the routines are the same compiled objects that
     scipy.linalg.lapack re-exports.  Without such a file (an editable or
     non-wheel scipy build) this falls back to scipy.linalg.lapack.
     """
@@ -116,18 +125,17 @@ def _load_dgtsv(linalg_dir: str):
         finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(_FLAPACK)
         if spec is None:
-            from scipy.linalg.lapack import dgtsv
+            from scipy.linalg import lapack as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # the extension registers itself in sys.modules; left there without
+            # its package, a later `import scipy.linalg` would not bind _flapack
+            sys.modules.pop(_FLAPACK, None)
+    return module.dptsv, module.dpttrf, module.dpttrs
 
-            return dgtsv
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        # the extension registers itself in sys.modules; left there without
-        # its package, a later `import scipy.linalg` would not bind _flapack
-        sys.modules.pop(_FLAPACK, None)
-    return module.dgtsv
 
-
-dgtsv = _load_dgtsv(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+dptsv, dpttrf, dpttrs = _load_lapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
 
 DEFAULT_DENSITY_FLOOR = 1e-8
 _CFL_NUMBER = 0.4
@@ -333,16 +341,10 @@ class _Workspace:
         self.rate_flat = self.rate.reshape(-1)
         self.adv = np.empty((members, 3, n))     # u d_x, then d_new^2
         self.norm = np.empty((members, 1, n))    # |d_x|^2, then |d_new|
-        # LAPACK overwrites the bands it is given: each solve copies its own
-        self.vel_diag = np.empty((members, n))
-        self.vel_diag_flat = self.vel_diag.reshape(-1)
-        self.vel_diag_walls = self.vel_diag[:, ::n - 1]
-        self.vel_bands = np.empty((2, size - 1))
-        self.dir_bands = np.empty((3, n))
-        self.vel_dl, self.vel_du = self.vel_bands
-        self.dir_dl, self.dir_diag, self.dir_du = (
-            self.dir_bands[0, :-1], self.dir_bands[1], self.dir_bands[2, :-1]
-        )
+        self.dir_inner = self.dir_rhs[1:n - 1:n - 3]      # its rows 1 and n - 2
+        # dptsv factors the velocity matrix over its diagonals: a copy each step
+        self.vel_diag = np.empty(size)
+        self.vel_off = np.empty(size - 1)
 
 
 def _check_cfl(dt: float, dx: float, params: Params, work: _Workspace) -> None:
@@ -409,22 +411,24 @@ def _check_density_floor(rho: np.ndarray, density_floor: float) -> None:
 
 class _Implicit(NamedTuple):
     """The implicit matrices of one step size, built once and shared by
-    every step of that size.
+    every step of that size; both are symmetric positive definite.
 
-    Velocity: the B members form one block-diagonal system whose
-    off-diagonals vanish at the block joints; vel_bands holds its sub- and
-    super-diagonal, and its diagonal rho_new + 2 s changes every step.
-    Director: one matrix for every member and component; dir_bands holds
-    its sub-diagonal, diagonal and super-diagonal as rows of n entries (the
-    off-diagonals' last entry unused).  pins holds the left and right
+    Velocity: the B members form one block-diagonal system; vel_off holds
+    its off-diagonal, 0 at the block joints and at the wall rows (whose
+    right-hand sides are 0), and its diagonal rho_new + 2 s changes every
+    step.  Director: one matrix for every member and component, held as
+    its dpttrf factor (dir_d, dir_e).  pins holds the left and right
     Dirichlet rows of all members flattened in (member, component) order,
-    (2, 3B), or None for Neumann ghosts.
+    (2, 3B), and pin_rhs = r pins their coupling, moved to rows 1 and n - 2
+    of the right-hand sides; both are None for Neumann ghosts.
     """
 
     s: float
-    vel_bands: np.ndarray
-    dir_bands: np.ndarray
+    vel_off: np.ndarray
+    dir_d: np.ndarray
+    dir_e: np.ndarray
     pins: Optional[np.ndarray]
+    pin_rhs: Optional[np.ndarray]
 
 
 def _implicit(
@@ -436,74 +440,65 @@ def _implicit(
     members: int,
     n: int,
 ) -> _Implicit:
-    """Diagonals of (diag(rho) - mu dt D2) u = m and (I - theta dt D2_bc) d = d*."""
+    """The velocity off-diagonal and the director factor of step size dt."""
     s = mu * dt / (dx * dx)
-    vel_bands = np.full((2, members * n - 1), -s)
-    vel_dl, vel_du = vel_bands  # A[i+1, i] and A[i, i+1]
-    vel_du[::n] = 0.0          # pinned first rows have no right coupling
-    vel_du[n - 1::n] = 0.0     # block joints
-    vel_dl[n - 2::n] = 0.0     # pinned last rows have no left coupling
-    vel_dl[n - 1::n] = 0.0     # block joints
+    vel_off = np.full(members * n - 1, -s)
+    vel_off[::n] = 0.0        # first wall rows
+    vel_off[n - 2::n] = 0.0   # last wall rows
+    vel_off[n - 1::n] = 0.0   # block joints
 
     r = theta * dt / (dx * dx)
-    dir_bands = np.full((3, n), -r)
-    dir_bands[1] = 1.0 + 2.0 * r
-    dir_bands[::2, -1] = 0.0   # past the end of the off-diagonals
+    diag = np.full(n, 1.0 + 2.0 * r)
+    off = np.full(n - 1, -r)
     if pins is not None:
-        dir_bands[1, ::n - 1] = 1.0
-        dir_bands[2, 0] = 0.0
-        dir_bands[0, -2] = 0.0
+        diag[::n - 1] = 1.0
+        off[::n - 2] = 0.0
     else:
-        dir_bands[2, 0] = -2.0 * r   # mirrored ghost at the left wall
-        dir_bands[0, -2] = -2.0 * r  # mirrored ghost at the right wall
-    return _Implicit(s, vel_bands, dir_bands, pins)
+        diag[::n - 1] *= 0.5  # the mirrored-ghost rows, halved
+    dir_d, dir_e = _lapack(dpttrf, "director", n, diag, off, overwrite_d=1, overwrite_e=1)
+    return _Implicit(s, vel_off, dir_d, dir_e, pins, None if pins is None else r * pins)
 
 
-def _tridiagonal_solve(
-    dl: np.ndarray, diag: np.ndarray, du: np.ndarray, rhs: np.ndarray, what: str, n: int
-) -> None:
-    """LAPACK dgtsv on (sub, main, super) diagonals of B blocks of n rows.
-
-    Overwrites all inputs and leaves the solution in rhs.  A zero pivot is
-    attributed to the block that holds it.
+def _lapack(routine: Callable, what: str, n: int, *arrays: np.ndarray, **overwrite: int):
+    """Run a LAPACK tridiagonal routine on B blocks of n rows and return its
+    outputs but the status; solutions are left in place in the right-hand
+    sides.  A nonpositive pivot is attributed to the block that holds it.
     """
-    *_, x, info = dgtsv(
-        dl, diag, du, rhs,
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-    )
+    *out, info = routine(*arrays, **overwrite)
     if info > 0:
         member, row = divmod(info - 1, n)
         raise LinearSolveError(
-            f"{what} solve: singular matrix (zero pivot in row {row + 1})", member=member
+            f"{what} solve: singular or indefinite matrix "
+            f"(negative or zero pivot in row {row + 1})", member=member
         )
     if info < 0:
-        raise LinearSolveError(f"{what} solve: illegal argument {-info} to dgtsv")
-    if x is not rhs:  # f2py solves a contiguous float64 rhs in place
-        rhs[...] = x
+        raise LinearSolveError(f"{what} solve: illegal argument {-info} to LAPACK")
+    return out
 
 
 def _solve_velocity(implicit: _Implicit, work: _Workspace) -> None:
     """Implicit viscous solve per member, in place on the momentum in work.u:
-    (diag(rho_new) - mu dt D2) u = m, u = 0 walls, rho_new = work.rho."""
-    np.copyto(work.vel_bands, implicit.vel_bands)
-    np.add(work.rho, 2.0 * implicit.s, out=work.vel_diag)
-    work.vel_diag_walls.fill(1.0)
+    (diag(rho_new) - mu dt D2) u = m, u = 0 walls, rho_new = work.rho.  The
+    wall rows are uncoupled with right-hand side 0, so they solve to 0."""
+    np.copyto(work.vel_off, implicit.vel_off)
+    np.add(work.rho_flat, 2.0 * implicit.s, out=work.vel_diag)
     work.u_walls.fill(0.0)
-    _tridiagonal_solve(work.vel_dl, work.vel_diag_flat, work.vel_du, work.u_flat, "velocity",
-                       work.rho.shape[-1])
-    work.u_walls.fill(0.0)
+    _lapack(dptsv, "velocity", work.rho.shape[-1], work.vel_diag, work.vel_off, work.u_flat,
+            overwrite_d=1, overwrite_e=1, overwrite_b=1)
 
 
 def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
     """Implicit diffusion solve in place on work.d, (I - theta dt D2_bc) d = d*
     for every member and component: one call with 3B right-hand sides."""
-    np.copyto(work.dir_bands, implicit.dir_bands)
     pins = implicit.pins
     if pins is not None:
         np.copyto(work.dir_walls, pins)
-    _tridiagonal_solve(work.dir_dl, work.dir_diag, work.dir_du, work.dir_rhs, "director",
-                       work.d.shape[-1])
-    if pins is not None:
+        work.dir_inner += implicit.pin_rhs
+    else:
+        work.dir_walls *= 0.5
+    _lapack(dpttrs, "director", work.d.shape[-1], implicit.dir_d, implicit.dir_e,
+            work.dir_rhs, overwrite_b=1)
+    if pins is not None:  # the wall rows solve to pin - 0 * x: the pin, up to a zero's sign
         np.copyto(work.dir_walls, pins)
 
 

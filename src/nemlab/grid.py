@@ -55,7 +55,11 @@ class Grid1D:
             )
         if not math.isfinite(self.length):
             raise GridError(f"domain length of [{self.x_min}, {self.x_max}] is not finite")
-        dx2 = self.dx * self.dx  # the Laplacians and implicit solves divide by it
+        # the Laplacians and implicit solves divide by dx^2; the collapse
+        # study scales its step sizes with it
+        dx2 = self.dx * self.dx
+        if not math.isfinite(dx2):
+            raise GridError(f"grid spacing dx={self.dx:.3e} is too large: dx^2 is not finite")
         if dx2 == 0.0 or not math.isfinite(1.0 / dx2):
             raise GridError(f"grid spacing dx={self.dx:.3e} is too small: 1/dx^2 is not finite")
 

@@ -73,6 +73,10 @@ from .functionals import (
 from .grid import Grid1D
 
 MAX_SAMPLES = 10_000
+# IMEX steps of one run, t_end / dt summed over its trajectories; the
+# largest config of the battery, the suites and the benchmark is criterion
+# 6's collapse study: 65,536 reference steps plus 21,504 over its levels
+MAX_STEPS = 1_000_000
 _ORDER_FLOOR = 1.8  # the least observed order a convergence check accepts
 _SAMPLES_PER_BLOCK = 64  # stored reference samples per array (memory model above)
 
@@ -85,6 +89,15 @@ def _check_step_count(t_end: float, dt: float, name: str) -> None:
     """Raise VerifierError unless dt > 0 and the step count t_end / dt are finite."""
     if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end / dt)):
         raise VerifierError(f"t_end / {name} is not a finite float")
+
+
+def _check_step_budget(t_end: float, dts: Sequence[float], what: str) -> None:
+    """Raise VerifierError if trajectories with step sizes dts take more
+    than MAX_STEPS steps to t_end together."""
+    steps = sum(t_end / dt for dt in dts)
+    if steps > MAX_STEPS:
+        raise VerifierError(f"{what} take {steps:.6g} steps (t_end / dt summed), "
+                            f"more than MAX_STEPS = {MAX_STEPS}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +156,17 @@ def make_initial_data(
     """Construct a named smooth initial datum, optionally perturbed.
 
     gl-smooth:     rho = 1 + 0.1 sin(2 pi s), u = 0.05 sin(pi s) * bump,
-                   d = normalize(1, 0.3 sin(2 pi s), 0); the bump pins u
-                   to exact zeros at the walls.
+                   d = normalize(1, 0.3 sin(2 pi s), 0); u is set to
+                   exact zeros at the walls.
     sphere-smooth: same rho and u; d = (cos phi, sin phi, 0) with
                    phi = 0.5 cos(pi s), zero-slope at the walls.
 
     s is the unit-interval coordinate.  Construction is a deterministic
     function of its arguments: equal grids and equal perturbations give
     bit-identical fields.  VerifierError rejects a preset of another
-    system, a perturbation that drives the density nonpositive and (then)
-    a perturbed SPHERE director too large to normalize.
+    system, a perturbation that drives the density nonpositive, (then) a
+    perturbed SPHERE director too large to normalize and any datum
+    InitialData rejects.
     """
     system = params.system
     _check_preset(preset, system)
@@ -160,6 +174,7 @@ def make_initial_data(
     s = (x - grid.x_min) / grid.length
     rho = 1.0 + 0.1 * np.sin(2.0 * np.pi * s)
     u = 0.05 * np.sin(np.pi * s) * (4.0 * s * (1.0 - s))
+    u[0] = u[-1] = 0.0  # the last node may lie an ulp past x_max, where the bump is not 0
     if system is System.GL:
         d = np.stack([np.ones_like(s), 0.3 * np.sin(2.0 * np.pi * s), np.zeros_like(s)])
         d = d / np.sqrt(np.sum(d * d, axis=0))
@@ -187,7 +202,10 @@ def make_initial_data(
                                     f"normalize the SPHERE director")
             d = d / norm
 
-    return InitialData(grid, rho, u, d)
+    try:
+        return InitialData(grid, rho, u, d)
+    except ValueError as exc:
+        raise VerifierError(f"initial_preset {preset!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +240,9 @@ class ExperimentConfig:
 
     The step sizes, t_end, the resolved sample interval and density_floor
     must be finite and positive, so must t_end / dt of each trajectory,
-    the preset must belong to params.system
-    and the run may take at most MAX_SAMPLES samples; construction raises
-    VerifierError naming the first rule broken.
+    the preset must belong to params.system and the run may take at most
+    MAX_STEPS steps (both trajectories together) and MAX_SAMPLES samples;
+    construction raises VerifierError naming the first rule broken.
     """
 
     params: Params
@@ -257,6 +275,8 @@ class ExperimentConfig:
                 raise VerifierError(f"{name} must be finite and positive, got {value!r}")
         for name in ("dt_reference", "dt_candidate"):
             _check_step_count(self.t_end, getattr(self, name), name)
+        _check_step_budget(self.t_end, (self.dt_reference, self.dt_candidate),
+                           "the reference and candidate")
         _check_preset(self.initial_preset, self.params.system)
         if self.t_end / interval > MAX_SAMPLES:
             raise VerifierError(
@@ -653,8 +673,9 @@ def check_uniqueness(
     dt joins the reference's evolve.  Each level's sup is taken over the
     relative entropy of its pairs; energies and remainders are not
     evaluated.  The levels must be at least 3 strictly increasing node
-    counts whose finest dt leaves t_end / dt a finite float, or
-    VerifierError is raised before anything runs.  Passing
+    counts whose finest dt leaves t_end / dt a finite float, and the
+    reference and the levels may take at most MAX_STEPS steps together,
+    or VerifierError is raised before anything runs.  Passing
     requires every observed order to reach _ORDER_FLOOR (1.8); a level whose
     entropy is identically zero gives an infinite order.
     """
@@ -669,16 +690,17 @@ def check_uniqueness(
     base = config.grid_candidate
     kappa = config.dt_candidate / base.dx**2
     grids = [Grid1D(n, base.x_min, base.x_max) for n in refinement_levels]
-    _check_step_count(config.t_end, kappa * grids[-1].dx**2,
-                      f"dt of level {refinement_levels[-1]}")
+    dts = [kappa * g.dx**2 for g in grids]
+    _check_step_count(config.t_end, dts[-1], f"dt of level {refinement_levels[-1]}")
+    _check_step_budget(config.t_end, [config.dt_reference, *dts], "the reference and the levels")
     entropy: List[List[float]] = [[] for _ in grids]
 
     def row(i: int, t: float, pair: StatePair) -> None:
         entropy[i].append(relative_entropy(pair, params))
 
     # no perturbation: the collapse protocol
-    levels = [(make_initial_data(config.initial_preset, g, params), kappa * g.dx**2)
-              for g in grids]
+    levels = [(make_initial_data(config.initial_preset, g, params), dt)
+              for g, dt in zip(grids, dts)]
     _pair_samples(config, levels, row)
     sups = [float(np.max(e)) for e in entropy]
     dxs = [g.dx for g in grids]

@@ -443,6 +443,47 @@ class TestMain:
         assert capsys.readouterr() == (
             "", "config error: t_end / dt_reference is not a finite float\n")
 
+    @pytest.mark.parametrize("command", ["twin", "simulate", "uniqueness"])
+    def test_step_count_beyond_the_budget_exits_2(self, tmp_path, capsys, command):
+        # a finite step count and 1000 samples, but 1e304 steps
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{"grid_reference": {"n": 33}, "grid_candidate": {"n": 17},
+                                    "t_end": 1e300, "sample_interval": 1e297}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        assert main([command, "-c", str(path), *out,
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            "config error: the reference and candidate take 1e+304 steps (t_end / dt summed), "
+            "more than MAX_STEPS = 1000000\n"))
+
+    @pytest.mark.parametrize("command", ["twin", "uniqueness"])
+    def test_spacing_whose_square_overflows_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{"grid_reference": {"n": 33}, "grid_candidate": {"n": 17},
+                                    "x_min": -1e300, "x_max": 1e300}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        assert main([command, "-c", str(path), *out,
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            "config error: x_min/x_max: grid spacing dx=6.250e+298 is too large: "
+            "dx^2 is not finite\n"))
+
+    @pytest.mark.parametrize("command", ["twin", "uniqueness"])
+    def test_tiny_domain_preset_runs_to_a_solver_abort(self, tmp_path, capsys, command):
+        # on [0, 1e-5] the last node lies an ulp past x_max; the preset's
+        # velocity is still 0 there, and dt = 2e-4 is beyond the CFL bound
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{"grid_reference": {"n": 21}, "grid_candidate": {"n": 21},
+                                    "x_max": 1e-5}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        assert main([command, "-c", str(path), *out,
+                     "--manifest", str(tmp_path / "m.json")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("solver abort: reference trajectory: at t=0: dt=2.000e-04 "
+                              "exceeds stability bound")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command, flag", [
         ("twin", "-o"), ("simulate", "-o"), ("twin", "--manifest"),
     ])

@@ -476,6 +476,71 @@ class TestTridiagonalSolves:
             work.d[0], np.linalg.solve(a, d_star.T).T, rtol=1e-12, atol=0.0
         )
 
+    @staticmethod
+    def _solved(rho, m_star, d_star, s, r, pins):
+        """The velocity and director solves on a loaded workspace, with
+        dt = dx = 1, so mu = s and theta = r."""
+        members, n = rho.shape
+        work = loaded(rho, m_star, d_star)
+        imp = dynamics._implicit(1.0, 1.0, s, r, pins, members, n)
+        dynamics._solve_velocity(imp, work)
+        dynamics._solve_director(imp, work)
+        return work.u.copy(), work.d.copy()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        system=st.sampled_from([System.GL, System.SPHERE]),
+        members=st.integers(1, 3),
+        n=st.integers(4, 24),
+        s=st.floats(1e-3, 1e2),
+        r=st.floats(1e-3, 1e2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solves_match_dense_operators_member_by_member(self, system, members, n, s, r,
+                                                           seed):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 2.0, (members, n))  # well above the density floor
+        m_star = rng.standard_normal((members, n))
+        d_star = rng.standard_normal((members, 3, n))
+        gl = system is System.GL
+        pins = rng.standard_normal((2, 3 * members)) if gl else None
+        u, d = self._solved(rho, m_star, d_star, s, r, pins)
+
+        d2 = self.d2_dense(n, 1.0)
+        wall_rows = np.eye(n)[[0, -1]]
+        director = np.eye(n) - r * d2
+        if gl:
+            director[[0, -1]] = wall_rows
+        else:
+            director[0, 1] = director[-1, -2] = -2.0 * r  # mirrored ghost nodes
+        for b in range(members):
+            velocity = np.diag(rho[b]) - s * d2
+            velocity[[0, -1]] = wall_rows
+            rhs = m_star[b].copy()
+            rhs[[0, -1]] = 0.0
+            expected = np.linalg.solve(velocity, rhs)
+            # rtol 1e-12 of the solution's scale: an entry near 0 has no
+            # relative accuracy of its own
+            np.testing.assert_allclose(u[b], expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+            rhs = d_star[b].T.copy()
+            if gl:
+                rhs[[0, -1]] = pins[:, 3 * b:3 * b + 3]
+            expected = np.linalg.solve(director, rhs).T
+            np.testing.assert_allclose(d[b], expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+            if gl:
+                walls = pins[:, 3 * b:3 * b + 3]
+                assert d[b, :, 0].tobytes() == walls[0].tobytes()
+                assert d[b, :, -1].tobytes() == walls[1].tobytes()
+            # each member of the batch is bit-identical to its own solve
+            one = self._solved(rho[b:b + 1], m_star[b:b + 1], d_star[b:b + 1], s, r,
+                               None if pins is None else pins[:, 3 * b:3 * b + 3])
+            assert u[b].tobytes() == one[0][0].tobytes()
+            assert d[b].tobytes() == one[1][0].tobytes()
+        # the uncoupled wall rows solve to +0.0 exactly
+        assert u[:, ::n - 1].tobytes() == bytes(16 * members)
+
     def test_singular_velocity_matrix_is_a_solver_error(self):
         rho_new = np.ones(7)
         rho_new[3] = 0.0  # with mu = 0 row 3 is all zeros
@@ -495,19 +560,20 @@ class TestTridiagonalSolves:
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
     def test_nan_velocity_is_non_finite_state(self, system, monkeypatch):
         # a NaN in u or rho is caught at step start, before either solve
-        def no_solve(*args):
+        def no_solve(*args, **overwrite):
             raise AssertionError("tridiagonal solve ran on a non-finite state")
 
-        monkeypatch.setattr(dynamics, "_tridiagonal_solve", no_solve)
         p = Params(system=system)
         g = Grid1D(33, 0.0, 1.0)
         preset = "gl-smooth" if system is System.GL else "sphere-smooth"
         init = make_initial_data(preset, g, p)
         bc = BoundarySpec.for_system(system, init.d0)
+        # the director factor is built with the step size, before any step
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, bc.pins, 1, g.n_nodes)
+        monkeypatch.setattr(dynamics, "_lapack", no_solve)
         for name in ("u", "rho"):
             fields = {"rho": init.rho0.copy(), "u": init.u0.copy()}
             fields[name][10] = np.nan
-            imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, bc.pins, 1, g.n_nodes)
             work = loaded(fields["rho"][None], fields["u"][None], init.d0[None])
             with pytest.raises(NonFiniteStateError, match="non-finite wave speed"):
                 advance(work, 1e-4, p, g, imp)
@@ -1042,61 +1108,69 @@ def test_boundary_spec_equality_is_identity_and_hash_works():
 
 
 class TestLapack:
-    """dynamics.dgtsv is loaded from scipy's LAPACK extension by file."""
+    """dynamics' dptsv, dpttrf and dpttrs are loaded from scipy's LAPACK
+    extension by file."""
+
+    @staticmethod
+    def _reference():
+        from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
+
+        return dptsv, dpttrf, dpttrs
 
     @staticmethod
     def _blocks(rng, blocks=4, n=33, nrhs=6):
-        """A diagonally dominant system of `blocks` tridiagonal blocks of n
-        rows, uncoupled at the joints as in the batched velocity solve."""
+        """(diagonal, off-diagonal, right-hand sides) of a diagonally dominant
+        symmetric system of `blocks` tridiagonal blocks of n rows, uncoupled
+        at the joints as in the batched velocity solve."""
         m = blocks * n
-        dl = rng.uniform(-1.0, 0.0, m - 1)
-        du = rng.uniform(-1.0, 0.0, m - 1)
-        dl[n - 1::n] = 0.0
-        du[n - 1::n] = 0.0
-        return dl, rng.uniform(2.5, 3.0, m), du, rng.standard_normal((m, nrhs))
+        off = rng.uniform(-1.0, 0.0, m - 1)
+        off[n - 1::n] = 0.0
+        return rng.uniform(2.5, 3.0, m), off, rng.standard_normal((m, nrhs))
 
     @staticmethod
-    def _bits(dgtsv, dl, diag, du, rhs):
-        out = dgtsv(dl.copy(), diag.copy(), du.copy(), rhs.copy())
-        return [np.asarray(v).tobytes() for v in out]
+    def _bits(routines, diag, off, rhs):
+        """The bits of every output of dptsv and dpttrf on copies of one
+        system, and of dpttrs on dpttrf's factor where that succeeded."""
+        dptsv, dpttrf, dpttrs = routines
+        outs = [dptsv(diag.copy(), off.copy(), rhs.copy()), dpttrf(diag.copy(), off.copy())]
+        d, e, info = outs[-1]
+        if info == 0:
+            outs.append(dpttrs(d, e, rhs.copy()))
+        return [np.asarray(v).tobytes() for out in outs for v in out]
 
     def test_bit_identical_to_scipy_linalg_lapack(self):
-        from scipy.linalg.lapack import dgtsv as reference
-
         system = self._blocks(np.random.default_rng(11))
-        assert self._bits(dynamics.dgtsv, *system) == self._bits(reference, *system)
+        loaded = (dynamics.dptsv, dynamics.dpttrf, dynamics.dpttrs)
+        assert len(self._bits(loaded, *system)) == 9  # dptsv 4, dpttrf 3, dpttrs 2
+        assert self._bits(loaded, *system) == self._bits(self._reference(), *system)
 
     def test_zero_pivot_status_matches_scipy_linalg_lapack(self):
-        from scipy.linalg.lapack import dgtsv as reference
-
-        dl, diag, du, rhs = self._blocks(np.random.default_rng(12))
-        k = 40  # row 7 of block 1: a zero column below its diagonal
-        diag[k] = dl[k] = dl[k - 1] = 0.0
-        assert dynamics.dgtsv(dl.copy(), diag.copy(), du.copy(), rhs.copy())[-1] == k + 1
-        assert self._bits(dynamics.dgtsv, dl, diag, du, rhs) == self._bits(
-            reference, dl, diag, du, rhs
+        diag, off, rhs = self._blocks(np.random.default_rng(12))
+        k = 40  # row 7 of block 1: uncoupled from the row above, pivot 0
+        diag[k] = off[k - 1] = 0.0
+        assert dynamics.dptsv(diag.copy(), off.copy(), rhs.copy())[-1] == k + 1
+        assert dynamics.dpttrf(diag.copy(), off.copy())[-1] == k + 1
+        loaded = (dynamics.dptsv, dynamics.dpttrf, dynamics.dpttrs)
+        assert self._bits(loaded, diag, off, rhs) == self._bits(
+            self._reference(), diag, off, rhs
         )
 
     def test_loads_the_extension_by_file(self, monkeypatch):
-        from scipy.linalg.lapack import dgtsv as reference
-
         monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
         linalg_dir = os.path.dirname(sys.modules["scipy.linalg"].__file__)
-        loaded = dynamics._load_dgtsv(linalg_dir)
+        loaded = dynamics._load_lapack(linalg_dir)
         assert dynamics._FLAPACK not in sys.modules
         system = self._blocks(np.random.default_rng(13))
-        assert self._bits(loaded, *system) == self._bits(reference, *system)
+        assert self._bits(loaded, *system) == self._bits(self._reference(), *system)
 
     def test_falls_back_without_the_extension_file(self, tmp_path, monkeypatch):
-        from scipy.linalg.lapack import dgtsv as reference
-
         monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
-        loaded = dynamics._load_dgtsv(str(tmp_path))
-        assert loaded is reference
-        dl, diag, du, rhs = self._blocks(np.random.default_rng(14), blocks=1, nrhs=1)
-        *_, x, info = loaded(dl, diag, du, rhs)
+        loaded = dynamics._load_lapack(str(tmp_path))
+        assert all(a is b for a, b in zip(loaded, self._reference(), strict=True))
+        diag, off, rhs = self._blocks(np.random.default_rng(14), blocks=1, nrhs=1)
+        *_, x, info = loaded[0](diag, off, rhs)
         assert info == 0
-        matrix = np.diag(diag) + np.diag(dl, -1) + np.diag(du, 1)
+        matrix = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         assert np.allclose(matrix @ x, rhs, rtol=0.0, atol=1e-12)
 
     def test_import_leaves_scipy_linalg_unloaded(self):

@@ -4,16 +4,18 @@ a single trace bit (performance work, refactors).
 Four short twins are run and their trace CSVs (as `write_trace` writes
 them) hashed: a streamed twin per system (reference n = 65, candidate
 n = 33, a sample after every step) and a lockstep twin per system (one
-batched step of two members, the path of equal grids).  The first three
-hashes were taken before the one-pass certificate row replaced the
-per-functional evaluation, the SPHERE lockstep one before the IMEX
-kernel moved onto flat views of its workspace.
+batched step of two members, the path of equal grids).  All four hashes
+were taken when the implicit solves moved from LAPACK's pivoting LU
+(dgtsv) to L D L^T (dptsv, dpttrf, dpttrs): its back substitution
+computes b_i/d_i - l_i x_{i+1} where the LU computed
+(b_i - u_i x_{i+1})/d_i, so every trace moved at round-off level.
 
 The hashes depend on the floating-point kernels underneath (numpy's
-sin, cos, power and cbrt, LAPACK's dgtsv), which differ between CPUs
-and library builds.  `KERNELS` fingerprints them; where they give other
-bits than on the machine the hashes were taken on, the comparison says
-nothing about this package and the test is skipped with that reason.
+sin, cos, power and cbrt, LAPACK's dptsv, dpttrf and dpttrs), which
+differ between CPUs and library builds.  `KERNELS` fingerprints them;
+where they give other bits than on the machine the hashes were taken on,
+the comparison says nothing about this package and the test is skipped
+with that reason.
 """
 
 from __future__ import annotations
@@ -22,33 +24,33 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 from nemlab.constitutive import Params, System
 from nemlab.grid import Grid1D
 from nemlab.traceio import write_trace
 from nemlab.verifier import ExperimentConfig, Perturbation, run_twin
 
-KERNELS = "f48c628dac7e8a8298fa384ac95100788700418b635df5b07aa9c1ad9954e148"
+KERNELS = "73c0426f49ab0a5253ba48bd07a95568c770d5da3dd1351c635cd0f03a2cff7b"
 
 # sha256 of the trace CSV, and of the in-memory per-term columns (each
 # name followed by its column's bytes, in column order)
 GOLDEN = {
     "gl-streamed": (
-        "143a1b9e26752d4d0468df1375ed36df444dbb8e0ef3c9a2807d182ab46d88c0",
-        "01ca79b6f0359e2bda812ebbc68aaed49a69fcb66c97147e1b9ff41d8ff240bc",
+        "67e01c1eaffa61d71e652f3f2beb4f0583c900a2062ddafa95bab55983bfa44e",
+        "00649225f436a49fbccc7f376b38801c888a045e6c301cc84da7dc6c410bd2a6",
     ),
     "sphere-streamed": (
-        "162e62befa640d8fe7f08ca4edff6f462e19d70618970c5e520c1108326b0aec",
-        "144e976be0cc3cb91f002086a87a495bbac479049b1da02fdb7d0d5b26cd0aff",
+        "22f1f8e1a140380898530f4c15f9c96eb6ab4c2a730683ccbbb72e231935b2fd",
+        "22cbff4d0b9fbe21d7864c258a15b690c89e9e764cb1e33350617a2b7e8f6864",
     ),
     "gl-lockstep": (
-        "a0bcb079f08532faf3e5665e55730f732682fdee0898e0341459727874d306ff",
-        "6ed38ec20fbde0a1230c43b4724e30607193f98171b9f42b685737b829ef8c7e",
+        "8116d9c3ec84a152212815eaae141f878c09100e100d89e3fafe0426fd6f85dc",
+        "2afbdbf6e2f12d4f3a1762f9291a9352624cfcd7cf073d8c51cb9fe0a2824ccc",
     ),
     "sphere-lockstep": (
-        "69dc3ab058d708fd94ffe5be745e1358aeb75982fbc663568e8de71e98ff1080",
-        "4a4d006bddb4060eb07e888052abf6d17bef944d8e7a82f35800100fe0009261",
+        "15936c30d382806545c15dcb6d4884ac8061ab45d507d4954b16bd5af7521f22",
+        "84546af07eed044b2a4f5b703d8aa1d04c177ef25e86c75cf3f2f2b7294512bd",
     ),
 }
 
@@ -59,9 +61,11 @@ def _kernels_digest() -> str:
     parts = [np.sin(x), np.cos(x), np.abs(x) ** 3, np.abs(x) ** 1.4, np.cbrt(x),
              np.array([v**2 for v in x.tolist()])]
     n = 257
-    sub = -1.0 - 0.1 * np.cos(x[: n - 1])
+    off = -1.0 - 0.1 * np.cos(x[: n - 1])
     diag = 2.5 + np.sin(x[:n]) ** 2
-    parts.append(dgtsv(sub, diag, sub.copy(), np.stack((x[:n], np.sin(x[:n])), axis=1))[3])
+    rhs = np.stack((x[:n], np.sin(x[:n])), axis=1)
+    d, e, _ = dpttrf(diag, off)
+    parts += [dptsv(diag, off, rhs)[2], d, e, dpttrs(d, e, rhs)[0]]
     h = hashlib.sha256()
     for p in parts:
         h.update(np.ascontiguousarray(p, dtype=float).tobytes())

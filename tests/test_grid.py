@@ -44,6 +44,16 @@ class TestGrid1D:
         with pytest.raises(GridError, match=r"1/dx\^2 is not finite"):
             Grid1D(n, 0.0, x_max)
 
+    @pytest.mark.parametrize("n, x_min, x_max", [(33, -1e300, 1e300), (5, 0.0, 1e155)])
+    def test_spacing_with_non_finite_square_rejected(self, n, x_min, x_max):
+        # the length is finite, dx*dx overflows (and 1/inf = 0 is finite)
+        with pytest.raises(GridError, match=r"is too large: dx\^2 is not finite"):
+            Grid1D(n, x_min, x_max)
+
+    def test_large_usable_spacing_accepted(self):
+        g = Grid1D(5, 0.0, 1e154)
+        assert np.isfinite(g.dx * g.dx) and 1.0 / (g.dx * g.dx) > 0.0
+
     def test_tiny_usable_spacing_accepted(self):
         g = Grid1D(5, 0.0, 1e-150)
         assert np.isfinite(1.0 / (g.dx * g.dx))

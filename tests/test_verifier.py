@@ -108,6 +108,24 @@ class TestPresets:
         assert np.array_equal(base.rho0, zero.rho0)
         assert np.array_equal(base.d0, zero.d0)
 
+    @pytest.mark.parametrize("n", [6, 11, 21])
+    @pytest.mark.parametrize("params", [GL, SPH], ids=["gl", "sphere"])
+    def test_velocity_walls_are_exact_zeros_on_a_tiny_domain(self, params, n):
+        # the last node lies an ulp past x_max, where the bump is not 0
+        g = Grid1D(n, 0.0, 1e-5)
+        assert g.nodes()[-1] > g.x_max
+        init = make_initial_data(f"{params.system.value}-smooth", g, params)
+        assert init.u0[0] == 0.0 and init.u0[-1] == 0.0
+
+    def test_datum_initial_data_rejects_is_a_verifier_error(self, monkeypatch):
+        def rejecting(*args):
+            raise ValueError("initial velocity must vanish at both endpoints")
+
+        monkeypatch.setattr(verifier, "InitialData", rejecting)
+        with pytest.raises(VerifierError, match="^initial_preset 'gl-smooth': initial velocity "
+                                                "must vanish at both endpoints$"):
+            make_initial_data("gl-smooth", Grid1D(17, 0.0, 1.0), GL)
+
     def test_unknown_preset_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
         with pytest.raises(VerifierError, match="unknown preset"):
@@ -693,15 +711,28 @@ class TestCheckUniqueness:
         assert all(s > 0.0 for s in expected)
 
     def test_finest_step_count_beyond_the_float_range_rejected_before_any_run(self, monkeypatch):
-        # t_end / dt is finite on the candidate grid (4e304) but not at the
-        # finest level, whose dt is dt * (16/2048)^2
+        # t_end / dt is 4e5 on the candidate grid, within the step budget,
+        # but not a finite float at the finest level, whose dt is
+        # dt * (16/10^153)^2
         def no_run(*args, **kwargs):
             raise AssertionError("evolve ran before the levels were checked")
 
         monkeypatch.setattr(verifier, "evolve", no_run)
-        cfg = twin_config(n_ref=33, n_cand=17, dt=1e-307, t_end=0.004)
-        with pytest.raises(VerifierError, match=r"^t_end / dt of level 2049 is not a finite"):
-            check_uniqueness(cfg, [17, 33, 2049])
+        cfg = twin_config(n_ref=33, n_cand=17, dt=1e-8, t_end=0.004)
+        finest = 10**153 + 1
+        with pytest.raises(VerifierError, match=rf"^t_end / dt of level {finest} is not a finite"):
+            check_uniqueness(cfg, [17, 33, finest])
+
+    def test_step_budget_counts_the_reference_and_every_level(self, monkeypatch):
+        # 1e5 reference steps and 1e5 * (1 + 4 + 16) over the levels
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran before the step budget was checked")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        cfg = twin_config(n_ref=33, n_cand=17, dt=1e-6, t_end=0.1)
+        with pytest.raises(VerifierError, match=r"^the reference and the levels take 2\.2e\+06 "
+                                                r"steps .*more than MAX_STEPS = 1000000$"):
+            check_uniqueness(cfg, [17, 33, 65])
 
     def test_one_reference_run_and_one_restriction_per_sample_and_level(self, monkeypatch):
         cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2,
@@ -774,6 +805,17 @@ class TestTraceValidation:
             )
         with pytest.raises(VerifierError, match="samples"):
             twin_config(sample_interval=1e-9)
+
+    def test_step_budget_counts_both_trajectories(self):
+        # 2^19 + 2^19 steps of exactly dt = 2^-20 meet the budget; halving
+        # one trajectory's dt takes it past
+        dt = 0.5**20
+        t_end = 500_000 * dt
+        config = replace(twin_config(t_end=t_end, dt=dt), sample_interval=t_end / 10)
+        assert 2 * config.t_end / dt == verifier.MAX_STEPS
+        with pytest.raises(VerifierError, match=r"^the reference and candidate take 1\.5e\+06 "
+                                                r"steps .*more than MAX_STEPS = 1000000$"):
+            replace(config, dt_candidate=dt / 2)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize(
