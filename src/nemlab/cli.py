@@ -40,7 +40,7 @@ from . import __version__
 from .config import ConfigError, canonical_text, parse_config
 from .constitutive import ConstitutiveError, Params, System
 from .dynamics import BoundarySpec, SolverError, evolve
-from .functionals import FunctionalError, energy_dissipation, mass, sphere_defect
+from .functionals import EnergyWindow, FunctionalError, mass, sphere_defect
 from .grid import Grid1D, GridError
 from .traceio import write_columns, write_trace
 from .verifier import (
@@ -168,22 +168,31 @@ def _simulate(cfg: ExperimentConfig, path: str) -> None:
     grid = cfg.grid_candidate
     init = make_initial_data(cfg.initial_preset, grid, params, cfg.perturbation)
     bc = BoundarySpec.for_system(params.system, init.d0)
-    cols: Dict[str, List[float]] = {}
+    window = EnergyWindow(grid, params, "candidate")
+    times: List[float] = []
+    masses: List[float] = []
+    defects: List[float] = []
 
     def record(st, t):
-        e, dsp = energy_dissipation(st, params)
-        row = dict(t=t, energy_candidate=e, dissipation_candidate=dsp, mass_candidate=mass(st))
+        window.add(st, t)
+        times.append(t)
+        masses.append(mass(st))
         if params.system is System.SPHERE:
-            row["sphere_defect"] = sphere_defect(st)
-        for name, v in row.items():
-            cols.setdefault(name, []).append(v)
+            defects.append(sphere_defect(st))
 
-    evolve(
-        init, cfg.t_end, cfg.dt_candidate, params, grid, bc,
-        observer=record,
-        sample_interval=cfg.resolved_sample_interval(),
-        density_floor=cfg.density_floor,
-    )
+    try:
+        evolve(
+            init, cfg.t_end, cfg.dt_candidate, params, grid, bc,
+            observer=record,
+            sample_interval=cfg.resolved_sample_interval(),
+            density_floor=cfg.density_floor,
+        )
+    finally:
+        window.flush()  # the last partial window, also on an error (see run_twin)
+    cols = dict(t=times, energy_candidate=window.energy, dissipation_candidate=window.dissipation,
+                mass_candidate=masses)
+    if defects:
+        cols["sphere_defect"] = defects
     with _file_access(f"write {path}"):
         write_columns(cols, path)
 

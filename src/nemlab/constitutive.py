@@ -150,10 +150,12 @@ def pressure_potential_second_derivative(rho, params: Params):
 def gl_potential(d, params: Params):
     """Penalization energy density F(d) = (|d|^2 - 1)^2 / (4 sigma0^2).
 
-    d has shape (3,) or (3, n); returns a scalar or length-n array.
+    d has shape (3,), (3, n) or (K, 3, n), the components on the last axis
+    of a single vector and the second-to-last otherwise; returns a scalar,
+    a length-n array or a (K, n) array.
     """
     d = np.asarray(d, dtype=float)
-    s = (d * d).sum(axis=0) - 1.0
+    s = (d * d).sum(axis=0 if d.ndim == 1 else -2) - 1.0
     out = s * s / (4.0 * params.sigma0**2)
     return float(out) if out.ndim == 0 else out
 

@@ -35,7 +35,11 @@ one trapezoid call on the stack of every integrand and one max for the
 h_hat norms.  Its RemainderBreakdown also carries the pair's relative
 entropy and the candidate's energy, dissipation, mass and (SPHERE)
 sphere defect, from the same density helpers as the single-value
-functionals, bit for bit.
+functionals, bit for bit.  EnergyWindow evaluates one trajectory's
+energies and dissipations a window of samples at a time, with one
+stacked pass that energy_dissipation runs on a single state.  Values
+beyond the float range raise FunctionalError naming the quantity, never
+a numpy warning.
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -48,8 +52,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,8 +85,25 @@ QUARTETS: Dict[System, Tuple[str, str, str, str]] = {
     System.SPHERE: ("r_1d", "r_1c", "r_1c_a", "r_1c_b"),
 }
 
+# Samples per stacked pass of EnergyWindow, chosen by measurement.  CPU
+# microseconds per sample (best of 7 runs of 1600 samples, shared 2-vCPU
+# x86-64 VM), per-state energy_dissipation, then windows of 2, 4, 8, 16:
+#   n = 513  GL 94; 66, 50, 37, 59   SPHERE 77; 54, 37, 30, 45
+#   n = 97   GL 70; 45, 26, 17, 12   SPHERE 61; 39, 24, 15, 10
+# A window of 8 is faster still, but the pass's temporaries (about 20
+# n-node rows per sample) take the tracemalloc peak of a streamed GL twin
+# (n 257 to 33, 151 samples) from 490 KB per state through 668 KB at 4 to
+# 893 KB at 8, past the 758 KB its memory test allows.
+ENERGY_WINDOW = 4
+
+
 class FunctionalError(ValueError):
     """Invalid input to a functional (grid mismatch, degenerate reference)."""
+
+
+class NonFiniteError(FunctionalError):
+    """A sample's integral left the float range; the caller that knows the
+    sample's time adds it to the message."""
 
 
 @dataclass(frozen=True)
@@ -170,17 +192,20 @@ def _unit_defects(d: np.ndarray) -> np.ndarray:
 
 
 def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, pi, params: Params):
-    """Energy and dissipation densities of one state (see energy_dissipation);
-    grad_sq is |d_x|^2, force is f(d) for GL and pi is Pi(rho)."""
+    """Energy and dissipation densities of one state or of a stack of them
+    (see energy_dissipation): d, lap_d and force (f(d) for GL, else None)
+    hold the components on their second-to-last axis, grad_sq is |d_x|^2
+    and pi is Pi(rho)."""
     dens = 0.5 * rho * u * u
-    dens = dens + pi
+    dens += pi
     director = 0.5 * grad_sq
     if params.system is System.GL:
-        director = director + gl_potential(d, params)
+        director += gl_potential(d, params)
         resid = lap_d - force
     else:
-        resid = lap_d + grad_sq * d
-    dsp = params.mu * grad_u * grad_u + params.lam * params.theta * (resid * resid).sum(axis=0)
+        resid = lap_d + grad_sq[..., None, :] * d
+    resid *= resid
+    dsp = params.mu * grad_u * grad_u + params.lam * params.theta * resid.sum(axis=-2)
     return dens + params.lam * director, dsp
 
 
@@ -200,6 +225,20 @@ def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, params: Params) -> np.n
 # ---------------------------------------------------------------------------
 
 
+def _energy_rows(rows: np.ndarray, dx: float, params: Params) -> np.ndarray:
+    """Energy and dissipation of the K states whose (rho, u, d0, d1, d2)
+    rows are stacked in rows (K, 5, n): a (2, K) array from one gradient,
+    one Laplacian and one trapezoid call.  The stencils and the quadrature
+    act row by row, so each state's values are those of its own pass."""
+    rho, u, d = rows[:, 0], rows[:, 1], rows[:, 2:]
+    grad = gradient_array(rows[:, 1:], dx)
+    grad_d = np.multiply(grad[:, 1:], grad[:, 1:], out=grad[:, 1:])  # squared in place
+    force = gl_force(d, params) if params.system is System.GL else None
+    dens = _state_densities(rho, u, d, grad[:, 0], grad_d.sum(axis=-2), laplacian_array(d, dx),
+                            force, pressure_potential(rho, params), params)
+    return trapezoid_array(np.array(dens), dx)
+
+
 def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
     """Energy and dissipation rate of one state, from one derivative pass.
 
@@ -207,13 +246,54 @@ def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
                            + lam ( |d_x|^2 / 2 [+ F(d) for GL] ) ) dx
     dissipation: integral( mu |u_x|^2 + lam theta |d_xx - f(d)|^2 ) for GL;
                  the SPHERE relaxation residual is d_xx + |d_x|^2 d instead.
+
+    The one-state case of EnergyWindow's stacked pass.
     """
-    d = state.d
-    grad, lap_d = _derivatives((state,), state.grid.dx)
-    force = gl_force(d, params) if params.system is System.GL else None
-    rows = _state_densities(state.rho, state.u, d, grad[0], (grad[1:] * grad[1:]).sum(axis=0),
-                            lap_d, force, pressure_potential(state.rho, params), params)
-    return tuple(trapezoid_array(np.array(rows), state.grid.dx).tolist())
+    rows = np.concatenate((state.rho[None], state.u[None], state.d))
+    return tuple(_energy_rows(rows[None], state.grid.dx, params)[:, 0].tolist())
+
+
+class EnergyWindow:
+    """The energy and dissipation columns of one trajectory's samples,
+    evaluated ENERGY_WINDOW samples at a time.
+
+    add(state, t) copies a sample's (rho, u, d) rows into the window's
+    buffer.  A full window, and the partial one left when flush() is
+    called at the end of the run, goes through one stacked pass: the pass
+    energy_dissipation runs on one state, so every value is bit for bit
+    energy_dissipation's.  A value beyond the float range raises
+    FunctionalError naming the quantity, the trajectory and the sample
+    time, and no numpy warning.  The window holds ENERGY_WINDOW * 5 * n
+    floats and the pass's temporaries O(ENERGY_WINDOW * n).
+    """
+
+    def __init__(self, grid: Grid1D, params: Params, trajectory: str):
+        self.dx, self.params, self.trajectory = grid.dx, params, trajectory
+        self.rows = np.empty((ENERGY_WINDOW, 5, grid.n_nodes))
+        self.times: List[float] = []  # of the samples in the buffer
+        self.energy, self.dissipation = array("d"), array("d")
+
+    def add(self, state: State, t: float) -> None:
+        rows = self.rows[len(self.times)]
+        rows[0], rows[1], rows[2:] = state.rho, state.u, state.d
+        self.times.append(t)
+        if len(self.times) == ENERGY_WINDOW:
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate the samples in the buffer and empty it."""
+        times, self.times = self.times, []
+        if not times:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _energy_rows(self.rows[:len(times)], self.dx, self.params)
+        finite = np.isfinite(out)
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=0)))
+            which = "energy" if not finite[0, k] else "dissipation"
+            raise FunctionalError(f"non-finite {self.trajectory} {which} at t={times[k]:.6g}")
+        self.energy.extend(out[0].tolist())
+        self.dissipation.extend(out[1].tolist())
 
 
 def energy(state: State, params: Params) -> float:
@@ -478,8 +558,14 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     reorganization identity is checked against REORG_TOL_COEFF * dx^2.
     SPHERE requires both directors to be unit length.  The pair's fields
     are built once; every integrand goes into one stack that a single
-    trapezoid call integrates.
+    trapezoid call integrates.  Values beyond the float range raise
+    FunctionalError (see _check_row), not a numpy warning.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _remainder(pair, params)
+
+
+def _remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     sphere_def = None
     if params.system is System.SPHERE:
         defects = _unit_defects(np.array((pair.candidate.d, pair.reference.d)))
@@ -523,12 +609,14 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
         h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
         energy=energy_c, dissipation=dissipation_c, mass=mass_c, sphere_defect=sphere_def,
     )
-    _check_row(out, f.dx)
+    _check_row(out, f.dx, l3_cubed)
     return out
 
 
-def _check_row(out: RemainderBreakdown, dx: float) -> None:
-    """The reorganization identity holds, then every term and h_hat is finite."""
+def _check_row(out: RemainderBreakdown, dx: float, l3_cubed: float) -> None:
+    """The reorganization identity holds, then every term is finite, then
+    (NonFiniteError) the |g~/rho~|^3 integral, h_hat, the entropy and the
+    candidate's energy, dissipation and mass."""
     scale = max(1.0, sum(map(abs, out.terms.values())))
     if abs(out.reorg_mismatch) > REORG_TOL_COEFF * dx * dx * scale:
         raise FunctionalError(
@@ -539,8 +627,13 @@ def _check_row(out: RemainderBreakdown, dx: float) -> None:
     for name, val in out.terms.items():
         if not math.isfinite(val):
             raise FunctionalError(f"non-finite remainder term {name}")
-    if not math.isfinite(out.h_hat):
-        raise FunctionalError("non-finite Gronwall coefficient")
+    if not math.isfinite(l3_cubed):
+        raise NonFiniteError("non-finite |g~/rho~|^3 integral")
+    for name, val in (("Gronwall coefficient", out.h_hat), ("relative entropy", out.entropy),
+                      ("candidate energy", out.energy), ("candidate dissipation", out.dissipation),
+                      ("candidate mass", out.mass)):
+        if not math.isfinite(val):
+            raise NonFiniteError(f"non-finite {name}")
 
 
 # ---------------------------------------------------------------------------

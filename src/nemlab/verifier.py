@@ -21,7 +21,9 @@ uniqueness mechanism numerically:
 Candidate and reference live on different grids in general; the reference
 is restricted to the candidate grid by local 4-point (cubic Lagrange)
 interpolation, which reproduces nodal values exactly when the grids
-coincide, so identical twins stay bit-identical.
+coincide, so identical twins stay bit-identical.  On nested grids, where
+every candidate node is a reference node, the restriction is a gather of
+those nodes, bit for bit the 4-point sum.
 
 Memory model: one engine, _pair_samples, pairs the candidates of
 run_twin (one) and check_uniqueness (one per level) with a reference
@@ -38,6 +40,10 @@ per-sample temporaries would fragment the heap.  A twin retains
 O(samples * n_candidate) floats, not O(samples * (n_reference +
 n_candidate)); check_uniqueness keeps the per-level restricted samples,
 O(samples * sum of level sizes), never its reference-grid samples.
+run_twin's reference energies and dissipations take one EnergyWindow:
+ENERGY_WINDOW (4) samples copied into one buffer and evaluated by one
+stacked pass when it is full, O(ENERGY_WINDOW * n_reference) floats with
+the pass's temporaries whatever the sample count.
 Results are kept as columns of packed doubles: the per-term columns of
 EntropyTrace.terms take O(samples * terms) floats (a few dozen terms),
 not one object per sample.
@@ -50,7 +56,7 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +71,9 @@ from .dynamics import (
 )
 from .functionals import (
     QUARTETS,
+    EnergyWindow,
+    NonFiniteError,
     StatePair,
-    energy_dissipation,
     relative_entropy,
     remainder,
 )
@@ -295,10 +302,20 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+class _Stencil(NamedTuple):
+    """The 4-point stencil of each of m target nodes: source indices (4, m)
+    and Lagrange weights (4, m).  On nested grids, where every target node
+    is a source node and its weights are exactly one 1 and three zeros,
+    nodes is the slice of those source nodes; else it is None."""
+
+    idx: np.ndarray
+    weights: np.ndarray
+    nodes: Optional[slice]
+
+
 @functools.lru_cache(maxsize=64)
-def _cubic_stencil(grid_from: Grid1D, grid_to: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
-    """Source indices (4, m) and Lagrange weights (4, m) of the 4-point
-    stencil of each target node, cached per (grid_from, grid_to)."""
+def _cubic_stencil(grid_from: Grid1D, grid_to: Grid1D) -> _Stencil:
+    """The restriction stencil of (grid_from, grid_to), cached per pair."""
     pos = (grid_to.nodes() - grid_from.x_min) / grid_from.dx
     j = np.clip(np.floor(pos).astype(int), 1, grid_from.n_nodes - 3)
     t = pos - j
@@ -306,7 +323,16 @@ def _cubic_stencil(grid_from: Grid1D, grid_to: Grid1D) -> Tuple[np.ndarray, np.n
     weights = np.stack((-t * (t - 1.0) * (t - 2.0) / 6.0, (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
                         -t * (t + 1.0) * (t - 2.0) / 2.0, t * (t + 1.0) * (t - 1.0) / 6.0))
     idx.flags.writeable = weights.flags.writeable = False  # shared by every call
-    return idx, weights
+    # nested: every position is an exact integer, so t is 0 (-1, 2 at the
+    # walls) and the weights are exact 0s and a 1 on the node at pos
+    step = (grid_from.n_nodes - 1) // (grid_to.n_nodes - 1)
+    nested = step >= 1 and (pos == step * np.arange(grid_to.n_nodes)).all()
+    return _Stencil(idx, weights, slice(0, grid_from.n_nodes, step) if nested else None)
+
+
+# -0.0 is the least float64 as an int64, and the one finite value a gather
+# and the weighted sum with weights of exactly 0 and 1 can disagree on
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 
 
 def cubic_restrict(values: np.ndarray, grid_from: Grid1D, grid_to: Grid1D) -> np.ndarray:
@@ -315,33 +341,52 @@ def cubic_restrict(values: np.ndarray, grid_from: Grid1D, grid_to: Grid1D) -> np
     Operates along the last axis, so a stack of fields restricts in one
     call.  Target points that coincide bitwise with source nodes
     reproduce the nodal values exactly (the Lagrange weights evaluate to
-    exact 0/1), so the bridge is the identity on matching grids.  The
-    stencil of each grid pair is computed once and cached.
+    exact 0/1), so the bridge is the identity on matching grids.  On
+    nested grids every target node is such a point, and finite values are
+    gathered from their source nodes instead of summed: the four weighted
+    values give the same bits, except that their sum may turn a -0.0 into
+    +0.0 (numpy's sum starts from +0.0), so values whose gather holds a
+    -0.0 take the weighted sum.  The stencil of each grid pair is computed
+    once and cached.
     """
     if grid_from == grid_to:
         return np.array(values, dtype=float, copy=True)
-    idx, weights = _cubic_stencil(grid_from, grid_to)
-    vals = np.asarray(values, dtype=float)
-    # the four weighted values summed left to right
+    return _restrict(np.asarray(values, dtype=float), _cubic_stencil(grid_from, grid_to))
+
+
+def _restrict(vals: np.ndarray, stencil: _Stencil) -> np.ndarray:
+    """cubic_restrict of the float array vals by the stencil of its grid pair."""
+    idx, weights, nodes = stencil
+    if nodes is not None:
+        out = vals[..., nodes].copy()
+        if out.view(np.int64).min() != _NEGATIVE_ZERO:
+            return out
+    # the four weighted values summed
     return (vals[..., idx] * weights).sum(axis=-2)
 
 
 def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     """Restrict a state to another grid; identity when grids coincide.
 
-    The stacked (rho, u, d0, d1, d2) rows restrict in one call.  For the
-    SPHERE system the interpolated director is renormalized (the
-    interpolant leaves the unit sphere at the interpolation-error level,
-    well below the entropy scales being measured).
+    The stacked (rho, u, d0, d1, d2) rows restrict in one cubic_restrict
+    call.  For the SPHERE system the interpolated director is renormalized
+    (the interpolant leaves the unit sphere at the interpolation-error
+    level, well below the entropy scales being measured).  On nested grids
+    the rows are gathered from the state's finite entries, and the result
+    is wrapped without checking them again; otherwise the interpolated
+    rows are checked as State checks any arrays.
     """
     if state.grid == grid_to:
         return state
-    rows = np.concatenate((state.rho[None], state.u[None], state.d))
-    out = cubic_restrict(rows, state.grid, grid_to)
+    stencil = _cubic_stencil(state.grid, grid_to)
+    out = _restrict(np.concatenate((state.rho[None], state.u[None], state.d)), stencil)
     d = out[2:]
     if system is System.SPHERE:
-        d = d / np.sqrt((d * d).sum(axis=0))
-    return State(grid_to, out[0], out[1], d)
+        d /= np.sqrt((d * d).sum(axis=0))
+    if stencil.nodes is None:
+        return State(grid_to, out[0], out[1], d)
+    out.flags.writeable = False  # before the views are taken, which keep their own flag
+    return State._wrap(grid_to, out[0], out[1], out[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +459,14 @@ def _pair_samples(
     config: ExperimentConfig,
     candidates: Sequence[Tuple[InitialData, float]],
     row: Row,
-    on_reference: Optional[Callable[[State], None]] = None,
+    on_reference: Optional[Callable[[State, float], None]] = None,
 ) -> None:
     """Pair every candidate with one reference, sample by sample.
 
     candidates holds (initial datum, dt) pairs.  The reference is evolved
     once, from the unperturbed preset on config.grid_reference with
-    config.dt_reference, and each of its samples goes to on_reference.
+    config.dt_reference, and each of its samples goes to
+    on_reference(state, t).
     A candidate with the reference's grid and dt joins that evolve as a
     further member and is paired as each sample is produced.  Every other
     candidate runs afterwards, alone: each reference sample was restricted
@@ -464,7 +510,7 @@ def _pair_samples(
             rows[0], rows[1], rows[2:] = st.rho, st.u, st.d
         times.append(t)
         if on_reference is not None:
-            on_reference(reference)
+            on_reference(reference, t)
         for i, st in zip(joined, states[1:]):
             row(i, t, StatePair(st, reference, rho_lower=config.density_floor))
 
@@ -508,23 +554,25 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     evaluated on the candidate grid, the single-state quantities (energy,
     dissipation, mass) on each trajectory's own.  Each sample's
     `remainder` fills one row of every candidate and pair column and of
-    the per-term columns; the reference's energy and dissipation share
-    one derivative pass.  Solver aborts propagate with the trajectory tag
-    attached; errors evaluating a pair propagate untagged.
+    the per-term columns; the reference's energy and dissipation come
+    from an EnergyWindow, one stacked derivative pass per window of
+    samples.  Solver aborts propagate with the trajectory tag attached;
+    errors evaluating a pair propagate untagged, except that a
+    NonFiniteError gets the sample time added to its message.
     """
     params = config.params
     system = params.system
     # columns fill as packed doubles, not lists of float objects
     cols: Dict[str, array] = {name: array("d") for name in TRACE_COLUMNS}
     terms: Dict[str, array] = defaultdict(functools.partial(array, "d"))
-
-    def on_reference(state: State) -> None:
-        e, dsp = energy_dissipation(state, params)
-        cols["energy_reference"].append(e)
-        cols["dissipation_reference"].append(dsp)
+    reference = EnergyWindow(config.grid_reference, params, "reference")
 
     def row(i: int, t: float, pair: StatePair) -> None:
-        br = remainder(pair, params)
+        try:
+            br = remainder(pair, params)
+        except NonFiniteError as exc:
+            exc.args = (f"{exc} at t={t:.6g}",)
+            raise
         values = dict(
             times=t,
             entropy=br.entropy,
@@ -546,7 +594,14 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     cand_init = make_initial_data(
         config.initial_preset, config.grid_candidate, params, config.perturbation
     )
-    _pair_samples(config, [(cand_init, config.dt_candidate)], row, on_reference)
+    try:
+        _pair_samples(config, [(cand_init, config.dt_candidate)], row, reference.add)
+    finally:
+        # the last partial window, also when the run raised: a value of an
+        # earlier sample beyond the float range is the error to report
+        reference.flush()
+    cols["energy_reference"] = reference.energy
+    cols["dissipation_reference"] = reference.dissipation
     # a column no sample filled (the inactive system's remainders, the
     # sphere defect of GL) is NaN throughout
     n = len(cols["times"])

@@ -16,8 +16,8 @@ from nemlab import cli, verifier
 from nemlab.cli import main
 from nemlab.config import ConfigError, parse_config
 from nemlab.dynamics import SolverError, State
-from nemlab.constitutive import ConstitutiveError, System
-from nemlab.functionals import FunctionalError
+from nemlab.constitutive import ConstitutiveError, Params, System
+from nemlab.functionals import ENERGY_WINDOW, FunctionalError, energy_dissipation
 from nemlab.traceio import COLUMNS, TraceFormatError, read_columns, read_trace, write_trace
 from nemlab.verifier import EntropyTrace, Perturbation, VerifierError, run_twin
 
@@ -409,6 +409,35 @@ class TestMain:
                      "mass_candidate", "sphere_defect"):
             assert np.array_equal(sim[name], twin[name]), name
 
+    @pytest.mark.parametrize("count", [2, ENERGY_WINDOW - 1, ENERGY_WINDOW, ENERGY_WINDOW + 1,
+                                       2 * ENERGY_WINDOW + 3])
+    @pytest.mark.parametrize("system", list(System))
+    def test_simulate_energies_are_energy_dissipation_bit_for_bit(self, tmp_path, monkeypatch,
+                                                                   system, count):
+        samples = []
+        original = cli.evolve
+
+        def recording(*args, observer, **kwargs):
+            def observe(state, t):
+                samples.append(state)
+                observer(state, t)
+
+            return original(*args, observer=observe, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", recording)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(system=system.value, initial_preset=f"{system.value}-smooth",
+                                 grid_candidate={"n": 33}, t_end=0.004,
+                                 sample_interval=0.004 / (count - 1)))
+        assert main(["simulate", "-c", str(path), "-o", str(tmp_path / "s.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 0
+        cols = read_columns(str(tmp_path / "s.csv"))
+        expected = np.array([energy_dissipation(state, Params(system=system))
+                             for state in samples])
+        assert len(samples) == count
+        assert cols["energy_candidate"].tobytes() == expected[:, 0].tobytes()
+        assert cols["dissipation_candidate"].tobytes() == expected[:, 1].tobytes()
+
     @pytest.mark.parametrize("doc, err", [
         # Infinity used to pass: gronwall printed [PASS] on a one-sample trace
         ({"t_end": math.inf}, "t_end must be finite, got inf"),
@@ -791,6 +820,31 @@ class TestMain:
             "solver abort: reference trajectory: at t=0: dt=2.000e-04 exceeds stability "
             f"bound {bound} (0.4*dx over max wave speed)\n"
         )
+
+    @pytest.mark.parametrize("command, n_candidate, err", [
+        (command, 33, "numerical abort: non-finite |g~/rho~|^3 integral at t=0")
+        for command in ("twin", "gronwall", "energy")
+    ] + [
+        ("twin", 17, "numerical abort: non-finite reference energy at t=4e-05"),
+        ("simulate", 33, "numerical abort: non-finite candidate energy at t=4e-05"),
+        ("uniqueness", 33, "solver abort: reference trajectory: at t=4e-05: dt=4.000e-05 "
+                           "exceeds stability bound 2.642e-279 (0.4*dx over max wave speed)"),
+    ], ids=["twin", "gronwall", "energy", "twin-streamed", "simulate", "uniqueness"])
+    def test_overflowing_values_exit_3_with_one_line(self, tmp_path, capsys, command,
+                                                     n_candidate, err):
+        # lambda = 1e300: at t=0 the reference's |g~/rho~|^3 leaves the float
+        # range; after one window the velocity is about 1e300 and so are the
+        # kinetic energies; the next step then exceeds the stability bound
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{"lambda": 1e300, "x_max": 1e5, "t_end": 0.002,
+                                    "grid_reference": {"n": 33},
+                                    "grid_candidate": {"n": n_candidate}}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "-c", str(path), *out, "--manifest", str(tmp_path / "m.json")])
+        assert code == 3
+        assert capsys.readouterr().err == err + "\n"
 
     @pytest.mark.parametrize("gamma", [1.01, 1.001])
     @pytest.mark.parametrize("system", ["gl", "sphere"])

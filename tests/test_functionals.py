@@ -9,6 +9,7 @@ from nemlab import functionals
 from nemlab.functionals import (
     QUARTETS,
     FunctionalError,
+    NonFiniteError,
     StatePair,
     dissipation,
     energy,
@@ -407,17 +408,31 @@ class TestGronwallCoefficient:
         "make_pair, params", [(gl_pair, GL), (sphere_pair, SPH)], ids=["gl", "sphere"]
     )
     def test_factor_squared_beyond_the_float_range_is_non_finite(self, make_pair, params):
-        # both velocities at 1e200: every remainder term stays finite (they
-        # see the velocity gap, 0, and the flux), but u_ref_inf_sq = 1e400
-        # leaves the float range, where float ** raises OverflowError
-        pair = make_pair(33)
-        u = np.full(33, 1e200)
-        pair = StatePair(*(State(pair.grid, s.rho, u, s.d)
-                           for s in (pair.candidate, pair.reference)))
-        # the candidate's kinetic energy overflows; its quadrature is inf - inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FunctionalError, match="^non-finite Gronwall coefficient$"):
-                remainder(pair, params)
+        # both velocities at 2**664 (about 8e199): every remainder term stays
+        # finite (they see the velocity gap, 0, and the flux), but
+        # u_ref_inf_sq = 6e399 leaves the float range, where float ** raises
+        # OverflowError; the candidate's kinetic energy overflows too, and
+        # its quadrature is inf - inf; no numpy warning is raised
+        pair = _uniform_velocity(make_pair(33), 2.0**664)
+        with pytest.raises(NonFiniteError, match="^non-finite Gronwall coefficient$"):
+            remainder(pair, params)
+
+    @pytest.mark.parametrize(
+        "make_pair, params", [(gl_pair, GL), (sphere_pair, SPH)], ids=["gl", "sphere"]
+    )
+    def test_cubed_reference_force_beyond_the_float_range_is_named(self, make_pair, params):
+        # at 1e200 the one-sided Laplacian stencil of the constant velocity
+        # rounds (5 * 1e200 is inexact), and the cube of g~/rho~ (about
+        # 1e187) leaves the float range before the Gronwall terms do
+        pair = _uniform_velocity(make_pair(33), 1e200)
+        with pytest.raises(NonFiniteError, match=r"^non-finite \|g~/rho~\|\^3 integral$"):
+            remainder(pair, params)
+
+
+def _uniform_velocity(pair, u):
+    """pair with both velocities set to the constant u."""
+    u = np.full(pair.grid.n_nodes, u)
+    return StatePair(*(State(pair.grid, s.rho, u, s.d) for s in (pair.candidate, pair.reference)))
 
 
 class TestStressFormsIntegrated:
@@ -512,3 +527,49 @@ def test_breakdown_carries_the_single_value_functionals_bit_for_bit(case):
     else:
         assert br.sphere_defect is None
     assert br.terms["diag_director_l2_gap"] == director_l2_gap(pair)
+
+
+W = functionals.ENERGY_WINDOW
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(system=st.sampled_from(list(System)), n=st.integers(5, 80),
+       count=st.sampled_from([1, W - 1, W, W + 1, 2 * W + 3]), seed=st.integers(0, 2**32 - 1),
+       coeffs=st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5))
+def test_energy_window_is_energy_dissipation_bit_for_bit(system, n, count, seed, coeffs):
+    a, sigma0, mu, lam, theta = coeffs
+    p = Params(a=a, gamma=2.0, sigma0=sigma0, mu=mu, lam=lam, theta=theta, system=system)
+    g = Grid1D(n, 0.0, 1.0)
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        d = rng.normal(size=(3, n))
+        if system is System.SPHERE:
+            d /= np.sqrt(np.sum(d * d, axis=0))
+        states.append(State(g, 0.5 + rng.random(n), rng.normal(size=n), d))
+    window = functionals.EnergyWindow(g, p, "candidate")
+    for k, state in enumerate(states):
+        window.add(state, 0.1 * k)
+    window.flush()
+    window.flush()  # an empty window adds nothing
+    expected = np.array([energy_dissipation(state, p) for state in states])
+    assert np.array(window.energy).tobytes() == expected[:, 0].tobytes()
+    assert np.array(window.dissipation).tobytes() == expected[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("peak, which", [
+    # u^2 overflows, so does u_x^2: the energy is named first
+    (1e160, "energy"),
+    # u^2 = 1e306 does not, (2 peak / dx)^2 = 1024 u^2 does
+    (1e153, "dissipation"),
+])
+def test_energy_window_names_the_first_non_finite_value(peak, which):
+    g = Grid1D(17, 0.0, 1.0)
+    window = functionals.EnergyWindow(g, GL, "reference")
+    u = np.zeros(17)
+    u[1] = peak
+    with pytest.raises(FunctionalError, match=f"^non-finite reference {which} at t=0.5$"):
+        for k in range(W + 2):  # from sample 5 on, up to a partial last window
+            base = uniform_state(g)
+            window.add(State(g, base.rho, u, base.d) if k >= 5 else base, 0.1 * k)
+        window.flush()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nemlab import verifier
 from nemlab.constitutive import Params, System
 from nemlab.dynamics import CflError, State
-from nemlab.functionals import QUARTETS, FunctionalError
+from nemlab.functionals import ENERGY_WINDOW, QUARTETS, FunctionalError, energy_dissipation
 from nemlab.grid import Grid1D
 from nemlab.verifier import (
     TRACE_COLUMNS,
@@ -257,6 +257,81 @@ def test_each_grid_pair_gets_its_own_stencil():
     assert out.tobytes() == first.tobytes()
 
 
+def _weighted_sum(vals, src, dst):
+    """The 4-point stencil written out: the four weighted values, summed by
+    numpy's reduction as cubic_restrict's interpolating path sums them (it
+    starts from +0.0, so four -0.0 products sum to +0.0)."""
+    pos = (dst.nodes() - src.x_min) / src.dx
+    j = np.clip(np.floor(pos).astype(int), 1, src.n_nodes - 3)
+    t = pos - j
+    return np.array([vals[..., j - 1] * (-t * (t - 1.0) * (t - 2.0) / 6.0),
+                     vals[..., j] * ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0),
+                     vals[..., j + 1] * (-t * (t + 1.0) * (t - 2.0) / 2.0),
+                     vals[..., j + 2] * (t * (t + 1.0) * (t - 1.0) / 6.0)]).sum(axis=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(intervals=st.sampled_from([4, 8, 16, 32, 64]), ratio=st.sampled_from([2, 4, 8, 16]),
+       x_min=st.sampled_from([0.0, -1.0, 3.0, -0.5]), length=st.sampled_from([1.0, 2.0, 0.5]),
+       rows=st.integers(1, 5), zero_share=st.sampled_from([0.0, 0.01, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_nested_grids_gather_the_weighted_sum_bit_for_bit(intervals, ratio, x_min, length,
+                                                          rows, zero_share, seed):
+    # every battery and benchmark pair is of this kind: 513 to 257, and 513
+    # (or 257, 1025) to 33, 65 and 129
+    src = Grid1D(intervals * ratio + 1, x_min, x_min + length)
+    dst = Grid1D(intervals + 1, x_min, x_min + length)
+    assert verifier._cubic_stencil(src, dst).nodes == slice(0, src.n_nodes, ratio)
+    # finite values of either sign over most of the float range, some of
+    # them zeros of either sign: a -0.0 is the one value a gather and the
+    # weighted sum can disagree on
+    rng = np.random.default_rng(seed)
+    shape = (rows, src.n_nodes)
+    vals = rng.choice([-1.0, 1.0], shape) * 2.0 ** rng.uniform(-1070.0, 1020.0, shape)
+    zeros = rng.random(shape) < zero_share
+    vals[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    assert cubic_restrict(vals, src, dst).tobytes() == _weighted_sum(vals, src, dst).tobytes()
+    assert cubic_restrict(vals[0], src, dst).tobytes() == _weighted_sum(vals[0], src, dst).tobytes()
+
+
+@pytest.mark.parametrize("node", [0, 2, 16])
+def test_a_negative_zero_takes_the_weighted_sum(node):
+    # the gather would read -0.0 at the target of source node `node` (the
+    # walls included); the weighted sum decides that zero's sign
+    src, dst = Grid1D(17, 0.0, 1.0), Grid1D(9, 0.0, 1.0)
+    vals = np.ones((2, 17))
+    vals[:, node] = -0.0
+    vals[1, node + (1 if node < 16 else -1)] = -1.0
+    out = cubic_restrict(vals, src, dst)
+    assert out.tobytes() == _weighted_sum(vals, src, dst).tobytes()
+
+
+@pytest.mark.parametrize("n_from, n_to", [(40, 17), (513, 250), (65, 48)])
+def test_non_nested_grids_take_the_cubic_path(n_from, n_to):
+    src, dst = Grid1D(n_from, 0.0, 1.0), Grid1D(n_to, 0.0, 1.0)
+    assert verifier._cubic_stencil(src, dst).nodes is None
+    vals = np.random.default_rng(n_from).normal(size=(5, n_from))
+    assert cubic_restrict(vals, src, dst).tobytes() == _weighted_sum(vals, src, dst).tobytes()
+
+
+@pytest.mark.parametrize("n_from, n_to", [(513, 257), (513, 33), (129, 65), (40, 17)])
+@pytest.mark.parametrize("system", list(System))
+def test_restrict_state_on_nested_and_other_grids(n_from, n_to, system):
+    src, dst = Grid1D(n_from, 0.0, 1.0), Grid1D(n_to, 0.0, 1.0)
+    rng = np.random.default_rng(n_from + n_to)
+    d = rng.normal(size=(3, n_from))
+    d /= np.sqrt(np.sum(d * d, axis=0))
+    state = State(src, 1.0 + rng.random(n_from), rng.normal(size=n_from), d)
+    out = restrict_state(state, dst, system)
+    d_to = cubic_restrict(d, src, dst)
+    if system is System.SPHERE:
+        d_to = d_to / np.sqrt(np.sum(d_to * d_to, axis=0))
+    for got, want in ((out.rho, cubic_restrict(state.rho, src, dst)),
+                      (out.u, cubic_restrict(state.u, src, dst)), (out.d, d_to)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 class TestRunTwin:
     def test_identical_twin_entropy_is_zero(self):
         trace = run_twin(twin_config())
@@ -307,6 +382,46 @@ class TestRunTwin:
         assert np.all(np.isfinite(trace_s.sphere_defect))
 
 
+def _record_runs(monkeypatch, module):
+    """Record, per evolve call of module, the samples its observer gets:
+    member 0's state (the reference in a verifier run)."""
+    runs = []
+    original = module.evolve
+
+    def recording(*args, observer, **kwargs):
+        samples = []
+        runs.append(samples)
+
+        def observe(states, t):
+            samples.append(states[0] if isinstance(states, tuple) else states)
+            observer(states, t)
+
+        return original(*args, observer=observe, **kwargs)
+
+    monkeypatch.setattr(module, "evolve", recording)
+    return runs
+
+
+W = ENERGY_WINDOW
+
+
+@pytest.mark.parametrize("count", [2, W - 1, W, W + 1, 2 * W + 3])
+@pytest.mark.parametrize("system", list(System))
+@pytest.mark.parametrize("n_cand", [33, 17], ids=["lockstep", "streamed"])
+def test_reference_energies_are_energy_dissipation_bit_for_bit(monkeypatch, n_cand, system,
+                                                                count):
+    # the reference's energy and dissipation come from one pass per window
+    # of samples, the last window partial or full
+    runs = _record_runs(monkeypatch, verifier)
+    cfg = twin_config(system, n_ref=33, n_cand=n_cand, t_end=0.004, amplitude=1e-3,
+                      sample_interval=0.004 / (count - 1))
+    trace = run_twin(cfg)
+    expected = np.array([energy_dissipation(state, cfg.params) for state in runs[0]])
+    assert len(trace) == count and len(runs) == (1 if n_cand == 33 else 2)
+    assert trace.energy_reference.tobytes() == expected[:, 0].tobytes()
+    assert trace.dissipation_reference.tobytes() == expected[:, 1].tobytes()
+
+
 class TestStreamedTwin:
     def test_restricts_each_reference_sample_once(self, monkeypatch):
         calls = []
@@ -335,6 +450,30 @@ class TestStreamedTwin:
         # storing every reference sample on its own grid (rho, u and three
         # director components) would take samples * n_ref * 5 doubles
         assert peak < 0.5 * len(trace) * n_ref * 5 * 8
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_peak_memory_grows_with_the_samples_only_on_the_candidate_grid(self, system):
+        # doubling the samples at a fixed interval adds their candidate-grid
+        # rows (the restricted reference, 5 * n_cand doubles) and their trace
+        # columns; the reference's energy window holds a fixed number of
+        # samples, so nothing of size samples * n_ref may grow
+        n_ref, n_cand, dt = 257, 65, 2e-4
+        peaks, columns = [], 0
+        for samples in (128, 256):
+            cfg = twin_config(system, n_ref=n_ref, n_cand=n_cand, dt=dt,
+                              t_end=(samples - 1) * dt, amplitude=1e-3, sample_interval=dt)
+            tracemalloc.start()
+            try:
+                trace = run_twin(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == samples
+            columns = len(TRACE_COLUMNS) + len(trace.terms)
+        per_sample = 8 * (5 * n_cand + columns)
+        assert peaks[1] - peaks[0] <= 1.1 * 128 * per_sample
+        # one reference sample per stored sample would add 128 * 5 * n_ref doubles
+        assert 1.1 * 128 * per_sample < 128 * 5 * n_ref * 8 / 2
 
     def test_pair_evaluation_error_propagates_untagged(self, monkeypatch):
         def failing(pair, params):
@@ -704,7 +843,7 @@ class TestCheckUniqueness:
         def forbidden(*args, **kwargs):
             raise AssertionError("the collapse study evaluates the entropy only")
 
-        for name in ("remainder", "energy_dissipation"):
+        for name in ("remainder", "EnergyWindow"):
             monkeypatch.setattr(verifier, name, forbidden)
         rep = check_uniqueness(cfg, levels)
         assert rep.sup_entropy == expected
