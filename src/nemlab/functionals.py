@@ -277,7 +277,7 @@ class EnergyWindow:
         rows = self.rows[len(self.times)]
         rows[0], rows[1], rows[2:] = state.rho, state.u, state.d
         self.times.append(t)
-        if len(self.times) == ENERGY_WINDOW:
+        if len(self.times) == len(self.rows):
             self.flush()
 
     def flush(self) -> None:
