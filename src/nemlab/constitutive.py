@@ -147,15 +147,17 @@ def pressure_potential_second_derivative(rho, params: Params):
     return _power_law(_check_nonneg_rho(rho), params.a * params.gamma, params.gamma - 2.0)
 
 
-def gl_potential(d, params: Params):
+def gl_potential(d, params: Params, sq=None):
     """Penalization energy density F(d) = (|d|^2 - 1)^2 / (4 sigma0^2).
 
     d has shape (3,), (3, n) or (K, 3, n), the components on the last axis
     of a single vector and the second-to-last otherwise; returns a scalar,
-    a length-n array or a (K, n) array.
+    a length-n array or a (K, n) array.  sq, when given, holds |d|^2 as a
+    sum over the components gives it, and d is not read.
     """
-    d = np.asarray(d, dtype=float)
-    s = (d * d).sum(axis=0 if d.ndim == 1 else -2) - 1.0
+    if sq is None:
+        sq = np.square(d, dtype=float).sum(axis=0 if np.ndim(d) == 1 else -2)
+    s = sq - 1.0
     out = s * s / (4.0 * params.sigma0**2)
     return float(out) if out.ndim == 0 else out
 
@@ -198,10 +200,11 @@ def _bregman(pi, pi1_t, pi_t, rho, rho_t) -> np.ndarray:
     magnitudes are summed only where the absolute 1e-14 test fails."""
     linear = pi1_t * (rho - rho_t)
     out = np.asarray(pi - linear - pi_t, dtype=float)
-    if _least(out, 0.0) < -_BREGMAN_CLAMP:
+    least = _least(out, 0.0)
+    if least < -_BREGMAN_CLAMP:
         scale = np.maximum(np.abs(pi) + np.abs(linear) + np.abs(pi_t), 1.0)
         if _least(out + _BREGMAN_CLAMP * scale, 0.0) < 0.0:
             raise ConstitutiveError(
                 f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
             )
-    return np.where(out < 0.0, 0.0, out)
+    return np.where(out < 0.0, 0.0, out) if least < 0.0 else out

@@ -26,20 +26,20 @@ hold on arbitrary smooth pairs up to O(dx^2) discrete product/chain-rule
 and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
-`remainder` builds a sample's whole certificate row in one pass: one
-sign check of the candidate density and one evaluation of each pressure
-law, one gradient and one Laplacian call on the stacked (u, d0, d1, d2)
-rows of both states (GL's gradient call also takes the reference's
-pressure, momentum and Pi' rows), a few stacked director contractions,
-one trapezoid call on the stack of every integrand and one max for the
-h_hat norms.  Its RemainderBreakdown also carries the pair's relative
-entropy and the candidate's energy, dissipation, mass and (SPHERE)
-sphere defect, from the same density helpers as the single-value
+`remainder` builds a sample's whole certificate row in one pass
+(_PairFields): one gradient and one Laplacian call on the stacked rows of
+both states, each density power taken once, one summed block of director
+products for every contraction (SPHERE takes a second for the rows that
+read |d_x|), then every integrand written with out= into its row of one
+stack for a single trapezoid call; the term table is built once per
+parameter set (_layout).  Its RemainderBreakdown also carries the pair's
+relative entropy and the candidate's energy, dissipation, mass and
+(SPHERE) sphere defect, from the same density helpers as the single-value
 functionals, bit for bit.  EnergyWindow evaluates one trajectory's
-energies and dissipations a window of samples at a time, with one
-stacked pass that energy_dissipation runs on a single state.  Values
-beyond the float range raise FunctionalError naming the quantity, never
-a numpy warning.
+energies and dissipations a window of samples at a time, with one stacked
+pass that energy_dissipation runs on a single state.  Values beyond the
+float range raise FunctionalError naming the quantity, never a numpy
+warning.
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -54,7 +54,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,58 +166,58 @@ class RemainderBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _derivatives(states: Sequence[State], dx: float,
-                 *extra: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradient of the states' stacked (u, d0, d1, d2) rows, four rows per
-    state, then of the extra rows; and Laplacian of the states' rows past
-    the first u: the rows the densities read, with one call of each
-    operator.  The stencils act row by row, so the rows left out change no
-    bit of the others."""
-    rows = np.concatenate([f for s in states for f in (s.u[None], s.d)]
-                          + [row[None] for row in extra])
-    return gradient_array(rows, dx), laplacian_array(rows[1:4 * len(states)], dx)
+def _contract(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+              stacked: Sequence[Tuple[np.ndarray, np.ndarray]] = ()) -> np.ndarray:
+    """Director contractions in one stacked sum: row k is sum_i A_i B_i of
+    the k-th pair (A, B) of (3, n) arrays; each pair of (2, 3, n) stacks in
+    stacked gives two rows, ahead of the pairs' rows."""
+    first = 2 * len(stacked)
+    prod = np.empty((first + len(pairs),) + pairs[0][0].shape)
+    for k, (a, b) in enumerate(stacked):
+        np.multiply(a, b, out=prod[2 * k:2 * k + 2])
+    for k, (a, b) in enumerate(pairs, first):
+        np.multiply(a, b, out=prod[k])
+    return prod.sum(axis=1)
 
 
-def _dots(**pairs: Tuple[np.ndarray, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Director contractions, one stacked sum: each keyword names a pair
-    (A, B) of (3, n) arrays and maps to the length-n row sum_k A_k B_k."""
-    left = np.array([a for a, _ in pairs.values()])
-    right = np.array([b for _, b in pairs.values()])
-    return dict(zip(pairs, (left * right).sum(axis=1)))
+def _unit_defects(lengths: np.ndarray) -> np.ndarray:
+    """max | |d| - 1 | over the nodes of each row of director lengths |d|."""
+    return np.abs(lengths - 1.0).max(axis=-1)
 
 
-def _unit_defects(d: np.ndarray) -> np.ndarray:
-    """max | |d| - 1 | over the nodes of each director of a (..., 3, n) stack."""
-    return np.abs(np.sqrt((d**2).sum(axis=-2)) - 1.0).max(axis=-1)
+def _residual(d, lap_d, grad_sq, force):
+    """The director relaxation residual of one state or a stack of them:
+    d_xx - f(d) for GL (force f(d)), d_xx + |d_x|^2 d for SPHERE (None)."""
+    return lap_d - force if force is not None else lap_d + grad_sq[..., None, :] * d
 
 
-def _state_densities(rho, u, d, grad_u, grad_sq, lap_d, force, pi, params: Params):
+def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, params: Params,
+                     out=(None, None), d_sq=None):
     """Energy and dissipation densities of one state or of a stack of them
-    (see energy_dissipation): d, lap_d and force (f(d) for GL, else None)
-    hold the components on their second-to-last axis, grad_sq is |d_x|^2
-    and pi is Pi(rho)."""
+    (see energy_dissipation), written to out's arrays when given: d holds
+    the components on its second-to-last axis (d_sq, if given, |d|^2),
+    grad_sq is |d_x|^2, resid_sq the squared length of the relaxation
+    residual (_residual) and pi is Pi(rho)."""
     dens = 0.5 * rho * u * u
     dens += pi
     director = 0.5 * grad_sq
     if params.system is System.GL:
-        director += gl_potential(d, params)
-        resid = lap_d - force
-    else:
-        resid = lap_d + grad_sq[..., None, :] * d
-    resid *= resid
-    dsp = params.mu * grad_u * grad_u + params.lam * params.theta * resid.sum(axis=-2)
-    return dens + params.lam * director, dsp
+        director += gl_potential(d, params, d_sq)
+    dsp = np.add(params.mu * grad_u * grad_u, params.lam * params.theta * resid_sq, out=out[1])
+    return np.add(dens, params.lam * director, out=out[0]), dsp
 
 
-def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, params: Params) -> np.ndarray:
-    """The relative-entropy integrand; du = u - u~, bregman is the pressure
-    Bregman row, dgrad_sq = |d_x - d~_x|^2 and gap_sq = |d - d~|^2."""
+def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, params: Params,
+                     out=None) -> np.ndarray:
+    """The relative-entropy integrand, written to out when given; du = u -
+    u~, bregman is the pressure Bregman row, dgrad_sq = |d_x - d~_x|^2 and
+    gap_sq = |d - d~|^2."""
     dens = 0.5 * rho * du * du
-    dens = dens + bregman
-    dens = dens + 0.5 * params.lam * dgrad_sq
+    dens += bregman
     if params.system is System.SPHERE:
-        dens = dens + 0.5 * params.lam * gap_sq
-    return dens
+        dens += 0.5 * params.lam * dgrad_sq
+        return np.add(dens, 0.5 * params.lam * gap_sq, out=out)
+    return np.add(dens, 0.5 * params.lam * dgrad_sq, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,14 @@ def _energy_rows(rows: np.ndarray, dx: float, params: Params) -> np.ndarray:
     rho, u, d = rows[:, 0], rows[:, 1], rows[:, 2:]
     grad = gradient_array(rows[:, 1:], dx)
     grad_d = np.multiply(grad[:, 1:], grad[:, 1:], out=grad[:, 1:])  # squared in place
+    grad_sq = grad_d.sum(axis=-2)
     force = gl_force(d, params) if params.system is System.GL else None
-    dens = _state_densities(rho, u, d, grad[:, 0], grad_d.sum(axis=-2), laplacian_array(d, dx),
-                            force, pressure_potential(rho, params), params)
-    return trapezoid_array(np.array(dens), dx)
+    resid = _residual(d, laplacian_array(d, dx), grad_sq, force)
+    resid *= resid
+    dens = np.empty((2,) + rho.shape)
+    _state_densities(rho, u, d, grad[:, 0], grad_sq, resid.sum(axis=-2),
+                     pressure_potential(rho, params), params, out=dens)
+    return trapezoid_array(dens, dx)
 
 
 def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
@@ -263,8 +267,9 @@ class EnergyWindow:
     energy_dissipation runs on one state, so every value is bit for bit
     energy_dissipation's.  A value beyond the float range raises
     FunctionalError naming the quantity, the trajectory and the sample
-    time, and no numpy warning.  The window holds ENERGY_WINDOW * 5 * n
-    floats and the pass's temporaries O(ENERGY_WINDOW * n).
+    time, and no numpy warning, if the sample is at or before flush's
+    until; the window then keeps its samples.  It holds ENERGY_WINDOW * 5
+    * n floats and the pass's temporaries O(ENERGY_WINDOW * n).
     """
 
     def __init__(self, grid: Grid1D, params: Params, trajectory: str):
@@ -280,9 +285,10 @@ class EnergyWindow:
         if len(self.times) == len(self.rows):
             self.flush()
 
-    def flush(self) -> None:
-        """Evaluate the samples in the buffer and empty it."""
-        times, self.times = self.times, []
+    def flush(self, until: float = math.inf) -> None:
+        """Evaluate the samples in the buffer and, if every value is finite,
+        empty it."""
+        times = self.times
         if not times:
             return
         with np.errstate(over="ignore", invalid="ignore"):
@@ -290,8 +296,11 @@ class EnergyWindow:
         finite = np.isfinite(out)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))
+            if times[k] > until:
+                return
             which = "energy" if not finite[0, k] else "dissipation"
             raise FunctionalError(f"non-finite {self.trajectory} {which} at t={times[k]:.6g}")
+        self.times = []
         self.energy.extend(out[0].tolist())
         self.dissipation.extend(out[1].tolist())
 
@@ -313,7 +322,7 @@ def mass(state: State) -> float:
 
 def sphere_defect(state: State) -> float:
     """Largest departure of the director length from 1: max | |d| - 1 |."""
-    return float(_unit_defects(state.d))
+    return float(_unit_defects(np.sqrt((state.d ** 2).sum(axis=-2))))
 
 
 # ---------------------------------------------------------------------------
@@ -339,153 +348,183 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     grad = gradient_array(np.array((c.d, r.d)), dx)
     dgrad = grad[0] - grad[1]
     dd = c.d - r.d
-    dot = _dots(dgrad_sq=(dgrad, dgrad), gap_sq=(dd, dd))
+    dgrad_sq, gap_sq = _contract(((dgrad, dgrad), (dd, dd)))
     dens = _entropy_density(c.rho, c.u - r.u, bregman_pressure(c.rho, r.rho, params),
-                            dot["dgrad_sq"], dot["gap_sq"], params)
+                            dgrad_sq, gap_sq, params)
     return trapezoid_array(dens, dx)
 
 
 class _PairFields:
-    """Arrays shared by the rows of one sample's quadrature stack.
+    """The arrays one sample's certificate row reads, each set once.
 
-    The constructor sets each once per sample from one stacked derivative
-    pass, after one sign check of the candidate density (StatePair holds
-    the reference's above a positive floor); each pressure law is evaluated
-    once.  Names ending in _r are the reference's (rho~, u~, d~).  p, p_r
-    and pi are P(rho), P(rho~) and Pi(rho), bregman the pressure Bregman
-    row, dgrad = d_x - d~_x, dlap = d_xx - d~_xx and e = d - d~.  force and
-    force_r hold f(d) and f(d~) for GL and are None for SPHERE, as are
-    grad_laws_r, the gradients of p~, rho~ u~ and Pi'(rho~), and flux_r =
-    rho~ u~.  stress_div_r = lam * stress_r and g_ref = mu u~_xx -
-    stress_div_r.  dot holds the contractions several rows share: stress_r
-    = curv~ . d~_x and the squares grad_sq = |d_x|^2, grad_r_sq, lap_r_sq,
-    dgrad_sq, gap_sq = |d - d~|^2, force_sq, force_r_sq (GL), d_sq (SPHERE).
+    Names ending in _r are the reference's.  One gradient call takes the
+    stacked rows ([p~, rho~ u~, Pi'(rho~)], u, u~, d, d~) and one Laplacian
+    call (u~, d, d~); each power of a density is taken once (_power_law's
+    power and product).  dgrad, dlap, e, du are the gaps d_x - d~_x, d_xx
+    - d~_xx, d - d~, u - u~, and du_r = u~ - u.  One _contract pass sums
+    every director product the row reads, those of the (candidate,
+    reference) stacks first (the curvatures . d_x, and the squared lengths
+    of d, GL's f(d) and d_x), each contraction under its own name; `norms`
+    are the rows whose max h_hat reads.  SPHERE's second pass takes the rows that read gm =
+    |d_x| and gm_r = |d~_x|.  g_ref = mu u~_xx - lam stress_r.  The checks
+    keep their order (SPHERE unit lengths, the candidate density's sign,
+    the Bregman round-off) and nothing computed before them raises.
     """
 
     def __init__(self, pair: StatePair, params: Params):
         self.dx = dx = pair.grid.dx
         c, r = pair.candidate, pair.reference
+        self.rho, self.rho_r, self.u, self.u_r = rho, rho_r, u, u_r = c.rho, r.rho, c.u, r.u
         self.d, self.d_r = d, d_r = c.d, r.d
-        self.rho, self.rho_r = rho, rho_r = _check_nonneg_rho(c.rho), r.rho
-        self.u, self.u_r = c.u, r.u
         a, gamma = params.a, params.gamma
-        pi_coeff = a / (gamma - 1.0)
-        self.pi = pi = _power_law(rho, pi_coeff, gamma)
-        pi1_r = _power_law(rho_r, a * gamma / (gamma - 1.0), gamma - 1.0)
-        self.p_r = p_r = _power_law(rho_r, a, gamma)
-        self.bregman = _bregman(pi, pi1_r, _power_law(rho_r, pi_coeff, gamma), rho, rho_r)
-        self.force = self.force_r = self.flux_r = None
+        pow_r, pow1_r = np.power(rho_r, gamma), np.power(rho_r, gamma - 1.0)
+        self.p_r = p_r = pow_r * a
+        pi1_r = pow1_r * (a * gamma / (gamma - 1.0))
         laws_r = ()
         if params.system is System.GL:
-            self.flux_r = flux_r = rho_r * r.u
-            laws_r = (p_r, flux_r, pi1_r)
-        # rows (u, d, u~, d~[, p~, rho~ u~, Pi'(rho~)]); lap (d, u~, d~)
-        grad, lap = _derivatives((c, r), dx, *laws_r)
-        self.grad_u, self.grad_u_r = grad[0], grad[4]
-        self.grad_laws_r = grad[8:] if laws_r else None
-        self.grad_d, self.grad_d_r = grad_d, grad_d_r = grad[1:4], grad[5:8]
-        self.lap_d, self.lap_d_r = lap_d, lap_d_r = lap[:3], lap[4:]
-        self.dgrad = dgrad = grad_d - grad_d_r
-        self.e = e = d - d_r
-        curv_r = lap_d_r
+            self.flux_r = rho_r * u_r
+            laws_r = (p_r[None], self.flux_r[None], pi1_r[None])
+        rows = np.concatenate((*laws_r, u[None], u_r[None], d, d_r))
+        grad, lap = gradient_array(rows, dx), laplacian_array(rows[-7:], dx)
+        self.grad_laws_r, self.grad_u, self.grad_u_r = grad[:-8], grad[-8], grad[-7]
+        lap_d, lap_d_r = laps = lap[1:].reshape(2, 3, -1)
+        dgrad, e, dlap = grad[-6:-3] - grad[-3:], d - d_r, lap_d - lap_d_r
+        self.du, self.du_r = u - u_r, u_r - u
+        # the (candidate, reference) stacks of d and d_x, and of u d_x, u~ d~_x
+        directors, grads = rows[-6:].reshape(2, 3, -1), grad[-6:].reshape(2, 3, -1)
+        moved = rows[-8:-6, None] * grads
+        trans_gap, (grad_d, grad_d_r) = moved[0] - moved[1], grads
         if params.system is System.GL:
-            self.force, self.force_r = force, force_r = gl_force(np.array((d, d_r)), params)
-            curv_r = lap_d_r - force_r
-            norms = dict(force_sq=(force, force), force_r_sq=(force_r, force_r))
+            force, force_r = forces = gl_force(directors, params)
+            dforce = force - force_r
+            # the GL curvatures d_xx - f(d) of both states, from their stacks
+            curvs = _residual(directors, laps, None, forces)
+            resid = curvs[0]
+            dots = _contract((
+                (lap_d_r, lap_d_r), (dgrad, dgrad), (e, e), (resid, resid), (dlap, trans_gap),
+                (dlap, dforce), (dlap, dgrad), (lap_d_r, dgrad), (force, dgrad), (dforce, grad_d_r)),
+                stacked=((curvs, grads), (directors, directors), (forces, forces), (grads, grads)))
+            self.norms = dots[4:9]
+            (self.transport, self.stress_r, self.d_sq, _, _, _, self.grad_sq, _, _, self.dgrad_sq,
+             self.gap_sq, self.resid_sq, self.difference, self.force_gap, self.gradient,
+             self.curvature, self.candidate_force, self.force_gradient) = dots
         else:
-            norms = dict(d_sq=(d, d))
-        self.dot = _dots(stress_r=(curv_r, grad_d_r), grad_sq=(grad_d, grad_d),
-                         grad_r_sq=(grad_d_r, grad_d_r), lap_r_sq=(lap_d_r, lap_d_r),
-                         dgrad_sq=(dgrad, dgrad), gap_sq=(e, e), **norms)
-        self.stress_div_r = params.lam * self.dot["stress_r"]
-        self.p = _power_law(rho, a, gamma)
-        self.dlap = lap_d - lap_d_r
-        self.g_ref = params.mu * lap[3] - self.stress_div_r
+            dots = _contract((
+                (lap_d_r, lap_d_r), (dgrad, dgrad), (e, e), (dlap, trans_gap), (e, trans_gap),
+                (dlap, dgrad), (lap_d_r, dgrad), (d, dlap), (e, grad_d), (e, dgrad), (d, e)),
+                stacked=((laps, grads), (directors, directors), (grads, grads)))
+            self.norms, self.d_sq = dots[2:7], None
+            lengths = np.sqrt(dots[2:6])  # |d|, |d~|, |d_x|, |d~_x|
+            defects = _unit_defects(lengths[:2])
+            for name, defect in zip(("candidate", "reference"), defects.tolist()):
+                if defect > 1e-8:
+                    raise FunctionalError(f"{name} director is not unit length")
+            self.sphere_defect = float(defects[0])
+            (self.stress_c, self.stress_r, _, _, self.grad_sq, _, _, self.dgrad_sq, self.gap_sq,
+             self.difference, self.director_transport, self.gradient, self.curvature, self.d_dlap,
+             self.exchange, self.e_dgrad, self.d_e) = dots
+            self.gm, self.gm_r = gms = lengths[2:]
+            gm_sq = gms * gms
+            self.gm_r2 = gm_sq[1]
+            scaled = gm_sq[:, None] * directors
+            q = scaled[0] - scaled[1]  # nonlinear reaction gap
+            resid = _residual(d, lap_d, self.grad_sq, None)
+            self.laplacian_q, self.director_q, self.resid_sq = _contract(
+                ((dlap, q), (e, q), (resid, resid)))
+        _check_nonneg_rho(rho)
+        pow_c = np.power(rho, gamma)
+        pi_coeff = a / (gamma - 1.0)
+        self.p, self.pi = pow_c * a, pow_c * pi_coeff
+        self.bregman = _bregman(self.pi, pi1_r, pow_r * pi_coeff, rho, rho_r)
+        self.dp_r = pow1_r * (a * gamma)
+        self.rho_du_r = rho * self.du_r
+        self.stress_div_r = params.lam * self.stress_r
+        self.g_ref = params.mu * lap[0] - self.stress_div_r
 
 
-# One block of integrands queued for the sample's quadrature stack, each
-# with the coefficient its integral is multiplied by.
-_Rows = Dict[str, Tuple[float, np.ndarray]]
+# Each system's terms in trace column order under their QUARTETS block,
+# each with the key of the coefficient (_layout) its integral is multiplied by
+_DENSITY_TERMS = "rbd_convective 1, rbd_pressure_bregman -1, rbd_density_weighted_force 1"
+_TERMS = {
+    System.GL: {
+        "r_d": "rd_velocity_exchange 1, rd_viscous_exchange mu, rd_pressure_transport 1, "
+               "rd_pressure_work -1",
+        "r_bar_d": _DENSITY_TERMS,
+        "r_c": "rc_candidate_transport -lam, rc_reference_transport lam, "
+               "rc_difference_transport lam, rc_force_difference lam*th",
+        "r_bar_c": "rbc_force_difference lam*th, rbc_gradient_transport lam, "
+                   "rbc_reference_curvature -lam, rbc_candidate_force lam, rbc_force_gradient lam",
+    },
+    System.SPHERE: {
+        "r_1d": _DENSITY_TERMS,
+        "r_1c": "r1c_stress_transport lam, r1c_difference_transport lam, "
+                "r1c_nonlinear_laplacian -lam*th, r1c_nonlinear_director lam*th, "
+                "r1c_director_transport -lam",
+        "r_1c_a": "r1ca_gradient_transport lam, r1ca_reference_curvature lam, "
+                  "r1ca_factored_curvature -lam*th, r1ca_director_exchange lam",
+        "r_1c_b": "r1cb_gradient_director -lam, r1cb_factored_director lam*th, "
+                  "r1cb_reference_gradient_sq lam*th, r1cb_byparts_cross 2lam*th, "
+                  "r1cb_byparts_gradient_sq lam*th",
+    },
+}
 
 
-def _raw_density_terms(f: _PairFields, params: Params) -> _Rows:
-    """Velocity/pressure remainder r_d in derivation order (GL only).
+@functools.lru_cache(maxsize=64)
+def _layout(params: Params):
+    """The row's term names and coefficients, in order with the two
+    diagnostics last, and each QUARTETS entry's range of terms."""
+    lam, th = params.lam, params.theta
+    factor = {"1": 1.0, "-1": -1.0, "mu": params.mu, "lam": lam, "-lam": -lam,
+              "lam*th": lam * th, "-lam*th": -lam * th, "2lam*th": 2.0 * lam * th}
+    terms, ranges = [], {}
+    for block, text in _TERMS[params.system].items():
+        block_terms = [term.split() for term in text.split(", ")]
+        ranges[block] = (len(terms), len(terms) + len(block_terms))
+        terms += block_terms
+    terms += [("diag_stress_transport_exchange", "1"), ("diag_director_l2_gap", "1")]
+    return (tuple(name for name, _ in terms), tuple(factor[key] for _, key in terms),
+            tuple(ranges[block] for block in QUARTETS[params.system]))
 
-    The reference time derivatives d(u~)/dt and d(Pi'(rho~))/dt are
-    replaced by the right-hand sides of the reference momentum and
-    continuity equations, making the block a function of the
-    instantaneous pair.
-    """
-    du_r = f.u_r - f.u  # u~ - u
-    flux_r = f.flux_r
-    pi2_r = _power_law(f.rho_r, params.a * params.gamma, params.gamma - 2.0)
+
+def _density_rows(f: _PairFields, row: Callable[[], np.ndarray]) -> None:
+    """Velocity/pressure remainder in estimate order (r_bar_d, SPHERE's
+    r_1d), each integrand written to the next row(): the convective
+    quadratic, the pressure Bregman work and the density-weighted force
+    imbalance; the stress-transport exchange term that migrates between
+    the blocks is a diagnostic of `remainder`."""
+    drho = f.rho - f.rho_r
+    np.multiply(f.rho_du_r * -f.du_r, f.grad_u_r, out=row())
+    np.multiply(f.grad_u_r, f.p - f.dp_r * drho - f.p_r, out=row())
+    np.multiply(drho / f.rho_r * f.g_ref, f.du_r, out=row())
+
+
+def _gl_rows(f: _PairFields, params: Params, row: Callable[[], np.ndarray]) -> None:
+    """GL integrands in _TERMS order: (r_d, r_c) is the derivation-order
+    split, (r_bar_d, r_bar_c) the estimate-order one; their sums agree up to
+    O(dx^2).  r_d replaces d(u~)/dt and d(Pi'(rho~))/dt by the right-hand
+    sides of the reference momentum and continuity equations."""
     grad_p_r, grad_flux_r, grad_pi1_r = f.grad_laws_r
     dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
-    dpidt_r = -pi2_r * grad_flux_r
-    return {
-        "rd_velocity_exchange": (1.0, f.rho * du_r * (dudt_r + f.u * f.grad_u_r)),
-        "rd_viscous_exchange": (params.mu, f.grad_u_r * (f.grad_u_r - f.grad_u)),
-        "rd_pressure_transport": (
-            1.0, (f.rho_r - f.rho) * dpidt_r + grad_pi1_r * (flux_r - f.rho * f.u)
-        ),
-        "rd_pressure_work": (-1.0, f.grad_u_r * (f.p - f.p_r)),
-    }
+    # -Pi''(rho~), its coefficient negated
+    dpidt_r = _power_law(f.rho_r, -(params.a * params.gamma), params.gamma - 2.0) * grad_flux_r
+    np.multiply(f.rho_du_r, dudt_r + f.u * f.grad_u_r, out=row())
+    np.multiply(f.grad_u_r, f.grad_u_r - f.grad_u, out=row())
+    np.add((f.rho_r - f.rho) * dpidt_r, grad_pi1_r * (f.flux_r - f.rho * f.u), out=row())
+    np.multiply(f.grad_u_r, f.p - f.p_r, out=row())
+    _density_rows(f, row)
+    np.multiply(f.u, f.transport, out=row())
+    np.multiply(f.u_r, f.transport, out=row())
+    row()[:] = f.difference
+    row()[:] = f.force_gap  # rc_force_difference, then rbc_force_difference
+    row()[:] = f.force_gap
+    np.multiply(f.u_r, f.gradient, out=row())
+    np.multiply(f.du, f.curvature, out=row())
+    np.multiply(f.du, f.candidate_force, out=row())
+    np.multiply(f.du, f.force_gradient, out=row())
 
 
-def _reorganized_density_terms(f: _PairFields, params: Params) -> _Rows:
-    """Velocity/pressure remainder in estimate order (r_bar_d, SPHERE's r_1d).
-
-    Regroups the raw block into the convective quadratic, the pressure
-    Bregman work and the density-weighted force imbalance.  The
-    stress-transport exchange term that migrates between the density and
-    coupling blocks is reported by `remainder` as a diagnostic.
-    """
-    du_r = f.u_r - f.u  # u~ - u
-    dp_r = _power_law(f.rho_r, params.a * params.gamma, params.gamma - 1.0)  # P'(rho~)
-    bregman_p = f.p - dp_r * (f.rho - f.rho_r) - f.p_r
-    return {
-        "rbd_convective": (1.0, f.rho * du_r * (-du_r) * f.grad_u_r),
-        "rbd_pressure_bregman": (-1.0, f.grad_u_r * bregman_p),
-        "rbd_density_weighted_force": (1.0, (f.rho - f.rho_r) / f.rho_r * f.g_ref * du_r),
-    }
-
-
-def _remainder_gl(f: _PairFields, params: Params) -> Dict[str, _Rows]:
-    """GL blocks: (r_d, r_c) is the derivation-order split, (r_bar_d,
-    r_bar_c) the estimate-order split; their sums agree up to O(dx^2)."""
-    lam, th = params.lam, params.theta
-    raw, reorg = _raw_density_terms(f, params), _reorganized_density_terms(f, params)
-
-    dforce = f.force - f.force_r
-    du = f.u - f.u_r
-    dot = _dots(
-        transport=(f.lap_d - f.force, f.grad_d),  # d_xx - f(d), the GL curvature
-        difference=(f.dlap, f.u * f.grad_d - f.u_r * f.grad_d_r),
-        force=(f.dlap, dforce),
-        gradient=(f.dlap, f.dgrad),
-        curvature=(f.lap_d_r, f.dgrad),
-        candidate_force=(f.force, f.dgrad),
-        force_gradient=(dforce, f.grad_d_r),
-    )
-    force_difference = (lam * th, dot["force"])
-    coupling = {
-        "rc_candidate_transport": (-lam, f.u * dot["transport"]),
-        "rc_reference_transport": (lam, f.u_r * dot["transport"]),
-        "rc_difference_transport": (lam, dot["difference"]),
-        "rc_force_difference": force_difference,
-    }
-    reorg_coupling = {
-        "rbc_force_difference": force_difference,
-        "rbc_gradient_transport": (lam, f.u_r * dot["gradient"]),
-        "rbc_reference_curvature": (-lam, du * dot["curvature"]),
-        "rbc_candidate_force": (lam, du * dot["candidate_force"]),
-        "rbc_force_gradient": (lam, du * dot["force_gradient"]),
-    }
-    return {"r_d": raw, "r_bar_d": reorg, "r_c": coupling, "r_bar_c": reorg_coupling}
-
-
-def _remainder_sphere(f: _PairFields, params: Params) -> Dict[str, _Rows]:
-    """SPHERE blocks r_1d, r_1c, r_1c_a and r_1c_b.
+def _sphere_rows(f: _PairFields, params: Params, row: Callable[[], np.ndarray]) -> None:
+    """SPHERE integrands in _TERMS order.
 
     r_1d is the density/velocity block, already in estimate order; r_1c
     collects the director couplings, split into the part needing
@@ -494,61 +533,29 @@ def _remainder_sphere(f: _PairFields, params: Params) -> Dict[str, _Rows]:
     algebraically exact except for one factored curvature term moved by
     integration by parts, so r_1c = r_1c_a + r_1c_b holds to O(dx^2); the
     two terms carrying the factor (|d~_x| + |d_x|)(|d_x| - |d~_x|) keep
-    that factored form.
+    that factored form.  stress_r is d~_xx . d~_x (curv~ = d~_xx).
     """
-    lam, th = params.lam, params.theta
-    density = _reorganized_density_terms(f, params)
-
-    e, dlap, dgrad = f.e, f.dlap, f.dgrad
-    du_r = f.u_r - f.u
-    gm = np.sqrt(f.dot["grad_sq"])      # |d_x|
-    gm_r = np.sqrt(f.dot["grad_r_sq"])  # |d~_x|
-    gm_r2 = gm_r**2
-    q = gm**2 * f.d - gm_r2 * f.d_r     # nonlinear reaction gap
-    trans_gap = f.u * f.grad_d - f.u_r * f.grad_d_r
-    dot = _dots(
-        stress_c=(f.lap_d, f.grad_d),
-        difference=(dlap, trans_gap),
-        laplacian_q=(dlap, q),
-        director_q=(e, q),
-        director_transport=(e, trans_gap),
-        gradient=(dlap, dgrad),
-        curvature=(f.lap_d_r, dgrad),
-        d_dlap=(f.d, dlap),
-        exchange=(e, f.grad_d),
-        e_dgrad=(e, dgrad),
-        d_e=(f.d, e),
-    )
-
-    stress_r = f.dot["stress_r"]  # d~_xx . d~_x: the SPHERE curvature is d~_xx
-    coupling = {
-        "r1c_stress_transport": (lam, (dot["stress_c"] - stress_r) * du_r),
-        "r1c_difference_transport": (lam, dot["difference"]),
-        "r1c_nonlinear_laplacian": (-lam * th, dot["laplacian_q"]),
-        "r1c_nonlinear_director": (lam * th, dot["director_q"]),
-        "r1c_director_transport": (-lam, dot["director_transport"]),
-    }
-    gap_mag = gm - gm_r
-    sum_mag = gm_r + gm
-    absorbed = {
-        "r1ca_gradient_transport": (lam, f.u_r * dot["gradient"]),
-        "r1ca_reference_curvature": (lam, du_r * dot["curvature"]),
-        "r1ca_factored_curvature": (-lam * th, sum_mag * dot["d_dlap"] * gap_mag),
-        "r1ca_director_exchange": (lam, du_r * dot["exchange"]),
-    }
-    direct = {
-        "r1cb_gradient_director": (-lam, f.u_r * dot["e_dgrad"]),
-        "r1cb_factored_director": (lam * th, sum_mag * dot["d_e"] * gap_mag),
-        "r1cb_reference_gradient_sq": (lam * th, f.dot["gap_sq"] * gm_r2),
-        # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted
-        # by parts onto the gradient gap (reference Neumann slope kills the
-        # boundary term)
-        "r1cb_byparts_cross": (2.0 * lam * th, stress_r * dot["e_dgrad"]),
-        "r1cb_byparts_gradient_sq": (lam * th, gm_r2 * f.dot["dgrad_sq"]),
-    }
-    return {"r_1d": density, "r_1c": coupling, "r_1c_a": absorbed, "r_1c_b": direct}
+    _density_rows(f, row)
+    np.multiply(f.stress_c - f.stress_r, f.du_r, out=row())
+    for dot in (f.difference, f.laplacian_q, f.director_q, f.director_transport):
+        row()[:] = dot
+    gap_mag = f.gm - f.gm_r
+    sum_mag = f.gm_r + f.gm
+    np.multiply(f.u_r, f.gradient, out=row())
+    np.multiply(f.du_r, f.curvature, out=row())
+    np.multiply(sum_mag * f.d_dlap, gap_mag, out=row())
+    np.multiply(f.du_r, f.exchange, out=row())
+    np.multiply(f.u_r, f.e_dgrad, out=row())
+    np.multiply(sum_mag * f.d_e, gap_mag, out=row())
+    np.multiply(f.gap_sq, f.gm_r2, out=row())
+    # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted by
+    # parts onto the gradient gap (reference Neumann slope kills the
+    # boundary term)
+    np.multiply(f.stress_r, f.e_dgrad, out=row())
+    np.multiply(f.gm_r2, f.dgrad_sq, out=row())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     """One certificate row: every remainder integral, both
     reorganizations, h_hat, the relative entropy and the candidate's
@@ -557,57 +564,43 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     The quartet holds the active system's QUARTETS entries; its
     reorganization identity is checked against REORG_TOL_COEFF * dx^2.
     SPHERE requires both directors to be unit length.  The pair's fields
-    are built once; every integrand goes into one stack that a single
-    trapezoid call integrates.  Values beyond the float range raise
-    FunctionalError (see _check_row), not a numpy warning.
+    are built once; every integrand is written to its row of one stack
+    that a single trapezoid call integrates.  Values beyond the float
+    range raise FunctionalError (see _check_row), not a numpy warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _remainder(pair, params)
-
-
-def _remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
-    sphere_def = None
-    if params.system is System.SPHERE:
-        defects = _unit_defects(np.array((pair.candidate.d, pair.reference.d)))
-        for name, defect in zip(("candidate", "reference"), defects.tolist()):
-            if defect > 1e-8:
-                raise FunctionalError(f"{name} director is not unit length")
-        sphere_def = float(defects[0])
     f = _PairFields(pair, params)
-    # each block queued in term order, keyed by its QUARTETS name
-    blocks = (_remainder_gl if params.system is System.GL else _remainder_sphere)(f, params)
-    rows: _Rows = {name: row for block in blocks.values() for name, row in block.items()}
-    # reference stress transported by the velocity gap; cancels between the
-    # two reorganized blocks
-    rows["diag_stress_transport_exchange"] = (1.0, f.stress_div_r * (f.u_r - f.u))
-    rows["diag_director_l2_gap"] = (1.0, f.dot["gap_sq"])  # square root taken below
-
+    names, coefficients, blocks = _layout(params)
+    gl = params.system is System.GL
+    stack = np.empty((len(names) + 5, f.rho.shape[0]))
+    row = iter(stack).__next__
+    (_gl_rows if gl else _sphere_rows)(f, params, row)
+    # the diagnostics: the reference stress transported by the velocity gap,
+    # which cancels between the two reorganized blocks, and the director gap
+    # (its square root taken below)
+    np.multiply(f.stress_div_r, f.du_r, out=row())
+    row()[:] = f.gap_sq
     # past the terms: entropy, the candidate's energy, dissipation, mass; |g~/rho~|^3
-    extra = (
-        _entropy_density(f.rho, f.u - f.u_r, f.bregman, f.dot["dgrad_sq"], f.dot["gap_sq"],
-                         params),
-        *_state_densities(f.rho, f.u, f.d, f.grad_u, f.dot["grad_sq"], f.lap_d, f.force, f.pi,
-                          params),
-        f.rho,
-        np.abs(f.g_ref / f.rho_r) ** 3,
-    )
-    stack = np.array([row for _, row in rows.values()] + list(extra))
+    _entropy_density(f.rho, f.du, f.bregman, f.dgrad_sq, f.gap_sq, params, out=row())
+    _state_densities(f.rho, f.u, f.d, f.grad_u, f.grad_sq, f.resid_sq, f.pi, params,
+                     out=(row(), row()), d_sq=f.d_sq)
+    row()[:] = f.rho
+    np.power(np.abs(f.g_ref / f.rho_r), 3, out=row())
     integrals = trapezoid_array(stack, f.dx).tolist()
-    terms = {name: c * v for (name, (c, _)), v in zip(rows.items(), integrals)}
-    terms["diag_director_l2_gap"] = math.sqrt(terms["diag_director_l2_gap"])
-    entropy, energy_c, dissipation_c, mass_c, l3_cubed = integrals[len(rows):]
+    values = [c * v for c, v in zip(coefficients, integrals)]
+    values[-1] = math.sqrt(values[-1])
+    entropy, energy_c, dissipation_c, mass_c, l3_cubed = integrals[len(values):]
 
-    # each block sums left to right in the order its rows were queued
-    sums = {name: functools.reduce(operator.add, map(terms.__getitem__, block))
-            for name, block in blocks.items()}
-    quartet = [sums[name] for name in QUARTETS[params.system]]
-    lhs = quartet[0] + quartet[1] if params.system is System.GL else quartet[1]
+    # each block sums left to right in term order
+    quartet = [functools.reduce(operator.add, values[a:b]) for a, b in blocks]
+    lhs = quartet[0] + quartet[1] if gl else quartet[1]
     mismatch = lhs - (quartet[2] + quartet[3])
     h_terms = _gronwall_terms(f, params, l3_cubed)
     out = RemainderBreakdown(
-        quartet=dict(zip(QUARTETS[params.system], quartet)), terms=terms, h_terms=h_terms,
+        quartet=dict(zip(QUARTETS[params.system], quartet)),
+        terms=dict(zip(names, values)), h_terms=h_terms,
         h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
-        energy=energy_c, dissipation=dissipation_c, mass=mass_c, sphere_defect=sphere_def,
+        energy=energy_c, dissipation=dissipation_c, mass=mass_c,
+        sphere_defect=None if gl else f.sphere_defect,
     )
     _check_row(out, f.dx, l3_cubed)
     return out
@@ -617,16 +610,18 @@ def _check_row(out: RemainderBreakdown, dx: float, l3_cubed: float) -> None:
     """The reorganization identity holds, then every term is finite, then
     (NonFiniteError) the |g~/rho~|^3 integral, h_hat, the entropy and the
     candidate's energy, dissipation and mass."""
-    scale = max(1.0, sum(map(abs, out.terms.values())))
+    total = sum(map(abs, out.terms.values()))
+    scale = max(1.0, total)
     if abs(out.reorg_mismatch) > REORG_TOL_COEFF * dx * dx * scale:
         raise FunctionalError(
             f"remainder reorganization mismatch {out.reorg_mismatch:.3e} exceeds "
             f"{REORG_TOL_COEFF:g}*dx^2 at scale {scale:.3e}; "
             "formula-level inconsistency"
         )
-    for name, val in out.terms.items():
-        if not math.isfinite(val):
-            raise FunctionalError(f"non-finite remainder term {name}")
+    if not math.isfinite(total):  # else every term is finite
+        for name, val in out.terms.items():
+            if not math.isfinite(val):
+                raise FunctionalError(f"non-finite remainder term {name}")
     if not math.isfinite(l3_cubed):
         raise NonFiniteError("non-finite |g~/rho~|^3 integral")
     for name, val in (("Gronwall coefficient", out.h_hat), ("relative entropy", out.entropy),
@@ -650,34 +645,29 @@ def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str
     deferred to the single calibrated multiplier c_h applied by the
     verifier.  All terms are nonnegative; all vanish on a resting
     reference with a coinciding candidate.  The max-norms come from one
-    stacked max; l3_cubed is the integral of |g~/rho~|^3.
+    stacked max, the lengths' from their squares (f.norms) before the
+    square root; l3_cubed is the integral of |g~/rho~|^3.
     """
-    if params.system is System.GL:
-        lengths = {"force": "force_sq", "force_r": "force_r_sq"}
-    else:
-        lengths = {"d": "d_sq", "grad_d": "grad_sq"}
-    lengths.update(grad_d_r="grad_r_sq", lap_d_r="lap_r_sq")
-    mags = np.array([f.grad_u_r, f.g_ref, f.u_r, *[f.dot[k] for k in lengths.values()]])
-    np.abs(mags[:3], out=mags[:3])
-    np.sqrt(mags[3:], out=mags[3:])
-    inf = dict(zip(("grad_u_r", "g", "u_r", *lengths), mags.max(axis=-1).tolist()))
-
+    mags = np.abs(np.array((f.grad_u_r, f.g_ref, f.u_r, *f.norms))).max(axis=-1).tolist()
+    grad_u_r, g, u_r = mags[:3]
+    lengths = [math.sqrt(v) for v in mags[3:]]
     terms: Dict[str, float] = {}
-    terms["grad_u_ref_inf"] = inf["grad_u_r"]
+    terms["grad_u_ref_inf"] = grad_u_r
     terms["g_over_rho_l3_sq"] = _sq(float(np.cbrt(l3_cubed)))
-    terms["g_inf"] = inf["g"]
-    terms["u_ref_inf_sq"] = _sq(inf["u_r"])
+    terms["g_inf"] = g
+    terms["u_ref_inf_sq"] = _sq(u_r)
 
     if params.system is System.GL:
+        force, force_r, _, grad_r_inf, lap_r_inf = lengths
         # size surrogate for the penalization-force Lipschitz bound; the
         # true constant folds into c_h
-        terms["force_scale"] = inf["force"] + inf["force_r"]
-        terms["curvature_force_inf_sq"] = _sq(inf["lap_d_r"] + inf["force"])
-        terms["grad_d_ref_inf_sq"] = _sq(inf["grad_d_r"])
+        terms["force_scale"] = force + force_r
+        terms["curvature_force_inf_sq"] = _sq(lap_r_inf + force)
+        terms["grad_d_ref_inf_sq"] = _sq(grad_r_inf)
     else:
-        d_inf, grad_c_inf, grad_r_inf = inf["d"], inf["grad_d"], inf["grad_d_r"]
-        terms["u_ref_inf"] = inf["u_r"]
-        terms["lap_d_ref_inf_sq"] = _sq(inf["lap_d_r"])
+        d_inf, _, grad_c_inf, grad_r_inf, lap_r_inf = lengths
+        terms["u_ref_inf"] = u_r
+        terms["lap_d_ref_inf_sq"] = _sq(lap_r_inf)
         terms["grad_d_both_inf_sq_d_inf_sq"] = (_sq(grad_r_inf) + _sq(grad_c_inf)) * _sq(d_inf)
         terms["grad_d_cand_inf_sq"] = _sq(grad_c_inf)
         terms["d_inf_grad_sum"] = d_inf * (grad_r_inf + grad_c_inf)

@@ -103,16 +103,18 @@ def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order first derivative along the last axis.
 
     Central differences in the interior, one-sided three-point stencils at
-    both endpoints (also second order).
+    both endpoints (also second order); both as in laplacian_array.
     """
-    out = np.empty_like(values, dtype=float)
-    out[..., 1:-1] = central_gradient(values, dx)
-    out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (
-        2.0 * dx
-    )
-    out[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (
-        2.0 * dx
-    )
+    out = np.empty(values.shape)
+    central_gradient(values.reshape(-1), dx, out=out.reshape(-1)[1:-1])
+    end = np.multiply(values[..., 0], -3.0, out=out[..., 0])  # (-3 v0 + 4 v1 - v2) / 2dx
+    end += 4.0 * values[..., 1]
+    end -= values[..., 2]
+    end /= 2.0 * dx
+    end = np.multiply(values[..., -1], 3.0, out=out[..., -1])  # (3 v-1 - 4 v-2 + v-3) / 2dx
+    end -= 4.0 * values[..., -2]
+    end += values[..., -3]
+    end /= 2.0 * dx
     return out
 
 
@@ -122,20 +124,20 @@ def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     Three-point central stencil in the interior; one-sided four-point
     stencils at the endpoints keep second order there.  Boundary-condition
     aware variants (ghost mirroring, Dirichlet pinning) live in the dynamics
-    module; this is the raw operator.
+    module; this is the raw operator.  The central stencil runs over the
+    rows laid end to end, as the dynamics module's does; the endpoint
+    stencils, summed in place left to right, overwrite the entries it forms
+    across two rows.
     """
-    out = np.empty_like(values, dtype=float)
+    out = np.empty(values.shape)
     dx2 = dx * dx
-    out[..., 1:-1] = central_laplacian(values, dx)
-    out[..., 0] = (
-        2.0 * values[..., 0] - 5.0 * values[..., 1] + 4.0 * values[..., 2] - values[..., 3]
-    ) / dx2
-    out[..., -1] = (
-        2.0 * values[..., -1]
-        - 5.0 * values[..., -2]
-        + 4.0 * values[..., -3]
-        - values[..., -4]
-    ) / dx2
+    central_laplacian(values.reshape(-1), dx, out=out.reshape(-1)[1:-1])
+    for end, step in ((0, 1), (-1, -1)):  # (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, mirrored
+        acc = np.multiply(values[..., end], 2.0, out=out[..., end])
+        acc -= 5.0 * values[..., end + step]
+        acc += 4.0 * values[..., end + 2 * step]
+        acc -= values[..., end + 3 * step]
+        acc /= dx2
     return out
 
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -452,6 +451,11 @@ TRACE_COLUMNS = tuple(f.name for f in fields(EntropyTrace) if f.type == "np.ndar
 
 _COUNT_MISMATCH = "reference and candidate produced different sample counts"
 
+
+class _AllStored(Exception):
+    """Stops a candidate paired with every sample of a failed reference run."""
+
+
 Row = Callable[[int, float, StatePair], None]
 
 
@@ -475,7 +479,9 @@ def _pair_samples(
     goes to row(i, t, pair); sample counts and times must match.  A solver
     abort is tagged with the name of the trajectory that failed (the
     reference or a candidate); an error raised evaluating a pair
-    propagates unchanged.
+    propagates unchanged.  If the reference run raises, every other
+    candidate is first paired over the samples the reference stored, as in
+    lockstep: an error from those pairs or candidates propagates instead.
     """
     params = config.params
 
@@ -514,10 +520,16 @@ def _pair_samples(
         for i, st in zip(joined, states[1:]):
             row(i, t, StatePair(st, reference, rho_lower=config.density_floor))
 
-    run(("reference",) + ("candidate",) * len(joined),
-        (make_initial_data(config.initial_preset, grid_r, params),)
-        + tuple(candidates[i][0] for i in joined),
-        dt_r, observe_reference)
+    failed = None  # the reference run's error, raised once the stored samples are paired
+    try:
+        run(("reference",) + ("candidate",) * len(joined),
+            (make_initial_data(config.initial_preset, grid_r, params),)
+            + tuple(candidates[i][0] for i in joined),
+            dt_r, observe_reference)
+    except (SolverError, ValueError) as exc:  # an abort, or any error nemlab raises
+        if not times:
+            raise
+        failed = exc
     for stored in blocks.values():
         for block in stored:
             block.flags.writeable = False  # the rows are States' arrays from here on
@@ -537,10 +549,17 @@ def _pair_samples(
             reference = State._wrap(init.grid, rows[0], rows[1], rows[2:])
             row(i, t, StatePair(states[0], reference, rho_lower=config.density_floor))
             k += 1
+            if failed is not None and k == len(times):
+                raise _AllStored
 
-        run(("candidate",), (init,), dt, observe)
+        try:
+            run(("candidate",), (init,), dt, observe)
+        except _AllStored:
+            continue
         if k != len(times):
             raise VerifierError(_COUNT_MISMATCH)
+    if failed is not None:
+        raise failed
 
 
 def run_twin(config: ExperimentConfig) -> EntropyTrace:
@@ -562,34 +581,33 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     """
     params = config.params
     system = params.system
-    # columns fill as packed doubles, not lists of float objects
+    # columns of packed doubles; a row appends its values to `columns` in
+    # order, and the first row adds the per-term columns to it
     cols: Dict[str, array] = {name: array("d") for name in TRACE_COLUMNS}
-    terms: Dict[str, array] = defaultdict(functools.partial(array, "d"))
+    columns = [cols[name] for name in ("times", "entropy", "h_hat", "energy_candidate",
+                                       "dissipation_candidate", "mass_candidate",
+                                       "sphere_defect", *QUARTETS[system])]
+    terms: Dict[str, array] = {}
     reference = EnergyWindow(config.grid_reference, params, "reference")
+    reached = -math.inf  # the time of the latest sample a row was evaluated at
 
     def row(i: int, t: float, pair: StatePair) -> None:
+        nonlocal reached
+        reached = t
         try:
             br = remainder(pair, params)
         except NonFiniteError as exc:
             exc.args = (f"{exc} at t={t:.6g}",)
             raise
-        values = dict(
-            times=t,
-            entropy=br.entropy,
-            h_hat=br.h_hat,
-            energy_candidate=br.energy,
-            dissipation_candidate=br.dissipation,
-            mass_candidate=br.mass,
-            **br.quartet,
-        )
-        if system is System.SPHERE:
-            values["sphere_defect"] = br.sphere_defect
-        for name, v in values.items():
-            cols[name].append(v)
-        per_term = {**br.terms, **{f"h_{k}": v for k, v in br.h_terms.items()},
-                    "reorg_mismatch": br.reorg_mismatch}
-        for name, v in per_term.items():
-            terms[name].append(v)
+        if not terms:
+            terms.update((name, array("d")) for name in (
+                *br.terms, *["h_" + k for k in br.h_terms], "reorg_mismatch"))
+            columns.extend(terms.values())
+        defect = math.nan if br.sphere_defect is None else br.sphere_defect  # GL: NaN
+        for col, v in zip(columns, (t, br.entropy, br.h_hat, br.energy, br.dissipation, br.mass,
+                                    defect, *br.quartet.values(), *br.terms.values(),
+                                    *br.h_terms.values(), br.reorg_mismatch)):
+            col.append(v)
 
     cand_init = make_initial_data(
         config.initial_preset, config.grid_candidate, params, config.perturbation
@@ -597,9 +615,9 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     try:
         _pair_samples(config, [(cand_init, config.dt_candidate)], row, reference.add)
     finally:
-        # the last partial window, also when the run raised: a value of an
-        # earlier sample beyond the float range is the error to report
-        reference.flush()
+        # the last partial window, also when the run raised: a reference value
+        # beyond the float range up to the sample a row reached comes first
+        reference.flush(until=reached)
     cols["energy_reference"] = reference.energy
     cols["dissipation_reference"] = reference.dissipation
     # a column no sample filled (the inactive system's remainders, the
@@ -751,7 +769,9 @@ def check_uniqueness(
     entropy: List[List[float]] = [[] for _ in grids]
 
     def row(i: int, t: float, pair: StatePair) -> None:
-        entropy[i].append(relative_entropy(pair, params))
+        # an entropy beyond the float range is an inf sup, and no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            entropy[i].append(relative_entropy(pair, params))
 
     # no perturbation: the collapse protocol
     levels = [(make_initial_data(config.initial_preset, g, params), dt)

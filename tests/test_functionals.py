@@ -573,3 +573,18 @@ def test_energy_window_names_the_first_non_finite_value(peak, which):
             base = uniform_state(g)
             window.add(State(g, base.rho, u, base.d) if k >= 5 else base, 0.1 * k)
         window.flush()
+
+
+def test_energy_window_names_a_value_at_or_before_until_and_keeps_it():
+    g = Grid1D(17, 0.0, 1.0)
+    window = functionals.EnergyWindow(g, GL, "reference")
+    base = uniform_state(g)
+    u = np.zeros(17)
+    u[1] = 1e160
+    window.add(base, 0.0)
+    window.add(State(g, base.rho, u, base.d), 0.1)
+    window.flush(until=0.05)  # the first non-finite value is at t=0.1
+    for until in (0.1, np.inf):  # the window kept both samples
+        with pytest.raises(FunctionalError, match="^non-finite reference energy at t=0.1$"):
+            window.flush(until=until)
+    assert len(window.energy) == 0

@@ -16,17 +16,28 @@ differ between CPUs and library builds.  `KERNELS` fingerprints them;
 where they give other bits than on the machine the hashes were taken on,
 the comparison says nothing about this package and the test is skipped
 with that reason.
+
+`REMAINDER` hashes every value of `remainder`'s certificate row on fixed
+numpy-seeded smooth pairs: both systems, the default coefficients and two
+non-default sets, n = 33, 97 and 257.  The twins above run the default
+coefficients only, and the lengths matter too: a change of array length
+can move which elements fall in the SIMD tails of the kernels.  It was
+taken before the row's arithmetic moved to one contraction block and one
+preallocated quadrature stack, and held bit for bit through that change.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 from nemlab.constitutive import Params, System
+from nemlab.dynamics import State
+from nemlab.functionals import StatePair, remainder
 from nemlab.grid import Grid1D
 from nemlab.traceio import write_trace
 from nemlab.verifier import ExperimentConfig, Perturbation, run_twin
@@ -53,6 +64,9 @@ GOLDEN = {
         "84546af07eed044b2a4f5b703d8aa1d04c177ef25e86c75cf3f2f2b7294512bd",
     ),
 }
+
+# sha256 of every RemainderBreakdown value over the pairs of _remainder_pairs
+REMAINDER = "6ae7156e03dffb7c9c13aac283f258df2bb6b6b5d03f81dfeb677cd4de078e4e"
 
 
 def _kernels_digest() -> str:
@@ -106,3 +120,65 @@ def test_trace_csv_is_bit_identical_to_the_golden_hash(tmp_path, name):
     for term, col in trace.terms.items():
         terms.update(term.encode() + col.tobytes())
     assert (hashlib.sha256(path.read_bytes()).hexdigest(), terms.hexdigest()) == GOLDEN[name]
+
+
+# coefficient sets of the remainder digest: the defaults, a gamma below 2
+# and one above it, with every other coefficient moved off 1
+REMAINDER_PARAMS = (
+    {},
+    dict(a=1.7, gamma=1.4, sigma0=0.6, mu=0.3, lam=2.5, theta=0.7),
+    dict(a=0.8, gamma=3.0, sigma0=1.9, mu=1.6, lam=0.4, theta=2.2),
+)
+
+
+def _smooth(rng: np.random.Generator, x: np.ndarray, size: float,
+            sines: bool = True) -> np.ndarray:
+    """Four sine and four cosine modes with seeded amplitudes below size /
+    mode; the cosines alone (zero slope at both walls) when not sines."""
+    modes = np.arange(1.0, 5.0)
+    a, b = rng.uniform(-size, size, (2, 4)) / modes
+    return (sines * a[:, None] * np.sin(np.pi * modes[:, None] * x)
+            + b[:, None] * np.cos(np.pi * modes[:, None] * x)).sum(axis=0)
+
+
+def _remainder_pairs():
+    """(params, pair) for each system, coefficient set and n in 33, 97, 257:
+    smooth candidate and reference fields from one seeded generator; SPHERE
+    directors are unit length with zero slope at the walls, as the
+    by-parts move of its reorganization needs."""
+    rng = np.random.default_rng(20261019)
+    for system in System:
+        for coefficients in REMAINDER_PARAMS:
+            params = Params(system=system, **coefficients)
+            for n in (33, 97, 257):
+                grid = Grid1D(n, 0.0, 1.0)
+                x = grid.nodes()
+                states = []
+                for _ in range(2):
+                    rho = 1.0 + _smooth(rng, x, 0.1)
+                    u = np.sin(np.pi * x) * _smooth(rng, x, 0.2)
+                    if system is System.GL:
+                        d = np.stack([1.0 + _smooth(rng, x, 0.1), _smooth(rng, x, 0.3),
+                                      _smooth(rng, x, 0.2)])
+                    else:
+                        phi = 0.5 * np.cos(np.pi * x) + _smooth(rng, x, 0.2, sines=False)
+                        psi = _smooth(rng, x, 0.3, sines=False)
+                        d = np.stack([np.cos(phi), np.sin(phi) * np.cos(psi),
+                                      np.sin(phi) * np.sin(psi)])
+                    states.append(State(grid, rho, u, d))
+                yield params, StatePair(*states)
+
+
+def test_remainder_rows_are_bit_identical_to_the_golden_hash():
+    if _kernels_digest() != KERNELS:
+        pytest.skip("floating-point kernels differ from those the hashes were taken with")
+    digest = hashlib.sha256()
+    for params, pair in _remainder_pairs():
+        br = remainder(pair, params)
+        for values in (br.quartet, br.terms, br.h_terms):
+            for name, v in values.items():
+                digest.update(name.encode() + struct.pack("<d", v))
+        for v in (br.h_hat, br.reorg_mismatch, br.entropy, br.energy, br.dissipation, br.mass,
+                  br.sphere_defect):
+            digest.update(b"none" if v is None else struct.pack("<d", v))
+    assert digest.hexdigest() == REMAINDER

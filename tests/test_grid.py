@@ -123,6 +123,19 @@ class TestLaplacian:
             assert 1.8 <= order <= 2.2
 
 
+@pytest.mark.parametrize("op", [gradient_array, laplacian_array])
+@pytest.mark.parametrize("n", [5, 6, 33])
+def test_each_row_of_a_stack_is_its_own_result_bit_for_bit(op, n):
+    # the central stencil runs over the stacked rows laid end to end; the
+    # endpoint stencils overwrite what it forms across two rows
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(2, 3, n)) * 10.0 ** rng.integers(-3, 4, size=(2, 3, 1))
+    dx = 1.0 / (n - 1)
+    for values in (stack, stack[:, 1:], stack.transpose(1, 0, 2)):
+        expected = [op(row, dx) for row in values.reshape(-1, n)]
+        assert op(values, dx).tobytes() == np.array(expected).tobytes()
+
+
 class TestIntegrate:
     def test_constant_exact(self):
         g = Grid1D(17, 0.0, 1.0)

@@ -484,6 +484,32 @@ class TestStreamedTwin:
             run_twin(twin_config(n_ref=65, n_cand=33, amplitude=1e-3))
         assert str(info.value) == "remainder rejected the pair"
 
+    @pytest.mark.parametrize("failing_pair", [None, 0, 2])
+    def test_stored_samples_are_paired_before_a_reference_error(self, failing_pair):
+        # the lockstep order: a pair evaluated before the reference fails
+        # comes first, so its error wins; else the reference's propagates
+        cfg = twin_config(n_ref=65, n_cand=33, amplitude=1e-3, t_end=0.01)
+        init = make_initial_data(cfg.initial_preset, cfg.grid_candidate, cfg.params,
+                                 cfg.perturbation)
+        stored, paired = [], []
+
+        def on_reference(state, t):
+            stored.append(t)
+            if len(stored) == 4:
+                raise FunctionalError("the reference failed")
+
+        def row(i, t, pair):
+            paired.append(t)
+            if len(paired) - 1 == failing_pair:
+                raise FunctionalError("the pair failed")
+
+        which = "reference" if failing_pair is None else "pair"
+        with pytest.raises(FunctionalError, match=f"^the {which} failed$"):
+            verifier._pair_samples(cfg, [(init, cfg.dt_candidate)], row, on_reference)
+        # the candidate ran only as far as the stored samples
+        assert paired == pytest.approx(stored[:len(paired)])
+        assert len(paired) == (4 if failing_pair is None else failing_pair + 1)
+
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
     def test_columns_hold_what_remainder_returns(self, system, monkeypatch):
         returned = []
