@@ -10,15 +10,8 @@ under refinement.
 __version__ = "0.1.0"
 
 from .constitutive import Params, System
-from .dynamics import BoundarySpec, InitialData, State, evolve
-from .functionals import (
-    RemainderBreakdown,
-    StatePair,
-    dissipation,
-    energy,
-    relative_entropy,
-    remainder,
-)
+from .dynamics import InitialData, State, evolve
+from .functionals import RemainderBreakdown, StatePair, relative_entropy, remainder
 from .grid import Grid1D
 from .verifier import (
     EntropyTrace,
@@ -36,10 +29,8 @@ __all__ = [
     "__version__",
     "Params", "System",
     "Grid1D",
-    "State", "InitialData", "BoundarySpec", "evolve",
-    "StatePair", "RemainderBreakdown",
-    "energy", "dissipation", "relative_entropy",
-    "remainder",
+    "State", "InitialData", "evolve",
+    "StatePair", "RemainderBreakdown", "relative_entropy", "remainder",
     "ExperimentConfig", "GronwallConfig", "Perturbation", "EntropyTrace",
     "run_twin", "check_gronwall", "check_uniqueness", "check_energy",
     "make_initial_data",

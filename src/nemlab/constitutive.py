@@ -4,15 +4,18 @@ The pressure is the power law P(rho) = a*rho^gamma with a > 0, gamma > 1.
 Its potential Pi(rho) = a/(gamma-1)*rho^gamma satisfies the exact identity
 Pi'(rho)*rho - Pi(rho) = P(rho), which downstream entropy functionals rely
 on; Pi' is therefore always evaluated analytically, never by numerical
-differentiation.
+differentiation.  Params owns the coefficients, each written once: Pi =
+pi_coeff rho^gamma, Pi' = pi1_coeff rho^(gamma-1) and P' = rho Pi'' =
+dp_coeff rho^(gamma-1); the step, the certificate row and the energies
+read them there, so the identity holds for one set of coefficients.
 
 The director relaxation uses the quartic Ginzburg-Landau penalization
 F(d) = (|d|^2 - 1)^2 / (4*sigma0^2) with exact gradient
 f(d) = (|d|^2 - 1) d / sigma0^2, so f vanishes on the unit sphere and
 d.f(d) >= 0 whenever |d| >= 1.
 
-All functions are stateless, accept scalars or arrays (vectors use a
-leading axis of length 3), and are safe for unrestricted concurrent use.
+All functions are stateless, take arrays (a director's 3 components on
+its second-to-last axis), and are safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -94,6 +97,18 @@ class Params:
                     f"{name} must be positive, got {getattr(self, name)}"
                 )
 
+    @property
+    def pi_coeff(self) -> float:
+        return self.a / (self.gamma - 1.0)
+
+    @property
+    def pi1_coeff(self) -> float:
+        return self.dp_coeff / (self.gamma - 1.0)
+
+    @property
+    def dp_coeff(self) -> float:
+        return self.a * self.gamma
+
 
 def _least(values: np.ndarray, initial: float):
     """The least of initial and the entries of values, in one reduction.
@@ -114,64 +129,35 @@ def _check_nonneg_rho(rho) -> np.ndarray:
 
 def _power_law(rho, coefficient: float, exponent: float, out=None):
     """coefficient * rho^exponent, written to out when given (an array of
-    rho's shape); a float for scalar input.  The one power law: the public
-    laws check rho's sign first, the IMEX step holds rho above a floor."""
+    rho's shape).  The one power law: the energies and the Bregman gap
+    check rho's sign first, the IMEX step holds rho above a floor."""
     out = np.power(rho, exponent, out=out)
     out *= coefficient
-    return float(out) if out.ndim == 0 else out
-
-
-def pressure(rho, params: Params):
-    """P(rho) = a * rho^gamma."""
-    return _power_law(_check_nonneg_rho(rho), params.a, params.gamma)
-
-
-def pressure_derivative(rho, params: Params):
-    """P'(rho) = a*gamma * rho^(gamma-1), evaluated analytically."""
-    return _power_law(_check_nonneg_rho(rho), params.a * params.gamma, params.gamma - 1.0)
-
-
-def pressure_potential(rho, params: Params):
-    """Pi(rho) = a/(gamma-1) * rho^gamma."""
-    return _power_law(_check_nonneg_rho(rho), params.a / (params.gamma - 1.0), params.gamma)
-
-
-def pressure_potential_derivative(rho, params: Params):
-    """Pi'(rho) = a*gamma/(gamma-1) * rho^(gamma-1), analytic."""
-    return _power_law(_check_nonneg_rho(rho), params.a * params.gamma / (params.gamma - 1.0),
-                      params.gamma - 1.0)
-
-
-def pressure_potential_second_derivative(rho, params: Params):
-    """Pi''(rho) = a*gamma * rho^(gamma-2); note rho*Pi''(rho) = P'(rho)."""
-    return _power_law(_check_nonneg_rho(rho), params.a * params.gamma, params.gamma - 2.0)
+    return out
 
 
 def gl_potential(d, params: Params, sq=None):
     """Penalization energy density F(d) = (|d|^2 - 1)^2 / (4 sigma0^2).
 
-    d has shape (3,), (3, n) or (K, 3, n), the components on the last axis
-    of a single vector and the second-to-last otherwise; returns a scalar,
-    a length-n array or a (K, n) array.  sq, when given, holds |d|^2 as a
-    sum over the components gives it, and d is not read.
+    d has shape (3, n) or (K, 3, n); returns a length-n or a (K, n)
+    array.  sq, when given, holds |d|^2 as a sum over the components gives
+    it, and d is not read.
     """
     if sq is None:
-        sq = np.square(d, dtype=float).sum(axis=0 if np.ndim(d) == 1 else -2)
+        sq = np.square(d, dtype=float).sum(axis=-2)
     s = sq - 1.0
-    out = s * s / (4.0 * params.sigma0**2)
-    return float(out) if out.ndim == 0 else out
+    return s * s / (4.0 * params.sigma0**2)
 
 
 def gl_force(d, params: Params, out=None):
     """Exact gradient f(d) = (|d|^2 - 1) d / sigma0^2 of the penalization.
 
-    d has shape (3,), (3, n) or (B, 3, n): the components are the last
-    axis of a single vector and the second-to-last axis otherwise.  The
-    force is written to out when given (an array of d's shape).
+    d has shape (3, n) or (B, 3, n).  The force is written to out when
+    given (an array of d's shape).
     """
     d = np.asarray(d, dtype=float)
     out = np.multiply(d, d, out=out)
-    s = np.add.reduce(out, axis=0 if d.ndim == 1 else -2, keepdims=True)
+    s = np.add.reduce(out, axis=-2, keepdims=True)
     s -= 1.0
     out = np.multiply(s, d, out=out)
     return np.divide(out, params.sigma0**2, out=out)
@@ -186,12 +172,11 @@ def bregman_pressure(rho, rho_tilde, params: Params):
     anything more negative is a real error and raises.
     """
     rho = _check_nonneg_rho(rho)
-    rt = np.asarray(rho_tilde, dtype=float)
-    if _least(rt, np.inf) <= 0:
+    if _least(rho_tilde, np.inf) <= 0:
         raise ConstitutiveError("reference density must be strictly positive")
-    out = _bregman(pressure_potential(rho, params), pressure_potential_derivative(rt, params),
-                   pressure_potential(rt, params), rho, rt)
-    return float(out) if out.ndim == 0 else out
+    return _bregman(_power_law(rho, params.pi_coeff, params.gamma),
+                    _power_law(rho_tilde, params.pi1_coeff, params.gamma - 1.0),
+                    _power_law(rho_tilde, params.pi_coeff, params.gamma), rho, rho_tilde)
 
 
 def _bregman(pi, pi1_t, pi_t, rho, rho_t) -> np.ndarray:

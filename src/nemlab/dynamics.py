@@ -359,7 +359,7 @@ def _check_cfl(dt: float, dx: float, params: Params, work: _Workspace) -> None:
     rho_max, u_max = np.maximum.reduce(work.peaks, axis=2).tolist()
     for member, (u_m, rho_m) in enumerate(zip(u_max, rho_max)):
         try:
-            speed = u_m + math.sqrt(params.a * params.gamma * rho_m ** (params.gamma - 1.0))
+            speed = u_m + math.sqrt(params.dp_coeff * rho_m ** (params.gamma - 1.0))
         except OverflowError:  # only a finite rho_m overflows a float power
             speed = math.inf
         if not math.isfinite(u_m + rho_m):

@@ -68,7 +68,6 @@ from .constitutive import (
     bregman_pressure,
     gl_force,
     gl_potential,
-    pressure_potential,
 )
 from .dynamics import DEFAULT_DENSITY_FLOOR, State
 from .grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
@@ -238,8 +237,8 @@ def _energy_rows(rows: np.ndarray, dx: float, params: Params) -> np.ndarray:
     resid = _residual(d, laplacian_array(d, dx), grad_sq, force)
     resid *= resid
     dens = np.empty((2,) + rho.shape)
-    _state_densities(rho, u, d, grad[:, 0], grad_sq, resid.sum(axis=-2),
-                     pressure_potential(rho, params), params, out=dens)
+    pi = _power_law(_check_nonneg_rho(rho), params.pi_coeff, params.gamma)
+    _state_densities(rho, u, d, grad[:, 0], grad_sq, resid.sum(axis=-2), pi, params, out=dens)
     return trapezoid_array(dens, dx)
 
 
@@ -376,10 +375,9 @@ class _PairFields:
         c, r = pair.candidate, pair.reference
         self.rho, self.rho_r, self.u, self.u_r = rho, rho_r, u, u_r = c.rho, r.rho, c.u, r.u
         self.d, self.d_r = d, d_r = c.d, r.d
-        a, gamma = params.a, params.gamma
-        pow_r, pow1_r = np.power(rho_r, gamma), np.power(rho_r, gamma - 1.0)
-        self.p_r = p_r = pow_r * a
-        pi1_r = pow1_r * (a * gamma / (gamma - 1.0))
+        pow_r, pow1_r = np.power(rho_r, params.gamma), np.power(rho_r, params.gamma - 1.0)
+        self.p_r = p_r = pow_r * params.a
+        pi1_r = pow1_r * params.pi1_coeff
         laws_r = ()
         if params.system is System.GL:
             self.flux_r = rho_r * u_r
@@ -432,11 +430,10 @@ class _PairFields:
             self.laplacian_q, self.director_q, self.resid_sq = _contract(
                 ((dlap, q), (e, q), (resid, resid)))
         _check_nonneg_rho(rho)
-        pow_c = np.power(rho, gamma)
-        pi_coeff = a / (gamma - 1.0)
-        self.p, self.pi = pow_c * a, pow_c * pi_coeff
-        self.bregman = _bregman(self.pi, pi1_r, pow_r * pi_coeff, rho, rho_r)
-        self.dp_r = pow1_r * (a * gamma)
+        pow_c = np.power(rho, params.gamma)
+        self.p, self.pi = pow_c * params.a, pow_c * params.pi_coeff
+        self.bregman = _bregman(self.pi, pi1_r, pow_r * params.pi_coeff, rho, rho_r)
+        self.dp_r = pow1_r * params.dp_coeff
         self.rho_du_r = rho * self.du_r
         self.stress_div_r = params.lam * self.stress_r
         self.g_ref = params.mu * lap[0] - self.stress_div_r
@@ -506,7 +503,7 @@ def _gl_rows(f: _PairFields, params: Params, row: Callable[[], np.ndarray]) -> N
     grad_p_r, grad_flux_r, grad_pi1_r = f.grad_laws_r
     dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
     # -Pi''(rho~), its coefficient negated
-    dpidt_r = _power_law(f.rho_r, -(params.a * params.gamma), params.gamma - 2.0) * grad_flux_r
+    dpidt_r = _power_law(f.rho_r, -params.dp_coeff, params.gamma - 2.0) * grad_flux_r
     np.multiply(f.rho_du_r, dudt_r + f.u * f.grad_u_r, out=row())
     np.multiply(f.grad_u_r, f.grad_u_r - f.grad_u, out=row())
     np.add((f.rho_r - f.rho) * dpidt_r, grad_pi1_r * (f.flux_r - f.rho * f.u), out=row())

@@ -334,27 +334,19 @@ def _cubic_stencil(grid_from: Grid1D, grid_to: Grid1D) -> _Stencil:
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def cubic_restrict(values: np.ndarray, grid_from: Grid1D, grid_to: Grid1D) -> np.ndarray:
-    """Local 4-point cubic Lagrange interpolation onto another grid.
+def _restrict(vals: np.ndarray, stencil: _Stencil) -> np.ndarray:
+    """Local 4-point cubic Lagrange interpolation of the float array vals
+    onto another grid, by the stencil of the grid pair.
 
     Operates along the last axis, so a stack of fields restricts in one
     call.  Target points that coincide bitwise with source nodes
     reproduce the nodal values exactly (the Lagrange weights evaluate to
-    exact 0/1), so the bridge is the identity on matching grids.  On
-    nested grids every target node is such a point, and finite values are
-    gathered from their source nodes instead of summed: the four weighted
-    values give the same bits, except that their sum may turn a -0.0 into
-    +0.0 (numpy's sum starts from +0.0), so values whose gather holds a
-    -0.0 take the weighted sum.  The stencil of each grid pair is computed
-    once and cached.
+    exact 0/1).  On nested grids every target node is such a point, and
+    finite values are gathered from their source nodes instead of summed:
+    the four weighted values give the same bits, except that their sum may
+    turn a -0.0 into +0.0 (numpy's sum starts from +0.0), so values whose
+    gather holds a -0.0 take the weighted sum.
     """
-    if grid_from == grid_to:
-        return np.array(values, dtype=float, copy=True)
-    return _restrict(np.asarray(values, dtype=float), _cubic_stencil(grid_from, grid_to))
-
-
-def _restrict(vals: np.ndarray, stencil: _Stencil) -> np.ndarray:
-    """cubic_restrict of the float array vals by the stencil of its grid pair."""
     idx, weights, nodes = stencil
     if nodes is not None:
         out = vals[..., nodes].copy()
@@ -367,13 +359,14 @@ def _restrict(vals: np.ndarray, stencil: _Stencil) -> np.ndarray:
 def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     """Restrict a state to another grid; identity when grids coincide.
 
-    The stacked (rho, u, d0, d1, d2) rows restrict in one cubic_restrict
-    call.  For the SPHERE system the interpolated director is renormalized
-    (the interpolant leaves the unit sphere at the interpolation-error
-    level, well below the entropy scales being measured).  On nested grids
-    the rows are gathered from the state's finite entries, and the result
-    is wrapped without checking them again; otherwise the interpolated
-    rows are checked as State checks any arrays.
+    The stacked (rho, u, d0, d1, d2) rows restrict in one _restrict call
+    by the grid pair's cached stencil.  For the SPHERE system the
+    interpolated director is renormalized (the interpolant leaves the unit
+    sphere at the interpolation-error level, well below the entropy scales
+    being measured).  On nested grids the rows are gathered from the
+    state's finite entries, and the result is wrapped without checking
+    them again; otherwise the interpolated rows are checked as State
+    checks any arrays.
     """
     if state.grid == grid_to:
         return state
@@ -750,7 +743,9 @@ def check_uniqueness(
     reference and the levels may take at most MAX_STEPS steps together,
     or VerifierError is raised before anything runs.  Passing
     requires every observed order to reach _ORDER_FLOOR (1.8); a level whose
-    entropy is identically zero gives an infinite order.
+    entropy is identically zero gives an infinite order.  An entropy beyond
+    the float range raises NonFiniteError once every level is paired, for
+    the earliest such sample and, among its levels, the coarsest.
     """
     if len(refinement_levels) < 3:
         raise VerifierError("need at least 3 refinement levels")
@@ -767,16 +762,23 @@ def check_uniqueness(
     _check_step_count(config.t_end, dts[-1], f"dt of level {refinement_levels[-1]}")
     _check_step_budget(config.t_end, [config.dt_reference, *dts], "the reference and the levels")
     entropy: List[List[float]] = [[] for _ in grids]
+    overflows: List[Tuple[float, int]] = []  # (t, level index) of each non-finite entropy
 
     def row(i: int, t: float, pair: StatePair) -> None:
-        # an entropy beyond the float range is an inf sup, and no numpy warning
+        # no numpy warning, and no error before every level is paired: a
+        # later level may abort earlier in time
         with np.errstate(over="ignore", invalid="ignore"):
             entropy[i].append(relative_entropy(pair, params))
+        if not math.isfinite(entropy[i][-1]):
+            overflows.append((t, i))
 
     # no perturbation: the collapse protocol
     levels = [(make_initial_data(config.initial_preset, g, params), dt)
               for g, dt in zip(grids, dts)]
     _pair_samples(config, levels, row)
+    if overflows:
+        t, i = min(overflows)
+        raise NonFiniteError(f"non-finite relative entropy of level {grids[i].n_nodes} at t={t:.6g}")
     sups = [float(np.max(e)) for e in entropy]
     dxs = [g.dx for g in grids]
 

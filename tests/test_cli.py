@@ -850,6 +850,22 @@ class TestMain:
         assert code == 3
         assert capsys.readouterr().err == err + "\n"
 
+    def test_overflowing_entropy_without_an_abort_exits_3(self, tmp_path, capsys):
+        # lambda = 1e300 over one sample interval: no trajectory aborts, but
+        # at t=4e-05 the relative entropy of levels 41 and 65 leaves the
+        # float range (level 33 joins the reference, and its entropy is 0)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{"lambda": 1e300, "x_max": 1e5, "t_end": 4e-05,
+                                    "sample_interval": 4e-05, "grid_reference": {"n": 33},
+                                    "grid_candidate": {"n": 33}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["uniqueness", "-c", str(path), "--levels", "33,41,65",
+                         "--manifest", str(tmp_path / "m.json")])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "numerical abort: non-finite relative entropy of level 41 at t=4e-05\n")
+
     @pytest.mark.parametrize("gamma", [1.01, 1.001])
     @pytest.mark.parametrize("system", ["gl", "sphere"])
     @pytest.mark.parametrize("n_candidate", [33, 17], ids=["lockstep", "streamed"])

@@ -27,7 +27,7 @@ from nemlab.dynamics import (
 from nemlab import dynamics
 from nemlab.functionals import dissipation, energy
 from nemlab.grid import Grid1D, central_laplacian
-from nemlab.verifier import Perturbation, cubic_restrict, make_initial_data
+from nemlab.verifier import Perturbation, make_initial_data, restrict_state
 
 
 def equilibrium(grid):
@@ -403,15 +403,13 @@ class TestStep:
                 grids.append(g)
             diffs = []
             for k in range(2):
-                fine_on_coarse = cubic_restrict(
-                    finals[k + 1].rho, grids[k + 1], grids[k]
-                )
-                du = cubic_restrict(finals[k + 1].u, grids[k + 1], grids[k])
-                dd = cubic_restrict(finals[k + 1].d, grids[k + 1], grids[k])
+                # the fine state on the coarse grid, as the twins restrict it
+                # (a SPHERE director renormalized to unit length)
+                fine = restrict_state(finals[k + 1], grids[k], system)
                 err = max(
-                    np.max(np.abs(fine_on_coarse - finals[k].rho)),
-                    np.max(np.abs(du - finals[k].u)),
-                    np.max(np.abs(dd - finals[k].d)),
+                    np.max(np.abs(fine.rho - finals[k].rho)),
+                    np.max(np.abs(fine.u - finals[k].u)),
+                    np.max(np.abs(fine.d - finals[k].d)),
                 )
                 diffs.append(err)
             order = np.log2(diffs[0] / diffs[1])

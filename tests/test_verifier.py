@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from nemlab import verifier
 from nemlab.constitutive import Params, System
 from nemlab.dynamics import CflError, State
-from nemlab.functionals import ENERGY_WINDOW, QUARTETS, FunctionalError, energy_dissipation
+from nemlab.functionals import (
+    ENERGY_WINDOW,
+    QUARTETS,
+    FunctionalError,
+    NonFiniteError,
+    energy_dissipation,
+)
 from nemlab.grid import Grid1D
 from nemlab.verifier import (
     TRACE_COLUMNS,
@@ -22,7 +28,6 @@ from nemlab.verifier import (
     check_energy,
     check_gronwall,
     check_uniqueness,
-    cubic_restrict,
     make_initial_data,
     restrict_state,
     run_twin,
@@ -30,6 +35,11 @@ from nemlab.verifier import (
 
 GL = Params(system=System.GL)
 SPH = Params(system=System.SPHERE)
+
+
+def restrict(values, src, dst):
+    """The cubic restriction restrict_state applies to its stacked rows."""
+    return verifier._restrict(np.asarray(values, dtype=float), verifier._cubic_stencil(src, dst))
 
 
 def twin_config(system=System.GL, n_ref=97, n_cand=97, dt=2e-4, t_end=0.05,
@@ -142,14 +152,14 @@ class TestCubicRestrict:
         g = Grid1D(65, 0.0, 1.0)
         rng = np.random.default_rng(1)
         vals = rng.normal(size=65)
-        out = cubic_restrict(vals, g, Grid1D(65, 0.0, 1.0))
-        assert np.array_equal(out, vals)
+        state = State(g, 1.0 + vals**2, vals, np.array((vals, vals, vals)))
+        assert restrict_state(state, Grid1D(65, 0.0, 1.0), System.GL) is state
 
     def test_nodal_exactness_on_nested_grids(self):
         fine = Grid1D(129, 0.0, 1.0)
         coarse = Grid1D(65, 0.0, 1.0)
         vals = np.sin(2 * np.pi * fine.nodes())
-        out = cubic_restrict(vals, fine, coarse)
+        out = restrict(vals, fine, coarse)
         assert np.array_equal(out, vals[::2])
 
     def test_reproduces_cubics(self):
@@ -157,7 +167,7 @@ class TestCubicRestrict:
         dst = Grid1D(97, 0.0, 1.0)
         x = src.nodes()
         vals = 2.0 - x + 3.0 * x**2 - 0.5 * x**3
-        out = cubic_restrict(vals, src, dst)
+        out = restrict(vals, src, dst)
         xd = dst.nodes()
         exact = 2.0 - xd + 3.0 * xd**2 - 0.5 * xd**3
         assert np.allclose(out, exact, atol=1e-13)
@@ -168,7 +178,7 @@ class TestCubicRestrict:
         for n in (65, 129, 257):
             src = Grid1D(n, 0.0, 1.0)
             vals = np.sin(2 * np.pi * src.nodes())
-            out = cubic_restrict(vals, src, dst)
+            out = restrict(vals, src, dst)
             errs.append(np.max(np.abs(out - np.sin(2 * np.pi * dst.nodes()))))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 3.0 for o in orders)
@@ -189,28 +199,29 @@ _FINITE_VALUES = st.floats(allow_nan=False, allow_infinity=False)
 @given(n_from=st.integers(5, 200), n_to=st.integers(5, 200),
        x_min=st.floats(-10.0, 10.0), length=st.floats(0.1, 10.0),
        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), data=st.data())
-def test_cubic_restrict_identity_and_cubic_exactness(n_from, n_to, x_min, length, coeffs,
-                                                     data):
+def test_restriction_identity_and_cubic_exactness(n_from, n_to, x_min, length, coeffs, data):
     x_max = x_min + length
     src = Grid1D(n_from, x_min, x_max)
     dst = Grid1D(n_to, x_min, x_max)
     vals = np.array(data.draw(st.lists(_FINITE_VALUES, min_size=n_from, max_size=n_from)))
-    same = cubic_restrict(vals, src, Grid1D(n_from, x_min, x_max))
-    assert same.tobytes() == vals.tobytes()
+    state = State(src, vals, vals, np.array((vals, vals, vals)))
+    same = restrict_state(state, Grid1D(n_from, x_min, x_max), System.GL)
+    assert same is state and same.u.tobytes() == vals.tobytes()
 
     def cubic(grid):
         s = (grid.nodes() - x_min) / length
         return ((coeffs[3] * s + coeffs[2]) * s + coeffs[1]) * s + coeffs[0]
 
-    err = np.max(np.abs(cubic_restrict(cubic(src), src, dst) - cubic(dst)))
-    # sum |c_k| bounds the cubic on the domain
-    assert err <= 1e-12 * sum(abs(c) for c in coeffs)
+    err = np.max(np.abs(restrict(cubic(src), src, dst) - cubic(dst)))
+    # sum |c_k| bounds the cubic on the domain; below the normal range each
+    # sampled value is off by up to half of ulp(0), not by a relative error
+    assert err <= 1e-12 * sum(abs(c) for c in coeffs) + 4 * math.ulp(0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n_from=st.integers(5, 120), n_to=st.integers(5, 120),
        system=st.sampled_from(list(System)), seed=st.integers(0, 2**32 - 1))
-def test_restrict_state_is_cubic_restrict_of_each_field(n_from, n_to, system, seed):
+def test_restrict_state_is_the_stencil_of_each_field(n_from, n_to, system, seed):
     src = Grid1D(n_from, 0.0, 1.0)
     dst = Grid1D(n_to, 0.0, 1.0)
     rng = np.random.default_rng(seed)
@@ -219,21 +230,23 @@ def test_restrict_state_is_cubic_restrict_of_each_field(n_from, n_to, system, se
         d /= np.sqrt(np.sum(d * d, axis=0))
     state = State(src, 1.0 + rng.random(n_from), rng.normal(size=n_from), d)
     out = restrict_state(state, dst, system)
-    d_to = cubic_restrict(d, src, dst)
-    if src != dst:
-        # the stencil written out: the four weighted values summed left to right
-        pos = dst.nodes() / src.dx
-        j = np.clip(np.floor(pos).astype(int), 1, n_from - 3)
-        t = pos - j
-        chain = (d[:, j - 1] * (-t * (t - 1.0) * (t - 2.0) / 6.0)
-                 + d[:, j] * ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0)
-                 + d[:, j + 1] * (-t * (t + 1.0) * (t - 2.0) / 2.0)
-                 + d[:, j + 2] * (t * (t + 1.0) * (t - 1.0) / 6.0))
-        assert d_to.tobytes() == chain.tobytes()
-    if system is System.SPHERE and src != dst:
+    if src == dst:
+        assert out is state
+        return
+    d_to = restrict(d, src, dst)
+    # the stencil written out: the four weighted values summed left to right
+    pos = dst.nodes() / src.dx
+    j = np.clip(np.floor(pos).astype(int), 1, n_from - 3)
+    t = pos - j
+    chain = (d[:, j - 1] * (-t * (t - 1.0) * (t - 2.0) / 6.0)
+             + d[:, j] * ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0)
+             + d[:, j + 1] * (-t * (t + 1.0) * (t - 2.0) / 2.0)
+             + d[:, j + 2] * (t * (t + 1.0) * (t - 1.0) / 6.0))
+    assert d_to.tobytes() == chain.tobytes()
+    if system is System.SPHERE:
         d_to = d_to / np.sqrt(np.sum(d_to * d_to, axis=0))
-    for got, want in ((out.rho, cubic_restrict(state.rho, src, dst)),
-                      (out.u, cubic_restrict(state.u, src, dst)),
+    for got, want in ((out.rho, restrict(state.rho, src, dst)),
+                      (out.u, restrict(state.u, src, dst)),
                       (out.d, d_to)):
         assert got.tobytes() == want.tobytes()
 
@@ -250,7 +263,7 @@ def test_each_grid_pair_gets_its_own_stencil():
     first = None
     for n in (33, 40, 33):
         src = Grid1D(n, 0.0, 1.0)
-        out = cubic_restrict(cubic(src), src, dst)
+        out = restrict(cubic(src), src, dst)
         assert np.allclose(out, cubic(dst), atol=1e-13)
         if first is None:
             first = out
@@ -259,7 +272,7 @@ def test_each_grid_pair_gets_its_own_stencil():
 
 def _weighted_sum(vals, src, dst):
     """The 4-point stencil written out: the four weighted values, summed by
-    numpy's reduction as cubic_restrict's interpolating path sums them (it
+    numpy's reduction as _restrict's interpolating path sums them (it
     starts from +0.0, so four -0.0 products sum to +0.0)."""
     pos = (dst.nodes() - src.x_min) / src.dx
     j = np.clip(np.floor(pos).astype(int), 1, src.n_nodes - 3)
@@ -290,8 +303,8 @@ def test_nested_grids_gather_the_weighted_sum_bit_for_bit(intervals, ratio, x_mi
     vals = rng.choice([-1.0, 1.0], shape) * 2.0 ** rng.uniform(-1070.0, 1020.0, shape)
     zeros = rng.random(shape) < zero_share
     vals[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
-    assert cubic_restrict(vals, src, dst).tobytes() == _weighted_sum(vals, src, dst).tobytes()
-    assert cubic_restrict(vals[0], src, dst).tobytes() == _weighted_sum(vals[0], src, dst).tobytes()
+    assert restrict(vals, src, dst).tobytes() == _weighted_sum(vals, src, dst).tobytes()
+    assert restrict(vals[0], src, dst).tobytes() == _weighted_sum(vals[0], src, dst).tobytes()
 
 
 @pytest.mark.parametrize("node", [0, 2, 16])
@@ -302,7 +315,7 @@ def test_a_negative_zero_takes_the_weighted_sum(node):
     vals = np.ones((2, 17))
     vals[:, node] = -0.0
     vals[1, node + (1 if node < 16 else -1)] = -1.0
-    out = cubic_restrict(vals, src, dst)
+    out = restrict(vals, src, dst)
     assert out.tobytes() == _weighted_sum(vals, src, dst).tobytes()
 
 
@@ -311,7 +324,7 @@ def test_non_nested_grids_take_the_cubic_path(n_from, n_to):
     src, dst = Grid1D(n_from, 0.0, 1.0), Grid1D(n_to, 0.0, 1.0)
     assert verifier._cubic_stencil(src, dst).nodes is None
     vals = np.random.default_rng(n_from).normal(size=(5, n_from))
-    assert cubic_restrict(vals, src, dst).tobytes() == _weighted_sum(vals, src, dst).tobytes()
+    assert restrict(vals, src, dst).tobytes() == _weighted_sum(vals, src, dst).tobytes()
 
 
 @pytest.mark.parametrize("n_from, n_to", [(513, 257), (513, 33), (129, 65), (40, 17)])
@@ -323,11 +336,11 @@ def test_restrict_state_on_nested_and_other_grids(n_from, n_to, system):
     d /= np.sqrt(np.sum(d * d, axis=0))
     state = State(src, 1.0 + rng.random(n_from), rng.normal(size=n_from), d)
     out = restrict_state(state, dst, system)
-    d_to = cubic_restrict(d, src, dst)
+    d_to = restrict(d, src, dst)
     if system is System.SPHERE:
         d_to = d_to / np.sqrt(np.sum(d_to * d_to, axis=0))
-    for got, want in ((out.rho, cubic_restrict(state.rho, src, dst)),
-                      (out.u, cubic_restrict(state.u, src, dst)), (out.d, d_to)):
+    for got, want in ((out.rho, restrict(state.rho, src, dst)),
+                      (out.u, restrict(state.u, src, dst)), (out.d, d_to)):
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
 
@@ -801,6 +814,30 @@ class TestCheckUniqueness:
         rep = check_uniqueness(cfg, [17, 33, 65])
         assert rep.sup_entropy[-1] == 0.0 and math.isinf(rep.orders[-1])
         assert rep.passes
+
+    @pytest.mark.parametrize("overflows, where", [
+        # level 65 shares the reference's grid and dt, so its pairs are
+        # evaluated first, during the reference run: the earliest sample
+        # still decides, and then the coarsest level
+        ({(65, 2), (33, 1)}, "level 33 at t=0.0002"),
+        ({(65, 1), (33, 1), (17, 3)}, "level 33 at t=0.0002"),
+        ({(65, 1), (17, 2)}, "level 65 at t=0.0002"),
+    ])
+    def test_non_finite_entropy_raises_for_the_earliest_sample(self, monkeypatch, overflows,
+                                                              where):
+        cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2, t_end=0.01)
+        cfg = replace(cfg, dt_reference=0.4 * Grid1D(65, 0, 1).dx ** 2)
+        entropy, samples = verifier.relative_entropy, {}
+
+        def overflowing(pair, params):
+            n = pair.grid.n_nodes
+            k = samples[n] = samples.get(n, -1) + 1
+            return math.inf if (n, k) in overflows else entropy(pair, params)
+
+        monkeypatch.setattr(verifier, "relative_entropy", overflowing)
+        with pytest.raises(NonFiniteError, match=f"^non-finite relative entropy of {where}$"):
+            check_uniqueness(cfg, [17, 33, 65])
+        assert set(samples.values()) == {50}  # every level was paired to the end
 
     @pytest.mark.parametrize("levels", [[17, 17, 33], [33, 17, 65], [17, 33, 33]])
     def test_levels_must_strictly_increase(self, monkeypatch, levels):
