@@ -127,13 +127,12 @@ def _check_nonneg_rho(rho) -> np.ndarray:
     return rho
 
 
-def _power_law(rho, coefficient: float, exponent: float, out=None):
+def _power_law(rho, coefficient, exponent, out=None):
     """coefficient * rho^exponent, written to out when given (an array of
     rho's shape).  The one power law: the energies and the Bregman gap
     check rho's sign first, the IMEX step holds rho above a floor."""
-    out = np.power(rho, exponent, out=out)
-    out *= coefficient
-    return out
+    out = np.power(rho, exponent, out)
+    return np.multiply(out, coefficient, out)
 
 
 def gl_potential(d, params: Params, sq=None):
@@ -149,18 +148,18 @@ def gl_potential(d, params: Params, sq=None):
     return s * s / (4.0 * params.sigma0**2)
 
 
-def gl_force(d, params: Params, out=None):
+def gl_force(d, sigma0_sq, out=None, one=1.0):
     """Exact gradient f(d) = (|d|^2 - 1) d / sigma0^2 of the penalization.
 
-    d has shape (3, n) or (B, 3, n).  The force is written to out when
-    given (an array of d's shape).
+    d has shape (3, n) or (B, 3, n); sigma0_sq and one (sigma0^2 and 1) are
+    floats or 0-d arrays.  The force is written to out when given.
     """
     d = np.asarray(d, dtype=float)
-    out = np.multiply(d, d, out=out)
-    s = np.add.reduce(out, axis=-2, keepdims=True)
-    s -= 1.0
-    out = np.multiply(s, d, out=out)
-    return np.divide(out, params.sigma0**2, out=out)
+    out = np.multiply(d, d, out)
+    s = np.add.reduce(out, -2, None, None, True)
+    np.subtract(s, one, s)
+    out = np.multiply(s, d, out)
+    return np.divide(out, sigma0_sq, out)
 
 
 def bregman_pressure(rho, rho_tilde, params: Params):

@@ -32,56 +32,60 @@ by dt, and the operator tests call the same kernel.
 Members: the step advances B trajectories on one grid at once, with a
 leading member axis (rho, u: (B, n); d: (B, 3, n)) and each GL member's
 own pins.  Both implicit matrices are symmetric positive definite once the
-wall couplings move to the right-hand side (mu, theta > 0 and the density
-above its positive floor), so LAPACK solves them by L D L^T without
-pivoting.  The velocity solve is one dptsv call on a block-diagonal system
-whose off-diagonals vanish at the block joints and at the wall rows, whose
-right-hand sides are 0.  The director matrix is shared by every member and
-component and fixed for a given dt: evolve factors it by dpttrf once per
-step size, and each step's director solve is one dpttrs call with 3B
-right-hand sides.  GL moves the pinned walls' coupling r pins (r = theta
-dt/dx^2) into the right-hand sides of rows 1 and n - 2; SPHERE halves its
-mirrored-ghost wall rows and their right-hand sides, which is exact in
-binary floating point.  The velocity off-diagonal is fixed for a given dt
-too and kept with the factor; the scratch buffers depend on B and n only,
-so evolve builds one workspace per call.  The step, its kernel and both
-solves take it alone, read the state from it and write into it: the
-explicit rates, both right-hand sides (each solved in place) and the new
-state.  The step's cost at small n is the count of numpy calls and the
-iteration over strided views, not their arithmetic, so the kernel runs on
-flat member-major views of the workspace: each stencil, the stacked mass
-and momentum flux sum and their difference are one contiguous call over
-every row of every member, and the wall rows of all members (continuity
-half cells and zeroed velocity) are one strided call each.  The entries of
-those flat results that straddle two rows are scratch: each is finite on a
-finite state, and none reaches a value the step keeps (_Workspace says
-which are zeroed and which are never read).  A member's states are
-therefore bit-identical to its own single-member run: every kept value
-comes from one member's entries, and the zero couplings leave each block's
-factorization and substitution untouched.  Each check (CFL bound, density
-floor, sphere collapse, end-of-step finite values) names the first member
-that fails it in exc.member.  A nonzero LAPACK status raises
-LinearSolveError.  NaN/inf in rho or u makes the wave speed of the CFL
-bound non-finite, which raises NonFiniteStateError before either solve
-runs; a finite state whose sound speed leaves the float range has a
-stability bound of 0 and raises CflError; NaN/inf in d is caught by the
-end-of-step finite check.  Each step evaluates the director gradient,
-Laplacian and GL force once and shares them between the stress divergence
-and the director predictor.  The observer's samples are read-only views of
-one copy of the state block per sample, built without checking again what
-the step's checks already hold.
+wall couplings move to the right-hand side (mu, theta > 0, density above
+its floor), so LAPACK solves them by L D L^T without pivoting: velocity by
+one dptsv call on a block-diagonal system whose off-diagonals vanish at
+the block joints and the wall rows (right-hand sides 0); director by one
+dpttrs call with 3B right-hand sides on the matrix every member and
+component share, which evolve factors by dpttrf once per step size and
+keeps with the velocity off-diagonal.  GL moves the pinned walls' coupling
+r pins (r = theta dt/dx^2) into the right-hand sides of rows 1 and n - 2;
+SPHERE halves its mirrored-ghost wall rows and their right-hand sides,
+exact in binary floating point.  evolve builds one workspace per call (its
+buffers depend on B and n only); the step, its kernel and both solves
+read the state from it and write into it: the explicit rates, both
+right-hand sides (each solved in place) and the new state.  The kernel
+runs on flat member-major views of the workspace, as the cost at small n
+is the count of numpy calls and the iteration over strided views: each
+stencil, the stacked mass and momentum flux sum and their difference are
+one contiguous call over every row of every member, and the wall rows of
+all members one strided call each.  The entries of those flat results
+that straddle two rows are scratch, finite on a finite state, and reach no
+value the step keeps (_Workspace says how); with the solves' zero block
+couplings, a member's states are bit-identical to its own run alone.  Each check (CFL bound,
+density floor, sphere collapse, end-of-step finite values) names the first
+failing member in exc.member; a nonzero LAPACK status raises
+LinearSolveError.  NaN/inf in rho or u makes the CFL bound's wave speed
+non-finite, which raises NonFiniteStateError before either solve; a finite
+state whose sound speed leaves the float range has a bound of 0 and
+raises CflError; NaN/inf in d is caught by the end-of-step finite check,
+the one judge of non-finite values: evolve runs each window's steps under
+np.errstate(over="ignore", invalid="ignore"), so the arithmetic that makes
+them warns of nothing.  Each step evaluates the director gradient,
+Laplacian and GL force once for both the stress and the director.  The
+observer's samples are read-only views of one copy of the state block per
+sample, built without checking again what the step's checks hold.
 
-LAPACK: scipy is used for three routines, dptsv, dpttrf and dpttrs.
-They are loaded from the extension module that holds them,
+Call forms: a step is 40-50 ufunc calls and 2 LAPACK calls, so at small n
+their fixed cost is much of it.  Each ufunc of the step writes to a
+positional output, np.op(x, y, x); each scalar operand is a read-only 0-d
+float64 array made once from the float expression it stands for, per
+evolve call (_Operands) or per step size (_Implicit), so the bits are the
+float forms'; copies are slice assignments; LAPACK's overwrite flags are
+positional.  Per call on 194 floats (numpy 2.4, Python 3.11, shared 2-vCPU
+x86-64 VM): x *= 0.5 0.84 us, np.multiply(x, 0.5, x) 0.57, with a 0-d 0.5
+0.37, with out= 0.43; np.copyto 0.33, a slice assignment 0.18; dpttrs
+with overwrite_b=1 0.27 us more than with a positional 1.
+
+LAPACK: dptsv, dpttrf and dpttrs are loaded from scipy's extension module
 scipy/linalg/_flapack, found by file next to the installed scipy package,
-not through `from scipy.linalg.lapack import ...`: that import runs the
-scipy.linalg package __init__, which also builds scipy's array-API layer
-and pulls in numpy.testing, numpy.f2py and numpy.ma: 0.22-0.26 s per
-process by `python -X importtime` (scipy 1.17, Python 3.11, shared 2-vCPU
-x86-64 VM) against about 2 ms for the extension alone.  They are the same
-compiled routines, so every solve is bit-identical.  Only where no such
-file exists (an editable or non-wheel scipy build) does the module fall
-back to scipy.linalg.lapack.
+not by `from scipy.linalg.lapack import ...`, which runs the scipy.linalg
+package __init__ (scipy's array-API layer, numpy.testing, numpy.f2py and
+numpy.ma): 0.22-0.26 s per process by `python -X importtime` (scipy 1.17,
+Python 3.11, shared 2-vCPU x86-64 VM) against about 2 ms for the
+extension alone.  They are the same compiled routines, so every solve is
+bit-identical.  Without such a file (an editable or non-wheel scipy
+build) the module falls back to scipy.linalg.lapack.
 
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
@@ -276,7 +280,8 @@ class _Workspace:
 
     The stencils, flux sums and flux differences run on flat member-major
     views, one contiguous call each over every row at once: the director
-    block as 3B rows of n nodes, the (m, m u) block as 2B rows.  Each
+    block as 3B rows of n nodes (for the gradient, with the B pressure rows
+    the block holds after it), the (m, m u) block as 2B rows.  Each
     row's interior entries are what the stencil gives on that row alone;
     the entries at its two ends, whose stencils straddle two rows, are
     scratch, and none of them reaches a value the step keeps.  The
@@ -293,7 +298,10 @@ class _Workspace:
 
     def __init__(self, members: int, n: int):
         size = members * n
-        self.state = np.empty(5 * size)
+        block = np.empty(6 * size)   # the state, then the pressure p
+        self.state, self.p_flat = block[:5 * size], block[5 * size:]
+        self.p = self.p_flat.reshape(members, n)
+        self.dir_p_flat = block[2 * size:]   # the director and pressure rows
         self.rho = self.state[:size].reshape(members, n)
         self.u = self.state[size:2 * size].reshape(members, n)
         self.d = self.state[2 * size:].reshape(members, 3, n)
@@ -302,11 +310,10 @@ class _Workspace:
         self.d_flat = self.state[2 * size:]
         self.u_col = self.u[:, None]
         self.u_walls = self.u[:, ::n - 1]
-        self.finite = np.empty(5 * size, dtype=bool)
         self.dir_rhs = self.d.reshape(3 * members, n).T  # (n, 3B), Fortran order
         self.dir_walls = self.dir_rhs[::n - 1]            # its first and last rows
         self.peaks = np.empty((2, members, n))   # |rho| and |u|, for the CFL bound
-        self.peaks_flat = self.peaks.reshape(-1)
+        self.peaks_flat, self.peak_max = self.peaks.reshape(-1), np.empty((2, members))
         # m = rho u and m u; their central fluxes, column i at the interface
         # i + 1/2; the fluxes' differences, column i at node i
         q, fluxes, div = np.zeros((3, 2, members, n))
@@ -322,13 +329,11 @@ class _Workspace:
         self.mass_div_flat, self.mom_div_flat = div.reshape(2, size)
         self.mass_div_walls = self.mass_div[:, ::n - 1]
         self.wall_signs = np.array([2.0, -2.0])  # half cells, outward flux at each wall
-        self.p = np.empty((members, n))
-        self.p_flat = self.p.reshape(-1)
-        self.pgrad_flat = np.zeros(size)
-        self.pgrad_in = self.pgrad_flat[1:-1]
-        self.grad = np.zeros((members, 3, n))    # d_x, walls 0
-        self.grad_flat = self.grad.reshape(-1)
-        self.grad_in = self.grad_flat[1:-1]
+        self.half, self.one = _scalar(0.5), _scalar(1.0)
+        grads = np.zeros(4 * size)   # d_x, walls 0, then p_x: one stencil call
+        self.grad_flat, self.pgrad_flat = grads[:3 * size], grads[3 * size:]
+        self.grad = self.grad_flat.reshape(members, 3, n)
+        self.grad_in = grads[1:-1]
         self.grad_walls = self.grad.reshape(3 * members, n)[:, ::n - 1]
         self.lap = np.zeros((members, 3, n))     # d_xx, then the stress contraction
         self.lap_flat = self.lap.reshape(-1)
@@ -347,7 +352,27 @@ class _Workspace:
         self.vel_off = np.empty(size - 1)
 
 
-def _check_cfl(dt: float, dx: float, params: Params, work: _Workspace) -> None:
+def _scalar(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, a ufunc operand."""
+    out = np.array(value)
+    out.flags.writeable = False
+    return out
+
+
+class _Operands:
+    """The scalar operands of the steps of one (params, dx): the ufuncs' as
+    0-d arrays, the CFL bound's as floats (it computes with math)."""
+
+    def __init__(self, params: Params, dx: float):
+        self.gl = params.system is System.GL
+        self.dx, self.dp_coeff, self.gamma_m1 = dx, params.dp_coeff, params.gamma - 1.0
+        (self.two_dx, self.dx2, self.neg_dx, self.sigma0_sq, self.theta, self.neg_theta,
+         self.lam, self.a, self.gamma) = map(_scalar, (
+            2.0 * dx, dx * dx, -dx, params.sigma0**2, params.theta, -params.theta,
+            params.lam, params.a, params.gamma))
+
+
+def _check_cfl(dt: float, ops: _Operands, work: _Workspace) -> None:
     """Raise for the first member whose wave speed is non-finite or whose
     advective/acoustic bound 0.4*dx/max(|u| + c) dt exceeds.
 
@@ -355,11 +380,11 @@ def _check_cfl(dt: float, dx: float, params: Params, work: _Workspace) -> None:
     reduction give both per-member maxima (rho > 0: |rho| is rho).  A
     sound speed beyond the float range, from a finite state, bounds dt by 0.
     """
-    np.abs(work.rho_u, out=work.peaks_flat)
-    rho_max, u_max = np.maximum.reduce(work.peaks, axis=2).tolist()
+    np.abs(work.rho_u, work.peaks_flat)
+    rho_max, u_max = np.maximum.reduce(work.peaks, 2, None, work.peak_max).tolist()
     for member, (u_m, rho_m) in enumerate(zip(u_max, rho_max)):
         try:
-            speed = u_m + math.sqrt(params.dp_coeff * rho_m ** (params.gamma - 1.0))
+            speed = u_m + math.sqrt(ops.dp_coeff * rho_m ** ops.gamma_m1)
         except OverflowError:  # only a finite rho_m overflows a float power
             speed = math.inf
         if not math.isfinite(u_m + rho_m):
@@ -367,7 +392,7 @@ def _check_cfl(dt: float, dx: float, params: Params, work: _Workspace) -> None:
             raise NonFiniteStateError(
                 f"non-finite wave speed {speed} at step start", member=member
             )
-        dt_max = _CFL_NUMBER * dx / max(speed, _TINY_SPEED)
+        dt_max = _CFL_NUMBER * ops.dx / max(speed, _TINY_SPEED)
         if dt > dt_max * (1.0 + 1e-9):
             raise CflError(
                 f"dt={dt:.3e} exceeds stability bound {dt_max:.3e} "
@@ -403,7 +428,7 @@ def _first(mask: np.ndarray) -> int:
 
 def _check_density_floor(rho: np.ndarray, density_floor: float) -> None:
     """Raise for the first member with a density below the floor."""
-    if np.minimum.reduce(rho, axis=None) < density_floor:
+    if np.minimum.reduce(rho, None) < density_floor:
         member = _first(rho.min(axis=1) < density_floor)
         node = int(rho[member].argmin())
         raise DensityFloorError(node, float(rho[member, node]), density_floor, member)
@@ -413,6 +438,7 @@ class _Implicit(NamedTuple):
     """The implicit matrices of one step size, built once and shared by
     every step of that size; both are symmetric positive definite.
 
+    dt, dt_dx = dt/dx and two_s = 2 s (s = mu dt/dx^2) are 0-d operands.
     Velocity: the B members form one block-diagonal system; vel_off holds
     its off-diagonal, 0 at the block joints and at the wall rows (whose
     right-hand sides are 0), and its diagonal rho_new + 2 s changes every
@@ -423,7 +449,9 @@ class _Implicit(NamedTuple):
     of the right-hand sides; both are None for Neumann ghosts.
     """
 
-    s: float
+    dt: np.ndarray
+    dt_dx: np.ndarray
+    two_s: np.ndarray
     vel_off: np.ndarray
     dir_d: np.ndarray
     dir_e: np.ndarray
@@ -455,16 +483,17 @@ def _implicit(
         off[::n - 2] = 0.0
     else:
         diag[::n - 1] *= 0.5  # the mirrored-ghost rows, halved
-    dir_d, dir_e = _lapack(dpttrf, "director", n, diag, off, overwrite_d=1, overwrite_e=1)
-    return _Implicit(s, vel_off, dir_d, dir_e, pins, None if pins is None else r * pins)
+    dir_d, dir_e = _lapack(dpttrf, "director", n, diag, off, 1, 1)  # overwrite d and e
+    return _Implicit(_scalar(dt), _scalar(dt / dx), _scalar(2.0 * s), vel_off, dir_d, dir_e,
+                     pins, None if pins is None else r * pins)
 
 
-def _lapack(routine: Callable, what: str, n: int, *arrays: np.ndarray, **overwrite: int):
-    """Run a LAPACK tridiagonal routine on B blocks of n rows and return its
-    outputs but the status; solutions are left in place in the right-hand
-    sides.  A nonpositive pivot is attributed to the block that holds it.
-    """
-    *out, info = routine(*arrays, **overwrite)
+def _lapack(routine: Callable, what: str, n: int, *args):
+    """Run a LAPACK tridiagonal routine on its arrays and overwrite flags,
+    args, for B blocks of n rows and return its outputs but the status;
+    solutions are left in place in the right-hand sides.  A nonpositive
+    pivot is attributed to the block that holds it."""
+    *out, info = routine(*args)
     if info > 0:
         member, row = divmod(info - 1, n)
         raise LinearSolveError(
@@ -480,11 +509,11 @@ def _solve_velocity(implicit: _Implicit, work: _Workspace) -> None:
     """Implicit viscous solve per member, in place on the momentum in work.u:
     (diag(rho_new) - mu dt D2) u = m, u = 0 walls, rho_new = work.rho.  The
     wall rows are uncoupled with right-hand side 0, so they solve to 0."""
-    np.copyto(work.vel_off, implicit.vel_off)
-    np.add(work.rho_flat, 2.0 * implicit.s, out=work.vel_diag)
+    work.vel_off[:] = implicit.vel_off
+    np.add(work.rho_flat, implicit.two_s, work.vel_diag)
     work.u_walls.fill(0.0)
-    _lapack(dptsv, "velocity", work.rho.shape[-1], work.vel_diag, work.vel_off, work.u_flat,
-            overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    n = work.rho.shape[-1]
+    _lapack(dptsv, "velocity", n, work.vel_diag, work.vel_off, work.u_flat, 1, 1, 1)
 
 
 def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
@@ -492,17 +521,17 @@ def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
     for every member and component: one call with 3B right-hand sides."""
     pins = implicit.pins
     if pins is not None:
-        np.copyto(work.dir_walls, pins)
-        work.dir_inner += implicit.pin_rhs
+        work.dir_walls[...] = pins
+        np.add(work.dir_inner, implicit.pin_rhs, work.dir_inner)
     else:
-        work.dir_walls *= 0.5
+        np.multiply(work.dir_walls, work.half, work.dir_walls)
     _lapack(dpttrs, "director", work.d.shape[-1], implicit.dir_d, implicit.dir_e,
-            work.dir_rhs, overwrite_b=1)
+            work.dir_rhs, 1)
     if pins is not None:  # the wall rows solve to pin - 0 * x: the pin, up to a zero's sign
-        np.copyto(work.dir_walls, pins)
+        work.dir_walls[...] = pins
 
 
-def _explicit_rates(work: _Workspace, params: Params, dx: float) -> Tuple[np.ndarray, ...]:
+def _explicit_rates(work: _Workspace, ops: _Operands) -> Tuple[np.ndarray, ...]:
     """The explicit operators of the step, on the B members work holds.
 
     The state is read from work: rho and u of shape (B, n), d of shape
@@ -522,81 +551,80 @@ def _explicit_rates(work: _Workspace, params: Params, dx: float) -> Tuple[np.nda
     the mass flux's differences and work.mom the momentum rate, each
     at the nodes, with scratch walls.
     """
-    np.multiply(work.rho, work.u, out=work.m)
-    np.multiply(work.m, work.u, out=work.m_u)
+    np.multiply(work.rho, work.u, work.m)
+    np.multiply(work.m, work.u, work.m_u)
     # mass and momentum fluxes as one flat stack: one sum, one difference
-    np.add(work.q_left, work.q_right, out=work.f_left)
-    work.f_left *= 0.5
-    np.subtract(work.f_right, work.f_left, out=work.div_tail)
+    np.add(work.q_left, work.q_right, work.f_left)
+    np.multiply(work.f_left, work.half, work.f_left)
+    np.subtract(work.f_right, work.f_left, work.div_tail)
     grad, curv, rate = work.grad, work.lap_flat, work.rate
-    central_gradient(work.d_flat, dx, out=work.grad_in)
+    _power_law(work.rho, ops.a, ops.gamma, work.p)
+    central_gradient(work.dir_p_flat, ops.two_dx, work.grad_in)
     work.grad_walls.fill(0.0)
-    central_laplacian(work.d_flat, dx, out=work.lap_in)
-    if params.system is System.GL:
-        gl_force(work.d, params, out=rate)
-        curv -= work.rate_flat
-        rate *= -params.theta
+    central_laplacian(work.d_flat, ops.dx2, work.lap_in)
+    if ops.gl:
+        gl_force(work.d, ops.sigma0_sq, rate, work.one)
+        np.subtract(curv, work.rate_flat, curv)
+        np.multiply(rate, ops.neg_theta, rate)
     else:
-        grad_sq = np.add.reduce(np.multiply(grad, grad, out=rate), axis=1, keepdims=True,
-                                out=work.norm)
-        grad_sq *= params.theta
-        np.multiply(grad_sq, work.d, out=rate)
-    mom = np.divide(work.mom_div_flat, -dx, out=work.mom_flat)
-    _power_law(work.rho, params.a, params.gamma, work.p)
-    central_gradient(work.p_flat, dx, out=work.pgrad_in)
-    mom -= work.pgrad_flat
-    curv *= work.grad_flat
-    stress = np.add.reduce(work.lap, axis=-2, out=work.stress)
-    stress *= params.lam
-    mom -= work.stress_flat
-    rate -= np.multiply(work.u_col, grad, out=work.adv)
+        grad_sq = np.add.reduce(np.multiply(grad, grad, rate), 1, None, work.norm, True)
+        np.multiply(grad_sq, ops.theta, grad_sq)
+        np.multiply(grad_sq, work.d, rate)
+    mom = np.divide(work.mom_div_flat, ops.neg_dx, work.mom_flat)
+    np.subtract(mom, work.pgrad_flat, mom)
+    np.multiply(curv, work.grad_flat, curv)
+    stress = np.add.reduce(work.lap, -2, None, work.stress)
+    np.multiply(stress, ops.lam, stress)
+    np.subtract(mom, work.stress_flat, mom)
+    np.subtract(rate, np.multiply(work.u_col, grad, work.adv), rate)
     return work.mass_flux, work.mom_in, rate
 
 
-def _advance(work: _Workspace, params: Params, dx: float, dt: float, implicit: _Implicit,
+def _advance(work: _Workspace, ops: _Operands, implicit: _Implicit, dt: float,
              density_floor: float) -> None:
     """One IMEX Euler step of the B members work holds, from t to t + dt.
 
     The state is read from work.rho, work.u and work.d, of shapes (B, n),
     (B, n) and (B, 3, n), and the new state is written over it; implicit
-    holds the matrices for this dt and the members' boundary rows.  A
-    failed check raises for the first member that fails it, in exc.member.
+    holds the matrices and operands of this dt (the float dt is the CFL
+    check's), ops those of the run.  A failed check raises for the first
+    member that fails it, in exc.member.
     """
-    _check_cfl(dt, dx, params, work)
-    _, mom_rate, dir_rate = _explicit_rates(work, params, dx)
+    _check_cfl(dt, ops, work)
+    _, mom_rate, dir_rate = _explicit_rates(work, ops)
     d = work.d
 
     # --- continuity: conservative central flux, half cells at the walls ---
     # the wall rows of the flux differences become the half-cell updates
-    np.multiply(work.flux_walls, work.wall_signs, out=work.mass_div_walls)
-    work.mass_div_flat *= dt / dx
-    np.subtract(work.rho_flat, work.mass_div_flat, out=work.rho_flat)
+    np.multiply(work.flux_walls, work.wall_signs, work.mass_div_walls)
+    np.multiply(work.mass_div_flat, implicit.dt_dx, work.mass_div_flat)
+    np.subtract(work.rho_flat, work.mass_div_flat, work.rho_flat)
     _check_density_floor(work.rho, density_floor)
 
     # --- momentum: explicit interior rate, implicit viscosity ---
-    work.mom_flat *= dt
-    np.add(work.m_flat, work.mom_flat, out=work.u_flat)  # walls zeroed by the solve
+    np.multiply(work.mom_flat, implicit.dt, work.mom_flat)
+    np.add(work.m_flat, work.mom_flat, work.u_flat)  # walls zeroed by the solve
     _solve_velocity(implicit, work)
 
     # --- director: explicit advection + reaction, implicit diffusion ---
-    dir_rate *= dt
-    np.add(d, dir_rate, out=d)
+    np.multiply(dir_rate, implicit.dt, dir_rate)
+    np.add(d, dir_rate, d)
     _solve_director(implicit, work)
 
-    if params.system is System.SPHERE:
-        nrm = np.add.reduce(np.multiply(d, d, out=work.adv), axis=1, keepdims=True,
-                            out=work.norm)
-        np.sqrt(nrm, out=nrm)
-        if np.minimum.reduce(nrm, axis=None) < 0.5:
+    if not ops.gl:
+        nrm = np.add.reduce(np.multiply(d, d, work.adv), 1, None, work.norm, True)
+        np.sqrt(nrm, nrm)
+        if np.minimum.reduce(nrm, None) < 0.5:
             member = _first(nrm.min(axis=(1, 2)) < 0.5)
             raise NonFiniteStateError(
                 f"director magnitude collapsed to {nrm[member].min():.3e}; "
                 "renormalization is no longer meaningful",
                 member=member,
             )
-        d /= nrm
+        np.divide(d, nrm, d)
 
-    if not np.logical_and.reduce(np.isfinite(work.state, out=work.finite), axis=None):
+    # a finite sum has finite terms; only a sum that overflowed needs their check
+    if not math.isfinite(np.add.reduce(work.state, None)) and not np.isfinite(work.state).all():
         # a non-finite right-hand side spreads across the block joints of
         # the velocity solve (0 * nan), so its members are judged by m_star,
         # which the in-place solve overwrote: it is rebuilt here
@@ -687,7 +715,7 @@ def evolve(
 
     # one workspace for every step of this call; the state lives in it
     n = grid.n_nodes
-    work = _Workspace(members, n)
+    work, ops = _Workspace(members, n), _Operands(params, grid.dx)
     for b, member in enumerate(inits):
         work.rho[b], work.u[b], work.d[b] = member.rho0, member.u0, member.d0
     interval = sample_interval if sample_interval is not None else dt
@@ -695,7 +723,7 @@ def evolve(
     try:
         _check_density_floor(work.rho, density_floor)
         if t_stop > 0.0:  # the first step's bound, before the observer sees its state
-            _check_cfl(_window(min(interval, t_end), dt)[1], grid.dx, params, work)
+            _check_cfl(_window(min(interval, t_end), dt)[1], ops, work)
     except SolverError as exc:
         exc.args = (f"at t=0: {exc}",)
         raise
@@ -728,12 +756,13 @@ def evolve(
             implicit = cache[dt_eff] = _implicit(
                 dt_eff, grid.dx, params.mu, params.theta, pins, members, n
             )
-        for j in range(n_sub):
-            try:
-                _advance(work, params, grid.dx, dt_eff, implicit, density_floor)
-            except SolverError as exc:
-                exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
-                raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n_sub):
+                try:
+                    _advance(work, ops, implicit, dt_eff, density_floor)
+                except SolverError as exc:
+                    exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
+                    raise
         t = t_next
         if observer is not None:
             observer(states(), t)

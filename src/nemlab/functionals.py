@@ -233,7 +233,7 @@ def _energy_rows(rows: np.ndarray, dx: float, params: Params) -> np.ndarray:
     grad = gradient_array(rows[:, 1:], dx)
     grad_d = np.multiply(grad[:, 1:], grad[:, 1:], out=grad[:, 1:])  # squared in place
     grad_sq = grad_d.sum(axis=-2)
-    force = gl_force(d, params) if params.system is System.GL else None
+    force = gl_force(d, params.sigma0**2) if params.system is System.GL else None
     resid = _residual(d, laplacian_array(d, dx), grad_sq, force)
     resid *= resid
     dens = np.empty((2,) + rho.shape)
@@ -393,7 +393,7 @@ class _PairFields:
         moved = rows[-8:-6, None] * grads
         trans_gap, (grad_d, grad_d_r) = moved[0] - moved[1], grads
         if params.system is System.GL:
-            force, force_r = forces = gl_force(directors, params)
+            force, force_r = forces = gl_force(directors, params.sigma0**2)
             dforce = force - force_r
             # the GL curvatures d_xx - f(d) of both states, from their stacks
             curvs = _residual(directors, laps, None, forces)

@@ -80,23 +80,25 @@ class Grid1D:
 # ---------------------------------------------------------------------------
 
 
-def central_gradient(values: np.ndarray, dx: float, out=None) -> np.ndarray:
-    """Central first difference at the interior nodes, along the last axis.
+def central_gradient(values: np.ndarray, two_dx, out=None) -> np.ndarray:
+    """Central first difference at the interior nodes, along the last axis,
+    over two_dx = 2 dx (a float, or the IMEX step's 0-d array).
 
     The result has n - 2 entries there: node i + 1 for entry i.  It is
     written to out when given (a buffer of that shape), else to a new array.
     """
-    diff = np.subtract(values[..., 2:], values[..., :-2], out=out)
-    return np.divide(diff, 2.0 * dx, out=out)
+    diff = np.subtract(values[..., 2:], values[..., :-2], out)
+    return np.divide(diff, two_dx, diff)
 
 
-def central_laplacian(values: np.ndarray, dx: float, out=None) -> np.ndarray:
+def central_laplacian(values: np.ndarray, dx2, out=None) -> np.ndarray:
     """Three-point second difference at the interior nodes, along the last
-    axis; written to out when given, as central_gradient."""
-    out = np.multiply(values[..., 1:-1], 2.0, out=out)
-    np.subtract(values[..., 2:], out, out=out)
-    np.add(out, values[..., :-2], out=out)
-    return np.divide(out, dx * dx, out=out)
+    axis, divided by dx2 = dx^2; written to out when given, as
+    central_gradient.  2 v_i is formed as v_i + v_i, the same bits."""
+    out = np.add(values[..., 1:-1], values[..., 1:-1], out)
+    np.subtract(values[..., 2:], out, out)
+    np.add(out, values[..., :-2], out)
+    return np.divide(out, dx2, out)
 
 
 def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:
@@ -106,7 +108,7 @@ def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:
     both endpoints (also second order); both as in laplacian_array.
     """
     out = np.empty(values.shape)
-    central_gradient(values.reshape(-1), dx, out=out.reshape(-1)[1:-1])
+    central_gradient(values.reshape(-1), 2.0 * dx, out=out.reshape(-1)[1:-1])
     end = np.multiply(values[..., 0], -3.0, out=out[..., 0])  # (-3 v0 + 4 v1 - v2) / 2dx
     end += 4.0 * values[..., 1]
     end -= values[..., 2]
@@ -131,7 +133,7 @@ def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     """
     out = np.empty(values.shape)
     dx2 = dx * dx
-    central_laplacian(values.reshape(-1), dx, out=out.reshape(-1)[1:-1])
+    central_laplacian(values.reshape(-1), dx2, out=out.reshape(-1)[1:-1])
     for end, step in ((0, 1), (-1, -1)):  # (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, mirrored
         acc = np.multiply(values[..., end], 2.0, out=out[..., end])
         acc -= 5.0 * values[..., end + step]

@@ -137,7 +137,7 @@ def test_criterion_2_constitutive_identities(capsys):
         d *= rng.uniform(0.0, 2.0, 10) / np.maximum(np.linalg.norm(d, axis=0), 1e-12)
         fd = np.array([(gl_potential(d + e, p) - gl_potential(d - e, p)) / (2 * h)
                        for e in h * np.eye(3)[:, :, None]])
-        worst_force = max(worst_force, np.max(np.abs(gl_force(d, p) - fd)))
+        worst_force = max(worst_force, np.max(np.abs(gl_force(d, p.sigma0**2) - fd)))
 
     worst_bregman = 0.0
     for _ in range(1000):

@@ -34,6 +34,11 @@ MINIMAL_GL = {
 }
 
 
+# lambda = 1e300 on equal 33-node grids, the configs of the overflow tests
+LAMBDA_33 = dict(MINIMAL_GL, **{"lambda": 1e300, "x_max": 1e5, "t_end": 0.002,
+                                "grid_reference": {"n": 33}, "grid_candidate": {"n": 33}})
+
+
 def cfg_text(**overrides):
     doc = dict(MINIMAL_GL)
     doc.update(overrides)
@@ -821,32 +826,47 @@ class TestMain:
             f"bound {bound} (0.4*dx over max wave speed)\n"
         )
 
-    @pytest.mark.parametrize("command, n_candidate, err", [
-        (command, 33, "numerical abort: non-finite |g~/rho~|^3 integral at t=0")
+    @pytest.mark.parametrize("command, doc, err", [
+        (command, LAMBDA_33, "numerical abort: non-finite |g~/rho~|^3 integral at t=0")
         for command in ("twin", "gronwall", "energy")
     ] + [
         # the streamed candidate is paired over the reference's stored
         # samples before the reference's error propagates: lockstep's message
-        ("twin", 17, "numerical abort: non-finite |g~/rho~|^3 integral at t=0"),
-        ("simulate", 33, "numerical abort: non-finite candidate energy at t=4e-05"),
+        ("twin", dict(LAMBDA_33, grid_candidate={"n": 17}),
+         "numerical abort: non-finite |g~/rho~|^3 integral at t=0"),
+        ("simulate", LAMBDA_33, "numerical abort: non-finite candidate energy at t=4e-05"),
         # level 129 is paired over the reference's stored samples too, and
         # its own abort at t=1e-05 comes before the reference's after 4e-05
-        ("uniqueness", 33, "solver abort: candidate trajectory: at t=1e-05: dt=1.000e-05 "
-                           "exceeds stability bound 2.597e-279 (0.4*dx over max wave speed)"),
-    ], ids=["twin", "gronwall", "energy", "twin-streamed", "simulate", "uniqueness"])
-    def test_overflowing_values_exit_3_with_one_line(self, tmp_path, capsys, command,
-                                                     n_candidate, err):
+        ("uniqueness", LAMBDA_33, "solver abort: candidate trajectory: at t=1e-05: dt=1.000e-05 "
+                                  "exceeds stability bound 2.597e-279 (0.4*dx over max wave speed)"),
+    ] + [
+        # x_max = 1e-5: the first step's stress lam |d_x|^2 overflows; the
+        # end-of-step finite check is its one report, with no numpy warning
+        (command, dict(LAMBDA_33, system=system, initial_preset=f"{system}-smooth",
+                       x_max=1e-5, t_end=1e-13), err)
+        for system in ("gl", "sphere")
+        for command, err in (
+            ("uniqueness", "solver abort: reference trajectory: at t=0: "
+                           "non-finite values after step"),
+            ("simulate", "numerical abort: non-finite candidate energy at t=0"),
+            *((c, "numerical abort: non-finite reference energy at t=0")
+              for c in ("twin", "gronwall", "energy")))
+    ], ids=["twin", "gronwall", "energy", "twin-streamed", "simulate", "uniqueness"] + [
+        f"{system}-tiny-domain-{command}" for system in ("gl", "sphere")
+        for command in ("uniqueness", "simulate", "twin", "gronwall", "energy")])
+    def test_overflowing_values_exit_3_with_one_line(self, tmp_path, capsys, command, doc, err):
         # lambda = 1e300: at t=0 the reference's |g~/rho~|^3 leaves the float
         # range; after one window the velocity is about 1e300 and so are the
         # kinetic energies; the next step then exceeds the stability bound
         path = tmp_path / "cfg.json"
-        path.write_text(cfg_text(**{"lambda": 1e300, "x_max": 1e5, "t_end": 0.002,
-                                    "grid_reference": {"n": 33},
-                                    "grid_candidate": {"n": n_candidate}}))
-        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        path.write_text(cfg_text(**doc))
+        # the default levels are finer than the 33-node reference of x_max = 1e-5
+        levels = ["--levels", "9,17,33"] if doc["x_max"] == 1e-5 else []
+        out = levels if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([command, "-c", str(path), *out, "--manifest", str(tmp_path / "m.json")])
+        assert [str(w.message) for w in caught] == []
         assert code == 3
         assert capsys.readouterr().err == err + "\n"
 

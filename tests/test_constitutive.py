@@ -123,7 +123,7 @@ class TestGinzburgLandau:
         p = Params(sigma0=1.0)
         d = np.array([[0.6], [0.8], [0.0]])
         assert gl_potential(d, p) == pytest.approx(0.0, abs=1e-15)
-        assert np.allclose(gl_force(d, p), 0.0, atol=1e-15)
+        assert np.allclose(gl_force(d, p.sigma0**2), 0.0, atol=1e-15)
 
     def test_origin_value(self):
         assert gl_potential(np.zeros((3, 1)), Params(sigma0=1.0)) == pytest.approx(0.25)
@@ -132,7 +132,7 @@ class TestGinzburgLandau:
         p = Params(sigma0=1.0)
         d = np.array([[2.0], [0.0], [0.0]])
         assert gl_potential(d, p) == pytest.approx(2.25)
-        assert np.allclose(gl_force(d, p), [[6.0], [0.0], [0.0]])
+        assert np.allclose(gl_force(d, p.sigma0**2), [[6.0], [0.0], [0.0]])
 
     def test_potential_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -145,7 +145,7 @@ class TestGinzburgLandau:
         p = Params(sigma0=1.3)
         d = rng.normal(size=(3, 200))
         d *= rng.uniform(1.0, 3.0, 200) / np.linalg.norm(d, axis=0)
-        assert np.all((gl_force(d, p) * d).sum(axis=0) >= 0.0)
+        assert np.all((gl_force(d, p.sigma0**2) * d).sum(axis=0) >= 0.0)
 
     def test_force_is_gradient_of_potential(self):
         # central finite differences, h = 1e-5
@@ -157,7 +157,7 @@ class TestGinzburgLandau:
             d *= rng.uniform(0.0, 2.0, 10) / np.maximum(np.linalg.norm(d, axis=0), 1e-12)
             fd = np.array([(gl_potential(d + e, p) - gl_potential(d - e, p)) / (2 * h)
                            for e in h * np.eye(3)[:, :, None]])
-            assert np.max(np.abs(gl_force(d, p) - fd)) <= 1e-6
+            assert np.max(np.abs(gl_force(d, p.sigma0**2) - fd)) <= 1e-6
 
 
 class TestRelativePressureTerm:

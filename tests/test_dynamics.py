@@ -54,7 +54,7 @@ def loaded(rho, u, d):
 def advance(work, dt, p, g, imp, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
     """One step of the state a workspace holds, as evolve takes it; the
     step writes the new state into work, whose views are returned."""
-    assert dynamics._advance(work, p, g.dx, dt, imp, density_floor) is None
+    assert dynamics._advance(work, dynamics._Operands(p, g.dx), imp, dt, density_floor) is None
     return work.rho, work.u, work.d
 
 
@@ -62,7 +62,7 @@ def rates(st, params=Params()):
     """The step's explicit rates of one state: (mass flux, interior momentum
     rate, director rate), from the kernel _advance calls."""
     work = loaded(st.rho[None], st.u[None], st.d[None])
-    flux, mom, dir_rate = dynamics._explicit_rates(work, params, st.grid.dx)
+    flux, mom, dir_rate = dynamics._explicit_rates(work, dynamics._Operands(params, st.grid.dx))
     return flux[0], mom[0], dir_rate[0]
 
 
@@ -74,13 +74,13 @@ def continuity_rate(st):
 
 def momentum_rate(st, params):
     """Interior rows of d(rho u)/dt, with the implicit viscous term added."""
-    return rates(st, params)[1] + params.mu * central_laplacian(st.u, st.grid.dx)
+    return rates(st, params)[1] + params.mu * central_laplacian(st.u, st.grid.dx**2)
 
 
 def director_rate(st, params):
     """Interior rows of d(d)/dt, with the implicit diffusion added."""
     rate = rates(st, params)[2][:, 1:-1]
-    return rate + params.theta * central_laplacian(st.d, st.grid.dx)
+    return rate + params.theta * central_laplacian(st.d, st.grid.dx**2)
 
 
 def stress_divergence(g, d, params):
@@ -381,7 +381,7 @@ class TestStep:
         init = make_initial_data("sphere-smooth", g, p)
         imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, None, 1, g.n_nodes)
         work = loaded(init.rho0[None], init.u0[None], init.d0[None])
-        dir_rate = dynamics._explicit_rates(work, p, g.dx)[2]
+        dir_rate = dynamics._explicit_rates(work, dynamics._Operands(p, g.dx))[2]
         work.d += 1e-4 * dir_rate
         dynamics._solve_director(imp, work)
         d_new = work.d
@@ -768,7 +768,7 @@ class TestBatchedEvolve:
         _assert_members_match_single_runs(inits, system, 33)
         work = loaded(*(np.stack([getattr(i, name) for i in inits])
                         for name in ("rho0", "u0", "d0")))
-        dynamics._explicit_rates(work, p, g.dx)
+        dynamics._explicit_rates(work, dynamics._Operands(p, g.dx))
         assert not work.grad[..., 0].any() and not work.grad[..., -1].any()
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
@@ -832,9 +832,9 @@ class TestBatchedEvolve:
             builds.append(dt)
             return build(dt, *args)
 
-        def recording_advance(work, params, dx, dt, *args):
+        def recording_advance(work, ops, implicit, dt, *args):
             sizes.add(dt)
-            return advance(work, params, dx, dt, *args)
+            return advance(work, ops, implicit, dt, *args)
 
         monkeypatch.setattr(dynamics, "_implicit", counting_build)
         monkeypatch.setattr(dynamics, "_advance", recording_advance)

@@ -252,7 +252,7 @@ class TestRemainderGl:
         dgrad = gradient_array(cand.d, g.dx) - gradient_array(
             base.reference.d, g.dx
         )
-        dforce = gl_force(cand.d, GL) - gl_force(base.reference.d, GL)
+        dforce = gl_force(cand.d, GL.sigma0**2) - gl_force(base.reference.d, GL.sigma0**2)
         dx = g.dx
         expect_force = np.sum(dlap * dforce, axis=0)
         expect_force = dx * (expect_force.sum() - 0.5 * (expect_force[0] + expect_force[-1]))
@@ -350,13 +350,13 @@ class TestGronwallCoefficient:
         lap_u_r = laplacian_array(ref.u, dx)
         grad_d_r = gradient_array(ref.d, dx)
         lap_d_r = laplacian_array(ref.d, dx)
-        curv = lap_d_r - gl_force(ref.d, p)
+        curv = lap_d_r - gl_force(ref.d, p.sigma0**2)
         g_ref = p.mu * lap_u_r - p.lam * np.sum(curv * grad_d_r, axis=0)
         assert h["g_inf"] == pytest.approx(linf_array(g_ref))
         ratio = g_ref / ref.rho
         assert h["g_over_rho_l3_sq"] == pytest.approx(l3_array(ratio, dx) ** 2)
-        f_c = linf_array(gl_force(pair.candidate.d, p))
-        f_r = linf_array(gl_force(ref.d, p))
+        f_c = linf_array(gl_force(pair.candidate.d, p.sigma0**2))
+        f_r = linf_array(gl_force(ref.d, p.sigma0**2))
         assert h["force_scale"] == pytest.approx(f_c + f_r)
         assert h["curvature_force_inf_sq"] == pytest.approx(
             (linf_array(lap_d_r) + f_c) ** 2

@@ -24,6 +24,15 @@ coefficients only, and the lengths matter too: a change of array length
 can move which elements fall in the SIMD tails of the kernels.  It was
 taken before the row's arithmetic moved to one contraction block and one
 preallocated quadrature stack, and held bit for bit through that change.
+
+`STEP` hashes the state of every sample `evolve` gives: both systems, the
+default coefficients and one non-default set, n = 513 with one member (the
+collapse study's reference size) and n = 97 with two members in lockstep,
+the second perturbed.  The sample interval is not a multiple of dt, so
+the windows step at several sizes dt_eff that differ in their last bits;
+an operand of the step size kept per requested dt, not per dt_eff, moves
+these bits.  It was taken before the step's scalar operands became
+prebuilt 0-d arrays and its ufuncs took positional outputs.
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ import pytest
 from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 from nemlab.constitutive import Params, System
-from nemlab.dynamics import State
+from nemlab.dynamics import BoundarySpec, State, evolve
 from nemlab.functionals import StatePair, remainder
 from nemlab.grid import Grid1D
 from nemlab.traceio import write_trace
-from nemlab.verifier import ExperimentConfig, Perturbation, run_twin
+from nemlab.verifier import ExperimentConfig, Perturbation, make_initial_data, run_twin
 
 KERNELS = "73c0426f49ab0a5253ba48bd07a95568c770d5da3dd1351c635cd0f03a2cff7b"
 
@@ -67,6 +76,9 @@ GOLDEN = {
 
 # sha256 of every RemainderBreakdown value over the pairs of _remainder_pairs
 REMAINDER = "6ae7156e03dffb7c9c13aac283f258df2bb6b6b5d03f81dfeb677cd4de078e4e"
+
+# sha256 of every sample's time and state bits over the runs of _step_runs
+STEP = "80818fad9e43f9c5eda627bf7b777cf9d2ed9463cc000136905c8bbab1c0855c"
 
 
 def _kernels_digest() -> str:
@@ -182,3 +194,40 @@ def test_remainder_rows_are_bit_identical_to_the_golden_hash():
                   br.sphere_defect):
             digest.update(b"none" if v is None else struct.pack("<d", v))
     assert digest.hexdigest() == REMAINDER
+
+
+# coefficient sets of the step digest: the defaults, and gamma, mu,
+# theta, lam and sigma0 moved off theirs
+STEP_PARAMS = ({}, dict(gamma=1.4, mu=0.5, theta=0.3, lam=2.0, sigma0=0.5))
+
+
+def _step_runs():
+    """(params, grid, members) for each system, coefficient set and size:
+    n = 513 with one unperturbed member, n = 97 with an unperturbed and a
+    perturbed member."""
+    for system in System:
+        for coefficients in STEP_PARAMS:
+            params = Params(system=system, **coefficients)
+            for n, perturbations in ((513, (None,)), (97, (None, Perturbation(1e-3, 3)))):
+                grid = Grid1D(n, 0.0, 1.0)
+                yield params, grid, [make_initial_data(f"{system.value}-smooth", grid, params, p)
+                                     for p in perturbations]
+
+
+def test_step_states_are_bit_identical_to_the_golden_hash():
+    if _kernels_digest() != KERNELS:
+        pytest.skip("floating-point kernels differ from those the hashes were taken with")
+    digest = hashlib.sha256()
+
+    def observe(states, t):
+        digest.update(struct.pack("<d", t))
+        for state in states:
+            for field in (state.rho, state.u, state.d):
+                digest.update(field.tobytes())
+
+    for params, grid, members in _step_runs():
+        bcs = [BoundarySpec.for_system(params.system, m.d0) for m in members]
+        # 2.5e-4 is not a multiple of 1e-4: three steps of about 8.3e-5 per
+        # window, and a last window of 1e-4 to t_end
+        evolve(members, 0.0251, 1e-4, params, grid, bcs, observe, sample_interval=2.5e-4)
+    assert digest.hexdigest() == STEP
