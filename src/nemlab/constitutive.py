@@ -135,17 +135,18 @@ def _power_law(rho, coefficient, exponent, out=None):
     return np.multiply(out, coefficient, out)
 
 
-def gl_potential(d, params: Params, sq=None):
+def gl_potential(d, params: Params, sq=None, out=None):
     """Penalization energy density F(d) = (|d|^2 - 1)^2 / (4 sigma0^2).
 
     d has shape (3, n) or (K, 3, n); returns a length-n or a (K, n)
-    array.  sq, when given, holds |d|^2 as a sum over the components gives
-    it, and d is not read.
+    array, written to out when given.  sq, when given, holds |d|^2 as a
+    sum over the components gives it, and d is not read.
     """
     if sq is None:
         sq = np.square(d, dtype=float).sum(axis=-2)
-    s = sq - 1.0
-    return s * s / (4.0 * params.sigma0**2)
+    s = np.subtract(sq, 1.0, out)
+    np.multiply(s, s, s)
+    return np.divide(s, 4.0 * params.sigma0**2, s)
 
 
 def gl_force(d, sigma0_sq, out=None, one=1.0):
@@ -183,7 +184,7 @@ def _bregman(pi, pi1_t, pi_t, rho, rho_t) -> np.ndarray:
     values, with bregman_pressure's round-off clamp and error; the terms'
     magnitudes are summed only where the absolute 1e-14 test fails."""
     linear = pi1_t * (rho - rho_t)
-    out = np.asarray(pi - linear - pi_t, dtype=float)
+    out = pi - linear - pi_t
     least = _least(out, 0.0)
     if least < -_BREGMAN_CLAMP:
         scale = np.maximum(np.abs(pi) + np.abs(linear) + np.abs(pi_t), 1.0)

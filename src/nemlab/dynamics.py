@@ -110,7 +110,7 @@ import numpy as np
 import scipy
 
 from .constitutive import Params, System, _power_law, gl_force
-from .grid import Grid1D, central_gradient, central_laplacian
+from .grid import Grid1D, _scalar, central_gradient, central_laplacian
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -350,13 +350,6 @@ class _Workspace:
         # dptsv factors the velocity matrix over its diagonals: a copy each step
         self.vel_diag = np.empty(size)
         self.vel_off = np.empty(size - 1)
-
-
-def _scalar(value: float) -> np.ndarray:
-    """value as a read-only 0-d float64 array, a ufunc operand."""
-    out = np.array(value)
-    out.flags.writeable = False
-    return out
 
 
 class _Operands:
@@ -642,7 +635,7 @@ def _advance(work: _Workspace, ops: _Operands, implicit: _Implicit, dt: float,
 
 def _window(span: float, dt: float) -> Tuple[int, float]:
     """(n_sub, dt_eff): dt shrunk minimally so a window of length span is n_sub steps."""
-    n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
+    n_sub = max(1, math.ceil(span / dt - 1e-12))
     return n_sub, span / n_sub
 
 
@@ -728,14 +721,17 @@ def evolve(
         exc.args = (f"at t=0: {exc}",)
         raise
 
+    size = members * n  # each member's rho, u and d in the state block, from node i = b n:
+    parts = [(slice(i, i + n), slice(size + i, size + i + n),
+              slice(2 * size + 3 * i, 2 * size + 3 * i + 3 * n)) for i in range(0, size, n)]
+
     def states():
         # one read-only copy of the state block per sample; the end-of-step
         # finite check and InitialData vouch for its entries
         snap = work.state.copy()
         snap.flags.writeable = False
-        size = members * n
-        rows, dirs = snap[:2 * size].reshape(2, members, n), snap[2 * size:].reshape(members, 3, n)
-        out = tuple(State._wrap(grid, rows[0, b], rows[1, b], dirs[b]) for b in range(members))
+        out = tuple([State._wrap(grid, snap[r], snap[v], snap[d].reshape(3, n))
+                     for r, v, d in parts])
         return out[0] if single else out
 
     if observer is not None:

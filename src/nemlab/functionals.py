@@ -41,6 +41,13 @@ pass that energy_dissipation runs on a single state.  Values beyond the
 float range raise FunctionalError naming the quantity, never a numpy
 warning.
 
+Call forms, as in the IMEX step (see dynamics): a row is some 150 numpy
+calls on a few hundred floats each, so their fixed cost is much of it.
+Scalar operands are read-only 0-d arrays made once per parameter set
+(_Operands) or grid spacing (grid._spacing) from the float expressions
+they stand for; outputs are positional, into the row's stack, an earlier
+temporary or EnergyWindow's scratch; every operation keeps its order.
+
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
 couplings and lam*theta on director relaxation/diffusion differences; at
@@ -70,7 +77,7 @@ from .constitutive import (
     gl_potential,
 )
 from .dynamics import DEFAULT_DENSITY_FLOOR, State
-from .grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
+from .grid import Grid1D, _scalar, gradient_array, laplacian_array, trapezoid_array
 
 # Reorganization mismatch beyond this multiple of dx^2 * magnitude-scale
 # indicates a formula-level error rather than discretization noise.
@@ -84,16 +91,17 @@ QUARTETS: Dict[System, Tuple[str, str, str, str]] = {
     System.SPHERE: ("r_1d", "r_1c", "r_1c_a", "r_1c_b"),
 }
 
-# Samples per stacked pass of EnergyWindow, chosen by measurement.  CPU
-# microseconds per sample (best of 7 runs of 1600 samples, shared 2-vCPU
-# x86-64 VM), per-state energy_dissipation, then windows of 2, 4, 8, 16:
-#   n = 513  GL 94; 66, 50, 37, 59   SPHERE 77; 54, 37, 30, 45
-#   n = 97   GL 70; 45, 26, 17, 12   SPHERE 61; 39, 24, 15, 10
-# A window of 8 is faster still, but the pass's temporaries (about 20
-# n-node rows per sample) take the tracemalloc peak of a streamed GL twin
-# (n 257 to 33, 151 samples) from 490 KB per state through 668 KB at 4 to
-# 893 KB at 8, past the 758 KB its memory test allows.
-ENERGY_WINDOW = 4
+# Samples per stacked pass of EnergyWindow: the widest that the memory
+# tests allow.  CPU microseconds per sample (best of 7 runs of 1600
+# samples, shared 2-vCPU x86-64 VM), per-state energy_dissipation, then
+# windows of 2, 4, 8, 16:
+#   n = 513  GL 93; 62, 45, 34, 26   SPHERE 57; 36, 25, 18, 16
+#   n = 97   GL 52; 29, 17, 10, 7    SPHERE 44; 26, 15, 10, 7
+# The window holds 15 n-node rows per sample, and the GL pass briefly 4
+# more (numpy buffers the force's broadcast operand), so the tracemalloc
+# peak of a streamed GL twin (n 257 to 33, 151 samples) is 753 KB at 8 and
+# 831 KB at 10, past the 758 KB its memory test allows.
+ENERGY_WINDOW = 8
 
 
 class FunctionalError(ValueError):
@@ -173,50 +181,53 @@ def _contract(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
     first = 2 * len(stacked)
     prod = np.empty((first + len(pairs),) + pairs[0][0].shape)
     for k, (a, b) in enumerate(stacked):
-        np.multiply(a, b, out=prod[2 * k:2 * k + 2])
+        np.multiply(a, b, prod[2 * k:2 * k + 2])
     for k, (a, b) in enumerate(pairs, first):
-        np.multiply(a, b, out=prod[k])
-    return prod.sum(axis=1)
+        np.multiply(a, b, prod[k])
+    return np.add.reduce(prod, 1)
 
 
 def _unit_defects(lengths: np.ndarray) -> np.ndarray:
     """max | |d| - 1 | over the nodes of each row of director lengths |d|."""
-    return np.abs(lengths - 1.0).max(axis=-1)
+    return np.maximum.reduce(np.abs(np.subtract(lengths, 1.0)), -1)
 
 
-def _residual(d, lap_d, grad_sq, force):
-    """The director relaxation residual of one state or a stack of them:
-    d_xx - f(d) for GL (force f(d)), d_xx + |d_x|^2 d for SPHERE (None)."""
-    return lap_d - force if force is not None else lap_d + grad_sq[..., None, :] * d
+def _residual(d, lap_d, grad_sq, force, out=None):
+    """The director relaxation residual of one state or a stack of them,
+    into out if given: d_xx - f(d) for GL (force f(d)), d_xx + |d_x|^2 d
+    for SPHERE (None)."""
+    if force is not None:
+        return np.subtract(lap_d, force, out)
+    return np.add(lap_d, np.multiply(grad_sq[..., None, :], d, out), out)
 
 
-def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, params: Params,
-                     out=(None, None), d_sq=None):
+def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, o: "_Operands", out,
+                     d_sq=None, tmp=(None, None)):
     """Energy and dissipation densities of one state or of a stack of them
-    (see energy_dissipation), written to out's arrays when given: d holds
-    the components on its second-to-last axis (d_sq, if given, |d|^2),
-    grad_sq is |d_x|^2, resid_sq the squared length of the relaxation
-    residual (_residual) and pi is Pi(rho)."""
-    dens = 0.5 * rho * u * u
-    dens += pi
-    director = 0.5 * grad_sq
-    if params.system is System.GL:
-        director += gl_potential(d, params, d_sq)
-    dsp = np.add(params.mu * grad_u * grad_u, params.lam * params.theta * resid_sq, out=out[1])
-    return np.add(dens, params.lam * director, out=out[0]), dsp
+    (see energy_dissipation), written to out's two arrays: d holds the
+    components on its second-to-last axis (d_sq, if given, |d|^2), grad_sq
+    is |d_x|^2, resid_sq the squared length of the relaxation residual
+    (_residual) and pi is Pi(rho); tmp's arrays, when given, are scratch."""
+    dens, dsp = out
+    np.add(np.multiply(np.multiply(np.multiply(rho, o.half, dens), u, dens), u, dens), pi, dens)
+    director = np.multiply(grad_sq, o.half, tmp[0])
+    if o.gl:
+        np.add(director, gl_potential(d, o.params, d_sq, tmp[1]), director)
+    np.multiply(np.multiply(grad_u, o.mu, dsp), grad_u, dsp)
+    np.add(dsp, np.multiply(resid_sq, o.lam_theta, tmp[1]), dsp)
+    return np.add(dens, np.multiply(director, o.lam, director), dens), dsp
 
 
-def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, params: Params,
+def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, o: "_Operands",
                      out=None) -> np.ndarray:
     """The relative-entropy integrand, written to out when given; du = u -
     u~, bregman is the pressure Bregman row, dgrad_sq = |d_x - d~_x|^2 and
     gap_sq = |d - d~|^2."""
-    dens = 0.5 * rho * du * du
-    dens += bregman
-    if params.system is System.SPHERE:
-        dens += 0.5 * params.lam * dgrad_sq
-        return np.add(dens, 0.5 * params.lam * gap_sq, out=out)
-    return np.add(dens, 0.5 * params.lam * dgrad_sq, out=out)
+    dens = np.multiply(rho, o.half, out)
+    np.add(np.multiply(np.multiply(dens, du, dens), du, dens), bregman, dens)
+    term = np.multiply(dgrad_sq, o.half_lam)
+    np.add(dens, term, dens)
+    return dens if o.gl else np.add(dens, np.multiply(gap_sq, o.half_lam, term), dens)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +235,31 @@ def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, params: Params,
 # ---------------------------------------------------------------------------
 
 
-def _energy_rows(rows: np.ndarray, dx: float, params: Params) -> np.ndarray:
-    """Energy and dissipation of the K states whose (rho, u, d0, d1, d2)
-    rows are stacked in rows (K, 5, n): a (2, K) array from one gradient,
-    one Laplacian and one trapezoid call.  The stencils and the quadrature
-    act row by row, so each state's values are those of its own pass."""
-    rho, u, d = rows[:, 0], rows[:, 1], rows[:, 2:]
-    grad = gradient_array(rows[:, 1:], dx)
-    grad_d = np.multiply(grad[:, 1:], grad[:, 1:], out=grad[:, 1:])  # squared in place
-    grad_sq = grad_d.sum(axis=-2)
-    force = gl_force(d, params.sigma0**2) if params.system is System.GL else None
-    resid = _residual(d, laplacian_array(d, dx), grad_sq, force)
-    resid *= resid
-    dens = np.empty((2,) + rho.shape)
-    pi = _power_law(_check_nonneg_rho(rho), params.pi_coeff, params.gamma)
-    _state_densities(rho, u, d, grad[:, 0], grad_sq, resid.sum(axis=-2), pi, params, out=dens)
-    return trapezoid_array(dens, dx)
+def _energy_rows(rows: np.ndarray, dx: float, o: "_Operands", scratch=None) -> np.ndarray:
+    """Energy and dissipation of the K states whose rho, u, d0, d1 and d2
+    rows are stacked in rows (5, K, n): a (2, K) array from one gradient,
+    one Laplacian and one trapezoid call, with scratch (10 K n floats or
+    more; allocated if not given) for the rest.  Each field is a contiguous
+    row of K n floats, which numpy does not copy into a buffer as it does
+    a strided one.  The stencils and the quadrature act row by row: each
+    state's values are those of its own pass."""
+    k, n = rows.shape[1:]
+    values = rows.reshape(-1, n)  # a copy only for a partial window
+    fields, m = values.reshape(5, -1), k * n
+    rho, u, d = fields[0], fields[1], fields[2:]
+    scratch = np.empty(10 * m) if scratch is None else scratch
+    grad = gradient_array(values, dx, scratch[:5 * m].reshape(-1, n)).reshape(5, -1)
+    grad_d = np.multiply(grad[2:], grad[2:], grad[2:])  # squared in place
+    grad_sq = np.add.reduce(grad_d, 0, None, grad[0])  # rho's gradient is not read
+    force = gl_force(d, o.sigma0_sq, grad_d, o.one) if o.gl else None
+    lap = laplacian_array(values[2 * k:], dx, scratch[5 * m:8 * m].reshape(-1, n)).reshape(3, -1)
+    resid = _residual(d, lap, grad_sq, force, grad_d)
+    resid_sq = np.add.reduce(np.multiply(resid, resid, resid), 0, None, lap[0])
+    pi = _power_law(_check_nonneg_rho(rho), o.pi_coeff, o.gamma, lap[1])
+    d_sq = np.add.reduce(np.multiply(d, d, grad_d), 0, None, lap[2]) if o.gl else None
+    out = scratch[8 * m:10 * m].reshape(2, -1)
+    _state_densities(rho, u, d, grad[1], grad_sq, resid_sq, pi, o, out, d_sq, grad[2:4])
+    return trapezoid_array(out.reshape(2, k, n), dx)
 
 
 def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
@@ -252,8 +272,8 @@ def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
 
     The one-state case of EnergyWindow's stacked pass.
     """
-    rows = np.concatenate((state.rho[None], state.u[None], state.d))
-    return tuple(_energy_rows(rows[None], state.grid.dx, params)[:, 0].tolist())
+    rows = np.concatenate((state.rho[None], state.u[None], state.d))[:, None]
+    return tuple(_energy_rows(rows, state.grid.dx, _layout(params)[3])[:, 0].tolist())
 
 
 class EnergyWindow:
@@ -267,21 +287,22 @@ class EnergyWindow:
     energy_dissipation's.  A value beyond the float range raises
     FunctionalError naming the quantity, the trajectory and the sample
     time, and no numpy warning, if the sample is at or before flush's
-    until; the window then keeps its samples.  It holds ENERGY_WINDOW * 5
-    * n floats and the pass's temporaries O(ENERGY_WINDOW * n).
+    until; the window then keeps its samples.  It holds ENERGY_WINDOW * 15
+    * n floats: the samples' rows and the pass's scratch.
     """
 
     def __init__(self, grid: Grid1D, params: Params, trajectory: str):
-        self.dx, self.params, self.trajectory = grid.dx, params, trajectory
-        self.rows = np.empty((ENERGY_WINDOW, 5, grid.n_nodes))
+        self.dx, self.ops, self.trajectory = grid.dx, _layout(params)[3], trajectory
+        self.rows = np.empty((5, ENERGY_WINDOW, grid.n_nodes))  # rho, u, d0, d1, d2
+        self.scratch = np.empty(2 * self.rows.size)  # the pass's (_energy_rows)
         self.times: List[float] = []  # of the samples in the buffer
         self.energy, self.dissipation = array("d"), array("d")
 
     def add(self, state: State, t: float) -> None:
-        rows = self.rows[len(self.times)]
+        rows = self.rows[:, len(self.times)]
         rows[0], rows[1], rows[2:] = state.rho, state.u, state.d
         self.times.append(t)
-        if len(self.times) == len(self.rows):
+        if len(self.times) == self.rows.shape[1]:
             self.flush()
 
     def flush(self, until: float = math.inf) -> None:
@@ -291,7 +312,7 @@ class EnergyWindow:
         if not times:
             return
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _energy_rows(self.rows[:len(times)], self.dx, self.params)
+            out = _energy_rows(self.rows[:, :len(times)], self.dx, self.ops, self.scratch)
         finite = np.isfinite(out)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))
@@ -349,7 +370,7 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     dd = c.d - r.d
     dgrad_sq, gap_sq = _contract(((dgrad, dgrad), (dd, dd)))
     dens = _entropy_density(c.rho, c.u - r.u, bregman_pressure(c.rho, r.rho, params),
-                            dgrad_sq, gap_sq, params)
+                            dgrad_sq, gap_sq, _layout(params)[3])
     return trapezoid_array(dens, dx)
 
 
@@ -371,18 +392,18 @@ class _PairFields:
     """
 
     def __init__(self, pair: StatePair, params: Params):
-        self.dx = dx = pair.grid.dx
+        self.dx, self.layout = dx, layout = pair.grid.dx, _layout(params)
+        o = layout[3]
         c, r = pair.candidate, pair.reference
         self.rho, self.rho_r, self.u, self.u_r = rho, rho_r, u, u_r = c.rho, r.rho, c.u, r.u
         self.d, self.d_r = d, d_r = c.d, r.d
-        pow_r, pow1_r = np.power(rho_r, params.gamma), np.power(rho_r, params.gamma - 1.0)
-        self.p_r = p_r = pow_r * params.a
-        pi1_r = pow1_r * params.pi1_coeff
-        laws_r = ()
-        if params.system is System.GL:
-            self.flux_r = rho_r * u_r
-            laws_r = (p_r[None], self.flux_r[None], pi1_r[None])
-        rows = np.concatenate((*laws_r, u[None], u_r[None], d, d_r))
+        pow_r, pow1_r = np.power(rho_r, o.gamma), np.power(rho_r, o.gamma_m1)
+        rows = np.empty((11 if o.gl else 8, rho.shape[0]))
+        rows[-8], rows[-7], rows[-6:-3], rows[-3:] = u, u_r, d, d_r
+        self.p_r = p_r = np.multiply(pow_r, o.a, rows[0] if o.gl else None)
+        pi1_r = np.multiply(pow1_r, o.pi1_coeff, rows[2] if o.gl else None)
+        if o.gl:
+            self.flux_r = np.multiply(rho_r, u_r, rows[1])
         grad, lap = gradient_array(rows, dx), laplacian_array(rows[-7:], dx)
         self.grad_laws_r, self.grad_u, self.grad_u_r = grad[:-8], grad[-8], grad[-7]
         lap_d, lap_d_r = laps = lap[1:].reshape(2, 3, -1)
@@ -390,10 +411,10 @@ class _PairFields:
         self.du, self.du_r = u - u_r, u_r - u
         # the (candidate, reference) stacks of d and d_x, and of u d_x, u~ d~_x
         directors, grads = rows[-6:].reshape(2, 3, -1), grad[-6:].reshape(2, 3, -1)
-        moved = rows[-8:-6, None] * grads
-        trans_gap, (grad_d, grad_d_r) = moved[0] - moved[1], grads
-        if params.system is System.GL:
-            force, force_r = forces = gl_force(directors, params.sigma0**2)
+        moved = np.multiply(rows[-8:-6, None], grads)
+        trans_gap, (grad_d, grad_d_r) = np.subtract(moved[0], moved[1], moved[0]), grads
+        if o.gl:
+            force, force_r = forces = gl_force(directors, o.sigma0_sq, None, o.one)
             dforce = force - force_r
             # the GL curvatures d_xx - f(d) of both states, from their stacks
             curvs = _residual(directors, laps, None, forces)
@@ -424,19 +445,19 @@ class _PairFields:
             self.gm, self.gm_r = gms = lengths[2:]
             gm_sq = gms * gms
             self.gm_r2 = gm_sq[1]
-            scaled = gm_sq[:, None] * directors
-            q = scaled[0] - scaled[1]  # nonlinear reaction gap
+            scaled = np.multiply(gm_sq[:, None], directors)
+            q = np.subtract(scaled[0], scaled[1], scaled[0])  # nonlinear reaction gap
             resid = _residual(d, lap_d, self.grad_sq, None)
             self.laplacian_q, self.director_q, self.resid_sq = _contract(
                 ((dlap, q), (e, q), (resid, resid)))
         _check_nonneg_rho(rho)
-        pow_c = np.power(rho, params.gamma)
-        self.p, self.pi = pow_c * params.a, pow_c * params.pi_coeff
-        self.bregman = _bregman(self.pi, pi1_r, pow_r * params.pi_coeff, rho, rho_r)
-        self.dp_r = pow1_r * params.dp_coeff
-        self.rho_du_r = rho * self.du_r
-        self.stress_div_r = params.lam * self.stress_r
-        self.g_ref = params.mu * lap[0] - self.stress_div_r
+        pow_c = np.power(rho, o.gamma)
+        self.p, self.pi = np.multiply(pow_c, o.a), np.multiply(pow_c, o.pi_coeff, pow_c)
+        self.bregman = _bregman(self.pi, pi1_r, np.multiply(pow_r, o.pi_coeff, pow_r), rho, rho_r)
+        self.dp_r = np.multiply(pow1_r, o.dp_coeff, pow1_r)
+        self.rho_du_r = np.multiply(rho, self.du_r)
+        self.stress_div_r = np.multiply(self.stress_r, o.lam)
+        self.g_ref = np.subtract(np.multiply(lap[0], o.mu, lap[0]), self.stress_div_r, lap[0])
 
 
 # Each system's terms in trace column order under their QUARTETS block,
@@ -466,10 +487,25 @@ _TERMS = {
 }
 
 
+class _Operands:
+    """The 0-d operands (grid._scalar) of the row and the energy pass of
+    one parameter set, each from the float expression it stands for."""
+
+    def __init__(self, params: Params):
+        self.params, self.gl = params, params.system is System.GL
+        (self.half, self.three, self.one, self.gamma, self.gamma_m1, self.gamma_m2, self.a,
+         self.pi_coeff, self.pi1_coeff, self.dp_coeff, self.neg_dp_coeff, self.mu, self.lam,
+         self.half_lam, self.lam_theta, self.sigma0_sq) = map(_scalar, (
+            0.5, 3.0, 1.0, params.gamma, params.gamma - 1.0, params.gamma - 2.0, params.a,
+            params.pi_coeff, params.pi1_coeff, params.dp_coeff, -params.dp_coeff, params.mu,
+            params.lam, 0.5 * params.lam, params.lam * params.theta, params.sigma0**2))
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(params: Params):
     """The row's term names and coefficients, in order with the two
-    diagnostics last, and each QUARTETS entry's range of terms."""
+    diagnostics last, each QUARTETS entry's range of terms, and the
+    parameter set's _Operands."""
     lam, th = params.lam, params.theta
     factor = {"1": 1.0, "-1": -1.0, "mu": params.mu, "lam": lam, "-lam": -lam,
               "lam*th": lam * th, "-lam*th": -lam * th, "2lam*th": 2.0 * lam * th}
@@ -480,7 +516,7 @@ def _layout(params: Params):
         terms += block_terms
     terms += [("diag_stress_transport_exchange", "1"), ("diag_director_l2_gap", "1")]
     return (tuple(name for name, _ in terms), tuple(factor[key] for _, key in terms),
-            tuple(ranges[block] for block in QUARTETS[params.system]))
+            tuple(ranges[block] for block in QUARTETS[params.system]), _Operands(params))
 
 
 def _density_rows(f: _PairFields, row: Callable[[], np.ndarray]) -> None:
@@ -489,38 +525,45 @@ def _density_rows(f: _PairFields, row: Callable[[], np.ndarray]) -> None:
     quadratic, the pressure Bregman work and the density-weighted force
     imbalance; the stress-transport exchange term that migrates between
     the blocks is a diagnostic of `remainder`."""
-    drho = f.rho - f.rho_r
-    np.multiply(f.rho_du_r * -f.du_r, f.grad_u_r, out=row())
-    np.multiply(f.grad_u_r, f.p - f.dp_r * drho - f.p_r, out=row())
-    np.multiply(drho / f.rho_r * f.g_ref, f.du_r, out=row())
+    drho, tmp = np.subtract(f.rho, f.rho_r), np.negative(f.du_r)
+    np.multiply(np.multiply(f.rho_du_r, tmp, tmp), f.grad_u_r, row())
+    np.subtract(f.p, np.multiply(f.dp_r, drho, tmp), tmp)
+    np.multiply(f.grad_u_r, np.subtract(tmp, f.p_r, tmp), row())
+    np.multiply(np.multiply(np.divide(drho, f.rho_r, drho), f.g_ref, drho), f.du_r, row())
 
 
-def _gl_rows(f: _PairFields, params: Params, row: Callable[[], np.ndarray]) -> None:
+def _gl_rows(f: _PairFields, o: _Operands, row: Callable[[], np.ndarray]) -> None:
     """GL integrands in _TERMS order: (r_d, r_c) is the derivation-order
     split, (r_bar_d, r_bar_c) the estimate-order one; their sums agree up to
     O(dx^2).  r_d replaces d(u~)/dt and d(Pi'(rho~))/dt by the right-hand
     sides of the reference momentum and continuity equations."""
     grad_p_r, grad_flux_r, grad_pi1_r = f.grad_laws_r
-    dudt_r = (f.g_ref - grad_p_r) / f.rho_r - f.u_r * f.grad_u_r
+    dudt_r = np.subtract(f.g_ref, grad_p_r)
+    tmp = np.multiply(f.u_r, f.grad_u_r)
+    np.subtract(np.divide(dudt_r, f.rho_r, dudt_r), tmp, dudt_r)
     # -Pi''(rho~), its coefficient negated
-    dpidt_r = _power_law(f.rho_r, -params.dp_coeff, params.gamma - 2.0) * grad_flux_r
-    np.multiply(f.rho_du_r, dudt_r + f.u * f.grad_u_r, out=row())
-    np.multiply(f.grad_u_r, f.grad_u_r - f.grad_u, out=row())
-    np.add((f.rho_r - f.rho) * dpidt_r, grad_pi1_r * (f.flux_r - f.rho * f.u), out=row())
-    np.multiply(f.grad_u_r, f.p - f.p_r, out=row())
+    dpidt_r = _power_law(f.rho_r, o.neg_dp_coeff, o.gamma_m2)
+    np.multiply(dpidt_r, grad_flux_r, dpidt_r)
+    np.add(dudt_r, np.multiply(f.u, f.grad_u_r, tmp), tmp)
+    np.multiply(f.rho_du_r, tmp, row())
+    np.multiply(f.grad_u_r, np.subtract(f.grad_u_r, f.grad_u, tmp), row())
+    np.multiply(np.subtract(f.rho_r, f.rho, tmp), dpidt_r, tmp)
+    flux_gap = np.subtract(f.flux_r, np.multiply(f.rho, f.u, dudt_r), dudt_r)
+    np.add(tmp, np.multiply(grad_pi1_r, flux_gap, flux_gap), row())
+    np.multiply(f.grad_u_r, np.subtract(f.p, f.p_r, tmp), row())
     _density_rows(f, row)
-    np.multiply(f.u, f.transport, out=row())
-    np.multiply(f.u_r, f.transport, out=row())
+    np.multiply(f.u, f.transport, row())
+    np.multiply(f.u_r, f.transport, row())
     row()[:] = f.difference
     row()[:] = f.force_gap  # rc_force_difference, then rbc_force_difference
     row()[:] = f.force_gap
-    np.multiply(f.u_r, f.gradient, out=row())
-    np.multiply(f.du, f.curvature, out=row())
-    np.multiply(f.du, f.candidate_force, out=row())
-    np.multiply(f.du, f.force_gradient, out=row())
+    np.multiply(f.u_r, f.gradient, row())
+    np.multiply(f.du, f.curvature, row())
+    np.multiply(f.du, f.candidate_force, row())
+    np.multiply(f.du, f.force_gradient, row())
 
 
-def _sphere_rows(f: _PairFields, params: Params, row: Callable[[], np.ndarray]) -> None:
+def _sphere_rows(f: _PairFields, o: _Operands, row: Callable[[], np.ndarray]) -> None:
     """SPHERE integrands in _TERMS order.
 
     r_1d is the density/velocity block, already in estimate order; r_1c
@@ -533,23 +576,24 @@ def _sphere_rows(f: _PairFields, params: Params, row: Callable[[], np.ndarray]) 
     that factored form.  stress_r is d~_xx . d~_x (curv~ = d~_xx).
     """
     _density_rows(f, row)
-    np.multiply(f.stress_c - f.stress_r, f.du_r, out=row())
+    tmp = np.subtract(f.stress_c, f.stress_r)
+    np.multiply(tmp, f.du_r, row())
     for dot in (f.difference, f.laplacian_q, f.director_q, f.director_transport):
         row()[:] = dot
-    gap_mag = f.gm - f.gm_r
-    sum_mag = f.gm_r + f.gm
-    np.multiply(f.u_r, f.gradient, out=row())
-    np.multiply(f.du_r, f.curvature, out=row())
-    np.multiply(sum_mag * f.d_dlap, gap_mag, out=row())
-    np.multiply(f.du_r, f.exchange, out=row())
-    np.multiply(f.u_r, f.e_dgrad, out=row())
-    np.multiply(sum_mag * f.d_e, gap_mag, out=row())
-    np.multiply(f.gap_sq, f.gm_r2, out=row())
+    gap_mag = np.subtract(f.gm, f.gm_r)
+    sum_mag = np.add(f.gm_r, f.gm)
+    np.multiply(f.u_r, f.gradient, row())
+    np.multiply(f.du_r, f.curvature, row())
+    np.multiply(np.multiply(sum_mag, f.d_dlap, tmp), gap_mag, row())
+    np.multiply(f.du_r, f.exchange, row())
+    np.multiply(f.u_r, f.e_dgrad, row())
+    np.multiply(np.multiply(sum_mag, f.d_e, tmp), gap_mag, row())
+    np.multiply(f.gap_sq, f.gm_r2, row())
     # the factored-curvature move: integral(|d~_x|^2 e . (dlap)) shifted by
     # parts onto the gradient gap (reference Neumann slope kills the
     # boundary term)
-    np.multiply(f.stress_r, f.e_dgrad, out=row())
-    np.multiply(f.gm_r2, f.dgrad_sq, out=row())
+    np.multiply(f.stress_r, f.e_dgrad, row())
+    np.multiply(f.gm_r2, f.dgrad_sq, row())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -566,22 +610,23 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     range raise FunctionalError (see _check_row), not a numpy warning.
     """
     f = _PairFields(pair, params)
-    names, coefficients, blocks = _layout(params)
-    gl = params.system is System.GL
+    names, coefficients, blocks, o = f.layout
+    gl = o.gl
     stack = np.empty((len(names) + 5, f.rho.shape[0]))
     row = iter(stack).__next__
-    (_gl_rows if gl else _sphere_rows)(f, params, row)
+    (_gl_rows if gl else _sphere_rows)(f, o, row)
     # the diagnostics: the reference stress transported by the velocity gap,
     # which cancels between the two reorganized blocks, and the director gap
     # (its square root taken below)
-    np.multiply(f.stress_div_r, f.du_r, out=row())
+    np.multiply(f.stress_div_r, f.du_r, row())
     row()[:] = f.gap_sq
     # past the terms: entropy, the candidate's energy, dissipation, mass; |g~/rho~|^3
-    _entropy_density(f.rho, f.du, f.bregman, f.dgrad_sq, f.gap_sq, params, out=row())
-    _state_densities(f.rho, f.u, f.d, f.grad_u, f.grad_sq, f.resid_sq, f.pi, params,
-                     out=(row(), row()), d_sq=f.d_sq)
+    _entropy_density(f.rho, f.du, f.bregman, f.dgrad_sq, f.gap_sq, o, row())
+    _state_densities(f.rho, f.u, f.d, f.grad_u, f.grad_sq, f.resid_sq, f.pi, o,
+                     (row(), row()), f.d_sq)
     row()[:] = f.rho
-    np.power(np.abs(f.g_ref / f.rho_r), 3, out=row())
+    l3 = np.divide(f.g_ref, f.rho_r, row())
+    np.power(np.abs(l3, l3), o.three, l3)
     integrals = trapezoid_array(stack, f.dx).tolist()
     values = [c * v for c, v in zip(coefficients, integrals)]
     values[-1] = math.sqrt(values[-1])
@@ -645,7 +690,9 @@ def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str
     stacked max, the lengths' from their squares (f.norms) before the
     square root; l3_cubed is the integral of |g~/rho~|^3.
     """
-    mags = np.abs(np.array((f.grad_u_r, f.g_ref, f.u_r, *f.norms))).max(axis=-1).tolist()
+    mags = np.empty((8, f.rho.shape[0]))
+    mags[0], mags[1], mags[2], mags[3:] = f.grad_u_r, f.g_ref, f.u_r, f.norms
+    mags = np.maximum.reduce(np.abs(mags, mags), -1).tolist()
     grad_u_r, g, u_r = mags[:3]
     lengths = [math.sqrt(v) for v in mags[3:]]
     terms: Dict[str, float] = {}

@@ -22,6 +22,7 @@ optional out= buffer, which is all they then write.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,27 +102,47 @@ def central_laplacian(values: np.ndarray, dx2, out=None) -> np.ndarray:
     return np.divide(out, dx2, out)
 
 
-def gradient_array(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order first derivative along the last axis.
+def _scalar(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, a ufunc operand."""
+    out = np.array(value)
+    out.flags.writeable = False
+    return out
+
+
+_HALF, _TWO, _THREE, _MINUS_THREE, _FOUR, _FIVE = map(_scalar, (0.5, 2.0, 3.0, -3.0, 4.0, 5.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _spacing(dx: float):
+    """The 0-d operands 2 dx, dx^2 and dx of a grid spacing."""
+    return _scalar(2.0 * dx), _scalar(dx * dx), _scalar(dx)
+
+
+def gradient_array(values: np.ndarray, dx: float, out=None) -> np.ndarray:
+    """Second-order first derivative along the last axis, into out (a
+    contiguous array of values' shape) if given.
 
     Central differences in the interior, one-sided three-point stencils at
     both endpoints (also second order); both as in laplacian_array.
     """
-    out = np.empty(values.shape)
-    central_gradient(values.reshape(-1), 2.0 * dx, out=out.reshape(-1)[1:-1])
-    end = np.multiply(values[..., 0], -3.0, out=out[..., 0])  # (-3 v0 + 4 v1 - v2) / 2dx
-    end += 4.0 * values[..., 1]
-    end -= values[..., 2]
-    end /= 2.0 * dx
-    end = np.multiply(values[..., -1], 3.0, out=out[..., -1])  # (3 v-1 - 4 v-2 + v-3) / 2dx
-    end -= 4.0 * values[..., -2]
-    end += values[..., -3]
-    end /= 2.0 * dx
+    two_dx = _spacing(dx)[0]
+    out = np.empty(values.shape) if out is None else out
+    central_gradient(values.reshape(-1), two_dx, out.reshape(-1)[1:-1])
+    term = np.empty(values.shape[:-1])  # 0-d for 1-D values, as each end column
+    end = np.multiply(values[..., 0], _MINUS_THREE, out[..., 0])  # (-3 v0 + 4 v1 - v2) / 2dx
+    np.add(end, np.multiply(values[..., 1], _FOUR, term), end)
+    np.subtract(end, values[..., 2], end)
+    np.divide(end, two_dx, end)
+    end = np.multiply(values[..., -1], _THREE, out[..., -1])  # (3 v-1 - 4 v-2 + v-3) / 2dx
+    np.subtract(end, np.multiply(values[..., -2], _FOUR, term), end)
+    np.add(end, values[..., -3], end)
+    np.divide(end, two_dx, end)
     return out
 
 
-def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order second derivative along the last axis.
+def laplacian_array(values: np.ndarray, dx: float, out=None) -> np.ndarray:
+    """Second-order second derivative along the last axis, into out as
+    gradient_array.
 
     Three-point central stencil in the interior; one-sided four-point
     stencils at the endpoints keep second order there.  Boundary-condition
@@ -131,20 +152,23 @@ def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     stencils, summed in place left to right, overwrite the entries it forms
     across two rows.
     """
-    out = np.empty(values.shape)
-    dx2 = dx * dx
-    central_laplacian(values.reshape(-1), dx2, out=out.reshape(-1)[1:-1])
+    dx2 = _spacing(dx)[1]
+    out = np.empty(values.shape) if out is None else out
+    central_laplacian(values.reshape(-1), dx2, out.reshape(-1)[1:-1])
+    term = np.empty(values.shape[:-1])  # 0-d for 1-D values, as each end column
     for end, step in ((0, 1), (-1, -1)):  # (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, mirrored
-        acc = np.multiply(values[..., end], 2.0, out=out[..., end])
-        acc -= 5.0 * values[..., end + step]
-        acc += 4.0 * values[..., end + 2 * step]
-        acc -= values[..., end + 3 * step]
-        acc /= dx2
+        acc = np.multiply(values[..., end], _TWO, out[..., end])
+        np.subtract(acc, np.multiply(values[..., end + step], _FIVE, term), acc)
+        np.add(acc, np.multiply(values[..., end + 2 * step], _FOUR, term), acc)
+        np.subtract(acc, values[..., end + 3 * step], acc)
+        np.divide(acc, dx2, acc)
     return out
 
 
 def trapezoid_array(values: np.ndarray, dx: float):
     """Composite trapezoid quadrature along the last axis: a float for one
     row, an array for a stack of rows, each as if integrated alone."""
-    out = dx * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+    ends = np.add(values[..., 0], values[..., -1], np.empty(values.shape[:-1]))  # 0-d for 1-D
+    out = np.subtract(np.add.reduce(values, -1), np.multiply(ends, _HALF, ends), ends)
+    np.multiply(out, _spacing(dx)[2], out)
     return float(out) if out.ndim == 0 else out

@@ -20,41 +20,40 @@ from .verifier import TRACE_COLUMNS, EntropyTrace
 
 # EntropyTrace's columns in file order; only the sample times are renamed
 COLUMNS = tuple("t" if name == "times" else name for name in TRACE_COLUMNS)
-_ROWS_PER_BLOCK = 32  # rows formatted at a time by write_columns
+_ROWS_PER_BLOCK = 256  # rows formatted at a time by write_columns
 
 
 class TraceFormatError(ValueError):
     """Malformed trace file."""
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return ""
-    return repr(float(x))
+def _cells(col: np.ndarray) -> List[str]:
+    """A column's fields: each value's repr, as a Python float's, and NaN
+    as an empty field; one map over a column without NaN."""
+    nan = np.isnan(col)
+    if not nan.any():
+        return list(map(repr, col.tolist()))
+    if nan.all():
+        return [""] * len(col)
+    return ["" if v != v else repr(v) for v in col.tolist()]
 
 
 def write_columns(columns: Dict[str, Sequence[float]], path: str) -> None:
-    """Write named columns in the fixed order; missing columns are empty."""
+    """Write named columns in the fixed order; missing columns are empty.
+    The bytes are csv.writer's (no field needs quoting; rows end in \\r\\n),
+    formatted a block of rows and a column at a time."""
     n = max((len(v) for v in columns.values()), default=0)
     for name, vals in columns.items():
         if name not in COLUMNS:
             raise TraceFormatError(f"unknown trace column {name!r}")
         if len(vals) != n:
             raise TraceFormatError(f"column {name!r} has inconsistent length")
-    values = [np.asarray(columns[name], dtype=float) if name in columns else None
-              for name in COLUMNS]
+    values = [np.asarray(columns.get(name, np.full(n, math.nan)), dtype=float) for name in COLUMNS]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(COLUMNS)
-        # a block of rows at a time, each column converted by one tolist():
-        # Python floats, not a numpy scalar per cell, and a bounded number
-        # of formatted cells in memory
+        fh.write(",".join(COLUMNS) + "\r\n")
         for start in range(0, n, _ROWS_PER_BLOCK):
-            stop = min(start + _ROWS_PER_BLOCK, n)
-            cells = [[""] * (stop - start) if col is None
-                     else [_fmt(x) for x in col[start:stop].tolist()]
-                     for col in values]
-            w.writerows(zip(*cells))
+            cells = [_cells(col[start:start + _ROWS_PER_BLOCK]) for col in values]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_trace(trace: EntropyTrace, path: str) -> None:
@@ -64,9 +63,21 @@ def write_trace(trace: EntropyTrace, path: str) -> None:
     )
 
 
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    """A column's fields as floats, empty fields as NaN; ValueError for any
+    other field that float() rejects."""
+    if "" not in cells:
+        return np.fromiter(map(float, cells), float, len(cells))
+    if not any(cells):
+        return np.full(len(cells), math.nan)
+    return np.array([float(cell) if cell else math.nan for cell in cells], dtype=float)
+
+
 def read_columns(path: str) -> Dict[str, np.ndarray]:
-    """Parse a trace file back into named float columns (empty -> NaN);
-    TraceFormatError names the path and the row of a malformed file."""
+    """Parse a trace file back into named float columns (empty -> NaN), a
+    column at a time; TraceFormatError names the path and the row of a
+    malformed file, the first in file order, and the column of its first
+    field that is not a number."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -74,17 +85,22 @@ def read_columns(path: str) -> Dict[str, np.ndarray]:
     header = tuple(rows[0])
     if header != COLUMNS:
         raise TraceFormatError(f"{path}: unexpected header {header}")
-    data: List[List[float]] = [[] for _ in COLUMNS]
-    for r, row in enumerate(rows[1:], start=2):
+    if all(len(row) == len(COLUMNS) for row in rows[1:]):
+        try:
+            return {name: _floats(cells) for name, cells in
+                    zip(COLUMNS, zip(*rows[1:]) if len(rows) > 1 else [()] * len(COLUMNS))}
+        except ValueError:
+            pass
+    for r, row in enumerate(rows[1:], start=2):  # the malformed file, row by row
         if len(row) != len(COLUMNS):
             raise TraceFormatError(f"{path}: row {r} has {len(row)} fields")
-        for i, cell in enumerate(row):
+        for name, cell in zip(COLUMNS, row):
             try:
-                data[i].append(float(cell) if cell != "" else math.nan)
+                float(cell or "nan")
             except ValueError:
-                raise TraceFormatError(f"{path}: row {r}, column {COLUMNS[i]}: "
+                raise TraceFormatError(f"{path}: row {r}, column {name}: "
                                        f"not a number: {cell!r}") from None
-    return {name: np.asarray(vals) for name, vals in zip(COLUMNS, data)}
+    raise AssertionError("unreachable: a field float() rejects was found above")
 
 
 def read_trace(path: str) -> EntropyTrace:

@@ -41,9 +41,9 @@ O(samples * n_candidate) floats, not O(samples * (n_reference +
 n_candidate)); check_uniqueness keeps the per-level restricted samples,
 O(samples * sum of level sizes), never its reference-grid samples.
 run_twin's reference energies and dissipations take one EnergyWindow:
-ENERGY_WINDOW (4) samples copied into one buffer and evaluated by one
+ENERGY_WINDOW (8) samples copied into one buffer and evaluated by one
 stacked pass when it is full, O(ENERGY_WINDOW * n_reference) floats with
-the pass's temporaries whatever the sample count.
+the pass's scratch whatever the sample count.
 Results are kept as columns of packed doubles: the per-term columns of
 EntropyTrace.terms take O(samples * terms) floats (a few dozen terms),
 not one object per sample.
@@ -334,36 +334,38 @@ def _cubic_stencil(grid_from: Grid1D, grid_to: Grid1D) -> _Stencil:
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def _restrict(vals: np.ndarray, stencil: _Stencil) -> np.ndarray:
-    """Local 4-point cubic Lagrange interpolation of the float array vals
-    onto another grid, by the stencil of the grid pair.
+def _restrict(fields: Sequence[np.ndarray], stencil: _Stencil) -> np.ndarray:
+    """Local 4-point cubic Lagrange interpolation of the rows of fields,
+    float arrays stacked in order as np.concatenate stacks them, onto
+    another grid, by the stencil of the grid pair.
 
     Operates along the last axis, so a stack of fields restricts in one
     call.  Target points that coincide bitwise with source nodes
     reproduce the nodal values exactly (the Lagrange weights evaluate to
     exact 0/1).  On nested grids every target node is such a point, and
-    finite values are gathered from their source nodes instead of summed:
-    the four weighted values give the same bits, except that their sum may
-    turn a -0.0 into +0.0 (numpy's sum starts from +0.0), so values whose
-    gather holds a -0.0 take the weighted sum.
+    finite values are gathered from their source nodes into the stack, one
+    copy, instead of summed: the four weighted values give the same bits,
+    except that their sum may turn a -0.0 into +0.0 (numpy's sum starts
+    from +0.0), so values whose gather holds a -0.0 take the weighted sum.
     """
     idx, weights, nodes = stencil
     if nodes is not None:
-        out = vals[..., nodes].copy()
+        out = np.concatenate([field[..., nodes] for field in fields])
         if out.view(np.int64).min() != _NEGATIVE_ZERO:
             return out
     # the four weighted values summed
-    return (vals[..., idx] * weights).sum(axis=-2)
+    return (np.concatenate(fields)[..., idx] * weights).sum(axis=-2)
 
 
 def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     """Restrict a state to another grid; identity when grids coincide.
 
     The stacked (rho, u, d0, d1, d2) rows restrict in one _restrict call
-    by the grid pair's cached stencil.  For the SPHERE system the
-    interpolated director is renormalized (the interpolant leaves the unit
-    sphere at the interpolation-error level, well below the entropy scales
-    being measured).  On nested grids the rows are gathered from the
+    by the grid pair's cached stencil; on nested grids it copies only the
+    gathered nodes.  For the SPHERE system the interpolated director is
+    renormalized (the interpolant leaves the unit sphere at the
+    interpolation-error level, well below the entropy scales being
+    measured).  On nested grids the rows are gathered from the
     state's finite entries, and the result is wrapped without checking
     them again; otherwise the interpolated rows are checked as State
     checks any arrays.
@@ -371,7 +373,7 @@ def restrict_state(state: State, grid_to: Grid1D, system: System) -> State:
     if state.grid == grid_to:
         return state
     stencil = _cubic_stencil(state.grid, grid_to)
-    out = _restrict(np.concatenate((state.rho[None], state.u[None], state.d)), stencil)
+    out = _restrict((state.rho[None], state.u[None], state.d), stencil)
     d = out[2:]
     if system is System.SPHERE:
         d /= np.sqrt((d * d).sum(axis=0))

@@ -1,4 +1,7 @@
 import concurrent.futures
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -267,7 +270,84 @@ _TIMES = st.lists(st.one_of(st.sampled_from(_EXTREMES[:5]), st.floats(-8e307, 8e
                   unique=True, max_size=6).map(sorted)
 
 
+# 17 significant digits, subnormals and -0.0: values whose repr the writer
+# must give exactly
+_DIGITS = [0.30000000000000004, 1.0000000000000002, 123456789.12345679, 5e-324,
+           -2.2250738585072014e-308 / 3, -0.0, 9007199254740993.0]
+
+
+def _csv_writer_bytes(columns, path):
+    """The trace file as csv.writer writes it, row by row: the reference
+    write_columns keeps."""
+    n = max((len(v) for v in columns.values()), default=0)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(COLUMNS)
+        for k in range(n):
+            w.writerow(["" if name not in columns or math.isnan(columns[name][k])
+                        else repr(float(columns[name][k])) for name in COLUMNS])
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _cell_by_cell_error(path):
+    """The TraceFormatError message of a malformed trace file as a reader
+    that checks row by row, then cell by cell, reports it."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(COLUMNS):
+            return f"{path}: row {r} has {len(row)} fields"
+        for name, cell in zip(COLUMNS, row):
+            try:
+                float(cell or "nan")
+            except ValueError:
+                return f"{path}: row {r}, column {name}: not a number: {cell!r}"
+    return None
+
+
 class TestTraceRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 40), data=st.data())
+    def test_columns_are_csv_writers_bytes_and_read_back_bit_for_bit(self, n, data):
+        value = st.one_of(st.sampled_from(_DIGITS + _EXTREMES), st.floats(allow_nan=False))
+        cols = {}
+        for name in data.draw(st.lists(st.sampled_from(COLUMNS), unique=True)):
+            kind = data.draw(st.sampled_from(["finite", "some NaN", "all NaN"]))
+            cells = (st.just(math.nan) if kind == "all NaN" else
+                     st.one_of(value, st.just(math.nan)) if kind == "some NaN" else value)
+            cols[name] = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            expected = _csv_writer_bytes(cols, os.path.join(tmp, "ref.csv"))
+            cli.write_columns(cols, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected
+            back = read_columns(path)
+            n = n if cols else 0  # no column: no row
+            for name in COLUMNS:
+                want = cols.get(name, np.full(n, np.nan))
+                assert back[name].tobytes() == np.where(np.isnan(want), np.nan, want).tobytes()
+            # a malformed file: the reader names the first bad row and column
+            lines = expected.decode().split("\r\n")
+            for _ in range(data.draw(st.integers(0, 3)) if n else 0):
+                r = data.draw(st.integers(1, n))
+                fields = lines[r].split(",")
+                if data.draw(st.booleans()):
+                    fields[data.draw(st.integers(0, len(COLUMNS) - 1))] = "x1"
+                else:
+                    fields = fields[:data.draw(st.integers(1, len(COLUMNS) - 1))]
+                lines[r] = ",".join(fields)
+            with open(path, "w", newline="") as fh:
+                fh.write("\r\n".join(lines))
+            message = _cell_by_cell_error(path)
+            if message is None:
+                read_columns(path)
+            else:
+                with pytest.raises(TraceFormatError) as info:
+                    read_columns(path)
+                assert str(info.value) == message
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(system=st.sampled_from([System.GL, System.SPHERE]), data=st.data())
     def test_write_read_write_is_bit_exact(self, system, data):
@@ -964,3 +1044,79 @@ class TestPairFaults:
             assert main(["gronwall", "-c", str(path), "-o", str(tmp_path / "t.csv"),
                          "--manifest", str(tmp_path / "m.json")]) == 3
         assert capsys.readouterr().err == f"numerical abort: {message}\n"
+
+
+# A valid base document, and each key's pool of edge values, of which a
+# document takes up to three.  The values behind the defects mended so far
+# are among them: gamma 8000, lambda 1e300 on x_max 1e5 and 1e-5, t_end
+# 1e-13 and 1e300, a mode beyond the float range, non-finite numbers, a
+# floor above the initial density, levels that are no grids.  Every run has
+# n <= 33 and, where its config is valid, a few thousand steps at most
+# (uniqueness's finest level takes up to 16 times the candidate's steps).
+_FUZZ_BASE = dict(MINIMAL_GL, grid_reference={"n": 33}, grid_candidate={"n": 17},
+                  t_end=2e-3, perturbation={"amplitude": 1e-3, "mode": 2})
+_FUZZ_EDGES = {
+    "gamma": [1.4, 1.001, 3.0, 8000.0, 1.0],
+    "a": [1e-300, 1e300, 0.0],
+    "sigma0": [0.3, 1e-150, 1e200],
+    "mu": [0.005, 1e300, 1e-300],
+    "lambda": [1e300, 1e-300, 0.0],
+    "theta": [0.001, 1e300, 1e-300],
+    "x_min": [-1.0, -1e300],
+    "x_max": [1e5, 1e-5, 1e300, 1e-160],
+    "grid_reference": [{"n": 5}, {"n": 9}, {"n": 4}],
+    "grid_candidate": [{"n": 33}, {"n": 9}, {"n": 5}],
+    "dt": [5e-5, 1e-3, 0.04, -1.0],
+    "dt_candidate": [1e-5, math.inf],
+    "t_end": [4e-5, 1e-13, 0.01, 1e300],
+    "sample_interval": [4e-5, 1e-3, math.nan, 1e-297],
+    "perturbation": [{"amplitude": 0.5, "mode": 16}, {"amplitude": 1e-3, "mode": 10**400},
+                     {"amplitude": 1.5}, {}],
+    "density_floor": [0.95, 1e-300],
+    "gronwall": [{"c_h": 1.0}, {"c_h": 1e-300, "slack": 1e300}],
+}
+_FUZZ_PREFIXES = ("config error: ", "invalid experiment: ", "solver abort: ", "numerical abort: ")
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """(command, --levels, config document)."""
+    doc = dict(_FUZZ_BASE, **draw(st.sampled_from(
+        [{}, {"system": "sphere", "initial_preset": "sphere-smooth"},
+         {"initial_preset": "sphere-smooth"}])))
+    for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_EDGES)), max_size=3, unique=True)):
+        doc[key] = draw(st.sampled_from(_FUZZ_EDGES[key]))
+    command = draw(st.sampled_from(["twin", "gronwall", "energy", "simulate", "uniqueness"]))
+    return command, draw(st.sampled_from(["9,17,33", "5,9,17", "2,3,4", "17,9,33"])), doc
+
+
+class TestConfigFuzz:
+    """Every config document reaches the user as an exit code 0-3 and at most
+    one stderr line, without a numpy warning or an inf in a trace.  The
+    example count is the active Hypothesis profile's (tests/conftest.py):
+    tier-1 runs a few dozen, the "ci" profile a few hundred."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(case=_fuzz_cases())
+    def test_documents_exit_0_to_3_with_one_line(self, case):
+        command, levels, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path, trace = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "t.csv")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            extra = ["--levels", levels] if command == "uniqueness" else ["-o", trace]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command, "-c", path, *extra, "--manifest", os.path.join(tmp, "m.json")])
+            assert [str(w.message) for w in caught] == []
+            assert code in (0, 1, 2, 3)
+            lines = err.getvalue().splitlines()
+            assert lines == [] or (len(lines) == 1 and lines[0].startswith(_FUZZ_PREFIXES)), lines
+            if os.path.exists(trace):
+                with open(trace) as fh:
+                    assert "inf" not in fh.read()
+                # a column is empty throughout (the inactive system's) or finite
+                for name, col in read_columns(trace).items():
+                    assert np.isnan(col).all() or np.isfinite(col).all(), name

@@ -19,6 +19,7 @@ from nemlab.functionals import (
     remainder,
     sphere_defect,
 )
+from nemlab import grid as grid_module
 from nemlab.grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
 
 
@@ -588,3 +589,50 @@ def test_energy_window_names_a_value_at_or_before_until_and_keeps_it():
         with pytest.raises(FunctionalError, match="^non-finite reference energy at t=0.1$"):
             window.flush(until=until)
     assert len(window.energy) == 0
+
+
+def _smooth_twin(system, n, seed):
+    """A smooth candidate/reference pair on an n-node grid, seeded."""
+    g = Grid1D(n, 0.0, 1.0)
+    x, rng = g.nodes(), np.random.default_rng(seed)
+    states = []
+    for _ in range(2):
+        a, m = rng.uniform(-0.3, 0.3, size=6), rng.integers(1, 4, size=6)
+        rho = 1.0 + a[0] * np.cos(np.pi * m[0] * x)
+        u = a[1] * np.sin(np.pi * m[1] * x)
+        d = np.array([np.cos(a[2] * np.cos(np.pi * m[2] * x)), np.sin(a[3] * np.sin(np.pi * m[3] * x)),
+                      a[4] * np.cos(np.pi * m[4] * x)])
+        if system is System.SPHERE:
+            d /= np.sqrt(np.sum(d * d, axis=0))
+        states.append(State(g, rho, u, d))
+    return g, states
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(cases=st.lists(st.tuples(st.sampled_from(list(System)), st.sampled_from([9, 17, 33]),
+                                st.floats(1.01, 3.0), st.floats(0.5, 2.0),
+                                st.integers(0, 2**32 - 1)), min_size=2, max_size=4))
+def test_rows_and_energy_windows_keep_their_bits_when_parameter_sets_interleave(cases):
+    # the 0-d operands are cached per parameter set and grid spacing: a
+    # row or a window computed between calls for other sets, with the caches
+    # warm, must be the one computed alone, with them cold
+    def evaluate(system, n, gamma, coeff, seed):
+        p = Params(a=coeff, gamma=gamma, sigma0=coeff, mu=coeff, lam=1.0 / coeff, theta=coeff,
+                   system=system)
+        g, (cand, ref) = _smooth_twin(system, n, seed)
+        window = functionals.EnergyWindow(g, p, "reference")
+        for k, state in enumerate((cand, ref) * 5):
+            window.add(state, 0.1 * k)
+        window.flush()
+        br = remainder(StatePair(cand, ref), p)
+        values = [br.h_hat, br.reorg_mismatch, br.entropy, br.energy, br.dissipation, br.mass,
+                  *br.quartet.values(), *br.terms.values(), *br.h_terms.values()]
+        return np.array(values).tobytes(), bytes(window.energy), bytes(window.dissipation)
+
+    alone = []
+    for case in cases:
+        functionals._layout.cache_clear()
+        grid_module._spacing.cache_clear()
+        alone.append(evaluate(*case))
+    for _ in range(2):
+        assert [evaluate(*case) for case in cases] == alone

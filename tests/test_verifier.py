@@ -39,7 +39,7 @@ SPH = Params(system=System.SPHERE)
 
 def restrict(values, src, dst):
     """The cubic restriction restrict_state applies to its stacked rows."""
-    return verifier._restrict(np.asarray(values, dtype=float), verifier._cubic_stencil(src, dst))
+    return verifier._restrict((np.asarray(values, dtype=float),), verifier._cubic_stencil(src, dst))
 
 
 def twin_config(system=System.GL, n_ref=97, n_cand=97, dt=2e-4, t_end=0.05,
