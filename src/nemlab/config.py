@@ -28,9 +28,10 @@ every other value range and name the key in their messages: Params
 Perturbation (amplitude >= 0, mode >= 1), GronwallConfig (c_h > 0,
 slack >= 0) and ExperimentConfig (step sizes, t_end, sample_interval,
 density_floor > 0; preset known and of the system; at most MAX_STEPS
-steps and MAX_SAMPLES samples), reported as ConfigError.  Grid1D owns the
-domain (finite, x_max > x_min, dx^2 and 1/dx^2 finite positive floats),
-named x_min/x_max.
+steps and MAX_SAMPLES samples), reported as ConfigError; Perturbation
+and GronwallConfig also reject non-finite values, for library callers.
+Grid1D owns the domain (finite, x_max > x_min, dx^2 and 1/dx^2 finite
+positive floats), named x_min/x_max.
 The director boundary rows follow from the system (pinned for GL,
 mirrored for SPHERE), so they have no key.
 """

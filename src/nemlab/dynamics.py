@@ -69,13 +69,14 @@ sample, built without checking again what the step's checks hold.
 Call forms: a step is 40-50 ufunc calls and 2 LAPACK calls, so at small n
 their fixed cost is much of it.  Each ufunc of the step writes to a
 positional output, np.op(x, y, x); each scalar operand is a read-only 0-d
-float64 array made once from the float expression it stands for, per
-evolve call (_Operands) or per step size (_Implicit), so the bits are the
-float forms'; copies are slice assignments; LAPACK's overwrite flags are
-positional.  Per call on 194 floats (numpy 2.4, Python 3.11, shared 2-vCPU
-x86-64 VM): x *= 0.5 0.84 us, np.multiply(x, 0.5, x) 0.57, with a 0-d 0.5
-0.37, with out= 0.43; np.copyto 0.33, a slice assignment 0.18; dpttrs
-with overwrite_b=1 0.27 us more than with a positional 1.
+float64 array made once from the float expression it stands for, per step
+size (_Implicit) or per (params, dx) in _Operands, the one table of the
+step, the certificate row and the energy pass, cached by _operands; copies
+are slice assignments; LAPACK's overwrite flags are positional.  Per call
+on 194 floats (numpy 2.4, Python 3.11, shared 2-vCPU x86-64 VM): x *= 0.5
+0.84 us, np.multiply(x, 0.5, x) 0.57, with a 0-d 0.5 0.37, with out= 0.43;
+np.copyto 0.33, a slice assignment 0.18; dpttrs with overwrite_b=1 0.27 us
+more than with a positional 1.
 
 LAPACK: dptsv, dpttrf and dpttrs are loaded from scipy's extension module
 scipy/linalg/_flapack, found by file next to the installed scipy package,
@@ -98,6 +99,7 @@ where that bound is 0 the initial pressure is beyond the float range.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -110,7 +112,7 @@ import numpy as np
 import scipy
 
 from .constitutive import Params, System, _power_law, gl_force
-from .grid import Grid1D, _scalar, central_gradient, central_laplacian
+from .grid import _HALF, _ONE, Grid1D, _scalar, _spacing, central_gradient, central_laplacian
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -329,7 +331,6 @@ class _Workspace:
         self.mass_div_flat, self.mom_div_flat = div.reshape(2, size)
         self.mass_div_walls = self.mass_div[:, ::n - 1]
         self.wall_signs = np.array([2.0, -2.0])  # half cells, outward flux at each wall
-        self.half, self.one = _scalar(0.5), _scalar(1.0)
         grads = np.zeros(4 * size)   # d_x, walls 0, then p_x: one stencil call
         self.grad_flat, self.pgrad_flat = grads[:3 * size], grads[3 * size:]
         self.grad = self.grad_flat.reshape(members, 3, n)
@@ -353,16 +354,22 @@ class _Workspace:
 
 
 class _Operands:
-    """The scalar operands of the steps of one (params, dx): the ufuncs' as
-    0-d arrays, the CFL bound's as floats (it computes with math)."""
+    """The 0-d operands of one (params, dx) read by the step, the certificate
+    row and the energy pass: grid._spacing's, then each float expression's;
+    the CFL bound computes with math, so its three are floats of their own."""
 
-    def __init__(self, params: Params, dx: float):
-        self.gl = params.system is System.GL
-        self.dx, self.dp_coeff, self.gamma_m1 = dx, params.dp_coeff, params.gamma - 1.0
-        (self.two_dx, self.dx2, self.neg_dx, self.sigma0_sq, self.theta, self.neg_theta,
-         self.lam, self.a, self.gamma) = map(_scalar, (
-            2.0 * dx, dx * dx, -dx, params.sigma0**2, params.theta, -params.theta,
-            params.lam, params.a, params.gamma))
+    def __init__(self, p: Params, dx: float):
+        self.params, self.gl = p, p.system is System.GL
+        self.two_dx, self.dx2, _, self.neg_dx = _spacing(dx)
+        self.wave_coeff, self.wave_power, self.cfl_dx = p.dp_coeff, p.gamma - 1.0, _CFL_NUMBER * dx
+        (self.a, self.gamma, self.gamma_m1, self.gamma_m2, self.pi_coeff, self.pi1_coeff,
+         self.dp_coeff, self.neg_dp_coeff, self.mu, self.lam, self.half_lam, self.theta,
+         self.neg_theta, self.lam_theta, self.sigma0_sq) = map(_scalar, (
+            p.a, p.gamma, p.gamma - 1.0, p.gamma - 2.0, p.pi_coeff, p.pi1_coeff, p.dp_coeff,
+            -p.dp_coeff, p.mu, p.lam, 0.5 * p.lam, p.theta, -p.theta, p.lam * p.theta, p.sigma0**2))
+
+
+_operands = functools.lru_cache(maxsize=64)(_Operands)  # the one _Operands of (params, dx)
 
 
 def _check_cfl(dt: float, ops: _Operands, work: _Workspace) -> None:
@@ -377,7 +384,7 @@ def _check_cfl(dt: float, ops: _Operands, work: _Workspace) -> None:
     rho_max, u_max = np.maximum.reduce(work.peaks, 2, None, work.peak_max).tolist()
     for member, (u_m, rho_m) in enumerate(zip(u_max, rho_max)):
         try:
-            speed = u_m + math.sqrt(ops.dp_coeff * rho_m ** ops.gamma_m1)
+            speed = u_m + math.sqrt(ops.wave_coeff * rho_m ** ops.wave_power)
         except OverflowError:  # only a finite rho_m overflows a float power
             speed = math.inf
         if not math.isfinite(u_m + rho_m):
@@ -385,7 +392,7 @@ def _check_cfl(dt: float, ops: _Operands, work: _Workspace) -> None:
             raise NonFiniteStateError(
                 f"non-finite wave speed {speed} at step start", member=member
             )
-        dt_max = _CFL_NUMBER * ops.dx / max(speed, _TINY_SPEED)
+        dt_max = ops.cfl_dx / max(speed, _TINY_SPEED)
         if dt > dt_max * (1.0 + 1e-9):
             raise CflError(
                 f"dt={dt:.3e} exceeds stability bound {dt_max:.3e} "
@@ -517,7 +524,7 @@ def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
         work.dir_walls[...] = pins
         np.add(work.dir_inner, implicit.pin_rhs, work.dir_inner)
     else:
-        np.multiply(work.dir_walls, work.half, work.dir_walls)
+        np.multiply(work.dir_walls, _HALF, work.dir_walls)
     _lapack(dpttrs, "director", work.d.shape[-1], implicit.dir_d, implicit.dir_e,
             work.dir_rhs, 1)
     if pins is not None:  # the wall rows solve to pin - 0 * x: the pin, up to a zero's sign
@@ -548,7 +555,7 @@ def _explicit_rates(work: _Workspace, ops: _Operands) -> Tuple[np.ndarray, ...]:
     np.multiply(work.m, work.u, work.m_u)
     # mass and momentum fluxes as one flat stack: one sum, one difference
     np.add(work.q_left, work.q_right, work.f_left)
-    np.multiply(work.f_left, work.half, work.f_left)
+    np.multiply(work.f_left, _HALF, work.f_left)
     np.subtract(work.f_right, work.f_left, work.div_tail)
     grad, curv, rate = work.grad, work.lap_flat, work.rate
     _power_law(work.rho, ops.a, ops.gamma, work.p)
@@ -556,7 +563,7 @@ def _explicit_rates(work: _Workspace, ops: _Operands) -> Tuple[np.ndarray, ...]:
     work.grad_walls.fill(0.0)
     central_laplacian(work.d_flat, ops.dx2, work.lap_in)
     if ops.gl:
-        gl_force(work.d, ops.sigma0_sq, rate, work.one)
+        gl_force(work.d, ops.sigma0_sq, rate, _ONE)
         np.subtract(curv, work.rate_flat, curv)
         np.multiply(rate, ops.neg_theta, rate)
     else:
@@ -708,7 +715,7 @@ def evolve(
 
     # one workspace for every step of this call; the state lives in it
     n = grid.n_nodes
-    work, ops = _Workspace(members, n), _Operands(params, grid.dx)
+    work, ops = _Workspace(members, n), _operands(params, grid.dx)
     for b, member in enumerate(inits):
         work.rho[b], work.u[b], work.d[b] = member.rho0, member.u0, member.d0
     interval = sample_interval if sample_interval is not None else dt

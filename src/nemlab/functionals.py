@@ -43,10 +43,11 @@ warning.
 
 Call forms, as in the IMEX step (see dynamics): a row is some 150 numpy
 calls on a few hundred floats each, so their fixed cost is much of it.
-Scalar operands are read-only 0-d arrays made once per parameter set
-(_Operands) or grid spacing (grid._spacing) from the float expressions
-they stand for; outputs are positional, into the row's stack, an earlier
-temporary or EnergyWindow's scratch; every operation keeps its order.
+Scalar operands are read-only 0-d arrays: grid's literals and the table
+the step reads too, dynamics._Operands, cached per (params, dx) by
+dynamics._operands and, for a row, by _layout (one lookup per row);
+outputs are positional, into the row's stack, an earlier temporary or
+EnergyWindow's scratch; every operation keeps its order.
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -76,8 +77,8 @@ from .constitutive import (
     gl_force,
     gl_potential,
 )
-from .dynamics import DEFAULT_DENSITY_FLOOR, State
-from .grid import Grid1D, _scalar, gradient_array, laplacian_array, trapezoid_array
+from .dynamics import DEFAULT_DENSITY_FLOOR, State, _Operands, _operands
+from .grid import _HALF, _ONE, _THREE, Grid1D, gradient_array, laplacian_array, trapezoid_array
 
 # Reorganization mismatch beyond this multiple of dx^2 * magnitude-scale
 # indicates a formula-level error rather than discretization noise.
@@ -201,7 +202,7 @@ def _residual(d, lap_d, grad_sq, force, out=None):
     return np.add(lap_d, np.multiply(grad_sq[..., None, :], d, out), out)
 
 
-def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, o: "_Operands", out,
+def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, o: _Operands, out,
                      d_sq=None, tmp=(None, None)):
     """Energy and dissipation densities of one state or of a stack of them
     (see energy_dissipation), written to out's two arrays: d holds the
@@ -209,8 +210,8 @@ def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, o: "_Operands", o
     is |d_x|^2, resid_sq the squared length of the relaxation residual
     (_residual) and pi is Pi(rho); tmp's arrays, when given, are scratch."""
     dens, dsp = out
-    np.add(np.multiply(np.multiply(np.multiply(rho, o.half, dens), u, dens), u, dens), pi, dens)
-    director = np.multiply(grad_sq, o.half, tmp[0])
+    np.add(np.multiply(np.multiply(np.multiply(rho, _HALF, dens), u, dens), u, dens), pi, dens)
+    director = np.multiply(grad_sq, _HALF, tmp[0])
     if o.gl:
         np.add(director, gl_potential(d, o.params, d_sq, tmp[1]), director)
     np.multiply(np.multiply(grad_u, o.mu, dsp), grad_u, dsp)
@@ -218,12 +219,11 @@ def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, o: "_Operands", o
     return np.add(dens, np.multiply(director, o.lam, director), dens), dsp
 
 
-def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, o: "_Operands",
-                     out=None) -> np.ndarray:
+def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, o: _Operands, out=None) -> np.ndarray:
     """The relative-entropy integrand, written to out when given; du = u -
     u~, bregman is the pressure Bregman row, dgrad_sq = |d_x - d~_x|^2 and
     gap_sq = |d - d~|^2."""
-    dens = np.multiply(rho, o.half, out)
+    dens = np.multiply(rho, _HALF, out)
     np.add(np.multiply(np.multiply(dens, du, dens), du, dens), bregman, dens)
     term = np.multiply(dgrad_sq, o.half_lam)
     np.add(dens, term, dens)
@@ -235,7 +235,7 @@ def _entropy_density(rho, du, bregman, dgrad_sq, gap_sq, o: "_Operands",
 # ---------------------------------------------------------------------------
 
 
-def _energy_rows(rows: np.ndarray, dx: float, o: "_Operands", scratch=None) -> np.ndarray:
+def _energy_rows(rows: np.ndarray, dx: float, o: _Operands, scratch=None) -> np.ndarray:
     """Energy and dissipation of the K states whose rho, u, d0, d1 and d2
     rows are stacked in rows (5, K, n): a (2, K) array from one gradient,
     one Laplacian and one trapezoid call, with scratch (10 K n floats or
@@ -251,7 +251,7 @@ def _energy_rows(rows: np.ndarray, dx: float, o: "_Operands", scratch=None) -> n
     grad = gradient_array(values, dx, scratch[:5 * m].reshape(-1, n)).reshape(5, -1)
     grad_d = np.multiply(grad[2:], grad[2:], grad[2:])  # squared in place
     grad_sq = np.add.reduce(grad_d, 0, None, grad[0])  # rho's gradient is not read
-    force = gl_force(d, o.sigma0_sq, grad_d, o.one) if o.gl else None
+    force = gl_force(d, o.sigma0_sq, grad_d, _ONE) if o.gl else None
     lap = laplacian_array(values[2 * k:], dx, scratch[5 * m:8 * m].reshape(-1, n)).reshape(3, -1)
     resid = _residual(d, lap, grad_sq, force, grad_d)
     resid_sq = np.add.reduce(np.multiply(resid, resid, resid), 0, None, lap[0])
@@ -272,8 +272,8 @@ def energy_dissipation(state: State, params: Params) -> Tuple[float, float]:
 
     The one-state case of EnergyWindow's stacked pass.
     """
-    rows = np.concatenate((state.rho[None], state.u[None], state.d))[:, None]
-    return tuple(_energy_rows(rows, state.grid.dx, _layout(params)[3])[:, 0].tolist())
+    rows, dx = np.concatenate((state.rho[None], state.u[None], state.d))[:, None], state.grid.dx
+    return tuple(_energy_rows(rows, dx, _operands(params, dx))[:, 0].tolist())
 
 
 class EnergyWindow:
@@ -292,7 +292,7 @@ class EnergyWindow:
     """
 
     def __init__(self, grid: Grid1D, params: Params, trajectory: str):
-        self.dx, self.ops, self.trajectory = grid.dx, _layout(params)[3], trajectory
+        self.dx, self.ops, self.trajectory = grid.dx, _operands(params, grid.dx), trajectory
         self.rows = np.empty((5, ENERGY_WINDOW, grid.n_nodes))  # rho, u, d0, d1, d2
         self.scratch = np.empty(2 * self.rows.size)  # the pass's (_energy_rows)
         self.times: List[float] = []  # of the samples in the buffer
@@ -370,7 +370,7 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     dd = c.d - r.d
     dgrad_sq, gap_sq = _contract(((dgrad, dgrad), (dd, dd)))
     dens = _entropy_density(c.rho, c.u - r.u, bregman_pressure(c.rho, r.rho, params),
-                            dgrad_sq, gap_sq, _layout(params)[3])
+                            dgrad_sq, gap_sq, _operands(params, dx))
     return trapezoid_array(dens, dx)
 
 
@@ -392,7 +392,8 @@ class _PairFields:
     """
 
     def __init__(self, pair: StatePair, params: Params):
-        self.dx, self.layout = dx, layout = pair.grid.dx, _layout(params)
+        self.dx = dx = pair.grid.dx
+        self.layout = layout = _layout(params, dx)
         o = layout[3]
         c, r = pair.candidate, pair.reference
         self.rho, self.rho_r, self.u, self.u_r = rho, rho_r, u, u_r = c.rho, r.rho, c.u, r.u
@@ -414,7 +415,7 @@ class _PairFields:
         moved = np.multiply(rows[-8:-6, None], grads)
         trans_gap, (grad_d, grad_d_r) = np.subtract(moved[0], moved[1], moved[0]), grads
         if o.gl:
-            force, force_r = forces = gl_force(directors, o.sigma0_sq, None, o.one)
+            force, force_r = forces = gl_force(directors, o.sigma0_sq, None, _ONE)
             dforce = force - force_r
             # the GL curvatures d_xx - f(d) of both states, from their stacks
             curvs = _residual(directors, laps, None, forces)
@@ -487,25 +488,11 @@ _TERMS = {
 }
 
 
-class _Operands:
-    """The 0-d operands (grid._scalar) of the row and the energy pass of
-    one parameter set, each from the float expression it stands for."""
-
-    def __init__(self, params: Params):
-        self.params, self.gl = params, params.system is System.GL
-        (self.half, self.three, self.one, self.gamma, self.gamma_m1, self.gamma_m2, self.a,
-         self.pi_coeff, self.pi1_coeff, self.dp_coeff, self.neg_dp_coeff, self.mu, self.lam,
-         self.half_lam, self.lam_theta, self.sigma0_sq) = map(_scalar, (
-            0.5, 3.0, 1.0, params.gamma, params.gamma - 1.0, params.gamma - 2.0, params.a,
-            params.pi_coeff, params.pi1_coeff, params.dp_coeff, -params.dp_coeff, params.mu,
-            params.lam, 0.5 * params.lam, params.lam * params.theta, params.sigma0**2))
-
-
 @functools.lru_cache(maxsize=64)
-def _layout(params: Params):
+def _layout(params: Params, dx: float):
     """The row's term names and coefficients, in order with the two
-    diagnostics last, each QUARTETS entry's range of terms, and the
-    parameter set's _Operands."""
+    diagnostics last, each QUARTETS entry's range of terms, and the shared
+    _Operands of (params, dx): one cache lookup per row."""
     lam, th = params.lam, params.theta
     factor = {"1": 1.0, "-1": -1.0, "mu": params.mu, "lam": lam, "-lam": -lam,
               "lam*th": lam * th, "-lam*th": -lam * th, "2lam*th": 2.0 * lam * th}
@@ -516,7 +503,7 @@ def _layout(params: Params):
         terms += block_terms
     terms += [("diag_stress_transport_exchange", "1"), ("diag_director_l2_gap", "1")]
     return (tuple(name for name, _ in terms), tuple(factor[key] for _, key in terms),
-            tuple(ranges[block] for block in QUARTETS[params.system]), _Operands(params))
+            tuple(ranges[block] for block in QUARTETS[params.system]), _operands(params, dx))
 
 
 def _density_rows(f: _PairFields, row: Callable[[], np.ndarray]) -> None:
@@ -626,7 +613,7 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
                      (row(), row()), f.d_sq)
     row()[:] = f.rho
     l3 = np.divide(f.g_ref, f.rho_r, row())
-    np.power(np.abs(l3, l3), o.three, l3)
+    np.power(np.abs(l3, l3), _THREE, l3)
     integrals = trapezoid_array(stack, f.dx).tolist()
     values = [c * v for c, v in zip(coefficients, integrals)]
     values[-1] = math.sqrt(values[-1])

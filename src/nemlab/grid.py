@@ -109,13 +109,14 @@ def _scalar(value: float) -> np.ndarray:
     return out
 
 
-_HALF, _TWO, _THREE, _MINUS_THREE, _FOUR, _FIVE = map(_scalar, (0.5, 2.0, 3.0, -3.0, 4.0, 5.0))
+_HALF, _ONE, _TWO, _THREE, _MINUS_THREE, _FOUR, _FIVE = map(
+    _scalar, (0.5, 1.0, 2.0, 3.0, -3.0, 4.0, 5.0))
 
 
 @functools.lru_cache(maxsize=64)
 def _spacing(dx: float):
-    """The 0-d operands 2 dx, dx^2 and dx of a grid spacing."""
-    return _scalar(2.0 * dx), _scalar(dx * dx), _scalar(dx)
+    """The 0-d operands 2 dx, dx^2, dx and -dx of a grid spacing."""
+    return _scalar(2.0 * dx), _scalar(dx * dx), _scalar(dx), _scalar(-dx)
 
 
 def gradient_array(values: np.ndarray, dx: float, out=None) -> np.ndarray:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -125,6 +126,9 @@ class Perturbation:
     mode: int = 1
 
     def __post_init__(self):
+        # NaN, +-inf and an integer beyond the float range fail this test
+        if not abs(self.amplitude) <= sys.float_info.max:
+            raise VerifierError(f"perturbation.amplitude must be finite, got {self.amplitude}")
         if self.amplitude < 0:
             raise VerifierError(f"perturbation.amplitude must be >= 0, got {self.amplitude}")
         if self.mode < 1:
@@ -234,6 +238,10 @@ class GronwallConfig:
     slack: float = 0.0
 
     def __post_init__(self):
+        for name in ("c_h", "slack"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= sys.float_info.max:  # as Perturbation
+                raise VerifierError(f"gronwall.{name} must be finite, got {value}")
         if self.c_h is not None and not self.c_h > 0:
             raise VerifierError(f"gronwall.c_h must be positive, got {self.c_h}")
         if self.slack < 0:

@@ -17,11 +17,18 @@ from hypothesis import strategies as st
 
 from nemlab import cli, verifier
 from nemlab.cli import main
-from nemlab.config import ConfigError, parse_config
+from nemlab.config import ConfigError, canonical_text, parse_config
 from nemlab.dynamics import SolverError, State
 from nemlab.constitutive import ConstitutiveError, Params, System
 from nemlab.functionals import ENERGY_WINDOW, FunctionalError, energy_dissipation
-from nemlab.traceio import COLUMNS, TraceFormatError, read_columns, read_trace, write_trace
+from nemlab.traceio import (
+    COLUMNS,
+    TraceFormatError,
+    read_columns,
+    read_trace,
+    write_columns,
+    write_trace,
+)
 from nemlab.verifier import EntropyTrace, Perturbation, VerifierError, run_twin
 
 MINIMAL_GL = {
@@ -121,6 +128,23 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
+
+    def test_canonical_text_rejects_invalid_json(self):
+        # parse_config rejects such a document first, so main never gets here
+        with pytest.raises(ConfigError, match="^not valid JSON: Expecting property name"):
+            canonical_text("{not json")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "top level must be a JSON object"),
+        (cfg_text(grid_candidate={}), "grid_candidate.n is required"),
+        (cfg_text(system="smectic"),
+         "system: unknown system 'smectic'; expected one of: gl, sphere"),
+        (cfg_text(perturbation={"amplitude": 1e-3, "mode": 2.5}),
+         "perturbation.mode must be a positive integer, got 2.5"),
+    ], ids=["not-an-object", "grid-without-n", "unknown-system", "non-integer-mode"])
+    def test_document_shape_errors_name_the_cause(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
     def test_perturbation_and_gronwall_sections(self):
         cfg = parse_config(cfg_text(
@@ -228,6 +252,26 @@ class TestTraceIo:
         assert np.array_equal(back.r_1c_b, trace.r_1c_b)
         # the per-term columns stay in memory
         assert "reorg_mismatch" in trace.terms and back.terms == {}
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("t,entropy\r\n0.0,0.0\r\n", "unexpected header ('t', 'entropy')"),
+    ], ids=["empty", "wrong-header"])
+    def test_malformed_file_names_path_and_cause(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"t": [0.0], "entropy_gap": [0.0]}, "unknown trace column 'entropy_gap'"),
+        ({"t": [0.0, 0.1], "entropy": [0.0]}, "column 'entropy' has inconsistent length"),
+    ], ids=["unknown-column", "unequal-lengths"])
+    def test_write_columns_rejects_before_writing(self, tmp_path, columns, message):
+        path = tmp_path / "t.csv"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            write_columns(columns, str(path))
+        assert not path.exists()
 
     def test_unparsable_cell_names_path_row_and_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -633,6 +677,27 @@ class TestMain:
                      "--manifest", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr() == (
             "", "config error: --levels: n_nodes must be >= 5, got 2\n"
+        )
+
+    def test_non_integer_level_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        assert main(["uniqueness", "-c", str(path), "--levels", "33,x",
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: --levels must be comma-separated integers: '33,x'\n"
+        )
+
+    def test_non_integer_worker_count_exits_2_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a suite task ran with an invalid worker count")
+
+        monkeypatch.setattr(cli, "_suite_task", no_run)
+        monkeypatch.setenv(cli.WORKERS_ENV, "two")
+        assert main(["suite", "--preset", "gl-smoke", "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: NEMLAB_WORKERS must be an integer, got 'two'\n"
         )
 
     def test_levels_checked_on_the_config_domain(self, tmp_path, capsys):

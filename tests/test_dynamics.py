@@ -886,6 +886,14 @@ class TestBatchedEvolve:
         with pytest.raises(ValueError, match="one boundary spec per member"):
             evolve([init, init], 0.01, 1e-3, p, g, [bc])
 
+    def test_initial_data_on_another_grid_rejected(self):
+        p = Params()
+        init = make_initial_data("gl-smooth", Grid1D(33, 0.0, 1.0), p)
+        bc = BoundarySpec.for_system(System.GL, init.d0)
+        with pytest.raises(ValueError, match="^initial data grid does not match the "
+                                             "integration grid$"):
+            evolve(init, 0.01, 1e-3, p, Grid1D(17, 0.0, 1.0), bc)
+
 
 def _pair_arrays(system, n=33):
     """Batched (rho, u, d) of two unperturbed members, writable."""

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nemlab.constitutive import ConstitutiveError, Params, System, gl_force
-from nemlab.dynamics import State
-from nemlab import functionals
+from nemlab import dynamics, functionals
+from nemlab.dynamics import BoundarySpec, State, evolve
 from nemlab.functionals import (
     QUARTETS,
     FunctionalError,
@@ -21,6 +21,7 @@ from nemlab.functionals import (
 )
 from nemlab import grid as grid_module
 from nemlab.grid import Grid1D, gradient_array, laplacian_array, trapezoid_array
+from nemlab.verifier import make_initial_data
 
 
 # Direct norm oracles for the h_hat factors and the director-gap diagnostic,
@@ -211,6 +212,10 @@ class TestRelativeEntropy:
             cand = State(g, np.ones(129), np.zeros(129), d_c)
             vals[eps] = relative_entropy(StatePair(cand, ref), SPH)
         assert vals[1e-2] / vals[5e-3] == pytest.approx(4.0, rel=0.05)
+
+    def test_states_on_two_grids_rejected(self):
+        with pytest.raises(FunctionalError, match="^candidate and reference must share one grid$"):
+            StatePair(uniform_state(Grid1D(33, 0.0, 1.0)), uniform_state(Grid1D(17, 0.0, 1.0)))
 
     def test_degenerate_reference_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -608,18 +613,43 @@ def _smooth_twin(system, n, seed):
     return g, states
 
 
+def test_a_flipped_term_sign_is_a_reorganization_mismatch(monkeypatch):
+    # rd_pressure_transport is O(1) on this GL pair: with its sign flipped,
+    # r_d + r_c moves by twice that, past the O(dx^2) tolerance
+    pair = StatePair(*_smooth_twin(System.GL, 65, 3)[1])
+    terms = functionals._TERMS[System.GL]
+    flipped = terms["r_d"].replace("rd_pressure_transport 1", "rd_pressure_transport -1")
+    assert flipped != terms["r_d"]
+    remainder(pair, GL)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setitem(terms, "r_d", flipped)
+            functionals._layout.cache_clear()
+            with pytest.raises(FunctionalError, match=r"^remainder reorganization mismatch "
+                                                      r".* formula-level inconsistency$"):
+                remainder(pair, GL)
+    finally:
+        functionals._layout.cache_clear()
+    remainder(pair, GL)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(cases=st.lists(st.tuples(st.sampled_from(list(System)), st.sampled_from([9, 17, 33]),
                                 st.floats(1.01, 3.0), st.floats(0.5, 2.0),
                                 st.integers(0, 2**32 - 1)), min_size=2, max_size=4))
 def test_rows_and_energy_windows_keep_their_bits_when_parameter_sets_interleave(cases):
-    # the 0-d operands are cached per parameter set and grid spacing: a
-    # row or a window computed between calls for other sets, with the caches
-    # warm, must be the one computed alone, with them cold
+    # the 0-d operands are cached per parameter set and grid spacing, in
+    # one table that evolve, the row and the energy pass share: a step, a
+    # row or a window computed between calls for other sets, with the
+    # caches warm, must be the one computed alone, with them cold
     def evaluate(system, n, gamma, coeff, seed):
         p = Params(a=coeff, gamma=gamma, sigma0=coeff, mu=coeff, lam=1.0 / coeff, theta=coeff,
                    system=system)
         g, (cand, ref) = _smooth_twin(system, n, seed)
+        init = make_initial_data(f"{system.value}-smooth", g, p)
+        dt = 0.1 * g.dx**2
+        steps = evolve(init, 4 * dt, dt, p, g, BoundarySpec.for_system(system, init.d0))
+        stepped = b"".join(a.tobytes() for a in (steps.rho, steps.u, steps.d))
         window = functionals.EnergyWindow(g, p, "reference")
         for k, state in enumerate((cand, ref) * 5):
             window.add(state, 0.1 * k)
@@ -627,11 +657,13 @@ def test_rows_and_energy_windows_keep_their_bits_when_parameter_sets_interleave(
         br = remainder(StatePair(cand, ref), p)
         values = [br.h_hat, br.reorg_mismatch, br.entropy, br.energy, br.dissipation, br.mass,
                   *br.quartet.values(), *br.terms.values(), *br.h_terms.values()]
-        return np.array(values).tobytes(), bytes(window.energy), bytes(window.dissipation)
+        return (np.array(values).tobytes(), bytes(window.energy), bytes(window.dissipation),
+                stepped)
 
     alone = []
     for case in cases:
         functionals._layout.cache_clear()
+        dynamics._operands.cache_clear()
         grid_module._spacing.cache_clear()
         alone.append(evaluate(*case))
     for _ in range(2):

@@ -28,6 +28,11 @@ class TestGrid1D:
         with pytest.raises(GridError):
             Grid1D(4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_endpoint_rejected(self, x_min, x_max):
+        with pytest.raises(GridError, match="^grid endpoints must be finite$"):
+            Grid1D(11, x_min, x_max)
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(GridError):
             Grid1D(11, 1.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -135,6 +136,15 @@ class TestPresets:
         with pytest.raises(VerifierError, match="^initial_preset 'gl-smooth': initial velocity "
                                                 "must vanish at both endpoints$"):
             make_initial_data("gl-smooth", Grid1D(17, 0.0, 1.0), GL)
+
+    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_amplitude_rejected_by_name(self, amplitude):
+        # it used to reach make_initial_data, which blamed rho0 (GL, after
+        # two numpy warnings) or a nonpositive density (SPHERE), or raised
+        # OverflowError for an integer beyond the float range
+        with pytest.raises(VerifierError, match=f"^perturbation.amplitude must be finite, "
+                                                f"got {amplitude}$"):
+            Perturbation(amplitude=amplitude, mode=2)
 
     def test_unknown_preset_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -681,6 +691,20 @@ class TestCheckGronwall:
         with pytest.raises(VerifierError, match="empty"):
             check_gronwall(tr, GronwallConfig())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # on a GL 33 -> 17 identical twin minimal_c_h is inf, and either
+        # infinite knob made that certificate pass; a NaN slack made
+        # minimal_c_h NaN
+        ({"c_h": math.inf}, "gronwall.c_h must be finite, got inf"),
+        ({"c_h": math.nan}, "gronwall.c_h must be finite, got nan"),
+        ({"slack": math.inf}, "gronwall.slack must be finite, got inf"),
+        ({"slack": math.nan}, "gronwall.slack must be finite, got nan"),
+        ({"c_h": 10**400}, f"gronwall.c_h must be finite, got {10**400}"),
+    ], ids=["c_h-inf", "c_h-nan", "slack-inf", "slack-nan", "c_h-beyond-floats"])
+    def test_non_finite_knob_rejected_by_name(self, kwargs, message):
+        with pytest.raises(VerifierError, match=f"^{re.escape(message)}$"):
+            GronwallConfig(**kwargs)
+
     def test_config_validation(self):
         with pytest.raises(TypeError, match="delta"):
             GronwallConfig(delta=0.125)
@@ -791,6 +815,10 @@ class TestCheckEnergy:
         assert rep.passes
         assert (rep.max_violation_candidate, rep.max_violation_reference) == (0.0, 0.0)
         assert rep.first_violation_time is None
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(VerifierError, match="^empty trace$"):
+            check_energy(synthetic_trace([], [], []))
 
     @pytest.mark.parametrize("k", [1, 7, 25])
     def test_energy_injected_into_a_twin_is_named(self, k):
@@ -966,6 +994,17 @@ class TestCheckUniqueness:
         assert calls == [2, 1, 1]
         assert rep.sup_entropy[-1] == 0.0
 
+    def test_zero_coarsest_sup_gives_a_minus_infinite_order(self):
+        # the coarsest level shares the reference's grid and dt (dx = 1/16,
+        # so kappa dx^2 is dt bit for bit) and is the reference; the finer
+        # ones are not, so the first order is -inf and the study fails
+        dt = 0.4 * Grid1D(17, 0, 1).dx ** 2
+        rep = check_uniqueness(twin_config(n_ref=17, n_cand=17, dt=dt, t_end=0.01),
+                               [17, 33, 65])
+        assert rep.sup_entropy[0] == 0.0 and rep.sup_entropy[1] > 0.0
+        assert rep.orders[0] == -math.inf and math.isfinite(rep.orders[1])
+        assert not rep.passes
+
     def test_requires_three_levels(self):
         with pytest.raises(VerifierError, match="3 refinement levels"):
             check_uniqueness(twin_config(), [65, 129])
@@ -987,6 +1026,13 @@ class TestTraceValidation:
     def test_times_must_be_finite(self):
         with pytest.raises(VerifierError, match="column times contains non-finite"):
             synthetic_trace([0.0, np.nan, 0.2], [0, 0, 0], [0, 0, 0])
+
+    def test_short_column_rejected_by_name(self):
+        with pytest.raises(VerifierError, match="^column h_hat has wrong length$"):
+            synthetic_trace([0.0, 0.1, 0.2], [0.0] * 3, [0.0] * 2)
+        trace = synthetic_trace([0.0, 0.1], [0.0] * 2, [0.0] * 2)
+        with pytest.raises(VerifierError, match="^column rd_velocity_exchange has wrong length$"):
+            replace(trace, terms={"rd_velocity_exchange": np.zeros(1)})
 
     def test_quartets_are_trace_columns(self):
         for quartet in QUARTETS.values():
