@@ -110,14 +110,15 @@ class Params:
         return self.a * self.gamma
 
 
-def _least(values: np.ndarray, initial: float):
-    """The least of initial and the entries of values, in one reduction.
+def _least(values: np.ndarray, initial: float, axis=None):
+    """The least of initial and the entries of values, in one reduction,
+    or of each row along axis.
 
     NaN entries are skipped, as they compare False: for t <= initial,
     _least(values, initial) < t iff some entry is < t, and for t < initial
     the same holds with <=.  0-d and empty arrays need no special case.
     """
-    return np.fmin.reduce(values, axis=None, initial=initial)
+    return np.fmin.reduce(values, axis=axis, initial=initial)
 
 
 def _check_nonneg_rho(rho) -> np.ndarray:
@@ -135,18 +136,20 @@ def _power_law(rho, coefficient, exponent, out=None):
     return np.multiply(out, coefficient, out)
 
 
-def gl_potential(d, params: Params, sq=None, out=None):
+def gl_potential(d, params: Params, sq=None, out=None, scale=None):
     """Penalization energy density F(d) = (|d|^2 - 1)^2 / (4 sigma0^2).
 
     d has shape (3, n) or (K, 3, n); returns a length-n or a (K, n)
     array, written to out when given.  sq, when given, holds |d|^2 as a
-    sum over the components gives it, and d is not read.
+    sum over the components gives it, and d is not read; scale, when
+    given, is 4 sigma0^2 (the 0-d operand of the energy pass and the
+    certificate row), and params is not read.
     """
     if sq is None:
         sq = np.square(d, dtype=float).sum(axis=-2)
     s = np.subtract(sq, 1.0, out)
     np.multiply(s, s, s)
-    return np.divide(s, 4.0 * params.sigma0**2, s)
+    return np.divide(s, 4.0 * params.sigma0**2 if scale is None else scale, s)
 
 
 def gl_force(d, sigma0_sq, out=None, one=1.0):
@@ -179,17 +182,26 @@ def bregman_pressure(rho, rho_tilde, params: Params):
                     _power_law(rho_tilde, params.pi_coeff, params.gamma), rho, rho_tilde)
 
 
-def _bregman(pi, pi1_t, pi_t, rho, rho_t) -> np.ndarray:
+def _bregman(pi, pi1_t, pi_t, rho, rho_t, faults=None) -> np.ndarray:
     """Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t) from the three law
-    values, with bregman_pressure's round-off clamp and error; the terms'
-    magnitudes are summed only where the absolute 1e-14 test fails."""
+    values, with bregman_pressure's round-off clamp and error, row by row
+    along the last axis; the terms' magnitudes are summed only where the
+    absolute 1e-14 test fails.  A row negative beyond round-off raises, or,
+    when faults (a dict) is given, stores its error under the row's index
+    there unless the index already holds one."""
     linear = pi1_t * (rho - rho_t)
     out = pi - linear - pi_t
     least = _least(out, 0.0)
     if least < -_BREGMAN_CLAMP:
         scale = np.maximum(np.abs(pi) + np.abs(linear) + np.abs(pi_t), 1.0)
-        if _least(out + _BREGMAN_CLAMP * scale, 0.0) < 0.0:
-            raise ConstitutiveError(
-                f"Bregman pressure term is negative beyond round-off: min={out.min():.3e}"
+        # a row fails this test only if its own least is below -1e-14 too
+        bad = _least(out + _BREGMAN_CLAMP * scale, 0.0, -1) < 0.0
+        rows = out.reshape(-1, *out.shape[-1:])
+        for k in np.flatnonzero(bad).tolist():
+            error = ConstitutiveError(
+                f"Bregman pressure term is negative beyond round-off: min={rows[k].min():.3e}"
             )
+            if faults is None:
+                raise error
+            faults.setdefault(k, error)
     return np.where(out < 0.0, 0.0, out) if least < 0.0 else out

@@ -364,9 +364,10 @@ class _Operands:
         self.wave_coeff, self.wave_power, self.cfl_dx = p.dp_coeff, p.gamma - 1.0, _CFL_NUMBER * dx
         (self.a, self.gamma, self.gamma_m1, self.gamma_m2, self.pi_coeff, self.pi1_coeff,
          self.dp_coeff, self.neg_dp_coeff, self.mu, self.lam, self.half_lam, self.theta,
-         self.neg_theta, self.lam_theta, self.sigma0_sq) = map(_scalar, (
+         self.neg_theta, self.lam_theta, self.sigma0_sq, self.four_sigma0_sq) = map(_scalar, (
             p.a, p.gamma, p.gamma - 1.0, p.gamma - 2.0, p.pi_coeff, p.pi1_coeff, p.dp_coeff,
-            -p.dp_coeff, p.mu, p.lam, 0.5 * p.lam, p.theta, -p.theta, p.lam * p.theta, p.sigma0**2))
+            -p.dp_coeff, p.mu, p.lam, 0.5 * p.lam, p.theta, -p.theta, p.lam * p.theta, p.sigma0**2,
+            4.0 * p.sigma0**2))
 
 
 _operands = functools.lru_cache(maxsize=64)(_Operands)  # the one _Operands of (params, dx)

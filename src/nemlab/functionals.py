@@ -26,13 +26,15 @@ hold on arbitrary smooth pairs up to O(dx^2) discrete product/chain-rule
 and integration-by-parts defects, which is exactly what the refinement
 tests quantify.
 
-`remainder` builds a sample's whole certificate row in one pass
-(_PairFields): one gradient and one Laplacian call on the stacked rows of
-both states, each density power taken once, one summed block of director
-products for every contraction (SPHERE takes a second for the rows that
-read |d_x|), then every integrand written with out= into its row of one
-stack for a single trapezoid call; the term table is built once per
-parameter set (_layout).  Its RemainderBreakdown also carries the pair's
+`remainder` builds the certificate rows of one sample or of a window of
+samples on one grid in one pass (_PairFields): every field a (K, n) array
+of the K samples' rows end to end, one gradient and one Laplacian call on
+the stacked fields of both states, each density power taken once, one
+summed block of director products for every contraction (SPHERE takes a
+second for the rows that read |d_x|), then every integrand written with
+out= into its row of one stack for a single trapezoid call and one max for
+the h_hat norms; the term table is built once per parameter set
+(_layout).  Each sample's RemainderBreakdown also carries the pair's
 relative entropy and the candidate's energy, dissipation, mass and
 (SPHERE) sphere defect, from the same density helpers as the single-value
 functionals, bit for bit.  EnergyWindow evaluates one trajectory's
@@ -42,12 +44,23 @@ float range raise FunctionalError naming the quantity, never a numpy
 warning.
 
 Call forms, as in the IMEX step (see dynamics): a row is some 150 numpy
-calls on a few hundred floats each, so their fixed cost is much of it.
-Scalar operands are read-only 0-d arrays: grid's literals and the table
-the step reads too, dynamics._Operands, cached per (params, dx) by
-dynamics._operands and, for a row, by _layout (one lookup per row);
-outputs are positional, into the row's stack, an earlier temporary or
-EnergyWindow's scratch; every operation keeps its order.
+calls on a few hundred floats each, so their fixed cost is most of it,
+and a window of K samples pays it once: at n = 97 a row costs about 160
+us alone and about 45 us per sample in a window of ENERGY_WINDOW
+(BENCH_row.json).  A lockstep twin's rows are therefore evaluated a
+window at a time, with the same samples' reference energies (run_twin);
+a streamed twin's stay one call per sample, as each pair is formed:
+bench/test_bench.py counts one call per streamed sample, so windowing
+them waits for a change to the benchmark.  Scalar operands are read-only
+0-d arrays: grid's literals and the table the step reads too,
+dynamics._Operands, cached per (params, dx) by dynamics._operands and,
+for a row, by _layout (one lookup per call); outputs are positional, into
+the row's stack, an earlier temporary or EnergyWindow's scratch; every
+operation keeps its order.  The products that broadcast a row over the
+three director components (u d_x, GL's force, SPHERE's |d_x|^2 d) stay
+single calls: numpy buffers such an operand, but the per-component form
+takes three calls and measured slower at K = 1 and K = 8 (numpy 2.4, n =
+97 and 257).
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -62,7 +75,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +85,7 @@ from .constitutive import (
     System,
     _bregman,
     _check_nonneg_rho,
+    _least,
     _power_law,
     bregman_pressure,
     gl_force,
@@ -196,24 +210,25 @@ def _unit_defects(lengths: np.ndarray) -> np.ndarray:
 def _residual(d, lap_d, grad_sq, force, out=None):
     """The director relaxation residual of one state or a stack of them,
     into out if given: d_xx - f(d) for GL (force f(d)), d_xx + |d_x|^2 d
-    for SPHERE (None)."""
+    for SPHERE (None), d's components on its first axis and grad_sq of the
+    shape of one."""
     if force is not None:
         return np.subtract(lap_d, force, out)
-    return np.add(lap_d, np.multiply(grad_sq[..., None, :], d, out), out)
+    return np.add(lap_d, np.multiply(grad_sq, d, out), out)
 
 
-def _state_densities(rho, u, d, grad_u, grad_sq, resid_sq, pi, o: _Operands, out,
+def _state_densities(rho, u, grad_u, grad_sq, resid_sq, pi, o: _Operands, out,
                      d_sq=None, tmp=(None, None)):
     """Energy and dissipation densities of one state or of a stack of them
-    (see energy_dissipation), written to out's two arrays: d holds the
-    components on its second-to-last axis (d_sq, if given, |d|^2), grad_sq
-    is |d_x|^2, resid_sq the squared length of the relaxation residual
-    (_residual) and pi is Pi(rho); tmp's arrays, when given, are scratch."""
+    (see energy_dissipation), written to out's two arrays: grad_sq is
+    |d_x|^2, resid_sq the squared length of the relaxation residual
+    (_residual), pi is Pi(rho) and d_sq, read for GL only, |d|^2; tmp's
+    arrays, when given, are scratch."""
     dens, dsp = out
     np.add(np.multiply(np.multiply(np.multiply(rho, _HALF, dens), u, dens), u, dens), pi, dens)
     director = np.multiply(grad_sq, _HALF, tmp[0])
     if o.gl:
-        np.add(director, gl_potential(d, o.params, d_sq, tmp[1]), director)
+        np.add(director, gl_potential(None, o.params, d_sq, tmp[1], o.four_sigma0_sq), director)
     np.multiply(np.multiply(grad_u, o.mu, dsp), grad_u, dsp)
     np.add(dsp, np.multiply(resid_sq, o.lam_theta, tmp[1]), dsp)
     return np.add(dens, np.multiply(director, o.lam, director), dens), dsp
@@ -258,7 +273,7 @@ def _energy_rows(rows: np.ndarray, dx: float, o: _Operands, scratch=None) -> np.
     pi = _power_law(_check_nonneg_rho(rho), o.pi_coeff, o.gamma, lap[1])
     d_sq = np.add.reduce(np.multiply(d, d, grad_d), 0, None, lap[2]) if o.gl else None
     out = scratch[8 * m:10 * m].reshape(2, -1)
-    _state_densities(rho, u, d, grad[1], grad_sq, resid_sq, pi, o, out, d_sq, grad[2:4])
+    _state_densities(rho, u, grad[1], grad_sq, resid_sq, pi, o, out, d_sq, grad[2:4])
     return trapezoid_array(out.reshape(2, k, n), dx)
 
 
@@ -375,47 +390,70 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
 
 
 class _PairFields:
-    """The arrays one sample's certificate row reads, each set once.
+    """The arrays that the certificate rows of K pairs on one grid read,
+    each set once, in one role-major pass.
 
-    Names ending in _r are the reference's.  One gradient call takes the
-    stacked rows ([p~, rho~ u~, Pi'(rho~)], u, u~, d, d~) and one Laplacian
-    call (u~, d, d~); each power of a density is taken once (_power_law's
-    power and product).  dgrad, dlap, e, du are the gaps d_x - d~_x, d_xx
-    - d~_xx, d - d~, u - u~, and du_r = u~ - u.  One _contract pass sums
-    every director product the row reads, those of the (candidate,
+    Every field is a (K, n) array, one contiguous run of K n floats, the K
+    samples' rows end to end, as in _energy_rows; a director field is
+    (3, K, n).  So every numpy call takes all K samples at once, and the
+    stencils, the contractions and the quadrature act sample by sample:
+    each sample's values are those of its own pass.  Names ending in _r
+    are the reference's.  One gradient call takes the stacked roles ([p~,
+    rho~ u~, Pi'(rho~)], u, u~, d, d~) and one Laplacian call (u~, d, d~);
+    each power of a density is taken once (_power_law's power and
+    product).  dgrad, dlap, e, du are the gaps d_x - d~_x, d_xx -
+    d~_xx, d - d~, u - u~, and du_r = u~ - u.  One _contract pass sums
+    every director product the rows read, those of the (candidate,
     reference) stacks first (the curvatures . d_x, and the squared lengths
     of d, GL's f(d) and d_x), each contraction under its own name; `norms`
-    are the rows whose max h_hat reads.  SPHERE's second pass takes the rows that read gm =
-    |d_x| and gm_r = |d~_x|.  g_ref = mu u~_xx - lam stress_r.  The checks
-    keep their order (SPHERE unit lengths, the candidate density's sign,
-    the Bregman round-off) and nothing computed before them raises.
+    are the rows whose max h_hat reads.  SPHERE's second pass takes the
+    rows that read gm = |d_x| and gm_r = |d~_x|.  g_ref = mu u~_xx - lam
+    stress_r.  Nothing here raises for a bad sample: `faults` maps each
+    sample that fails a check to the error its own row raises first
+    (SPHERE unit lengths, the candidate density's sign, the Bregman
+    round-off, in that order).
     """
 
-    def __init__(self, pair: StatePair, params: Params):
-        self.dx = dx = pair.grid.dx
+    def __init__(self, pairs: Sequence[StatePair], params: Params):
+        grid = pairs[0].grid
+        self.dx = dx = grid.dx
         self.layout = layout = _layout(params, dx)
-        o = layout[3]
-        c, r = pair.candidate, pair.reference
-        self.rho, self.rho_r, self.u, self.u_r = rho, rho_r, u, u_r = c.rho, r.rho, c.u, r.u
-        self.d, self.d_r = d, d_r = c.d, r.d
+        o = layout[-1]
+        k, n = len(pairs), grid.n_nodes
+        # the roles rho, rho~, [p~, rho~ u~, Pi'(rho~)], u, u~, d, d~; from
+        # the third on they are differentiated
+        block = np.empty((13 if o.gl else 10, k, n))
+        for j, pair in enumerate(pairs):
+            if pair.grid is not grid and pair.grid != grid:
+                raise FunctionalError("the pairs of one call must share one grid")
+            c, r, sample = pair.candidate, pair.reference, block[:, j]
+            sample[0], sample[1], sample[-8], sample[-7], sample[-6:-3], sample[-3:] = (
+                c.rho, r.rho, c.u, r.u, c.d, r.d)
+        self.rho, self.rho_r, self.u, self.u_r = rho, rho_r, u, u_r = (
+            block[0], block[1], block[-8], block[-7])
+        self.d, self.d_r = d, d_r = block[-6:-3], block[-3:]
+        rows = block[2:]
         pow_r, pow1_r = np.power(rho_r, o.gamma), np.power(rho_r, o.gamma_m1)
-        rows = np.empty((11 if o.gl else 8, rho.shape[0]))
-        rows[-8], rows[-7], rows[-6:-3], rows[-3:] = u, u_r, d, d_r
         self.p_r = p_r = np.multiply(pow_r, o.a, rows[0] if o.gl else None)
         pi1_r = np.multiply(pow1_r, o.pi1_coeff, rows[2] if o.gl else None)
         if o.gl:
             self.flux_r = np.multiply(rho_r, u_r, rows[1])
-        grad, lap = gradient_array(rows, dx), laplacian_array(rows[-7:], dx)
+        # the stencils run fastest on 2-D stacks of n-node rows
+        grad = gradient_array(rows.reshape(-1, n), dx).reshape(len(rows), k, n)
+        lap = laplacian_array(block[-7:].reshape(-1, n), dx).reshape(7, k, n)
         self.grad_laws_r, self.grad_u, self.grad_u_r = grad[:-8], grad[-8], grad[-7]
-        lap_d, lap_d_r = laps = lap[1:].reshape(2, 3, -1)
+        lap_d, lap_d_r = laps = lap[1:].reshape(2, 3, k, n)
         dgrad, e, dlap = grad[-6:-3] - grad[-3:], d - d_r, lap_d - lap_d_r
         self.du, self.du_r = u - u_r, u_r - u
         # the (candidate, reference) stacks of d and d_x, and of u d_x, u~ d~_x
-        directors, grads = rows[-6:].reshape(2, 3, -1), grad[-6:].reshape(2, 3, -1)
+        directors, grads = rows[-6:].reshape(2, 3, k, n), grad[-6:].reshape(2, 3, k, n)
         moved = np.multiply(rows[-8:-6, None], grads)
         trans_gap, (grad_d, grad_d_r) = np.subtract(moved[0], moved[1], moved[0]), grads
+        self.faults: Dict[int, ValueError] = {}  # sample -> the error its row raises first
         if o.gl:
-            force, force_r = forces = gl_force(directors, o.sigma0_sq, None, _ONE)
+            # gl_force takes the components on the second-to-last axis
+            forces = gl_force(rows[-6:].reshape(2, 3, -1), o.sigma0_sq, None, _ONE)
+            force, force_r = forces = forces.reshape(2, 3, k, n)
             dforce = force - force_r
             # the GL curvatures d_xx - f(d) of both states, from their stacks
             curvs = _residual(directors, laps, None, forces)
@@ -435,11 +473,13 @@ class _PairFields:
                 stacked=((laps, grads), (directors, directors), (grads, grads)))
             self.norms, self.d_sq = dots[2:7], None
             lengths = np.sqrt(dots[2:6])  # |d|, |d~|, |d_x|, |d~_x|
-            defects = _unit_defects(lengths[:2])
-            for name, defect in zip(("candidate", "reference"), defects.tolist()):
-                if defect > 1e-8:
-                    raise FunctionalError(f"{name} director is not unit length")
-            self.sphere_defect = float(defects[0])
+            defects = _unit_defects(lengths[:2]).tolist()
+            for name, values in zip(("candidate", "reference"), defects):
+                for j, defect in enumerate(values):
+                    if defect > 1e-8:
+                        error = FunctionalError(f"{name} director is not unit length")
+                        self.faults.setdefault(j, error)
+            self.sphere_defect = defects[0]
             (self.stress_c, self.stress_r, _, _, self.grad_sq, _, _, self.dgrad_sq, self.gap_sq,
              self.difference, self.director_transport, self.gradient, self.curvature, self.d_dlap,
              self.exchange, self.e_dgrad, self.d_e) = dots
@@ -451,10 +491,13 @@ class _PairFields:
             resid = _residual(d, lap_d, self.grad_sq, None)
             self.laplacian_q, self.director_q, self.resid_sq = _contract(
                 ((dlap, q), (e, q), (resid, resid)))
-        _check_nonneg_rho(rho)
+        if _least(rho, 0.0) < 0:
+            for j in np.flatnonzero(_least(rho, 0.0, -1) < 0).tolist():
+                self.faults.setdefault(j, ConstitutiveError("density must be nonnegative"))
         pow_c = np.power(rho, o.gamma)
         self.p, self.pi = np.multiply(pow_c, o.a), np.multiply(pow_c, o.pi_coeff, pow_c)
-        self.bregman = _bregman(self.pi, pi1_r, np.multiply(pow_r, o.pi_coeff, pow_r), rho, rho_r)
+        self.bregman = _bregman(self.pi, pi1_r, np.multiply(pow_r, o.pi_coeff, pow_r), rho, rho_r,
+                                self.faults)
         self.dp_r = np.multiply(pow1_r, o.dp_coeff, pow1_r)
         self.rho_du_r = np.multiply(rho, self.du_r)
         self.stress_div_r = np.multiply(self.stress_r, o.lam)
@@ -491,8 +534,8 @@ _TERMS = {
 @functools.lru_cache(maxsize=64)
 def _layout(params: Params, dx: float):
     """The row's term names and coefficients, in order with the two
-    diagnostics last, each QUARTETS entry's range of terms, and the shared
-    _Operands of (params, dx): one cache lookup per row."""
+    diagnostics last, the QUARTETS entries and each one's range of terms,
+    and the shared _Operands of (params, dx): one cache lookup per call."""
     lam, th = params.lam, params.theta
     factor = {"1": 1.0, "-1": -1.0, "mu": params.mu, "lam": lam, "-lam": -lam,
               "lam*th": lam * th, "-lam*th": -lam * th, "2lam*th": 2.0 * lam * th}
@@ -502,8 +545,9 @@ def _layout(params: Params, dx: float):
         ranges[block] = (len(terms), len(terms) + len(block_terms))
         terms += block_terms
     terms += [("diag_stress_transport_exchange", "1"), ("diag_director_l2_gap", "1")]
-    return (tuple(name for name, _ in terms), tuple(factor[key] for _, key in terms),
-            tuple(ranges[block] for block in QUARTETS[params.system]), _operands(params, dx))
+    quartet = QUARTETS[params.system]
+    return (tuple(name for name, _ in terms), tuple(factor[key] for _, key in terms), quartet,
+            tuple(ranges[block] for block in quartet), _operands(params, dx))
 
 
 def _density_rows(f: _PairFields, row: Callable[[], np.ndarray]) -> None:
@@ -584,22 +628,34 @@ def _sphere_rows(f: _PairFields, o: _Operands, row: Callable[[], np.ndarray]) ->
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
-    """One certificate row: every remainder integral, both
-    reorganizations, h_hat, the relative entropy and the candidate's
-    single-state values at one sample.
+def remainder(pairs: Union[StatePair, Sequence[StatePair]], params: Params):
+    """Certificate rows: every remainder integral, both reorganizations,
+    h_hat, the relative entropy and the candidate's single-state values at
+    one sample, or at each of a sequence of samples on one grid.
 
+    A StatePair gives its RemainderBreakdown; a sequence of K pairs gives
+    a list of K, each bit for bit the one its pair gives alone, or raises
+    the error that the first of its pairs to fail raises alone.  Both are
+    one pass (_PairFields), a single pair being the case K = 1: every
+    integrand of every sample is written to its row of one stack that a
+    single trapezoid call integrates, and one max gives every h_hat norm.
     The quartet holds the active system's QUARTETS entries; its
     reorganization identity is checked against REORG_TOL_COEFF * dx^2.
-    SPHERE requires both directors to be unit length.  The pair's fields
-    are built once; every integrand is written to its row of one stack
-    that a single trapezoid call integrates.  Values beyond the float
-    range raise FunctionalError (see _check_row), not a numpy warning.
+    SPHERE requires both directors to be unit length.  Values beyond the
+    float range raise FunctionalError (see _check_row), not a numpy warning.
+
+    The pass costs some 150 numpy calls whatever K is, so a window of
+    samples pays that fixed cost once: run_twin evaluates a lockstep twin's
+    rows ENERGY_WINDOW samples at a time, and a streamed twin's one by
+    one, as each pair is formed.
     """
-    f = _PairFields(pair, params)
-    names, coefficients, blocks, o = f.layout
+    single = isinstance(pairs, StatePair)
+    if not single and not pairs:
+        return []
+    f = _PairFields((pairs,) if single else pairs, params)
+    names, coefficients, quartet_names, blocks, o = f.layout
     gl = o.gl
-    stack = np.empty((len(names) + 5, f.rho.shape[0]))
+    stack = np.empty((len(names) + 5,) + f.rho.shape)
     row = iter(stack).__next__
     (_gl_rows if gl else _sphere_rows)(f, o, row)
     # the diagnostics: the reference stress transported by the velocity gap,
@@ -609,30 +665,42 @@ def remainder(pair: StatePair, params: Params) -> RemainderBreakdown:
     row()[:] = f.gap_sq
     # past the terms: entropy, the candidate's energy, dissipation, mass; |g~/rho~|^3
     _entropy_density(f.rho, f.du, f.bregman, f.dgrad_sq, f.gap_sq, o, row())
-    _state_densities(f.rho, f.u, f.d, f.grad_u, f.grad_sq, f.resid_sq, f.pi, o,
-                     (row(), row()), f.d_sq)
+    _state_densities(f.rho, f.u, f.grad_u, f.grad_sq, f.resid_sq, f.pi, o, (row(), row()),
+                     f.d_sq)
     row()[:] = f.rho
     l3 = np.divide(f.g_ref, f.rho_r, row())
     np.power(np.abs(l3, l3), _THREE, l3)
-    integrals = trapezoid_array(stack, f.dx).tolist()
-    values = [c * v for c, v in zip(coefficients, integrals)]
-    values[-1] = math.sqrt(values[-1])
-    entropy, energy_c, dissipation_c, mass_c, l3_cubed = integrals[len(values):]
-
-    # each block sums left to right in term order
-    quartet = [functools.reduce(operator.add, values[a:b]) for a, b in blocks]
-    lhs = quartet[0] + quartet[1] if gl else quartet[1]
-    mismatch = lhs - (quartet[2] + quartet[3])
-    h_terms = _gronwall_terms(f, params, l3_cubed)
-    out = RemainderBreakdown(
-        quartet=dict(zip(QUARTETS[params.system], quartet)),
-        terms=dict(zip(names, values)), h_terms=h_terms,
-        h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
-        energy=energy_c, dissipation=dissipation_c, mass=mass_c,
-        sphere_defect=None if gl else f.sphere_defect,
-    )
-    _check_row(out, f.dx, l3_cubed)
-    return out
+    # on the stack as 2-D (rows, n): its end columns are then 1-D views
+    integrals = trapezoid_array(stack.reshape(-1, stack.shape[-1]), f.dx)
+    integrals = integrals.reshape(len(stack), -1).T.tolist()
+    # the h_hat max-norms of every sample in one stacked max, the lengths'
+    # from their squares (f.norms) before the square root
+    mags = np.empty((8,) + f.rho.shape)
+    mags[0], mags[1], mags[2], mags[3:] = f.grad_u_r, f.g_ref, f.u_r, f.norms
+    mags = np.maximum.reduce(np.abs(mags, mags), -1).T.tolist()
+    first = min(f.faults, default=len(mags))  # no row is built for a sample at or past it
+    out = []
+    for j, sample, norms in zip(range(first), integrals, mags):
+        values = [c * v for c, v in zip(coefficients, sample)]
+        values[-1] = math.sqrt(values[-1])
+        entropy, energy_c, dissipation_c, mass_c, l3_cubed = sample[len(values):]
+        # each block sums left to right in term order
+        quartet = [functools.reduce(operator.add, values[a:b]) for a, b in blocks]
+        lhs = quartet[0] + quartet[1] if gl else quartet[1]
+        mismatch = lhs - (quartet[2] + quartet[3])
+        h_terms = _gronwall_terms(norms, gl, l3_cubed)
+        br = RemainderBreakdown(
+            quartet=dict(zip(quartet_names, quartet)),
+            terms=dict(zip(names, values)), h_terms=h_terms,
+            h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
+            energy=energy_c, dissipation=dissipation_c, mass=mass_c,
+            sphere_defect=None if gl else f.sphere_defect[j],
+        )
+        _check_row(br, f.dx, l3_cubed)
+        out.append(br)
+    if f.faults:
+        raise f.faults[first]
+    return out[0] if single else out
 
 
 def _check_row(out: RemainderBreakdown, dx: float, l3_cubed: float) -> None:
@@ -665,7 +733,7 @@ def _check_row(out: RemainderBreakdown, dx: float, l3_cubed: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str, float]:
+def _gronwall_terms(mags: List[float], gl: bool, l3_cubed: float) -> Dict[str, float]:
     """The norm factors of h_hat, the integrable growth-rate surrogate.
 
     Each term is the norm factor multiplying the entropy in one of the
@@ -673,13 +741,11 @@ def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str
     analytic constant (embedding constants, delta-splitting constants) is
     deferred to the single calibrated multiplier c_h applied by the
     verifier.  All terms are nonnegative; all vanish on a resting
-    reference with a coinciding candidate.  The max-norms come from one
-    stacked max, the lengths' from their squares (f.norms) before the
-    square root; l3_cubed is the integral of |g~/rho~|^3.
+    reference with a coinciding candidate.  mags holds one sample's
+    max-norms of u~_x, g~ and u~, then the squares of the max lengths of
+    _PairFields' norms; l3_cubed is the integral of |g~/rho~|^3; gl selects
+    the system.
     """
-    mags = np.empty((8, f.rho.shape[0]))
-    mags[0], mags[1], mags[2], mags[3:] = f.grad_u_r, f.g_ref, f.u_r, f.norms
-    mags = np.maximum.reduce(np.abs(mags, mags), -1).tolist()
     grad_u_r, g, u_r = mags[:3]
     lengths = [math.sqrt(v) for v in mags[3:]]
     terms: Dict[str, float] = {}
@@ -688,7 +754,7 @@ def _gronwall_terms(f: _PairFields, params: Params, l3_cubed: float) -> Dict[str
     terms["g_inf"] = g
     terms["u_ref_inf_sq"] = _sq(u_r)
 
-    if params.system is System.GL:
+    if gl:
         force, force_r, _, grad_r_inf, lap_r_inf = lengths
         # size surrogate for the penalization-force Lipschitz bound; the
         # true constant folds into c_h

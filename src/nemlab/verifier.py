@@ -29,8 +29,8 @@ Memory model: one engine, _pair_samples, pairs the candidates of
 run_twin (one) and check_uniqueness (one per level) with a reference
 evolved once.  A candidate sharing the reference's grid and dt runs in
 lockstep: it joins the reference's batched evolve, and each sample pair
-is evaluated in the observer as it is produced, so no reference sample
-is retained and nothing is restricted for it.  Every other candidate is
+goes to the row callback as it is produced, so nothing is restricted for
+it and no reference sample is stored.  Every other candidate is
 streamed.  During the reference run each sample is restricted to that
 candidate's grid and kept there; the candidate then runs and each of its
 samples is paired with the stored reference sample of the same time and
@@ -43,7 +43,16 @@ O(samples * sum of level sizes), never its reference-grid samples.
 run_twin's reference energies and dissipations take one EnergyWindow:
 ENERGY_WINDOW (8) samples copied into one buffer and evaluated by one
 stacked pass when it is full, O(ENERGY_WINDOW * n_reference) floats with
-the pass's scratch whatever the sample count.
+the pass's scratch whatever the sample count.  A lockstep twin's
+certificate rows take the same windows: run_twin holds up to
+ENERGY_WINDOW pairs (each a view of one read-only sample of both
+members, 10 n floats) and evaluates them with one remainder call right
+after the reference energies of the same samples, as the row's fixed
+cost of some 150 numpy calls is paid once per window; the call's
+scratch peaks at about 140 n floats per sample (tracemalloc: 0.86 MB
+for a GL window at n = 97) and is freed when it returns.  A streamed
+twin's rows stay one remainder call per sample, evaluated as each pair
+is formed (bench/test_bench.py counts one call per streamed sample).
 Results are kept as columns of packed doubles: the per-term columns of
 EntropyTrace.terms take O(samples * terms) floats (a few dozen terms),
 not one object per sample.
@@ -70,9 +79,11 @@ from .dynamics import (
     evolve,
 )
 from .functionals import (
+    ENERGY_WINDOW,
     QUARTETS,
     EnergyWindow,
     NonFiniteError,
+    RemainderBreakdown,
     StatePair,
     relative_entropy,
     remainder,
@@ -131,7 +142,9 @@ class Perturbation:
             raise VerifierError(f"perturbation.amplitude must be finite, got {self.amplitude}")
         if self.amplitude < 0:
             raise VerifierError(f"perturbation.amplitude must be >= 0, got {self.amplitude}")
-        if self.mode < 1:
+        # an integer, as parse_config requires: a fractional mode gives a
+        # SPHERE shape whose slope at the walls is not zero
+        if isinstance(self.mode, bool) or not isinstance(self.mode, int) or self.mode < 1:
             raise VerifierError(f"perturbation.mode must be a positive integer, got {self.mode!r}")
         try:
             phase = 2.0 * math.pi * self.mode  # the GL mode shape's sine argument
@@ -462,6 +475,12 @@ class _AllStored(Exception):
 Row = Callable[[int, float, StatePair], None]
 
 
+def _joins(config: ExperimentConfig, grid: Grid1D, dt: float) -> bool:
+    """Whether a candidate on grid with step dt joins the reference's
+    evolve in _pair_samples (lockstep): both equal the reference's."""
+    return grid == config.grid_reference and dt == config.dt_reference
+
+
 def _pair_samples(
     config: ExperimentConfig,
     candidates: Sequence[Tuple[InitialData, float]],
@@ -501,8 +520,7 @@ def _pair_samples(
             raise
 
     grid_r, dt_r = config.grid_reference, config.dt_reference
-    joined = [i for i, (init, dt) in enumerate(candidates)
-              if init.grid == grid_r and dt == dt_r]
+    joined = [i for i, (init, dt) in enumerate(candidates) if _joins(config, init.grid, dt)]
     later = [i for i in range(len(candidates)) if i not in joined]
     # per candidate grid, the reference samples' stacked (rho, u, d0, d1, d2) rows
     blocks: Dict[Grid1D, List[np.ndarray]] = {candidates[i][0].grid: [] for i in later}
@@ -575,12 +593,18 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     grid until the candidate runs.  Either way the pair functionals are
     evaluated on the candidate grid, the single-state quantities (energy,
     dissipation, mass) on each trajectory's own.  Each sample's
-    `remainder` fills one row of every candidate and pair column and of
-    the per-term columns; the reference's energy and dissipation come
-    from an EnergyWindow, one stacked derivative pass per window of
-    samples.  Solver aborts propagate with the trajectory tag attached;
-    errors evaluating a pair propagate untagged, except that a
-    NonFiniteError gets the sample time added to its message.
+    certificate row (`remainder`) fills one row of every candidate and
+    pair column and of the per-term columns; the reference's energy and
+    dissipation come from an EnergyWindow, one stacked derivative pass per
+    window of samples.  A lockstep twin's rows are evaluated by the same
+    windows: ENERGY_WINDOW pairs in one `remainder` call, right after the
+    same samples' reference energies; a streamed twin's pair is evaluated
+    as it is formed, one call each.  Solver aborts propagate with the
+    trajectory tag attached; errors evaluating a pair propagate untagged,
+    except that a NonFiniteError gets the sample time added to its message.
+    The error of the earliest sample wins, whichever path: at one sample a
+    reference energy comes before the row, and the pairs of a pending
+    window are evaluated before a later abort or energy error propagates.
     """
     params = config.params
     system = params.system
@@ -593,15 +617,10 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     terms: Dict[str, array] = {}
     reference = EnergyWindow(config.grid_reference, params, "reference")
     reached = -math.inf  # the time of the latest sample a row was evaluated at
+    lockstep = _joins(config, config.grid_candidate, config.dt_candidate)
+    window: List[Tuple[float, StatePair]] = []  # lockstep pairs not yet evaluated
 
-    def row(i: int, t: float, pair: StatePair) -> None:
-        nonlocal reached
-        reached = t
-        try:
-            br = remainder(pair, params)
-        except NonFiniteError as exc:
-            exc.args = (f"{exc} at t={t:.6g}",)
-            raise
+    def record(t: float, br: RemainderBreakdown) -> None:
         if not terms:
             terms.update((name, array("d")) for name in (
                 *br.terms, *["h_" + k for k in br.h_terms], "reorg_mismatch"))
@@ -612,15 +631,56 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
                                     *br.h_terms.values(), br.reorg_mismatch)):
             col.append(v)
 
+    def evaluate(t: float, pair: StatePair) -> None:
+        nonlocal reached
+        reached = t
+        try:
+            br = remainder(pair, params)
+        except NonFiniteError as exc:
+            exc.args = (f"{exc} at t={t:.6g}",)
+            raise
+        record(t, br)
+
+    def flush() -> None:
+        # one call for the window; if a pair fails, the pairs are evaluated
+        # again one by one, so that the first to fail raises as when streamed
+        nonlocal reached
+        pending = window[:]
+        window.clear()
+        if not pending:
+            return
+        try:
+            rows = remainder([pair for _, pair in pending], params)
+        except ValueError:
+            for t, pair in pending:
+                evaluate(t, pair)
+            raise
+        reached = pending[-1][0]
+        for (t, _), br in zip(pending, rows):
+            record(t, br)
+
+    def row(i: int, t: float, pair: StatePair) -> None:
+        if not lockstep:
+            evaluate(t, pair)
+            return
+        window.append((t, pair))
+        if len(window) == ENERGY_WINDOW:  # the reference's window was flushed at this sample
+            flush()
+
     cand_init = make_initial_data(
         config.initial_preset, config.grid_candidate, params, config.perturbation
     )
     try:
         _pair_samples(config, [(cand_init, config.dt_candidate)], row, reference.add)
     finally:
-        # the last partial window, also when the run raised: a reference value
-        # beyond the float range up to the sample a row reached comes first
-        reference.flush(until=reached)
+        # the pending pairs, then the last partial window of reference
+        # energies, also when the run raised: an earlier pair's error comes
+        # first, and a reference value beyond the float range up to the
+        # sample a row reached comes before that
+        try:
+            flush()
+        finally:
+            reference.flush(until=reached)
     cols["energy_reference"] = reference.energy
     cols["dissipation_reference"] = reference.dissipation
     # a column no sample filled (the inactive system's remainders, the

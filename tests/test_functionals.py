@@ -613,6 +613,109 @@ def _smooth_twin(system, n, seed):
     return g, states
 
 
+def _row_key(br):
+    """A certificate row's keys in order and its values' bits."""
+    defect = np.nan if br.sphere_defect is None else br.sphere_defect
+    values = [*br.quartet.values(), *br.terms.values(), *br.h_terms.values(), br.h_hat,
+              br.reorg_mismatch, br.entropy, br.energy, br.dissipation, br.mass, defect]
+    return (list(br.quartet), list(br.terms), list(br.h_terms), br.sphere_defect is None,
+            np.array(values).tobytes())
+
+
+def _tilt_reference_director(cand, ref):
+    return cand, State(ref.grid, ref.rho, ref.u, ref.d * 1.001)
+
+
+def _negative_candidate_density(cand, ref):
+    rho = cand.rho.copy()
+    rho[len(rho) // 2] = -1e-3
+    return State(cand.grid, rho, cand.u, cand.d), ref
+
+
+def _overflowing_reference_velocity(cand, ref):
+    return cand, State(ref.grid, ref.rho, ref.u * 1e120, ref.d)
+
+
+# the bad pairs of tests/test_cli.py::TestPairFaults, edited on the pair
+_WINDOW_FAULTS = {"director-off-sphere": _tilt_reference_director,
+                  "negative-density": _negative_candidate_density,
+                  "overflowing-velocity": _overflowing_reference_velocity}
+
+
+# the example count is the active profile's (tests/conftest.py)
+@settings(deadline=None, derandomize=True)
+@given(system=st.sampled_from(list(System)), n=st.sampled_from([9, 17, 33]),
+       count=st.sampled_from([1, 2, W - 1, W, W + 1]), seed=st.integers(0, 2**32 - 1),
+       coeffs=st.none() | st.tuples(st.floats(1.2, 3.0), *[st.floats(0.5, 2.0)] * 5),
+       faults=st.lists(st.tuples(st.sampled_from(sorted(_WINDOW_FAULTS)), st.integers(0, W)),
+                       max_size=2))
+def test_a_window_of_pairs_is_each_pair_alone_bit_for_bit(system, n, count, seed, coeffs,
+                                                          faults):
+    # remainder(pairs) is one pass over K samples; each row must be the
+    # pair's own, and a window must raise what its first bad pair raises
+    # alone (faults may share a pair, or hit two)
+    if coeffs is None:
+        p = Params(system=system)
+    else:
+        gamma, a, sigma0, mu, lam, theta = coeffs
+        p = Params(a=a, gamma=gamma, sigma0=sigma0, mu=mu, lam=lam, theta=theta, system=system)
+    pairs = [StatePair(*_smooth_twin(system, n, seed + k)[1]) for k in range(count)]
+    # GL has no unit-length constraint
+    faults = [(f, at % count) for f, at in faults
+              if not (f == "director-off-sphere" and system is System.GL)]
+    for fault, j in faults:
+        pairs[j] = StatePair(*_WINDOW_FAULTS[fault](pairs[j].candidate, pairs[j].reference))
+    alone, error = [], None
+    for pair in pairs:
+        try:
+            alone.append(remainder(pair, p))
+        except ValueError as exc:  # FunctionalError, NonFiniteError, ConstitutiveError
+            error = exc
+            break
+    assert (error is None) == (not faults)
+    if error is None:
+        assert [_row_key(br) for br in remainder(pairs, p)] == [_row_key(br) for br in alone]
+    else:
+        with pytest.raises(ValueError) as info:
+            remainder(pairs, p)
+        assert type(info.value) is type(error) and str(info.value) == str(error)
+
+
+@pytest.mark.parametrize("system, faults, error, message", [
+    # a pair's row error comes before a later pair's failed check
+    (System.GL, [("overflowing-velocity", 3), ("negative-density", 6)], FunctionalError,
+     "non-finite remainder term rd_velocity_exchange"),
+    # a failed check comes before a later pair's row error
+    (System.GL, [("negative-density", 2), ("overflowing-velocity", 5)], ConstitutiveError,
+     "density must be nonnegative"),
+    (System.SPHERE, [("negative-density", 2), ("director-off-sphere", 5)], ConstitutiveError,
+     "density must be nonnegative"),
+    # at one pair the checks keep their order: unit lengths, then the density
+    (System.SPHERE, [("negative-density", 4), ("director-off-sphere", 4)], FunctionalError,
+     "reference director is not unit length"),
+], ids=["row-then-check", "check-then-row", "checks-of-two-pairs", "checks-of-one-pair"])
+def test_a_window_raises_the_error_of_its_first_bad_pair(system, faults, error, message):
+    p = Params(system=system)
+    pairs = [StatePair(*_smooth_twin(system, 33, k)[1]) for k in range(W)]
+    for fault, j in faults:
+        pairs[j] = StatePair(*_WINDOW_FAULTS[fault](pairs[j].candidate, pairs[j].reference))
+    first = faults[0][1]
+    remainder(pairs[:first], p)
+    for window in (pairs, pairs[first:]):
+        with pytest.raises(error) as info:
+            remainder(window, p)
+        assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(error, match=f"^{message}$"):
+        remainder(pairs[first], p)
+
+
+def test_a_window_takes_pairs_of_one_grid():
+    pairs = [StatePair(*_smooth_twin(System.GL, n, 1)[1]) for n in (33, 33, 17)]
+    assert remainder([], GL) == []
+    with pytest.raises(FunctionalError, match="^the pairs of one call must share one grid$"):
+        remainder(pairs, GL)
+
+
 def test_a_flipped_term_sign_is_a_reorganization_mismatch(monkeypatch):
     # rd_pressure_transport is O(1) on this GL pair: with its sign flipped,
     # r_d + r_c moves by twice that, past the O(dx^2) tolerance

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nemlab import verifier
-from nemlab.constitutive import Params, System
+from nemlab.constitutive import ConstitutiveError, Params, System
 from nemlab.dynamics import CflError, State
 from nemlab.functionals import (
     ENERGY_WINDOW,
@@ -145,6 +145,14 @@ class TestPresets:
         with pytest.raises(VerifierError, match=f"^perturbation.amplitude must be finite, "
                                                 f"got {amplitude}$"):
             Perturbation(amplitude=amplitude, mode=2)
+
+    @pytest.mark.parametrize("mode", [2.5, 2.0, True, np.int64(2), "2", 0, -1])
+    def test_mode_that_is_not_a_positive_integer_rejected(self, mode):
+        # parse_config's rule and message: mode 2.5 gave the SPHERE shape
+        # cos(2.5 pi s), whose slope at the right wall is not zero
+        with pytest.raises(VerifierError, match=re.escape(
+                f"perturbation.mode must be a positive integer, got {mode!r}")):
+            Perturbation(amplitude=1e-2, mode=mode)
 
     def test_unknown_preset_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -605,6 +613,66 @@ class TestLockstepTwin:
         assert any(name.startswith("h_") for name in lockstep.terms)
         for name, col in lockstep.terms.items():
             assert col.tobytes() == streamed.terms[name].tobytes(), name
+
+    @pytest.mark.parametrize("count", [2, W - 1, W, W + 1, 2 * W + 3])
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_windows_of_rows_give_the_streamed_columns(self, system, count, monkeypatch):
+        # a lockstep twin's rows are evaluated ENERGY_WINDOW samples per
+        # remainder call, the last window partial or full
+        cfg = twin_config(system, n_ref=33, n_cand=33, amplitude=1e-3, t_end=0.004,
+                          sample_interval=0.004 / (count - 1))
+        windows = []
+        original = verifier.remainder
+
+        def counting(pairs, params):
+            windows.append(len(pairs))
+            return original(pairs, params)
+
+        with monkeypatch.context() as m:
+            m.setattr(verifier, "remainder", counting)
+            lockstep = run_twin(cfg)
+        assert windows == [W] * (count // W) + ([count % W] if count % W else [])
+        streamed = run_twin(replace(cfg, dt_reference=np.nextafter(cfg.dt_reference, 1.0)))
+        assert len(lockstep) == len(streamed) == count
+        for name in TRACE_COLUMNS:
+            assert getattr(lockstep, name).tobytes() == getattr(streamed, name).tobytes(), name
+        assert list(lockstep.terms) == list(streamed.terms)
+        for name, col in lockstep.terms.items():
+            assert col.tobytes() == streamed.terms[name].tobytes(), name
+
+    @pytest.mark.parametrize("bad_pair", [True, False])
+    def test_a_bad_pair_mid_window_comes_before_a_later_abort(self, monkeypatch, bad_pair):
+        # the pair at the third sample fails; the candidate aborts after the
+        # sixth, before the window of ENERGY_WINDOW samples is full
+        cfg = twin_config(n_ref=33, n_cand=33, amplitude=1e-3, t_end=0.01)
+        original = verifier.evolve
+
+        def aborting(inits, *args, observer, **kwargs):
+            samples = 0
+
+            def observe(states, t):
+                nonlocal samples
+                reference, cand = states
+                if samples == 2 and bad_pair:
+                    rho = cand.rho.copy()
+                    rho[5] = -1e-3
+                    states = (reference, State(cand.grid, rho, cand.u, cand.d))
+                observer(states, t)
+                samples += 1
+                if samples == 6:
+                    raise CflError("dt exceeds the stability bound", member=1)
+
+            return original(inits, *args, observer=observe, **kwargs)
+
+        monkeypatch.setattr(verifier, "evolve", aborting)
+        assert 6 < W
+        if bad_pair:
+            with pytest.raises(ConstitutiveError, match="^density must be nonnegative$"):
+                run_twin(cfg)
+        else:
+            with pytest.raises(CflError, match="^candidate trajectory: dt exceeds the "
+                                               "stability bound$"):
+                run_twin(cfg)
 
     def test_unequal_grids_or_steps_run_one_trajectory_at_a_time(self, monkeypatch):
         calls = _counting_evolve(monkeypatch)
