@@ -288,8 +288,10 @@ def _check_gronwall_cert(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, 
 
 def _check_energy(cfg: ExperimentConfig, trace_path: str) -> Tuple[bool, str]:
     rep = check_energy(_written_twin(cfg, trace_path))
+    first = rep.first_violation_time
     return rep.passes, (f"max_violation candidate={rep.max_violation_candidate:.3e} "
-                        f"reference={rep.max_violation_reference:.3e} tol={rep.tol:g}")
+                        f"reference={rep.max_violation_reference:.3e} tol={rep.tol:g} "
+                        f"first_violation={'none' if first is None else format(first, '.6g')}")
 
 
 def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool, str]:

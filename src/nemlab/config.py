@@ -25,13 +25,14 @@ non-finite numbers, the grid node counts, and the positivity of lambda
 (Params names it lam) and dt (no type holds it).  The domain types own
 every other value range and name the key in their messages: Params
 (gamma > 1; a, sigma0, mu, theta > 0; sigma0**2 a finite positive float),
-Perturbation (amplitude >= 0, mode >= 1), GronwallConfig (c_h > 0,
-slack >= 0) and ExperimentConfig (step sizes, t_end, sample_interval,
-density_floor > 0; preset known and of the system; at most MAX_STEPS
-steps and MAX_SAMPLES samples), reported as ConfigError; Perturbation
-and GronwallConfig also reject non-finite values, for library callers.
-Grid1D owns the domain (finite, x_max > x_min, dx^2 and 1/dx^2 finite
-positive floats), named x_min/x_max.
+Perturbation (amplitude >= 0; mode, type included, a positive integer),
+GronwallConfig (c_h > 0, slack >= 0) and ExperimentConfig (step sizes,
+t_end, sample_interval, density_floor > 0; preset known and of the
+system; at most MAX_STEPS steps and MAX_SAMPLES samples), reported as
+ConfigError; Perturbation and GronwallConfig also reject non-finite
+values, for library callers.  Grid1D owns the node count's float range,
+named <key>.n, and the domain (finite, x_max > x_min, dx^2 and 1/dx^2
+finite positive floats), named x_min/x_max.
 The director boundary rows follow from the system (pinned for GL,
 mirrored for SPHERE), so they have no key.
 """
@@ -108,14 +109,18 @@ def _section(doc: Dict[str, Any], key: str, allowed: Set[str]) -> Dict[str, Any]
     return section
 
 
-def _grid_nodes(doc: Dict[str, Any], key: str) -> int:
+def _grid(doc: Dict[str, Any], key: str, x_min: float, x_max: float) -> Grid1D:
     section = _section(doc, key, {"n"})
     if "n" not in section:
         raise ConfigError(f"{key}.n is required")
     n = section["n"]
     if not _is_int(n) or n < 5:
         raise ConfigError(f"{key}.n must be an integer >= 5, got {n!r}")
-    return n
+    try:
+        return Grid1D(n, x_min, x_max)
+    except GridError as exc:  # Grid1D's node-count messages name n_nodes
+        where = f"{key}.n" if str(exc).startswith("n_nodes") else "x_min/x_max"
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -127,7 +132,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")
@@ -149,18 +154,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     x_min = _number(doc, "x_min", 0.0)
     x_max = _number(doc, "x_max", 1.0)
-    try:
-        grid_ref, grid_cand = (Grid1D(_grid_nodes(doc, key), x_min, x_max)
-                               for key in ("grid_reference", "grid_candidate"))
-    except GridError as exc:
-        raise ConfigError(f"x_min/x_max: {exc}") from None
+    grid_ref, grid_cand = (_grid(doc, key, x_min, x_max)
+                           for key in ("grid_reference", "grid_candidate"))
 
     dt = _positive(doc, "dt")
     pert = _section(doc, "perturbation", {"amplitude", "mode"})
     amplitude = _number(pert, "amplitude", 0.0, prefix="perturbation.")
-    mode = pert.get("mode", 1)
-    if not _is_int(mode):
-        raise ConfigError(f"perturbation.mode must be a positive integer, got {mode!r}")
     gron = _section(doc, "gronwall", {"c_h", "slack"})
     c_h = None if gron.get("c_h") is None else _number(gron, "c_h", prefix="gronwall.")
     slack = _number(gron, "slack", 0.0, prefix="gronwall.")
@@ -179,7 +178,7 @@ def parse_config(text: str) -> ExperimentConfig:
             dt_candidate=_number(doc, "dt_candidate", dt),
             t_end=_number(doc, "t_end"),
             initial_preset=doc["initial_preset"],
-            perturbation=Perturbation(amplitude=amplitude, mode=mode),
+            perturbation=Perturbation(amplitude=amplitude, mode=pert.get("mode", 1)),
             sample_interval=_number(doc, "sample_interval"),
             gronwall=GronwallConfig(c_h=c_h, slack=slack),
             density_floor=_number(doc, "density_floor", DEFAULT_DENSITY_FLOOR),

@@ -26,6 +26,8 @@ from enum import Enum
 
 import numpy as np
 
+from .grid import _ONE
+
 # Bregman round-off grows with the terms' size: within this times that size
 # (at least 1) it is clamped to zero; anything more negative raises.
 _BREGMAN_CLAMP = 1e-14
@@ -136,32 +138,28 @@ def _power_law(rho, coefficient, exponent, out=None):
     return np.multiply(out, coefficient, out)
 
 
-def gl_potential(d, params: Params, sq=None, out=None, scale=None):
+def gl_potential(sq, scale, out=None):
     """Penalization energy density F(d) = (|d|^2 - 1)^2 / (4 sigma0^2).
 
-    d has shape (3, n) or (K, 3, n); returns a length-n or a (K, n)
-    array, written to out when given.  sq, when given, holds |d|^2 as a
-    sum over the components gives it, and d is not read; scale, when
-    given, is 4 sigma0^2 (the 0-d operand of the energy pass and the
-    certificate row), and params is not read.
+    sq holds |d|^2 (a length-n or a (K, n) array, as a sum over the
+    components gives it) and scale is 4 sigma0^2, a float or the 0-d
+    operand of the energy pass and the certificate row; the density has
+    sq's shape and is written to out when given.
     """
-    if sq is None:
-        sq = np.square(d, dtype=float).sum(axis=-2)
     s = np.subtract(sq, 1.0, out)
     np.multiply(s, s, s)
-    return np.divide(s, 4.0 * params.sigma0**2 if scale is None else scale, s)
+    return np.divide(s, scale, s)
 
 
-def gl_force(d, sigma0_sq, out=None, one=1.0):
+def gl_force(d, sigma0_sq, out=None):
     """Exact gradient f(d) = (|d|^2 - 1) d / sigma0^2 of the penalization.
 
-    d has shape (3, n) or (B, 3, n); sigma0_sq and one (sigma0^2 and 1) are
-    floats or 0-d arrays.  The force is written to out when given.
+    d is a float array of shape (3, n) or (B, 3, n); sigma0_sq (sigma0^2)
+    is a float or a 0-d array.  The force is written to out when given.
     """
-    d = np.asarray(d, dtype=float)
     out = np.multiply(d, d, out)
     s = np.add.reduce(out, -2, None, None, True)
-    np.subtract(s, one, s)
+    np.subtract(s, _ONE, s)
     out = np.multiply(s, d, out)
     return np.divide(out, sigma0_sq, out)
 

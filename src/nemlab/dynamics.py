@@ -112,7 +112,7 @@ import numpy as np
 import scipy
 
 from .constitutive import Params, System, _power_law, gl_force
-from .grid import _HALF, _ONE, Grid1D, _scalar, _spacing, central_gradient, central_laplacian
+from .grid import _HALF, Grid1D, _scalar, _spacing, central_gradient, central_laplacian
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -359,7 +359,7 @@ class _Operands:
     the CFL bound computes with math, so its three are floats of their own."""
 
     def __init__(self, p: Params, dx: float):
-        self.params, self.gl = p, p.system is System.GL
+        self.gl = p.system is System.GL
         self.two_dx, self.dx2, _, self.neg_dx = _spacing(dx)
         self.wave_coeff, self.wave_power, self.cfl_dx = p.dp_coeff, p.gamma - 1.0, _CFL_NUMBER * dx
         (self.a, self.gamma, self.gamma_m1, self.gamma_m2, self.pi_coeff, self.pi1_coeff,
@@ -564,7 +564,7 @@ def _explicit_rates(work: _Workspace, ops: _Operands) -> Tuple[np.ndarray, ...]:
     work.grad_walls.fill(0.0)
     central_laplacian(work.d_flat, ops.dx2, work.lap_in)
     if ops.gl:
-        gl_force(work.d, ops.sigma0_sq, rate, _ONE)
+        gl_force(work.d, ops.sigma0_sq, rate)
         np.subtract(curv, work.rate_flat, curv)
         np.multiply(rate, ops.neg_theta, rate)
     else:

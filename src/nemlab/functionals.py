@@ -47,20 +47,20 @@ Call forms, as in the IMEX step (see dynamics): a row is some 150 numpy
 calls on a few hundred floats each, so their fixed cost is most of it,
 and a window of K samples pays it once: at n = 97 a row costs about 160
 us alone and about 45 us per sample in a window of ENERGY_WINDOW
-(BENCH_row.json).  A lockstep twin's rows are therefore evaluated a
-window at a time, with the same samples' reference energies (run_twin);
-a streamed twin's stay one call per sample, as each pair is formed:
-bench/test_bench.py counts one call per streamed sample, so windowing
-them waits for a change to the benchmark.  Scalar operands are read-only
-0-d arrays: grid's literals and the table the step reads too,
-dynamics._Operands, cached per (params, dx) by dynamics._operands and,
-for a row, by _layout (one lookup per call); outputs are positional, into
-the row's stack, an earlier temporary or EnergyWindow's scratch; every
-operation keeps its order.  The products that broadcast a row over the
-three director components (u d_x, GL's force, SPHERE's |d_x|^2 d) stay
-single calls: numpy buffers such an operand, but the per-component form
-takes three calls and measured slower at K = 1 and K = 8 (numpy 2.4, n =
-97 and 257).
+(BENCH_row.json).  run_twin passes every row to the sequence form: a
+lockstep twin's a window at a time, with the same samples' reference
+energies, a streamed twin's as a window of one, as each pair is formed
+(bench/test_bench.py counts one call per streamed sample, so wider
+streamed windows wait for a change to the benchmark).  Scalar operands
+are read-only 0-d arrays: grid's literals and the table the step reads
+too, dynamics._Operands, cached per (params, dx) by dynamics._operands
+and, for a row, by _layout (one lookup per call); outputs are
+positional, into the row's stack, an earlier temporary or
+EnergyWindow's scratch; every operation keeps its order.  The products
+that broadcast a row over the three director components (u d_x, GL's
+force, SPHERE's |d_x|^2 d) stay single calls: numpy buffers such an
+operand, but the per-component form takes three calls and measured
+slower at K = 1 and K = 8 (numpy 2.4, n = 97 and 257).
 
 Coefficient threading: with the director energy weighted by lam, the
 natural weights are mu on viscous terms, lam on director transport
@@ -92,7 +92,7 @@ from .constitutive import (
     gl_potential,
 )
 from .dynamics import DEFAULT_DENSITY_FLOOR, State, _Operands, _operands
-from .grid import _HALF, _ONE, _THREE, Grid1D, gradient_array, laplacian_array, trapezoid_array
+from .grid import _HALF, _THREE, Grid1D, gradient_array, laplacian_array, trapezoid_array
 
 # Reorganization mismatch beyond this multiple of dx^2 * magnitude-scale
 # indicates a formula-level error rather than discretization noise.
@@ -228,7 +228,7 @@ def _state_densities(rho, u, grad_u, grad_sq, resid_sq, pi, o: _Operands, out,
     np.add(np.multiply(np.multiply(np.multiply(rho, _HALF, dens), u, dens), u, dens), pi, dens)
     director = np.multiply(grad_sq, _HALF, tmp[0])
     if o.gl:
-        np.add(director, gl_potential(None, o.params, d_sq, tmp[1], o.four_sigma0_sq), director)
+        np.add(director, gl_potential(d_sq, o.four_sigma0_sq, tmp[1]), director)
     np.multiply(np.multiply(grad_u, o.mu, dsp), grad_u, dsp)
     np.add(dsp, np.multiply(resid_sq, o.lam_theta, tmp[1]), dsp)
     return np.add(dens, np.multiply(director, o.lam, director), dens), dsp
@@ -266,7 +266,7 @@ def _energy_rows(rows: np.ndarray, dx: float, o: _Operands, scratch=None) -> np.
     grad = gradient_array(values, dx, scratch[:5 * m].reshape(-1, n)).reshape(5, -1)
     grad_d = np.multiply(grad[2:], grad[2:], grad[2:])  # squared in place
     grad_sq = np.add.reduce(grad_d, 0, None, grad[0])  # rho's gradient is not read
-    force = gl_force(d, o.sigma0_sq, grad_d, _ONE) if o.gl else None
+    force = gl_force(d, o.sigma0_sq, grad_d) if o.gl else None
     lap = laplacian_array(values[2 * k:], dx, scratch[5 * m:8 * m].reshape(-1, n)).reshape(3, -1)
     resid = _residual(d, lap, grad_sq, force, grad_d)
     resid_sq = np.add.reduce(np.multiply(resid, resid, resid), 0, None, lap[0])
@@ -452,7 +452,7 @@ class _PairFields:
         self.faults: Dict[int, ValueError] = {}  # sample -> the error its row raises first
         if o.gl:
             # gl_force takes the components on the second-to-last axis
-            forces = gl_force(rows[-6:].reshape(2, 3, -1), o.sigma0_sq, None, _ONE)
+            forces = gl_force(rows[-6:].reshape(2, 3, -1), o.sigma0_sq)
             force, force_r = forces = forces.reshape(2, 3, k, n)
             dforce = force - force_r
             # the GL curvatures d_xx - f(d) of both states, from their stacks
@@ -635,7 +635,8 @@ def remainder(pairs: Union[StatePair, Sequence[StatePair]], params: Params):
 
     A StatePair gives its RemainderBreakdown; a sequence of K pairs gives
     a list of K, each bit for bit the one its pair gives alone, or raises
-    the error that the first of its pairs to fail raises alone.  Both are
+    the error that the first of its pairs to fail raises alone, with that
+    pair's index in the error's `sample` attribute.  Both are
     one pass (_PairFields), a single pair being the case K = 1: every
     integrand of every sample is written to its row of one stack that a
     single trapezoid call integrates, and one max gives every h_hat norm.
@@ -645,9 +646,9 @@ def remainder(pairs: Union[StatePair, Sequence[StatePair]], params: Params):
     float range raise FunctionalError (see _check_row), not a numpy warning.
 
     The pass costs some 150 numpy calls whatever K is, so a window of
-    samples pays that fixed cost once: run_twin evaluates a lockstep twin's
-    rows ENERGY_WINDOW samples at a time, and a streamed twin's one by
-    one, as each pair is formed.
+    samples pays that fixed cost once: run_twin passes every row as a
+    sequence, a lockstep twin's ENERGY_WINDOW samples at a time and a
+    streamed twin's one at a time, as each pair is formed.
     """
     single = isinstance(pairs, StatePair)
     if not single and not pairs:
@@ -680,26 +681,30 @@ def remainder(pairs: Union[StatePair, Sequence[StatePair]], params: Params):
     mags = np.maximum.reduce(np.abs(mags, mags), -1).T.tolist()
     first = min(f.faults, default=len(mags))  # no row is built for a sample at or past it
     out = []
-    for j, sample, norms in zip(range(first), integrals, mags):
-        values = [c * v for c, v in zip(coefficients, sample)]
-        values[-1] = math.sqrt(values[-1])
-        entropy, energy_c, dissipation_c, mass_c, l3_cubed = sample[len(values):]
-        # each block sums left to right in term order
-        quartet = [functools.reduce(operator.add, values[a:b]) for a, b in blocks]
-        lhs = quartet[0] + quartet[1] if gl else quartet[1]
-        mismatch = lhs - (quartet[2] + quartet[3])
-        h_terms = _gronwall_terms(norms, gl, l3_cubed)
-        br = RemainderBreakdown(
-            quartet=dict(zip(quartet_names, quartet)),
-            terms=dict(zip(names, values)), h_terms=h_terms,
-            h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch), entropy=entropy,
-            energy=energy_c, dissipation=dissipation_c, mass=mass_c,
-            sphere_defect=None if gl else f.sphere_defect[j],
-        )
-        _check_row(br, f.dx, l3_cubed)
-        out.append(br)
-    if f.faults:
-        raise f.faults[first]
+    try:
+        for j, sample, norms in zip(range(first), integrals, mags):
+            values = [c * v for c, v in zip(coefficients, sample)]
+            values[-1] = math.sqrt(values[-1])
+            entropy, energy_c, dissipation_c, mass_c, l3_cubed = sample[len(values):]
+            # each block sums left to right in term order
+            quartet = [functools.reduce(operator.add, values[a:b]) for a, b in blocks]
+            lhs = quartet[0] + quartet[1] if gl else quartet[1]
+            mismatch = lhs - (quartet[2] + quartet[3])
+            h_terms = _gronwall_terms(norms, gl, l3_cubed)
+            br = RemainderBreakdown(
+                quartet=dict(zip(quartet_names, quartet)),
+                terms=dict(zip(names, values)), h_terms=h_terms,
+                h_hat=float(sum(h_terms.values())), reorg_mismatch=float(mismatch),
+                entropy=entropy, energy=energy_c, dissipation=dissipation_c, mass=mass_c,
+                sphere_defect=None if gl else f.sphere_defect[j],
+            )
+            _check_row(br, f.dx, l3_cubed)
+            out.append(br)
+        if f.faults:
+            raise f.faults[first]
+    except ValueError as exc:
+        exc.sample = len(out)  # the pair whose row or check failed
+        raise
     return out[0] if single else out
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +48,13 @@ class Grid1D:
     x_max: float = 1.0
 
     def __post_init__(self):
-        if self.n_nodes < 5:
-            raise GridError(f"n_nodes must be >= 5, got {self.n_nodes}")
+        n = self.n_nodes  # an int or a numpy integer, not a bool
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise GridError(f"n_nodes must be an integer, got {n!r}")
+        if n < 5:
+            raise GridError(f"n_nodes must be >= 5, got {n}")
+        if not n - 1 <= sys.float_info.max:  # dx divides by it; the comparison is exact
+            raise GridError("n_nodes is too large: n_nodes - 1 is beyond the float range")
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
             raise GridError("grid endpoints must be finite")
         if self.x_max <= self.x_min:

@@ -43,19 +43,20 @@ O(samples * sum of level sizes), never its reference-grid samples.
 run_twin's reference energies and dissipations take one EnergyWindow:
 ENERGY_WINDOW (8) samples copied into one buffer and evaluated by one
 stacked pass when it is full, O(ENERGY_WINDOW * n_reference) floats with
-the pass's scratch whatever the sample count.  A lockstep twin's
-certificate rows take the same windows: run_twin holds up to
-ENERGY_WINDOW pairs (each a view of one read-only sample of both
-members, 10 n floats) and evaluates them with one remainder call right
-after the reference energies of the same samples, as the row's fixed
-cost of some 150 numpy calls is paid once per window; the call's
+the pass's scratch whatever the sample count.  Every certificate row
+takes one path: run_twin keeps its pairs in a pending window (each pair
+a view of one read-only sample of both members, 10 n floats) and
+evaluates the window with one remainder call.  A lockstep twin's window
+holds ENERGY_WINDOW pairs and is evaluated right after the reference
+energies of the same samples, as the row's fixed cost of some 150 numpy
+calls is paid once per window; a streamed twin's holds one pair
+(bench/test_bench.py counts one call per streamed sample).  The call's
 scratch peaks at about 140 n floats per sample (tracemalloc: 0.86 MB
-for a GL window at n = 97) and is freed when it returns.  A streamed
-twin's rows stay one remainder call per sample, evaluated as each pair
-is formed (bench/test_bench.py counts one call per streamed sample).
-Results are kept as columns of packed doubles: the per-term columns of
-EntropyTrace.terms take O(samples * terms) floats (a few dozen terms),
-not one object per sample.
+for a GL window at n = 97) and is freed when it returns; run_twin's
+closures form no reference cycle, which would keep its buffers alive
+until the cyclic collector runs.  Results are kept as columns of packed
+doubles: the per-term columns of EntropyTrace.terms take O(samples *
+terms) floats (a few dozen terms), not one object per sample.
 """
 
 from __future__ import annotations
@@ -596,15 +597,16 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     certificate row (`remainder`) fills one row of every candidate and
     pair column and of the per-term columns; the reference's energy and
     dissipation come from an EnergyWindow, one stacked derivative pass per
-    window of samples.  A lockstep twin's rows are evaluated by the same
-    windows: ENERGY_WINDOW pairs in one `remainder` call, right after the
-    same samples' reference energies; a streamed twin's pair is evaluated
-    as it is formed, one call each.  Solver aborts propagate with the
-    trajectory tag attached; errors evaluating a pair propagate untagged,
-    except that a NonFiniteError gets the sample time added to its message.
-    The error of the earliest sample wins, whichever path: at one sample a
-    reference energy comes before the row, and the pairs of a pending
-    window are evaluated before a later abort or energy error propagates.
+    window of samples.  Every pair joins a pending window, evaluated by
+    one `remainder` call: a lockstep twin's holds ENERGY_WINDOW pairs and
+    is evaluated right after the same samples' reference energies, a
+    streamed twin's holds one, evaluated as the pair is formed.  Solver
+    aborts propagate with the trajectory tag attached; errors evaluating a
+    pair propagate untagged, except that a NonFiniteError gets the time
+    of the pair it names (its `sample`) added to its message.  The error
+    of the earliest sample wins: at one sample a reference energy comes
+    before the row, and the pairs of a pending window are evaluated before
+    a later abort or energy error propagates.  No pair is evaluated twice.
     """
     params = config.params
     system = params.system
@@ -617,8 +619,8 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     terms: Dict[str, array] = {}
     reference = EnergyWindow(config.grid_reference, params, "reference")
     reached = -math.inf  # the time of the latest sample a row was evaluated at
-    lockstep = _joins(config, config.grid_candidate, config.dt_candidate)
-    window: List[Tuple[float, StatePair]] = []  # lockstep pairs not yet evaluated
+    size = ENERGY_WINDOW if _joins(config, config.grid_candidate, config.dt_candidate) else 1
+    window: List[Tuple[float, StatePair]] = []  # pairs not yet evaluated, at most size
 
     def record(t: float, br: RemainderBreakdown) -> None:
         if not terms:
@@ -631,40 +633,26 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
                                     *br.h_terms.values(), br.reorg_mismatch)):
             col.append(v)
 
-    def evaluate(t: float, pair: StatePair) -> None:
-        nonlocal reached
-        reached = t
-        try:
-            br = remainder(pair, params)
-        except NonFiniteError as exc:
-            exc.args = (f"{exc} at t={t:.6g}",)
-            raise
-        record(t, br)
-
     def flush() -> None:
-        # one call for the window; if a pair fails, the pairs are evaluated
-        # again one by one, so that the first to fail raises as when streamed
+        # one call for the pending pairs; an error's `sample` (default 0) names its pair
         nonlocal reached
-        pending = window[:]
-        window.clear()
+        pending, window[:] = window[:], []
         if not pending:
             return
         try:
             rows = remainder([pair for _, pair in pending], params)
-        except ValueError:
-            for t, pair in pending:
-                evaluate(t, pair)
+        except ValueError as exc:
+            reached = pending[getattr(exc, "sample", 0)][0]
+            if isinstance(exc, NonFiniteError):
+                exc.args = (f"{exc} at t={reached:.6g}",)
             raise
         reached = pending[-1][0]
         for (t, _), br in zip(pending, rows):
             record(t, br)
 
     def row(i: int, t: float, pair: StatePair) -> None:
-        if not lockstep:
-            evaluate(t, pair)
-            return
         window.append((t, pair))
-        if len(window) == ENERGY_WINDOW:  # the reference's window was flushed at this sample
+        if len(window) == size:  # lockstep: the reference's window was flushed at this sample
             flush()
 
     cand_init = make_initial_data(

@@ -135,7 +135,8 @@ def test_criterion_2_constitutive_identities(capsys):
         p = Params(sigma0=rng.uniform(0.5, 2.0))
         d = rng.normal(size=(3, 10))
         d *= rng.uniform(0.0, 2.0, 10) / np.maximum(np.linalg.norm(d, axis=0), 1e-12)
-        fd = np.array([(gl_potential(d + e, p) - gl_potential(d - e, p)) / (2 * h)
+        fd = np.array([(gl_potential(((d + e)**2).sum(axis=0), 4 * p.sigma0**2)
+                        - gl_potential(((d - e)**2).sum(axis=0), 4 * p.sigma0**2)) / (2 * h)
                        for e in h * np.eye(3)[:, :, None]])
         worst_force = max(worst_force, np.max(np.abs(gl_force(d, p.sigma0**2) - fd)))
 

@@ -29,7 +29,7 @@ from nemlab.traceio import (
     write_columns,
     write_trace,
 )
-from nemlab.verifier import EntropyTrace, Perturbation, VerifierError, run_twin
+from nemlab.verifier import EnergyReport, EntropyTrace, Perturbation, VerifierError, run_twin
 
 MINIMAL_GL = {
     "system": "gl",
@@ -469,6 +469,19 @@ class TestMain:
                      "-o", str(tmp_path / "t.csv"),
                      "--manifest", str(tmp_path / "m.json")])
         assert code == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" first_violation=none")
+
+    def test_energy_command_names_the_first_violation(self, tmp_path, capsys, monkeypatch):
+        report = EnergyReport(passes=False, tol=1e-3, max_violation_candidate=0.5,
+                              max_violation_reference=0.0, first_violation_time=0.0125)
+        monkeypatch.setattr(cli, "check_energy", lambda trace: report)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        assert main(["energy", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "[FAIL] energy: max_violation candidate=5.000e-01 reference=0.000e+00 tol=0.001 "
+            "first_violation=0.0125")
 
     def test_uniqueness_prints_an_infinite_order_as_inf(self, tmp_path, capsys):
         # the finest level has the reference's grid and step, so its entropy
@@ -699,6 +712,38 @@ class TestMain:
         assert capsys.readouterr() == (
             "", "config error: NEMLAB_WORKERS must be an integer, got 'two'\n"
         )
+
+    @pytest.mark.parametrize("key", ["grid_reference", "grid_candidate"])
+    @pytest.mark.parametrize("command", ["twin", "uniqueness"])
+    def test_node_count_beyond_the_float_range_exits_2(self, tmp_path, capsys, command, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{key: {"n": 10**400}}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        assert main([command, "-c", str(path), *out,
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            f"config error: {key}.n: n_nodes is too large: n_nodes - 1 is beyond the "
+            "float range\n"))
+
+    def test_node_count_of_more_digits_than_json_parses_exits_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer of over 4300 digits
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(grid_candidate={"n": 0}).replace('{"n": 0}',
+                                                                  '{"n": 1%s}' % ("0" * 5000)))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("config error: not valid JSON: Exceeds the limit (4300 digits)")
+
+    def test_level_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        assert main(["uniqueness", "-c", str(path), "--levels", f"33,65,{10**400}",
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            "config error: --levels: n_nodes is too large: n_nodes - 1 is beyond the "
+            "float range\n"))
 
     def test_levels_checked_on_the_config_domain(self, tmp_path, capsys):
         # on [0, 1e-150] a level of 20001 nodes has 1/dx^2 beyond the float range
@@ -1115,7 +1160,8 @@ class TestPairFaults:
 # document takes up to three.  The values behind the defects mended so far
 # are among them: gamma 8000, lambda 1e300 on x_max 1e5 and 1e-5, t_end
 # 1e-13 and 1e300, a mode beyond the float range, non-finite numbers, a
-# floor above the initial density, levels that are no grids.  Every run has
+# floor above the initial density, levels that are no grids, a node count
+# (a grid's or a level's) beyond the float range.  Every run has
 # n <= 33 and, where its config is valid, a few thousand steps at most
 # (uniqueness's finest level takes up to 16 times the candidate's steps).
 _FUZZ_BASE = dict(MINIMAL_GL, grid_reference={"n": 33}, grid_candidate={"n": 17},
@@ -1129,8 +1175,8 @@ _FUZZ_EDGES = {
     "theta": [0.001, 1e300, 1e-300],
     "x_min": [-1.0, -1e300],
     "x_max": [1e5, 1e-5, 1e300, 1e-160],
-    "grid_reference": [{"n": 5}, {"n": 9}, {"n": 4}],
-    "grid_candidate": [{"n": 33}, {"n": 9}, {"n": 5}],
+    "grid_reference": [{"n": 5}, {"n": 9}, {"n": 4}, {"n": 10**400}],
+    "grid_candidate": [{"n": 33}, {"n": 9}, {"n": 5}, {"n": 10**400}],
     "dt": [5e-5, 1e-3, 0.04, -1.0],
     "dt_candidate": [1e-5, math.inf],
     "t_end": [4e-5, 1e-13, 0.01, 1e300],
@@ -1152,7 +1198,8 @@ def _fuzz_cases(draw):
     for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_EDGES)), max_size=3, unique=True)):
         doc[key] = draw(st.sampled_from(_FUZZ_EDGES[key]))
     command = draw(st.sampled_from(["twin", "gronwall", "energy", "simulate", "uniqueness"]))
-    return command, draw(st.sampled_from(["9,17,33", "5,9,17", "2,3,4", "17,9,33"])), doc
+    levels = ["9,17,33", "5,9,17", "2,3,4", "17,9,33", f"9,17,{10**400}"]
+    return command, draw(st.sampled_from(levels)), doc
 
 
 class TestConfigFuzz:

@@ -122,23 +122,24 @@ class TestGinzburgLandau:
     def test_unit_sphere_is_ground_state(self):
         p = Params(sigma0=1.0)
         d = np.array([[0.6], [0.8], [0.0]])
-        assert gl_potential(d, p) == pytest.approx(0.0, abs=1e-15)
+        assert gl_potential((d * d).sum(axis=0), 4 * p.sigma0**2) == pytest.approx(0.0,
+                                                                            abs=1e-15)
         assert np.allclose(gl_force(d, p.sigma0**2), 0.0, atol=1e-15)
 
     def test_origin_value(self):
-        assert gl_potential(np.zeros((3, 1)), Params(sigma0=1.0)) == pytest.approx(0.25)
+        assert gl_potential(np.zeros(1), 4.0) == pytest.approx(0.25)
 
     def test_stretched_value(self):
         p = Params(sigma0=1.0)
         d = np.array([[2.0], [0.0], [0.0]])
-        assert gl_potential(d, p) == pytest.approx(2.25)
+        assert gl_potential((d * d).sum(axis=0), 4 * p.sigma0**2) == pytest.approx(2.25)
         assert np.allclose(gl_force(d, p.sigma0**2), [[6.0], [0.0], [0.0]])
 
     def test_potential_nonnegative(self):
         rng = np.random.default_rng(5)
         p = Params(sigma0=0.7)
         d = rng.uniform(-2, 2, size=(3, 500))
-        assert np.all(gl_potential(d, p) >= 0.0)
+        assert np.all(gl_potential((d * d).sum(axis=0), 4 * p.sigma0**2) >= 0.0)
 
     def test_force_outward_beyond_unit_ball(self):
         rng = np.random.default_rng(9)
@@ -155,7 +156,8 @@ class TestGinzburgLandau:
             p = Params(sigma0=rng.uniform(0.5, 2.0))
             d = rng.normal(size=(3, 10))
             d *= rng.uniform(0.0, 2.0, 10) / np.maximum(np.linalg.norm(d, axis=0), 1e-12)
-            fd = np.array([(gl_potential(d + e, p) - gl_potential(d - e, p)) / (2 * h)
+            fd = np.array([(gl_potential(((d + e)**2).sum(axis=0), 4 * p.sigma0**2)
+                            - gl_potential(((d - e)**2).sum(axis=0), 4 * p.sigma0**2)) / (2 * h)
                            for e in h * np.eye(3)[:, :, None]])
             assert np.max(np.abs(gl_force(d, p.sigma0**2) - fd)) <= 1e-6
 

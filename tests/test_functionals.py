@@ -679,6 +679,7 @@ def test_a_window_of_pairs_is_each_pair_alone_bit_for_bit(system, n, count, seed
         with pytest.raises(ValueError) as info:
             remainder(pairs, p)
         assert type(info.value) is type(error) and str(info.value) == str(error)
+        assert info.value.sample == len(alone)  # the pair whose error it is
 
 
 @pytest.mark.parametrize("system, faults, error, message", [

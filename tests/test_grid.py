@@ -28,6 +28,21 @@ class TestGrid1D:
         with pytest.raises(GridError):
             Grid1D(4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n", [33.0, True, "33", None])
+    def test_node_count_that_is_not_an_integer_rejected(self, n):
+        with pytest.raises(GridError, match=f"^n_nodes must be an integer, got {n!r}$"):
+            Grid1D(n, 0.0, 1.0)
+
+    def test_node_count_beyond_the_float_range_rejected(self):
+        # dx divides by n - 1, which float() cannot convert
+        with pytest.raises(GridError, match=r"^n_nodes is too large: n_nodes - 1 is beyond "
+                                            r"the float range$"):
+            Grid1D(10**400, 0.0, 1.0)
+
+    def test_numpy_integer_node_count_accepted(self):
+        g = Grid1D(np.int64(33), 0.0, 1.0)
+        assert g == Grid1D(33, 0.0, 1.0) and g.nodes().shape == (33,)
+
     @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
     def test_non_finite_endpoint_rejected(self, x_min, x_max):
         with pytest.raises(GridError, match="^grid endpoints must be finite$"):

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -453,6 +454,25 @@ def test_reference_energies_are_energy_dissipation_bit_for_bit(monkeypatch, n_ca
     assert trace.dissipation_reference.tobytes() == expected[:, 1].tobytes()
 
 
+def test_twins_and_the_collapse_study_leave_no_cyclic_garbage():
+    # a reference cycle would keep run_twin's EnergyWindow buffers and
+    # columns alive until the cyclic collector runs, raising peak memory
+    cfg = twin_config(n_ref=65, n_cand=65, dt=0.4 * Grid1D(65, 0, 1).dx ** 2, t_end=0.004)
+    runs = (lambda: run_twin(replace(cfg, perturbation=Perturbation(1e-3, 2))),  # lockstep
+            lambda: run_twin(replace(cfg, grid_candidate=Grid1D(33, 0.0, 1.0))),  # streamed
+            lambda: check_uniqueness(cfg, [17, 33, 65]))
+    gc.collect()
+    gc.disable()
+    try:
+        collected = []
+        for run in runs:
+            run()
+            collected.append(gc.collect())
+    finally:
+        gc.enable()
+    assert collected == [0, 0, 0]
+
+
 class TestStreamedTwin:
     def test_restricts_each_reference_sample_once(self, monkeypatch):
         calls = []
@@ -546,9 +566,10 @@ class TestStreamedTwin:
         returned = []
         original = verifier.remainder
 
-        def recording(pair, params):
-            returned.append(original(pair, params))
-            return returned[-1]
+        def recording(pairs, params):
+            rows = original(pairs, params)
+            returned.extend(rows)
+            return rows
 
         monkeypatch.setattr(verifier, "remainder", recording)
         trace = run_twin(twin_config(system, n_ref=65, n_cand=33, amplitude=1e-3,
@@ -673,6 +694,48 @@ class TestLockstepTwin:
             with pytest.raises(CflError, match="^candidate trajectory: dt exceeds the "
                                                "stability bound$"):
                 run_twin(cfg)
+
+    @pytest.mark.parametrize("bad", [0, 3, W - 1])
+    def test_a_bad_pair_costs_its_window_one_remainder_call(self, monkeypatch, bad):
+        # the window's error names its pair: no pair is evaluated again
+        cfg = twin_config(n_ref=33, n_cand=33, amplitude=1e-3, t_end=0.01)
+        evolve, evaluate, windows = verifier.evolve, verifier.remainder, []
+
+        def editing(inits, *args, observer, **kwargs):
+            samples = 0
+
+            def observe(states, t):
+                nonlocal samples
+                reference, cand = states
+                if samples == bad:
+                    rho = cand.rho.copy()
+                    rho[5] = -1e-3
+                    states = (reference, State(cand.grid, rho, cand.u, cand.d))
+                observer(states, t)
+                samples += 1
+
+            return evolve(inits, *args, observer=observe, **kwargs)
+
+        def counting(pairs, params):
+            windows.append(len(pairs))
+            return evaluate(pairs, params)
+
+        monkeypatch.setattr(verifier, "evolve", editing)
+        monkeypatch.setattr(verifier, "remainder", counting)
+        with pytest.raises(ConstitutiveError, match="^density must be nonnegative$"):
+            run_twin(cfg)
+        assert windows == [W]
+
+    def test_a_non_finite_row_takes_the_time_of_the_pair_it_names(self, monkeypatch):
+        def failing(pairs, params):
+            exc = NonFiniteError("non-finite Gronwall coefficient")
+            exc.sample = 3
+            raise exc
+
+        monkeypatch.setattr(verifier, "remainder", failing)
+        cfg = twin_config(n_ref=33, n_cand=33, amplitude=1e-3, t_end=0.01)
+        with pytest.raises(NonFiniteError, match="^non-finite Gronwall coefficient at t=0.0006$"):
+            run_twin(cfg)
 
     def test_unequal_grids_or_steps_run_one_trajectory_at_a_time(self, monkeypatch):
         calls = _counting_evolve(monkeypatch)
