@@ -26,9 +26,10 @@ non-finite numbers, the grid node counts, and the positivity of lambda
 every other value range and name the key in their messages: Params
 (gamma > 1; a, sigma0, mu, theta > 0; sigma0**2 a finite positive float),
 Perturbation (amplitude >= 0; mode, type included, a positive integer),
-GronwallConfig (c_h > 0, slack >= 0) and ExperimentConfig (step sizes,
-t_end, sample_interval, density_floor > 0; preset known and of the
-system; at most MAX_STEPS steps and MAX_SAMPLES samples), reported as
+GronwallConfig (c_h > 0, slack >= 0) and ExperimentConfig (at most
+MAX_NODES nodes per grid; step sizes, t_end, sample_interval,
+density_floor > 0; preset known and of the system; at most MAX_STEPS
+steps and MAX_SAMPLES samples), reported as
 ConfigError; Perturbation and GronwallConfig also reject non-finite
 values, for library callers.  Grid1D owns the node count's float range,
 named <key>.n, and the domain (finite, x_max > x_min, dx^2 and 1/dx^2

@@ -63,8 +63,8 @@ the one judge of non-finite values: evolve runs each window's steps under
 np.errstate(over="ignore", invalid="ignore"), so the arithmetic that makes
 them warns of nothing.  Each step evaluates the director gradient,
 Laplacian and GL force once for both the stress and the director.  The
-observer's samples are read-only views of one copy of the state block per
-sample, built without checking again what the step's checks hold.
+samples are read-only views of one copy of the state block per sample,
+built without checking again what the step's checks hold.
 
 Call forms: a step is 40-50 ufunc calls and 2 LAPACK calls, so at small n
 their fixed cost is much of it.  Each ufunc of the step writes to a
@@ -93,7 +93,7 @@ division by the new density, which is safe above the density floor.  A
 floor violation means the run has left the strictly-positive-density regime
 the verification targets and aborts rather than clamping.  evolve checks
 the initial densities too, so the step's pressure needs no sign check, and
-the first step's stability bound, both before the observer's first sample:
+the first step's stability bound, both before the first sample:
 where that bound is 0 the initial pressure is beyond the float range.
 """
 
@@ -658,27 +658,38 @@ def evolve(
     sample_interval: Optional[float] = None,
     density_floor: float = DEFAULT_DENSITY_FLOOR,
 ):
-    """Integrate from t=0 to t_end, invoking the observer at sample times.
+    """Integrate from t=0 to t_end, handing out a sample at each sample time.
 
-    The observer receives (state, t) at t=0, at every multiple of
+    The samples are (state, t) at t=0, at every multiple of
     sample_interval, and at t_end (or a multiple within a relative 1e-12 of
     it), for every positive t_end.  Within each sample window the step size
     is dt shrunk minimally so the window is an integer number of steps;
     sample times are therefore hit exactly.  sample_interval=None samples
     after every step.  Step errors propagate with the failure time attached.
     A density below density_floor, or a first step beyond the stability
-    bound, aborts the run at t=0, before the observer sees any state.
-    A t_end, dt, sample_interval or density_floor that is not finite, or
-    out of range, or a step count t_end / dt beyond the float range,
-    raises ValueError before the observer sees any state.
+    bound, aborts the run at t=0, before any sample.  A t_end, dt,
+    sample_interval or density_floor that is not finite, or out of range,
+    or a step count t_end / dt beyond the float range, raises ValueError
+    before any sample.
+
+    Two call forms, one implementation.  Without an observer, evolve runs
+    those checks and returns an iterator of the (state, t) samples: each
+    next() runs the steps of one sample window, and a step error raises
+    from it.  The caller holds the trajectory's workspace, O(n) floats,
+    between samples, and may close the iterator early.  With an observer,
+    evolve drains that iterator, calls observer(state, t) at each sample
+    and returns the final state.  The observer form stays because it runs
+    a whole trajectory inside one call: a profiler that times evolve sees
+    every step, and the steps of lazy trajectories that the observer
+    advances run inside it too.
 
     bc is BoundarySpec.for_system(params.system, init.d0); a spec of the
-    other system raises ValueError before the observer sees any state.
+    other system raises ValueError before any sample.
     init and bc may also be equal-length sequences, one entry per member:
-    the members then advance in lockstep through one batched step, the
-    observer receives a tuple with one State per member in place of the
-    state, and a tuple is returned.  Each member's states are bit-identical
-    to its own single-member run.  A step error carries the index of the
+    the members then advance in lockstep through one batched step, each
+    sample holds a tuple with one State per member in place of the state,
+    and a tuple is returned.  Each member's states are bit-identical to
+    its own single-member run.  A step error carries the index of the
     first failing member in exc.member.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -711,24 +722,40 @@ def evolve(
             if np.abs(mag - 1.0).max() > 1e-10:
                 raise ValueError("SPHERE initial director must be unit length")
     _check_reaction_bound(dt, params)
-    members = len(inits)
     pins = np.concatenate([bc.pins for bc in bcs], axis=1) if gl else None
 
     # one workspace for every step of this call; the state lives in it
-    n = grid.n_nodes
-    work, ops = _Workspace(members, n), _operands(params, grid.dx)
+    work, ops = _Workspace(len(inits), grid.n_nodes), _operands(params, grid.dx)
     for b, member in enumerate(inits):
         work.rho[b], work.u[b], work.d[b] = member.rho0, member.u0, member.d0
     interval = sample_interval if sample_interval is not None else dt
-    t_stop = t_end - 1e-12 * t_end  # steps run while t < t_stop
     try:
         _check_density_floor(work.rho, density_floor)
-        if t_stop > 0.0:  # the first step's bound, before the observer sees its state
+        if t_end > 0.0:  # the first step's bound, before the first sample
             _check_cfl(_window(min(interval, t_end), dt)[1], ops, work)
     except SolverError as exc:
         exc.args = (f"at t=0: {exc}",)
         raise
 
+    samples = _samples(work, ops, params, grid, pins, single, t_end, dt, interval,
+                       density_floor)
+    if observer is None:
+        return samples
+    try:
+        for states, t in samples:
+            observer(states, t)
+    finally:
+        samples.close()  # suspended if the observer raised
+    return states
+
+
+def _samples(work: _Workspace, ops: _Operands, params: Params, grid: Grid1D,
+             pins: Optional[np.ndarray], single: bool, t_end: float, dt: float,
+             interval: float, density_floor: float):
+    """evolve's samples from the state in work, (states, t) at t = 0 and at
+    the end of each sample window; the steps of a window run as its sample
+    is asked for."""
+    members, n = work.rho.shape
     size = members * n  # each member's rho, u and d in the state block, from node i = b n:
     parts = [(slice(i, i + n), slice(size + i, size + i + n),
               slice(2 * size + 3 * i, 2 * size + 3 * i + 3 * n)) for i in range(0, size, n)]
@@ -742,10 +769,9 @@ def evolve(
                      for r, v, d in parts])
         return out[0] if single else out
 
-    if observer is not None:
-        observer(states(), 0.0)
-
+    yield states(), 0.0
     t = 0.0
+    t_stop = t_end - 1e-12 * t_end  # steps run while t < t_stop
     k = 0
     # the matrices depend on the step size only; dt_eff jitters in its last
     # bits between windows, so they are kept per exact value (at most one
@@ -760,6 +786,7 @@ def evolve(
             implicit = cache[dt_eff] = _implicit(
                 dt_eff, grid.dx, params.mu, params.theta, pins, members, n
             )
+        # the error state covers the window's steps, never the yield
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 try:
@@ -768,6 +795,4 @@ def evolve(
                     exc.args = (f"at t={t + j * dt_eff:.6g}: {exc}",)
                     raise
         t = t_next
-        if observer is not None:
-            observer(states(), t)
-    return states()
+        yield states(), t

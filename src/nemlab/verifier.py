@@ -30,16 +30,20 @@ run_twin (one) and check_uniqueness (one per level) with a reference
 evolved once.  A candidate sharing the reference's grid and dt runs in
 lockstep: it joins the reference's batched evolve, and each sample pair
 goes to the row callback as it is produced, so nothing is restricted for
-it and no reference sample is stored.  Every other candidate is
-streamed.  During the reference run each sample is restricted to that
-candidate's grid and kept there; the candidate then runs and each of its
-samples is paired with the stored reference sample of the same time and
-evaluated.  The store holds the stacked (rho, u, d0, d1, d2) rows of 64
-samples per array: small long-lived arrays allocated between the
-per-sample temporaries would fragment the heap.  A twin retains
-O(samples * n_candidate) floats, not O(samples * (n_reference +
-n_candidate)); check_uniqueness keeps the per-level restricted samples,
-O(samples * sum of level sizes), never its reference-grid samples.
+it.  Every other candidate is streamed: evolve's lazy form hands out its
+samples one window at a time, and at each reference sample every streamed
+candidate is advanced to the same time and paired with the reference
+sample, restricted once per candidate grid; the suspended trajectories
+are closed on every exit.  No sample outlives its pairing, so a twin
+holds O(n) floats per trajectory (its workspace, the sample and its
+restriction) plus its trace columns, whatever the sample count
+(tracemalloc, GL, 513 reference and 257 candidate nodes, 2001 samples:
+a 2.0 MB peak, where storing every restricted reference sample took 22.8
+MB); check_uniqueness holds one workspace per level and the per-level
+entropy lists.  No grid may exceed MAX_NODES nodes: ExperimentConfig and
+check_uniqueness refuse one before anything is allocated.  At the bound
+a 2-sample lockstep twin peaks at 52 MiB (GL) and 47 MiB (SPHERE), about
+420 floats per node, by tracemalloc.
 run_twin's reference energies and dissipations take one EnergyWindow:
 ENERGY_WINDOW (8) samples copied into one buffer and evaluated by one
 stacked pass when it is full, O(ENERGY_WINDOW * n_reference) floats with
@@ -96,8 +100,10 @@ MAX_SAMPLES = 10_000
 # largest config of the battery, the suites and the benchmark is criterion
 # 6's collapse study: 65,536 reference steps plus 21,504 over its levels
 MAX_STEPS = 1_000_000
+# nodes of one grid: 16 times the finest grid of the battery, the suites
+# and the benchmark, criterion 6's 1025-node reference (16 * 1024 + 1)
+MAX_NODES = 16_385
 _ORDER_FLOOR = 1.8  # the least observed order a convergence check accepts
-_SAMPLES_PER_BLOCK = 64  # stored reference samples per array (memory model above)
 
 
 class VerifierError(ValueError):
@@ -117,6 +123,12 @@ def _check_step_budget(t_end: float, dts: Sequence[float], what: str) -> None:
     if steps > MAX_STEPS:
         raise VerifierError(f"{what} take {steps:.6g} steps (t_end / dt summed), "
                             f"more than MAX_STEPS = {MAX_STEPS}")
+
+
+def _check_nodes(n: int, name: str) -> None:
+    """Raise VerifierError if a grid of n nodes is beyond MAX_NODES."""
+    if n > MAX_NODES:
+        raise VerifierError(f"{name} must be at most MAX_NODES = {MAX_NODES}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +278,13 @@ class GronwallConfig:
 class ExperimentConfig:
     """Full declarative description of one twin experiment.
 
-    The step sizes, t_end, the resolved sample interval and density_floor
-    must be finite and positive, so must t_end / dt of each trajectory,
-    the preset must belong to params.system and the run may take at most
-    MAX_STEPS steps (both trajectories together) and MAX_SAMPLES samples;
-    construction raises VerifierError naming the first rule broken.
+    Neither grid may have more than MAX_NODES nodes, the step sizes,
+    t_end, the resolved sample interval and density_floor must be finite
+    and positive, so must t_end / dt of each trajectory, the preset must
+    belong to params.system and the run may take at most MAX_STEPS steps
+    (both trajectories together) and MAX_SAMPLES samples; construction
+    raises VerifierError naming the first rule broken, before anything
+    of the run is allocated (memory model above).
     """
 
     params: Params
@@ -291,6 +305,8 @@ class ExperimentConfig:
             or self.grid_reference.x_max != self.grid_candidate.x_max
         ):
             raise VerifierError("reference and candidate grids must share endpoints")
+        for name in ("grid_reference", "grid_candidate"):
+            _check_nodes(getattr(self, name).n_nodes, f"{name}.n")
         interval = self.resolved_sample_interval()
         for name, value in (
             ("dt_reference", self.dt_reference),
@@ -469,10 +485,6 @@ TRACE_COLUMNS = tuple(f.name for f in fields(EntropyTrace) if f.type == "np.ndar
 _COUNT_MISMATCH = "reference and candidate produced different sample counts"
 
 
-class _AllStored(Exception):
-    """Stops a candidate paired with every sample of a failed reference run."""
-
-
 Row = Callable[[int, float, StatePair], None]
 
 
@@ -480,6 +492,15 @@ def _joins(config: ExperimentConfig, grid: Grid1D, dt: float) -> bool:
     """Whether a candidate on grid with step dt joins the reference's
     evolve in _pair_samples (lockstep): both equal the reference's."""
     return grid == config.grid_reference and dt == config.dt_reference
+
+
+def _tag(exc: SolverError, tags: Sequence[str]) -> None:
+    """Prefix a solver abort with the trajectory it came from, tags[i] for
+    member i, once: a streamed candidate's abort keeps its own tag as it
+    passes through the reference's evolve."""
+    if getattr(exc, "trajectory", None) is None:
+        exc.trajectory = " and ".join(tags) if exc.member is None else tags[exc.member]
+        exc.args = (f"{exc.trajectory} trajectory: {exc}",)
 
 
 def _pair_samples(
@@ -496,92 +517,72 @@ def _pair_samples(
     on_reference(state, t).
     A candidate with the reference's grid and dt joins that evolve as a
     further member and is paired as each sample is produced.  Every other
-    candidate runs afterwards, alone: each reference sample was restricted
-    to its grid once during the reference run and kept there, and its
-    sample k is paired with stored sample k.  Candidate i's pair at time t
-    goes to row(i, t, pair); sample counts and times must match.  A solver
-    abort is tagged with the name of the trajectory that failed (the
-    reference or a candidate); an error raised evaluating a pair
-    propagates unchanged.  If the reference run raises, every other
-    candidate is first paired over the samples the reference stored, as in
-    lockstep: an error from those pairs or candidates propagates instead.
+    candidate is streamed: its evolve starts at the reference's first
+    sample, in the lazy form, and at each reference sample it is advanced
+    one sample window; the reference sample, restricted once per candidate
+    grid, is paired with it.  Candidate i's pair at time t goes to
+    row(i, t, pair); sample counts and times must match.  A solver abort
+    is tagged with the name of the trajectory that failed (the reference
+    or a candidate); an error raised evaluating a pair propagates
+    unchanged.  The earliest sample's error wins: at one sample the
+    reference's restriction comes first, then on_reference and the joined
+    pairs, then the streamed candidates in order, which are paired also
+    when on_reference or a joined pair raised, and whose error then
+    propagates instead.
     """
     params = config.params
+    floor = config.density_floor
 
-    def run(tags: Tuple[str, ...], inits: Tuple[InitialData, ...], dt: float,
-            observer: Callable[[Tuple[State, ...], float], None]) -> None:
+    def run(inits: Tuple[InitialData, ...], dt: float, **observer):
+        # the observer form with an observer, else the lazy one
         bcs = [BoundarySpec.for_system(params.system, init.d0) for init in inits]
+        return evolve(inits, config.t_end, dt, params, inits[0].grid, bcs,
+                      sample_interval=config.resolved_sample_interval(), density_floor=floor,
+                      **observer)
+
+    def stream(init: InitialData, dt: float):
+        # a streamed candidate's samples: its evolve starts at the first next()
         try:
-            evolve(inits, config.t_end, dt, params, inits[0].grid, bcs, observer=observer,
-                   sample_interval=config.resolved_sample_interval(),
-                   density_floor=config.density_floor)
+            yield from run((init,), dt)
         except SolverError as exc:
-            who = " and ".join(tags) if exc.member is None else tags[exc.member]
-            exc.args = (f"{who} trajectory: {exc}",)
+            _tag(exc, ("candidate",))
             raise
 
-    grid_r, dt_r = config.grid_reference, config.dt_reference
     joined = [i for i, (init, dt) in enumerate(candidates) if _joins(config, init.grid, dt)]
-    later = [i for i in range(len(candidates)) if i not in joined]
-    # per candidate grid, the reference samples' stacked (rho, u, d0, d1, d2) rows
-    blocks: Dict[Grid1D, List[np.ndarray]] = {candidates[i][0].grid: [] for i in later}
-    times: List[float] = []
+    streams = [(i, stream(*candidates[i])) for i in range(len(candidates)) if i not in joined]
+    grids = list(dict.fromkeys(candidates[i][0].grid for i, _ in streams))
 
     def observe_reference(states: Tuple[State, ...], t: float) -> None:
         reference = states[0]
-        k = len(times) % _SAMPLES_PER_BLOCK
-        for grid, stored in blocks.items():
-            st = restrict_state(reference, grid, params.system)
-            if k == 0:
-                stored.append(np.empty((_SAMPLES_PER_BLOCK, 5, grid.n_nodes)))
-            rows = stored[-1][k]
-            rows[0], rows[1], rows[2:] = st.rho, st.u, st.d
-        times.append(t)
-        if on_reference is not None:
-            on_reference(reference, t)
-        for i, st in zip(joined, states[1:]):
-            row(i, t, StatePair(st, reference, rho_lower=config.density_floor))
-
-    failed = None  # the reference run's error, raised once the stored samples are paired
-    try:
-        run(("reference",) + ("candidate",) * len(joined),
-            (make_initial_data(config.initial_preset, grid_r, params),)
-            + tuple(candidates[i][0] for i in joined),
-            dt_r, observe_reference)
-    except (SolverError, ValueError) as exc:  # an abort, or any error nemlab raises
-        if not times:
-            raise
-        failed = exc
-    for stored in blocks.values():
-        for block in stored:
-            block.flags.writeable = False  # the rows are States' arrays from here on
-    for i in later:
-        init, dt = candidates[i]
-        stored = blocks[init.grid]
-        k = 0
-
-        def observe(states: Tuple[State, ...], t: float) -> None:
-            nonlocal k
-            if k == len(times):
-                raise VerifierError(_COUNT_MISMATCH)
-            if abs(times[k] - t) > 1e-9 * max(1.0, config.t_end):
-                raise VerifierError(f"sample time mismatch: {times[k]} vs {t}")
-            rows = stored[k // _SAMPLES_PER_BLOCK][k % _SAMPLES_PER_BLOCK]
-            # rows copied from a restricted State: already checked
-            reference = State._wrap(init.grid, rows[0], rows[1], rows[2:])
-            row(i, t, StatePair(states[0], reference, rho_lower=config.density_floor))
-            k += 1
-            if failed is not None and k == len(times):
-                raise _AllStored
-
+        restricted = {grid: restrict_state(reference, grid, params.system) for grid in grids}
         try:
-            run(("candidate",), (init,), dt, observe)
-        except _AllStored:
-            continue
-        if k != len(times):
+            if on_reference is not None:
+                on_reference(reference, t)
+            for i, st in zip(joined, states[1:]):
+                row(i, t, StatePair(st, reference, rho_lower=floor))
+        finally:  # also when the reference's side raised
+            for i, samples in streams:
+                sample = next(samples, None)
+                if sample is None:
+                    raise VerifierError(_COUNT_MISMATCH)
+                (candidate,), t_c = sample
+                if abs(t - t_c) > 1e-9 * max(1.0, config.t_end):
+                    raise VerifierError(f"sample time mismatch: {t} vs {t_c}")
+                row(i, t, StatePair(candidate, restricted[candidate.grid], rho_lower=floor))
+
+    try:
+        try:
+            run((make_initial_data(config.initial_preset, config.grid_reference, params),)
+                + tuple(candidates[i][0] for i in joined),
+                config.dt_reference, observer=observe_reference)
+        except SolverError as exc:
+            _tag(exc, ("reference",) + ("candidate",) * len(joined))
+            raise
+        if any(next(samples, None) is not None for _, samples in streams):
             raise VerifierError(_COUNT_MISMATCH)
-    if failed is not None:
-        raise failed
+    finally:
+        for _, samples in streams:
+            samples.close()
 
 
 def run_twin(config: ExperimentConfig) -> EntropyTrace:
@@ -590,8 +591,9 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
     The reference runs unperturbed on its own grid; the candidate starts
     from the (optionally perturbed) preset on the candidate grid.  The two
     are paired by _pair_samples: in lockstep through one batched step when
-    they share grid and dt, else with the reference kept on the candidate
-    grid until the candidate runs.  Either way the pair functionals are
+    they share grid and dt, else with the candidate advanced one sample
+    window at each reference sample, which is restricted to the candidate
+    grid.  Either way the pair functionals are
     evaluated on the candidate grid, the single-state quantities (energy,
     dissipation, mass) on each trajectory's own.  Each sample's
     certificate row (`remainder`) fills one row of every candidate and
@@ -799,7 +801,8 @@ def check_uniqueness(
     evaluated.  The levels must be at least 3 strictly increasing node
     counts whose finest dt leaves t_end / dt a finite float, and the
     reference and the levels may take at most MAX_STEPS steps together,
-    or VerifierError is raised before anything runs.  Passing
+    and the finest level at most MAX_NODES nodes, or VerifierError is
+    raised before anything runs.  Passing
     requires every observed order to reach _ORDER_FLOOR (1.8); a level whose
     entropy is identically zero gives an infinite order.  An entropy beyond
     the float range raises NonFiniteError once every level is paired, for
@@ -819,6 +822,7 @@ def check_uniqueness(
     dts = [kappa * g.dx**2 for g in grids]
     _check_step_count(config.t_end, dts[-1], f"dt of level {refinement_levels[-1]}")
     _check_step_budget(config.t_end, [config.dt_reference, *dts], "the reference and the levels")
+    _check_nodes(refinement_levels[-1], "the finest refinement level")
     entropy: List[List[float]] = [[] for _ in grids]
     overflows: List[Tuple[float, int]] = []  # (t, level index) of each non-finite entropy
 

@@ -21,6 +21,7 @@ from nemlab.config import ConfigError, canonical_text, parse_config
 from nemlab.dynamics import SolverError, State
 from nemlab.constitutive import ConstitutiveError, Params, System
 from nemlab.functionals import ENERGY_WINDOW, FunctionalError, energy_dissipation
+from nemlab.grid import Grid1D
 from nemlab.traceio import (
     COLUMNS,
     TraceFormatError,
@@ -725,6 +726,23 @@ class TestMain:
             f"config error: {key}.n: n_nodes is too large: n_nodes - 1 is beyond the "
             "float range\n"))
 
+    @pytest.mark.parametrize("n", [10**9, 10**15])
+    @pytest.mark.parametrize("key", ["grid_reference", "grid_candidate"])
+    @pytest.mark.parametrize("command", ["twin", "uniqueness"])
+    def test_node_count_beyond_max_nodes_exits_2_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, command, key, n):
+        def no_nodes(grid):
+            raise AssertionError(f"the nodes of a {grid.n_nodes}-node grid were built")
+
+        monkeypatch.setattr(Grid1D, "nodes", no_nodes)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{key: {"n": n}}))
+        out = [] if command == "uniqueness" else ["-o", str(tmp_path / "t.csv")]
+        assert main([command, "-c", str(path), *out,
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", (
+            f"config error: {key}.n must be at most MAX_NODES = 16385, got {n}\n"))
+
     def test_node_count_of_more_digits_than_json_parses_exits_2(self, tmp_path, capsys):
         # json.loads raises a plain ValueError for an integer of over 4300 digits
         path = tmp_path / "cfg.json"
@@ -1161,7 +1179,7 @@ class TestPairFaults:
 # are among them: gamma 8000, lambda 1e300 on x_max 1e5 and 1e-5, t_end
 # 1e-13 and 1e300, a mode beyond the float range, non-finite numbers, a
 # floor above the initial density, levels that are no grids, a node count
-# (a grid's or a level's) beyond the float range.  Every run has
+# (a grid's or a level's) beyond the float range, a grid's beyond MAX_NODES.  Every run has
 # n <= 33 and, where its config is valid, a few thousand steps at most
 # (uniqueness's finest level takes up to 16 times the candidate's steps).
 _FUZZ_BASE = dict(MINIMAL_GL, grid_reference={"n": 33}, grid_candidate={"n": 17},
@@ -1175,8 +1193,10 @@ _FUZZ_EDGES = {
     "theta": [0.001, 1e300, 1e-300],
     "x_min": [-1.0, -1e300],
     "x_max": [1e5, 1e-5, 1e300, 1e-160],
-    "grid_reference": [{"n": 5}, {"n": 9}, {"n": 4}, {"n": 10**400}],
-    "grid_candidate": [{"n": 33}, {"n": 9}, {"n": 5}, {"n": 10**400}],
+    "grid_reference": [{"n": 5}, {"n": 9}, {"n": 4}, {"n": 10**400}, {"n": 10**9},
+                       {"n": 10**15}],
+    "grid_candidate": [{"n": 33}, {"n": 9}, {"n": 5}, {"n": 10**400}, {"n": 10**9},
+                       {"n": 10**15}],
     "dt": [5e-5, 1e-3, 0.04, -1.0],
     "dt_candidate": [1e-5, math.inf],
     "t_end": [4e-5, 1e-13, 0.01, 1e300],

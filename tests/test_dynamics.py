@@ -30,6 +30,10 @@ from nemlab.grid import Grid1D, central_laplacian
 from nemlab.verifier import Perturbation, make_initial_data, restrict_state
 
 
+def _ignore(states, t):
+    """The observer of a run whose final states are all a test reads."""
+
+
 def equilibrium(grid):
     n = grid.n_nodes
     d = np.zeros((3, n))
@@ -249,7 +253,7 @@ class TestExplicitKernel:
         g = Grid1D(17, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, p)
         bc = BoundarySpec.for_system(System.SPHERE, init.d0)
-        evolve([init, init], 3e-4, 1e-4, p, g, [bc, bc])
+        evolve([init, init], 3e-4, 1e-4, p, g, [bc, bc], observer=_ignore)
         assert calls == [(2, 17)] * 3
 
 
@@ -265,7 +269,7 @@ class TestStep:
             p = Params(system=system)
             base = equilibrium(g)
             bc = BoundarySpec.for_system(system, base.d)
-            st = evolve(initial(base), 0.2, 1e-3, p, g, bc)  # 200 steps
+            st = evolve(initial(base), 0.2, 1e-3, p, g, bc, observer=_ignore)  # 200 steps
             assert np.max(np.abs(st.rho - base.rho)) <= 1e-12
             assert np.max(np.abs(st.u - base.u)) <= 1e-12
             assert np.max(np.abs(st.d - base.d)) <= 1e-12
@@ -346,7 +350,8 @@ class TestStep:
         g = Grid1D(65, 0.0, 1.0)
         st = equilibrium(g)
         bc = BoundarySpec.for_system(System.GL, st.d)
-        out = evolve(initial(st), 1e-3, 0.5, Params(), g, bc, sample_interval=1e-4)
+        out = evolve(initial(st), 1e-3, 0.5, Params(), g, bc, observer=_ignore,
+                     sample_interval=1e-4)
         assert np.max(np.abs(out.d - st.d)) <= 1e-12
         with pytest.raises(CflError, match=r"^at t=0: dt=5\.000e-01 "):
             evolve(initial(st), 1.0, 0.5, Params(), g, bc, sample_interval=0.5)
@@ -399,7 +404,7 @@ class TestStep:
                 dt = 0.4 * g.dx**2
                 init = make_initial_data(preset, g, p)
                 bc = BoundarySpec.for_system(system, init.d0)
-                finals.append(evolve(init, 0.02, dt, p, g, bc))
+                finals.append(evolve(init, 0.02, dt, p, g, bc, observer=_ignore))
                 grids.append(g)
             diffs = []
             for k in range(2):
@@ -583,7 +588,7 @@ class TestEvolve:
         p = Params()
         init = make_initial_data("gl-smooth", g, p)
         bc = BoundarySpec.for_system(System.GL, init.d0)
-        out = evolve(init, 0.0, 1e-4, p, g, bc)
+        out = evolve(init, 0.0, 1e-4, p, g, bc, observer=_ignore)
         assert np.array_equal(out.rho, init.rho0)
         assert np.array_equal(out.u, init.u0)
         assert np.array_equal(out.d, init.d0)
@@ -593,7 +598,7 @@ class TestEvolve:
         st = equilibrium(g)
         init = InitialData(g, st.rho, st.u, st.d)
         bc = BoundarySpec.for_system(System.GL, st.d)
-        out = evolve(init, 0.03, 1e-3, Params(), g, bc)
+        out = evolve(init, 0.03, 1e-3, Params(), g, bc, observer=_ignore)
         assert np.max(np.abs(out.d - st.d)) <= 1e-12
 
     def test_observer_cadence(self):
@@ -613,7 +618,7 @@ class TestEvolve:
             init = make_initial_data(preset, g, p)
             bc = BoundarySpec.for_system(system, init.d0)
             e0 = energy(State(g, init.rho0, init.u0, init.d0), p)
-            out = evolve(init, 0.05, 1e-4, p, g, bc)
+            out = evolve(init, 0.05, 1e-4, p, g, bc, observer=_ignore)
             assert energy(out, p) <= e0 * (1.0 + 1e-6)
 
     def test_per_step_energy_inequality(self):
@@ -689,6 +694,105 @@ class TestEvolve:
         bc = BoundarySpec.for_system(System.SPHERE, d)
         with pytest.raises(ValueError, match="unit length"):
             evolve(init, 0.01, 1e-4, p, g, bc)
+
+
+class TestLazyEvolve:
+    """evolve without an observer: an iterator of the observer form's samples."""
+
+    @staticmethod
+    def _twin(system):
+        p = Params(system=system)
+        g = Grid1D(17, 0.0, 1.0)
+        inits = [make_initial_data(_preset(system), g, p, Perturbation(1e-3 * b, 2))
+                 for b in range(2)]
+        return p, g, inits, [BoundarySpec.for_system(system, i.d0) for i in inits]
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_samples_are_the_observer_forms_bit_for_bit(self, system, batched):
+        p, g, inits, bcs = self._twin(system)
+        if not batched:
+            inits, bcs = inits[0], bcs[0]
+        observed = []
+        final = evolve(inits, 0.0035, 2e-4, p, g, bcs, sample_interval=1e-3,
+                       observer=lambda states, t: observed.append((states, t)))
+        lazy = []
+        with np.errstate(divide="raise"):
+            outside = np.geterr()
+            for states, t in evolve(inits, 0.0035, 2e-4, p, g, bcs, sample_interval=1e-3):
+                # the steps' error state covers no yield: a sample sees the caller's
+                assert np.geterr() == outside
+                lazy.append((states, t))
+        assert [t for _, t in lazy] == [t for _, t in observed] == [0.0, 1e-3, 2e-3, 3e-3, 0.0035]
+        assert final is observed[-1][0]
+
+        def members(states):
+            return states if batched else (states,)
+
+        for (a, _), (b, _) in zip(lazy, observed):
+            for x, y in zip(members(a), members(b)):
+                for name in ("rho", "u", "d"):
+                    assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+
+    def test_checks_run_before_it_returns(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran before the first sample was asked for")
+
+        monkeypatch.setattr(dynamics, "_advance", no_step)
+        p, g, (init, _), (bc, _) = self._twin(System.GL)
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            evolve(init, 0.01, -1.0, p, g, bc)
+        with pytest.raises(CflError, match=r"^at t=0: dt=5\.000e-01 "):
+            evolve(init, 1.0, 0.5, p, g, bc, sample_interval=0.5)
+        with pytest.raises(DensityFloorError, match="^at t=0: density "):
+            evolve(init, 0.01, 1e-4, p, g, bc, density_floor=0.95)
+        samples = evolve(init, 0.01, 1e-4, p, g, bc)
+        states, t = next(samples)  # the sample at t = 0 takes no step
+        assert t == 0.0 and states.rho.tobytes() == init.rho0.tobytes()
+        samples.close()
+
+    def test_a_step_error_raises_from_next_with_its_time(self, monkeypatch):
+        # the fourth step fails: both forms raise it with the time of that
+        # step, the lazy one from the next() that runs it
+        advance = dynamics._advance
+        steps = []
+
+        def failing(*args):
+            steps.append(args[3])
+            if len(steps) % 4 == 0:
+                raise CflError("dt exceeds the stability bound", member=0)
+            return advance(*args)
+
+        monkeypatch.setattr(dynamics, "_advance", failing)
+        p, g, (init, _), (bc, _) = self._twin(System.GL)
+        message = r"^at t=0\.0006: dt exceeds the stability bound$"
+        seen = []
+        with pytest.raises(CflError, match=message):
+            evolve(init, 0.01, 2e-4, p, g, bc, observer=lambda st, t: seen.append(t),
+                   sample_interval=4e-4)
+        samples = evolve(init, 0.01, 2e-4, p, g, bc, sample_interval=4e-4)
+        assert [next(samples)[1], next(samples)[1]] == seen == [0.0, 4e-4]
+        with pytest.raises(CflError, match=message):
+            next(samples)
+        assert next(samples, None) is None  # a failed trajectory hands out no more samples
+
+    def test_the_observer_form_closes_its_samples_when_the_observer_raises(self, monkeypatch):
+        started = []
+        samples = dynamics._samples
+
+        def recording(*args):
+            started.append(samples(*args))
+            return started[-1]
+
+        def failing(states, t):
+            if t > 0.0:
+                raise RuntimeError("the observer failed")
+
+        monkeypatch.setattr(dynamics, "_samples", recording)
+        p, g, (init, _), (bc, _) = self._twin(System.SPHERE)
+        with pytest.raises(RuntimeError, match="^the observer failed$"):
+            evolve(init, 0.01, 2e-4, p, g, bc, observer=failing, sample_interval=1e-3)
+        assert len(started) == 1 and started[0].gi_frame is None
 
 
 def _preset(system):
@@ -782,8 +886,8 @@ class TestBatchedEvolve:
         dt = 2.0**-10  # one window of 5 steps of exactly dt
         st = init
         for _ in range(5):
-            st = initial(evolve(st, dt, dt, p, g, bc))
-        out = evolve(init, 5 * dt, dt, p, g, bc, sample_interval=5 * dt)
+            st = initial(evolve(st, dt, dt, p, g, bc, observer=_ignore))
+        out = evolve(init, 5 * dt, dt, p, g, bc, observer=_ignore, sample_interval=5 * dt)
         for name in ("rho", "u", "d"):
             assert np.array_equal(getattr(out, name), getattr(st, f"{name}0"))
         # evolve's steps also share one workspace and write the state into
@@ -842,7 +946,7 @@ class TestBatchedEvolve:
         g = Grid1D(17, 0.0, 1.0)
         init = make_initial_data("gl-smooth", g, p)
         evolve(init, 0.1, 5e-5, p, g, BoundarySpec.for_system(System.GL, init.d0),
-               sample_interval=5e-5)
+               observer=_ignore, sample_interval=5e-5)
         assert len(sizes) == 13
         assert sorted(builds) == sorted(sizes)
 
@@ -1024,7 +1128,7 @@ class TestReactionBound:
 
     def test_step_within_the_bound_runs(self):
         p, g, init, bc = self._gl(0.02)
-        out = evolve(init, 0.05, 2e-4, p, g, bc)
+        out = evolve(init, 0.05, 2e-4, p, g, bc, observer=_ignore)
         assert np.all(np.isfinite(out.d))
 
     def test_sphere_has_no_penalization_bound(self):

@@ -752,7 +752,8 @@ def test_rows_and_energy_windows_keep_their_bits_when_parameter_sets_interleave(
         g, (cand, ref) = _smooth_twin(system, n, seed)
         init = make_initial_data(f"{system.value}-smooth", g, p)
         dt = 0.1 * g.dx**2
-        steps = evolve(init, 4 * dt, dt, p, g, BoundarySpec.for_system(system, init.d0))
+        steps = evolve(init, 4 * dt, dt, p, g, BoundarySpec.for_system(system, init.d0),
+                       observer=lambda state, t: None)
         stepped = b"".join(a.tobytes() for a in (steps.rho, steps.u, steps.d))
         window = functionals.EnergyWindow(g, p, "reference")
         for k, state in enumerate((cand, ref) * 5):

@@ -1,6 +1,8 @@
 import gc
+import inspect
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemlab import verifier
+from nemlab import dynamics, verifier
 from nemlab.constitutive import ConstitutiveError, Params, System
-from nemlab.dynamics import CflError, State
+from nemlab.dynamics import CflError, SolverError, State
 from nemlab.functionals import (
     ENERGY_WINDOW,
     QUARTETS,
@@ -415,14 +417,24 @@ class TestRunTwin:
 
 
 def _record_runs(monkeypatch, module):
-    """Record, per evolve call of module, the samples its observer gets:
-    member 0's state (the reference in a verifier run)."""
+    """Record, per evolve call of module, the samples its observer gets, or
+    its lazy form hands out: member 0's state (the reference in a verifier
+    run)."""
     runs = []
     original = module.evolve
 
-    def recording(*args, observer, **kwargs):
+    def recording(*args, observer=None, **kwargs):
         samples = []
         runs.append(samples)
+        if observer is None:  # the lazy form: each sample as it is drawn
+            lazy = original(*args, **kwargs)
+
+            def drawn():
+                for states, t in lazy:
+                    samples.append(states[0])
+                    yield states, t
+
+            return drawn()
 
         def observe(states, t):
             samples.append(states[0] if isinstance(states, tuple) else states)
@@ -454,23 +466,101 @@ def test_reference_energies_are_energy_dissipation_bit_for_bit(monkeypatch, n_ca
     assert trace.dissipation_reference.tobytes() == expected[:, 1].tobytes()
 
 
-def test_twins_and_the_collapse_study_leave_no_cyclic_garbage():
+def test_twins_and_the_collapse_study_leave_no_cyclic_garbage(monkeypatch):
     # a reference cycle would keep run_twin's EnergyWindow buffers and
-    # columns alive until the cyclic collector runs, raising peak memory
+    # columns alive until the cyclic collector runs, raising peak memory;
+    # a streamed twin that raises must leave none either, nor a trajectory
+    # suspended between two samples
     cfg = twin_config(n_ref=65, n_cand=65, dt=0.4 * Grid1D(65, 0, 1).dx ** 2, t_end=0.004)
+    streamed = replace(cfg, grid_candidate=Grid1D(33, 0.0, 1.0))
+    evolve, advance, evaluate = verifier.evolve, dynamics._advance, verifier.remainder
+    lazy = []  # the trajectories evolve handed out as iterators
+    calls = []  # the remainder calls of the last run
+
+    def recording(*args, **kwargs):
+        result = evolve(*args, **kwargs)
+        if inspect.isgenerator(result):
+            lazy.append(result)
+        return result
+
+    def aborting_on(n):
+        steps = []
+
+        def step(work, *args):  # the sixth step on the n-node grid fails
+            if work.rho.shape[-1] == n:
+                steps.append(n)
+                if len(steps) == 6:
+                    raise CflError("dt exceeds the stability bound", member=0)
+            return advance(work, *args)
+
+        return step
+
+    def third_pair_fails(pairs, params):
+        calls.append(len(pairs))
+        if len(calls) == 3:
+            raise FunctionalError("the pair failed")
+        return evaluate(pairs, params)
+
+    def failing(module, name, replacement):
+        def run():
+            with monkeypatch.context() as m:
+                m.setattr(module, name, replacement)
+                try:
+                    run_twin(streamed)
+                except (SolverError, FunctionalError) as exc:
+                    # pytest.raises would keep the error, and its traceback's
+                    # frames, in a cycle of its own
+                    return f"{type(exc).__name__}: {exc}"
+        return run
+
+    monkeypatch.setattr(verifier, "evolve", recording)
     runs = (lambda: run_twin(replace(cfg, perturbation=Perturbation(1e-3, 2))),  # lockstep
-            lambda: run_twin(replace(cfg, grid_candidate=Grid1D(33, 0.0, 1.0))),  # streamed
-            lambda: check_uniqueness(cfg, [17, 33, 65]))
+            lambda: run_twin(streamed),
+            lambda: check_uniqueness(cfg, [17, 33, 65]),
+            failing(dynamics, "_advance", aborting_on(33)),  # the candidate aborts
+            failing(dynamics, "_advance", aborting_on(65)),  # the reference aborts
+            failing(verifier, "remainder", third_pair_fails))
     gc.collect()
     gc.disable()
     try:
-        collected = []
+        collected, outcomes = [], []
         for run in runs:
-            run()
+            outcomes.append(run())
+            assert all(samples.gi_frame is None for samples in lazy)  # closed or finished
+            lazy.clear()
             collected.append(gc.collect())
     finally:
         gc.enable()
-    assert collected == [0, 0, 0]
+    assert collected == [0] * len(runs)
+    # six windows of one step each: the sixth step starts at t = 5 * t_end/50
+    for outcome, who in zip(outcomes[3:5], ("candidate", "reference")):
+        assert outcome == f"CflError: {who} trajectory: at t=0.0004: dt exceeds the stability bound"
+    assert outcomes[5] == "FunctionalError: the pair failed"
+
+
+def _peak_growth(run, counts=(128, 256)):
+    """The tracemalloc peaks of run(samples) for each sample count, after
+    one untraced run of the first: what a first run leaves in module
+    caches is not the run's own memory."""
+    run(counts[0])
+    peaks = []
+    for samples in counts:
+        tracemalloc.start()
+        try:
+            run(samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def _one_more_step_size(*n_nodes):
+    """Bytes of one more step size's implicit matrices per trajectory (3 n
+    floats and their headers, 5 n doubles allowed): the lengths
+    k*interval - (k-1)*interval of the sample windows round to a few more
+    distinct floats as the samples double, and evolve keeps the matrices
+    of each."""
+    return 8 * 5 * sum(n_nodes)
 
 
 class TestStreamedTwin:
@@ -525,6 +615,26 @@ class TestStreamedTwin:
         assert peaks[1] - peaks[0] <= 1.1 * 128 * per_sample
         # one reference sample per stored sample would add 128 * 5 * n_ref doubles
         assert 1.1 * 128 * per_sample < 128 * 5 * n_ref * 8 / 2
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_peak_memory_grows_with_the_samples_only_by_the_trace_columns(self, system):
+        # the candidate is advanced one window per reference sample, so no
+        # sample outlives its pair: doubling the samples adds their trace
+        # columns, and no restricted reference sample (5 * n_cand doubles
+        # each, 333 KB over 128 samples where every one was stored)
+        n_ref, n_cand, dt = 257, 65, 2e-4
+        traces = []
+
+        def run(samples):
+            traces.append(run_twin(twin_config(system, n_ref=n_ref, n_cand=n_cand, dt=dt,
+                                               t_end=(samples - 1) * dt, amplitude=1e-3,
+                                               sample_interval=dt)))
+
+        peaks = _peak_growth(run)
+        assert [len(trace) for trace in traces] == [128, 128, 256]
+        columns = len(TRACE_COLUMNS) + len(traces[-1].terms)
+        assert peaks[1] - peaks[0] <= 1.1 * 128 * 8 * columns + _one_more_step_size(n_ref, n_cand)
+        assert _one_more_step_size(n_ref, n_cand) < 128 * 5 * n_cand * 8 / 20
 
     def test_pair_evaluation_error_propagates_untagged(self, monkeypatch):
         def failing(pair, params):
@@ -998,6 +1108,46 @@ class TestCheckUniqueness:
             check_uniqueness(cfg, [17, 33, 65])
         assert set(samples.values()) == {50}  # every level was paired to the end
 
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_peak_memory_grows_with_the_samples_only_by_the_entropy_lists(self, system):
+        # every level is streamed, one window per reference sample: doubling
+        # the samples adds one float to each level's entropy list, and no
+        # restricted reference sample (5 * sum of the level sizes doubles)
+        levels, n_ref, dt = [33, 65, 129], 257, 2e-4
+        reports = []
+
+        def run(samples):
+            cfg = twin_config(system, n_ref=n_ref, n_cand=levels[0], dt=dt,
+                              t_end=(samples - 1) * dt, sample_interval=dt)
+            reports.append(check_uniqueness(cfg, levels))
+
+        peaks = _peak_growth(run)
+        assert len(reports) == 3
+        per_sample = len(levels) * (sys.getsizeof(1.0) + 8)  # a float and its list slot
+        assert peaks[1] - peaks[0] <= (1.1 * 128 * per_sample
+                                       + _one_more_step_size(n_ref, *levels))
+        assert _one_more_step_size(n_ref, *levels) < 128 * 5 * sum(levels) * 8 / 20
+
+    def test_the_earliest_level_abort_wins(self, monkeypatch):
+        # levels 17 and 33 take one step per sample window of 2e-4; level
+        # 33 aborts at its third step, level 17 at its sixth: the levels run
+        # side by side, so the earlier abort is the one reported
+        cfg = twin_config(n_ref=65, n_cand=17, dt=0.4 * Grid1D(17, 0, 1).dx ** 2, t_end=0.01)
+        cfg = replace(cfg, dt_reference=0.4 * Grid1D(65, 0, 1).dx ** 2)
+        advance, steps = dynamics._advance, {}
+
+        def aborting(work, *args):
+            n = work.rho.shape[-1]
+            steps[n] = steps.get(n, 0) + 1
+            if steps[n] == {17: 6, 33: 3}.get(n):
+                raise CflError(f"level {n} failed", member=0)
+            return advance(work, *args)
+
+        monkeypatch.setattr(dynamics, "_advance", aborting)
+        with pytest.raises(CflError, match=r"^candidate trajectory: at t=0\.0004: level 33 failed$"):
+            check_uniqueness(cfg, [17, 33, 49])
+        assert steps[17] == 3  # level 17 was advanced as far as level 33's abort
+
     @pytest.mark.parametrize("levels", [[17, 17, 33], [33, 17, 65], [17, 33, 33]])
     def test_levels_must_strictly_increase(self, monkeypatch, levels):
         def no_run(*args, **kwargs):
@@ -1082,6 +1232,19 @@ class TestCheckUniqueness:
         cfg = twin_config(n_ref=33, n_cand=17, dt=1e-8, t_end=0.004)
         finest = 10**153 + 1
         with pytest.raises(VerifierError, match=rf"^t_end / dt of level {finest} is not a finite"):
+            check_uniqueness(cfg, [17, 33, finest])
+
+    def test_finest_level_beyond_max_nodes_rejected_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a grid was allocated for a rejected level")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        monkeypatch.setattr(Grid1D, "nodes", no_run)
+        # 5,200 steps at the finest level: within the step budget
+        cfg = twin_config(n_ref=33, n_cand=17, dt=2e-4, t_end=1e-6)
+        finest = verifier.MAX_NODES + 1
+        with pytest.raises(VerifierError, match=f"^the finest refinement level must be at most "
+                                                f"MAX_NODES = 16385, got {finest}$"):
             check_uniqueness(cfg, [17, 33, finest])
 
     def test_step_budget_counts_the_reference_and_every_level(self, monkeypatch):
@@ -1184,6 +1347,18 @@ class TestTraceValidation:
             )
         with pytest.raises(VerifierError, match="samples"):
             twin_config(sample_interval=1e-9)
+
+    @pytest.mark.parametrize("key", ["grid_reference", "grid_candidate"])
+    def test_grids_beyond_max_nodes_rejected_by_name(self, monkeypatch, key):
+        def no_nodes(grid):
+            raise AssertionError("a grid's nodes were built for a rejected config")
+
+        monkeypatch.setattr(Grid1D, "nodes", no_nodes)
+        bound = Grid1D(verifier.MAX_NODES, 0.0, 1.0)
+        config = replace(twin_config(), grid_reference=bound, grid_candidate=bound)
+        with pytest.raises(VerifierError, match=f"^{key}.n must be at most MAX_NODES = 16385, "
+                                                f"got {10**15}$"):
+            replace(config, **{key: Grid1D(10**15, 0.0, 1.0)})
 
     def test_step_budget_counts_both_trajectories(self):
         # 2^19 + 2^19 steps of exactly dt = 2^-20 meet the budget; halving
