@@ -19,8 +19,7 @@ its cause on stderr, never a traceback.  Every
 command writes a machine-readable JSON manifest next to its outputs; the
 human-readable report goes to stdout.
 
-Suite experiments are independent; setting NEMLAB_WORKERS to an integer
-greater than 1 runs them in that many worker processes (absent: serial).
+A suite runs its experiments one after another in this process.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_ABORT = 3
 
-WORKERS_ENV = "NEMLAB_WORKERS"
-
 # error type -> (exit code, stderr prefix); a suite task records every
 # error but ConfigError (an unwritable output, which stops the battery with
 # exit 2) as its failed check's detail, with the same prefix
@@ -96,15 +93,19 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 @contextlib.contextmanager
 def _file_access(what: str):
-    """Report an OSError raised in the block as `config error: cannot <what>: <reason>`."""
+    """Report an OSError, or a config that is not UTF-8, raised in the block
+    as `config error: cannot <what>: <reason>`."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"cannot {what}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot {what}: {exc}") from None
 
 
 def _load_config(path: str) -> Tuple[ExperimentConfig, str]:
-    with _file_access(f"read config {path}"), open(path) as fh:
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+    with _file_access(f"read config {path}"), open(path, encoding="utf-8") as fh:
         text = fh.read()
     return parse_config(text), text
 
@@ -301,13 +302,12 @@ def _check_collapse(cfg: ExperimentConfig, levels: Sequence[int]) -> Tuple[bool,
     return rep.passes, f"levels={list(levels)} sup_entropy=[{sups}] orders=[{orders}]"
 
 
-# a suite task: (name, check, config, trace path or refinement levels);
-# module-level checks keep it picklable for worker processes
+# a suite task: (name, check, config, trace path or refinement levels)
 _SuiteTask = Tuple[str, Callable[..., Tuple[bool, str]], ExperimentConfig, Any]
 
 
 def _suite_task(task: _SuiteTask) -> Tuple[str, Optional[bool], str]:
-    """One independent suite experiment (safe to run in a worker process).
+    """One suite experiment.
 
     Returns (name, ok, detail); ok is None when the check raised, and the
     detail is then its error line."""
@@ -364,24 +364,7 @@ def _cmd_suite(args) -> int:
         os.makedirs(outdir, exist_ok=True)
     tasks = _suite_tasks(args.preset, outdir)
     t0 = time.time()
-
-    workers = 0
-    env_val = os.environ.get(WORKERS_ENV, "").strip()
-    if env_val:
-        try:
-            workers = int(env_val)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env_val!r}")
-
-    # more workers than cores or tasks only add processes that wait
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_suite_task, tasks))
-    else:
-        results = [_suite_task(t) for t in tasks]
+    results = [_suite_task(t) for t in tasks]
 
     checks: Dict[str, bool] = {}
     outputs: List[str] = []

@@ -20,8 +20,8 @@ Optional keys:
     gronwall                   {"c_h": null or > 0, "slack": >= 0}
 
 Each rule is checked once.  parse_config checks what only a document can
-get wrong: JSON and object shape, unknown and missing keys, value types,
-non-finite numbers, the grid node counts, and the positivity of lambda
+get wrong: JSON and object shape (nesting included), unknown and missing
+keys, value types, non-finite numbers, and the positivity of lambda
 (Params names it lam) and dt (no type holds it).  The domain types own
 every other value range and name the key in their messages: Params
 (gamma > 1; a, sigma0, mu, theta > 0; sigma0**2 a finite positive float),
@@ -31,9 +31,10 @@ MAX_NODES nodes per grid; step sizes, t_end, sample_interval,
 density_floor > 0; preset known and of the system; at most MAX_STEPS
 steps and MAX_SAMPLES samples), reported as
 ConfigError; Perturbation and GronwallConfig also reject non-finite
-values, for library callers.  Grid1D owns the node count's float range,
-named <key>.n, and the domain (finite, x_max > x_min, dx^2 and 1/dx^2
-finite positive floats), named x_min/x_max.
+values, for library callers.  Grid1D owns the node count (an integer,
+not a bool, at least 5, with n - 1 within the float range), named
+<key>.n, and the domain (finite, x_max > x_min, dx^2 and 1/dx^2 finite
+positive floats), named x_min/x_max.
 The director boundary rows follow from the system (pinned for GL,
 mirrored for SPHERE), so they have no key.
 """
@@ -69,10 +70,6 @@ _REQUIRED = (
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _number(
@@ -114,11 +111,8 @@ def _grid(doc: Dict[str, Any], key: str, x_min: float, x_max: float) -> Grid1D:
     section = _section(doc, key, {"n"})
     if "n" not in section:
         raise ConfigError(f"{key}.n is required")
-    n = section["n"]
-    if not _is_int(n) or n < 5:
-        raise ConfigError(f"{key}.n must be an integer >= 5, got {n!r}")
     try:
-        return Grid1D(n, x_min, x_max)
+        return Grid1D(section["n"], x_min, x_max)
     except GridError as exc:  # Grid1D's node-count messages name n_nodes
         where = f"{key}.n" if str(exc).startswith("n_nodes") else "x_min/x_max"
         raise ConfigError(f"{where}: {exc}") from None
@@ -133,7 +127,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+    # JSONDecodeError, an integer of over 4300 digits, or nesting deeper
+    # than the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")

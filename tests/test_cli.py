@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import pickle
 import re
 import tempfile
 import warnings
@@ -432,6 +431,27 @@ class TestMain:
             f"config error: cannot read config {path}: No such file or directory\n"
         )
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"system": "gl"}')
+        assert main(["twin", "-c", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"config error: cannot read config {path}: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"))
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"a":' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["arrays", "objects"])
+    def test_config_nested_beyond_the_recursion_limit_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("config error: not valid JSON: maximum recursion depth exceeded")
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(cfg_text(gamma=0.5))
@@ -702,17 +722,20 @@ class TestMain:
             "", "config error: --levels must be comma-separated integers: '33,x'\n"
         )
 
-    def test_non_integer_worker_count_exits_2_before_any_run(self, tmp_path, capsys,
-                                                            monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a suite task ran with an invalid worker count")
-
-        monkeypatch.setattr(cli, "_suite_task", no_run)
-        monkeypatch.setenv(cli.WORKERS_ENV, "two")
-        assert main(["suite", "--preset", "gl-smoke", "--output-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr() == (
-            "", "config error: NEMLAB_WORKERS must be an integer, got 'two'\n"
-        )
+    @pytest.mark.parametrize("n, reason", [
+        (4, "must be >= 5, got 4"),
+        (5.5, "must be an integer, got 5.5"),
+        (True, "must be an integer, got True"),
+        ("33", "must be an integer, got '33'"),
+    ], ids=["four", "float", "bool", "string"])
+    @pytest.mark.parametrize("key", ["grid_reference", "grid_candidate"])
+    def test_invalid_node_count_exits_2_with_grid1d_message(self, tmp_path, capsys, key,
+                                                            n, reason):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(**{key: {"n": n}}))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {key}.n: n_nodes {reason}\n")
 
     @pytest.mark.parametrize("key", ["grid_reference", "grid_candidate"])
     @pytest.mark.parametrize("command", ["twin", "uniqueness"])
@@ -912,8 +935,6 @@ class TestMain:
             f"{s}-{check}" for s in ("gl", "sphere")
             for check in ("identical-twin", "gronwall", "collapse")
         ]
-        # worker processes receive the tasks pickled
-        assert pickle.loads(pickle.dumps(tasks)) == tasks
         by_name = {name: (check, cfg, arg) for name, check, cfg, arg in tasks}
         for s in ("gl", "sphere"):
             check, twin, trace_path = by_name[f"{s}-identical-twin"]
@@ -945,40 +966,21 @@ class TestMain:
                 assert cfg.params.system is System.from_name(s)
                 assert cfg.initial_preset == f"{s}-smooth"
 
-    def test_suite_worker_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NEMLAB_WORKERS", "2")
-        code = main(["suite", "--preset", "sphere-smoke",
-                     "--output-dir", str(tmp_path)])
-        assert code == 0
+    @pytest.mark.parametrize("workers", ["2", "two"])
+    def test_suite_starts_no_process_and_reads_no_environment(self, tmp_path, capsys,
+                                                               monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a suite started a process pool")
 
-    @pytest.mark.parametrize(
-        "preset, cpus, expected", [("full", 3, 3), ("gl-smoke", 64, 2), ("full", None, None)]
-    )
-    def test_suite_workers_capped_at_cores_and_tasks(
-        self, tmp_path, monkeypatch, preset, cpus, expected
-    ):
-        pools = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # enough cores for a pool of two, on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(cli, "_suite_task", lambda task: (task[0], True, "stub"))
-        monkeypatch.setenv("NEMLAB_WORKERS", "10000")
-        assert main(["suite", "--preset", preset, "--output-dir", str(tmp_path)]) == 0
-        # no pool at all when the cap leaves a single worker
-        assert pools == ([] if expected is None else [expected])
+        monkeypatch.setenv("NEMLAB_WORKERS", workers)
+        assert main(["suite", "--preset", "gl-smoke", "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr() == ("[PASS] gl-identical-twin: stub\n"
+                                       "[PASS] gl-gronwall: stub\n"
+                                       f"manifest: {tmp_path / 'gl-smoke-manifest.json'}\n", "")
 
     @pytest.mark.parametrize("sigma0, code", [(0.01, 3), (0.02, 0)])
     def test_gl_penalization_bound_exits_3(self, tmp_path, capsys, sigma0, code):
