@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -52,6 +51,22 @@ from .verifier import (
     make_initial_data,
     run_twin,
 )
+
+# The interpreter's builtin SHA-256, as random.py takes its sha512:
+# importing hashlib loads OpenSSL's libcrypto, about 3.5 MB resident in
+# every process, for the one digest a manifest takes
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -84,7 +99,7 @@ def _gamma_regime(gamma: float) -> str:
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(canonical_text(text).encode()).hexdigest()
+    return sha256(canonical_text(text).encode()).hexdigest()
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -120,11 +135,18 @@ def _finish(command: str, digest_text: str, gamma: float, t0: float,
             checks: Dict[str, bool], outputs: List[str], manifest_path: str,
             traces: Sequence[str] = ()) -> int:
     """Write the manifest, the machine-readable record of one command
-    invocation; print the trace and manifest paths; return the exit code."""
+    invocation; print the trace and manifest paths; return the exit code.
+    Its peak_rss_mb is the process's resident high-water mark so far in
+    MiB, so in a suite, or after other commands in the same process, it
+    also covers what ran before; it is left out where the resource module
+    does not exist."""
     passes = all(checks.values())
     manifest = dict(command=command, config_sha256=_digest(digest_text), version=__version__,
                     gamma_regime=_gamma_regime(gamma), duration_seconds=time.time() - t0,
                     checks=checks, outputs=outputs, passes=passes)
+    if resource is not None:  # ru_maxrss is in KiB on Linux, in bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        manifest["peak_rss_mb"] = peak / (2 ** 20 if sys.platform == "darwin" else 1024)
     with _file_access(f"write {manifest_path}"), open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,12 +3,15 @@
 One row per sample, fixed column order, full round-trip decimal precision
 (shortest repr that parses back to the identical float).  Columns of the
 inactive system are written as empty fields, as is the sphere defect for
-GL runs; empty fields read back as NaN.
+GL runs; empty fields read back as NaN.  Files are written and read a
+block of rows at a time, so no more than one block's fields are held as
+strings.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import Dict, List, Sequence
 
@@ -20,7 +23,7 @@ from .verifier import TRACE_COLUMNS, EntropyTrace
 
 # EntropyTrace's columns in file order; only the sample times are renamed
 COLUMNS = tuple("t" if name == "times" else name for name in TRACE_COLUMNS)
-_ROWS_PER_BLOCK = 256  # rows formatted at a time by write_columns
+_ROWS_PER_BLOCK = 256  # rows formatted or parsed at a time
 
 
 class TraceFormatError(ValueError):
@@ -73,25 +76,15 @@ def _floats(cells: Sequence[str]) -> np.ndarray:
     return np.array([float(cell) if cell else math.nan for cell in cells], dtype=float)
 
 
-def read_columns(path: str) -> Dict[str, np.ndarray]:
-    """Parse a trace file back into named float columns (empty -> NaN), a
-    column at a time; TraceFormatError names the path and the row of a
-    malformed file, the first in file order, and the column of its first
-    field that is not a number."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise TraceFormatError(f"{path}: empty file")
-    header = tuple(rows[0])
-    if header != COLUMNS:
-        raise TraceFormatError(f"{path}: unexpected header {header}")
-    if all(len(row) == len(COLUMNS) for row in rows[1:]):
+def _block(rows: List[List[str]], first: int, path: str) -> List[np.ndarray]:
+    """A block of rows, the first of them file row `first`, as float
+    columns; TraceFormatError for its first malformed row."""
+    if all(len(row) == len(COLUMNS) for row in rows):
         try:
-            return {name: _floats(cells) for name, cells in
-                    zip(COLUMNS, zip(*rows[1:]) if len(rows) > 1 else [()] * len(COLUMNS))}
+            return [_floats(cells) for cells in zip(*rows)]
         except ValueError:
             pass
-    for r, row in enumerate(rows[1:], start=2):  # the malformed file, row by row
+    for r, row in enumerate(rows, start=first):  # the malformed block, row by row
         if len(row) != len(COLUMNS):
             raise TraceFormatError(f"{path}: row {r} has {len(row)} fields")
         for name, cell in zip(COLUMNS, row):
@@ -101,6 +94,28 @@ def read_columns(path: str) -> Dict[str, np.ndarray]:
                 raise TraceFormatError(f"{path}: row {r}, column {name}: "
                                        f"not a number: {cell!r}") from None
     raise AssertionError("unreachable: a field float() rejects was found above")
+
+
+def read_columns(path: str) -> Dict[str, np.ndarray]:
+    """Parse a trace file back into named float columns (empty -> NaN),
+    _ROWS_PER_BLOCK rows at a time; TraceFormatError names the path and the
+    row of a malformed file, the first in file order, and the column of its
+    first field that is not a number."""
+    blocks: List[List[np.ndarray]] = [[] for _ in COLUMNS]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TraceFormatError(f"{path}: empty file")
+        if tuple(header) != COLUMNS:
+            raise TraceFormatError(f"{path}: unexpected header {tuple(header)}")
+        first = 2  # the file row of the block's first row
+        while rows := list(itertools.islice(reader, _ROWS_PER_BLOCK)):
+            for parts, col in zip(blocks, _block(rows, first, path)):
+                parts.append(col)
+            first += len(rows)
+    return {name: np.concatenate(parts) if parts else np.empty(0)
+            for name, parts in zip(COLUMNS, blocks)}
 
 
 def read_trace(path: str) -> EntropyTrace:

@@ -36,14 +36,14 @@ candidate is advanced to the same time and paired with the reference
 sample, restricted once per candidate grid; the suspended trajectories
 are closed on every exit.  No sample outlives its pairing, so a twin
 holds O(n) floats per trajectory (its workspace, the sample and its
-restriction) plus its trace columns (tracemalloc, GL, 513 reference and
-257 candidate nodes, 2001 samples: a 2.0 MB peak, where storing every
-restricted reference sample took 22.8 MB), and evolve's implicit
-matrices: one set of about 3 n floats per distinct window step size,
-kept for the whole run, as the window lengths differ in their last bits
-(13 sets over the 2,000 windows of the dense-trace benchmark, about one
-more per doubling of the samples); check_uniqueness holds one workspace
-per level and the per-level entropy lists.  No grid may exceed MAX_NODES nodes: ExperimentConfig and
+restriction, and evolve's implicit matrices: about 3 n floats for each
+of the two most recently used window step sizes) plus its trace
+columns, held once: the returned arrays wrap the packed doubles the
+rows were appended to (tracemalloc, GL, 513 reference and 257 candidate
+nodes, 2001 samples: a 1.8 MB peak, where copying the columns at the end
+took 2.0 MB and storing every restricted reference sample 22.8 MB);
+check_uniqueness holds one workspace per level and the per-level entropy
+lists.  No grid may exceed MAX_NODES nodes: ExperimentConfig and
 check_uniqueness refuse one before anything is allocated.  At the bound
 a 2-sample lockstep twin peaks at 52 MiB (GL) and 47 MiB (SPHERE), about
 420 floats per node, by tracemalloc.
@@ -676,13 +676,14 @@ def run_twin(config: ExperimentConfig) -> EntropyTrace:
             reference.flush(until=reached)
     cols["energy_reference"] = reference.energy
     cols["dissipation_reference"] = reference.dissipation
-    # a column no sample filled (the inactive system's remainders, the
-    # sphere defect of GL) is NaN throughout
+    # the columns wrap their packed doubles, not copies; a column no sample
+    # filled (the inactive system's remainders, the sphere defect of GL) is
+    # NaN throughout
     n = len(cols["times"])
     return EntropyTrace(
         system=system,
-        terms={name: np.array(v) for name, v in terms.items()},
-        **{name: np.array(v) if v else np.full(n, np.nan) for name, v in cols.items()},
+        terms={name: np.frombuffer(v) for name, v in terms.items()},
+        **{name: np.frombuffer(v) if v else np.full(n, np.nan) for name, v in cols.items()},
     )
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemlab import cli, verifier
+from nemlab import cli, traceio, verifier
 from nemlab.cli import main
 from nemlab.config import ConfigError, canonical_text, parse_config
 from nemlab.dynamics import SolverError, State
@@ -214,6 +215,61 @@ class TestTraceIo:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0] == ",".join(COLUMNS)
+
+    def test_header_only_file_reads_as_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_columns({}, str(path))
+        cols = read_columns(str(path))
+        assert tuple(cols) == COLUMNS
+        assert all(col.dtype == float and col.shape == (0,) for col in cols.values())
+
+    @staticmethod
+    def _blocks_file(path):
+        """Columns of two full blocks and a partial third, some of them empty
+        in one block only, written to path."""
+        n = 2 * traceio._ROWS_PER_BLOCK + 37
+        rng = np.random.default_rng(3)
+        cols = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                for name in COLUMNS}
+        cols["t"] = np.arange(n) / 7
+        cols["entropy"][:traceio._ROWS_PER_BLOCK] = np.nan  # the first block's fields empty
+        cols["h_hat"][::3] = np.nan
+        cols["sphere_defect"][:] = np.nan
+        write_columns(cols, str(path))
+        return cols
+
+    def test_columns_of_several_blocks_read_back_bit_for_bit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cols = self._blocks_file(path)
+        back = read_columns(str(path))
+        for name in COLUMNS:
+            assert back[name].tobytes() == cols[name].tobytes(), name
+
+    @pytest.mark.parametrize("edits, message", [
+        ({258: "short"}, "row 258 has 5 fields"),
+        ({550: "entropy"}, "row 550, column entropy: not a number: 'x1'"),
+        ({300: "r_1c", 520: "short"}, "row 300, column r_1c: not a number: 'x1'"),
+        ({520: "t", 300: "short"}, "row 300 has 5 fields"),
+    ], ids=["short-in-block-2", "number-in-block-3", "block-2-before-3", "short-first"])
+    def test_malformed_row_in_a_later_block_names_its_file_row(self, tmp_path, edits,
+                                                               message):
+        # file row 1 is the header, so block k starts at row 2 + (k - 1) * 256
+        assert traceio._ROWS_PER_BLOCK == 256
+        path = tmp_path / "t.csv"
+        self._blocks_file(path)
+        lines = path.read_text().splitlines()
+        for row, edit in edits.items():
+            fields = lines[row - 1].split(",")
+            if edit == "short":
+                fields = fields[:5]
+            else:
+                fields[COLUMNS.index(edit)] = "x1"
+            lines[row - 1] = ",".join(fields)
+        path.write_text("\r\n".join(lines) + "\r\n")
+        assert _cell_by_cell_error(str(path)) == f"{path}: {message}"
+        with pytest.raises(TraceFormatError) as info:
+            read_columns(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
     def test_three_samples_make_four_lines(self, tmp_path):
         n = 3
@@ -469,7 +525,14 @@ class TestMain:
         assert np.nanmax(cols["entropy"]) <= 1e-12
         doc = json.loads(man.read_text())
         assert doc["passes"] is True
-        assert len(doc["config_sha256"]) == 64
+        assert doc["config_sha256"] == hashlib.sha256(canonical_text(cfg_text()).encode()).hexdigest()
+        assert doc["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("text", [cfg_text(), '{"system": "gl", "note": "été γ > 3/2 ✓"}'],
+                             ids=["ascii", "non-ascii"])
+    def test_digest_is_hashlibs_sha256_of_the_canonical_text(self, text):
+        want = hashlib.sha256(canonical_text(text).encode()).hexdigest()
+        assert cli._digest(text) == want
 
     def test_gronwall_command(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
