@@ -684,7 +684,9 @@ def evolve(
     advances run inside it too.
 
     bc is BoundarySpec.for_system(params.system, init.d0); a spec of the
-    other system raises ValueError before any sample.
+    other system raises ValueError before any sample, and so do GL pins
+    that are not the member's initial director end columns, naming the
+    member.
     init and bc may also be equal-length sequences, one entry per member:
     the members then advance in lockstep through one batched step, each
     sample holds a tuple with one State per member in place of the state,
@@ -712,9 +714,11 @@ def evolve(
     if not inits or len(bcs) != len(inits):
         raise ValueError("need at least one member and one boundary spec per member")
     gl = params.system is System.GL
-    for member, member_bc in zip(inits, bcs):
+    for b, (member, member_bc) in enumerate(zip(inits, bcs)):
         if (member_bc.pins is not None) != gl:
             raise ValueError(f"boundary spec incompatible with system {params.system.value}")
+        if gl and not np.array_equal(member_bc.pins, (member.d0[:, 0], member.d0[:, -1])):
+            raise ValueError(f"GL pins of member {b} are not its initial director's end columns")
         if member.grid != grid:
             raise ValueError("initial data grid does not match the integration grid")
         if not gl:

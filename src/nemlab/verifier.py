@@ -96,7 +96,7 @@ from .functionals import (
     relative_entropy,
     remainder,
 )
-from .grid import Grid1D
+from .grid import Grid1D, GridError
 
 MAX_SAMPLES = 10_000
 # IMEX steps of one run, t_end / dt summed over its trajectories; the
@@ -803,10 +803,11 @@ def check_uniqueness(
     dt joins the reference's evolve.  Each level's sup is taken over the
     relative entropy of its pairs; energies and remainders are not
     evaluated.  The levels must be at least 3 strictly increasing node
-    counts whose finest dt leaves t_end / dt a finite float, and the
-    reference and the levels may take at most MAX_STEPS steps together,
-    and the finest level at most MAX_NODES nodes, or VerifierError is
-    raised before anything runs.  Passing
+    counts, each a valid Grid1D on the candidate's domain, whose finest dt
+    leaves t_end / dt a finite float, and the reference and the levels may
+    take at most MAX_STEPS steps together, and the finest level at most
+    MAX_NODES nodes, or VerifierError, naming the level where one is at
+    fault, is raised before anything runs.  Passing
     requires every observed order to reach _ORDER_FLOOR (1.8); a level whose
     entropy is identically zero gives an infinite order.  An entropy beyond
     the float range raises NonFiniteError once every level is paired, for
@@ -822,7 +823,12 @@ def check_uniqueness(
     params = config.params
     base = config.grid_candidate
     kappa = config.dt_candidate / base.dx**2
-    grids = [Grid1D(n, base.x_min, base.x_max) for n in refinement_levels]
+    grids = []
+    for n in refinement_levels:
+        try:
+            grids.append(Grid1D(n, base.x_min, base.x_max))
+        except GridError as exc:
+            raise VerifierError(f"refinement level {n}: {exc}") from None
     dts = [kappa * g.dx**2 for g in grids]
     _check_step_count(config.t_end, dts[-1], f"dt of level {refinement_levels[-1]}")
     _check_step_budget(config.t_end, [config.dt_reference, *dts], "the reference and the levels")

@@ -542,7 +542,8 @@ class TestMain:
         code = main(["gronwall", "-c", str(path), "-o", str(out),
                      "--manifest", str(man)])
         assert code == 0
-        assert "[PASS] gronwall" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out.startswith("[PASS] gronwall: ") and err == ""
         doc = json.loads(man.read_text())
         assert doc["checks"]["gronwall"] is True
 
@@ -553,7 +554,9 @@ class TestMain:
                      "-o", str(tmp_path / "t.csv"),
                      "--manifest", str(tmp_path / "m.json")])
         assert code == 0
-        assert capsys.readouterr().out.splitlines()[0].endswith(" first_violation=none")
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0].endswith(" first_violation=none")
+        assert out.startswith("[PASS] energy: ") and err == ""
 
     def test_energy_command_names_the_first_violation(self, tmp_path, capsys, monkeypatch):
         report = EnergyReport(passes=False, tol=1e-3, max_violation_candidate=0.5,
@@ -610,17 +613,21 @@ class TestMain:
         assert capsys.readouterr() == ("", f"config error: {err}\n")
 
     def test_simulate_command(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(cfg_text())
-        out = tmp_path / "sim.csv"
-        code = main(["simulate", "-c", str(path), "-o", str(out),
-                     "--manifest", str(tmp_path / "m.json")])
-        assert code == 0
-        cols = read_columns(str(out))
-        assert np.all(np.isnan(cols["entropy"]))
-        assert np.all(np.isfinite(cols["energy_candidate"]))
-        drift = np.max(np.abs(cols["mass_candidate"] - cols["mass_candidate"][0]))
-        assert drift <= 1e-12
+        # every positive horizon, however short, ends with a sample at t_end:
+        # t_end = 2e-12 is 50 windows of t_end / 50 after the sample at t = 0
+        for t_end in (0.02, 2e-12):
+            path = tmp_path / "cfg.json"
+            path.write_text(cfg_text(t_end=t_end))
+            out = tmp_path / "sim.csv"
+            code = main(["simulate", "-c", str(path), "-o", str(out),
+                         "--manifest", str(tmp_path / "m.json")])
+            assert code == 0 and capsys.readouterr().err == ""
+            cols = read_columns(str(out))
+            assert len(cols["t"]) == 51 and cols["t"][-1] == t_end
+            assert np.all(np.isnan(cols["entropy"]))
+            assert np.all(np.isfinite(cols["energy_candidate"]))
+            drift = np.max(np.abs(cols["mass_candidate"] - cols["mass_candidate"][0]))
+            assert drift <= 1e-12
 
     def test_simulate_columns_match_the_twin_candidate(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -999,6 +999,25 @@ class TestBatchedEvolve:
         with pytest.raises(ValueError, match="one boundary spec per member"):
             evolve([init, init], 0.01, 1e-3, p, g, [bc])
 
+    @pytest.mark.parametrize("members", [1, 2], ids=["single", "batched"])
+    def test_gl_pins_must_be_the_initial_director_end_columns(self, members):
+        # a left pin of (0, 1, 0) on gl-smooth, whose left wall is (1, 0, 0),
+        # on the last member: the wall would jump to the pin at the first step
+        p = Params()
+        g = Grid1D(17, 0.0, 1.0)
+        init = make_initial_data("gl-smooth", g, p)
+        own = BoundarySpec.for_system(System.GL, init.d0)
+        foreign = BoundarySpec(np.array([[0.0, 1.0, 0.0], own.pins[1]]))
+        seen = []
+        with pytest.raises(ValueError, match=f"^GL pins of member {members - 1} are not its "
+                                             "initial director's end columns$"):
+            if members == 1:
+                evolve(init, 0.01, 1e-3, p, g, foreign, observer=lambda s, t: seen.append(t))
+            else:
+                evolve([init, init], 0.01, 1e-3, p, g, [own, foreign],
+                       observer=lambda s, t: seen.append(t))
+        assert seen == []
+
     def test_initial_data_on_another_grid_rejected(self):
         p = Params()
         init = make_initial_data("gl-smooth", Grid1D(33, 0.0, 1.0), p)

@@ -1309,6 +1309,19 @@ class TestCheckUniqueness:
         with pytest.raises(VerifierError, match="3 refinement levels"):
             check_uniqueness(twin_config(), [65, 129])
 
+    @pytest.mark.parametrize("levels, bad, reason", [
+        ([3, 9, 17], 3, "n_nodes must be >= 5, got 3"),
+        ([9, 17, 10**400], 10**400, "n_nodes is too large: n_nodes - 1 is beyond the float range"),
+    ], ids=["3", "10**400"])
+    def test_level_that_is_not_a_grid_rejected_before_any_run(self, monkeypatch, levels, bad,
+                                                              reason):
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran before the levels were checked")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        with pytest.raises(VerifierError, match=f"^refinement level {bad}: {re.escape(reason)}$"):
+            check_uniqueness(twin_config(n_ref=33, n_cand=17), levels)
+
     def test_perturbation_ignored_for_collapse(self):
         cfg = twin_config(n_ref=65, n_cand=65, dt=0.4 * Grid1D(65, 0, 1).dx ** 2,
                           t_end=0.01, amplitude=0.5)
