@@ -72,21 +72,36 @@ positional output, np.op(x, y, x); each scalar operand is a read-only 0-d
 float64 array made once from the float expression it stands for, per step
 size (_Implicit) or per (params, dx) in _Operands, the one table of the
 step, the certificate row and the energy pass, cached by _operands; copies
-are slice assignments; LAPACK's overwrite flags are positional.  Per call
-on 194 floats (numpy 2.4, Python 3.11, shared 2-vCPU x86-64 VM): x *= 0.5
-0.84 us, np.multiply(x, 0.5, x) 0.57, with a 0-d 0.5 0.37, with out= 0.43;
-np.copyto 0.33, a slice assignment 0.18; dpttrs with overwrite_b=1 0.27 us
-more than with a positional 1.
+are slice assignments; each LAPACK call's arguments are built once (see
+LAPACK below).  Per call on 194 floats (numpy 2.4, Python 3.11, shared
+2-vCPU x86-64 VM): x *= 0.5 0.84 us, np.multiply(x, 0.5, x) 0.57, with a
+0-d 0.5 0.37, with out= 0.43; np.copyto 0.33, a slice assignment 0.18.
+dptsv on 97 rows, its solve included: 1.60-1.63 us through ctypes with
+every argument a prebuilt byref, 1.61-1.72 through scipy's f2py wrapper,
+1.82-1.93 with the arrays passed as c_void_p addresses.
 
-LAPACK: dptsv, dpttrf and dpttrs are loaded from scipy's extension module
-scipy/linalg/_flapack, found by file next to the installed scipy package,
-not by `from scipy.linalg.lapack import ...`, which runs the scipy.linalg
-package __init__ (scipy's array-API layer, numpy.testing, numpy.f2py and
-numpy.ma): 0.22-0.26 s per process by `python -X importtime` (scipy 1.17,
-Python 3.11, shared 2-vCPU x86-64 VM) against about 2 ms for the
-extension alone.  They are the same compiled routines, so every solve is
-bit-identical.  Without such a file (an editable or non-wheel scipy
-build) the module falls back to scipy.linalg.lapack.
+LAPACK: dptsv, dpttrf and dpttrs come from numpy's own LAPACK, the ILP64
+OpenBLAS that numpy's wheels link into numpy._core._multiarray_umath and
+that exports them as scipy_dptsv_64_, scipy_dpttrf_64_ and
+scipy_dpttrs_64_.  ctypes binds them, with 64-bit integer arguments, so a
+process maps one OpenBLAS: scipy's _flapack extension maps a second one,
+with libgfortran and libstdc++: 5.4 MB of resident memory after `import
+scipy`.  A process that imports nemlab.cli peaks at 29.6 MB resident,
+against 33.7 MB when the solves came from _flapack (numpy 2.4, scipy
+1.17, Python 3.11, x86-64 Linux, bytecode compiled at import).  Each
+solve binds its routine to its arrays once, as a _Call: the velocity
+solve per workspace, the director factor and solve per step size and
+workspace; a step's solve is then fn(*args) and a read of the status.  Where
+numpy's extension does not export the routines (MKL or Accelerate
+builds, and Windows, whose symbol lookup does not search an extension's
+dependencies), the same binders wrap scipy's f2py routines instead,
+which keeps scipy a dependency.  Those are loaded from the extension
+module scipy/linalg/_flapack by file, so the scipy.linalg package
+__init__ never runs (0.22-0.26 s per process by `python -X importtime`,
+against about 2 ms for the extension alone), or from scipy.linalg.lapack
+where there is no such file.  Nothing but the symbols chooses the
+source.  With numpy 2.4 (OpenBLAS 0.3.31) and scipy 1.17 (OpenBLAS
+0.3.30) the two give the same bits.
 
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
@@ -109,12 +124,75 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy
 
 from .constitutive import Params, System, _power_law, gl_force
 from .grid import _HALF, Grid1D, _scalar, _spacing, central_gradient, central_laplacian
 
 _FLAPACK = "scipy.linalg._flapack"
+_ROUTINES = ("dptsv", "dpttrf", "dpttrs")
+
+
+class _Call(NamedTuple):
+    """A LAPACK routine bound to its arrays: fn(*args) runs it in place on
+    them and leaves its info in status[1]."""
+
+    fn: Callable
+    args: tuple
+    status: Sequence[int]
+
+
+def _arrays(d: np.ndarray, e: np.ndarray, b: Optional[np.ndarray]) -> tuple:
+    """The arrays a routine runs on in place, (d, e) or (d, e, b), after
+    checking that it can: contiguous writable float64, b in Fortran order
+    with one row per row of d.  A routine handed anything else would
+    write a copy (f2py) or read past the data (ctypes)."""
+    arrays = (d, e) if b is None else (d, e, b)
+    for a in arrays:
+        if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+            raise ValueError("LAPACK arrays must be writable float64 in Fortran order")
+    if d.ndim != 1 or e.shape != (d.size - 1,) or (b is not None and b.shape[0] != d.size):
+        raise ValueError("LAPACK arrays do not form one tridiagonal system")
+    return arrays
+
+
+def _numpy_lapack():
+    """Binders of dptsv, dpttrf and dpttrs from numpy's ILP64 LAPACK, or
+    None where numpy's extension does not export them.
+
+    A binder takes (d, e) or (d, e, b) and returns their _Call.  The
+    integer arguments of one call are one block of 64-bit integers, its
+    status: N, INFO, NRHS, LDB.  INFO starts at -1, which LAPACK overwrites
+    before anything else; a 32-bit binding would read it as the upper half
+    of N, so its first call would refuse a negative N, not pass silently
+    or read past its arrays.
+    """
+    try:
+        import ctypes
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.PyDLL(_multiarray_umath.__file__)
+        fns = [getattr(lib, f"scipy_{name}_64_") for name in _ROUTINES]
+    except (ImportError, OSError, AttributeError):
+        return None
+    block, width = ctypes.c_int64 * 4, ctypes.sizeof(ctypes.c_int64)
+
+    def binder(fn):
+        # no argtypes: converting the arguments through them costs 0.8 us a
+        # call (dptsv on 97 rows: 2.4 us, against 1.6 for prebuilt byrefs
+        # alone); _arrays checks what the pointers point to instead
+        fn.restype = None
+
+        def bind(d, e, b=None):
+            # each array by its first entry, which holds on to its buffer
+            data = [ctypes.byref(ctypes.c_double.from_buffer(a.reshape(-1, order="F")))
+                    for a in _arrays(d, e, b)]
+            ints = block(d.size, -1, 1 if b is None else b.size // d.size, d.size)
+            n, info, nrhs, ldb = (ctypes.byref(ints, k * width) for k in range(4))
+            return _Call(fn, (n, *data, info) if b is None else (n, nrhs, *data, ldb, info), ints)
+
+        return bind
+
+    return tuple(map(binder, fns))
 
 
 def _load_lapack(linalg_dir: str):
@@ -141,7 +219,30 @@ def _load_lapack(linalg_dir: str):
     return module.dptsv, module.dpttrf, module.dpttrs
 
 
-dptsv, dpttrf, dpttrs = _load_lapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+def _scipy_lapack():
+    """Binders of the installed scipy's f2py dptsv, dpttrf and dpttrs
+    (_load_lapack's), with _numpy_lapack's call form: each call passes
+    every overwrite flag, so the routine runs in place, and stores its
+    info in its status, a list [N, INFO]."""
+    import scipy
+
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+
+    def binder(routine, flags):
+        def call(status, *args):
+            status[1] = routine(*args)[-1]
+
+        def bind(d, e, b=None):
+            status = [d.size, 0]
+            return _Call(call, (status, *_arrays(d, e, b), *(1,) * flags), status)
+
+        return bind
+
+    # dpttrs overwrites only b: its factor is input only
+    return tuple(map(binder, _load_lapack(linalg_dir), (3, 2, 1)))
+
+
+dptsv, dpttrf, dpttrs = _numpy_lapack() or _scipy_lapack()
 
 DEFAULT_DENSITY_FLOOR = 1e-8
 _CFL_NUMBER = 0.4
@@ -351,6 +452,7 @@ class _Workspace:
         # dptsv factors the velocity matrix over its diagonals: a copy each step
         self.vel_diag = np.empty(size)
         self.vel_off = np.empty(size - 1)
+        self.vel_solve = dptsv(self.vel_diag, self.vel_off, self.u_flat)
 
 
 class _Operands:
@@ -436,15 +538,17 @@ def _check_density_floor(rho: np.ndarray, density_floor: float) -> None:
 
 
 class _Implicit(NamedTuple):
-    """The implicit matrices of one step size, shared by the steps of that
-    size (see _samples); both are symmetric positive definite.
+    """The implicit matrices of one step size on one workspace, shared by
+    the steps of that size (see _samples); both are symmetric positive
+    definite.
 
     dt, dt_dx = dt/dx and two_s = 2 s (s = mu dt/dx^2) are 0-d operands.
     Velocity: the B members form one block-diagonal system; vel_off holds
     its off-diagonal, 0 at the block joints and at the wall rows (whose
     right-hand sides are 0), and its diagonal rho_new + 2 s changes every
     step.  Director: one matrix for every member and component, held as
-    its dpttrf factor (dir_d, dir_e).  pins holds the left and right
+    its dpttrf factor in dir_solve, the dpttrs call on the workspace's
+    director right-hand sides.  pins holds the left and right
     Dirichlet rows of all members flattened in (member, component) order,
     (2, 3B), and pin_rhs = r pins their coupling, moved to rows 1 and n - 2
     of the right-hand sides; both are None for Neumann ghosts.
@@ -454,8 +558,7 @@ class _Implicit(NamedTuple):
     dt_dx: np.ndarray
     two_s: np.ndarray
     vel_off: np.ndarray
-    dir_d: np.ndarray
-    dir_e: np.ndarray
+    dir_solve: _Call
     pins: Optional[np.ndarray]
     pin_rhs: Optional[np.ndarray]
 
@@ -466,10 +569,11 @@ def _implicit(
     mu: float,
     theta: float,
     pins: Optional[np.ndarray],
-    members: int,
-    n: int,
+    work: _Workspace,
 ) -> _Implicit:
-    """The velocity off-diagonal and the director factor of step size dt."""
+    """The velocity off-diagonal and the director factor of step size dt,
+    for the steps on work."""
+    members, n = work.rho.shape
     s = mu * dt / (dx * dx)
     vel_off = np.full(members * n - 1, -s)
     vel_off[::n] = 0.0        # first wall rows
@@ -484,17 +588,17 @@ def _implicit(
         off[::n - 2] = 0.0
     else:
         diag[::n - 1] *= 0.5  # the mirrored-ghost rows, halved
-    dir_d, dir_e = _lapack(dpttrf, "director", n, diag, off, 1, 1)  # overwrite d and e
-    return _Implicit(_scalar(dt), _scalar(dt / dx), _scalar(2.0 * s), vel_off, dir_d, dir_e,
-                     pins, None if pins is None else r * pins)
+    _lapack(dpttrf(diag, off), "director", n)  # the factor overwrites diag and off
+    return _Implicit(_scalar(dt), _scalar(dt / dx), _scalar(2.0 * s), vel_off,
+                     dpttrs(diag, off, work.dir_rhs), pins, None if pins is None else r * pins)
 
 
-def _lapack(routine: Callable, what: str, n: int, *args):
-    """Run a LAPACK tridiagonal routine on its arrays and overwrite flags,
-    args, for B blocks of n rows and return its outputs but the status;
-    solutions are left in place in the right-hand sides.  A nonpositive
-    pivot is attributed to the block that holds it."""
-    *out, info = routine(*args)
+def _lapack(call: _Call, what: str, n: int) -> None:
+    """Run a bound LAPACK tridiagonal call for B blocks of n rows; its
+    results are left in place in its arrays.  A nonpositive pivot is
+    attributed to the block that holds it."""
+    call.fn(*call.args)
+    info = call.status[1]
     if info > 0:
         member, row = divmod(info - 1, n)
         raise LinearSolveError(
@@ -503,7 +607,6 @@ def _lapack(routine: Callable, what: str, n: int, *args):
         )
     if info < 0:
         raise LinearSolveError(f"{what} solve: illegal argument {-info} to LAPACK")
-    return out
 
 
 def _solve_velocity(implicit: _Implicit, work: _Workspace) -> None:
@@ -513,21 +616,20 @@ def _solve_velocity(implicit: _Implicit, work: _Workspace) -> None:
     work.vel_off[:] = implicit.vel_off
     np.add(work.rho_flat, implicit.two_s, work.vel_diag)
     work.u_walls.fill(0.0)
-    n = work.rho.shape[-1]
-    _lapack(dptsv, "velocity", n, work.vel_diag, work.vel_off, work.u_flat, 1, 1, 1)
+    _lapack(work.vel_solve, "velocity", work.rho.shape[-1])
 
 
 def _solve_director(implicit: _Implicit, work: _Workspace) -> None:
     """Implicit diffusion solve in place on work.d, (I - theta dt D2_bc) d = d*
-    for every member and component: one call with 3B right-hand sides."""
+    for every member and component: one call with 3B right-hand sides.
+    implicit was built on work."""
     pins = implicit.pins
     if pins is not None:
         work.dir_walls[...] = pins
         np.add(work.dir_inner, implicit.pin_rhs, work.dir_inner)
     else:
         np.multiply(work.dir_walls, _HALF, work.dir_walls)
-    _lapack(dpttrs, "director", work.d.shape[-1], implicit.dir_d, implicit.dir_e,
-            work.dir_rhs, 1)
+    _lapack(implicit.dir_solve, "director", work.d.shape[-1])
     if pins is not None:  # the wall rows solve to pin - 0 * x: the pin, up to a zero's sign
         work.dir_walls[...] = pins
 
@@ -790,7 +892,7 @@ def _samples(work: _Workspace, ops: _Operands, params: Params, grid: Grid1D,
         if implicit is None:
             if len(cache) == 2:
                 del cache[next(iter(cache))]
-            implicit = _implicit(dt_eff, grid.dx, params.mu, params.theta, pins, members, n)
+            implicit = _implicit(dt_eff, grid.dx, params.mu, params.theta, pins, work)
         cache[dt_eff] = implicit
         # the error state covers the window's steps, never the yield
         with np.errstate(over="ignore", invalid="ignore"):

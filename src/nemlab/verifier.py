@@ -47,6 +47,12 @@ lists.  No grid may exceed MAX_NODES nodes: ExperimentConfig and
 check_uniqueness refuse one before anything is allocated.  At the bound
 a 2-sample lockstep twin peaks at 52 MiB (GL) and 47 MiB (SPHERE), about
 420 floats per node, by tracemalloc.
+A process holds more than its runs: after `import numpy` its resident
+memory (ru_maxrss) is about 27 MB, 14 MB of them the interpreter, and
+nemlab's modules with the stdlib modules they import add about 1.5 MB,
+3 MB where their bytecode is compiled at import (Python 3.11, numpy 2.4,
+x86-64 Linux).  The solves use numpy's own LAPACK, so importing nemlab
+maps no second BLAS (dynamics says how).
 run_twin's reference energies and dissipations take one EnergyWindow:
 ENERGY_WINDOW (8) samples copied into one buffer and evaluated by one
 stacked pass when it is full, O(ENERGY_WINDOW * n_reference) floats with
@@ -107,6 +113,7 @@ MAX_STEPS = 1_000_000
 # and the benchmark, criterion 6's 1025-node reference (16 * 1024 + 1)
 MAX_NODES = 16_385
 _ORDER_FLOOR = 1.8  # the least observed order a convergence check accepts
+_SHOWN_LEVELS = 10  # the refinement levels an error message lists
 
 
 class VerifierError(ValueError):
@@ -787,6 +794,14 @@ class UniquenessReport:
     orders: List[float]
 
 
+def _level_text(n) -> str:
+    """A refinement level as message text; an integer of more than 1,000
+    digits by its size only, as str() refuses one of over 4,300."""
+    if isinstance(n, int) and not -10**1000 < n < 10**1000:
+        return f"<an integer of about {int(abs(n).bit_length() * math.log10(2)) + 1} digits>"
+    return str(n)
+
+
 def check_uniqueness(
     config: ExperimentConfig,
     refinement_levels: Sequence[int],
@@ -816,9 +831,12 @@ def check_uniqueness(
     if len(refinement_levels) < 3:
         raise VerifierError("need at least 3 refinement levels")
     if any(a >= b for a, b in zip(refinement_levels, refinement_levels[1:])):
+        shown = [*map(_level_text, refinement_levels[:_SHOWN_LEVELS])]
+        if len(refinement_levels) > _SHOWN_LEVELS:
+            shown.append("...")
         raise VerifierError(
             f"refinement levels must be strictly increasing node counts, "
-            f"got {list(refinement_levels)}"
+            f"got [{', '.join(shown)}]"
         )
     params = config.params
     base = config.grid_candidate
@@ -828,7 +846,7 @@ def check_uniqueness(
         try:
             grids.append(Grid1D(n, base.x_min, base.x_max))
         except GridError as exc:
-            raise VerifierError(f"refinement level {n}: {exc}") from None
+            raise VerifierError(f"refinement level {_level_text(n)}: {exc}") from None
     dts = [kappa * g.dx**2 for g in grids]
     _check_step_count(config.t_end, dts[-1], f"dt of level {refinement_levels[-1]}")
     _check_step_budget(config.t_end, [config.dt_reference, *dts], "the reference and the levels")

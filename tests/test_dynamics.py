@@ -384,8 +384,8 @@ class TestStep:
         p = Params(system=System.SPHERE)
         g = Grid1D(65, 0.0, 1.0)
         init = make_initial_data("sphere-smooth", g, p)
-        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, None, 1, g.n_nodes)
         work = loaded(init.rho0[None], init.u0[None], init.d0[None])
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, None, work)
         dir_rate = dynamics._explicit_rates(work, dynamics._Operands(p, g.dx))[2]
         work.d += 1e-4 * dir_rate
         dynamics._solve_director(imp, work)
@@ -439,8 +439,8 @@ class TestTridiagonalSolves:
         a[0, 0] = a[-1, -1] = 1.0
         b = m_star.copy()
         b[[0, -1]] = 0.0
-        imp = dynamics._implicit(dt, dx, mu, 1.0, None, 1, n)
         work = loaded(rho_new[None], m_star[None], np.zeros((1, 3, n)))
+        imp = dynamics._implicit(dt, dx, mu, 1.0, None, work)
         dynamics._solve_velocity(imp, work)
         u = work.u[0]
         np.testing.assert_allclose(u, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
@@ -457,8 +457,8 @@ class TestTridiagonalSolves:
         a[0, 0] = a[-1, -1] = 1.0
         b = d_star.T.copy()
         b[0], b[-1] = pins
-        imp = dynamics._implicit(dt, dx, 1.0, theta, pins, 1, n)
         work = loaded(np.ones((1, n)), np.zeros((1, n)), d_star[None])
+        imp = dynamics._implicit(dt, dx, 1.0, theta, pins, work)
         dynamics._solve_director(imp, work)
         d_new = work.d[0]
         np.testing.assert_allclose(d_new, np.linalg.solve(a, b).T, rtol=1e-12, atol=0.0)
@@ -472,8 +472,8 @@ class TestTridiagonalSolves:
         d2 = self.d2_dense(n, dx)
         d2[0, 1] = d2[-1, -2] = 2.0 / dx**2  # mirrored ghost nodes
         a = np.eye(n) - theta * dt * d2
-        imp = dynamics._implicit(dt, dx, 1.0, theta, None, 1, n)
         work = loaded(np.ones((1, n)), np.zeros((1, n)), d_star[None])
+        imp = dynamics._implicit(dt, dx, 1.0, theta, None, work)
         dynamics._solve_director(imp, work)
         np.testing.assert_allclose(
             work.d[0], np.linalg.solve(a, d_star.T).T, rtol=1e-12, atol=0.0
@@ -483,9 +483,8 @@ class TestTridiagonalSolves:
     def _solved(rho, m_star, d_star, s, r, pins):
         """The velocity and director solves on a loaded workspace, with
         dt = dx = 1, so mu = s and theta = r."""
-        members, n = rho.shape
         work = loaded(rho, m_star, d_star)
-        imp = dynamics._implicit(1.0, 1.0, s, r, pins, members, n)
+        imp = dynamics._implicit(1.0, 1.0, s, r, pins, work)
         dynamics._solve_velocity(imp, work)
         dynamics._solve_director(imp, work)
         return work.u.copy(), work.d.copy()
@@ -549,15 +548,15 @@ class TestTridiagonalSolves:
         rho_new[3] = 0.0  # with mu = 0 row 3 is all zeros
         work = loaded(rho_new[None], np.ones((1, 7)), np.zeros((1, 3, 7)))
         with pytest.raises(LinearSolveError, match="velocity solve: singular"):
-            dynamics._solve_velocity(dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 1, 7), work)
+            dynamics._solve_velocity(dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, work), work)
 
     def test_singular_director_matrix_is_a_solver_error(self):
         # theta*dt/dx^2 = -1/2 zeroes the diagonal; the interior block of
         # size 3 is then singular
+        work = loaded(np.ones((1, 5)), np.zeros((1, 5)), np.ones((1, 3, 5)))
         with pytest.raises(LinearSolveError, match="director solve: singular") as info:
-            imp = dynamics._implicit(1.0, 1.0, 1.0, -0.5, np.zeros((2, 3)), 1, 5)
-            dynamics._solve_director(imp, loaded(np.ones((1, 5)), np.zeros((1, 5)),
-                                                 np.ones((1, 3, 5))))
+            imp = dynamics._implicit(1.0, 1.0, 1.0, -0.5, np.zeros((2, 3)), work)
+            dynamics._solve_director(imp, work)
         assert isinstance(info.value, SolverError)
 
     @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
@@ -571,13 +570,15 @@ class TestTridiagonalSolves:
         preset = "gl-smooth" if system is System.GL else "sphere-smooth"
         init = make_initial_data(preset, g, p)
         bc = BoundarySpec.for_system(system, init.d0)
-        # the director factor is built with the step size, before any step
-        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, bc.pins, 1, g.n_nodes)
-        monkeypatch.setattr(dynamics, "_lapack", no_solve)
+        runs = []
         for name in ("u", "rho"):
             fields = {"rho": init.rho0.copy(), "u": init.u0.copy()}
             fields[name][10] = np.nan
             work = loaded(fields["rho"][None], fields["u"][None], init.d0[None])
+            # the director factor is built with the step size, before any step
+            runs.append((work, dynamics._implicit(1e-4, g.dx, p.mu, p.theta, bc.pins, work)))
+        monkeypatch.setattr(dynamics, "_lapack", no_solve)
+        for work, imp in runs:
             with pytest.raises(NonFiniteStateError, match="non-finite wave speed"):
                 advance(work, 1e-4, p, g, imp)
 
@@ -891,12 +892,17 @@ class TestBatchedEvolve:
         for name in ("rho", "u", "d"):
             assert np.array_equal(getattr(out, name), getattr(st, f"{name}0"))
         # evolve's steps also share one workspace and write the state into
-        # it; a step on a fresh workspace loaded with the same state matches
-        imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, bc.pins, 1, g.n_nodes)
+        # it; a step on a fresh workspace loaded with the same state, with
+        # matrices of its own, matches
+        def matrices(work):
+            return dynamics._implicit(dt, g.dx, p.mu, p.theta, bc.pins, work)
+
         fresh = (init.rho0[None], init.u0[None], init.d0[None])
         work = loaded(*fresh)
+        imp = matrices(work)
         for _ in range(5):
-            fresh = advance(loaded(*fresh), dt, p, g, imp)
+            step = loaded(*fresh)
+            fresh = advance(step, dt, p, g, matrices(step))
             reused = advance(work, dt, p, g, imp)
             assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
             assert all(a is b for a, b in zip(reused, (work.rho, work.u, work.d)))
@@ -1040,8 +1046,9 @@ def _pair_arrays(system, n=33):
 
 
 def _step_pair(p, g, rho, u, d, pins, dt=1e-4, density_floor=dynamics.DEFAULT_DENSITY_FLOOR):
-    imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, pins, rho.shape[0], g.n_nodes)
-    return advance(loaded(rho, u, d), dt, p, g, imp, density_floor)
+    work = loaded(rho, u, d)
+    imp = dynamics._implicit(dt, g.dx, p.mu, p.theta, pins, work)
+    return advance(work, dt, p, g, imp, density_floor)
 
 
 class TestMemberAttribution:
@@ -1108,8 +1115,8 @@ class TestMemberAttribution:
 
         monkeypatch.setattr(dynamics, "_explicit_rates", poisoned)
         p, g, rho, u, d, pins = _pair_arrays(System.GL)
-        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, pins, 2, g.n_nodes)
         work = loaded(rho, u, d)
+        imp = dynamics._implicit(1e-4, g.dx, p.mu, p.theta, pins, work)
         with pytest.raises(NonFiniteStateError, match="after step") as info:
             advance(work, 1e-4, p, g, imp)
         assert info.value.member == failing[0]
@@ -1119,8 +1126,8 @@ class TestMemberAttribution:
     def test_singular_velocity_block_names_member_and_row(self):
         rho_new = np.ones((2, 7))
         rho_new[1, 3] = 0.0  # with mu = 0 row 3 of member 1 is all zeros
-        imp = dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, 2, 7)
         work = loaded(rho_new, np.ones((2, 7)), np.zeros((2, 3, 7)))
+        imp = dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, work)
         with pytest.raises(LinearSolveError, match="zero pivot in row 4") as info:
             dynamics._solve_velocity(imp, work)
         assert info.value.member == 1
@@ -1245,9 +1252,40 @@ def test_boundary_spec_equality_is_identity_and_hash_works():
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
+_MODULE_BINDERS = (dynamics.dptsv, dynamics.dpttrf, dynamics.dpttrs)
+
+
+def _without_the_symbols(monkeypatch):
+    """Make numpy's extension a handle that lacks the LAPACK symbols, as on
+    builds whose numpy links another LAPACK, or none dlsym can reach."""
+    import _ctypes
+    import ctypes
+
+    library = ctypes.PyDLL
+    monkeypatch.setattr(ctypes, "PyDLL", lambda name: library(_ctypes.__file__))
+
+
 class TestLapack:
-    """dynamics' dptsv, dpttrf and dpttrs are loaded from scipy's LAPACK
-    extension by file."""
+    """dynamics binds dptsv, dpttrf and dpttrs from numpy's ILP64 LAPACK by
+    ctypes, or wraps scipy's where numpy's extension lacks them; either
+    source gives scipy.linalg.lapack's bits through one call form."""
+
+    @pytest.fixture(params=["numpy", "scipy"])
+    def source(self, request, monkeypatch):
+        """One source's binders, also installed as dynamics' own, so the
+        workspace and the matrices bind their solves from it."""
+        if request.param == "numpy":
+            binders = dynamics._numpy_lapack()
+            if binders is None:
+                pytest.skip("numpy's extension exports no ILP64 dptsv, dpttrf, dpttrs")
+        else:
+            with monkeypatch.context() as patch:
+                _without_the_symbols(patch)
+                assert dynamics._numpy_lapack() is None
+            binders = dynamics._scipy_lapack()
+        for name, bind in zip(dynamics._ROUTINES, binders, strict=True):
+            monkeypatch.setattr(dynamics, name, bind)
+        return binders
 
     @staticmethod
     def _reference():
@@ -1266,40 +1304,134 @@ class TestLapack:
         return rng.uniform(2.5, 3.0, m), off, rng.standard_normal((m, nrhs))
 
     @staticmethod
-    def _bits(routines, diag, off, rhs):
-        """The bits of every output of dptsv and dpttrf on copies of one
-        system, and of dpttrs on dpttrf's factor where that succeeded."""
-        dptsv, dpttrf, dpttrs = routines
+    def _bits(outs):
+        return [np.asarray(v).tobytes() for out in outs for v in out]
+
+    def _reference_bits(self, diag, off, rhs, routines=None):
+        """The bits of every output of f2py's dptsv and dpttrf (routines, or
+        scipy.linalg.lapack's) on copies of one system, and of dpttrs on
+        dpttrf's factor where that succeeded."""
+        dptsv, dpttrf, dpttrs = routines or self._reference()
         outs = [dptsv(diag.copy(), off.copy(), rhs.copy()), dpttrf(diag.copy(), off.copy())]
         d, e, info = outs[-1]
         if info == 0:
             outs.append(dpttrs(d, e, rhs.copy()))
-        return [np.asarray(v).tobytes() for out in outs for v in out]
+        return self._bits(outs)
 
-    def test_bit_identical_to_scipy_linalg_lapack(self):
+    def _bound_bits(self, binders, diag, off, rhs):
+        """The same bits from calls bound by binders: the arrays each call
+        overwrites, then its status."""
+        dptsv, dpttrf, dpttrs = binders
+
+        def run(bind, *arrays):
+            arrays = [a.copy(order="F") for a in arrays]
+            call = bind(*arrays)
+            call.fn(*call.args)
+            return arrays, call.status[1]
+
+        solve, factor = run(dptsv, diag, off, rhs), run(dpttrf, diag, off)
+        outs = [(*solve[0], solve[1]), (*factor[0], factor[1])]
+        if factor[1] == 0:
+            rhs_out, info = run(dpttrs, *factor[0], rhs)
+            outs.append((rhs_out[2], info))
+        return self._bits(outs)
+
+    def test_bit_identical_to_scipy_linalg_lapack(self, source):
         system = self._blocks(np.random.default_rng(11))
-        loaded = (dynamics.dptsv, dynamics.dpttrf, dynamics.dpttrs)
-        assert len(self._bits(loaded, *system)) == 9  # dptsv 4, dpttrf 3, dpttrs 2
-        assert self._bits(loaded, *system) == self._bits(self._reference(), *system)
+        bits = self._bound_bits(source, *system)
+        assert len(bits) == 9  # dptsv 4, dpttrf 3, dpttrs 2
+        assert bits == self._reference_bits(*system)
+        one = self._blocks(np.random.default_rng(15), blocks=1, nrhs=1)
+        one = (*one[:2], one[2][:, 0])  # one right-hand side, as the velocity solve's
+        assert self._bound_bits(source, *one) == self._reference_bits(*one)
 
-    def test_zero_pivot_status_matches_scipy_linalg_lapack(self):
+    def test_zero_pivot_status_matches_scipy_linalg_lapack(self, source):
         diag, off, rhs = self._blocks(np.random.default_rng(12))
         k = 40  # row 7 of block 1: uncoupled from the row above, pivot 0
         diag[k] = off[k - 1] = 0.0
-        assert dynamics.dptsv(diag.copy(), off.copy(), rhs.copy())[-1] == k + 1
-        assert dynamics.dpttrf(diag.copy(), off.copy())[-1] == k + 1
-        loaded = (dynamics.dptsv, dynamics.dpttrf, dynamics.dpttrs)
-        assert self._bits(loaded, diag, off, rhs) == self._bits(
-            self._reference(), diag, off, rhs
-        )
+        bits = self._bound_bits(source, diag, off, rhs)
+        assert len(bits) == 7 and bits[3] == bits[6] == np.asarray(k + 1).tobytes()
+        assert bits == self._reference_bits(diag, off, rhs)
+
+    def test_prebuilt_calls_name_the_member_and_row(self, source):
+        # one workspace's velocity call solves, then meets a zero pivot in
+        # row 4 of member 1 (mu = 0 leaves rho_new on the diagonal)
+        work = loaded(np.ones((2, 7)), np.ones((2, 7)), np.zeros((2, 3, 7)))
+        imp = dynamics._implicit(1e-3, 0.1, 0.0, 1.0, None, work)
+        dynamics._solve_velocity(imp, work)
+        assert np.array_equal(work.u[:, 1:-1], np.ones((2, 5)))
+        work.rho[1, 3] = 0.0
+        with pytest.raises(LinearSolveError, match="velocity solve: .* row 4") as info:
+            dynamics._solve_velocity(imp, work)
+        assert info.value.member == 1
+        # theta dt/dx^2 = -1/2 zeroes the director diagonal: row 2's pivot
+        with pytest.raises(LinearSolveError, match="director solve: .* row 2") as info:
+            dynamics._implicit(1.0, 1.0, 1.0, -0.5, np.zeros((2, 3)), work)
+        assert info.value.member == 0
+
+    @pytest.mark.parametrize("system", [System.GL, System.SPHERE])
+    def test_evolve_is_bit_identical_through_either_source(self, source, system, monkeypatch):
+        g = Grid1D(33, 0.0, 1.0)
+        inits = [make_initial_data(_preset(system), g, Params(system=system),
+                                   Perturbation(1e-3 * b, 2)) for b in range(2)]
+
+        def bits():
+            return [(t, [getattr(st, name).tobytes() for st in states for name in "rho u d".split()])
+                    for t, states in _sampled(inits, system, 33)[0]]
+
+        through_source = bits()
+        for name, bind in zip(dynamics._ROUTINES, _MODULE_BINDERS, strict=True):
+            monkeypatch.setattr(dynamics, name, bind)
+        assert through_source == bits()
+
+    def test_arrays_that_cannot_be_solved_in_place_are_refused(self, source):
+        dptsv, dpttrf, _ = source
+        diag, off, rhs = self._blocks(np.random.default_rng(16), blocks=1, nrhs=2)
+        for bad in (rhs.copy(order="C"), rhs[::2], rhs.astype(np.float32)):
+            with pytest.raises(ValueError, match="LAPACK arrays"):
+                dptsv(diag, off, bad)
+        with pytest.raises(ValueError, match="one tridiagonal system"):
+            dpttrf(diag, off[:-1])
+
+    def test_integer_arguments_are_64_bit(self):
+        binders = dynamics._numpy_lapack()
+        if binders is None:
+            pytest.skip("numpy's extension exports no ILP64 dptsv")
+        diag, off, rhs = self._blocks(np.random.default_rng(17), blocks=1, n=5, nrhs=1)
+        rhs = rhs[:, 0]
+        call = binders[0](diag, off, rhs)
+        # N = 2^32 + 5 whole: LAPACK refuses LDB = 5 < N (argument 6) and
+        # touches nothing; 32-bit integers would hold N = 5 and solve
+        call.status[0] = 2**32 + 5
+        assert call.status[0] == 2**32 + 5
+        before = rhs.copy()
+        call.fn(*call.args)
+        assert call.status[1] == -6
+        assert np.array_equal(rhs, before)
+
+    def test_module_binds_numpys_routines_where_it_exports_them(self, monkeypatch):
+        import ctypes
+
+        binders = dynamics._numpy_lapack()
+        if binders is None:
+            pytest.skip("numpy's extension exports no ILP64 dptsv")
+        system = self._blocks(np.random.default_rng(18), blocks=1, nrhs=1)
+        for bind, name in zip(_MODULE_BINDERS, dynamics._ROUTINES, strict=True):
+            fn = bind(*system[:2], *(() if name == "dpttrf" else system[2:])).fn
+            assert ctypes.cast(fn, ctypes.c_void_p).value == ctypes.cast(
+                getattr(ctypes.PyDLL(np._core._multiarray_umath.__file__),
+                        f"scipy_{name}_64_"), ctypes.c_void_p).value
+        _without_the_symbols(monkeypatch)
+        assert dynamics._numpy_lapack() is None
 
     def test_loads_the_extension_by_file(self, monkeypatch):
+        import scipy.linalg
+
         monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
-        linalg_dir = os.path.dirname(sys.modules["scipy.linalg"].__file__)
-        loaded = dynamics._load_lapack(linalg_dir)
+        loaded = dynamics._load_lapack(os.path.dirname(scipy.linalg.__file__))
         assert dynamics._FLAPACK not in sys.modules
         system = self._blocks(np.random.default_rng(13))
-        assert self._bits(loaded, *system) == self._bits(self._reference(), *system)
+        assert self._reference_bits(*system, routines=loaded) == self._reference_bits(*system)
 
     def test_falls_back_without_the_extension_file(self, tmp_path, monkeypatch):
         monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
@@ -1316,6 +1448,8 @@ class TestLapack:
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         # hashlib loads OpenSSL's libcrypto; the manifest digest needs neither
         heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py", "hashlib", "_hashlib")
+        if dynamics._numpy_lapack() is not None:  # scipy is then not needed at all
+            heavy += ("scipy",)
         code = (
             "import sys, nemlab, nemlab.cli; "
             f"print(*[m for m in {heavy!r} if m in sys.modules])"

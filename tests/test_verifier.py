@@ -1322,6 +1322,25 @@ class TestCheckUniqueness:
         with pytest.raises(VerifierError, match=f"^refinement level {bad}: {re.escape(reason)}$"):
             check_uniqueness(twin_config(n_ref=33, n_cand=17), levels)
 
+    @pytest.mark.parametrize("levels, message", [
+        ([9, 17, 10**5000], "refinement level <an integer of about 5001 digits>: n_nodes is too "
+                            "large: n_nodes - 1 is beyond the float range"),
+        ([10**5000, 9, 17], "refinement levels must be strictly increasing node counts, "
+                            "got [<an integer of about 5001 digits>, 9, 17]"),
+        ([*range(20, 0, -1)], "refinement levels must be strictly increasing node counts, "
+                              "got [20, 19, 18, 17, 16, 15, 14, 13, 12, 11, ...]"),
+    ], ids=["increasing", "decreasing", "long"])
+    def test_level_beyond_the_int_text_limit_is_a_bounded_verifier_error(
+            self, monkeypatch, levels, message):
+        # str() refuses an int of over 4,300 digits with a plain ValueError
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran before the levels were checked")
+
+        monkeypatch.setattr(verifier, "evolve", no_run)
+        with pytest.raises(VerifierError) as info:
+            check_uniqueness(twin_config(n_ref=33, n_cand=17), levels)
+        assert str(info.value) == message
+
     def test_perturbation_ignored_for_collapse(self):
         cfg = twin_config(n_ref=65, n_cand=65, dt=0.4 * Grid1D(65, 0, 1).dx ** 2,
                           t_end=0.01, amplitude=0.5)
