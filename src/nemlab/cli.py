@@ -142,7 +142,7 @@ def _finish(command: str, digest_text: str, gamma: float, t0: float,
     does not exist."""
     passes = all(checks.values())
     manifest = dict(command=command, config_sha256=_digest(digest_text), version=__version__,
-                    gamma_regime=_gamma_regime(gamma), duration_seconds=time.time() - t0,
+                    gamma_regime=_gamma_regime(gamma), duration_seconds=time.monotonic() - t0,
                     checks=checks, outputs=outputs, passes=passes)
     if resource is not None:  # ru_maxrss is in KiB on Linux, in bytes on macOS
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -174,7 +174,7 @@ def _run_config(args) -> int:
     for path in (trace, args.manifest):
         if path is not None:
             _probe_writable(path)
-    t0 = time.time()
+    t0 = time.monotonic()
     arg = trace if trace is not None else _parse_levels(args.levels, cfg.grid_candidate)
     result = _CONFIG_COMMANDS[args.command](cfg, arg)
     checks: Dict[str, bool] = {}
@@ -385,7 +385,7 @@ def _cmd_suite(args) -> int:
     with _file_access(f"write {outdir}"):
         os.makedirs(outdir, exist_ok=True)
     tasks = _suite_tasks(args.preset, outdir)
-    t0 = time.time()
+    t0 = time.monotonic()
     results = [_suite_task(t) for t in tasks]
 
     checks: Dict[str, bool] = {}

@@ -94,14 +94,12 @@ solve per workspace, the director factor and solve per step size and
 workspace; a step's solve is then fn(*args) and a read of the status.  Where
 numpy's extension does not export the routines (MKL or Accelerate
 builds, and Windows, whose symbol lookup does not search an extension's
-dependencies), the same binders wrap scipy's f2py routines instead,
-which keeps scipy a dependency.  Those are loaded from the extension
-module scipy/linalg/_flapack by file, so the scipy.linalg package
-__init__ never runs (0.22-0.26 s per process by `python -X importtime`,
-against about 2 ms for the extension alone), or from scipy.linalg.lapack
-where there is no such file.  Nothing but the symbols chooses the
-source.  With numpy 2.4 (OpenBLAS 0.3.31) and scipy 1.17 (OpenBLAS
-0.3.30) the two give the same bits.
+dependencies), the same binders wrap the f2py routines of
+scipy.linalg.lapack instead, which keeps scipy a dependency; importing
+nemlab there imports scipy.linalg, 0.22-0.26 s per process by `python
+-X importtime`.  Nothing but the symbols chooses the source.  With numpy
+2.4 (OpenBLAS 0.3.31) and scipy 1.17 (OpenBLAS 0.3.30) the two give the
+same bits.
 
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
@@ -115,12 +113,8 @@ where that bound is 0 the initial pressure is beyond the float range.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -128,7 +122,6 @@ import numpy as np
 from .constitutive import Params, System, _power_law, gl_force
 from .grid import _HALF, Grid1D, _scalar, _spacing, central_gradient, central_laplacian
 
-_FLAPACK = "scipy.linalg._flapack"
 _ROUTINES = ("dptsv", "dpttrf", "dpttrs")
 
 
@@ -195,38 +188,12 @@ def _numpy_lapack():
     return tuple(map(binder, fns))
 
 
-def _load_lapack(linalg_dir: str):
-    """LAPACK dptsv, dpttrf and dpttrs from scipy's _flapack extension
-    module in linalg_dir.
-
-    The extension is loaded by file, so the scipy.linalg package __init__
-    never runs; the routines are the same compiled objects that
-    scipy.linalg.lapack re-exports.  Without such a file (an editable or
-    non-wheel scipy build) this falls back to scipy.linalg.lapack.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(_FLAPACK)
-        if spec is None:
-            from scipy.linalg import lapack as module
-        else:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            # the extension registers itself in sys.modules; left there without
-            # its package, a later `import scipy.linalg` would not bind _flapack
-            sys.modules.pop(_FLAPACK, None)
-    return module.dptsv, module.dpttrf, module.dpttrs
-
-
 def _scipy_lapack():
-    """Binders of the installed scipy's f2py dptsv, dpttrf and dpttrs
-    (_load_lapack's), with _numpy_lapack's call form: each call passes
-    every overwrite flag, so the routine runs in place, and stores its
-    info in its status, a list [N, INFO]."""
-    import scipy
-
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    """Binders of scipy.linalg.lapack's f2py dptsv, dpttrf and dpttrs, with
+    _numpy_lapack's call form: each call passes every overwrite flag, so
+    the routine runs in place, and stores its info in its status, a list
+    [N, INFO]."""
+    from scipy.linalg import lapack
 
     def binder(routine, flags):
         def call(status, *args):
@@ -239,7 +206,7 @@ def _scipy_lapack():
         return bind
 
     # dpttrs overwrites only b: its factor is input only
-    return tuple(map(binder, _load_lapack(linalg_dir), (3, 2, 1)))
+    return tuple(map(binder, (lapack.dptsv, lapack.dpttrf, lapack.dpttrs), (3, 2, 1)))
 
 
 dptsv, dpttrf, dpttrs = _numpy_lapack() or _scipy_lapack()

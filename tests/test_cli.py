@@ -528,6 +528,19 @@ class TestMain:
         assert doc["config_sha256"] == hashlib.sha256(canonical_text(cfg_text()).encode()).hexdigest()
         assert doc["peak_rss_mb"] > 0
 
+    def test_duration_ignores_a_wall_clock_that_steps_back(self, tmp_path, monkeypatch):
+        import itertools
+        import time
+
+        # every read of the wall clock is an hour before the last one
+        clock = itertools.count()
+        monkeypatch.setattr(time, "time", lambda: 2e9 - 3600.0 * next(clock))
+        path, man = tmp_path / "cfg.json", tmp_path / "man.json"
+        path.write_text(cfg_text(grid_reference={"n": 33}, grid_candidate={"n": 33}))
+        assert main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                     "--manifest", str(man)]) == 0
+        assert json.loads(man.read_text())["duration_seconds"] >= 0
+
     @pytest.mark.parametrize("text", [cfg_text(), '{"system": "gl", "note": "été γ > 3/2 ✓"}'],
                              ids=["ascii", "non-ascii"])
     def test_digest_is_hashlibs_sha256_of_the_canonical_text(self, text):

@@ -735,6 +735,24 @@ class TestLazyEvolve:
                 for name in ("rho", "u", "d"):
                     assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        system=st.sampled_from([System.GL, System.SPHERE]),
+        t_end=st.floats(1e-3, 0.02),
+        windows=st.floats(0.5, 12.0),
+        dts=st.tuples(st.floats(2e-4, 2e-3), st.floats(2e-4, 2e-3)),
+    )
+    def test_sample_times_do_not_depend_on_the_step_size(self, system, t_end, windows, dts):
+        # verifier._pair_samples pairs the samples of runs at different dt by
+        # their count and times
+        p, g, (init, _), (bc, _) = self._twin(system)
+        interval = t_end / windows
+        runs = [np.array([t for _, t in evolve(init, t_end, dt, p, g, bc,
+                                               sample_interval=interval)])
+                for dt in dts]
+        assert runs[0].size == runs[1].size
+        assert runs[0].tobytes() == runs[1].tobytes()
+
     def test_checks_run_before_it_returns(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("a step ran before the first sample was asked for")
@@ -1288,12 +1306,6 @@ class TestLapack:
         return binders
 
     @staticmethod
-    def _reference():
-        from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
-
-        return dptsv, dpttrf, dpttrs
-
-    @staticmethod
     def _blocks(rng, blocks=4, n=33, nrhs=6):
         """(diagonal, off-diagonal, right-hand sides) of a diagonally dominant
         symmetric system of `blocks` tridiagonal blocks of n rows, uncoupled
@@ -1307,11 +1319,12 @@ class TestLapack:
     def _bits(outs):
         return [np.asarray(v).tobytes() for out in outs for v in out]
 
-    def _reference_bits(self, diag, off, rhs, routines=None):
-        """The bits of every output of f2py's dptsv and dpttrf (routines, or
-        scipy.linalg.lapack's) on copies of one system, and of dpttrs on
-        dpttrf's factor where that succeeded."""
-        dptsv, dpttrf, dpttrs = routines or self._reference()
+    def _reference_bits(self, diag, off, rhs):
+        """The bits of every output of scipy.linalg.lapack's dptsv and dpttrf
+        on copies of one system, and of dpttrs on dpttrf's factor where that
+        succeeded."""
+        from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
+
         outs = [dptsv(diag.copy(), off.copy(), rhs.copy()), dpttrf(diag.copy(), off.copy())]
         d, e, info = outs[-1]
         if info == 0:
@@ -1424,31 +1437,14 @@ class TestLapack:
         _without_the_symbols(monkeypatch)
         assert dynamics._numpy_lapack() is None
 
-    def test_loads_the_extension_by_file(self, monkeypatch):
-        import scipy.linalg
-
-        monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
-        loaded = dynamics._load_lapack(os.path.dirname(scipy.linalg.__file__))
-        assert dynamics._FLAPACK not in sys.modules
-        system = self._blocks(np.random.default_rng(13))
-        assert self._reference_bits(*system, routines=loaded) == self._reference_bits(*system)
-
-    def test_falls_back_without_the_extension_file(self, tmp_path, monkeypatch):
-        monkeypatch.delitem(sys.modules, dynamics._FLAPACK, raising=False)
-        loaded = dynamics._load_lapack(str(tmp_path))
-        assert all(a is b for a, b in zip(loaded, self._reference(), strict=True))
-        diag, off, rhs = self._blocks(np.random.default_rng(14), blocks=1, nrhs=1)
-        *_, x, info = loaded[0](diag, off, rhs)
-        assert info == 0
-        matrix = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-        assert np.allclose(matrix @ x, rhs, rtol=0.0, atol=1e-12)
-
     def test_import_leaves_scipy_linalg_unloaded(self):
         src = os.path.dirname(os.path.dirname(dynamics.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         # hashlib loads OpenSSL's libcrypto; the manifest digest needs neither
-        heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py", "hashlib", "_hashlib")
-        if dynamics._numpy_lapack() is not None:  # scipy is then not needed at all
+        heavy = ("numpy.testing", "numpy.f2py", "hashlib", "_hashlib")
+        # where numpy exports the routines no scipy loads, scipy.linalg
+        # included; the fallback imports scipy.linalg by design
+        if dynamics._numpy_lapack() is not None:
             heavy += ("scipy",)
         code = (
             "import sys, nemlab, nemlab.cli; "
