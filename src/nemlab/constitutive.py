@@ -29,7 +29,7 @@ import numpy as np
 from .grid import _ONE
 
 # Bregman round-off grows with the terms' size: within this times that size
-# (at least 1) it is clamped to zero; anything more negative raises.
+# (at least 1) it is clamped to zero; anything more negative is an error.
 _BREGMAN_CLAMP = 1e-14
 
 
@@ -123,17 +123,10 @@ def _least(values: np.ndarray, initial: float, axis=None):
     return np.fmin.reduce(values, axis=axis, initial=initial)
 
 
-def _check_nonneg_rho(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if _least(rho, 0.0) < 0:
-        raise ConstitutiveError("density must be nonnegative")
-    return rho
-
-
 def _power_law(rho, coefficient, exponent, out=None):
     """coefficient * rho^exponent, written to out when given (an array of
-    rho's shape).  The one power law: the energies and the Bregman gap
-    check rho's sign first, the IMEX step holds rho above a floor."""
+    rho's shape).  The one power law: the energy pass and the certificate
+    pass check rho's sign first, the IMEX step holds rho above a floor."""
     out = np.power(rho, exponent, out)
     return np.multiply(out, coefficient, out)
 
@@ -164,29 +157,16 @@ def gl_force(d, sigma0_sq, out=None):
     return np.divide(out, sigma0_sq, out)
 
 
-def bregman_pressure(rho, rho_tilde, params: Params):
-    """Bregman divergence Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t).
+def _bregman(pi, pi1_t, pi_t, rho, rho_t, faults) -> np.ndarray:
+    """Bregman divergence Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t) from
+    the three law values, row by row along the last axis.
 
     Nonnegative by convexity of Pi for gamma > 1; zero iff rho == rho_t.
     Round-off down to -1e-14 times the terms' summed magnitudes (at least
-    1) is clamped to zero so that downstream positivity checks stay clean;
-    anything more negative is a real error and raises.
+    1) is clamped to zero, the magnitudes summed only where the absolute
+    1e-14 test fails.  A row more negative than that stores its error in
+    faults (a dict) under the row's index, unless the index holds one.
     """
-    rho = _check_nonneg_rho(rho)
-    if _least(rho_tilde, np.inf) <= 0:
-        raise ConstitutiveError("reference density must be strictly positive")
-    return _bregman(_power_law(rho, params.pi_coeff, params.gamma),
-                    _power_law(rho_tilde, params.pi1_coeff, params.gamma - 1.0),
-                    _power_law(rho_tilde, params.pi_coeff, params.gamma), rho, rho_tilde)
-
-
-def _bregman(pi, pi1_t, pi_t, rho, rho_t, faults=None) -> np.ndarray:
-    """Pi(rho) - Pi'(rho_t)(rho - rho_t) - Pi(rho_t) from the three law
-    values, with bregman_pressure's round-off clamp and error, row by row
-    along the last axis; the terms' magnitudes are summed only where the
-    absolute 1e-14 test fails.  A row negative beyond round-off raises, or,
-    when faults (a dict) is given, stores its error under the row's index
-    there unless the index already holds one."""
     linear = pi1_t * (rho - rho_t)
     out = pi - linear - pi_t
     least = _least(out, 0.0)
@@ -196,10 +176,6 @@ def _bregman(pi, pi1_t, pi_t, rho, rho_t, faults=None) -> np.ndarray:
         bad = _least(out + _BREGMAN_CLAMP * scale, 0.0, -1) < 0.0
         rows = out.reshape(-1, *out.shape[-1:])
         for k in np.flatnonzero(bad).tolist():
-            error = ConstitutiveError(
-                f"Bregman pressure term is negative beyond round-off: min={rows[k].min():.3e}"
-            )
-            if faults is None:
-                raise error
-            faults.setdefault(k, error)
+            faults.setdefault(k, ConstitutiveError(
+                f"Bregman pressure term is negative beyond round-off: min={rows[k].min():.3e}"))
     return np.where(out < 0.0, 0.0, out) if least < 0.0 else out

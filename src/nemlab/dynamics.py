@@ -73,33 +73,26 @@ float64 array made once from the float expression it stands for, per step
 size (_Implicit) or per (params, dx) in _Operands, the one table of the
 step, the certificate row and the energy pass, cached by _operands; copies
 are slice assignments; each LAPACK call's arguments are built once (see
-LAPACK below).  Per call on 194 floats (numpy 2.4, Python 3.11, shared
-2-vCPU x86-64 VM): x *= 0.5 0.84 us, np.multiply(x, 0.5, x) 0.57, with a
-0-d 0.5 0.37, with out= 0.43; np.copyto 0.33, a slice assignment 0.18.
-dptsv on 97 rows, its solve included: 1.60-1.63 us through ctypes with
-every argument a prebuilt byref, 1.61-1.72 through scipy's f2py wrapper,
-1.82-1.93 with the arrays passed as c_void_p addresses.
+LAPACK below).  Each form measured the fastest of its alternatives
+(BENCH_step.json, record call_forms).
 
 LAPACK: dptsv, dpttrf and dpttrs come from numpy's own LAPACK, the ILP64
 OpenBLAS that numpy's wheels link into numpy._core._multiarray_umath and
 that exports them as scipy_dptsv_64_, scipy_dpttrf_64_ and
 scipy_dpttrs_64_.  ctypes binds them, with 64-bit integer arguments, so a
-process maps one OpenBLAS: scipy's _flapack extension maps a second one,
-with libgfortran and libstdc++: 5.4 MB of resident memory after `import
-scipy`.  A process that imports nemlab.cli peaks at 29.6 MB resident,
-against 33.7 MB when the solves came from _flapack (numpy 2.4, scipy
-1.17, Python 3.11, x86-64 Linux, bytecode compiled at import).  Each
-solve binds its routine to its arrays once, as a _Call: the velocity
-solve per workspace, the director factor and solve per step size and
-workspace; a step's solve is then fn(*args) and a read of the status.  Where
+process maps one OpenBLAS, where scipy's _flapack extension would map a
+second one, with libgfortran and libstdc++, and peak some 4 MB higher
+(call_forms).  Each solve binds its routine to its arrays once, as a
+_Call: the velocity solve per workspace, the director factor and solve
+per step size and workspace; a step's solve is then fn(*args) and a read
+of the status.  Where
 numpy's extension does not export the routines (MKL or Accelerate
 builds, and Windows, whose symbol lookup does not search an extension's
 dependencies), the same binders wrap the f2py routines of
 scipy.linalg.lapack instead, which keeps scipy a dependency; importing
-nemlab there imports scipy.linalg, 0.22-0.26 s per process by `python
--X importtime`.  Nothing but the symbols chooses the source.  With numpy
-2.4 (OpenBLAS 0.3.31) and scipy 1.17 (OpenBLAS 0.3.30) the two give the
-same bits.
+nemlab there imports scipy.linalg too, a fraction of a second per process
+(call_forms).  Nothing but the symbols chooses the source, and the two
+give the same bits (call_forms names the versions).
 
 Velocity is updated in conservative variables (rho, rho*u) and recovered by
 division by the new density, which is safe above the density floor.  A
@@ -706,7 +699,15 @@ def _advance(work: _Workspace, ops: _Operands, implicit: _Implicit, dt: float,
             & np.isfinite(d).all(axis=(1, 2))
         )
         if finite.all():
-            finite = np.isfinite(work.u).all(axis=1)
+            # only the velocity solve overflowed, and its substitutions carry
+            # one member's inf across the joints too (0 * inf): each block is
+            # solved again alone, which gives its own run's values (m_star's
+            # wall entries are 0, as the solve's were)
+            n = m_star.shape[1]
+            for b, rhs in enumerate(m_star):
+                off = implicit.vel_off[b * n:(b + 1) * n - 1].copy()
+                _lapack(dptsv(work.rho[b] + implicit.two_s, off, rhs), "velocity", n)
+            finite = np.isfinite(m_star).all(axis=1)
         raise NonFiniteStateError("non-finite values after step", member=_first(~finite))
 
 

@@ -37,11 +37,13 @@ the h_hat norms; the term table is built once per parameter set
 (_layout).  Each sample's RemainderBreakdown also carries the pair's
 relative entropy and the candidate's energy, dissipation, mass and
 (SPHERE) sphere defect, from the same density helpers as the single-value
-functionals, bit for bit.  EnergyWindow evaluates one trajectory's
-energies and dissipations a window of samples at a time, with one stacked
-pass that energy_dissipation runs on a single state.  Values beyond the
-float range raise FunctionalError naming the quantity, never a numpy
-warning.
+functionals, bit for bit.  relative_entropy is the pass's entropy row
+alone, the one implementation of the relative entropy: the pair's
+_PairFields and the integral of its entropy density.  EnergyWindow
+evaluates one trajectory's energies and dissipations a window of samples
+at a time, with one stacked pass that energy_dissipation runs on a
+single state.  Values beyond the float range raise FunctionalError naming
+the quantity (relative_entropy returns them), never a numpy warning.
 
 Call forms, as in the IMEX step (see dynamics): a row is some 150 numpy
 calls on a few hundred floats each, so their fixed cost is most of it,
@@ -84,10 +86,8 @@ from .constitutive import (
     Params,
     System,
     _bregman,
-    _check_nonneg_rho,
     _least,
     _power_law,
-    bregman_pressure,
     gl_force,
     gl_potential,
 )
@@ -262,6 +262,8 @@ def _energy_rows(rows: np.ndarray, dx: float, o: _Operands, scratch=None) -> np.
     values = rows.reshape(-1, n)  # a copy only for a partial window
     fields, m = values.reshape(5, -1), k * n
     rho, u, d = fields[0], fields[1], fields[2:]
+    if _least(rho, 0.0) < 0:
+        raise ConstitutiveError("density must be nonnegative")
     scratch = np.empty(10 * m) if scratch is None else scratch
     grad = gradient_array(values, dx, scratch[:5 * m].reshape(-1, n)).reshape(5, -1)
     grad_d = np.multiply(grad[2:], grad[2:], grad[2:])  # squared in place
@@ -270,7 +272,7 @@ def _energy_rows(rows: np.ndarray, dx: float, o: _Operands, scratch=None) -> np.
     lap = laplacian_array(values[2 * k:], dx, scratch[5 * m:8 * m].reshape(-1, n)).reshape(3, -1)
     resid = _residual(d, lap, grad_sq, force, grad_d)
     resid_sq = np.add.reduce(np.multiply(resid, resid, resid), 0, None, lap[0])
-    pi = _power_law(_check_nonneg_rho(rho), o.pi_coeff, o.gamma, lap[1])
+    pi = _power_law(rho, o.pi_coeff, o.gamma, lap[1])
     d_sq = np.add.reduce(np.multiply(d, d, grad_d), 0, None, lap[2]) if o.gl else None
     out = scratch[8 * m:10 * m].reshape(2, -1)
     _state_densities(rho, u, grad[1], grad_sq, resid_sq, pi, o, out, d_sq, grad[2:4])
@@ -365,6 +367,7 @@ def sphere_defect(state: State) -> float:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def relative_entropy(pair: StatePair, params: Params) -> float:
     """Distance functional between candidate and reference.
 
@@ -377,16 +380,20 @@ def relative_entropy(pair: StatePair, params: Params) -> float:
     GL variant carries no zeroth-order director gap because the Dirichlet
     pinning lets the gradient gap control it; that gap is still reported,
     as remainder's diag_director_l2_gap term.
+
+    The entropy row of the certificate pass: the pair's _PairFields, as
+    remainder builds them, and its one integral, so the value is bit for
+    bit the entropy of remainder's row.  It raises the first error the
+    pass records for the pair (SPHERE directors not unit length, a
+    negative candidate density, a Bregman gap negative beyond round-off);
+    a value beyond the float range is returned, as inf or NaN, with no
+    numpy warning.
     """
-    dx = pair.grid.dx
-    c, r = pair.candidate, pair.reference
-    grad = gradient_array(np.array((c.d, r.d)), dx)
-    dgrad = grad[0] - grad[1]
-    dd = c.d - r.d
-    dgrad_sq, gap_sq = _contract(((dgrad, dgrad), (dd, dd)))
-    dens = _entropy_density(c.rho, c.u - r.u, bregman_pressure(c.rho, r.rho, params),
-                            dgrad_sq, gap_sq, _operands(params, dx))
-    return trapezoid_array(dens, dx)
+    f = _PairFields((pair,), params)
+    if f.faults:
+        raise f.faults[0]
+    dens = _entropy_density(f.rho, f.du, f.bregman, f.dgrad_sq, f.gap_sq, f.layout[-1])
+    return trapezoid_array(dens[0], f.dx)
 
 
 class _PairFields:

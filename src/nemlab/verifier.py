@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from array import array
 from dataclasses import dataclass, field, fields
@@ -165,9 +166,11 @@ class Perturbation:
             raise VerifierError(f"perturbation.amplitude must be finite, got {self.amplitude}")
         if self.amplitude < 0:
             raise VerifierError(f"perturbation.amplitude must be >= 0, got {self.amplitude}")
-        # an integer, as parse_config requires: a fractional mode gives a
-        # SPHERE shape whose slope at the walls is not zero
-        if isinstance(self.mode, bool) or not isinstance(self.mode, int) or self.mode < 1:
+        # an integer, a numpy one too but not a bool, as Grid1D takes a node
+        # count: a fractional mode gives a SPHERE shape whose slope at the
+        # walls is not zero
+        mode = self.mode
+        if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) or mode < 1:
             raise VerifierError(f"perturbation.mode must be a positive integer, got {self.mode!r}")
         try:
             phase = 2.0 * math.pi * self.mode  # the GL mode shape's sine argument
@@ -855,10 +858,9 @@ def check_uniqueness(
     overflows: List[Tuple[float, int]] = []  # (t, level index) of each non-finite entropy
 
     def row(i: int, t: float, pair: StatePair) -> None:
-        # no numpy warning, and no error before every level is paired: a
-        # later level may abort earlier in time
-        with np.errstate(over="ignore", invalid="ignore"):
-            entropy[i].append(relative_entropy(pair, params))
+        # no error before every level is paired: a later level may abort
+        # earlier in time
+        entropy[i].append(relative_entropy(pair, params))
         if not math.isfinite(entropy[i][-1]):
             overflows.append((t, i))
 

@@ -14,8 +14,8 @@ from nemlab.cli import main
 from nemlab.constitutive import (
     Params,
     System,
+    _bregman,
     _power_law,
-    bregman_pressure,
     gl_force,
     gl_potential,
 )
@@ -140,21 +140,26 @@ def test_criterion_2_constitutive_identities(capsys):
                        for e in h * np.eye(3)[:, :, None]])
         worst_force = max(worst_force, np.max(np.abs(gl_force(d, p.sigma0**2) - fd)))
 
-    worst_bregman = 0.0
+    # the pressure Bregman row as the certificate pass composes it
+    worst_bregman, bregman_faults = 0.0, {}
     for _ in range(1000):
         p = Params(a=rng.uniform(0.1, 3.0), gamma=rng.uniform(1.0 + 1e-6, 3.0))
-        val = bregman_pressure(rng.uniform(0.0, 5.0, 10), rng.uniform(0.01, 5.0, 10), p)
+        rho, rho_t = rng.uniform(0.0, 5.0, 10), rng.uniform(0.01, 5.0, 10)
+        val = _bregman(_power_law(rho, p.pi_coeff, p.gamma),
+                       _power_law(rho_t, p.pi1_coeff, p.gamma - 1.0),
+                       _power_law(rho_t, p.pi_coeff, p.gamma), rho, rho_t, bregman_faults)
         worst_bregman = min(worst_bregman, val.min())
 
     elapsed = time.perf_counter() - t0
     ok = (worst_pressure <= 1e-12 and worst_force <= 1e-6
-          and worst_bregman >= -1e-14 and elapsed < budget)
+          and worst_bregman >= -1e-14 and not bregman_faults and elapsed < budget)
     announce(capsys, "criterion 2 (constitutive identities)", ok,
              f"pressure_rel={worst_pressure:.2e} force_fd={worst_force:.2e} "
              f"bregman_min={worst_bregman:.2e}", elapsed, budget)
     assert worst_pressure <= 1e-12
     assert worst_force <= 1e-6
     assert worst_bregman >= -1e-14
+    assert not bregman_faults
     assert elapsed < budget
 
 

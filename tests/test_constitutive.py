@@ -8,13 +8,13 @@ from nemlab.constitutive import (
     Params,
     System,
     _bregman,
+    _least,
     _power_law,
-    bregman_pressure,
     gl_force,
     gl_potential,
 )
 from nemlab.dynamics import State
-from nemlab.functionals import energy_dissipation
+from nemlab.functionals import StatePair, energy_dissipation, relative_entropy
 from nemlab.grid import Grid1D
 
 
@@ -71,18 +71,42 @@ def test_power_laws_give_their_formulas_bits(law, entries, a, gamma):
     assert out.tobytes() == expected.tobytes()
 
 
+def bregman(rho, rho_t, p):
+    """The pressure Bregman row of candidate density rho against reference
+    density rho_t and the faults it records: _bregman on the three law
+    values, each a _power_law of its owner's coefficient, as the
+    certificate pass takes them."""
+    faults = {}
+    out = _bregman(_power_law(rho, p.pi_coeff, p.gamma),
+                   _power_law(rho_t, p.pi1_coeff, p.gamma - 1.0),
+                   _power_law(rho_t, p.pi_coeff, p.gamma), rho, rho_t, faults)
+    return out, faults
+
+
+def pair_of_densities(rho, rho_t):
+    """A pair of states on len(rho) nodes that differ in density only."""
+    n = len(rho)
+    g, u, d = Grid1D(n, 0.0, 1.0), np.zeros(n), np.tile([[1.0], [0.0], [0.0]], n)
+    return StatePair(State(g, rho, u, d), State(g, rho_t, u, d))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(entries=st.lists(_DENSITY_ENTRIES, max_size=6), gamma=st.floats(1.01, 3.0))
-def test_density_check_raises_iff_an_entry_is_negative(entries, gamma):
-    # the candidate density of the Bregman gap; the energies and the
-    # certificate row take the same check
-    rho = np.array(entries, dtype=float)
-    with np.errstate(all="ignore"):
-        if any(x < 0 for x in entries):
-            with pytest.raises(ConstitutiveError, match="density must be nonnegative"):
-                bregman_pressure(rho, np.ones_like(rho), Params(gamma=gamma))
-        else:
-            assert bregman_pressure(rho, np.ones_like(rho), Params(gamma=gamma)).shape == rho.shape
+@given(entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
+       .map(lambda xs: [*xs, 0.0, -0.0, 1.0, 1.0, 1.0]),
+       negative=st.sampled_from([None, -1e-300, -1.0]), gamma=st.floats(1.01, 3.0))
+def test_density_check_raises_iff_an_entry_is_negative(entries, negative, gamma):
+    # the candidate density of the certificate pass and the state of the
+    # energy pass take one check; a State holds finite entries only
+    rho = np.array(entries if negative is None else [negative, *entries])
+    pair, p = pair_of_densities(rho, np.ones_like(rho)), Params(gamma=gamma)
+    with np.errstate(all="ignore"):  # huge entries overflow the energy
+        for evaluate in (lambda: relative_entropy(pair, p),
+                         lambda: energy_dissipation(pair.candidate, p)):
+            if (rho < 0).any():
+                with pytest.raises(ConstitutiveError, match="density must be nonnegative"):
+                    evaluate()
+            else:
+                evaluate()
 
 
 class TestPressurePotential:
@@ -92,15 +116,17 @@ class TestPressurePotential:
 
     def test_negative_entry_rejected(self):
         rho = np.array([1.0, -1e-300, 2.0, 1.0, 1.0])
+        pair = pair_of_densities(rho, np.ones(5))
         with pytest.raises(ConstitutiveError, match="density must be nonnegative"):
-            bregman_pressure(rho, np.ones(5), Params())
-        state = State(Grid1D(5, 0.0, 1.0), rho, np.zeros(5), np.ones((3, 5)))
+            relative_entropy(pair, Params())
         with pytest.raises(ConstitutiveError, match="density must be nonnegative"):
-            energy_dissipation(state, Params())
+            energy_dissipation(pair.candidate, Params())
 
     def test_nan_density_passes_the_sign_check(self):
-        out = bregman_pressure(np.array([1.0, np.nan]), np.ones(2), Params())
-        assert out[0] == 0.0 and np.isnan(out[1])
+        rho = np.array([1.0, np.nan])
+        assert not _least(rho, 0.0) < 0  # the passes' sign check
+        out, faults = bregman(rho, np.ones(2), Params())
+        assert out[0] == 0.0 and np.isnan(out[1]) and not faults
 
     def test_derivative_identities_random(self):
         # Pi'(rho) rho - Pi(rho) = P(rho); Pi'' = dp_coeff rho^(gamma-2) is
@@ -165,39 +191,39 @@ class TestGinzburgLandau:
 class TestRelativePressureTerm:
     def test_zero_at_equal_arguments(self):
         rho = np.array([1.3, 0.2])
-        assert np.all(bregman_pressure(rho, rho, Params(gamma=1.9)) == 0.0)
+        out, faults = bregman(rho, rho, Params(gamma=1.9))
+        assert np.all(out == 0.0) and not faults
 
     def test_positivity_random(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             p = Params(a=rng.uniform(0.1, 3.0), gamma=rng.uniform(1.01, 3.0))
-            val = bregman_pressure(rng.uniform(0.0, 5.0, 10), rng.uniform(0.01, 5.0, 10), p)
-            assert val.min() >= -1e-14
+            val, faults = bregman(rng.uniform(0.0, 5.0, 10), rng.uniform(0.01, 5.0, 10), p)
+            assert val.min() >= -1e-14 and not faults
 
     @pytest.mark.parametrize("gamma", [1.001, 1.0001])
     def test_round_off_tolerance_scales_with_the_terms(self, gamma):
         # Pi = a/(gamma-1) rho^gamma is about 1e3 to 1e4 here: the gap's
         # cancellation error exceeds an absolute 1e-14 and is still clamped
-        rho = 1.0 + 1e-6 * np.sin(np.arange(100.0))
-        assert bregman_pressure(rho, np.ones(100), Params(gamma=gamma)).min() == 0.0
+        rho, p = 1.0 + 1e-6 * np.sin(np.arange(100.0)), Params(gamma=gamma)
+        out, faults = bregman(rho, np.ones(100), p)
+        assert out.min() == 0.0 and not faults
+        assert relative_entropy(pair_of_densities(rho, np.ones(100)), p) >= 0.0
 
     @pytest.mark.parametrize("a", [1.0, 1e6])
-    def test_off_derivative_raises(self, a):
+    def test_off_derivative_records_a_fault(self, a):
         # Pi'(rho~) off by a relative 1e-6 (a = 1, gamma = 2, rho~ = 1): the
-        # computed gap is -1.9e-13 a, beyond the scaled tolerance of 2e-14 a
-        rho, rho_t = np.array([1.0, 1.0 + 1e-7]), np.ones(2)
-        with pytest.raises(ConstitutiveError, match="negative beyond round-off"):
-            _bregman(a * rho**2, 2.0 * a * (1.0 + 1e-6) * rho_t, a * rho_t**2, rho, rho_t)
+        # computed gap is -1.9e-13 a, beyond the scaled tolerance of 2e-14 a;
+        # of two rows only the second is off
+        rho, rho_t = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-7]]), np.ones((2, 2))
+        off, faults = np.array([[1.0], [1.0 + 1e-6]]), {}
+        _bregman(a * rho**2, 2.0 * a * off * rho_t, a * rho_t**2, rho, rho_t, faults)
+        assert list(faults) == [1] and isinstance(faults[1], ConstitutiveError)
+        assert "negative beyond round-off" in str(faults[1])
 
     def test_known_values(self):
         # Pi(2) - Pi'(1)(2-1) - Pi(1) = 4 - 2 - 1 with a=1, gamma=2
         p = Params(a=1.0, gamma=2.0)
         rho = np.array([2.0, 1.0, 0.5])
-        out = bregman_pressure(rho, np.ones(3), p)
+        out, _ = bregman(rho, np.ones(3), p)
         assert out[1] == 0.0 and out[0] == pytest.approx(1.0)
-
-    def test_degenerate_reference_rejected(self):
-        with pytest.raises(ConstitutiveError):
-            bregman_pressure(np.ones(1), np.zeros(1), Params())
-        with pytest.raises(ConstitutiveError, match="strictly positive"):
-            bregman_pressure(np.ones(3), np.array([1.0, 0.0, 1.0]), Params())

@@ -1141,6 +1141,26 @@ class TestMemberAttribution:
         assert not np.isfinite(work.u[0]).all()  # the solve did reach member 0
         assert np.isfinite(work.rho).all() and np.isfinite(work.d).all()
 
+    @pytest.mark.parametrize("failing", [[1], [0, 1]])
+    def test_velocity_overflow_names_a_member_whose_own_solve_overflowed(self, failing):
+        # rho, m* and d stay finite and only the velocity solve overflows,
+        # m* / rho at node 16 (rho = 1e-300); its back substitution's 0 * inf
+        # at the block joint turns member 0's velocity NaN too
+        p, g = Params(mu=1e-250, gamma=2.0, system=System.SPHERE), Grid1D(33, 0.0, 1.0)
+        d = np.zeros((3, 33))
+        d[0] = 1.0
+        inits = []
+        for b in range(2):
+            rho = np.ones(33)
+            if b in failing:
+                rho[15], rho[16] = 1e100, 1e-300
+            inits.append(InitialData(g, rho, np.zeros(33), d))
+        dt = 0.3 * g.dx / math.sqrt(p.dp_coeff * 1e100 ** (p.gamma - 1.0))
+        bcs = [BoundarySpec.for_system(System.SPHERE, d)] * 2
+        with pytest.raises(NonFiniteStateError, match="after step") as info:
+            evolve(inits, dt, dt, p, g, bcs, observer=lambda *_: None, density_floor=1e-305)
+        assert info.value.member == failing[0]
+
     def test_singular_velocity_block_names_member_and_row(self):
         rho_new = np.ones((2, 7))
         rho_new[1, 3] = 0.0  # with mu = 0 row 3 of member 1 is all zeros

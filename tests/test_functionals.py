@@ -199,8 +199,9 @@ class TestRelativeEntropy:
         assert relative_entropy(sphere_pair(65), SPH) > 0.0
 
     def test_sphere_quadratic_scaling_in_director_gap(self):
-        # perturb the director without renormalizing; ratio of entropies at
-        # amplitudes eps and eps/2 must be 4
+        # perturb the director out of its plane and renormalize it, as
+        # SPHERE requires; ratio of entropies at amplitudes eps and eps/2
+        # must be 4
         g = Grid1D(129, 0.0, 1.0)
         x = g.nodes()
         phi = 0.5 * np.cos(np.pi * x)
@@ -209,6 +210,7 @@ class TestRelativeEntropy:
         vals = {}
         for eps in (1e-2, 5e-3):
             d_c = d_r + eps * np.sin(x)[None, :] * np.array([0.0, 0.0, 1.0])[:, None]
+            d_c /= np.sqrt(np.sum(d_c * d_c, axis=0))
             cand = State(g, np.ones(129), np.zeros(129), d_c)
             vals[eps] = relative_entropy(StatePair(cand, ref), SPH)
         assert vals[1e-2] / vals[5e-3] == pytest.approx(4.0, rel=0.05)

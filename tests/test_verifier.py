@@ -1,5 +1,6 @@
 import gc
 import inspect
+import json
 import math
 import re
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemlab import dynamics, verifier
+from nemlab import cli, dynamics, verifier
 from nemlab.constitutive import ConstitutiveError, Params, System
 from nemlab.dynamics import CflError, SolverError, State
 from nemlab.functionals import (
@@ -149,13 +150,22 @@ class TestPresets:
                                                 f"got {amplitude}$"):
             Perturbation(amplitude=amplitude, mode=2)
 
-    @pytest.mark.parametrize("mode", [2.5, 2.0, True, np.int64(2), "2", 0, -1])
+    @pytest.mark.parametrize("mode", [2.5, 2.0, True, np.bool_(True), "2", 0, -1, np.int64(0)])
     def test_mode_that_is_not_a_positive_integer_rejected(self, mode):
         # parse_config's rule and message: mode 2.5 gave the SPHERE shape
         # cos(2.5 pi s), whose slope at the right wall is not zero
         with pytest.raises(VerifierError, match=re.escape(
                 f"perturbation.mode must be a positive integer, got {mode!r}")):
             Perturbation(amplitude=1e-2, mode=mode)
+
+    @pytest.mark.parametrize("mode", [np.int64(2), np.uint8(2), np.int32(2)])
+    def test_numpy_integer_mode_accepted(self, mode):
+        # as Grid1D accepts a numpy integer node count
+        g = Grid1D(33, 0.0, 1.0)
+        pert = make_initial_data("gl-smooth", g, GL, Perturbation(1e-3, mode))
+        plain = make_initial_data("gl-smooth", g, GL, Perturbation(1e-3, 2))
+        assert pert.rho0.tobytes() == plain.rho0.tobytes()
+        assert pert.d0.tobytes() == plain.d0.tobytes()
 
     def test_unknown_preset_rejected(self):
         g = Grid1D(33, 0.0, 1.0)
@@ -690,6 +700,54 @@ class TestStreamedTwin:
         cfg = replace(twin_config(sample_interval=0.02), **{f"dt_{which}": 0.5})
         with pytest.raises(CflError, match=f"^{which} trajectory: at t=0:"):
             run_twin(cfg)
+
+    @pytest.mark.parametrize("edit", ["fewer", "shifted", "extra"])
+    def test_a_candidate_stream_out_of_step_is_refused(self, monkeypatch, tmp_path, capsys,
+                                                       edit):
+        # the streamed candidate's samples, edited: it stops one sample
+        # early, its third sample's time is off by 1e-6, or it yields one
+        # sample more; the library and the CLI refuse each
+        shifted = []
+
+        def edited(samples):
+            if edit == "fewer":
+                last = next(samples)
+                for sample in samples:
+                    yield last
+                    last = sample
+                return
+            for k, (states, t) in enumerate(samples):
+                if edit == "shifted" and k == 2:
+                    shifted.append(t)
+                    t += 1e-6
+                yield states, t
+            if edit == "extra":
+                yield states, t + 1.0
+
+        def message():
+            if edit == "shifted":
+                t = shifted.pop()
+                return f"sample time mismatch: {t} vs {t + 1e-6}"
+            return "reference and candidate produced different sample counts"
+
+        original = verifier.evolve
+
+        def evolve(*args, **kwargs):  # the lazy form is the streamed candidate's
+            samples = original(*args, **kwargs)
+            return samples if "observer" in kwargs else edited(samples)
+
+        monkeypatch.setattr(verifier, "evolve", evolve)
+        with pytest.raises(VerifierError) as info:
+            run_twin(twin_config(n_ref=65, n_cand=33, t_end=0.01))
+        assert str(info.value) == message()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": "gl", "gamma": 2.0, "a": 1.0, "sigma0": 1.0,
+                                    "grid_reference": {"n": 65},
+                                    "grid_candidate": {"n": 33}, "dt": 2e-4, "t_end": 0.01,
+                                    "initial_preset": "gl-smooth"}))
+        assert cli.main(["twin", "-c", str(path), "-o", str(tmp_path / "t.csv"),
+                         "--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr() == ("", f"invalid experiment: {message()}\n")
 
 
 def _counting_evolve(monkeypatch):
